@@ -35,7 +35,7 @@ from .objective import (
     load_measured,
     modal_scale_factor,
     objective_value,
-    project_feasible,
+    residual_batch,
     residual_vector,
     save_measured,
 )
@@ -47,7 +47,6 @@ from .optim import (
     SolutionArchive,
     aco_construct,
     aco_minimize,
-    aco_sigma,
     aco_weights,
     least_squares_polish,
     pso_minimize,

@@ -9,7 +9,6 @@ variation) next to the fuzzy interval results.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,17 +163,3 @@ def write_chain_csv(chain: Chain, path) -> None:
         writer.writerow(["sample_index"] + [f"theta_{i}" for i in range(d)])
         for i, row in enumerate(chain.samples):
             writer.writerow([i] + [repr(float(v)) for v in row])
-
-
-def write_summary_json(summary: ChainSummary, chain: Chain, path) -> None:
-    """Posterior summary as JSON, including the acceptance rate."""
-    payload = {
-        "mean": [float(v) for v in summary.mean],
-        "sd": [float(v) for v in summary.sd],
-        "cov_percent": [float(v) for v in summary.cov_percent],
-        "acceptance_rate": float(chain.acceptance_rate),
-        "n_samples": int(chain.samples.shape[0]),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -3,17 +3,17 @@
 Subcommands: ``simulate`` (write fuzzy measured data), ``update`` (run the
 fuzzy updating pipeline and write a result bundle), ``bayes`` (run the
 Metropolis-Hastings baseline), ``report`` (re-render tables and curves from
-a bundle). Exit codes: 0 success, 1 configuration, 2 numerical failure,
-3 I/O.
+a bundle). Exit codes: 0 success, 1 configuration (including command-line
+usage errors), 2 numerical failure, 3 I/O. ``update --verbose`` logs one
+line per alpha level to stderr through the ``ffemu`` logger.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,20 +71,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_update(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
-    executor = None
-    threads = args.threads if args.threads is not None else os.cpu_count() or 1
-    progress = None
+    logger = logging.getLogger("ffemu")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
     if args.verbose:
-        def progress(k, alpha, best):
-            print(f"level {k + 1} (alpha={alpha:.3f}): objective {best:.3e}", file=sys.stderr)
-
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
-        if threads > 1:
-            executor = ThreadPoolExecutor(max_workers=threads)
-        result = run_ffemu(config.run, executor=executor, progress=progress)
+        result = run_ffemu(config.run)
     finally:
-        if executor is not None:
-            executor.shutdown()
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     out = Path(args.out)
     report.write_bundle(out, config.run, result)
     summary = report.load_summary(out)
@@ -138,8 +135,20 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_CONFIG``.
+
+    argparse exits with 2 by default, which this CLI reserves for
+    numerical failures.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffemu",
         description="Fuzzy finite element model updating of mass-spring structures.",
     )
@@ -161,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run-configuration JSON path")
     p.add_argument("--out", default="ffemu_results", help="result bundle directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
     p.add_argument("--verbose", action="store_true", help="per-level progress on stderr")
     p.set_defaults(func=cmd_update)
 

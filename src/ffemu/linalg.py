@@ -70,14 +70,14 @@ def _as_symmetric(matrix, name: str) -> np.ndarray:
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so each largest-|component| entry is positive.
 
-    Ties break toward the lowest index (argmax convention); this keeps
-    eigenvector output reproducible across runs and platforms.
+    Accepts one (n, n) matrix or a stack (..., n, n), flipping the columns
+    of each matrix. Ties break toward the lowest index (argmax convention);
+    this keeps eigenvector output reproducible across runs and platforms.
     """
-    out = np.array(vectors, dtype=float)
-    idx = np.argmax(np.abs(out), axis=0)
-    flip = out[idx, np.arange(out.shape[1])] < 0.0
-    out[:, flip] = -out[:, flip]
-    return out
+    out = np.asarray(vectors, dtype=float)
+    idx = np.argmax(np.abs(out), axis=-2)
+    peak = np.take_along_axis(out, idx[..., None, :], axis=-2)
+    return np.where(peak < 0.0, -out, out)
 
 
 def generalized_eig(stiffness, mass) -> ModalSolution:
@@ -140,15 +140,28 @@ def mac(phi_a, phi_b) -> float:
 
 
 def mac_matrix(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """MAC of every reference column against every candidate column."""
+    """MAC of every reference column against every candidate column.
+
+    Accepts one pair of (n, n) matrices or two stacks (..., n, n), giving
+    one table per pair.
+    """
     ref = np.asarray(reference, dtype=float)
     cand = np.asarray(candidate, dtype=float)
-    cross = ref.T @ cand
-    norms_r = np.sum(ref * ref, axis=0)
-    norms_c = np.sum(cand * cand, axis=0)
+    cross = np.swapaxes(ref, -1, -2) @ cand
+    norms_r = np.sum(ref * ref, axis=-2)
+    norms_c = np.sum(cand * cand, axis=-2)
     if np.any(norms_r == 0.0) or np.any(norms_c == 0.0):
         raise DegenerateVectorError("MAC is undefined for a zero vector")
-    return np.minimum(1.0, cross**2 / np.outer(norms_r, norms_c))
+    return np.minimum(1.0, cross**2 / (norms_r[..., :, None] * norms_c[..., None, :]))
+
+
+def diagonal_dominates(table: np.ndarray) -> np.ndarray:
+    """Whether each MAC table (or each of a stack) peaks on the diagonal in
+    every row and every column; greedy pairing then keeps the identity."""
+    identity = np.arange(table.shape[-1])
+    return np.all(np.argmax(table, axis=-1) == identity, axis=-1) & np.all(
+        np.argmax(table, axis=-2) == identity, axis=-1
+    )
 
 
 def pair_modes(reference: ModalSolution, candidate: ModalSolution) -> np.ndarray:
@@ -163,12 +176,8 @@ def pair_modes(reference: ModalSolution, candidate: ModalSolution) -> np.ndarray
     if candidate.n_modes != n:
         raise ShapeError(f"mode counts differ: {n} vs {candidate.n_modes}")
     table = mac_matrix(reference.eigenvectors, candidate.eigenvectors)
-    identity = np.arange(n)
-    if np.all(np.argmax(table, axis=1) == identity) and np.all(
-        np.argmax(table, axis=0) == identity
-    ):
-        # diagonal dominates every row and column, so greedy picks it
-        return identity
+    if diagonal_dominates(table):
+        return np.arange(n)
     gaps = np.abs(reference.eigenvalues[:, None] - candidate.eigenvalues[None, :])
     order = np.lexsort((gaps.ravel(), -table.ravel()))
     perm = np.full(n, -1, dtype=int)

@@ -137,27 +137,42 @@ class StructuralModel:
     def modal(self, theta) -> ModalSolution:
         """Modal solution of the assembled (K(theta), M) pair.
 
-        Identical to ``generalized_eig(*self.assemble(theta))``; the mass
-        matrix here is diagonal by construction, so the reduction to the
-        standard problem is applied directly without re-validating shapes.
+        Identical to ``generalized_eig(*self.assemble(theta))``; it is the
+        one-row case of ``modal_batch``.
         """
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.parameter_count,):
             raise ShapeError(
                 f"theta has shape {th.shape}, expected ({self.parameter_count},)"
             )
+        lam, phi = self.modal_batch(th[None, :])
+        return ModalSolution(lam[0], phi[0])
+
+    def modal_batch(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (m, n) and eigenvectors (m, n, n) at m updating vectors.
+
+        Every K(theta) is assembled at once and the stack is solved by one
+        ``eigh``; the mass matrix is diagonal by construction, so each row
+        is reduced to the standard problem of M^-1/2 K M^-1/2 directly.
+        Eigenvectors come out unit-norm and sign-fixed, as in ``modal``.
+        """
+        th = np.asarray(thetas, dtype=float)
+        if th.ndim != 2 or th.shape[1] != self.parameter_count:
+            raise ShapeError(
+                f"thetas have shape {th.shape}, expected (m, {self.parameter_count})"
+            )
         if np.any(th <= 0.0):
             raise DomainError("all stiffness parameters must be positive")
         fixed, units = self._assembly
-        k_mat = fixed + np.tensordot(th, units, axes=1)
+        k_mats = fixed + np.einsum("md,dij->mij", th, units)
         inv_sqrt = self._inv_sqrt_masses
         try:
-            lam, y = np.linalg.eigh(inv_sqrt[:, None] * k_mat * inv_sqrt[None, :])
+            lam, y = np.linalg.eigh(inv_sqrt[:, None] * k_mats * inv_sqrt[None, :])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
         phi = inv_sqrt[:, None] * y
-        phi = phi / np.linalg.norm(phi, axis=0)
-        return ModalSolution(lam, fix_signs(phi))
+        phi = phi / np.linalg.norm(phi, axis=-2, keepdims=True)
+        return lam, fix_signs(phi)
 
 
 def _parse_endpoint(raw, where: str) -> int:

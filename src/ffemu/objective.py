@@ -6,6 +6,13 @@ box center, and the weighted squared errors between predicted and measured
 eigenvalue/eigenvector bounds are summed into a single scalar objective.
 Feasibility (global box plus nesting against the previous level) is handled
 by projection so optimizers only ever evaluate feasible candidates.
+
+``residual_batch`` is the path the optimizers use: it evaluates a whole
+population of boxes with one stacked eigensolve. ``residual_vector`` and
+``objective_value`` are its one-row case. ``interval_modal`` and
+``error_vectors`` compute the same quantities one candidate at a time;
+they serve measurement simulation and are the reference the batch path is
+tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .fuzzy import Interval, TriangularFuzzyNumber
-from .linalg import ModalSolution, pair_modes
+from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel
 
 __all__ = [
@@ -32,7 +39,7 @@ __all__ = [
     "MeasuredModalIntervals",
     "MeasuredFuzzyModalData",
     "FeasibleRegion",
-    "project_feasible",
+    "residual_batch",
     "interval_modal",
     "modal_scale_factor",
     "error_vectors",
@@ -225,9 +232,9 @@ class FeasibleRegion:
         upper = np.clip(np.asarray(upper, dtype=float), hi_lo, self.theta_max)
         crossed = lower > upper
         if np.any(crossed):
-            mid = 0.5 * (lower[crossed] + upper[crossed])
-            lower[crossed] = np.clip(mid, self.theta_min[crossed], lo_hi[crossed])
-            upper[crossed] = np.clip(mid, hi_lo[crossed], self.theta_max[crossed])
+            mid = 0.5 * (lower + upper)
+            lower = np.where(crossed, np.clip(mid, self.theta_min, lo_hi), lower)
+            upper = np.where(crossed, np.clip(mid, hi_lo, self.theta_max), upper)
         return lower, upper
 
     def project_interval(self, candidate: IntervalParameters) -> IntervalParameters:
@@ -240,16 +247,15 @@ class FeasibleRegion:
         return IntervalParameters(lower, upper)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Flat-vector form of ``project_interval`` for the optimizers."""
+        """Flat-vector form of ``project_interval`` for the optimizers.
+
+        ``x`` is one flattened (lower, upper) vector or a stack of them as
+        rows; each row is projected independently.
+        """
         x = np.asarray(x, dtype=float)
         d = self.theta_min.size
-        lower, upper = self._project_arrays(x[:d], x[d:])
-        return np.concatenate([lower, upper])
-
-
-def project_feasible(candidate: IntervalParameters, region: FeasibleRegion) -> IntervalParameters:
-    """Project interval parameters into the feasible region (idempotent)."""
-    return region.project_interval(candidate)
+        lower, upper = self._project_arrays(x[..., :d], x[..., d:])
+        return np.concatenate([lower, upper], axis=-1)
 
 
 def modal_scale_factor(phi_measured, phi) -> float:
@@ -315,16 +321,75 @@ def error_vectors(
 
 
 def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.ndarray:
-    """Column-wise least-squares-scaled residual norms (one per mode)."""
-    denom = np.einsum("ij,ij->j", predicted_cols, predicted_cols)
+    """Column-wise least-squares-scaled residual norms (one per mode).
+
+    ``predicted_cols`` is one (n, n) matrix or a stack (m, n, n); the
+    result has shape (n,) or (m, n) to match.
+    """
+    denom = np.einsum("...ij,...ij->...j", predicted_cols, predicted_cols)
     if np.any(denom == 0.0):
         raise DegenerateVectorError("predicted mode shape is a zero vector")
-    beta = np.einsum("ij,ij->j", measured_cols, predicted_cols) / denom
-    resid = measured_cols - predicted_cols * beta
+    beta = np.einsum("ij,...ij->...j", measured_cols, predicted_cols) / denom
+    resid = measured_cols - predicted_cols * beta[..., None, :]
     return np.sqrt(
-        np.einsum("ij,ij->j", resid, resid)
+        np.einsum("...ij,...ij->...j", resid, resid)
         / np.einsum("ij,ij->j", measured_cols, measured_cols)
     )
+
+
+def residual_batch(
+    model: StructuralModel,
+    lower,
+    upper,
+    measured: MeasuredModalIntervals,
+    weights: WeightingConfig,
+) -> np.ndarray:
+    """Weighted residuals of m candidate boxes, one row of length 4n each.
+
+    Row r is ``residual_vector`` of the box (lower[r], upper[r]). The
+    centres and both vertex sets are solved as one stack of 3m rows; the
+    vertex modes are tracked to the centre modes by MAC, and the greedy
+    ``pair_modes`` runs only on rows whose MAC diagonal does not dominate.
+    The shape-error block is skipped when all its weights are zero.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = measured.n_modes
+    if lower.shape != upper.shape or lower.ndim != 2:
+        raise ShapeError("lower and upper must be (m, d) arrays of equal shape")
+    if np.any(lower > upper):
+        raise DomainError("interval parameters crossed: lower > upper")
+    if model.n_dof != n:
+        raise ShapeError("predicted and measured mode counts differ")
+    if weights.lower.size != 2 * n:
+        raise ShapeError(f"weights sized for {weights.lower.size // 2} modes, data has {n}")
+    m = lower.shape[0]
+    lam, vec = model.modal_batch(np.concatenate([0.5 * (lower + upper), lower, upper]))
+    lam_v, vec_v = _paired_batch(lam[:m], vec[:m], lam[m:], vec[m:])
+
+    e_lo = np.zeros((m, 2 * n))
+    e_hi = np.zeros((m, 2 * n))
+    e_lo[:, :n] = (measured.eig_lo - lam_v[:m]) / measured.eig_lo
+    e_hi[:, :n] = (lam_v[m:] - measured.eig_hi) / measured.eig_hi
+    if np.any(weights.lower[n:]) or np.any(weights.upper[n:]):
+        e_lo[:, n:] = _shape_errors(measured.vec_lo, vec_v[:m])
+        e_hi[:, n:] = _shape_errors(measured.vec_hi, vec_v[m:])
+    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1)
+
+
+def _paired_batch(lam_c, vec_c, lam_v, vec_v) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex solutions (2m rows: lower vertices, then upper) tracked to
+    their m centres and sign-aligned with the centre shapes."""
+    lam_c = np.concatenate([lam_c, lam_c])
+    vec_c = np.concatenate([vec_c, vec_c])
+    lam_v = lam_v.copy()
+    vec_v = vec_v.copy()
+    for k in np.flatnonzero(~diagonal_dominates(mac_matrix(vec_c, vec_v))):
+        perm = pair_modes(ModalSolution(lam_c[k], vec_c[k]), ModalSolution(lam_v[k], vec_v[k]))
+        lam_v[k] = lam_v[k, perm]
+        vec_v[k] = vec_v[k][:, perm]
+    flip = np.einsum("kij,kij->kj", vec_v, vec_c) < 0.0
+    return lam_v, np.where(flip[:, None, :], -vec_v, vec_v)
 
 
 def residual_vector(
@@ -336,15 +401,12 @@ def residual_vector(
     """Weighted errors ``[sqrt(w_lo) * e_lo, sqrt(w_hi) * e_hi]`` of length 4n.
 
     Its squared norm is the objective, so a least-squares solver can work
-    on the residuals of the same interval problem the optimizers see.
+    on the residuals of the same interval problem the optimizers see. It is
+    the one-row case of ``residual_batch``.
     """
-    lower, upper = interval_modal(model, params)
-    e_lo, e_hi = error_vectors(measured, lower, upper)
-    if weights.lower.size != e_lo.size:
-        raise ShapeError(
-            f"weights sized for {weights.lower.size // 2} modes, data has {measured.n_modes}"
-        )
-    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi])
+    return residual_batch(
+        model, params.lower[None, :], params.upper[None, :], measured, weights
+    )[0]
 
 
 def objective_value(

@@ -3,15 +3,16 @@
 Two optimizers share one calling convention: a continuous ant colony
 optimizer built around a ranked solution archive with per-dimension
 Gaussian kernel sampling, and a standard inertia-weight particle swarm.
-Both only ever evaluate candidates that the region has projected into the
-feasible set, and both are bit-reproducible for a fixed seed. A bounded
-Gauss-Newton polish refines their best point when the objective is a sum
-of squares.
+Both evaluate a whole population per call, ``f(X)`` with X of shape
+(m, dim) returning m values, so the objective can solve the population as
+one stack. Both only ever evaluate candidates that the region has
+projected into the feasible set, and both are bit-reproducible for a
+fixed seed. A bounded Gauss-Newton polish refines their best point when
+the objective is a sum of squares.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -27,13 +28,11 @@ __all__ = [
     "OptimizationResult",
     "aco_weights",
     "selection_probabilities",
-    "aco_sigma",
     "aco_construct",
     "aco_minimize",
     "pso_minimize",
     "POLISH_ITERATIONS",
     "least_squares_polish",
-    "write_history_csv",
 ]
 
 POLISH_ITERATIONS = 10
@@ -62,6 +61,7 @@ class Box:
         return self.lo.size
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """Clamp one point or a stack of rows into the box."""
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
@@ -212,17 +212,6 @@ def selection_probabilities(weights) -> np.ndarray:
     return w / total
 
 
-def aco_sigma(archive: SolutionArchive, dim_index: int, row_index: int, xi: float) -> float:
-    """Sampling spread for one archive row and dimension.
-
-    Zero exactly when every archive row shares that dimension's value.
-    """
-    if len(archive) < 2:
-        raise DomainError("sigma needs at least 2 archive rows")
-    col = archive.x[:, dim_index]
-    return float(xi * np.abs(col - col[row_index]).sum() / (len(archive) - 1))
-
-
 def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng) -> np.ndarray:
     """Construct ``n_ants`` candidates by Gaussian-kernel sampling.
 
@@ -240,48 +229,50 @@ def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng) -> n
         rows = np.repeat(rng.choice(q_rows, size=(config.n_ants, 1), p=probs), dim, axis=1)
     cols = np.arange(dim)[None, :]
     candidates = rng.normal(archive.x[rows, cols], sig[rows, cols])
-    return np.array([region.project(c) for c in candidates])
+    return region.project(candidates)
 
 
-def _evaluate(f, points, executor=None) -> np.ndarray:
-    if executor is None:
-        values = [f(p) for p in points]
-    else:
-        values = list(executor.map(f, points))
-    arr = np.asarray(values, dtype=float)
-    bad = np.nonzero(~np.isfinite(arr))[0]
+def _evaluate(f, points) -> np.ndarray:
+    """Objective values of a population; the first non-finite row raises."""
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ShapeError(f"objective returned shape {values.shape} for {len(points)} points")
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
         raise EvaluationError(
-            f"objective returned {arr[i]!r} at {points[i]!r}", point=points[i], value=arr[i]
+            f"objective returned {values[i]!r} at row {i}: {points[i]!r}",
+            point=points[i],
+            value=values[i],
         )
-    return arr
+    return values
 
 
 def _initial_points(region, count: int, rng, initial) -> np.ndarray:
-    seeds = []
+    dim = region.lo.size
+    seeds = np.empty((0, dim))
     if initial is not None:
-        seeds = [region.project(np.asarray(p, dtype=float)) for p in initial][:count]
-    n_random = count - len(seeds)
-    random_pts = rng.uniform(region.lo, region.hi, size=(n_random, region.lo.size))
-    pts = list(seeds) + [region.project(p) for p in random_pts]
-    return np.array(pts)
+        seeds = region.project(np.asarray(initial, dtype=float).reshape(-1, dim)[:count])
+    random_pts = rng.uniform(region.lo, region.hi, size=(count - len(seeds), dim))
+    return np.vstack([seeds, region.project(random_pts)])
 
 
 def _stagnated(history: list, window: int, tolerance: float) -> bool:
     return len(history) > window and history[-1 - window] - history[-1] < tolerance
 
 
-def aco_minimize(f, region, config: AcoConfig, initial=None, executor=None) -> OptimizationResult:
+def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with archive-based continuous ACO.
 
-    ``initial`` points (projected) seed the starting archive; the rest is
-    filled uniformly at random. Every candidate a row of the archive ever
-    held was evaluated through ``f``; bookkeeping is exact.
+    ``f`` maps an (m, dim) population to its m objective values; it is
+    called once for the starting archive and once per iteration for the
+    ants. ``initial`` points (projected) seed the starting archive; the
+    rest is filled uniformly at random. Every candidate a row of the
+    archive ever held was evaluated through ``f``; bookkeeping is exact.
     """
     rng = np.random.default_rng(config.rng_seed)
     pts = _initial_points(region, config.archive_size, rng, initial)
-    vals = _evaluate(f, pts, executor)
+    vals = _evaluate(f, pts)
     n_evals = len(pts)
     archive = SolutionArchive(pts, vals)
     history_best = [archive.best_f]
@@ -289,7 +280,7 @@ def aco_minimize(f, region, config: AcoConfig, initial=None, executor=None) -> O
     iterations = 0
     for _ in range(config.max_iterations):
         candidates = aco_construct(archive, config, region, rng)
-        values = _evaluate(f, candidates, executor)
+        values = _evaluate(f, candidates)
         n_evals += len(candidates)
         archive.update(candidates, values)
         history_best.append(archive.best_f)
@@ -310,19 +301,21 @@ def aco_minimize(f, region, config: AcoConfig, initial=None, executor=None) -> O
 
 
 def pso_minimize(
-    f, region, config: PsoConfig, initial=None, executor=None, v_max_widths=None
+    f, region, config: PsoConfig, initial=None, v_max_widths=None
 ) -> OptimizationResult:
     """Minimize ``f`` over the region with a standard global-best PSO.
 
-    Velocities are clamped to ``v_max_fraction`` of the per-dimension
-    widths; pass ``v_max_widths`` to clamp against different (e.g. original
-    full-box) widths instead of the current region's.
+    ``f`` maps an (m, dim) population to its m objective values; it is
+    called once per iteration for the whole swarm. Velocities are clamped
+    to ``v_max_fraction`` of the per-dimension widths; pass
+    ``v_max_widths`` to clamp against different (e.g. original full-box)
+    widths instead of the current region's.
     """
     rng = np.random.default_rng(config.rng_seed)
     widths = (region.hi - region.lo) if v_max_widths is None else np.asarray(v_max_widths, dtype=float)
     v_max = config.v_max_fraction * widths
     x = _initial_points(region, config.swarm_size, rng, initial)
-    fx = _evaluate(f, x, executor)
+    fx = _evaluate(f, x)
     n_evals = len(x)
     v = np.zeros_like(x)
     pbest_x = x.copy()
@@ -342,8 +335,8 @@ def pso_minimize(
             + config.social * r2 * (gbest_x[None, :] - x)
         )
         v = np.clip(v, -v_max, v_max)
-        x = np.array([region.project(p) for p in x + v])
-        fx = _evaluate(f, x, executor)
+        x = region.project(x + v)
+        fx = _evaluate(f, x)
         n_evals += len(x)
         improved = fx < pbest_f
         pbest_x[improved] = x[improved]
@@ -372,22 +365,24 @@ def pso_minimize(
 def least_squares_polish(residual, region, x0) -> tuple[np.ndarray, float, int]:
     """Bounded Gauss-Newton / Levenberg-Marquardt descent from ``x0``.
 
-    ``residual(x)`` returns the vector whose squared norm is the objective.
-    Its Jacobian comes from forward differences, stepping into the region
-    where a coordinate sits on its upper bound; coordinates whose bounds
-    are equal stay where they are. Every point evaluated is projected into
-    the region first, and a step is kept only if it lowers the squared norm,
-    so the result is never worse than the (projected) start. It stops after
-    a kept step shorter than 1e-8 of |x|, or after ``POLISH_ITERATIONS``
-    tried steps, which costs at most
-    ``1 + POLISH_ITERATIONS * (n + 1)`` residual calls in n dimensions.
+    ``residual(X)`` maps an (m, n) stack of points to an (m, k) stack of
+    residual vectors, each of whose squared norm is the objective. The
+    Jacobian comes from forward differences, all taken in one call and
+    stepping into the region where a coordinate sits on its upper bound;
+    coordinates whose bounds are equal stay where they are. Every point
+    evaluated is projected into the region first, and a step is kept only
+    if it lowers the squared norm, so the result is never worse than the
+    (projected) start. It stops after a kept step shorter than 1e-8 of
+    |x|, or after ``POLISH_ITERATIONS`` tried steps, which costs at most
+    ``1 + POLISH_ITERATIONS * (n + 1)`` residual evaluations (rows) in n
+    dimensions.
 
     Returns the best point, its squared residual norm and the number of
-    residual calls made.
+    residual evaluations (rows) made.
     """
     movable = region.lo < region.hi
     x = region.project(np.asarray(x0, dtype=float))
-    r = np.asarray(residual(x), dtype=float)
+    r = _residual_at(residual, x)
     f = float(r @ r)
     calls = 1
     mu = 0.0  # Marquardt damping; plain Gauss-Newton until a step fails
@@ -401,7 +396,7 @@ def least_squares_polish(residual, region, x0) -> tuple[np.ndarray, float, int]:
         trial = region.project(x + _bounded_step(jac, r, x, region, movable, mu))
         if np.array_equal(trial, x):
             break
-        r_trial = np.asarray(residual(trial), dtype=float)
+        r_trial = _residual_at(residual, trial)
         calls += 1
         f_trial = float(r_trial @ r_trial)
         if f_trial < f:
@@ -415,17 +410,25 @@ def least_squares_polish(residual, region, x0) -> tuple[np.ndarray, float, int]:
     return x, f, calls
 
 
+def _residual_at(residual, x) -> np.ndarray:
+    return np.asarray(residual(x[None, :]), dtype=float)[0]
+
+
 def _forward_jacobian(residual, region, x, r, movable) -> np.ndarray:
     """Forward-difference Jacobian at x; columns of fixed coordinates are zero."""
-    jac = np.zeros((r.size, x.size))
-    for i in np.flatnonzero(movable):
+    cols = np.flatnonzero(movable)
+    steps = np.empty(cols.size)
+    points = np.repeat(x[None, :], cols.size, axis=0)
+    for row, i in enumerate(cols):
         h = _SQRT_EPS * max(abs(x[i]), 1.0)
         up, down = region.hi[i] - x[i], x[i] - region.lo[i]
         if up < h:  # step the way with more room, no further than the bound
             h = -min(h, down) if down > up else up
-        point = x.copy()
-        point[i] += h
-        jac[:, i] = (np.asarray(residual(region.project(point)), dtype=float) - r) / h
+        steps[row] = h
+        points[row, i] += h
+    values = np.asarray(residual(region.project(points)), dtype=float)
+    jac = np.zeros((r.size, x.size))
+    jac[:, cols] = ((values - r) / steps[:, None]).T
     return jac
 
 
@@ -454,12 +457,3 @@ def _bounded_step(jac, r, x, region, free, mu) -> np.ndarray:
         step[out] = np.clip(target[out], region.lo[out], region.hi[out]) - x[out]
         free &= ~out
     return step
-
-
-def write_history_csv(result: OptimizationResult, path) -> None:
-    """Dump convergence history as (iteration, best_f, mean_f) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_f", "mean_f"])
-        for i, (b, m) in enumerate(zip(result.history_best, result.history_mean)):
-            writer.writerow([i, repr(float(b)), repr(float(m))])

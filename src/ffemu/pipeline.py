@@ -13,6 +13,7 @@ membership functions come out as nested alpha-cut stacks.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,8 +31,7 @@ from .objective import (
     WeightingConfig,
     interval_modal,
     load_measured,
-    objective_value,
-    residual_vector,
+    residual_batch,
 )
 from .optim import (
     AcoConfig,
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("aco", "pso")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,8 @@ class FfemuResult:
     """Membership stacks plus per-level bookkeeping for one run.
 
     Per level: ``objective_values`` is the final (polished) objective,
-    ``evaluation_counts`` the optimizer's objective calls,
-    ``polish_evaluations`` the polish's residual calls, and
+    ``evaluation_counts`` the optimizer's objective evaluations (population
+    rows), ``polish_evaluations`` the polish's residual evaluations, and
     ``elapsed_seconds`` the time of search plus polish. ``histories`` hold
     the optimizer results before the polish.
     """
@@ -209,27 +211,27 @@ def simulate_measurements(
     return MeasuredFuzzyModalData(tfns, center.eigenvectors, component_tfns)
 
 
-def _minimize(run: FfemuRun, objective, region, level_index: int, initial, executor, global_widths):
+def _minimize(run: FfemuRun, objective, region, level_index: int, initial, global_widths):
     if run.optimizer == "aco":
         config = replace(run.aco, rng_seed=run.seed + level_index)
-        return aco_minimize(objective, region, config, initial=initial, executor=executor)
+        return aco_minimize(objective, region, config, initial=initial)
     config = replace(run.pso, rng_seed=run.seed + level_index)
     widths = None if config.rescale_velocity_per_level else global_widths
-    return pso_minimize(
-        objective, region, config, initial=initial, executor=executor, v_max_widths=widths
-    )
+    return pso_minimize(objective, region, config, initial=initial, v_max_widths=widths)
 
 
-def run_ffemu(run: FfemuRun, executor=None, progress=None) -> FfemuResult:
+def run_ffemu(run: FfemuRun) -> FfemuResult:
     """Solve the full stack of alpha-level problems.
 
     Level 1 (alpha = 1) searches the d-dimensional box for the membership
     centers; every deeper level searches the 2d-dimensional region anchored
-    to the previous solution, warm-started from it. Each level's best point
+    to the previous solution, warm-started from it. The optimizer hands
+    each population to ``residual_batch`` whole. Each level's best point
     is then polished by ``least_squares_polish`` inside the same region;
     the polish moves only on a strictly lower objective, so no level ends
     worse than its search. Nesting of the resulting stacks is guaranteed
-    by the region, not repaired after the fact.
+    by the region, not repaired after the fact. Each finished level is
+    logged at INFO on the ``ffemu`` logger.
     """
     model = run.model
     d = model.parameter_count
@@ -258,28 +260,33 @@ def run_ffemu(run: FfemuRun, executor=None, progress=None) -> FfemuResult:
 
         calls = 0
 
+        def residuals(x):
+            lower, upper = (x, x) if k == 0 else (x[:, :d], x[:, d:])
+            return residual_batch(model, lower, upper, measured_k, run.weights)
+
         def objective(x):
             nonlocal calls
-            calls += 1
-            return objective_value(model, to_params(x), measured_k, run.weights)
+            calls += len(x)
+            r = residuals(x)
+            # row-wise r @ r: the same sum as objective_value and the polish
+            return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-        def residual(x):
-            return residual_vector(model, to_params(x), measured_k, run.weights)
-
-        result = _minimize(run, objective, region, k, seeds, executor, global_widths)
+        result = _minimize(run, objective, region, k, seeds, global_widths)
         if calls != result.n_evaluations:
             raise RuntimeError(
                 f"evaluation bookkeeping broken at level {k + 1}: "
                 f"{calls} calls vs {result.n_evaluations} recorded"
             )
-        x, f, polish_counts[k] = least_squares_polish(residual, region, result.best_x)
+        x, f, polish_counts[k] = least_squares_polish(residuals, region, result.best_x)
         elapsed[k] = time.perf_counter() - t0
         objective_values[k] = f
         eval_counts[k] = result.n_evaluations
         histories.append(result)
         solutions.append(to_params(x))
-        if progress is not None:
-            progress(k, alpha, f)
+        _log.info(
+            "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish",
+            k + 1, alpha, f, eval_counts[k], polish_counts[k],
+        )
 
     parameter_stacks = [
         AlphaCutStack(

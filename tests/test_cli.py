@@ -1,0 +1,62 @@
+"""Tests for the command-line interface."""
+
+import json
+import logging
+
+import pytest
+
+from ffemu import cli, scenarios
+
+
+@pytest.fixture
+def small_config(tmp_path):
+    """Bundled fuzzy ACO run cut to 2 levels and a small search budget."""
+    config = scenarios.bundled_run_config(seed=2)
+    config["alpha_levels"] = 2
+    config["aco"].update(max_iterations=30)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestUpdate:
+    def test_writes_bundle(self, small_config, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert cli.main(["update", "--config", str(small_config), "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["metadata"]["evaluation_counts"] == [10 + 20 * 30] * 2
+        assert "level 1" not in capsys.readouterr().err
+
+    def test_verbose_logs_one_record_per_level(self, small_config, tmp_path, caplog, capsys):
+        out = tmp_path / "bundle"
+        args = ["update", "--config", str(small_config), "--out", str(out), "--verbose"]
+        assert cli.main(args) == cli.EXIT_OK
+        records = [r for r in caplog.records if r.name.startswith("ffemu")]
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        assert "level 1 (alpha=1.000)" in records[0].getMessage()
+        assert "level 2 (alpha=0.000)" in records[1].getMessage()
+        assert "610 evaluations" in records[1].getMessage()
+        assert capsys.readouterr().err.count("level ") == 2
+        # the handler the flag attached is gone once the command returns
+        assert logging.getLogger("ffemu").handlers == []
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["update", "--config", "run.json", "--threads", "2"],  # removed flag
+            ["update"],  # missing required option
+            ["no-such-command"],
+        ],
+    )
+    def test_usage_error_exits_with_configuration_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["update", "--help"])
+        assert info.value.code == 0

@@ -8,7 +8,7 @@ import pytest
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
 from ffemu.fuzzy import TriangularFuzzyNumber
-from ffemu.linalg import ModalSolution
+from ffemu.linalg import ModalSolution, pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
     FeasibleRegion,
@@ -21,7 +21,8 @@ from ffemu.objective import (
     load_measured,
     modal_scale_factor,
     objective_value,
-    project_feasible,
+    residual_batch,
+    residual_vector,
     save_measured,
 )
 
@@ -222,24 +223,34 @@ class TestProjection:
 
     def test_feasible_candidate_unchanged(self):
         p = IntervalParameters([3.0, 4.0], [7.0, 8.0])
-        out = project_feasible(p, self.region())
+        out = self.region().project_interval(p)
         np.testing.assert_array_equal(out.lower, p.lower)
         np.testing.assert_array_equal(out.upper, p.upper)
 
     def test_upper_snapped_to_previous_upper(self):
         p = IntervalParameters([3.0, 4.0], [5.0, 6.5])
-        out = project_feasible(p, self.region())
+        out = self.region().project_interval(p)
         np.testing.assert_array_equal(out.upper, [6.0, 7.0])
 
     def test_lower_snapped_into_range(self):
         p = IntervalParameters([5.0, 6.0], [7.0, 8.0])
-        out = project_feasible(p, self.region())
+        out = self.region().project_interval(p)
         np.testing.assert_array_equal(out.lower, [4.0, 5.0])
 
     def test_crossed_candidate_collapses_to_midpoint(self):
         region = FeasibleRegion(theta_min=np.array([0.0]), theta_max=np.array([10.0]))
         out = region.project(np.array([5.0, 3.0]))
         np.testing.assert_array_equal(out, [4.0, 4.0])
+
+    def test_row_stack_matches_row_by_row(self):
+        # with and without previous-level anchors; the unanchored region
+        # also exercises the crossed-bound repair
+        anchored = self.region()
+        free = FeasibleRegion(theta_min=np.zeros(2), theta_max=np.full(2, 10.0))
+        rows = np.random.default_rng(47).uniform(-5.0, 15.0, (50, 4))
+        for region in (anchored, free):
+            expected = np.array([region.project(x) for x in rows])
+            np.testing.assert_array_equal(region.project(rows), expected)
 
     def test_idempotent(self):
         region = self.region()
@@ -273,6 +284,90 @@ class TestProjection:
         region = self.region()
         np.testing.assert_array_equal(region.lo, [0.0, 0.0, 6.0, 7.0])
         np.testing.assert_array_equal(region.hi, [4.0, 5.0, 10.0, 10.0])
+
+
+def two_mass_model(coupling=0.01):
+    """Two unit masses, each grounded by a parameter spring, weakly coupled.
+
+    The modes localize on one mass each, so they swap order where k0 and
+    k1 cross.
+    """
+    return StructuralModel(
+        masses=np.array([1.0, 1.0]),
+        springs=(
+            SpringElement("k0", GROUND, 0, param_index=0),
+            SpringElement("k1", GROUND, 1, param_index=1),
+            SpringElement("c", 0, 1, stiffness=coupling),
+        ),
+        parameter_count=2,
+    )
+
+
+def reference_residual(model, lower, upper, measured, weights):
+    """Per-candidate reference: vertex solves, pairing and error vectors."""
+    pred_lo, pred_hi = interval_modal(model, IntervalParameters(lower, upper))
+    e_lo, e_hi = error_vectors(measured, pred_lo, pred_hi)
+    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi])
+
+
+class TestResidualBatch:
+    def population(self, seed, m=30):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX, (m, 5))
+        b = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX, (m, 5))
+        return np.minimum(a, b), np.maximum(a, b)
+
+    @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
+    def test_rows_match_per_candidate_reference(self, eigenvector_weight):
+        model = scenarios.five_dof_model()
+        measured = measured_from_params(
+            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
+        )
+        weights = WeightingConfig.from_scalars(5, 1.0, eigenvector_weight)
+        lower, upper = self.population(53)
+        batch = residual_batch(model, lower, upper, measured, weights)
+        assert batch.shape == (30, 20)
+        for row, lo, hi in zip(batch, lower, upper):
+            ref = reference_residual(model, lo, hi, measured, weights)
+            assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+            one_row = residual_vector(model, IntervalParameters(lo, hi), measured, weights)
+            np.testing.assert_array_equal(one_row, row)
+
+    def test_crossing_modes_take_the_pairing_fallback(self):
+        # the upper vertex has k0 > k1 while the centre has k0 < k1: sorted
+        # order swaps the two localized modes, so its MAC diagonal does not
+        # dominate and pairing must reorder them
+        model = two_mass_model()
+        lower = np.array([[1.0, 1.9], [1.0, 1.9]])
+        upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
+        crossing = IntervalParameters(lower[0], upper[0])
+        center = model.modal(crossing.center)
+        assert pair_modes(center, model.modal(crossing.upper)).tolist() == [1, 0]
+        measured = MeasuredModalIntervals([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
+        weights = WeightingConfig.identity(2)
+        batch = residual_batch(model, lower, upper, measured, weights)
+        for row, lo, hi in zip(batch, lower, upper):
+            ref = reference_residual(model, lo, hi, measured, weights)
+            assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+        # paired upper eigenvalues are out of ascending order on the crossing row
+        e_hi = batch[0, 4:6] / np.sqrt(weights.upper[:2])
+        lam_hi = e_hi * measured.eig_hi + measured.eig_hi
+        assert lam_hi[0] > lam_hi[1]
+
+    def test_nonpositive_row_rejected(self):
+        model = scenarios.five_dof_model()
+        measured = measured_from_params(model, IntervalParameters.from_point(scenarios.THETA_TRUE))
+        lower, upper = self.population(59, m=4)
+        lower[2, 1] = 0.0
+        with pytest.raises(DomainError):
+            residual_batch(model, lower, upper, measured, WeightingConfig.identity(5))
+
+    def test_crossed_row_rejected(self):
+        model = scenarios.five_dof_model()
+        measured = measured_from_params(model, IntervalParameters.from_point(scenarios.THETA_TRUE))
+        lower, upper = self.population(61, m=4)
+        with pytest.raises(DomainError, match="crossed"):
+            residual_batch(model, upper, lower, measured, WeightingConfig.identity(5))
 
 
 class TestMeasuredData:

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ffemu.errors import DomainError, EvaluationError
+from ffemu.errors import DomainError, EvaluationError, ShapeError
 from ffemu.objective import FeasibleRegion
 from ffemu.optim import (
     POLISH_ITERATIONS,
@@ -16,7 +16,6 @@ from ffemu.optim import (
     SolutionArchive,
     aco_construct,
     aco_minimize,
-    aco_sigma,
     aco_weights,
     least_squares_polish,
     pso_minimize,
@@ -97,16 +96,15 @@ class TestSigma:
 
     def test_identical_column_gives_zero(self):
         archive = self.make_archive([1.5, 1.5, 1.5])
-        assert aco_sigma(archive, 0, 0, 1.0) == 0.0
+        assert archive.sigma_matrix(1.0)[0, 0] == 0.0
 
     def test_two_rows_hand_sum(self):
         archive = self.make_archive([0.0, 2.0])
-        assert aco_sigma(archive, 0, 0, 1.0) == 2.0
-        assert aco_sigma(archive, 0, 1, 1.0) == 2.0
+        np.testing.assert_array_equal(archive.sigma_matrix(1.0), [[2.0], [2.0]])
 
     def test_linear_in_xi(self):
         archive = self.make_archive([0.0, 1.0, 3.0])
-        assert aco_sigma(archive, 0, 1, 2.0) == 2.0 * aco_sigma(archive, 0, 1, 1.0)
+        assert archive.sigma_matrix(2.0)[1, 0] == 2.0 * archive.sigma_matrix(1.0)[1, 0]
 
     def test_single_row_archive_rejected(self):
         with pytest.raises(DomainError):
@@ -158,7 +156,7 @@ def sphere_offset(center):
     center = np.asarray(center, dtype=float)
 
     def f(x):
-        return float(np.sum((x - center) ** 2))
+        return np.sum((x - center) ** 2, axis=1)
 
     return f
 
@@ -178,7 +176,7 @@ class TestAcoMinimize:
 
     def test_constant_objective_flat_history(self):
         config = AcoConfig(max_iterations=60, stagnation_window=100, rng_seed=2)
-        res = aco_minimize(lambda x: 1.0, self.box5(), config)
+        res = aco_minimize(lambda x: np.ones(len(x)), self.box5(), config)
         assert np.all(res.history_best == 1.0)
         lo, hi = self.box5().lo, self.box5().hi
         assert np.all(res.best_x >= lo) and np.all(res.best_x <= hi)
@@ -193,8 +191,8 @@ class TestAcoMinimize:
         log = []
 
         def f(x):
-            v = float(np.sum(x**2))
-            log.append((x.copy(), v))
+            v = np.sum(x**2, axis=1)
+            log.extend(zip(x.copy(), v))
             return v
 
         config = AcoConfig(archive_size=5, n_ants=7, max_iterations=20, rng_seed=5)
@@ -228,8 +226,8 @@ class TestAcoMinimize:
         )
 
         def f(x):
-            assert np.all(x >= region.lo) and np.all(x <= region.hi)
-            return float(np.sum((x - 5.0) ** 2))
+            assert np.all(x >= region.lo) and np.all(x <= region.hi)  # every row
+            return np.sum((x - 5.0) ** 2, axis=1)
 
         config = AcoConfig(max_iterations=40, rng_seed=13)
         res = aco_minimize(f, region, config)
@@ -244,11 +242,27 @@ class TestAcoMinimize:
 
     def test_nan_objective_raises_with_point(self):
         def f(x):
-            return float("nan")
+            return np.full(len(x), np.nan)
 
         with pytest.raises(EvaluationError) as info:
             aco_minimize(f, self.box5(), AcoConfig(rng_seed=19))
         assert info.value.point is not None
+
+    def test_non_finite_row_is_named(self):
+        # the first non-finite row of a population is reported, with its point
+        def f(x):
+            v = np.sum(x**2, axis=1)
+            v[[3, 5]] = [np.inf, np.nan]
+            return v
+
+        with pytest.raises(EvaluationError, match="at row 3") as info:
+            aco_minimize(f, self.box5(), AcoConfig(rng_seed=19))
+        assert info.value.value == np.inf
+        assert info.value.point.shape == (5,)
+
+    def test_objective_must_return_one_value_per_row(self):
+        with pytest.raises(ShapeError):
+            aco_minimize(lambda x: 0.0, self.box5(), AcoConfig(rng_seed=19))
 
     def test_stagnation_stops_early(self):
         config = AcoConfig(max_iterations=5000, stagnation_window=30, rng_seed=23)
@@ -308,8 +322,8 @@ class TestPsoMinimize:
         box = self.box5()
 
         def f(x):
-            assert np.all(x >= box.lo) and np.all(x <= box.hi)
-            return float(np.sum(x**2))
+            assert np.all(x >= box.lo) and np.all(x <= box.hi)  # every row
+            return np.sum(x**2, axis=1)
 
         pso_minimize(f, box, PsoConfig(swarm_size=12, max_iterations=50, rng_seed=5))
 
@@ -318,8 +332,8 @@ class TestPsoMinimize:
 
         def f(x):
             nonlocal calls
-            calls += 1
-            return float(np.sum(x**2))
+            calls += len(x)
+            return np.sum(x**2, axis=1)
 
         config = PsoConfig(swarm_size=13, max_iterations=21, stagnation_window=100, rng_seed=7)
         res = pso_minimize(f, self.box5(), config)
@@ -331,7 +345,7 @@ class TestLeastSquaresPolish:
     X_STAR = np.array([1.0, -2.0, 0.5])  # zero-residual solution of A x = A X_STAR
 
     def linear_residual(self, x):
-        return self.A @ (x - self.X_STAR)
+        return (x - self.X_STAR) @ self.A.T
 
     def test_linear_problem_reaches_exact_solution(self):
         box = Box(np.full(3, -5.0), np.full(3, 5.0))
@@ -353,6 +367,21 @@ class TestLeastSquaresPolish:
         r = self.linear_residual(np.concatenate([[0.5], rest]))
         assert f == pytest.approx(float(r @ r), rel=1e-10)
 
+    def test_jacobian_is_one_call_over_the_perturbed_points(self):
+        # one call for the start, one for the n forward differences, one per
+        # trial step; the residual-call count is still one per point
+        batches = []
+
+        def residual(x):
+            batches.append(len(x))
+            return self.linear_residual(x)
+
+        box = Box(np.full(3, -5.0), np.full(3, 5.0))
+        _, _, calls = least_squares_polish(residual, box, np.array([4.0, 4.0, -4.0]))
+        assert batches[:3] == [1, 3, 1]
+        assert set(batches) == {1, 3}
+        assert calls == sum(batches)
+
     @pytest.mark.parametrize("start", ["lo", "hi", 0, 1, 2])
     def test_stays_feasible_and_never_worsens(self, start):
         # lower coordinate 0 is pinned (theta_min == prev_lower), so the
@@ -363,20 +392,21 @@ class TestLeastSquaresPolish:
         )
 
         def residual(x):
-            assert np.all(x >= region.lo) and np.all(x <= region.hi)
-            l0, l1, u0, u1 = x
-            return np.array([10.0 * (l1 - l0**2 - 0.5), 9.0 - u0 * u1, u0 - 2.5 + 0.1 * l1, l0 + u1 - 3.5])
+            assert np.all(x >= region.lo) and np.all(x <= region.hi)  # every row
+            l0, l1, u0, u1 = x.T
+            parts = [10.0 * (l1 - l0**2 - 0.5), 9.0 - u0 * u1, u0 - 2.5 + 0.1 * l1, l0 + u1 - 3.5]
+            return np.stack(parts, axis=1)
 
         if isinstance(start, str):
             x0 = getattr(region, start)
         else:
             x0 = np.random.default_rng(start).uniform(region.lo, region.hi)
-        r0 = residual(x0)
+        r0 = residual(x0[None, :])[0]
         x, f, calls = least_squares_polish(residual, region, x0)
         assert np.all(x >= region.lo) and np.all(x <= region.hi)
         assert x[0] == 0.0
         assert f <= float(r0 @ r0)
-        r = residual(x)
+        r = residual(x[None, :])[0]
         assert f == float(r @ r)
         assert 1 <= calls <= 1 + POLISH_ITERATIONS * (3 + 1)
 

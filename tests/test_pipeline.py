@@ -160,6 +160,17 @@ class TestRunFfemu:
             expected = run.aco.archive_size + run.aco.n_ants * hist.n_iterations
             assert result.evaluation_counts[k] == expected == hist.n_evaluations
 
+    def test_search_values_match_one_row_objective(self, aco_result):
+        # the optimizer's values come from whole-population batches; they
+        # must be the very numbers the one-row objective gives, so the
+        # polish (which starts from them) can never report a level worse
+        run, result = aco_result
+        for k, hist in enumerate(result.histories):
+            to_params = IntervalParameters.from_point if k == 0 else IntervalParameters.from_flat
+            measured_k = run.measured.cuts_at(run.levels[k])
+            f = objective_value(run.model, to_params(hist.best_x), measured_k, run.weights)
+            assert f == hist.best_f
+
     def test_containment_of_generating_cuts_aco(self, aco_result):
         run, result = aco_result
         truth = scenarios.THETA_TRUE
