@@ -9,7 +9,15 @@ a random-walk Metropolis-Hastings sampler as the probabilistic baseline.
 
 __version__ = "0.1.0"
 
-from .bayes import Chain, ChainSummary, McmcConfig, log_posterior, mh_sample, summarize
+from .bayes import (
+    Chain,
+    ChainSummary,
+    McmcConfig,
+    log_posterior,
+    log_posterior_batch,
+    mh_sample,
+    summarize,
+)
 from .errors import (
     ConfigurationError,
     ConvergenceError,

@@ -96,16 +96,6 @@ class TriangularFuzzyNumber:
             lo = hi = 0.5 * (lo + hi)
         return Interval(lo, hi)
 
-    def scaled(self, factor: float) -> "TriangularFuzzyNumber":
-        """Vertex-wise scaling by a positive factor."""
-        if factor <= 0.0:
-            raise DomainError("scale factor must be positive")
-        return TriangularFuzzyNumber(self.a * factor, self.b * factor, self.c * factor)
-
-    def mapped(self, fn) -> "TriangularFuzzyNumber":
-        """Vertex-wise application of a monotone increasing map."""
-        return TriangularFuzzyNumber(fn(self.a), fn(self.b), fn(self.c))
-
 
 def default_levels(count: int = 10) -> np.ndarray:
     """Uniformly spaced alpha levels, descending from 1 to 0 inclusive."""
@@ -178,13 +168,6 @@ class AlphaCutStack:
         if self.peak.width == 0.0:
             right = right[1:]
         return np.array(left + right, dtype=float)
-
-    def interval_at(self, alpha: float) -> Interval:
-        """The stored interval at an exact stack level."""
-        matches = np.nonzero(np.isclose(self.levels, alpha, rtol=0.0, atol=1e-12))[0]
-        if matches.size == 0:
-            raise DomainError(f"alpha {alpha} is not a level of this stack")
-        return self.intervals[int(matches[0])]
 
 
 def write_cuts_csv(stacks: dict[str, AlphaCutStack], path) -> None:

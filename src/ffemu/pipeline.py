@@ -437,6 +437,8 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     bayes_cfg = None
     if "bayes" in raw:
         b = raw["bayes"]
+        if not isinstance(b, dict):
+            raise ConfigurationError(f"{path}: 'bayes' must be an object, got {type(b).__name__}")
         try:
             bayes_cfg = McmcConfig.from_box(
                 theta_min,
@@ -448,6 +450,6 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
                 rng_seed=seed,
                 initial=theta_initial,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: bad bayes section: {exc}") from exc
     return RunConfig(run=run, bayes=bayes_cfg, raw=raw)

@@ -5,8 +5,14 @@ import pytest
 from scipy import stats
 
 from ffemu import scenarios
-from ffemu.bayes import Chain, McmcConfig, log_posterior, mh_sample, summarize
-from ffemu.errors import ConfigurationError, DiagnosticsError, DomainError
+from ffemu.bayes import DEPTH, Chain, McmcConfig, log_posterior, mh_sample, summarize
+from ffemu.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DiagnosticsError,
+    DomainError,
+    ShapeError,
+)
 from ffemu.model import GROUND, SpringElement, StructuralModel
 
 
@@ -30,6 +36,51 @@ def one_dof_config(**overrides):
     )
     defaults.update(overrides)
     return McmcConfig(**defaults)
+
+
+def sequential_chain(config, model, measured, solved=None):
+    """The one-step-at-a-time definition of the chain, as the sampler ran it
+    before the windowed walk; ``solved`` collects every state it evaluates."""
+    rng = np.random.default_rng(config.rng_seed)
+    theta = (
+        config.initial.copy()
+        if config.initial is not None
+        else 0.5 * (config.theta_min + config.theta_max)
+    )
+    lp = log_posterior(theta, measured, model, config)
+    states = [theta]
+    kept = np.empty((config.n_samples - config.burn_in, theta.size))
+    accepted = 0
+    for i in range(config.n_samples):
+        proposal = theta + rng.normal(0.0, config.proposal_sd)
+        lp_prop = log_posterior(proposal, measured, model, config)
+        states.append(proposal)
+        if np.log(rng.uniform()) < lp_prop - lp:
+            theta = proposal
+            lp = lp_prop
+            accepted += 1
+        if i >= config.burn_in:
+            kept[i - config.burn_in] = theta
+    if solved is not None:
+        solved.update(row.tobytes() for row in states)
+    return kept, accepted / config.n_samples
+
+
+def five_dof_chain_config(proposal_fraction, **overrides):
+    settings = dict(
+        n_samples=600, burn_in=50, proposal_fraction=proposal_fraction,
+        likelihood_sd=0.005, initial=scenarios.THETA_INITIAL, rng_seed=3,
+    )
+    settings.update(overrides)
+    return McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX, **settings)
+
+
+def assert_equals_sequential(config, model, measured):
+    chain = mh_sample(config, model, measured)
+    samples, rate = sequential_chain(config, model, measured)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == rate
+    return chain
 
 
 class TestLogPosterior:
@@ -119,6 +170,91 @@ class TestMhSample:
         assert np.all(summary.cov_percent < 5.0)  # the probabilistic spread stays small
 
 
+class TestWindowedWalk:
+    """The prefetching walk must reproduce the sequential chain bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fraction, low, high", [(0.007, 0.7, 0.9), (0.03, 0.3, 0.55), (0.1, 0.01, 0.1)]
+    )
+    def test_five_dof_equals_sequential_at_high_mid_low_acceptance(self, fraction, low, high):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        chain = assert_equals_sequential(five_dof_chain_config(fraction), model, measured)
+        assert low < chain.acceptance_rate < high
+
+    def test_box_edge_windows_mix_outside_and_solved_rows(self, monkeypatch):
+        # the posterior peak at 1.1 sits by the lower box edge at 1.0, so
+        # many proposals leave the box and are not solved
+        model = one_dof_model()
+        config = one_dof_config(proposal_sd=np.array([0.5]), initial=np.array([1.5]), rng_seed=4)
+        measured = np.array([1.1])
+        solved_rows = []
+        original = StructuralModel.modal_batch
+
+        def counting(self, thetas):
+            solved_rows.append(len(thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(StructuralModel, "modal_batch", counting)
+        chain = mh_sample(config, model, measured)
+        monkeypatch.undo()
+        assert any(0 < rows < 2 * DEPTH - 1 for rows in solved_rows)
+        samples, rate = sequential_chain(config, model, measured)
+        assert np.array_equal(chain.samples, samples)
+        assert chain.acceptance_rate == rate
+
+    def test_burn_in_zero(self):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        chain = assert_equals_sequential(five_dof_chain_config(0.03, burn_in=0), model, measured)
+        assert chain.samples.shape == (600, 5)
+
+    def test_sample_count_not_a_multiple_of_depth(self):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        n = 37 * DEPTH + 5
+        chain = assert_equals_sequential(
+            five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured
+        )
+        assert chain.samples.shape == (n - 7, 5)
+
+    def test_unreached_row_that_fails_to_converge_does_not_raise(self, monkeypatch):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        config = five_dof_chain_config(0.03, n_samples=300)
+        reached = set()
+        samples, rate = sequential_chain(config, model, measured, solved=reached)
+        original = StructuralModel.modal_batch
+
+        def fails_off_the_chain(self, thetas):
+            if any(row.tobytes() not in reached for row in np.asarray(thetas)):
+                raise ConvergenceError("eigensolver did not converge")
+            return original(self, thetas)
+
+        monkeypatch.setattr(StructuralModel, "modal_batch", fails_off_the_chain)
+        chain = mh_sample(config, model, measured)
+        assert np.array_equal(chain.samples, samples)
+        assert chain.acceptance_rate == rate
+
+    def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        original = StructuralModel.modal_batch
+        calls = []
+
+        def fails_after_start(self, thetas):
+            calls.append(len(thetas))
+            if len(calls) > 1:
+                raise ConvergenceError("eigensolver did not converge")
+            return original(self, thetas)
+
+        monkeypatch.setattr(StructuralModel, "modal_batch", fails_after_start)
+        with pytest.raises(ConvergenceError):
+            mh_sample(five_dof_chain_config(0.03), model, measured)
+        # the window's batch, then the first row of the one-row re-solve
+        assert calls == [1, 2 * DEPTH - 1, 1]
+
+
 class TestSummarize:
     def test_constant_chain(self):
         chain = Chain(samples=np.full((50, 2), 3.0), acceptance_rate=1.0)
@@ -156,3 +292,24 @@ class TestConfigValidation:
         config = one_dof_config(initial=np.array([100.0]))
         with pytest.raises(ConfigurationError):
             mh_sample(config, model, np.array([5.0]))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("proposal_sd", np.array([0.25, 0.25, 0.25])),
+            ("theta_min", np.array([[1.0]])),
+            ("initial", np.array([5.0, 5.0])),
+        ],
+    )
+    def test_vector_shapes_must_agree(self, field, value):
+        with pytest.raises(ConfigurationError, match="one length"):
+            one_dof_config(**{field: value})
+
+    def test_theta_min_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="theta_min"):
+            one_dof_config(theta_min=np.array([0.0]))
+
+    def test_config_length_must_match_model(self):
+        config = McmcConfig.from_box(np.array([1.0, 1.0]), np.array([9.0, 9.0]))
+        with pytest.raises(ShapeError):
+            mh_sample(config, one_dof_model(), np.array([5.0]))

@@ -41,6 +41,19 @@ class TestUpdate:
         assert logging.getLogger("ffemu").handlers == []
 
 
+class TestBayes:
+    @pytest.mark.parametrize("section", [5, [1]])
+    def test_non_object_bayes_section_is_a_configuration_error(self, section, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"] = section
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = ["bayes", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "'bayes' must be an object" in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
