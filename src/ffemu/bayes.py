@@ -17,17 +17,19 @@ their decisions all go one way are then known:
 - the reject fan theta + z_i+k (every step rejected so far).
 
 Both share their first row, so one stacked eigensolve of 2 DEPTH - 1 rows
-covers the window. The walk follows the accept path up to and including
-the first rejection, or the reject fan up to and including the first
-acceptance, and the next window starts from the state it lands on. The
-chain equals the sequential definition bit for bit: every proposal is
-formed by the same floating-point additions in the same order (the accept
-path is a running sum over [theta, z_i, z_i+1, ...]), each row's log
-posterior does not depend on the other rows of its batch, and every
-decision compares the same numbers. Rows the walk never reaches are solved
-but their results are discarded; if a batch fails to converge, the window
-is re-solved one row at a time in walk order, so an error surfaces only for
-a state the sequential chain would also have solved.
+covers the window; the likelihood needs eigenvalues only, so that solve is
+``StructuralModel.eigenvalues_batch``, which skips the mode shapes. The
+walk follows the accept path up to and including the first rejection, or
+the reject fan up to and including the first acceptance, and the next
+window starts from the state it lands on. The chain equals the sequential
+definition bit for bit: every proposal is formed by the same floating-point
+additions in the same order (the accept path is a running sum over [theta,
+z_i, z_i+1, ...]), each row's log posterior does not depend on the other
+rows of its batch, and every decision compares the same numbers. Rows the
+walk never reaches are solved but their results are discarded; if a batch
+fails to converge, the window is re-solved one row at a time in walk order,
+so an error surfaces only for a state the sequential chain would also have
+solved.
 """
 
 from __future__ import annotations
@@ -146,14 +148,15 @@ def log_posterior_batch(thetas, measured_eigenvalues, model: StructuralModel, co
     Inside the box this is the Gaussian log likelihood of the relative
     eigenvalue residuals (constant terms dropped), since the uniform prior
     contributes nothing that varies. Rows outside the box are not solved;
-    the rest go to one ``model.modal_batch`` call.
+    the rest go to one ``model.eigenvalues_batch`` call, which solves for
+    eigenvalues only.
     """
     th = np.asarray(thetas, dtype=float)
     lam_m = np.asarray(measured_eigenvalues, dtype=float)
     inside = np.all((th >= config.theta_min) & (th <= config.theta_max), axis=1)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
-        lam, _ = model.modal_batch(th[inside])
+        lam = model.eigenvalues_batch(th[inside])
         resid = (lam_m - lam) / lam_m
         out[inside] = -0.5 * np.sum((resid / config.likelihood_sd) ** 2, axis=1)
     return out

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, bayes, report, scenarios
 from .errors import ConfigurationError, FfemuError
+from .model import load_model, read_json
 from .objective import save_measured
 from .pipeline import load_run_config, run_ffemu
 
@@ -29,21 +30,9 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-
-
 def _resolve_model(ref: str):
     if ref == "bundled":
         return scenarios.five_dof_model()
-    from .model import load_model
-
     return load_model(ref)
 
 
@@ -52,7 +41,7 @@ def _resolve_truth(ref: str) -> dict:
         return scenarios.bundled_truth_spec("fuzzy")
     if ref == "bundled-crisp":
         return scenarios.bundled_truth_spec("crisp")
-    return _load_json(ref)
+    return read_json(ref)
 
 
 def cmd_simulate(args) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -110,14 +109,16 @@ def generalized_eig(stiffness, mass) -> ModalSolution:
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
         phi = inv_sqrt[:, None] * y
     else:
+        # Cholesky reduction M = L L^T: C = L^-1 K L^-T, C y = lambda y, phi = L^-T y
         try:
-            np.linalg.cholesky(m)
+            chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
             raise DefiniteMatrixError("mass matrix is not positive definite") from exc
         try:
-            lam, phi = scipy.linalg.eigh(k, m)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            lam, y = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, k).T))
+        except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
+        phi = np.linalg.solve(chol.T, y)
     phi = phi / np.linalg.norm(phi, axis=0)
     return ModalSolution(lam, fix_signs(phi))
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError
-from .linalg import ModalSolution, fix_signs, generalized_eig
+from .linalg import ModalSolution, fix_signs
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
 
@@ -148,13 +148,12 @@ class StructuralModel:
         lam, phi = self.modal_batch(th[None, :])
         return ModalSolution(lam[0], phi[0])
 
-    def modal_batch(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (m, n) and eigenvectors (m, n, n) at m updating vectors.
+    def _scaled_stiffness(self, thetas) -> np.ndarray:
+        """The stack M^-1/2 K(theta) M^-1/2 (m, n, n) at m updating vectors.
 
-        Every K(theta) is assembled at once and the stack is solved by one
-        ``eigh``; the mass matrix is diagonal by construction, so each row
-        is reduced to the standard problem of M^-1/2 K M^-1/2 directly.
-        Eigenvectors come out unit-norm and sign-fixed, as in ``modal``.
+        Every K(theta) is assembled at once by one ``einsum``; the mass
+        matrix is diagonal by construction, so each row of the generalized
+        problem reduces to the standard problem of this matrix directly.
         """
         th = np.asarray(thetas, dtype=float)
         if th.ndim != 2 or th.shape[1] != self.parameter_count:
@@ -166,13 +165,34 @@ class StructuralModel:
         fixed, units = self._assembly
         k_mats = fixed + np.einsum("md,dij->mij", th, units)
         inv_sqrt = self._inv_sqrt_masses
+        return inv_sqrt[:, None] * k_mats * inv_sqrt[None, :]
+
+    def modal_batch(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (m, n) and eigenvectors (m, n, n) at m updating vectors.
+
+        The whole stack is solved by one ``eigh``. Eigenvectors come out
+        unit-norm and sign-fixed, as in ``modal``.
+        """
+        scaled = self._scaled_stiffness(thetas)
         try:
-            lam, y = np.linalg.eigh(inv_sqrt[:, None] * k_mats * inv_sqrt[None, :])
+            lam, y = np.linalg.eigh(scaled)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        phi = inv_sqrt[:, None] * y
+        phi = self._inv_sqrt_masses[:, None] * y
         phi = phi / np.linalg.norm(phi, axis=-2, keepdims=True)
         return lam, fix_signs(phi)
+
+    def eigenvalues_batch(self, thetas) -> np.ndarray:
+        """Ascending eigenvalues (m, n) at m updating vectors, without eigenvectors.
+
+        The same reduction as ``modal_batch``, solved by one ``eigvalsh``;
+        for callers that would discard the mode shapes.
+        """
+        scaled = self._scaled_stiffness(thetas)
+        try:
+            return np.linalg.eigvalsh(scaled)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
 def _parse_endpoint(raw, where: str) -> int:
@@ -248,11 +268,16 @@ def load_model(path) -> StructuralModel:
     Syntax errors carry the line/column from the JSON parser; semantic
     errors name the offending spring entry.
     """
+    return model_from_dict(read_json(path), source=str(path))
+
+
+def read_json(path):
+    """Parse one JSON file; a syntax error becomes a ``ConfigurationError``
+    naming the file, line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    return model_from_dict(data, source=str(path))

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fuzzy import Interval, TriangularFuzzyNumber
 from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
-from .model import StructuralModel
+from .model import StructuralModel, read_json
 
 __all__ = [
     "IntervalParameters",
@@ -500,13 +500,7 @@ def save_measured(data: MeasuredFuzzyModalData, path, units: str = "hz") -> None
 
 def load_measured(path) -> MeasuredFuzzyModalData:
     """Read measured fuzzy modal data, converting Hz TFNs to eigenvalues."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    raw = read_json(path)
     units = raw.get("units", "hz")
     if units not in ("hz", "eigenvalue"):
         raise ConfigurationError(f"{path}: unknown units {units!r}")

@@ -12,7 +12,6 @@ membership functions come out as nested alpha-cut stacks.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,7 @@ import numpy as np
 from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
-from .model import StructuralModel, load_model
+from .model import StructuralModel, load_model, read_json
 from .objective import (
     FeasibleRegion,
     IntervalParameters,
@@ -358,13 +357,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     path or inline via a ``truth`` section (simulated on the spot).
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    raw = read_json(path)
     base = path.parent
 
     from . import scenarios  # local import; scenarios builds on this module's simulate

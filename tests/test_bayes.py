@@ -189,13 +189,13 @@ class TestWindowedWalk:
         config = one_dof_config(proposal_sd=np.array([0.5]), initial=np.array([1.5]), rng_seed=4)
         measured = np.array([1.1])
         solved_rows = []
-        original = StructuralModel.modal_batch
+        original = StructuralModel.eigenvalues_batch
 
         def counting(self, thetas):
             solved_rows.append(len(thetas))
             return original(self, thetas)
 
-        monkeypatch.setattr(StructuralModel, "modal_batch", counting)
+        monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
         chain = mh_sample(config, model, measured)
         monkeypatch.undo()
         assert any(0 < rows < 2 * DEPTH - 1 for rows in solved_rows)
@@ -224,14 +224,14 @@ class TestWindowedWalk:
         config = five_dof_chain_config(0.03, n_samples=300)
         reached = set()
         samples, rate = sequential_chain(config, model, measured, solved=reached)
-        original = StructuralModel.modal_batch
+        original = StructuralModel.eigenvalues_batch
 
         def fails_off_the_chain(self, thetas):
             if any(row.tobytes() not in reached for row in np.asarray(thetas)):
                 raise ConvergenceError("eigensolver did not converge")
             return original(self, thetas)
 
-        monkeypatch.setattr(StructuralModel, "modal_batch", fails_off_the_chain)
+        monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_off_the_chain)
         chain = mh_sample(config, model, measured)
         assert np.array_equal(chain.samples, samples)
         assert chain.acceptance_rate == rate
@@ -239,7 +239,7 @@ class TestWindowedWalk:
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
         model = scenarios.five_dof_model()
         measured = model.modal(scenarios.THETA_TRUE).eigenvalues
-        original = StructuralModel.modal_batch
+        original = StructuralModel.eigenvalues_batch
         calls = []
 
         def fails_after_start(self, thetas):
@@ -248,7 +248,7 @@ class TestWindowedWalk:
                 raise ConvergenceError("eigensolver did not converge")
             return original(self, thetas)
 
-        monkeypatch.setattr(StructuralModel, "modal_batch", fails_after_start)
+        monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_after_start)
         with pytest.raises(ConvergenceError):
             mh_sample(five_dof_chain_config(0.03), model, measured)
         # the window's batch, then the first row of the one-row re-solve

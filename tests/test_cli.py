@@ -2,9 +2,14 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffemu
 from ffemu import cli, scenarios
 
 
@@ -73,3 +78,38 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(["update", "--help"])
         assert info.value.code == 0
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import ffemu.cli as cli
+from ffemu import scenarios
+
+out = Path(sys.argv[1])
+config = scenarios.bundled_run_config(seed=2)
+config["alpha_levels"] = 1
+config["aco"].update(max_iterations=20)
+config["bayes"].update(n_samples=300, burn_in=50)
+path = out / "run.json"
+path.write_text(json.dumps(config))
+assert cli.main(["bayes", "--config", str(path), "--out", str(out / "bayes")]) == cli.EXIT_OK
+assert cli.main(["update", "--config", str(path), "--out", str(out / "bundle")]) == cli.EXIT_OK
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("scipy modules:", json.dumps(loaded))
+"""
+
+
+def test_cli_runs_load_no_scipy_module(tmp_path):
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    src = str(Path(ffemu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.strip().splitlines()[-1]
+    assert last == "scipy modules: []"

@@ -84,6 +84,11 @@ class TestGeneralizedEig:
         with pytest.raises(DefiniteMatrixError):
             generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_indefinite_nondiagonal_mass_rejected(self):
+        # eigenvalues 3 and -1; the Cholesky reduction must refuse it
+        with pytest.raises(DefiniteMatrixError):
+            generalized_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             generalized_eig(np.eye(3), np.eye(2))

@@ -114,6 +114,53 @@ def test_modal_matches_generalized_eig_bitwise():
         np.testing.assert_array_equal(fast.eigenvectors, slow.eigenvectors)
 
 
+def crossing_two_mass_model():
+    # the 2-mass model of test_objective.TestResidualBatch: two unit masses
+    # grounded by parameter springs and weakly coupled, so the localized
+    # modes swap order where k0 and k1 cross
+    return StructuralModel(
+        masses=np.array([1.0, 1.0]),
+        springs=(
+            SpringElement("k0", GROUND, 0, param_index=0),
+            SpringElement("k1", GROUND, 1, param_index=1),
+            SpringElement("c", 0, 1, stiffness=0.01),
+        ),
+        parameter_count=2,
+    )
+
+
+class TestEigenvaluesBatch:
+    def test_matches_modal_batch_on_bundled_model(self):
+        model = scenarios.five_dof_model()
+        rng = np.random.default_rng(17)
+        thetas = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX, (500, 5))
+        expected, _ = model.modal_batch(thetas)
+        got = model.eigenvalues_batch(thetas)
+        assert got.shape == (500, 5)
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+    def test_matches_modal_batch_across_a_mode_crossing(self):
+        model = crossing_two_mass_model()
+        k0 = np.linspace(1.0, 3.0, 201)
+        thetas = np.column_stack((k0, np.full_like(k0, 2.0)))  # k0 == k1 at row 100
+        expected, _ = model.modal_batch(thetas)
+        got = model.eigenvalues_batch(thetas)
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+    @pytest.mark.parametrize("method", ["modal_batch", "eigenvalues_batch"])
+    @pytest.mark.parametrize(
+        "thetas, error",
+        [
+            (np.ones(5), ShapeError),
+            (np.ones((2, 3)), ShapeError),
+            (np.array([[4000.0, 0.0, 2120.0, 2600.0, 2400.0]]), DomainError),
+        ],
+    )
+    def test_rejects_bad_rows_like_modal_batch(self, method, thetas, error):
+        with pytest.raises(error):
+            getattr(scenarios.five_dof_model(), method)(thetas)
+
+
 def test_nonpositive_theta_rejected():
     model = scenarios.five_dof_model()
     with pytest.raises(DomainError):
