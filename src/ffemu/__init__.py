@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
-from .linalg import ModalSolution, generalized_eig, mac, pair_modes
+from .linalg import ModalSolution, generalized_eig, pair_modes
 from .model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
 from .objective import (
     FeasibleRegion,
@@ -38,14 +38,12 @@ from .objective import (
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,
     WeightingConfig,
-    error_vectors,
-    interval_modal,
     load_measured,
-    modal_scale_factor,
     objective_value,
     residual_batch,
     residual_vector,
     save_measured,
+    vertex_modes,
 )
 from .optim import (
     AcoConfig,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, bayes, report, scenarios
 from .errors import ConfigurationError, FfemuError
-from .model import load_model, read_json
+from .model import read_json
 from .objective import save_measured
 from .pipeline import load_run_config, run_ffemu
 
@@ -28,12 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-
-def _resolve_model(ref: str):
-    if ref == "bundled":
-        return scenarios.five_dof_model()
-    return load_model(ref)
 
 
 def _resolve_truth(ref: str) -> dict:
@@ -45,7 +39,7 @@ def _resolve_truth(ref: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    model = _resolve_model(args.model)
+    model = scenarios.resolve_model(args.model)
     truth = _resolve_truth(args.truth)
     from .fuzzy import default_levels
 

@@ -42,14 +42,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, other: "Interval", slack: float = 0.0) -> bool:
-        """Whether ``other`` lies inside, allowing ``slack`` overhang per side."""
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
 
 @dataclass(frozen=True)
 class TriangularFuzzyNumber:

@@ -18,7 +18,7 @@ from .errors import (
     ShapeError,
 )
 
-__all__ = ["ModalSolution", "generalized_eig", "mac", "pair_modes", "fix_signs"]
+__all__ = ["ModalSolution", "generalized_eig", "pair_modes", "fix_signs"]
 
 
 @dataclass
@@ -28,9 +28,7 @@ class ModalSolution:
     Attributes
     ----------
     eigenvalues : ndarray, shape (n,)
-        In rad^2/s^2, ascending as produced by the solver. Pairing
-        utilities may reorder a solution so that index j tracks the same
-        physical mode across parameter changes.
+        In rad^2/s^2, ascending as produced by the solver.
     eigenvectors : ndarray, shape (n, n)
         Column j is the mode shape of ``eigenvalues[j]``, normalized to
         unit Euclidean norm and signed so its largest-magnitude component
@@ -43,15 +41,6 @@ class ModalSolution:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def frequencies_hz(self) -> np.ndarray:
-        """Natural frequencies f = sqrt(lambda) / (2 pi)."""
-        return np.sqrt(np.maximum(self.eigenvalues, 0.0)) / (2.0 * np.pi)
-
-    def reordered(self, permutation) -> "ModalSolution":
-        """New solution with modes permuted (``permutation[j]`` becomes mode j)."""
-        perm = np.asarray(permutation, dtype=int)
-        return ModalSolution(self.eigenvalues[perm].copy(), self.eigenvectors[:, perm].copy())
 
 
 def _as_symmetric(matrix, name: str) -> np.ndarray:
@@ -123,31 +112,19 @@ def generalized_eig(stiffness, mass) -> ModalSolution:
     return ModalSolution(lam, fix_signs(phi))
 
 
-def mac(phi_a, phi_b) -> float:
-    """Modal assurance criterion: squared normalized projection, in [0, 1].
-
-    Invariant under nonzero scaling and sign flips of either argument;
-    1.0 means parallel shapes, 0.0 orthogonal ones.
-    """
-    a = np.asarray(phi_a, dtype=float).ravel()
-    b = np.asarray(phi_b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"mode shapes differ in length: {a.shape[0]} vs {b.shape[0]}")
-    aa = float(a @ a)
-    bb = float(b @ b)
-    if aa == 0.0 or bb == 0.0:
-        raise DegenerateVectorError("MAC is undefined for a zero vector")
-    return min(1.0, float(a @ b) ** 2 / (aa * bb))
-
-
 def mac_matrix(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """MAC of every reference column against every candidate column.
 
-    Accepts one pair of (n, n) matrices or two stacks (..., n, n), giving
-    one table per pair.
+    The modal assurance criterion of two shapes is their squared
+    normalized projection, in [0, 1]: invariant under nonzero scaling and
+    sign flips of either, 1.0 for parallel shapes and 0.0 for orthogonal
+    ones. Accepts one pair of (n, n) matrices or two stacks (..., n, n),
+    giving one table per pair.
     """
     ref = np.asarray(reference, dtype=float)
     cand = np.asarray(candidate, dtype=float)
+    if ref.shape[-2] != cand.shape[-2]:
+        raise ShapeError(f"mode shapes differ in length: {ref.shape[-2]} vs {cand.shape[-2]}")
     cross = np.swapaxes(ref, -1, -2) @ cand
     norms_r = np.sum(ref * ref, axis=-2)
     norms_c = np.sum(cand * cand, axis=-2)

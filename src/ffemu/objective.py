@@ -1,18 +1,23 @@
 """Interval modal objective for one alpha level.
 
 The decision variable is a pair of stiffness vectors (lower, upper). The
-model is solved at both vertices, the two solutions are mode-paired to the
-box center, and the weighted squared errors between predicted and measured
-eigenvalue/eigenvector bounds are summed into a single scalar objective.
-Feasibility (global box plus nesting against the previous level) is handled
-by projection so optimizers only ever evaluate feasible candidates.
+model is solved at both vertices of the box, and the weighted squared
+errors between predicted and measured eigenvalue/eigenvector bounds are
+summed into a single scalar objective. Feasibility (global box plus
+nesting against the previous level) is handled by projection so
+optimizers only ever evaluate feasible candidates.
+
+Eigenvalues are sorted ascending at each vertex. Every unit stiffness
+matrix is positive semidefinite, so each sorted eigenvalue is monotone in
+each stiffness (Courant-Fischer): the j-th sorted eigenvalues at the lower
+and upper vertex are exactly the bounds of the j-th eigenvalue over the
+box, the interval a measured eigenvalue cut describes. Mode shapes carry
+no order, so the vertex shapes are MAC-paired to the box centre's shapes
+instead.
 
 ``residual_batch`` is the path the optimizers use: it evaluates a whole
 population of boxes with one stacked eigensolve. ``residual_vector`` and
-``objective_value`` are its one-row case. ``interval_modal`` and
-``error_vectors`` compute the same quantities one candidate at a time;
-they serve measurement simulation and are the reference the batch path is
-tested against.
+``objective_value`` are its one-row case.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .fuzzy import Interval, TriangularFuzzyNumber
+from .fuzzy import TriangularFuzzyNumber
 from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json
 
@@ -40,9 +45,7 @@ __all__ = [
     "MeasuredFuzzyModalData",
     "FeasibleRegion",
     "residual_batch",
-    "interval_modal",
-    "modal_scale_factor",
-    "error_vectors",
+    "vertex_modes",
     "residual_vector",
     "objective_value",
     "load_measured",
@@ -258,71 +261,12 @@ class FeasibleRegion:
         return np.concatenate([lower, upper], axis=-1)
 
 
-def modal_scale_factor(phi_measured, phi) -> float:
-    """Least-squares scale aligning an analytical shape with a measured one.
-
-    Minimizes ``norm(phi_measured - beta * phi)`` over beta, i.e.
-    ``beta = (phi_measured . phi) / (phi . phi)``.
-    """
-    pm = np.asarray(phi_measured, dtype=float).ravel()
-    p = np.asarray(phi, dtype=float).ravel()
-    if pm.shape != p.shape:
-        raise ShapeError("mode shapes differ in length")
-    denom = float(p @ p)
-    if denom == 0.0:
-        raise DegenerateVectorError("cannot scale against a zero vector")
-    return float(pm @ p) / denom
-
-
-def interval_modal(
-    model: StructuralModel, params: IntervalParameters
-) -> tuple[ModalSolution, ModalSolution]:
-    """Vertex modal solutions at (lower, upper), tracked to the box center.
-
-    Both vertex solutions are mode-paired to the center solution via MAC
-    (so index j means the same physical mode at both vertices) and their
-    eigenvectors are sign-aligned with the center shapes.
-    """
-    center = model.modal(params.center)
-    lower = _paired_to(center, model.modal(params.lower))
-    upper = _paired_to(center, model.modal(params.upper))
-    return lower, upper
-
-
-def _paired_to(center: ModalSolution, sol: ModalSolution) -> ModalSolution:
-    perm = pair_modes(center, sol)
-    out = sol.reordered(perm)
-    flip = np.sum(out.eigenvectors * center.eigenvectors, axis=0) < 0.0
-    out.eigenvectors[:, flip] = -out.eigenvectors[:, flip]
-    return out
-
-
-def error_vectors(
-    measured: MeasuredModalIntervals,
-    predicted_lower: ModalSolution,
-    predicted_upper: ModalSolution,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked lower and upper error vectors, each of length 2n.
-
-    Entries 0..n-1 are relative eigenvalue errors; entries n..2n-1 are
-    scale-normalized eigenvector errors (invariant to eigenvector scaling,
-    since the scale factor is the least-squares minimizer).
-    """
-    n = measured.n_modes
-    if predicted_lower.n_modes != n or predicted_upper.n_modes != n:
-        raise ShapeError("predicted and measured mode counts differ")
-    e_lo = np.empty(2 * n)
-    e_hi = np.empty(2 * n)
-    e_lo[:n] = (measured.eig_lo - predicted_lower.eigenvalues) / measured.eig_lo
-    e_hi[:n] = (predicted_upper.eigenvalues - measured.eig_hi) / measured.eig_hi
-    e_lo[n:] = _shape_errors(measured.vec_lo, predicted_lower.eigenvectors)
-    e_hi[n:] = _shape_errors(measured.vec_hi, predicted_upper.eigenvectors)
-    return e_lo, e_hi
-
-
 def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.ndarray:
     """Column-wise least-squares-scaled residual norms (one per mode).
 
+    Each predicted shape phi is first scaled by the modal scale factor
+    beta = (phi_m . phi) / (phi . phi) that minimizes |phi_m - beta phi|,
+    so the result is invariant to the predicted shapes' scale and sign.
     ``predicted_cols`` is one (n, n) matrix or a stack (m, n, n); the
     result has shape (n,) or (m, n) to match.
     """
@@ -347,10 +291,11 @@ def residual_batch(
     """Weighted residuals of m candidate boxes, one row of length 4n each.
 
     Row r is ``residual_vector`` of the box (lower[r], upper[r]). The
-    centres and both vertex sets are solved as one stack of 3m rows; the
-    vertex modes are tracked to the centre modes by MAC, and the greedy
-    ``pair_modes`` runs only on rows whose MAC diagonal does not dominate.
-    The shape-error block is skipped when all its weights are zero.
+    eigenvalue errors compare the measured bounds with the sorted
+    eigenvalues at the two vertices, which one ``eigenvalues_batch`` call
+    solves for all 2m vertices. When a shape weight is non-zero, the
+    vertices and centres come from one ``vertex_modes`` call instead, and
+    its paired vertex shapes give the shape errors.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -364,32 +309,40 @@ def residual_batch(
     if weights.lower.size != 2 * n:
         raise ShapeError(f"weights sized for {weights.lower.size // 2} modes, data has {n}")
     m = lower.shape[0]
-    lam, vec = model.modal_batch(np.concatenate([0.5 * (lower + upper), lower, upper]))
-    lam_v, vec_v = _paired_batch(lam[:m], vec[:m], lam[m:], vec[m:])
-
     e_lo = np.zeros((m, 2 * n))
     e_hi = np.zeros((m, 2 * n))
-    e_lo[:, :n] = (measured.eig_lo - lam_v[:m]) / measured.eig_lo
-    e_hi[:, :n] = (lam_v[m:] - measured.eig_hi) / measured.eig_hi
     if np.any(weights.lower[n:]) or np.any(weights.upper[n:]):
-        e_lo[:, n:] = _shape_errors(measured.vec_lo, vec_v[:m])
-        e_hi[:, n:] = _shape_errors(measured.vec_hi, vec_v[m:])
+        lam, vec = vertex_modes(model, lower, upper)
+        e_lo[:, n:] = _shape_errors(measured.vec_lo, vec[:m])
+        e_hi[:, n:] = _shape_errors(measured.vec_hi, vec[m:])
+    else:
+        lam = model.eigenvalues_batch(np.concatenate([lower, upper]))
+    e_lo[:, :n] = (measured.eig_lo - lam[:m]) / measured.eig_lo
+    e_hi[:, :n] = (lam[m:] - measured.eig_hi) / measured.eig_hi
     return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1)
 
 
-def _paired_batch(lam_c, vec_c, lam_v, vec_v) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex solutions (2m rows: lower vertices, then upper) tracked to
-    their m centres and sign-aligned with the centre shapes."""
-    lam_c = np.concatenate([lam_c, lam_c])
-    vec_c = np.concatenate([vec_c, vec_c])
-    lam_v = lam_v.copy()
-    vec_v = vec_v.copy()
+def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (2m, n) and mode shapes (2m, n, n) at the vertices of m boxes.
+
+    Rows are the m lower vertices, then the m upper ones. The eigenvalues
+    are sorted ascending. The shapes are tracked to the box centre's by
+    MAC, so column j is one physical mode at both vertices, and are
+    sign-aligned with the centre shapes. The centres and vertices are
+    solved as one stack of 3m rows; the greedy ``pair_modes`` runs only on
+    rows whose MAC diagonal does not dominate.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    m = len(lower)
+    lam, vec = model.modal_batch(np.concatenate([0.5 * (lower + upper), lower, upper]))
+    vec_c = np.concatenate([vec[:m], vec[:m]])
+    vec_v = vec[m:].copy()
     for k in np.flatnonzero(~diagonal_dominates(mac_matrix(vec_c, vec_v))):
-        perm = pair_modes(ModalSolution(lam_c[k], vec_c[k]), ModalSolution(lam_v[k], vec_v[k]))
-        lam_v[k] = lam_v[k, perm]
+        perm = pair_modes(ModalSolution(lam[k % m], vec_c[k]), ModalSolution(lam[m + k], vec_v[k]))
         vec_v[k] = vec_v[k][:, perm]
     flip = np.einsum("kij,kij->kj", vec_v, vec_c) < 0.0
-    return lam_v, np.where(flip[:, None, :], -vec_v, vec_v)
+    return lam[m:], np.where(flip[:, None, :], -vec_v, vec_v)
 
 
 def residual_vector(

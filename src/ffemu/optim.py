@@ -82,7 +82,6 @@ class AcoConfig:
     stagnation_window: int = 50
     stagnation_tolerance: float = 1e-10
     rng_seed: int = 0
-    per_dimension_guides: bool = True
 
     def __post_init__(self):
         if self.archive_size < 2:
@@ -100,9 +99,7 @@ class PsoConfig:
     """Inertia-weight PSO settings with per-dimension velocity clamping.
 
     ``v_max_fraction`` sets the velocity clamp as a fraction of each
-    dimension's box width; with ``rescale_velocity_per_level`` the clamp
-    follows the current (possibly shrunken) region instead of staying at
-    the width it had when a run started.
+    dimension's width in the current region.
     """
 
     swarm_size: int = 80
@@ -110,7 +107,6 @@ class PsoConfig:
     cognitive: float = 1.494
     social: float = 1.494
     v_max_fraction: float = 0.5
-    rescale_velocity_per_level: bool = True
     max_iterations: int = 300
     stagnation_window: int = 50
     stagnation_tolerance: float = 1e-10
@@ -223,10 +219,7 @@ def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng) -> n
     dim = archive.x.shape[1]
     probs = selection_probabilities(aco_weights(q_rows, config.q))
     sig = archive.sigma_matrix(config.xi)
-    if config.per_dimension_guides:
-        rows = rng.choice(q_rows, size=(config.n_ants, dim), p=probs)
-    else:
-        rows = np.repeat(rng.choice(q_rows, size=(config.n_ants, 1), p=probs), dim, axis=1)
+    rows = rng.choice(q_rows, size=(config.n_ants, dim), p=probs)
     cols = np.arange(dim)[None, :]
     candidates = rng.normal(archive.x[rows, cols], sig[rows, cols])
     return region.project(candidates)
@@ -300,20 +293,15 @@ def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResu
     )
 
 
-def pso_minimize(
-    f, region, config: PsoConfig, initial=None, v_max_widths=None
-) -> OptimizationResult:
+def pso_minimize(f, region, config: PsoConfig, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with a standard global-best PSO.
 
     ``f`` maps an (m, dim) population to its m objective values; it is
     called once per iteration for the whole swarm. Velocities are clamped
-    to ``v_max_fraction`` of the per-dimension widths; pass
-    ``v_max_widths`` to clamp against different (e.g. original full-box)
-    widths instead of the current region's.
+    to ``v_max_fraction`` of the region's per-dimension widths.
     """
     rng = np.random.default_rng(config.rng_seed)
-    widths = (region.hi - region.lo) if v_max_widths is None else np.asarray(v_max_widths, dtype=float)
-    v_max = config.v_max_fraction * widths
+    v_max = config.v_max_fraction * (region.hi - region.lo)
     x = _initial_points(region, config.swarm_size, rng, initial)
     fx = _evaluate(f, x)
     n_evals = len(x)

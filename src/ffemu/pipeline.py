@@ -22,15 +22,15 @@ import numpy as np
 from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
-from .model import StructuralModel, load_model, read_json
+from .model import StructuralModel, read_json
 from .objective import (
     FeasibleRegion,
     IntervalParameters,
     MeasuredFuzzyModalData,
     WeightingConfig,
-    interval_modal,
     load_measured,
     residual_batch,
+    vertex_modes,
 )
 from .optim import (
     AcoConfig,
@@ -127,10 +127,6 @@ class FfemuResult:
     elapsed_seconds: np.ndarray
     histories: list
 
-    @property
-    def parameter_intervals_at_support(self) -> list:
-        return [stack.support for stack in self.parameter_stacks]
-
 
 def _fit_tfn(center: float, alphas: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> TriangularFuzzyNumber:
     """Least-squares triangular fit through the peak to per-level bounds.
@@ -157,11 +153,12 @@ def simulate_measurements(
     """Simulate fuzzy measured modal data from true triangular parameters.
 
     Each parameter i is fuzzified as the symmetric triangle
-    (theta_true[i] - spreads[i], theta_true[i], theta_true[i] + spreads[i]);
-    the per-level eigenvalue intervals come from vertex solves at the
-    parameter alpha-cuts and are then fitted to one triangle per mode.
-    With ``shape_tfns`` the mode-shape components get component-wise
-    triangles fitted from the same vertex solves.
+    (theta_true[i] - spreads[i], theta_true[i], theta_true[i] + spreads[i]).
+    The parameter alpha-cuts of every level are solved at their vertices
+    by one ``vertex_modes`` call; the sorted vertex eigenvalues are the
+    per-level eigenvalue intervals, which are then fitted to one triangle
+    per mode. With ``shape_tfns`` the mode-shape components get
+    component-wise triangles fitted from the paired vertex shapes.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     spreads = np.asarray(spreads, dtype=float)
@@ -175,24 +172,15 @@ def simulate_measurements(
 
     center = model.modal(theta_true)
     n = model.n_dof
-    lam_lo = np.empty((levels.size, n))
-    lam_hi = np.empty((levels.size, n))
-    vec_lo = np.empty((levels.size, n, n))
-    vec_hi = np.empty((levels.size, n, n))
-    for k, alpha in enumerate(levels):
-        half = (1.0 - alpha) * spreads
-        params = IntervalParameters(theta_true - half, theta_true + half)
-        sol_lo, sol_hi = interval_modal(model, params)
-        lam_lo[k] = sol_lo.eigenvalues
-        lam_hi[k] = sol_hi.eigenvalues
-        vec_lo[k] = sol_lo.eigenvectors
-        vec_hi[k] = sol_hi.eigenvectors
-
+    halves = (1.0 - levels)[:, None] * spreads
+    lam, vec = vertex_modes(model, theta_true - halves, theta_true + halves)
+    lam_lo, lam_hi = np.split(lam, 2)
     tfns = [
         _fit_tfn(center.eigenvalues[j], levels, lam_lo[:, j], lam_hi[:, j]) for j in range(n)
     ]
     component_tfns = None
     if shape_tfns:
+        vec_lo, vec_hi = np.split(vec, 2)
         component_tfns = []
         for j in range(n):
             col = []
@@ -210,13 +198,12 @@ def simulate_measurements(
     return MeasuredFuzzyModalData(tfns, center.eigenvectors, component_tfns)
 
 
-def _minimize(run: FfemuRun, objective, region, level_index: int, initial, global_widths):
+def _minimize(run: FfemuRun, objective, region, level_index: int, initial):
     if run.optimizer == "aco":
         config = replace(run.aco, rng_seed=run.seed + level_index)
         return aco_minimize(objective, region, config, initial=initial)
     config = replace(run.pso, rng_seed=run.seed + level_index)
-    widths = None if config.rescale_velocity_per_level else global_widths
-    return pso_minimize(objective, region, config, initial=initial, v_max_widths=widths)
+    return pso_minimize(objective, region, config, initial=initial)
 
 
 def run_ffemu(run: FfemuRun) -> FfemuResult:
@@ -249,13 +236,11 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             to_params = IntervalParameters.from_point
             region = Box(run.theta_min, run.theta_max)
             seeds = None if run.theta_initial is None else [run.theta_initial]
-            global_widths = run.theta_max - run.theta_min
         else:
             prev = solutions[-1]
             to_params = IntervalParameters.from_flat
             region = FeasibleRegion(run.theta_min, run.theta_max, prev.lower, prev.upper)
             seeds = [prev.flatten()]
-            global_widths = np.concatenate([run.theta_max - run.theta_min] * 2)
 
         calls = 0
 
@@ -270,7 +255,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             # row-wise r @ r: the same sum as objective_value and the polish
             return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-        result = _minimize(run, objective, region, k, seeds, global_widths)
+        result = _minimize(run, objective, region, k, seeds)
         if calls != result.n_evaluations:
             raise RuntimeError(
                 f"evaluation bookkeeping broken at level {k + 1}: "
@@ -311,26 +296,23 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
 def propagate_outputs(model: StructuralModel, parameter_stacks: list) -> list:
     """Eigenvalue stacks implied by nested parameter stacks.
 
-    Per level the parameter box is solved at its two vertices; sorted
-    eigenvalues are used so output nesting follows exactly from stiffness
-    monotonicity (mode pairing is irrelevant for the ordered bounds).
+    Every level's parameter box is solved at its two vertices, all levels
+    in one ``eigenvalues_batch`` call. Its eigenvalues are sorted, so
+    output nesting follows exactly from stiffness monotonicity and no mode
+    pairing is needed for the bounds.
     """
     if not parameter_stacks:
         raise DomainError("need at least one parameter stack")
     levels = parameter_stacks[0].levels
-    n = model.n_dof
-    lows = np.empty((levels.size, n))
-    highs = np.empty((levels.size, n))
-    for k in range(levels.size):
-        lower = np.array([stack.intervals[k].lo for stack in parameter_stacks])
-        upper = np.array([stack.intervals[k].hi for stack in parameter_stacks])
-        lows[k] = model.modal(lower).eigenvalues
-        # monotonicity puts highs above lows; the max() only absorbs last-ulp
-        # eigensolver noise when a box is pinched to near-zero width
-        highs[k] = np.maximum(lows[k], model.modal(upper).eigenvalues)
+    lower = np.array([[iv.lo for iv in stack.intervals] for stack in parameter_stacks]).T
+    upper = np.array([[iv.hi for iv in stack.intervals] for stack in parameter_stacks]).T
+    lows, highs = np.split(model.eigenvalues_batch(np.concatenate([lower, upper])), 2)
+    # monotonicity puts highs above lows; the max() only absorbs last-ulp
+    # eigensolver noise when a box is pinched to near-zero width
+    highs = np.maximum(lows, highs)
     return [
         AlphaCutStack(levels, tuple(Interval(lows[k, j], highs[k, j]) for k in range(levels.size)))
-        for j in range(n)
+        for j in range(model.n_dof)
     ]
 
 
@@ -341,11 +323,6 @@ class RunConfig:
     run: FfemuRun
     bayes: McmcConfig | None
     raw: dict
-
-
-def _resolve_path(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else base / p
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
@@ -369,10 +346,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing required key {exc.args[0]!r}") from exc
 
-    if model_ref == "bundled":
-        model = scenarios.five_dof_model()
-    else:
-        model = load_model(_resolve_path(base, model_ref))
+    model = scenarios.resolve_model(model_ref, base)
 
     level_spec = raw.get("alpha_levels", 10)
     levels = (
@@ -384,16 +358,11 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     if ("measured" in raw) == ("truth" in raw):
         raise ConfigurationError(f"{path}: give exactly one of 'measured' or 'truth'")
     if "measured" in raw:
-        measured = load_measured(_resolve_path(base, raw["measured"]))
+        measured = load_measured(base / raw["measured"])
     else:
         truth = raw["truth"]
         measured = scenarios.simulate_from_truth_spec(model, truth, levels)
 
-    optimizer = raw.get("optimizer", "aco")
-    if optimizer not in OPTIMIZERS:
-        raise ConfigurationError(
-            f"{path}: unknown optimizer {optimizer!r}; valid choices: {', '.join(OPTIMIZERS)}"
-        )
     seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     aco_spec = dict(raw.get("aco", {}))
     pso_spec = dict(raw.get("pso", {}))
@@ -413,19 +382,22 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     )
     theta_initial = raw.get("theta_initial")
 
-    run = FfemuRun(
-        model=model,
-        measured=measured,
-        theta_min=theta_min,
-        theta_max=theta_max,
-        optimizer=optimizer,
-        aco=aco,
-        pso=pso,
-        levels=levels,
-        weights=weights,
-        seed=seed,
-        theta_initial=None if theta_initial is None else np.asarray(theta_initial, dtype=float),
-    )
+    try:
+        run = FfemuRun(
+            model=model,
+            measured=measured,
+            theta_min=theta_min,
+            theta_max=theta_max,
+            optimizer=raw.get("optimizer", "aco"),
+            aco=aco,
+            pso=pso,
+            levels=levels,
+            weights=weights,
+            seed=seed,
+            theta_initial=theta_initial,
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
     bayes_cfg = None
     if "bayes" in raw:

@@ -63,11 +63,10 @@ def _stack_to_hz(stack: AlphaCutStack) -> AlphaCutStack:
     )
 
 
-def write_bundle(out_dir, run, result, bayes_payload: dict | None = None) -> Path:
+def write_bundle(out_dir, run, result) -> Path:
     """Persist a finished run; returns the directory path.
 
-    ``run`` is the FfemuRun that produced ``result``. The optional bayes
-    payload is written alongside as its own file.
+    ``run`` is the FfemuRun that produced ``result``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,10 +118,6 @@ def write_bundle(out_dir, run, result, bayes_payload: dict | None = None) -> Pat
 
     _write_history(out / "history.csv", result)
     regenerate_curves(out, summary)
-    if bayes_payload is not None:
-        with open(out / BAYES_FILE, "w", encoding="utf-8") as fh:
-            json.dump(bayes_payload, fh, indent=2)
-            fh.write("\n")
     return out
 
 

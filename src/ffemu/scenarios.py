@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .model import StructuralModel, model_from_dict
+from .model import StructuralModel, load_model, model_from_dict
 from .pipeline import simulate_measurements
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "THETA_INITIAL",
     "THETA_TRUE",
     "five_dof_model",
+    "resolve_model",
     "bundled_model_text",
     "bundled_truth_spec",
     "simulate_from_truth_spec",
@@ -43,6 +45,14 @@ def bundled_model_text() -> str:
 def five_dof_model() -> StructuralModel:
     """The packaged 5-mass / 10-spring structure with 5 uncertain stiffnesses."""
     return model_from_dict(json.loads(bundled_model_text()), source="bundled model_5dof.json")
+
+
+def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
+    """The packaged model for the token ``"bundled"``, else the model file
+    at ``ref`` (a relative path resolves against ``base``)."""
+    if ref == "bundled":
+        return five_dof_model()
+    return load_model(base / ref)
 
 
 def bundled_truth_spec(kind: str = "fuzzy") -> dict:
@@ -85,21 +95,16 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
     )
 
 
-def bundled_run_config(
-    measured_path: str | None = None,
-    optimizer: str = "aco",
-    seed: int = 0,
-    fuzzy: bool = True,
-) -> dict:
-    """Run-configuration dictionary for the bundled scenario.
+def bundled_run_config(optimizer: str = "aco", seed: int = 0) -> dict:
+    """Run-configuration dictionary for the bundled fuzzy scenario.
 
-    When ``measured_path`` is None the config embeds the truth spec so the
-    measurements are simulated inline. The fuzzy variant weights only the
-    eigenvalue errors: crisp measured mode shapes cannot match the vertex
-    shapes of a genuinely widened interval, so shape terms would bias the
-    recovered bounds inward.
+    The config embeds the fuzzy truth spec, so the measurements are
+    simulated inline. It weights only the eigenvalue errors: crisp
+    measured mode shapes cannot match the vertex shapes of a genuinely
+    widened interval, so shape terms would bias the recovered bounds
+    inward.
     """
-    config = {
+    return {
         "model": "bundled",
         "theta_min": THETA_MIN.tolist(),
         "theta_max": THETA_MAX.tolist(),
@@ -115,11 +120,6 @@ def bundled_run_config(
             "likelihood_sd": 0.005,
             "proposal_fraction": 0.01,
         },
+        "weights": {"eigenvalue": 1.0, "eigenvector": 0.0},
+        "truth": bundled_truth_spec("fuzzy"),
     }
-    if fuzzy:
-        config["weights"] = {"eigenvalue": 1.0, "eigenvector": 0.0}
-    if measured_path is None:
-        config["truth"] = bundled_truth_spec("fuzzy" if fuzzy else "crisp")
-    else:
-        config["measured"] = str(measured_path)
-    return config

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffemu.errors import DefiniteMatrixError, DegenerateVectorError, ShapeError
-from ffemu.linalg import ModalSolution, generalized_eig, mac, mac_matrix, pair_modes
+from ffemu.linalg import ModalSolution, generalized_eig, mac_matrix, pair_modes
 
 
 def random_spd(rng, n, shift=None):
@@ -98,6 +98,11 @@ class TestGeneralizedEig:
             generalized_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
 
 
+def mac(phi_a, phi_b) -> float:
+    """MAC of two single shapes, through ``mac_matrix``."""
+    return mac_matrix(np.asarray(phi_a, float)[:, None], np.asarray(phi_b, float)[:, None])[0, 0]
+
+
 class TestMac:
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, -3.0])
@@ -111,13 +116,14 @@ class TestMac:
         assert mac(v, -3.0 * v) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_invariance_random(self):
+        # every column of either stack scaled by its own nonzero factor
         rng = np.random.default_rng(21)
-        for _ in range(100):
-            a = rng.standard_normal(5)
-            b = rng.standard_normal(5)
-            s = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-            assert mac(a, b) == pytest.approx(mac(s * a, b), abs=1e-12)
-            assert mac(a, b) == pytest.approx(mac(a, s * b), abs=1e-12)
+        a = rng.standard_normal((100, 5, 5))
+        b = rng.standard_normal((100, 5, 5))
+        s = rng.uniform(0.1, 10.0, (100, 1, 5)) * rng.choice([-1.0, 1.0], (100, 1, 5))
+        table = mac_matrix(a, b)
+        np.testing.assert_allclose(mac_matrix(s * a, b), table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mac_matrix(a, s * b), table, rtol=0, atol=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):

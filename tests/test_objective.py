@@ -16,14 +16,13 @@ from ffemu.objective import (
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,
     WeightingConfig,
-    error_vectors,
-    interval_modal,
+    _shape_errors,
     load_measured,
-    modal_scale_factor,
     objective_value,
     residual_batch,
     residual_vector,
     save_measured,
+    vertex_modes,
 )
 
 
@@ -35,34 +34,101 @@ def one_dof_model():
     )
 
 
+def two_mass_model(coupling=0.01):
+    """Two unit masses, each grounded by a parameter spring, weakly coupled.
+
+    The modes localize on one mass each, so they swap order where k0 and
+    k1 cross.
+    """
+    return StructuralModel(
+        masses=np.array([1.0, 1.0]),
+        springs=(
+            SpringElement("k0", GROUND, 0, param_index=0),
+            SpringElement("k1", GROUND, 1, param_index=1),
+            SpringElement("c", 0, 1, stiffness=coupling),
+        ),
+        parameter_count=2,
+    )
+
+
 def measured_from_params(model, params):
     """Self-consistent measured intervals: regenerate from the candidate itself."""
-    lower, upper = interval_modal(model, params)
-    return MeasuredModalIntervals(
-        lower.eigenvalues, upper.eigenvalues, lower.eigenvectors, upper.eigenvectors
-    )
+    lam, vec = vertex_modes(model, params.lower[None, :], params.upper[None, :])
+    return MeasuredModalIntervals(lam[0], lam[1], vec[0], vec[1])
+
+
+def paired_vertex_modes(model, lower, upper):
+    """Per-candidate MAC-paired vertex solutions of one box, the reference
+    for ``vertex_modes``' shapes.
+
+    The centre and both vertices are solved one at a time; each vertex
+    solution is reordered by ``pair_modes`` against the centre, eigenvalues
+    included, and its shapes are sign-aligned with the centre's.
+    """
+    center = model.modal(0.5 * (lower + upper))
+    paired = []
+    for theta in (lower, upper):
+        sol = model.modal(theta)
+        perm = pair_modes(center, sol)
+        vec = sol.eigenvectors[:, perm]
+        flip = np.sum(vec * center.eigenvectors, axis=0) < 0.0
+        vec[:, flip] = -vec[:, flip]
+        paired.append(ModalSolution(sol.eigenvalues[perm], vec))
+    return paired
+
+
+def reference_shape_errors(measured_cols, predicted_cols):
+    """Least-squares-scaled shape residual norms, one mode at a time."""
+    errors = []
+    for phi_m, phi in zip(measured_cols.T, predicted_cols.T):
+        beta = (phi_m @ phi) / (phi @ phi)
+        errors.append(np.linalg.norm(phi_m - beta * phi) / np.linalg.norm(phi_m))
+    return np.array(errors)
+
+
+def reference_residual(model, lower, upper, measured, weights):
+    """Per-candidate reference row: sorted vertex eigenvalues, paired vertex shapes.
+
+    Without shape weights the eigenvalues come from the eigenvalue-only
+    solve, as in ``residual_batch``; it differs from ``modal`` in the last
+    bits.
+    """
+    n = measured.n_modes
+    shape_lo, shape_hi = paired_vertex_modes(model, lower, upper)
+    lam_lo, lam_hi = model.eigenvalues_batch(np.stack([lower, upper]))
+    if np.any(weights.lower[n:]) or np.any(weights.upper[n:]):
+        lam_lo, lam_hi = model.modal(lower).eigenvalues, model.modal(upper).eigenvalues
+    e_lo = np.concatenate([
+        (measured.eig_lo - lam_lo) / measured.eig_lo,
+        reference_shape_errors(measured.vec_lo, shape_lo.eigenvectors),
+    ])
+    e_hi = np.concatenate([
+        (lam_hi - measured.eig_hi) / measured.eig_hi,
+        reference_shape_errors(measured.vec_hi, shape_hi.eigenvectors),
+    ])
+    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi])
 
 
 class TestIntervalModal:
     def test_degenerate_parameters_give_identical_solutions(self):
         model = scenarios.five_dof_model()
-        params = IntervalParameters.from_point(scenarios.THETA_TRUE)
-        lower, upper = interval_modal(model, params)
-        np.testing.assert_array_equal(lower.eigenvalues, upper.eigenvalues)
-        np.testing.assert_array_equal(lower.eigenvectors, upper.eigenvectors)
+        theta = scenarios.THETA_TRUE[None, :]
+        lam, vec = vertex_modes(model, theta, theta)
+        np.testing.assert_array_equal(lam[0], lam[1])
+        np.testing.assert_array_equal(vec[0], vec[1])
 
     def test_one_dof_scalar_monotone(self):
-        lower, upper = interval_modal(one_dof_model(), IntervalParameters([4.0], [9.0]))
-        assert lower.eigenvalues[0] == pytest.approx(4.0, rel=1e-12)
-        assert upper.eigenvalues[0] == pytest.approx(9.0, rel=1e-12)
+        lam, _ = vertex_modes(one_dof_model(), [[4.0]], [[9.0]])
+        assert lam[0, 0] == pytest.approx(4.0, rel=1e-12)
+        assert lam[1, 0] == pytest.approx(9.0, rel=1e-12)
 
     def test_bounds_bracket_center(self):
         model = scenarios.five_dof_model()
         params = IntervalParameters(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lower, upper = interval_modal(model, params)
+        lam, _ = vertex_modes(model, params.lower[None, :], params.upper[None, :])
         center = model.modal(params.center).eigenvalues
-        assert np.all(lower.eigenvalues <= center + 1e-12)
-        assert np.all(center <= upper.eigenvalues + 1e-12)
+        assert np.all(lam[0] <= center + 1e-12)
+        assert np.all(center <= lam[1] + 1e-12)
 
     def test_vertex_bounds_match_grid_brute_force(self):
         # Oracle: coarse exhaustive grid over all five axes; endpoints are
@@ -70,29 +136,51 @@ class TestIntervalModal:
         # must coincide with the vertex solves.
         model = scenarios.five_dof_model()
         params = IntervalParameters(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lower, upper = interval_modal(model, params)
+        lam, _ = vertex_modes(model, params.lower[None, :], params.upper[None, :])
         axes = [np.linspace(lo, hi, 3) for lo, hi in zip(params.lower, params.upper)]
         grid_lo = np.full(model.n_dof, np.inf)
         grid_hi = np.full(model.n_dof, -np.inf)
         for theta in itertools.product(*axes):
-            lam = model.modal(np.array(theta)).eigenvalues
-            grid_lo = np.minimum(grid_lo, lam)
-            grid_hi = np.maximum(grid_hi, lam)
-        np.testing.assert_allclose(lower.eigenvalues, grid_lo, rtol=1e-3)
-        np.testing.assert_allclose(upper.eigenvalues, grid_hi, rtol=1e-3)
+            eigs = model.modal(np.array(theta)).eigenvalues
+            grid_lo = np.minimum(grid_lo, eigs)
+            grid_hi = np.maximum(grid_hi, eigs)
+        np.testing.assert_allclose(lam[0], grid_lo, rtol=1e-3)
+        np.testing.assert_allclose(lam[1], grid_hi, rtol=1e-3)
         # vertex solves can never be inside the grid range
-        assert np.all(lower.eigenvalues <= grid_lo + 1e-9)
-        assert np.all(upper.eigenvalues >= grid_hi - 1e-9)
+        assert np.all(lam[0] <= grid_lo + 1e-9)
+        assert np.all(lam[1] >= grid_hi - 1e-9)
+
+    @pytest.mark.parametrize("kind", ["bundled", "crossing"])
+    def test_interior_points_lie_within_sorted_vertex_eigenvalues(self, kind):
+        # Courant-Fischer: each sorted eigenvalue is monotone in each
+        # stiffness, so the vertices bound it over the box, also where
+        # modes cross (the 2-mass model's boxes straddle k0 = k1)
+        if kind == "bundled":
+            model, lo, hi = scenarios.five_dof_model(), scenarios.THETA_MIN, scenarios.THETA_MAX
+        else:
+            model, lo, hi = two_mass_model(), np.full(2, 0.5), np.full(2, 2.5)
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            a, b = rng.uniform(lo, hi, (2, lo.size))
+            lower, upper = np.minimum(a, b), np.maximum(a, b)
+            interior = lower + rng.uniform(size=(200, lo.size)) * (upper - lower)
+            lam = model.eigenvalues_batch(interior)
+            bounds = model.eigenvalues_batch(np.stack([lower, upper]))
+            slack = 1e-12 * bounds[1].max()
+            assert np.all(bounds[0] - slack <= lam)
+            assert np.all(lam <= bounds[1] + slack)
 
 
 class TestModalScaleFactor:
+    # the least-squares scale that aligns a predicted shape with a measured
+    # one, as ``_shape_errors`` computes it inline
     def test_identical_unit_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert modal_scale_factor(v, v) == pytest.approx(1.0, rel=1e-15)
+        v = np.array([[0.6], [0.8]])
+        assert _shape_errors(v, v)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_scaling(self):
-        v = np.array([0.6, 0.8])
-        assert modal_scale_factor(2.0 * v, v) == pytest.approx(2.0, rel=1e-15)
+        v = np.array([[0.6], [0.8]])
+        assert _shape_errors(2.0 * v, v)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_grid_search_oracle(self):
         rng = np.random.default_rng(13)
@@ -104,58 +192,52 @@ class TestModalScaleFactor:
         best = coarse[np.argmin(errs)]
         fine = np.linspace(best - 1e-3, best + 1e-3, 20001)
         errs = np.linalg.norm(phi_m[:, None] - fine[None, :] * phi[:, None], axis=0)
-        oracle = fine[np.argmin(errs)]
-        assert modal_scale_factor(phi_m, phi) == pytest.approx(oracle, abs=1e-6)
+        oracle = errs.min() / np.linalg.norm(phi_m)
+        value = _shape_errors(phi_m[:, None], phi[:, None])[0]
+        assert value == pytest.approx(oracle, abs=1e-10)
+        assert value <= oracle  # the scale is the exact minimizer
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            modal_scale_factor(np.ones(3), np.zeros(3))
+            _shape_errors(np.ones((3, 1)), np.zeros((3, 1)))
 
 
 class TestErrorVectors:
+    # residual_vector with identity weights is the error vector pair
+    # [e_lo, e_hi], each n eigenvalue errors followed by n shape errors
     def test_exact_match_gives_zeros(self):
         model = scenarios.five_dof_model()
         params = IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         measured = measured_from_params(model, params)
-        lower, upper = interval_modal(model, params)
-        e_lo, e_hi = error_vectors(measured, lower, upper)
+        r = residual_vector(model, params, measured, WeightingConfig.identity(5))
         # eigenvalue entries are bitwise zero; shape entries only pick up
         # the last-ulp renormalization of the stored measured vectors
-        np.testing.assert_array_equal(e_lo[:5], np.zeros(5))
-        np.testing.assert_array_equal(e_hi[:5], np.zeros(5))
-        np.testing.assert_allclose(e_lo, np.zeros(10), atol=1e-15)
-        np.testing.assert_allclose(e_hi, np.zeros(10), atol=1e-15)
+        np.testing.assert_array_equal(r[:5], np.zeros(5))
+        np.testing.assert_array_equal(r[10:15], np.zeros(5))
+        np.testing.assert_allclose(r, np.zeros(20), atol=1e-15)
 
     def test_lower_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        pred_lo = ModalSolution(np.array([90.0]), phi)
-        pred_hi = ModalSolution(np.array([100.0]), phi)
-        e_lo, e_hi = error_vectors(measured, pred_lo, pred_hi)
-        np.testing.assert_allclose(e_lo, [0.1, 0.0])
-        np.testing.assert_allclose(e_hi, [0.0, 0.0])
+        params = IntervalParameters([90.0], [100.0])
+        r = residual_vector(one_dof_model(), params, measured, WeightingConfig.identity(1))
+        np.testing.assert_allclose(r, [0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_upper_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        pred_hi = ModalSolution(np.array([110.0]), phi)
-        pred_lo = ModalSolution(np.array([100.0]), phi)
-        e_lo, e_hi = error_vectors(measured, pred_lo, pred_hi)
-        assert e_hi[0] == pytest.approx(0.1, rel=1e-12)
+        params = IntervalParameters([100.0], [110.0])
+        r = residual_vector(one_dof_model(), params, measured, WeightingConfig.identity(1))
+        assert r[2] == pytest.approx(0.1, rel=1e-12)
 
     def test_invariant_to_predicted_vector_scaling(self):
         rng = np.random.default_rng(23)
         n = 4
         vecs = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        measured = MeasuredModalIntervals(
-            np.arange(1.0, n + 1), np.arange(2.0, n + 2), vecs, vecs
+        pred = vecs + 0.05 * rng.standard_normal((n, n))
+        np.testing.assert_allclose(
+            _shape_errors(vecs, -7.3 * pred), _shape_errors(vecs, pred), atol=1e-12
         )
-        pred = ModalSolution(np.arange(1.0, n + 1), vecs + 0.05 * rng.standard_normal((n, n)))
-        scaled = ModalSolution(pred.eigenvalues.copy(), pred.eigenvectors * -7.3)
-        e_ref = error_vectors(measured, pred, pred)
-        e_scaled = error_vectors(measured, scaled, scaled)
-        np.testing.assert_allclose(e_scaled[0], e_ref[0], atol=1e-12)
-        np.testing.assert_allclose(e_scaled[1], e_ref[1], atol=1e-12)
 
     def test_widening_beyond_measured_increases_error(self):
         model = one_dof_model()
@@ -163,9 +245,9 @@ class TestErrorVectors:
         measured = MeasuredModalIntervals([4.0], [9.0], phi, phi)
         widths = []
         for lo in (4.0, 3.5, 3.0):
-            pred_lo, pred_hi = interval_modal(model, IntervalParameters([lo], [9.0]))
-            e_lo, _ = error_vectors(measured, pred_lo, pred_hi)
-            widths.append(abs(e_lo[0]))
+            params = IntervalParameters([lo], [9.0])
+            r = residual_vector(model, params, measured, WeightingConfig.identity(1))
+            widths.append(abs(r[0]))
         assert widths[0] < widths[1] < widths[2]
 
 
@@ -286,30 +368,6 @@ class TestProjection:
         np.testing.assert_array_equal(region.hi, [4.0, 5.0, 10.0, 10.0])
 
 
-def two_mass_model(coupling=0.01):
-    """Two unit masses, each grounded by a parameter spring, weakly coupled.
-
-    The modes localize on one mass each, so they swap order where k0 and
-    k1 cross.
-    """
-    return StructuralModel(
-        masses=np.array([1.0, 1.0]),
-        springs=(
-            SpringElement("k0", GROUND, 0, param_index=0),
-            SpringElement("k1", GROUND, 1, param_index=1),
-            SpringElement("c", 0, 1, stiffness=coupling),
-        ),
-        parameter_count=2,
-    )
-
-
-def reference_residual(model, lower, upper, measured, weights):
-    """Per-candidate reference: vertex solves, pairing and error vectors."""
-    pred_lo, pred_hi = interval_modal(model, IntervalParameters(lower, upper))
-    e_lo, e_hi = error_vectors(measured, pred_lo, pred_hi)
-    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi])
-
-
 class TestResidualBatch:
     def population(self, seed, m=30):
         rng = np.random.default_rng(seed)
@@ -336,7 +394,7 @@ class TestResidualBatch:
     def test_crossing_modes_take_the_pairing_fallback(self):
         # the upper vertex has k0 > k1 while the centre has k0 < k1: sorted
         # order swaps the two localized modes, so its MAC diagonal does not
-        # dominate and pairing must reorder them
+        # dominate and pairing must reorder the shapes
         model = two_mass_model()
         lower = np.array([[1.0, 1.9], [1.0, 1.9]])
         upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
@@ -349,10 +407,52 @@ class TestResidualBatch:
         for row, lo, hi in zip(batch, lower, upper):
             ref = reference_residual(model, lo, hi, measured, weights)
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
-        # paired upper eigenvalues are out of ascending order on the crossing row
+        # the upper eigenvalues stay sorted on the crossing row; only the
+        # shapes are paired
         e_hi = batch[0, 4:6] / np.sqrt(weights.upper[:2])
         lam_hi = e_hi * measured.eig_hi + measured.eig_hi
-        assert lam_hi[0] > lam_hi[1]
+        assert lam_hi[0] < lam_hi[1]
+
+    def test_eigenvalue_rows_are_sorted_vertex_bounds_on_a_wide_box(self):
+        # the bundled box with every half-width tripled about its centre,
+        # clipped below at 200 N/m: modes cross inside some of its boxes,
+        # and there the MAC-paired vertex eigenvalues are not the bounds
+        model = scenarios.five_dof_model()
+        mid = 0.5 * (scenarios.THETA_MIN + scenarios.THETA_MAX)
+        half = 1.5 * (scenarios.THETA_MAX - scenarios.THETA_MIN)
+        lo, hi = np.maximum(mid - half, 200.0), mid + half
+        rng = np.random.default_rng(73)
+        a, b = rng.uniform(lo, hi, (2, 400, 5))
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        measured = measured_from_params(model, IntervalParameters(0.9 * mid, 1.1 * mid))
+        batch = residual_batch(model, lower, upper, measured, WeightingConfig.from_scalars(5, 1.0, 0.0))
+        sorted_lo = np.array([model.modal(x).eigenvalues for x in lower])
+        sorted_hi = np.array([model.modal(x).eigenvalues for x in upper])
+        np.testing.assert_allclose(
+            batch[:, :5], (measured.eig_lo - sorted_lo) / measured.eig_lo, rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            batch[:, 10:15], (sorted_hi - measured.eig_hi) / measured.eig_hi, rtol=0, atol=1e-13
+        )
+        paired = [paired_vertex_modes(model, x, y) for x, y in zip(lower, upper)]
+        paired_lo = np.array([p[0].eigenvalues for p in paired])
+        paired_hi = np.array([p[1].eigenvalues for p in paired])
+        crossed = np.any(paired_lo != sorted_lo, axis=1) | np.any(paired_hi != sorted_hi, axis=1)
+        assert crossed.sum() >= 3
+
+    def test_eigenvalue_only_rows_never_solve_mode_shapes(self, monkeypatch):
+        model = scenarios.five_dof_model()
+        measured = measured_from_params(
+            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
+        )
+        lower, upper = self.population(67)
+
+        def modal_batch(self, thetas):
+            raise AssertionError("eigenvalue-only residuals solved for mode shapes")
+
+        monkeypatch.setattr(StructuralModel, "modal_batch", modal_batch)
+        weights = WeightingConfig.from_scalars(5, 1.0, 0.0)
+        assert residual_batch(model, lower, upper, measured, weights).shape == (30, 20)
 
     def test_nonpositive_row_rejected(self):
         model = scenarios.five_dof_model()

@@ -286,7 +286,7 @@ class TestPropagateOutputs:
             AlphaCutStack(levels, tuple(Interval(t, t) for _ in range(4))) for t in theta
         ]
         outputs = propagate_outputs(model, stacks)
-        lam = model.modal(theta).eigenvalues
+        lam = model.eigenvalues_batch(theta[None, :])[0]
         for j, stack in enumerate(outputs):
             for iv in stack.intervals:
                 assert iv.lo == iv.hi == lam[j]
