@@ -25,7 +25,12 @@ window starts from the state it lands on. The chain equals the sequential
 definition bit for bit: every proposal is formed by the same floating-point
 additions in the same order (the accept path is a running sum over [theta,
 z_i, z_i+1, ...]), each row's log posterior does not depend on the other
-rows of its batch, and every decision compares the same numbers. Rows the
+rows of its batch, and every decision compares the same numbers. The
+window is built in one preallocated buffer (the running sum written in
+place, the fan added into its rows), and solved as it stands when every
+row is inside the prior box; every step from buffer to log posterior is
+elementwise or a per-matrix eigensolve, so each row's value is
+independent of its batch, which is what the exactness needs. Rows the
 walk never reaches are solved but their results are discarded; if a batch
 fails to converge, the window is re-solved one row at a time in walk order,
 so an error surfaces only for a state the sequential chain would also have
@@ -34,7 +39,6 @@ solved.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +57,7 @@ __all__ = [
 ]
 
 DEPTH = 8  # steps per prefetch window; each window solves 2 * DEPTH - 1 states
+CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -149,17 +154,29 @@ def log_posterior_batch(thetas, measured_eigenvalues, model: StructuralModel, co
     eigenvalue residuals (constant terms dropped), since the uniform prior
     contributes nothing that varies. Rows outside the box are not solved;
     the rest go to one ``model.eigenvalues_batch`` call, which solves for
-    eigenvalues only.
+    eigenvalues only. When every row is inside, the stack is solved as it
+    is, without gathering the rows and scattering their results.
     """
     th = np.asarray(thetas, dtype=float)
     lam_m = np.asarray(measured_eigenvalues, dtype=float)
-    inside = np.all((th >= config.theta_min) & (th <= config.theta_max), axis=1)
+    inside = ((th >= config.theta_min) & (th <= config.theta_max)).all(axis=1)
+    if inside.all():
+        return _log_likelihood(model.eigenvalues_batch(th), lam_m, config)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
-        lam = model.eigenvalues_batch(th[inside])
-        resid = (lam_m - lam) / lam_m
-        out[inside] = -0.5 * np.sum((resid / config.likelihood_sd) ** 2, axis=1)
+        out[inside] = _log_likelihood(model.eigenvalues_batch(th[inside]), lam_m, config)
     return out
+
+
+def _log_likelihood(lam, lam_m, config: McmcConfig) -> np.ndarray:
+    """Row sums of -0.5 ((lam_m - lam) / lam_m / sd)^2, overwriting ``lam``."""
+    resid = np.subtract(lam_m, lam, out=lam)
+    resid /= lam_m
+    resid /= config.likelihood_sd
+    np.square(resid, out=resid)
+    total = resid.sum(axis=1)
+    total *= -0.5
+    return total
 
 
 def log_posterior(theta, measured_eigenvalues, model: StructuralModel, config: McmcConfig) -> float:
@@ -194,20 +211,25 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
     steps = np.empty((n, d))
     uniforms = np.empty(n)
     for i in range(n):
-        steps[i] = rng.standard_normal(d)
+        rng.standard_normal(out=steps[i])
         uniforms[i] = rng.random()
     steps *= config.proposal_sd
     log_u = np.log(uniforms, out=uniforms)
 
     lp = log_posterior(theta, measured_eigenvalues, model, config)
     trace = np.empty((n, d))
+    # window buffer: row 0 is the current state, rows 1..k the accept path,
+    # rows k+1..2k-1 the reject fan after row 1
+    win = np.empty((2 * DEPTH, d))
+    win[0] = theta
     accepted = 0
     i = 0
     while i < n:
         k = min(DEPTH, n - i)
-        # rows 0..k-1: accept path; rows k..2k-2: reject fan after row 0
-        path = np.cumsum(np.vstack((theta, steps[i : i + k])), axis=0)[1:]
-        rows = np.concatenate((path, theta + steps[i + 1 : i + k]))
+        win[1 : k + 1] = steps[i : i + k]
+        win[: k + 1].cumsum(axis=0, out=win[: k + 1])
+        np.add(win[0], steps[i + 1 : i + k], out=win[k + 1 : 2 * k])
+        rows = win[1 : 2 * k]
         try:
             lps = log_posterior_batch(rows, measured_eigenvalues, model, config).tolist()
             row_lp = lps.__getitem__
@@ -223,8 +245,8 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
                 if not u[j] < lp_next - lp:
                     break
                 j, lp = j + 1, lp_next
-            trace[i : i + j] = path[:j]
-            theta = path[j - 1]
+            trace[i : i + j] = win[1 : j + 1]
+            win[0] = win[j]
             accepted += j
         else:
             j = 1
@@ -233,12 +255,12 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
                 if u[j] < lp_next - lp:
                     break
                 j += 1
-            trace[i : i + j] = theta
+            trace[i : i + j] = win[0]
             if j < k:
-                theta, lp = rows[k - 1 + j], lp_next
+                win[0], lp = win[k + j], lp_next
                 accepted += 1
         if j < k:  # the step that ended the run is consumed too
-            trace[i + j] = theta
+            trace[i + j] = win[0]
             j += 1
         i += j
     if accepted == 0:
@@ -258,10 +280,29 @@ def summarize(chain: Chain) -> ChainSummary:
 
 
 def write_chain_csv(chain: Chain, path) -> None:
-    """Dump samples as (sample_index, theta_0, ..., theta_d-1) rows."""
+    r"""Dump samples as (sample_index, theta_0, ..., theta_d-1) rows.
+
+    Fields are comma-separated, lines end in ``\r\n``, and every value is
+    its shortest round-trip ``repr``, so reading the file back gives the
+    samples bit for bit. Rows are formatted ``CSV_CHUNK`` at a time, and a
+    row that repeats the previous one bit for bit (a rejected step) reuses
+    its text.
+    """
+    samples = np.ascontiguousarray(chain.samples, dtype=float)
+    bits = samples.view(np.uint64)
+    repeats = np.zeros(len(samples), dtype=bool)
+    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    header = ["sample_index"] + [f"theta_{i}" for i in range(samples.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        d = chain.samples.shape[1]
-        writer.writerow(["sample_index"] + [f"theta_{i}" for i in range(d)])
-        for i, row in enumerate(chain.samples):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        text = ""
+        for start in range(0, len(samples), CSV_CHUNK):
+            chunk = slice(start, start + CSV_CHUNK)
+            lines = []
+            for i, row, repeat in zip(
+                range(start, start + CSV_CHUNK), samples[chunk].tolist(), repeats[chunk].tolist()
+            ):
+                if not repeat:
+                    text = ",".join(["", *map(repr, row)])  # each value with its leading comma
+                lines.append(f"{i}{text}\r\n")
+            fh.write("".join(lines))

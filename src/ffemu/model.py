@@ -154,18 +154,24 @@ class StructuralModel:
         Every K(theta) is assembled at once by one ``einsum``; the mass
         matrix is diagonal by construction, so each row of the generalized
         problem reduces to the standard problem of this matrix directly.
+        The fixed part and both scalings are applied in place on the
+        ``einsum`` output, entry by entry as (a_i K_ij) a_j with
+        a = M^-1/2, so every row is the same bits whatever the stack.
         """
         th = np.asarray(thetas, dtype=float)
         if th.ndim != 2 or th.shape[1] != self.parameter_count:
             raise ShapeError(
                 f"thetas have shape {th.shape}, expected (m, {self.parameter_count})"
             )
-        if np.any(th <= 0.0):
+        if (th <= 0.0).any():
             raise DomainError("all stiffness parameters must be positive")
         fixed, units = self._assembly
-        k_mats = fixed + np.einsum("md,dij->mij", th, units)
+        scaled = np.einsum("md,dij->mij", th, units)
+        scaled += fixed
         inv_sqrt = self._inv_sqrt_masses
-        return inv_sqrt[:, None] * k_mats * inv_sqrt[None, :]
+        scaled *= inv_sqrt[:, None]
+        scaled *= inv_sqrt
+        return scaled
 
     def modal_batch(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (m, n) and eigenvectors (m, n, n) at m updating vectors.

@@ -295,10 +295,12 @@ def residual_batch(
     eigenvalues at the two vertices, which one ``eigenvalues_batch`` call
     solves for all 2m vertices. When a shape weight is non-zero, the
     vertices and centres come from one ``vertex_modes`` call instead, and
-    its paired vertex shapes give the shape errors.
+    its paired vertex shapes give the shape errors. Point boxes, passed as
+    ``upper is lower``, solve their one vertex once.
     """
+    point = upper is lower
     lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    upper = lower if point else np.asarray(upper, dtype=float)
     n = measured.n_modes
     if lower.shape != upper.shape or lower.ndim != 2:
         raise ShapeError("lower and upper must be (m, d) arrays of equal shape")
@@ -316,9 +318,9 @@ def residual_batch(
         e_lo[:, n:] = _shape_errors(measured.vec_lo, vec[:m])
         e_hi[:, n:] = _shape_errors(measured.vec_hi, vec[m:])
     else:
-        lam = model.eigenvalues_batch(np.concatenate([lower, upper]))
+        lam = model.eigenvalues_batch(lower if point else np.concatenate([lower, upper]))
     e_lo[:, :n] = (measured.eig_lo - lam[:m]) / measured.eig_lo
-    e_hi[:, :n] = (lam[m:] - measured.eig_hi) / measured.eig_hi
+    e_hi[:, :n] = (lam[-m:] - measured.eig_hi) / measured.eig_hi
     return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1)
 
 

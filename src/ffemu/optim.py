@@ -208,16 +208,17 @@ def selection_probabilities(weights) -> np.ndarray:
     return w / total
 
 
-def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng) -> np.ndarray:
+def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, probs) -> np.ndarray:
     """Construct ``n_ants`` candidates by Gaussian-kernel sampling.
 
-    Per dimension each ant picks a guide row by rank-weight roulette, then
+    Per dimension each ant picks a guide row by rank-weight roulette, with
+    ``probs`` the rank selection probabilities
+    (``selection_probabilities(aco_weights(len(archive), config.q))``), then
     samples a Gaussian centered on that row's component with the archive
     dispersion as spread. Candidates are projected feasible before return.
     """
     q_rows = len(archive)
     dim = archive.x.shape[1]
-    probs = selection_probabilities(aco_weights(q_rows, config.q))
     sig = archive.sigma_matrix(config.xi)
     rows = rng.choice(q_rows, size=(config.n_ants, dim), p=probs)
     cols = np.arange(dim)[None, :]
@@ -268,11 +269,12 @@ def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResu
     vals = _evaluate(f, pts)
     n_evals = len(pts)
     archive = SolutionArchive(pts, vals)
+    probs = selection_probabilities(aco_weights(len(archive), config.q))
     history_best = [archive.best_f]
     history_mean = [float(archive.f.mean())]
     iterations = 0
     for _ in range(config.max_iterations):
-        candidates = aco_construct(archive, config, region, rng)
+        candidates = aco_construct(archive, config, region, rng, probs)
         values = _evaluate(f, candidates)
         n_evals += len(candidates)
         archive.update(candidates, values)

@@ -325,6 +325,17 @@ class RunConfig:
     raw: dict
 
 
+def _number_list(raw: dict, key: str, path) -> np.ndarray:
+    """``raw[key]`` as a 1-D float array; anything else is a ``ConfigurationError``."""
+    try:
+        values = np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers: {exc}") from exc
+    if values.ndim != 1:
+        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers, got {raw[key]!r}")
+    return values
+
+
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse a run-configuration JSON file.
 
@@ -341,8 +352,8 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
 
     try:
         model_ref = raw["model"]
-        theta_min = np.asarray(raw["theta_min"], dtype=float)
-        theta_max = np.asarray(raw["theta_max"], dtype=float)
+        theta_min = _number_list(raw, "theta_min", path)
+        theta_max = _number_list(raw, "theta_max", path)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing required key {exc.args[0]!r}") from exc
 
@@ -352,7 +363,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     levels = (
         default_levels(int(level_spec))
         if isinstance(level_spec, int)
-        else np.asarray(level_spec, dtype=float)
+        else _number_list(raw, "alpha_levels", path)
     )
 
     if ("measured" in raw) == ("truth" in raw):
@@ -381,6 +392,8 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
         eigenvector=float(weights_spec.get("eigenvector", 1.0)),
     )
     theta_initial = raw.get("theta_initial")
+    if theta_initial is not None:
+        theta_initial = _number_list(raw, "theta_initial", path)
 
     try:
         run = FfemuRun(

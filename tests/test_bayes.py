@@ -1,11 +1,22 @@
 """Tests for the Metropolis-Hastings baseline."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from ffemu import scenarios
-from ffemu.bayes import DEPTH, Chain, McmcConfig, log_posterior, mh_sample, summarize
+from ffemu.bayes import (
+    CSV_CHUNK,
+    DEPTH,
+    Chain,
+    McmcConfig,
+    log_posterior,
+    mh_sample,
+    summarize,
+    write_chain_csv,
+)
 from ffemu.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -272,6 +283,55 @@ class TestSummarize:
     def test_empty_chain_rejected(self):
         with pytest.raises(DomainError):
             summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0))
+
+
+def csv_writer_chain_file(chain, path):
+    """The chain file as ``csv.writer`` writes it: the byte-for-byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        d = chain.samples.shape[1]
+        writer.writerow(["sample_index"] + [f"theta_{i}" for i in range(d)])
+        for i, row in enumerate(chain.samples):
+            writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def extreme_chain(n=1337, d=5, seed=8):
+    """n rows of magnitudes 1e-300..1e300, most rows repeating the one before
+    (as rejected steps do), including repeats across chunk boundaries and a
+    0.0 row followed by a -0.0 row, which compare equal but differ in text."""
+    rng = np.random.default_rng(seed)
+    samples = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, d))
+    samples[3, 0], samples[4, 0] = 1e-300, 1e300
+    repeat = rng.random(n) < 0.6
+    repeat[[CSV_CHUNK, 2 * CSV_CHUNK]] = True
+    repeat[[11, 12]] = False
+    for i in np.flatnonzero(repeat[1:]) + 1:
+        samples[i] = samples[i - 1]
+    samples[11], samples[12] = 0.0, -0.0
+    return Chain(samples=samples, acceptance_rate=0.4)
+
+
+class TestChainCsv:
+    @pytest.mark.parametrize(
+        "samples",
+        [extreme_chain().samples, np.array([[2.5], [2.5], [1e-5]]), np.empty((0, 2)), np.empty((4, 0))],
+        ids=["extreme", "one-parameter", "no-rows", "no-parameters"],
+    )
+    def test_bytes_equal_csv_writer_output(self, samples, tmp_path):
+        chain = Chain(samples=samples, acceptance_rate=0.5)
+        write_chain_csv(chain, tmp_path / "chain.csv")
+        csv_writer_chain_file(chain, tmp_path / "reference.csv")
+        assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_reading_back_gives_samples_bitwise(self, tmp_path):
+        chain = extreme_chain()
+        write_chain_csv(chain, tmp_path / "chain.csv")
+        with open(tmp_path / "chain.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sample_index"] + [f"theta_{i}" for i in range(5)]
+        assert [int(r[0]) for r in rows[1:]] == list(range(1337))
+        back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        assert back.tobytes() == chain.samples.tobytes()
 
 
 class TestConfigValidation:

@@ -59,6 +59,28 @@ class TestBayes:
         assert str(path) in err and "'bayes' must be an object" in err
 
 
+class TestNonNumericConfigValues:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("theta_min", [100.0, "abc", 100.0, 100.0, 100.0]),
+            ("theta_max", "x"),
+            ("theta_initial", "abc"),
+            ("alpha_levels", ["1", "half", 0]),
+        ],
+    )
+    def test_is_a_configuration_error_naming_file_and_key(self, key, value, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        config[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = ["update", "--config", str(path), "--out", str(tmp_path / "bundle")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: {key!r} must be a list of numbers")
+        assert not (tmp_path / "bundle").exists()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

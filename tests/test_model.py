@@ -147,6 +147,28 @@ class TestEigenvaluesBatch:
         got = model.eigenvalues_batch(thetas)
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
 
+    @pytest.mark.parametrize("model_factory", [scenarios.five_dof_model, crossing_two_mass_model])
+    def test_rows_bitwise_independent_of_stack_size_and_position(self, model_factory):
+        # the windowed M-H walk and the point-box residuals rely on this:
+        # a row's solution must not depend on what else is in its stack
+        model = model_factory()
+        d = model.parameter_count
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            size = int(rng.integers(1, 48))
+            stack = rng.uniform(100.0, 6000.0, (size, d))
+            ties = rng.random(size) < 0.25  # equal k0, k1: near-degenerate modes
+            stack[ties, 1] = stack[ties, 0]
+            pos = int(rng.integers(size))
+            alone = stack[pos : pos + 1].copy()
+            lam_alone, phi_alone = model.modal_batch(alone)
+            lam, phi = model.modal_batch(stack)
+            assert lam[pos].tobytes() == lam_alone[0].tobytes()
+            assert phi[pos].tobytes() == phi_alone[0].tobytes()
+            assert model.eigenvalues_batch(stack)[pos].tobytes() == (
+                model.eigenvalues_batch(alone)[0].tobytes()
+            )
+
     @pytest.mark.parametrize("method", ["modal_batch", "eigenvalues_batch"])
     @pytest.mark.parametrize(
         "thetas, error",

@@ -117,7 +117,8 @@ class TestConstruct:
         archive = SolutionArchive(pts, np.zeros(4))
         region = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
         config = AcoConfig(archive_size=4, n_ants=50, rng_seed=0)
-        cands = aco_construct(archive, config, region, np.random.default_rng(0))
+        probs = selection_probabilities(aco_weights(4, config.q))
+        cands = aco_construct(archive, config, region, np.random.default_rng(0), probs)
         np.testing.assert_array_equal(cands, np.tile([1.0, -2.0], (50, 1)))
 
     def test_empirical_sd_matches_mixture_oracle(self):
@@ -131,7 +132,8 @@ class TestConstruct:
         archive = SolutionArchive(np.array([[0.0], [2.0]]), np.array([0.0, 1.0]))
         region = Box(np.array([-100.0]), np.array([100.0]))
         config = AcoConfig(archive_size=2, n_ants=100000, q=0.5, xi=1.0)
-        cands = aco_construct(archive, config, region, np.random.default_rng(99))
+        probs = selection_probabilities(aco_weights(2, config.q))
+        cands = aco_construct(archive, config, region, np.random.default_rng(99), probs)
         assert cands.std() == pytest.approx(oracle_sd, rel=0.05)
 
     def test_candidates_inside_box(self):
@@ -139,7 +141,9 @@ class TestConstruct:
         pts = rng.uniform(-1, 1, (5, 3))
         archive = SolutionArchive(pts, rng.uniform(size=5))
         region = Box(np.array([-0.5, -0.5, -0.5]), np.array([0.5, 0.5, 0.5]))
-        cands = aco_construct(archive, AcoConfig(archive_size=5, n_ants=200), region, rng)
+        config = AcoConfig(archive_size=5, n_ants=200)
+        probs = selection_probabilities(aco_weights(5, config.q))
+        cands = aco_construct(archive, config, region, rng, probs)
         assert np.all(cands >= region.lo) and np.all(cands <= region.hi)
 
 
