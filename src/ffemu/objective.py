@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,17 @@ class WeightingConfig:
         if np.any(lower < 0.0) or np.any(upper < 0.0):
             raise DomainError("weights must be non-negative")
 
+    @cached_property
+    def sqrt_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``sqrt`` of the lower and upper diagonals, the residual row scales."""
+        return np.sqrt(self.lower), np.sqrt(self.upper)
+
+    @cached_property
+    def has_shape_weight(self) -> bool:
+        """Whether any eigenvector (second-half) weight is non-zero."""
+        n = self.lower.size // 2
+        return bool(np.any(self.lower[n:]) or np.any(self.upper[n:]))
+
     @classmethod
     def identity(cls, n_modes: int) -> "WeightingConfig":
         w = np.ones(2 * n_modes)
@@ -183,13 +195,23 @@ class FeasibleRegion:
     The lower parameters live in [theta_min, prev_lower] and the upper
     parameters in [prev_upper, theta_max]; without a previous-level
     solution both live in the global box. Exposes the flattened-vector
-    interface (``lo``, ``hi``, ``project``) that the optimizers consume.
+    interface (``lo``, ``hi``, ``project``) that the optimizers consume;
+    ``lo`` and ``hi`` are built once, here.
+
+    Projection clamps each flat component into [lo, hi], the same bits as
+    clamping the lower and upper halves separately. Only an unanchored
+    region can then hold a crossed component (lower > upper): an anchored
+    one clamps lower to at most prev_lower and upper to at least
+    prev_upper, and prev_lower <= prev_upper is checked here, so the
+    crossed-bound repair runs for unanchored regions alone.
     """
 
     theta_min: np.ndarray
     theta_max: np.ndarray
     prev_lower: np.ndarray | None = None
     prev_upper: np.ndarray | None = None
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tmin = np.asarray(self.theta_min, dtype=float)
@@ -202,6 +224,7 @@ class FeasibleRegion:
             raise ConfigurationError("theta_min must not exceed theta_max")
         if (self.prev_lower is None) != (self.prev_upper is None):
             raise ConfigurationError("previous bounds must be given together")
+        pl, pu = tmax, tmin
         if self.prev_lower is not None:
             pl = np.asarray(self.prev_lower, dtype=float)
             pu = np.asarray(self.prev_upper, dtype=float)
@@ -213,32 +236,12 @@ class FeasibleRegion:
                 raise ConfigurationError(
                     "previous-level solution violates theta_min <= lower <= upper <= theta_max"
                 )
+        object.__setattr__(self, "lo", np.concatenate([tmin, pu]))
+        object.__setattr__(self, "hi", np.concatenate([pl, tmax]))
 
     @property
     def dimension(self) -> int:
         return 2 * self.theta_min.size
-
-    @property
-    def lo(self) -> np.ndarray:
-        pu = self.theta_min if self.prev_upper is None else self.prev_upper
-        return np.concatenate([self.theta_min, pu])
-
-    @property
-    def hi(self) -> np.ndarray:
-        pl = self.theta_max if self.prev_lower is None else self.prev_lower
-        return np.concatenate([pl, self.theta_max])
-
-    def _project_arrays(self, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-        lo_hi = self.theta_max if self.prev_lower is None else self.prev_lower
-        hi_lo = self.theta_min if self.prev_upper is None else self.prev_upper
-        lower = np.clip(np.asarray(lower, dtype=float), self.theta_min, lo_hi)
-        upper = np.clip(np.asarray(upper, dtype=float), hi_lo, self.theta_max)
-        crossed = lower > upper
-        if np.any(crossed):
-            mid = 0.5 * (lower + upper)
-            lower = np.where(crossed, np.clip(mid, self.theta_min, lo_hi), lower)
-            upper = np.where(crossed, np.clip(mid, hi_lo, self.theta_max), upper)
-        return lower, upper
 
     def project_interval(self, candidate: IntervalParameters) -> IntervalParameters:
         """Clamp a candidate into the region, repairing crossed bounds.
@@ -246,8 +249,7 @@ class FeasibleRegion:
         Crossed components (possible only without previous-level anchors)
         collapse to their midpoint, clamped into both component ranges.
         """
-        lower, upper = self._project_arrays(candidate.lower, candidate.upper)
-        return IntervalParameters(lower, upper)
+        return IntervalParameters.from_flat(self.project(candidate.flatten()))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Flat-vector form of ``project_interval`` for the optimizers.
@@ -255,10 +257,16 @@ class FeasibleRegion:
         ``x`` is one flattened (lower, upper) vector or a stack of them as
         rows; each row is projected independently.
         """
-        x = np.asarray(x, dtype=float)
-        d = self.theta_min.size
-        lower, upper = self._project_arrays(x[..., :d], x[..., d:])
-        return np.concatenate([lower, upper], axis=-1)
+        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+        if self.prev_lower is None:
+            d = self.theta_min.size
+            lower, upper = x[..., :d], x[..., d:]
+            crossed = lower > upper
+            if crossed.any():
+                mid = 0.5 * (lower + upper)
+                lower[crossed] = np.clip(mid, self.theta_min, self.theta_max)[crossed]
+                upper[crossed] = lower[crossed]
+        return x
 
 
 def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.ndarray:
@@ -297,6 +305,10 @@ def residual_batch(
     vertices and centres come from one ``vertex_modes`` call instead, and
     its paired vertex shapes give the shape errors. Point boxes, passed as
     ``upper is lower``, solve their one vertex once.
+
+    Each weighted block is written in place into one zeroed (m, 4n) buffer
+    as ``sqrt(w) * e``, the same bits as scaling whole error rows; the
+    shape columns stay zero when no shape weight is set.
     """
     point = upper is lower
     lower = np.asarray(lower, dtype=float)
@@ -304,24 +316,28 @@ def residual_batch(
     n = measured.n_modes
     if lower.shape != upper.shape or lower.ndim != 2:
         raise ShapeError("lower and upper must be (m, d) arrays of equal shape")
-    if np.any(lower > upper):
+    if not point and (lower > upper).any():
         raise DomainError("interval parameters crossed: lower > upper")
     if model.n_dof != n:
         raise ShapeError("predicted and measured mode counts differ")
     if weights.lower.size != 2 * n:
         raise ShapeError(f"weights sized for {weights.lower.size // 2} modes, data has {n}")
     m = lower.shape[0]
-    e_lo = np.zeros((m, 2 * n))
-    e_hi = np.zeros((m, 2 * n))
-    if np.any(weights.lower[n:]) or np.any(weights.upper[n:]):
+    root_lo, root_hi = weights.sqrt_diagonals
+    out = np.zeros((m, 4 * n))
+    if weights.has_shape_weight:
         lam, vec = vertex_modes(model, lower, upper)
-        e_lo[:, n:] = _shape_errors(measured.vec_lo, vec[:m])
-        e_hi[:, n:] = _shape_errors(measured.vec_hi, vec[m:])
+        np.multiply(root_lo[n:], _shape_errors(measured.vec_lo, vec[:m]), out=out[:, n : 2 * n])
+        np.multiply(root_hi[n:], _shape_errors(measured.vec_hi, vec[m:]), out=out[:, 3 * n :])
     else:
         lam = model.eigenvalues_batch(lower if point else np.concatenate([lower, upper]))
-    e_lo[:, :n] = (measured.eig_lo - lam[:m]) / measured.eig_lo
-    e_hi[:, :n] = (lam[-m:] - measured.eig_hi) / measured.eig_hi
-    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1)
+    e_lo = np.subtract(measured.eig_lo, lam[:m], out=out[:, :n])
+    e_lo /= measured.eig_lo
+    e_lo *= root_lo[:n]
+    e_hi = np.subtract(lam[-m:], measured.eig_hi, out=out[:, 2 * n : 3 * n])
+    e_hi /= measured.eig_hi
+    e_hi *= root_hi[:n]
+    return out
 
 
 def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.ndarray]:

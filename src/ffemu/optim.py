@@ -14,6 +14,7 @@ the objective is a sum of squares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ __all__ = [
 
 POLISH_ITERATIONS = 10
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _check_counts(config, names) -> None:
+    """The named fields of an optimizer config must hold integers."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,7 @@ class AcoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_counts(self, ("archive_size", "n_ants", "max_iterations", "stagnation_window"))
         if self.archive_size < 2:
             raise DomainError("archive_size must be at least 2")
         if self.n_ants < 1:
@@ -113,6 +123,7 @@ class PsoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_counts(self, ("swarm_size", "max_iterations", "stagnation_window"))
         if self.swarm_size < 2:
             raise DomainError("swarm_size must be at least 2")
         if not 0.0 < self.v_max_fraction <= 1.0:
@@ -128,6 +139,10 @@ class OptimizationResult:
     ``history_best`` / ``history_mean`` carry one entry for the initial
     population plus one per iteration; ``population_x`` / ``population_f``
     are the final archive rows (ACO) or personal bests (PSO).
+    ``stop_reason`` says why the search ended: ``"max_iterations"`` when
+    it ran its whole budget, ``"stagnation"`` when the best value moved
+    less than ``stagnation_tolerance`` over ``stagnation_window``
+    iterations.
     """
 
     best_x: np.ndarray
@@ -138,6 +153,7 @@ class OptimizationResult:
     n_iterations: int
     population_x: np.ndarray
     population_f: np.ndarray
+    stop_reason: str
 
 
 class SolutionArchive:
@@ -170,20 +186,28 @@ class SolutionArchive:
     def best_f(self) -> float:
         return float(self.f[0])
 
-    def update(self, points, values) -> None:
-        """Merge candidates, keep the best ``len(self)`` rows."""
-        q = len(self)
-        all_x = np.vstack([self.x, np.asarray(points, dtype=float)])
-        all_f = np.concatenate([self.f, np.asarray(values, dtype=float)])
-        order = np.argsort(all_f, kind="stable")[:q]
-        self.x = all_x[order]
-        self.f = all_f[order]
+    def update(self, points, values) -> bool:
+        """Merge candidates, keep the best ``len(self)`` rows.
+
+        Returns whether any candidate entered. A candidate enters only
+        strictly below the worst row (a tie keeps the archive row), so
+        when none does the archive is kept as it is, with no merge.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.size == 0 or values.min() >= self.f[-1]:
+            return False
+        all_x = np.concatenate([self.x, np.asarray(points, dtype=float)])
+        all_f = np.concatenate([self.f, values])
+        order = all_f.argsort(kind="stable")[: len(self)]
+        self.x = all_x.take(order, axis=0)
+        self.f = all_f.take(order)
+        return True
 
     def sigma_matrix(self, xi: float) -> np.ndarray:
         """Per-row, per-dimension sampling spreads: xi times the mean
         absolute distance to the other rows (divisor Q - 1)."""
-        diffs = np.abs(self.x[:, None, :] - self.x[None, :, :])
-        return xi * diffs.sum(axis=1) / (len(self) - 1)
+        diffs = np.subtract(self.x[:, None, :], self.x)
+        return xi * np.abs(diffs, out=diffs).sum(axis=1) / (len(self) - 1)
 
 
 def aco_weights(archive_size: int, q: float) -> np.ndarray:
@@ -216,13 +240,28 @@ def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, prob
     (``selection_probabilities(aco_weights(len(archive), config.q))``), then
     samples a Gaussian centered on that row's component with the archive
     dispersion as spread. Candidates are projected feasible before return.
+
+    The random stream and every candidate bit are those of
+    ``rows = rng.choice(len(archive), size=(n_ants, dim), p=probs)`` then
+    ``rng.normal(archive.x[rows, cols], sigma[rows, cols])``, without their
+    per-call cost. ``choice`` with replacement inverts the normalised
+    cumulative ``probs`` at ``rng.random(size)`` uniforms with
+    ``searchsorted(side="right")``, and ``normal`` returns
+    ``loc + scale * z`` for standard normals ``z`` drawn in C order; both
+    steps are written out here, and the guide components are gathered by
+    flat index.
     """
-    q_rows = len(archive)
+    if len(probs) != len(archive):
+        raise ShapeError(f"{len(probs)} selection probabilities for {len(archive)} archive rows")
     dim = archive.x.shape[1]
-    sig = archive.sigma_matrix(config.xi)
-    rows = rng.choice(q_rows, size=(config.n_ants, dim), p=probs)
-    cols = np.arange(dim)[None, :]
-    candidates = rng.normal(archive.x[rows, cols], sig[rows, cols])
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    rows = cdf.searchsorted(rng.random((config.n_ants, dim)), side="right")
+    flat = rows * dim
+    flat += np.arange(dim)
+    candidates = rng.standard_normal(flat.shape)
+    candidates *= archive.sigma_matrix(config.xi).take(flat)
+    candidates += archive.x.take(flat)
     return region.project(candidates)
 
 
@@ -231,15 +270,15 @@ def _evaluate(f, points) -> np.ndarray:
     values = np.asarray(f(points), dtype=float)
     if values.shape != (len(points),):
         raise ShapeError(f"objective returned shape {values.shape} for {len(points)} points")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        raise EvaluationError(
-            f"objective returned {values[i]!r} at row {i}: {points[i]!r}",
-            point=points[i],
-            value=values[i],
-        )
-    return values
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    i = int(np.flatnonzero(~finite)[0])
+    raise EvaluationError(
+        f"objective returned {values[i]!r} at row {i}: {points[i]!r}",
+        point=points[i],
+        value=values[i],
+    )
 
 
 def _initial_points(region, count: int, rng, initial) -> np.ndarray:
@@ -270,18 +309,22 @@ def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResu
     n_evals = len(pts)
     archive = SolutionArchive(pts, vals)
     probs = selection_probabilities(aco_weights(len(archive), config.q))
+    mean = float(archive.f.mean())
     history_best = [archive.best_f]
-    history_mean = [float(archive.f.mean())]
+    history_mean = [mean]
     iterations = 0
+    stop_reason = "max_iterations"
     for _ in range(config.max_iterations):
         candidates = aco_construct(archive, config, region, rng, probs)
         values = _evaluate(f, candidates)
         n_evals += len(candidates)
-        archive.update(candidates, values)
+        if archive.update(candidates, values):
+            mean = float(archive.f.mean())
         history_best.append(archive.best_f)
-        history_mean.append(float(archive.f.mean()))
+        history_mean.append(mean)
         iterations += 1
         if _stagnated(history_best, config.stagnation_window, config.stagnation_tolerance):
+            stop_reason = "stagnation"
             break
     return OptimizationResult(
         best_x=archive.best_x.copy(),
@@ -292,6 +335,7 @@ def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResu
         n_iterations=iterations,
         population_x=archive.x.copy(),
         population_f=archive.f.copy(),
+        stop_reason=stop_reason,
     )
 
 
@@ -316,6 +360,7 @@ def pso_minimize(f, region, config: PsoConfig, initial=None) -> OptimizationResu
     history_best = [gbest_f]
     history_mean = [float(fx.mean())]
     iterations = 0
+    stop_reason = "max_iterations"
     for _ in range(config.max_iterations):
         r1 = rng.uniform(size=x.shape)
         r2 = rng.uniform(size=x.shape)
@@ -339,6 +384,7 @@ def pso_minimize(f, region, config: PsoConfig, initial=None) -> OptimizationResu
         history_mean.append(float(fx.mean()))
         iterations += 1
         if _stagnated(history_best, config.stagnation_window, config.stagnation_tolerance):
+            stop_reason = "stagnation"
             break
     return OptimizationResult(
         best_x=gbest_x,
@@ -349,6 +395,7 @@ def pso_minimize(f, region, config: PsoConfig, initial=None) -> OptimizationResu
         n_iterations=iterations,
         population_x=pbest_x,
         population_f=pbest_f,
+        stop_reason=stop_reason,
     )
 
 

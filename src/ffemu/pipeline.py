@@ -13,6 +13,7 @@ membership functions come out as nested alpha-cut stacks.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -113,8 +114,11 @@ class FfemuResult:
     Per level: ``objective_values`` is the final (polished) objective,
     ``evaluation_counts`` the optimizer's objective evaluations (population
     rows), ``polish_evaluations`` the polish's residual evaluations, and
-    ``elapsed_seconds`` the time of search plus polish. ``histories`` hold
-    the optimizer results before the polish.
+    ``elapsed_seconds`` the time of search plus polish. Of that time,
+    ``objective_seconds`` was spent inside the optimizer's population
+    objective and ``polish_seconds`` in the polish; the rest is optimizer
+    overhead. ``histories`` hold the optimizer results before the polish,
+    each with its ``stop_reason``.
     """
 
     levels: np.ndarray
@@ -125,6 +129,8 @@ class FfemuResult:
     evaluation_counts: np.ndarray
     polish_evaluations: np.ndarray
     elapsed_seconds: np.ndarray
+    objective_seconds: np.ndarray
+    polish_seconds: np.ndarray
     histories: list
 
 
@@ -226,6 +232,8 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     eval_counts = np.empty(n_levels, dtype=int)
     polish_counts = np.empty(n_levels, dtype=int)
     elapsed = np.empty(n_levels)
+    objective_seconds = np.empty(n_levels)
+    polish_seconds = np.empty(n_levels)
     histories: list[OptimizationResult] = []
     solutions: list[IntervalParameters] = []
 
@@ -243,17 +251,21 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             seeds = [prev.flatten()]
 
         calls = 0
+        objective_time = 0.0
 
         def residuals(x):
             lower, upper = (x, x) if k == 0 else (x[:, :d], x[:, d:])
             return residual_batch(model, lower, upper, measured_k, run.weights)
 
         def objective(x):
-            nonlocal calls
+            nonlocal calls, objective_time
+            start = time.perf_counter()
             calls += len(x)
             r = residuals(x)
             # row-wise r @ r: the same sum as objective_value and the polish
-            return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+            values = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+            objective_time += time.perf_counter() - start
+            return values
 
         result = _minimize(run, objective, region, k, seeds)
         if calls != result.n_evaluations:
@@ -261,15 +273,19 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
                 f"evaluation bookkeeping broken at level {k + 1}: "
                 f"{calls} calls vs {result.n_evaluations} recorded"
             )
+        t_polish = time.perf_counter()
         x, f, polish_counts[k] = least_squares_polish(residuals, region, result.best_x)
-        elapsed[k] = time.perf_counter() - t0
+        done = time.perf_counter()
+        elapsed[k] = done - t0
+        objective_seconds[k] = objective_time
+        polish_seconds[k] = done - t_polish
         objective_values[k] = f
         eval_counts[k] = result.n_evaluations
         histories.append(result)
         solutions.append(to_params(x))
         _log.info(
-            "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish",
-            k + 1, alpha, f, eval_counts[k], polish_counts[k],
+            "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish, stopped on %s",
+            k + 1, alpha, f, eval_counts[k], polish_counts[k], result.stop_reason,
         )
 
     parameter_stacks = [
@@ -289,6 +305,8 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         evaluation_counts=eval_counts,
         polish_evaluations=polish_counts,
         elapsed_seconds=elapsed,
+        objective_seconds=objective_seconds,
+        polish_seconds=polish_seconds,
         histories=histories,
     )
 
@@ -336,6 +354,30 @@ def _number_list(raw: dict, key: str, path) -> np.ndarray:
     return values
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, key: str, path) -> float:
+    """A finite JSON number as a float; anything else is a ``ConfigurationError``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigurationError(f"{path}: {key!r} must be a finite number, got {value!r}")
+
+
+def _section(raw: dict, key: str, path) -> dict:
+    """The JSON object ``raw[key]`` (empty when absent) as a fresh dict."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
+    return dict(value)
+
+
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse a run-configuration JSON file.
 
@@ -360,36 +402,44 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     model = scenarios.resolve_model(model_ref, base)
 
     level_spec = raw.get("alpha_levels", 10)
-    levels = (
-        default_levels(int(level_spec))
-        if isinstance(level_spec, int)
-        else _number_list(raw, "alpha_levels", path)
-    )
+    if isinstance(level_spec, list):
+        levels = _number_list(raw, "alpha_levels", path)
+    elif _is_int(level_spec) and level_spec >= 1:
+        levels = default_levels(level_spec)
+    else:
+        raise ConfigurationError(
+            f"{path}: 'alpha_levels' must be a level count of at least 1 or a list of levels, "
+            f"got {level_spec!r}"
+        )
 
     if ("measured" in raw) == ("truth" in raw):
         raise ConfigurationError(f"{path}: give exactly one of 'measured' or 'truth'")
     if "measured" in raw:
         measured = load_measured(base / raw["measured"])
     else:
-        truth = raw["truth"]
-        measured = scenarios.simulate_from_truth_spec(model, truth, levels)
+        try:
+            measured = scenarios.simulate_from_truth_spec(model, raw["truth"], levels)
+        except (ConfigurationError, DomainError) as exc:  # the spec's values are out of range
+            raise ConfigurationError(f"{path}: 'truth': {exc}") from exc
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-    aco_spec = dict(raw.get("aco", {}))
-    pso_spec = dict(raw.get("pso", {}))
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    if not _is_int(seed) or seed < 0:
+        raise ConfigurationError(f"{path}: 'seed' must be a non-negative integer, got {seed!r}")
+    aco_spec = _section(raw, "aco", path)
+    pso_spec = _section(raw, "pso", path)
     aco_spec.pop("rng_seed", None)  # per-level seeds derive from the run seed
     pso_spec.pop("rng_seed", None)
     try:
         aco = AcoConfig(rng_seed=0, **aco_spec)
         pso = PsoConfig(rng_seed=0, **pso_spec)
-    except TypeError as exc:
+    except (TypeError, DomainError) as exc:
         raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
 
-    weights_spec = raw.get("weights", {})
+    weights_spec = _section(raw, "weights", path)
     weights = WeightingConfig.from_scalars(
         model.n_dof,
-        eigenvalue=float(weights_spec.get("eigenvalue", 1.0)),
-        eigenvector=float(weights_spec.get("eigenvector", 1.0)),
+        eigenvalue=_number(weights_spec.get("eigenvalue", 1.0), "weights.eigenvalue", path),
+        eigenvector=_number(weights_spec.get("eigenvector", 1.0), "weights.eigenvector", path),
     )
     theta_initial = raw.get("theta_initial")
     if theta_initial is not None:
@@ -414,9 +464,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
 
     bayes_cfg = None
     if "bayes" in raw:
-        b = raw["bayes"]
-        if not isinstance(b, dict):
-            raise ConfigurationError(f"{path}: 'bayes' must be an object, got {type(b).__name__}")
+        b = _section(raw, "bayes", path)
         try:
             bayes_cfg = McmcConfig.from_box(
                 theta_min,

@@ -85,6 +85,10 @@ def write_bundle(out_dir, run, result) -> Path:
             "evaluation_counts": [int(v) for v in result.evaluation_counts],
             "polish_evaluations": [int(v) for v in result.polish_evaluations],
             "elapsed_seconds": [float(v) for v in result.elapsed_seconds],
+            "objective_seconds": [float(v) for v in result.objective_seconds],
+            "polish_seconds": [float(v) for v in result.polish_seconds],
+            "iterations": [int(h.n_iterations) for h in result.histories],
+            "stop_reasons": [h.stop_reason for h in result.histories],
         },
         "alpha_levels": [float(a) for a in result.levels],
         "theta_min": [float(v) for v in run.theta_min],
@@ -180,6 +184,46 @@ def _fmt_interval(lo, hi) -> str:
     return f"[{lo:.6g}, {hi:.6g}]"
 
 
+def _level_table(summary: dict) -> list[str]:
+    """One row per alpha level: why the search stopped, its work, and where
+    the level's time went (overhead = elapsed - objective - polish).
+
+    A column whose field a bundle lacks (written before it was recorded)
+    shows "-" in every row.
+    """
+    meta = summary["metadata"]
+    n = len(summary["alpha_levels"])
+
+    def column(key):
+        return meta.get(key) or [None] * n
+
+    stops, iters, polish = column("stop_reasons"), column("iterations"), column("polish_evaluations")
+    objective_s, polish_s = column("objective_seconds"), column("polish_seconds")
+    lines = [
+        "Per alpha level",
+        f"{'level':>5} {'alpha':>6} {'stop':>14} {'iters':>6} {'evals':>7} {'polish':>6} "
+        f"{'f':>10} {'elapsed s':>10} {'objective s':>11} {'polish s':>9} {'overhead s':>10}",
+    ]
+    for k, alpha in enumerate(summary["alpha_levels"]):
+        elapsed = meta["elapsed_seconds"][k]
+        overhead = (
+            None if objective_s[k] is None or polish_s[k] is None
+            else elapsed - objective_s[k] - polish_s[k]
+        )
+        lines.append(
+            f"{k + 1:>5} {alpha:>6.3f} {stops[k] or '-':>14} {_cell(iters[k], 'd', 6)} "
+            f"{meta['evaluation_counts'][k]:>7d} {_cell(polish[k], 'd', 6)} "
+            f"{summary['objective_per_level'][k]:>10.3e} {elapsed:>10.4f} "
+            f"{_cell(objective_s[k], '.4f', 11)} {_cell(polish_s[k], '.4f', 9)} "
+            f"{_cell(overhead, '.4f', 10)}"
+        )
+    return lines
+
+
+def _cell(value, spec: str, width: int) -> str:
+    return f"{'-':>{width}}" if value is None else f"{value:>{width}{spec}}"
+
+
 def render_tables(summary: dict, bayes: dict | None = None) -> str:
     """Render the parameter and eigenvalue tables as monospaced text.
 
@@ -257,6 +301,8 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     if err_bayes:
         parts.append(f"M-H {np.mean(err_bayes):.2f}")
     lines.append(f"{total_line} " + ", ".join(parts))
+    lines.append("")
+    lines += _level_table(summary)
     lines.append("")
     meta = summary["metadata"]
     polish = meta.get("polish_evaluations")  # absent from bundles written before the polish

@@ -72,17 +72,19 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
     """
     if not isinstance(spec, dict) or "theta_true" not in spec:
         raise ConfigurationError("truth spec must be an object with a 'theta_true' array")
-    theta_true = np.asarray(spec["theta_true"], dtype=float)
+    try:
+        theta_true = np.asarray(spec["theta_true"], dtype=float)
+        spreads = np.asarray(spec["spreads"], dtype=float) if "spreads" in spec else None
+        fraction = float(spec.get("spread_fraction", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"truth spec values must be numbers: {exc}") from exc
     if theta_true.shape != (model.parameter_count,):
         raise ConfigurationError(
             f"theta_true must have length {model.parameter_count}, got {theta_true.size}"
         )
-    if "spreads" in spec and "spread_fraction" in spec:
+    if spreads is not None and "spread_fraction" in spec:
         raise ConfigurationError("give either 'spreads' or 'spread_fraction', not both")
-    if "spreads" in spec:
-        spreads = np.asarray(spec["spreads"], dtype=float)
-    else:
-        fraction = float(spec.get("spread_fraction", 0.0))
+    if spreads is None:
         if fraction < 0.0:
             raise DomainError("spread_fraction must be non-negative")
         spreads = fraction * theta_true

@@ -294,6 +294,28 @@ class TestObjective:
             assert objective_value(model, params, measured, weights) >= 0.0
 
 
+def reference_project(region, x):
+    """Projection as two clips plus a crossed-bound repair on every region.
+
+    The reference for ``FeasibleRegion.project``: the lower half clipped to
+    [theta_min, prev_lower], the upper half to [prev_upper, theta_max]
+    (the global box without anchors), then crossed components collapsed
+    to their midpoint clamped into both ranges.
+    """
+    x = np.asarray(x, dtype=float)
+    d = region.theta_min.size
+    lo_hi = region.theta_max if region.prev_lower is None else region.prev_lower
+    hi_lo = region.theta_min if region.prev_upper is None else region.prev_upper
+    lower = np.clip(x[..., :d], region.theta_min, lo_hi)
+    upper = np.clip(x[..., d:], hi_lo, region.theta_max)
+    crossed = lower > upper
+    if np.any(crossed):
+        mid = 0.5 * (lower + upper)
+        lower = np.where(crossed, np.clip(mid, region.theta_min, lo_hi), lower)
+        upper = np.where(crossed, np.clip(mid, hi_lo, region.theta_max), upper)
+    return np.concatenate([lower, upper], axis=-1)
+
+
 class TestProjection:
     def region(self):
         return FeasibleRegion(
@@ -333,6 +355,27 @@ class TestProjection:
         for region in (anchored, free):
             expected = np.array([region.project(x) for x in rows])
             np.testing.assert_array_equal(region.project(rows), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_two_clip_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        tmin = rng.uniform(100.0, 200.0, 3)
+        tmax = tmin + rng.uniform(50.0, 400.0, 3)
+        prev_lower = rng.uniform(tmin, tmax)
+        prev_upper = rng.uniform(prev_lower, tmax)
+        anchored = FeasibleRegion(tmin, tmax, prev_lower, prev_upper)
+        pinched = FeasibleRegion(tmin, tmax, prev_lower, prev_lower)  # zero-width anchor
+        free = FeasibleRegion(tmin, tmax)
+        rows = rng.uniform(tmin.min() - 100.0, tmax.max() + 100.0, (500, 6))
+        rows[::7, 3:] = rows[::7, :3] - 1.0  # crossed on purpose
+        crossed = 0
+        for region in (anchored, pinched, free):
+            expected = reference_project(region, rows)
+            got = region.project(rows)
+            assert got.tobytes() == expected.tobytes()
+            assert region.project(rows[5]).tobytes() == expected[5].tobytes()
+            crossed += int(np.sum(np.clip(rows[:, :3], tmin, tmax) > np.clip(rows[:, 3:], tmin, tmax)))
+        assert crossed > 0  # the unanchored region took the repair
 
     def test_idempotent(self):
         region = self.region()
@@ -390,6 +433,32 @@ class TestResidualBatch:
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
             one_row = residual_vector(model, IntervalParameters(lo, hi), measured, weights)
             np.testing.assert_array_equal(one_row, row)
+
+    @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
+    def test_in_place_buffer_equals_scaled_concatenation(self, eigenvector_weight):
+        # reference layout: two zeroed (m, 2n) error blocks, each scaled by
+        # sqrt(weights) as a whole row, then concatenated
+        model = scenarios.five_dof_model()
+        measured = measured_from_params(
+            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
+        )
+        weights = WeightingConfig.from_scalars(5, 0.7, eigenvector_weight)
+        lower, upper = self.population(61)
+        m, n = len(lower), 5
+        e_lo, e_hi = np.zeros((m, 2 * n)), np.zeros((m, 2 * n))
+        if eigenvector_weight:
+            lam, vec = vertex_modes(model, lower, upper)
+            e_lo[:, n:] = _shape_errors(measured.vec_lo, vec[:m])
+            e_hi[:, n:] = _shape_errors(measured.vec_hi, vec[m:])
+        else:
+            lam = model.eigenvalues_batch(np.concatenate([lower, upper]))
+        e_lo[:, :n] = (measured.eig_lo - lam[:m]) / measured.eig_lo
+        e_hi[:, :n] = (lam[m:] - measured.eig_hi) / measured.eig_hi
+        expected = np.concatenate(
+            [np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1
+        )
+        got = residual_batch(model, lower, upper, measured, weights)
+        assert got.tobytes() == expected.tobytes()
 
     def test_crossing_modes_take_the_pairing_fallback(self):
         # the upper vertex has k0 > k1 while the centre has k0 < k1: sorted

@@ -89,6 +89,25 @@ class TestSelectionProbabilities:
             selection_probabilities(np.zeros(3))
 
 
+class TestArchiveUpdate:
+    def archive(self):
+        return SolutionArchive(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 1.0, 2.0]))
+
+    def test_no_entrant_leaves_archive_untouched(self):
+        archive = self.archive()
+        x, f = archive.x, archive.f
+        # a tie with the worst row keeps the archive row (stable merge)
+        assert archive.update(np.array([[9.0], [8.0]]), np.array([2.0, 3.0])) is False
+        assert archive.x is x and archive.f is f
+
+    def test_entrant_merges_like_a_stable_sort(self):
+        archive = self.archive()
+        points, values = np.array([[9.0], [8.0], [7.0]]), np.array([1.0, 0.1, 2.0])
+        assert archive.update(points, values) is True
+        np.testing.assert_array_equal(archive.f, [0.1, 0.5, 1.0])
+        np.testing.assert_array_equal(archive.x[:, 0], [8.0, 0.0, 1.0])
+
+
 class TestSigma:
     def make_archive(self, column):
         pts = np.array([[v] for v in column])
@@ -111,7 +130,47 @@ class TestSigma:
             SolutionArchive(np.array([[0.0]]), np.array([0.0]))
 
 
+def reference_construct(archive, config, region, rng, probs):
+    """``aco_construct`` as ``Generator.choice`` plus ``Generator.normal``.
+
+    The reference for the written-out draws: roulette rows by ``choice``
+    with ``p``, then one ``normal`` draw per component centred on the
+    guide row with its archive spread.
+    """
+    dim = archive.x.shape[1]
+    sig = archive.sigma_matrix(config.xi)
+    rows = rng.choice(len(archive), size=(config.n_ants, dim), p=probs)
+    cols = np.arange(dim)[None, :]
+    return region.project(rng.normal(archive.x[rows, cols], sig[rows, cols]))
+
+
 class TestConstruct:
+    @pytest.mark.parametrize("archive_size", [2, 10])
+    @pytest.mark.parametrize("n_ants", [1, 20])
+    def test_bitwise_equal_to_choice_and_normal(self, archive_size, n_ants):
+        region = Box(np.full(4, -3.0), np.full(4, 3.0))
+        config = AcoConfig(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.8)
+        probs = selection_probabilities(aco_weights(archive_size, config.q))
+        for seed in range(6):
+            pts = np.random.default_rng(100 + seed).uniform(-4.0, 4.0, (archive_size, 4))
+            pts[:, 2] = 0.25  # a zero-spread column
+            archive = SolutionArchive(pts, np.arange(float(archive_size)))
+            assert np.all(archive.sigma_matrix(config.xi)[:, 2] == 0.0)
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # the streams stay in step across calls
+                got = aco_construct(archive, config, region, rng_new, probs)
+                expected = reference_construct(archive, config, region, rng_ref, probs)
+                assert got.shape == (n_ants, 4)
+                assert got.tobytes() == expected.tobytes()
+            assert rng_new.random() == rng_ref.random()
+
+    def test_probabilities_must_match_archive_rows(self):
+        archive = SolutionArchive(np.array([[0.0], [1.0], [2.0]]), np.arange(3.0))
+        config = AcoConfig(archive_size=3, n_ants=4)
+        region = Box(np.array([-5.0]), np.array([5.0]))
+        with pytest.raises(ShapeError):
+            aco_construct(archive, config, region, np.random.default_rng(0), np.full(4, 0.25))
+
     def test_collapsed_archive_reproduces_point(self):
         pts = np.tile([1.0, -2.0], (4, 1))
         archive = SolutionArchive(pts, np.zeros(4))
@@ -263,6 +322,40 @@ class TestAcoMinimize:
         config = AcoConfig(max_iterations=5000, stagnation_window=30, rng_seed=23)
         res = aco_minimize(sphere_offset(np.zeros(5)), self.box5(), config)
         assert res.n_iterations < 5000
+        assert res.stop_reason == "stagnation"
+
+
+class TestStopReason:
+    BOX = Box(-np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
+    def test_flat_objective_stagnates(self, minimize, config_type):
+        config = config_type(max_iterations=100, stagnation_window=5, rng_seed=1)
+        res = minimize(lambda x: np.ones(len(x)), self.BOX, config)
+        assert (res.stop_reason, res.n_iterations) == ("stagnation", 5)
+
+    @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
+    def test_full_budget_is_max_iterations(self, minimize, config_type):
+        for iterations in (0, 12):
+            config = config_type(max_iterations=iterations, stagnation_window=50, rng_seed=1)
+            res = minimize(sphere_offset(np.zeros(3)), self.BOX, config)
+            assert (res.stop_reason, res.n_iterations) == ("max_iterations", iterations)
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize("field", ["archive_size", "n_ants", "max_iterations", "stagnation_window"])
+    @pytest.mark.parametrize("value", [2.5, 20.0, True, "20"])
+    def test_aco_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            AcoConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["swarm_size", "max_iterations", "stagnation_window"])
+    def test_pso_counts_must_be_integers(self, field):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            PsoConfig(**{field: 7.5})
+
+    def test_numpy_integers_accepted(self):
+        assert AcoConfig(n_ants=np.int64(3)).n_ants == 3
 
 
 class TestPsoMinimize:

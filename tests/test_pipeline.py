@@ -160,6 +160,15 @@ class TestRunFfemu:
             expected = run.aco.archive_size + run.aco.n_ants * hist.n_iterations
             assert result.evaluation_counts[k] == expected == hist.n_evaluations
 
+    def test_time_split_and_stop_reasons(self, aco_result):
+        run, result = aco_result
+        assert result.objective_seconds.shape == result.polish_seconds.shape == (run.levels.size,)
+        assert np.all(result.objective_seconds > 0.0) and np.all(result.polish_seconds > 0.0)
+        assert np.all(result.objective_seconds + result.polish_seconds <= result.elapsed_seconds)
+        for hist in result.histories:
+            expected = "max_iterations" if hist.n_iterations == run.aco.max_iterations else "stagnation"
+            assert hist.stop_reason == expected
+
     def test_search_values_match_one_row_objective(self, aco_result):
         # the optimizer's values come from whole-population batches; they
         # must be the very numbers the one-row objective gives, so the
