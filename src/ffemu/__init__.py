@@ -33,7 +33,6 @@ from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_level
 from .linalg import ModalSolution, generalized_eig, pair_modes
 from .model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
 from .objective import (
-    FeasibleRegion,
     IntervalParameters,
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,

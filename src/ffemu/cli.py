@@ -16,12 +16,11 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bayes, report, scenarios
 from .errors import ConfigurationError, FfemuError
+from .fuzzy import default_levels
 from .model import read_json
-from .objective import save_measured
+from .objective import eigenvalue_to_hz, save_measured
 from .pipeline import load_run_config, run_ffemu
 
 EXIT_OK = 0
@@ -41,11 +40,9 @@ def _resolve_truth(ref: str) -> dict:
 def cmd_simulate(args) -> int:
     model = scenarios.resolve_model(args.model)
     truth = _resolve_truth(args.truth)
-    from .fuzzy import default_levels
-
     measured = scenarios.simulate_from_truth_spec(model, truth, default_levels(args.levels))
     save_measured(measured, args.out)
-    freqs = [f"{np.sqrt(t.b) / (2 * np.pi):.6g}" for t in measured.eigenvalue_tfns]
+    freqs = [f"{eigenvalue_to_hz(t.b):.6g}" for t in measured.eigenvalue_tfns]
     kind = "crisp" if measured.is_crisp else "fuzzy"
     print(f"wrote {measured.n_modes} {kind} modes to {args.out}")
     print("center frequencies (Hz): " + ", ".join(freqs))

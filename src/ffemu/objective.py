@@ -3,9 +3,7 @@
 The decision variable is a pair of stiffness vectors (lower, upper). The
 model is solved at both vertices of the box, and the weighted squared
 errors between predicted and measured eigenvalue/eigenvector bounds are
-summed into a single scalar objective. Feasibility (global box plus
-nesting against the previous level) is handled by projection so
-optimizers only ever evaluate feasible candidates.
+summed into a single scalar objective.
 
 Eigenvalues are sorted ascending at each vertex. Every unit stiffness
 matrix is positive semidefinite, so each sorted eigenvalue is monotone in
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +42,6 @@ __all__ = [
     "WeightingConfig",
     "MeasuredModalIntervals",
     "MeasuredFuzzyModalData",
-    "FeasibleRegion",
     "residual_batch",
     "vertex_modes",
     "residual_vector",
@@ -88,22 +85,9 @@ class IntervalParameters:
         th = np.asarray(theta, dtype=float)
         return cls(th.copy(), th.copy())
 
-    @classmethod
-    def from_flat(cls, x) -> "IntervalParameters":
-        x = np.asarray(x, dtype=float)
-        d = x.size // 2
-        return cls(x[:d].copy(), x[d:].copy())
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.lower, self.upper])
-
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.size
 
 
 @dataclass(frozen=True)
@@ -186,87 +170,6 @@ def _unit_columns(mat: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DegenerateVectorError("measured mode shape is a zero vector")
     return mat / norms
-
-
-@dataclass(frozen=True)
-class FeasibleRegion:
-    """Box constraints for one alpha level.
-
-    The lower parameters live in [theta_min, prev_lower] and the upper
-    parameters in [prev_upper, theta_max]; without a previous-level
-    solution both live in the global box. Exposes the flattened-vector
-    interface (``lo``, ``hi``, ``project``) that the optimizers consume;
-    ``lo`` and ``hi`` are built once, here.
-
-    Projection clamps each flat component into [lo, hi], the same bits as
-    clamping the lower and upper halves separately. Only an unanchored
-    region can then hold a crossed component (lower > upper): an anchored
-    one clamps lower to at most prev_lower and upper to at least
-    prev_upper, and prev_lower <= prev_upper is checked here, so the
-    crossed-bound repair runs for unanchored regions alone.
-    """
-
-    theta_min: np.ndarray
-    theta_max: np.ndarray
-    prev_lower: np.ndarray | None = None
-    prev_upper: np.ndarray | None = None
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tmin = np.asarray(self.theta_min, dtype=float)
-        tmax = np.asarray(self.theta_max, dtype=float)
-        object.__setattr__(self, "theta_min", tmin)
-        object.__setattr__(self, "theta_max", tmax)
-        if tmin.shape != tmax.shape or tmin.ndim != 1:
-            raise ConfigurationError("theta_min and theta_max must be 1-D and equal length")
-        if np.any(tmin > tmax):
-            raise ConfigurationError("theta_min must not exceed theta_max")
-        if (self.prev_lower is None) != (self.prev_upper is None):
-            raise ConfigurationError("previous bounds must be given together")
-        pl, pu = tmax, tmin
-        if self.prev_lower is not None:
-            pl = np.asarray(self.prev_lower, dtype=float)
-            pu = np.asarray(self.prev_upper, dtype=float)
-            object.__setattr__(self, "prev_lower", pl)
-            object.__setattr__(self, "prev_upper", pu)
-            if pl.shape != tmin.shape or pu.shape != tmin.shape:
-                raise ConfigurationError("previous bounds must match the box dimension")
-            if np.any(pl > pu) or np.any(pl < tmin) or np.any(pu > tmax):
-                raise ConfigurationError(
-                    "previous-level solution violates theta_min <= lower <= upper <= theta_max"
-                )
-        object.__setattr__(self, "lo", np.concatenate([tmin, pu]))
-        object.__setattr__(self, "hi", np.concatenate([pl, tmax]))
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.theta_min.size
-
-    def project_interval(self, candidate: IntervalParameters) -> IntervalParameters:
-        """Clamp a candidate into the region, repairing crossed bounds.
-
-        Crossed components (possible only without previous-level anchors)
-        collapse to their midpoint, clamped into both component ranges.
-        """
-        return IntervalParameters.from_flat(self.project(candidate.flatten()))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Flat-vector form of ``project_interval`` for the optimizers.
-
-        ``x`` is one flattened (lower, upper) vector or a stack of them as
-        rows; each row is projected independently.
-        """
-        x = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        if self.prev_lower is None:
-            d = self.theta_min.size
-            lower, upper = x[..., :d], x[..., d:]
-            crossed = lower > upper
-            if crossed.any():
-                mid = 0.5 * (lower + upper)
-                lower[crossed] = np.clip(mid, self.theta_min, self.theta_max)[crossed]
-                upper[crossed] = lower[crossed]
-        return x
 
 
 def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.ndarray:

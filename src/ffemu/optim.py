@@ -65,10 +65,6 @@ class Box:
         if np.any(lo > hi):
             raise DomainError("box bounds out of order")
 
-    @property
-    def dimension(self) -> int:
-        return self.lo.size
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Clamp one point or a stack of rows into the box."""
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
@@ -90,7 +86,6 @@ class AcoConfig:
     max_iterations: int = 300
     stagnation_window: int = 50
     stagnation_tolerance: float = 1e-10
-    rng_seed: int = 0
 
     def __post_init__(self):
         _check_counts(self, ("archive_size", "n_ants", "max_iterations", "stagnation_window"))
@@ -120,7 +115,6 @@ class PsoConfig:
     max_iterations: int = 300
     stagnation_window: int = 50
     stagnation_tolerance: float = 1e-10
-    rng_seed: int = 0
 
     def __post_init__(self):
         _check_counts(self, ("swarm_size", "max_iterations", "stagnation_window"))
@@ -294,16 +288,19 @@ def _stagnated(history: list, window: int, tolerance: float) -> bool:
     return len(history) > window and history[-1 - window] - history[-1] < tolerance
 
 
-def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResult:
+def aco_minimize(f, region, config: AcoConfig, rng, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with archive-based continuous ACO.
 
     ``f`` maps an (m, dim) population to its m objective values; it is
     called once for the starting archive and once per iteration for the
-    ants. ``initial`` points (projected) seed the starting archive; the
-    rest is filled uniformly at random. Every candidate a row of the
-    archive ever held was evaluated through ``f``; bookkeeping is exact.
+    ants. ``rng`` is a seed or a ``numpy.random.Generator`` (used as is,
+    and advanced); it goes through ``np.random.default_rng``, so an int
+    seed and ``default_rng`` of it give the same run. ``initial`` points
+    (projected) seed the starting archive; the rest is filled uniformly at
+    random. Every candidate a row of the archive ever held was evaluated
+    through ``f``; bookkeeping is exact.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(rng)
     pts = _initial_points(region, config.archive_size, rng, initial)
     vals = _evaluate(f, pts)
     n_evals = len(pts)
@@ -339,14 +336,16 @@ def aco_minimize(f, region, config: AcoConfig, initial=None) -> OptimizationResu
     )
 
 
-def pso_minimize(f, region, config: PsoConfig, initial=None) -> OptimizationResult:
+def pso_minimize(f, region, config: PsoConfig, rng, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with a standard global-best PSO.
 
     ``f`` maps an (m, dim) population to its m objective values; it is
-    called once per iteration for the whole swarm. Velocities are clamped
-    to ``v_max_fraction`` of the region's per-dimension widths.
+    called once per iteration for the whole swarm. ``rng`` is a seed or a
+    ``numpy.random.Generator``, taken as in ``aco_minimize``. ``initial``
+    points (projected) seed the swarm. Velocities are clamped to
+    ``v_max_fraction`` of the region's per-dimension widths.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(rng)
     v_max = config.v_max_fraction * (region.hi - region.lo)
     x = _initial_points(region, config.swarm_size, rng, initial)
     fx = _evaluate(f, x)

@@ -3,11 +3,14 @@
 A run simulates (or loads) fuzzy measured modal data, solves the crisp
 alpha = 1 problem for the membership centers, then walks the alpha levels
 downward, solving one interval optimization per level inside a feasible
-region anchored to the previous level. Each level is a global search (ACO
-or PSO) followed by a bounded Gauss-Newton polish of the weighted
-residuals inside the same region, so the level ends at a minimizer rather
-than wherever the iteration cap left the search. Parameter and output
-membership functions come out as nested alpha-cut stacks.
+region anchored to the previous level. Feasibility (global box plus
+nesting against the previous level) is handled by projection into that
+region, so optimizers only ever evaluate feasible candidates. Each level
+is a global search (ACO or PSO) followed by a bounded Gauss-Newton polish
+of the weighted residuals inside the same region, so the level ends at a
+minimizer rather than wherever the iteration cap left the search.
+Parameter and output membership functions come out as nested alpha-cut
+stacks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,6 @@ from .errors import ConfigurationError, DomainError, ShapeError
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
 from .model import StructuralModel, read_json
 from .objective import (
-    FeasibleRegion,
-    IntervalParameters,
     MeasuredFuzzyModalData,
     WeightingConfig,
     load_measured,
@@ -204,30 +205,30 @@ def simulate_measurements(
     return MeasuredFuzzyModalData(tfns, center.eigenvectors, component_tfns)
 
 
-def _minimize(run: FfemuRun, objective, region, level_index: int, initial):
-    if run.optimizer == "aco":
-        config = replace(run.aco, rng_seed=run.seed + level_index)
-        return aco_minimize(objective, region, config, initial=initial)
-    config = replace(run.pso, rng_seed=run.seed + level_index)
-    return pso_minimize(objective, region, config, initial=initial)
-
-
 def run_ffemu(run: FfemuRun) -> FfemuResult:
     """Solve the full stack of alpha-level problems.
 
-    Level 1 (alpha = 1) searches the d-dimensional box for the membership
-    centers; every deeper level searches the 2d-dimensional region anchored
-    to the previous solution, warm-started from it. The optimizer hands
-    each population to ``residual_batch`` whole. Each level's best point
-    is then polished by ``least_squares_polish`` inside the same region;
-    the polish moves only on a strictly lower objective, so no level ends
+    Level 1 (alpha = 1) searches the d-dimensional box [theta_min,
+    theta_max] for the membership centers. Every deeper level searches the
+    2d-dimensional box of (lower, upper) vectors anchored to the previous
+    level's solution: lower in [theta_min, previous lower], upper in
+    [previous upper, theta_max], warm-started from that solution. Level k
+    draws from ``default_rng(run.seed + k)``. The optimizer hands each
+    population to ``residual_batch`` whole. Each level's best point is
+    then polished by ``least_squares_polish`` inside the same box; the
+    polish moves only on a strictly lower objective, so no level ends
     worse than its search. Nesting of the resulting stacks is guaranteed
-    by the region, not repaired after the fact. Each finished level is
+    by the boxes, not repaired after the fact. Each finished level is
     logged at INFO on the ``ffemu`` logger.
     """
     model = run.model
     d = model.parameter_count
     n_levels = run.levels.size
+    # looked up per run, not bound at import, so wrappers of the module
+    # attributes see every call
+    minimize, config = (aco_minimize, run.aco) if run.optimizer == "aco" else (pso_minimize, run.pso)
+    lower = np.empty((n_levels, d))
+    upper = np.empty((n_levels, d))
     objective_values = np.empty(n_levels)
     eval_counts = np.empty(n_levels, dtype=int)
     polish_counts = np.empty(n_levels, dtype=int)
@@ -235,20 +236,22 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     objective_seconds = np.empty(n_levels)
     polish_seconds = np.empty(n_levels)
     histories: list[OptimizationResult] = []
-    solutions: list[IntervalParameters] = []
 
     for k, alpha in enumerate(run.levels):
         measured_k = run.measured.cuts_at(alpha)
+        rng = np.random.default_rng(run.seed + k)
         t0 = time.perf_counter()
         if k == 0:
-            to_params = IntervalParameters.from_point
             region = Box(run.theta_min, run.theta_max)
             seeds = None if run.theta_initial is None else [run.theta_initial]
         else:
-            prev = solutions[-1]
-            to_params = IntervalParameters.from_flat
-            region = FeasibleRegion(run.theta_min, run.theta_max, prev.lower, prev.upper)
-            seeds = [prev.flatten()]
+            # Box rejects lo > hi: theta_min <= previous lower and
+            # previous upper <= theta_max are checked here
+            region = Box(
+                np.concatenate([run.theta_min, upper[k - 1]]),
+                np.concatenate([lower[k - 1], run.theta_max]),
+            )
+            seeds = [np.concatenate([lower[k - 1], upper[k - 1]])]
 
         calls = 0
         objective_time = 0.0
@@ -267,7 +270,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             objective_time += time.perf_counter() - start
             return values
 
-        result = _minimize(run, objective, region, k, seeds)
+        result = minimize(objective, region, config, rng, initial=seeds)
         if calls != result.n_evaluations:
             raise RuntimeError(
                 f"evaluation bookkeeping broken at level {k + 1}: "
@@ -282,23 +285,20 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         objective_values[k] = f
         eval_counts[k] = result.n_evaluations
         histories.append(result)
-        solutions.append(to_params(x))
+        lower[k], upper[k] = (x, x) if k == 0 else (x[:d], x[d:])
         _log.info(
             "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish, stopped on %s",
             k + 1, alpha, f, eval_counts[k], polish_counts[k], result.stop_reason,
         )
 
     parameter_stacks = [
-        AlphaCutStack(
-            run.levels,
-            tuple(Interval(sol.lower[i], sol.upper[i]) for sol in solutions),
-        )
+        AlphaCutStack(run.levels, tuple(Interval(lo, hi) for lo, hi in zip(lower[:, i], upper[:, i])))
         for i in range(d)
     ]
     output_stacks = propagate_outputs(model, parameter_stacks)
     return FfemuResult(
         levels=run.levels.copy(),
-        center=solutions[0].center.copy(),
+        center=lower[0].copy(),
         parameter_stacks=parameter_stacks,
         output_stacks=output_stacks,
         objective_values=objective_values,
@@ -371,11 +371,11 @@ def _number(value, key: str, path) -> float:
 
 
 def _section(raw: dict, key: str, path) -> dict:
-    """The JSON object ``raw[key]`` (empty when absent) as a fresh dict."""
+    """The JSON object ``raw[key]`` (empty when absent)."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigurationError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
-    return dict(value)
+    return value
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
@@ -425,13 +425,9 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     if not _is_int(seed) or seed < 0:
         raise ConfigurationError(f"{path}: 'seed' must be a non-negative integer, got {seed!r}")
-    aco_spec = _section(raw, "aco", path)
-    pso_spec = _section(raw, "pso", path)
-    aco_spec.pop("rng_seed", None)  # per-level seeds derive from the run seed
-    pso_spec.pop("rng_seed", None)
     try:
-        aco = AcoConfig(rng_seed=0, **aco_spec)
-        pso = PsoConfig(rng_seed=0, **pso_spec)
+        aco = AcoConfig(**_section(raw, "aco", path))
+        pso = PsoConfig(**_section(raw, "pso", path))
     except (TypeError, DomainError) as exc:
         raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
 

@@ -8,14 +8,16 @@ traced back to raw data. Membership curves are emitted as CSV.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fuzzy import AlphaCutStack, Interval, write_cuts_csv, write_membership_csv
-from .model import StructuralModel
+from .errors import ConfigurationError
+from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, write_cuts_csv, write_membership_csv
+from .model import StructuralModel, read_json
 from .objective import eigenvalue_to_hz
 
 __all__ = [
@@ -29,13 +31,6 @@ __all__ = [
 
 SUMMARY_FILE = "summary.json"
 BAYES_FILE = "bayes_summary.json"
-CURVE_FILES = (
-    "parameter_cuts.csv",
-    "parameter_membership.csv",
-    "output_cuts.csv",
-    "output_membership.csv",
-    "measured_output_membership.csv",
-)
 
 
 def parameter_labels(model: StructuralModel) -> list[str]:
@@ -126,8 +121,6 @@ def write_bundle(out_dir, run, result) -> Path:
 
 
 def _write_history(path: Path, result) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "alpha", "iteration", "best_f", "mean_f"])
@@ -146,8 +139,6 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     levels = np.asarray(summary["alpha_levels"], dtype=float)
     measured_stacks = {}
     for j, (a, b, c) in enumerate(summary["measured_eigenvalue_tfns"]):
-        from .fuzzy import TriangularFuzzyNumber
-
         stack = AlphaCutStack.from_tfn(TriangularFuzzyNumber(a, b, c), levels)
         measured_stacks[f"mode_{j + 1}"] = _stack_to_hz(stack)
     write_cuts_csv(param_stacks, out / "parameter_cuts.csv")
@@ -157,27 +148,32 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     write_membership_csv(measured_stacks, out / "measured_output_membership.csv")
 
 
+def _read_object(path: Path) -> dict:
+    """One bundle JSON file, which must hold an object."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_summary(bundle_dir) -> dict:
-    """Read ``summary.json`` from a bundle; raises FileNotFoundError naming it."""
+    """Read ``summary.json`` from a bundle; raises FileNotFoundError naming it.
+
+    A file that is not valid JSON, or not one JSON object, is a
+    ``ConfigurationError`` naming it.
+    """
     path = Path(bundle_dir) / SUMMARY_FILE
     if not path.exists():
         raise FileNotFoundError(f"result bundle is missing {SUMMARY_FILE} (looked in {path.parent})")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return _read_object(path)
 
 
 def load_bayes_summary(bundle_dir) -> dict | None:
+    """Read ``bayes_summary.json`` from a bundle, or None when it has none."""
     path = Path(bundle_dir) / BAYES_FILE
     if not path.exists():
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _fmt(value, width: int = 12) -> str:
-    if value is None:
-        return " " * (width - 1) + "-"
-    return f"{value:{width}.6g}"
+    return _read_object(path)
 
 
 def _fmt_interval(lo, hi) -> str:
@@ -242,12 +238,12 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
         support = p["cuts"][-1]
         row = (
             f"{p['id']:>8} "
-            f"{_fmt(None if theta_initial is None else theta_initial[i])} "
-            f"{_fmt(p['center'])} "
+            f"{_cell(None if theta_initial is None else theta_initial[i], '.6g', 12)} "
+            f"{_cell(p['center'], '.6g', 12)} "
             f"{_fmt_interval(support[1], support[2]):>28}"
         )
         if bayes is not None:
-            row += f" {_fmt(bayes['mean'][i])} {bayes['cov_percent'][i]:>9.2f}"
+            row += f" {_cell(bayes['mean'][i], '.6g', 12)} {bayes['cov_percent'][i]:>9.2f}"
         lines.append(row)
     lines.append("")
 
@@ -278,19 +274,19 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
         meas = measured_hz[j]
         e_upd = 100.0 * abs(updated_hz[j] - meas) / meas
         err_updated.append(e_upd)
-        row = f"{out['mode']:>4} {_fmt(meas)} "
+        row = f"{out['mode']:>4} {_cell(meas, '.6g', 12)} "
         if initial_hz is None:
-            row += f"{_fmt(None)} {'-':>8} "
+            row += f"{'-':>12} {'-':>8} "
         else:
             e_ini = 100.0 * abs(initial_hz[j] - meas) / meas
             err_initial.append(e_ini)
-            row += f"{_fmt(initial_hz[j])} {e_ini:>8.2f} "
-        row += f"{_fmt(updated_hz[j])} {e_upd:>8.2f} "
+            row += f"{_cell(initial_hz[j], '.6g', 12)} {e_ini:>8.2f} "
+        row += f"{_cell(updated_hz[j], '.6g', 12)} {e_upd:>8.2f} "
         row += f"{_fmt_interval(eigenvalue_to_hz(support[1]), eigenvalue_to_hz(support[2])):>26}"
         if bayes_hz is not None:
             e_b = 100.0 * abs(bayes_hz[j] - meas) / meas
             err_bayes.append(e_b)
-            row += f" {_fmt(bayes_hz[j])} {e_b:>8.2f}"
+            row += f" {_cell(bayes_hz[j], '.6g', 12)} {e_b:>8.2f}"
         lines.append(row)
 
     total_line = "total average error %:"

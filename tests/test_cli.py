@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,38 @@ class TestUpdate:
         assert logging.getLogger("ffemu").handlers == []
 
 
+class TestReport:
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        """One finished bundle with an M-H summary next to it."""
+        root = tmp_path_factory.mktemp("report")
+        config = scenarios.bundled_run_config(seed=2)
+        config["alpha_levels"] = 2
+        config["aco"].update(max_iterations=5)
+        path = root / "run.json"
+        path.write_text(json.dumps(config))
+        out = root / "bundle"
+        assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        (out / "bayes_summary.json").write_text(json.dumps({"mean": [1.0]}))
+        return out
+
+    @pytest.mark.parametrize("name", ["summary.json", "bayes_summary.json"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"metadata": {', "invalid JSON at line 1, column 15"),  # truncated
+            ("[1]", "expected a JSON object, got list"),
+        ],
+    )
+    def test_corrupt_file_is_a_configuration_error(self, bundle, name, content, message, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / name).write_text(content)
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {copy / name}: {message}")
+
+
 class TestBayes:
     @pytest.mark.parametrize("section", [5, [1]])
     def test_non_object_bayes_section_is_a_configuration_error(self, section, tmp_path, capsys):
@@ -133,6 +166,7 @@ class TestNonNumericConfigValues:
             ("aco", {"n_ants": 2.5}, "bad optimizer section: n_ants must be an integer"),
             ("aco", {"n_ants": 0}, "bad optimizer section: n_ants must be at least 1"),
             ("pso", {"swarm_size": True}, "bad optimizer section: swarm_size must be an integer"),
+            ("aco", {"rng_seed": 5}, "bad optimizer section"),
             ("truth", {"theta_true": "x"}, "'truth': truth spec values must be numbers"),
             (
                 "truth",

@@ -1,4 +1,4 @@
-"""Tests for the interval modal objective and feasible-region projection."""
+"""Tests for the interval modal objective and the level search box's projection."""
 
 import itertools
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from ffemu import scenarios
-from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
+from ffemu.errors import DegenerateVectorError, DomainError
 from ffemu.fuzzy import TriangularFuzzyNumber
 from ffemu.linalg import ModalSolution, pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
-    FeasibleRegion,
     IntervalParameters,
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,
@@ -24,6 +23,7 @@ from ffemu.objective import (
     save_measured,
     vertex_modes,
 )
+from ffemu.optim import Box
 
 
 def one_dof_model():
@@ -294,67 +294,51 @@ class TestObjective:
             assert objective_value(model, params, measured, weights) >= 0.0
 
 
-def reference_project(region, x):
-    """Projection as two clips plus a crossed-bound repair on every region.
+def level_box(theta_min, theta_max, prev_lower, prev_upper):
+    """The search box of an alpha level below 1, as ``run_ffemu`` builds it:
+    lower in [theta_min, prev_lower], upper in [prev_upper, theta_max]."""
+    return Box(np.concatenate([theta_min, prev_upper]), np.concatenate([prev_lower, theta_max]))
 
-    The reference for ``FeasibleRegion.project``: the lower half clipped to
-    [theta_min, prev_lower], the upper half to [prev_upper, theta_max]
-    (the global box without anchors), then crossed components collapsed
-    to their midpoint clamped into both ranges.
+
+def reference_project(theta_min, theta_max, prev_lower, prev_upper, x):
+    """Projection as two clips: the reference for the level box's ``project``.
+
+    The lower half is clipped to [theta_min, prev_lower], the upper half to
+    [prev_upper, theta_max].
     """
     x = np.asarray(x, dtype=float)
-    d = region.theta_min.size
-    lo_hi = region.theta_max if region.prev_lower is None else region.prev_lower
-    hi_lo = region.theta_min if region.prev_upper is None else region.prev_upper
-    lower = np.clip(x[..., :d], region.theta_min, lo_hi)
-    upper = np.clip(x[..., d:], hi_lo, region.theta_max)
-    crossed = lower > upper
-    if np.any(crossed):
-        mid = 0.5 * (lower + upper)
-        lower = np.where(crossed, np.clip(mid, region.theta_min, lo_hi), lower)
-        upper = np.where(crossed, np.clip(mid, hi_lo, region.theta_max), upper)
+    d = theta_min.size
+    lower = np.clip(x[..., :d], theta_min, prev_lower)
+    upper = np.clip(x[..., d:], prev_upper, theta_max)
     return np.concatenate([lower, upper], axis=-1)
 
 
 class TestProjection:
+    THETA_MIN = np.array([0.0, 0.0])
+    THETA_MAX = np.array([10.0, 10.0])
+    PREV_LOWER = np.array([4.0, 5.0])
+    PREV_UPPER = np.array([6.0, 7.0])
+
     def region(self):
-        return FeasibleRegion(
-            theta_min=np.array([0.0, 0.0]),
-            theta_max=np.array([10.0, 10.0]),
-            prev_lower=np.array([4.0, 5.0]),
-            prev_upper=np.array([6.0, 7.0]),
-        )
+        return level_box(self.THETA_MIN, self.THETA_MAX, self.PREV_LOWER, self.PREV_UPPER)
 
     def test_feasible_candidate_unchanged(self):
-        p = IntervalParameters([3.0, 4.0], [7.0, 8.0])
-        out = self.region().project_interval(p)
-        np.testing.assert_array_equal(out.lower, p.lower)
-        np.testing.assert_array_equal(out.upper, p.upper)
+        x = np.array([3.0, 4.0, 7.0, 8.0])
+        np.testing.assert_array_equal(self.region().project(x), x)
 
     def test_upper_snapped_to_previous_upper(self):
-        p = IntervalParameters([3.0, 4.0], [5.0, 6.5])
-        out = self.region().project_interval(p)
-        np.testing.assert_array_equal(out.upper, [6.0, 7.0])
+        out = self.region().project(np.array([3.0, 4.0, 5.0, 6.5]))
+        np.testing.assert_array_equal(out[2:], [6.0, 7.0])
 
     def test_lower_snapped_into_range(self):
-        p = IntervalParameters([5.0, 6.0], [7.0, 8.0])
-        out = self.region().project_interval(p)
-        np.testing.assert_array_equal(out.lower, [4.0, 5.0])
-
-    def test_crossed_candidate_collapses_to_midpoint(self):
-        region = FeasibleRegion(theta_min=np.array([0.0]), theta_max=np.array([10.0]))
-        out = region.project(np.array([5.0, 3.0]))
-        np.testing.assert_array_equal(out, [4.0, 4.0])
+        out = self.region().project(np.array([5.0, 6.0, 7.0, 8.0]))
+        np.testing.assert_array_equal(out[:2], [4.0, 5.0])
 
     def test_row_stack_matches_row_by_row(self):
-        # with and without previous-level anchors; the unanchored region
-        # also exercises the crossed-bound repair
-        anchored = self.region()
-        free = FeasibleRegion(theta_min=np.zeros(2), theta_max=np.full(2, 10.0))
+        region = self.region()
         rows = np.random.default_rng(47).uniform(-5.0, 15.0, (50, 4))
-        for region in (anchored, free):
-            expected = np.array([region.project(x) for x in rows])
-            np.testing.assert_array_equal(region.project(rows), expected)
+        expected = np.array([region.project(x) for x in rows])
+        np.testing.assert_array_equal(region.project(rows), expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_two_clip_reference(self, seed):
@@ -363,19 +347,15 @@ class TestProjection:
         tmax = tmin + rng.uniform(50.0, 400.0, 3)
         prev_lower = rng.uniform(tmin, tmax)
         prev_upper = rng.uniform(prev_lower, tmax)
-        anchored = FeasibleRegion(tmin, tmax, prev_lower, prev_upper)
-        pinched = FeasibleRegion(tmin, tmax, prev_lower, prev_lower)  # zero-width anchor
-        free = FeasibleRegion(tmin, tmax)
         rows = rng.uniform(tmin.min() - 100.0, tmax.max() + 100.0, (500, 6))
         rows[::7, 3:] = rows[::7, :3] - 1.0  # crossed on purpose
-        crossed = 0
-        for region in (anchored, pinched, free):
-            expected = reference_project(region, rows)
+        # anchored, then pinched to a zero-width anchor
+        for anchors in ((prev_lower, prev_upper), (prev_lower, prev_lower)):
+            region = level_box(tmin, tmax, *anchors)
+            expected = reference_project(tmin, tmax, *anchors, rows)
             got = region.project(rows)
             assert got.tobytes() == expected.tobytes()
             assert region.project(rows[5]).tobytes() == expected[5].tobytes()
-            crossed += int(np.sum(np.clip(rows[:, :3], tmin, tmax) > np.clip(rows[:, 3:], tmin, tmax)))
-        assert crossed > 0  # the unanchored region took the repair
 
     def test_idempotent(self):
         region = self.region()
@@ -391,24 +371,19 @@ class TestProjection:
         for _ in range(200):
             out = region.project(rng.uniform(-5.0, 15.0, 4))
             lower, upper = out[:2], out[2:]
-            assert np.all(region.theta_min <= lower)
-            assert np.all(lower <= region.prev_lower)
-            assert np.all(region.prev_upper <= upper)
-            assert np.all(upper <= region.theta_max)
+            assert np.all(self.THETA_MIN <= lower)
+            assert np.all(lower <= self.PREV_LOWER)
+            assert np.all(self.PREV_UPPER <= upper)
+            assert np.all(upper <= self.THETA_MAX)
 
     def test_infeasible_region_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FeasibleRegion(
+        with pytest.raises(DomainError):
+            level_box(
                 theta_min=np.array([0.0]),
                 theta_max=np.array([1.0]),
                 prev_lower=np.array([2.0]),
                 prev_upper=np.array([3.0]),
             )
-
-    def test_flat_bounds_views(self):
-        region = self.region()
-        np.testing.assert_array_equal(region.lo, [0.0, 0.0, 6.0, 7.0])
-        np.testing.assert_array_equal(region.hi, [4.0, 5.0, 10.0, 10.0])
 
 
 class TestResidualBatch:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ffemu.errors import DomainError, EvaluationError, ShapeError
-from ffemu.objective import FeasibleRegion
 from ffemu.optim import (
     POLISH_ITERATIONS,
     AcoConfig,
@@ -175,7 +174,7 @@ class TestConstruct:
         pts = np.tile([1.0, -2.0], (4, 1))
         archive = SolutionArchive(pts, np.zeros(4))
         region = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
-        config = AcoConfig(archive_size=4, n_ants=50, rng_seed=0)
+        config = AcoConfig(archive_size=4, n_ants=50)
         probs = selection_probabilities(aco_weights(4, config.q))
         cands = aco_construct(archive, config, region, np.random.default_rng(0), probs)
         np.testing.assert_array_equal(cands, np.tile([1.0, -2.0], (50, 1)))
@@ -223,22 +222,22 @@ class TestAcoMinimize:
         center = np.array([1.0, -2.0, 0.5, 3.0, -4.0])
         finals = []
         for seed in range(10):
-            config = AcoConfig(max_iterations=500, rng_seed=seed)
-            res = aco_minimize(sphere_offset(center), self.box5(), config)
+            config = AcoConfig(max_iterations=500)
+            res = aco_minimize(sphere_offset(center), self.box5(), config, seed)
             finals.append(res.best_f)
         assert np.mean(finals) <= 1e-6
 
     def test_constant_objective_flat_history(self):
-        config = AcoConfig(max_iterations=60, stagnation_window=100, rng_seed=2)
-        res = aco_minimize(lambda x: np.ones(len(x)), self.box5(), config)
+        config = AcoConfig(max_iterations=60, stagnation_window=100)
+        res = aco_minimize(lambda x: np.ones(len(x)), self.box5(), config, 2)
         assert np.all(res.history_best == 1.0)
         lo, hi = self.box5().lo, self.box5().hi
         assert np.all(res.best_x >= lo) and np.all(res.best_x <= hi)
 
     def test_corner_optimum(self):
         corner = 5.0 * np.ones(5)  # on the box boundary
-        config = AcoConfig(max_iterations=500, rng_seed=3)
-        res = aco_minimize(sphere_offset(corner), self.box5(), config)
+        config = AcoConfig(max_iterations=500)
+        res = aco_minimize(sphere_offset(corner), self.box5(), config, 3)
         np.testing.assert_allclose(res.best_x, corner, atol=1e-4)
 
     def test_archive_holds_best_ever_offered(self):
@@ -249,8 +248,8 @@ class TestAcoMinimize:
             log.extend(zip(x.copy(), v))
             return v
 
-        config = AcoConfig(archive_size=5, n_ants=7, max_iterations=20, rng_seed=5)
-        res = aco_minimize(f, Box(-2.0 * np.ones(2), 2.0 * np.ones(2)), config)
+        config = AcoConfig(archive_size=5, n_ants=7, max_iterations=20)
+        res = aco_minimize(f, Box(-2.0 * np.ones(2), 2.0 * np.ones(2)), config, 5)
         values = np.array([v for _, v in log])
         expected = np.sort(values)[:5]
         np.testing.assert_array_equal(res.population_f, expected)
@@ -260,37 +259,33 @@ class TestAcoMinimize:
         assert res.n_evaluations == len(log)
 
     def test_history_monotone_nonincreasing(self):
-        config = AcoConfig(max_iterations=120, rng_seed=7)
-        res = aco_minimize(sphere_offset(np.zeros(5)), self.box5(), config)
+        config = AcoConfig(max_iterations=120)
+        res = aco_minimize(sphere_offset(np.zeros(5)), self.box5(), config, 7)
         assert np.all(np.diff(res.history_best) <= 0.0)
 
     def test_bit_identical_reruns(self):
-        config = AcoConfig(max_iterations=80, rng_seed=11)
-        a = aco_minimize(sphere_offset(np.ones(5)), self.box5(), config)
-        b = aco_minimize(sphere_offset(np.ones(5)), self.box5(), config)
+        config = AcoConfig(max_iterations=80)
+        a = aco_minimize(sphere_offset(np.ones(5)), self.box5(), config, 11)
+        b = aco_minimize(sphere_offset(np.ones(5)), self.box5(), config, 11)
         np.testing.assert_array_equal(a.history_best, b.history_best)
         np.testing.assert_array_equal(a.best_x, b.best_x)
 
     def test_every_candidate_feasible(self):
-        region = FeasibleRegion(
-            theta_min=np.array([0.0, 0.0]),
-            theta_max=np.array([10.0, 10.0]),
-            prev_lower=np.array([4.0, 5.0]),
-            prev_upper=np.array([6.0, 7.0]),
-        )
+        # an alpha level's box: lower in [0, (4, 5)], upper in [(6, 7), 10]
+        region = Box(np.array([0.0, 0.0, 6.0, 7.0]), np.array([4.0, 5.0, 10.0, 10.0]))
 
         def f(x):
             assert np.all(x >= region.lo) and np.all(x <= region.hi)  # every row
             return np.sum((x - 5.0) ** 2, axis=1)
 
-        config = AcoConfig(max_iterations=40, rng_seed=13)
-        res = aco_minimize(f, region, config)
+        config = AcoConfig(max_iterations=40)
+        res = aco_minimize(f, region, config, 13)
         assert np.all(res.best_x >= region.lo) and np.all(res.best_x <= region.hi)
 
     def test_warm_start_seed_is_used(self):
         seed_point = np.array([1.0, -2.0, 0.5, 3.0, -4.0])
-        config = AcoConfig(max_iterations=0, rng_seed=17)
-        res = aco_minimize(sphere_offset(seed_point), self.box5(), config, initial=[seed_point])
+        config = AcoConfig(max_iterations=0)
+        res = aco_minimize(sphere_offset(seed_point), self.box5(), config, 17, initial=[seed_point])
         assert res.best_f == 0.0
         np.testing.assert_array_equal(res.best_x, seed_point)
 
@@ -299,7 +294,7 @@ class TestAcoMinimize:
             return np.full(len(x), np.nan)
 
         with pytest.raises(EvaluationError) as info:
-            aco_minimize(f, self.box5(), AcoConfig(rng_seed=19))
+            aco_minimize(f, self.box5(), AcoConfig(), 19)
         assert info.value.point is not None
 
     def test_non_finite_row_is_named(self):
@@ -310,17 +305,17 @@ class TestAcoMinimize:
             return v
 
         with pytest.raises(EvaluationError, match="at row 3") as info:
-            aco_minimize(f, self.box5(), AcoConfig(rng_seed=19))
+            aco_minimize(f, self.box5(), AcoConfig(), 19)
         assert info.value.value == np.inf
         assert info.value.point.shape == (5,)
 
     def test_objective_must_return_one_value_per_row(self):
         with pytest.raises(ShapeError):
-            aco_minimize(lambda x: 0.0, self.box5(), AcoConfig(rng_seed=19))
+            aco_minimize(lambda x: 0.0, self.box5(), AcoConfig(), 19)
 
     def test_stagnation_stops_early(self):
-        config = AcoConfig(max_iterations=5000, stagnation_window=30, rng_seed=23)
-        res = aco_minimize(sphere_offset(np.zeros(5)), self.box5(), config)
+        config = AcoConfig(max_iterations=5000, stagnation_window=30)
+        res = aco_minimize(sphere_offset(np.zeros(5)), self.box5(), config, 23)
         assert res.n_iterations < 5000
         assert res.stop_reason == "stagnation"
 
@@ -330,16 +325,39 @@ class TestStopReason:
 
     @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
     def test_flat_objective_stagnates(self, minimize, config_type):
-        config = config_type(max_iterations=100, stagnation_window=5, rng_seed=1)
-        res = minimize(lambda x: np.ones(len(x)), self.BOX, config)
+        config = config_type(max_iterations=100, stagnation_window=5)
+        res = minimize(lambda x: np.ones(len(x)), self.BOX, config, 1)
         assert (res.stop_reason, res.n_iterations) == ("stagnation", 5)
 
     @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
     def test_full_budget_is_max_iterations(self, minimize, config_type):
         for iterations in (0, 12):
-            config = config_type(max_iterations=iterations, stagnation_window=50, rng_seed=1)
-            res = minimize(sphere_offset(np.zeros(3)), self.BOX, config)
+            config = config_type(max_iterations=iterations, stagnation_window=50)
+            res = minimize(sphere_offset(np.zeros(3)), self.BOX, config, 1)
             assert (res.stop_reason, res.n_iterations) == ("max_iterations", iterations)
+
+
+class TestRngArgument:
+    BOX = Box(-np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "minimize, config",
+        [(aco_minimize, AcoConfig(max_iterations=15)), (pso_minimize, PsoConfig(max_iterations=15))],
+    )
+    @pytest.mark.parametrize("seed", [0, 29])
+    def test_int_seed_and_its_generator_give_the_same_run(self, minimize, config, seed):
+        a = minimize(sphere_offset(np.full(3, 0.25)), self.BOX, config, seed)
+        b = minimize(sphere_offset(np.full(3, 0.25)), self.BOX, config, np.random.default_rng(seed))
+        assert a.history_best.tobytes() == b.history_best.tobytes()
+        assert a.history_mean.tobytes() == b.history_mean.tobytes()
+        assert a.population_x.tobytes() == b.population_x.tobytes()
+        assert a.best_x.tobytes() == b.best_x.tobytes()
+
+    def test_generator_is_used_as_given(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        aco_minimize(sphere_offset(np.zeros(3)), self.BOX, AcoConfig(max_iterations=2), rng)
+        assert rng.bit_generator.state != state
 
 
 class TestConfigCounts:
@@ -366,23 +384,23 @@ class TestPsoMinimize:
         center = np.array([1.0, -2.0, 0.5, 3.0, -4.0])
         finals = []
         for seed in range(10):
-            config = PsoConfig(swarm_size=40, max_iterations=500, rng_seed=seed)
-            res = pso_minimize(sphere_offset(center), self.box5(), config)
+            config = PsoConfig(swarm_size=40, max_iterations=500)
+            res = pso_minimize(sphere_offset(center), self.box5(), config, seed)
             finals.append(res.best_f)
         assert np.median(finals) <= 1e-6
 
     def test_frozen_swarm(self):
         config = PsoConfig(
             swarm_size=10, inertia=0.0, cognitive=0.0, social=0.0,
-            max_iterations=30, stagnation_window=100, rng_seed=1,
+            max_iterations=30, stagnation_window=100,
         )
-        res = pso_minimize(sphere_offset(np.zeros(5)), self.box5(), config)
+        res = pso_minimize(sphere_offset(np.zeros(5)), self.box5(), config, 1)
         assert np.all(res.history_best == res.history_best[0])
 
     def test_history_monotone_and_deterministic(self):
-        config = PsoConfig(swarm_size=15, max_iterations=100, rng_seed=3)
-        a = pso_minimize(sphere_offset(np.ones(5)), self.box5(), config)
-        b = pso_minimize(sphere_offset(np.ones(5)), self.box5(), config)
+        config = PsoConfig(swarm_size=15, max_iterations=100)
+        a = pso_minimize(sphere_offset(np.ones(5)), self.box5(), config, 3)
+        b = pso_minimize(sphere_offset(np.ones(5)), self.box5(), config, 3)
         assert np.all(np.diff(a.history_best) <= 0.0)
         np.testing.assert_array_equal(a.history_best, b.history_best)
 
@@ -393,7 +411,7 @@ class TestPsoMinimize:
             assert np.all(x >= box.lo) and np.all(x <= box.hi)  # every row
             return np.sum(x**2, axis=1)
 
-        pso_minimize(f, box, PsoConfig(swarm_size=12, max_iterations=50, rng_seed=5))
+        pso_minimize(f, box, PsoConfig(swarm_size=12, max_iterations=50), 5)
 
     def test_evaluation_count_bookkeeping(self):
         calls = 0
@@ -403,8 +421,8 @@ class TestPsoMinimize:
             calls += len(x)
             return np.sum(x**2, axis=1)
 
-        config = PsoConfig(swarm_size=13, max_iterations=21, stagnation_window=100, rng_seed=7)
-        res = pso_minimize(f, self.box5(), config)
+        config = PsoConfig(swarm_size=13, max_iterations=21, stagnation_window=100)
+        res = pso_minimize(f, self.box5(), config, 7)
         assert calls == res.n_evaluations == 13 * 22
 
 
@@ -452,12 +470,11 @@ class TestLeastSquaresPolish:
 
     @pytest.mark.parametrize("start", ["lo", "hi", 0, 1, 2])
     def test_stays_feasible_and_never_worsens(self, start):
+        # an alpha level's box, lower in [0, (0, 1)] and upper in [(2, 3), 4]:
         # lower coordinate 0 is pinned (theta_min == prev_lower), so the
         # region has a zero-width coordinate; corner starts put every other
         # coordinate on a bound, where finite differences must step inward
-        region = FeasibleRegion(
-            theta_min=[0.0, 0.0], theta_max=[4.0, 4.0], prev_lower=[0.0, 1.0], prev_upper=[2.0, 3.0]
-        )
+        region = Box([0.0, 0.0, 2.0, 3.0], [0.0, 1.0, 4.0, 4.0])
 
         def residual(x):
             assert np.all(x >= region.lo) and np.all(x <= region.hi)  # every row

@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from ffemu import scenarios
+from ffemu import pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import IntervalParameters, WeightingConfig, objective_value, save_measured
-from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig
+from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
 from ffemu.pipeline import (
     FfemuRun,
     load_run_config,
@@ -174,10 +174,12 @@ class TestRunFfemu:
         # must be the very numbers the one-row objective gives, so the
         # polish (which starts from them) can never report a level worse
         run, result = aco_result
+        d = run.model.parameter_count
         for k, hist in enumerate(result.histories):
-            to_params = IntervalParameters.from_point if k == 0 else IntervalParameters.from_flat
+            x = hist.best_x
+            params = IntervalParameters.from_point(x) if k == 0 else IntervalParameters(x[:d], x[d:])
             measured_k = run.measured.cuts_at(run.levels[k])
-            f = objective_value(run.model, to_params(hist.best_x), measured_k, run.weights)
+            f = objective_value(run.model, params, measured_k, run.weights)
             assert f == hist.best_f
 
     def test_containment_of_generating_cuts_aco(self, aco_result):
@@ -235,6 +237,30 @@ class TestRunFfemu:
                 iv = result.parameter_stacks[i].intervals[k]
                 assert iv.lo <= cut.lo + slack[i]
                 assert iv.hi >= cut.hi - slack[i]
+
+    def test_each_level_searches_the_box_anchored_to_the_previous_level(self, monkeypatch):
+        # level 1 searches [theta_min, theta_max]; level k >= 2 searches
+        # lower in [theta_min, lower[k-1]] and upper in [upper[k-1], theta_max],
+        # with a generator seeded run.seed + k
+        calls = []
+
+        def recording(f, region, config, rng, initial=None):
+            calls.append((region.lo.copy(), region.hi.copy(), rng.bit_generator.state))
+            return aco_minimize(f, region, config, rng, initial=initial)
+
+        monkeypatch.setattr(pipeline, "aco_minimize", recording)
+        run = fuzzy_run("aco", iters=20, seed=4)
+        result = run_ffemu(run)
+        lower = np.array([[iv.lo for iv in s.intervals] for s in result.parameter_stacks]).T
+        upper = np.array([[iv.hi for iv in s.intervals] for s in result.parameter_stacks]).T
+        assert len(calls) == run.levels.size
+        np.testing.assert_array_equal(calls[0][0], run.theta_min)
+        np.testing.assert_array_equal(calls[0][1], run.theta_max)
+        for k in range(1, run.levels.size):
+            np.testing.assert_array_equal(calls[k][0], np.concatenate([run.theta_min, upper[k - 1]]))
+            np.testing.assert_array_equal(calls[k][1], np.concatenate([lower[k - 1], run.theta_max]))
+        for k, (_, _, state) in enumerate(calls):
+            assert state == np.random.default_rng(run.seed + k).bit_generator.state
 
     def test_pinched_box_collapses_everything(self):
         model = scenarios.five_dof_model()
