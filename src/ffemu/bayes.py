@@ -6,35 +6,54 @@ probabilistic comparison column (posterior means and coefficients of
 variation) next to the fuzzy interval results.
 
 The chain is the plain sequential random walk, but it is evaluated in
-windows of ``DEPTH`` steps by prefetching (Brockwell 2006, "Parallel Markov
-chain Monte Carlo simulation by pre-fetching"). A step's proposal increment
-and uniform draw do not depend on the accept/reject decisions, so they are
-all drawn up front, in the order the sequential chain draws them. From a
-state theta at step i, the states the next ``DEPTH`` steps can reach while
-their decisions all go one way are then known:
+prefetch windows (Brockwell 2006, "Parallel Markov chain Monte Carlo
+simulation by pre-fetching"). A step's proposal increment and uniform draw
+do not depend on the accept/reject decisions, so they are all drawn up
+front, in the order the sequential chain draws them. From a state theta at
+step i, the states the next steps can reach while their decisions all go
+one way are then known:
 
-- the accept path theta + z_i, theta + z_i + z_i+1, ... (every step accepted);
-- the reject fan theta + z_i+k (every step rejected so far).
+- the A-step accept path theta + z_i, theta + z_i + z_i+1, ...,
+  theta + z_i + ... + z_i+A-1 (every step accepted);
+- the (F - 1)-row reject fan theta + z_i+1, ..., theta + z_i+F-1 (every
+  step from step i on rejected so far).
 
-Both share their first row, so one stacked eigensolve of 2 DEPTH - 1 rows
-covers the window; the likelihood needs eigenvalues only, so that solve is
-``StructuralModel.eigenvalues_batch``, which skips the mode shapes. The
-walk follows the accept path up to and including the first rejection, or
-the reject fan up to and including the first acceptance, and the next
-window starts from the state it lands on. The chain equals the sequential
-definition bit for bit: every proposal is formed by the same floating-point
-additions in the same order (the accept path is a running sum over [theta,
-z_i, z_i+1, ...]), each row's log posterior does not depend on the other
-rows of its batch, and every decision compares the same numbers. The
-window is built in one preallocated buffer (the running sum written in
-place, the fan added into its rows), and solved as it stands when every
-row is inside the prior box; every step from buffer to log posterior is
-elementwise or a per-matrix eigensolve, so each row's value is
-independent of its batch, which is what the exactness needs. Rows the
-walk never reaches are solved but their results are discarded; if a batch
-fails to converge, the window is re-solved one row at a time in walk order,
-so an error surfaces only for a state the sequential chain would also have
-solved.
+Step i's proposal theta + z_i heads the path whichever way its decision
+goes, so one stacked eigensolve of A + F - 1 rows covers the window (fewer
+where the chain's end cuts it short); the likelihood needs eigenvalues
+only, so that solve is ``StructuralModel.eigenvalues_batch``, which skips
+the mode shapes. The walk follows the accept path up to and including the
+first rejection, or the reject fan up to and including the first
+acceptance, and the next window starts from the state it lands on.
+
+The shape follows Strid (2010, "Efficient parallelisation of
+Metropolis-Hastings algorithms using a prefetching approach"): at
+acceptance rate p, with q = 1 - p, a window advances
+
+    S(A, F) = (1 - p^A) / (1 - p) + (q - q^F) / p
+
+steps on average, and costs ``WINDOW_COST`` + A + F - 1 solved rows. Each
+window takes the (A, F), each at most 24, that minimises cost / S at the
+running acceptance rate (accepted steps over steps so far, 0.5 before the
+first window), rounded to a multiple of 1/32. A chain that accepts most
+proposals gets a long path and a short fan, one that rejects most gets the
+reverse; at the default acceptance of about 0.78 the shape is (8, 2).
+
+The chain equals the sequential definition bit for bit, whatever the
+shapes: the shape only decides which states are solved ahead, never which
+states get a decision or how they are formed. Every proposal is formed by
+the same floating-point additions in the same order (the accept path is a
+running sum over [theta, z_i, z_i+1, ...]), each row's log posterior does
+not depend on the other rows of its batch, and every decision compares the
+same numbers. The window is built in one preallocated buffer (the running
+sum written in place, the fan added into its rows), and solved as it
+stands when every row is inside the prior box; every step from buffer to
+log posterior is elementwise or a per-matrix eigensolve, so each row's
+value is independent of its batch, which is what the exactness needs.
+Rows the walk never reaches are solved but their results are discarded;
+if a batch fails to converge, the window is re-solved one row at a time in
+walk order, so an error surfaces only for a state the sequential chain
+would also have solved.
 """
 
 from __future__ import annotations
@@ -56,7 +75,9 @@ __all__ = [
     "summarize",
 ]
 
-DEPTH = 8  # steps per prefetch window; each window solves 2 * DEPTH - 1 states
+# a prefetch window's fixed cost in solved rows: on one CPU a window's
+# Python and numpy overhead is about 70 us, a solved 5x5 row about 3.5 us
+WINDOW_COST = 20
 CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
@@ -132,10 +153,18 @@ class McmcConfig:
 
 @dataclass
 class Chain:
-    """Post-burn-in samples (rows) plus the whole-run acceptance rate."""
+    """Post-burn-in samples (rows) plus the whole-run acceptance rate.
+
+    ``windows`` counts the prefetch windows of the walk and ``solved_rows``
+    the rows it passed to ``eigenvalues_batch``, the start state and any
+    one-row re-solves included; both are 0 for a chain not built by
+    ``mh_sample``.
+    """
 
     samples: np.ndarray
     acceptance_rate: float
+    windows: int = 0
+    solved_rows: int = 0
 
 
 @dataclass
@@ -158,8 +187,17 @@ def log_posterior_batch(thetas, measured_eigenvalues, model: StructuralModel, co
     is, without gathering the rows and scattering their results.
     """
     th = np.asarray(thetas, dtype=float)
+    return _log_posterior_rows(th, _in_box(th, config), measured_eigenvalues, model, config)
+
+
+def _in_box(th, config: McmcConfig) -> np.ndarray:
+    """Which rows of ``th`` lie inside the prior box."""
+    return ((th >= config.theta_min) & (th <= config.theta_max)).all(axis=1)
+
+
+def _log_posterior_rows(th, inside, measured_eigenvalues, model, config) -> np.ndarray:
+    """``log_posterior_batch`` with the rows' prior-box mask already known."""
     lam_m = np.asarray(measured_eigenvalues, dtype=float)
-    inside = ((th >= config.theta_min) & (th <= config.theta_max)).all(axis=1)
     if inside.all():
         return _log_likelihood(model.eigenvalues_batch(th), lam_m, config)
     out = np.full(th.shape[0], -np.inf)
@@ -183,6 +221,24 @@ def log_posterior(theta, measured_eigenvalues, model: StructuralModel, config: M
     """Log posterior at one parameter vector: the one-row case of ``log_posterior_batch``."""
     row = np.asarray(theta, dtype=float).reshape(1, -1)
     return float(log_posterior_batch(row, measured_eigenvalues, model, config)[0])
+
+
+def _window_shapes() -> list[tuple[int, int]]:
+    """Window shape (A, F) for each running acceptance rate g / 32, g = 0..32.
+
+    A is the accept path's length and F - 1 the reject fan's row count, each
+    1..24; the pair minimises (WINDOW_COST + A + F - 1) / S(A, F) (see the
+    module docstring). S is summed as powers, so p = 0 and p = 1 need no
+    special case.
+    """
+    p = np.linspace(0.0, 1.0, 33)[:, None]
+    k = np.arange(24)
+    path_steps = (p**k).cumsum(axis=1)  # 1 + p + ... + p^(A-1), A = 1..24
+    fan_steps = ((1.0 - p) ** k).cumsum(axis=1) - 1.0  # q + ... + q^(F-1), F = 1..24
+    rows = k[:, None] + k[None, :] + 1  # A + F - 1
+    # one rate at a time: every temporary stays small, which keeps the peak RSS down
+    best = [((WINDOW_COST + rows) / (a[:, None] + f)).argmin() for a, f in zip(path_steps, fan_steps)]
+    return [(int(a) + 1, int(f) + 1) for a, f in zip(*np.divmod(best, k.size))]
 
 
 def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) -> Chain:
@@ -216,31 +272,47 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
     steps *= config.proposal_sd
     log_u = np.log(uniforms, out=uniforms)
 
+    shapes = _window_shapes()
+    grid = len(shapes) - 1
     lp = log_posterior(theta, measured_eigenvalues, model, config)
-    trace = np.empty((n, d))
-    # window buffer: row 0 is the current state, rows 1..k the accept path,
-    # rows k+1..2k-1 the reject fan after row 1
-    win = np.empty((2 * DEPTH, d))
+    # a window reads the increments of steps i.. before it writes the states
+    # of steps i..i+j-1 and the next window starts at i+j, so the trace
+    # overwrites the increments in place
+    trace = steps
+    # window buffer: row 0 is the current state, rows 1..a the accept path,
+    # rows a+1..a+f-1 the reject fan after row 1
+    a_max = max(a for a, _ in shapes)
+    f_max = max(f for _, f in shapes)
+    win = np.empty((a_max + f_max, d))
     win[0] = theta
     accepted = 0
+    windows = 0
+    solved = 1  # the start state
     i = 0
     while i < n:
-        k = min(DEPTH, n - i)
-        win[1 : k + 1] = steps[i : i + k]
-        win[: k + 1].cumsum(axis=0, out=win[: k + 1])
-        np.add(win[0], steps[i + 1 : i + k], out=win[k + 1 : 2 * k])
-        rows = win[1 : 2 * k]
+        # running acceptance rate rounded to a multiple of 1 / grid; 0.5 at the start
+        a, f = shapes[(2 * grid * accepted + i) // (2 * i) if i else grid // 2]
+        a, f = min(a, n - i), min(f, n - i)
+        win[1 : a + 1] = steps[i : i + a]
+        win[: a + 1].cumsum(axis=0, out=win[: a + 1])
+        np.add(win[0], steps[i + 1 : i + f], out=win[a + 1 : a + f])
+        rows = win[1 : a + f]
+        inside = _in_box(rows, config)
+        solved += int(np.count_nonzero(inside))
+        windows += 1
         try:
-            lps = log_posterior_batch(rows, measured_eigenvalues, model, config).tolist()
+            lps = _log_posterior_rows(rows, inside, measured_eigenvalues, model, config).tolist()
             row_lp = lps.__getitem__
         except ConvergenceError:  # re-solve only the rows the walk reaches
-            def row_lp(r, rows=rows):
+            def row_lp(r, rows=rows, inside=inside):
+                nonlocal solved
+                solved += int(inside[r])
                 return log_posterior(rows[r], measured_eigenvalues, model, config)
-        u = log_u[i : i + k].tolist()
+        u = log_u[i : i + max(a, f)].tolist()
         lp_next = row_lp(0)
         if u[0] < lp_next - lp:
             j, lp = 1, lp_next
-            while j < k:
+            while j < a:
                 lp_next = row_lp(j)
                 if not u[j] < lp_next - lp:
                     break
@@ -248,18 +320,20 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
             trace[i : i + j] = win[1 : j + 1]
             win[0] = win[j]
             accepted += j
+            span = a
         else:
             j = 1
-            while j < k:
-                lp_next = row_lp(k - 1 + j)
+            while j < f:
+                lp_next = row_lp(a - 1 + j)
                 if u[j] < lp_next - lp:
                     break
                 j += 1
             trace[i : i + j] = win[0]
-            if j < k:
-                win[0], lp = win[k + j], lp_next
+            if j < f:
+                win[0], lp = win[a + j], lp_next
                 accepted += 1
-        if j < k:  # the step that ended the run is consumed too
+            span = f
+        if j < span:  # the step that ended the run is consumed too
             trace[i + j] = win[0]
             j += 1
         i += j
@@ -267,7 +341,12 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
         raise DiagnosticsError(
             "no proposal was ever accepted; decrease proposal_sd (or check the likelihood)"
         )
-    return Chain(samples=trace[config.burn_in :], acceptance_rate=accepted / n)
+    return Chain(
+        samples=trace[config.burn_in :],
+        acceptance_rate=accepted / n,
+        windows=windows,
+        solved_rows=solved,
+    )
 
 
 def summarize(chain: Chain) -> ChainSummary:

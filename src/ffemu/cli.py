@@ -16,7 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, bayes, report, scenarios
+from . import __version__, bayes, bundle, report, scenarios
 from .errors import ConfigurationError, FfemuError
 from .fuzzy import default_levels
 from .model import read_json
@@ -64,8 +64,8 @@ def cmd_update(args) -> int:
         logger.setLevel(level)
     out = Path(args.out)
     report.write_bundle(out, config.run, result)
-    summary = report.load_summary(out)
-    print(report.render_tables(summary, report.load_bayes_summary(out)))
+    summary = bundle.load_summary(out)
+    print(report.render_tables(summary, bundle.load_bayes_summary(out, summary)))
     print(f"\nresult bundle written to {out}")
     return EXIT_OK
 
@@ -88,8 +88,10 @@ def cmd_bayes(args) -> int:
         "acceptance_rate": float(chain.acceptance_rate),
         "n_samples": int(chain.samples.shape[0]),
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
+        "windows": chain.windows,
+        "solved_rows": chain.solved_rows,
     }
-    with open(out / report.BAYES_FILE, "w", encoding="utf-8") as fh:
+    with open(out / bundle.BAYES_FILE, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     labels = report.parameter_labels(config.run.model)
@@ -100,13 +102,17 @@ def cmd_bayes(args) -> int:
             f"{summary.cov_percent[i]:9.2f}"
         )
     print(f"acceptance rate: {chain.acceptance_rate:.3f}")
+    print(
+        f"prefetch windows: {chain.windows}   rows solved per step: "
+        f"{chain.solved_rows / config.bayes.n_samples:.2f}"
+    )
     print(f"chain and summary written to {out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    summary = report.load_summary(args.bundle)
-    bayes_summary = report.load_bayes_summary(args.bundle)
+    summary = bundle.load_summary(args.bundle)
+    bayes_summary = bundle.load_bayes_summary(args.bundle, summary)
     if not summary.get("parameters"):
         print("bundle contains no parameter data", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -3,7 +3,8 @@
 An updating run is persisted as a directory: ``summary.json`` holds raw
 values only (eigenvalues, cut bounds, counts); percent errors and
 frequencies are recomputed at render time so every printed number can be
-traced back to raw data. Membership curves are emitted as CSV.
+traced back to raw data. Membership curves are emitted as CSV. Reading a
+bundle's JSON files back, and checking them, is ``bundle``'s job.
 """
 
 from __future__ import annotations
@@ -15,22 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .bundle import SUMMARY_FILE
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, write_cuts_csv, write_membership_csv
-from .model import StructuralModel, read_json
+from .model import StructuralModel
 from .objective import eigenvalue_to_hz
 
 __all__ = [
     "parameter_labels",
     "write_bundle",
-    "load_summary",
-    "load_bayes_summary",
     "render_tables",
     "regenerate_curves",
 ]
-
-SUMMARY_FILE = "summary.json"
-BAYES_FILE = "bayes_summary.json"
 
 
 def parameter_labels(model: StructuralModel) -> list[str]:
@@ -146,34 +142,6 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     write_cuts_csv(output_stacks, out / "output_cuts.csv")
     write_membership_csv(output_stacks, out / "output_membership.csv")
     write_membership_csv(measured_stacks, out / "measured_output_membership.csv")
-
-
-def _read_object(path: Path) -> dict:
-    """One bundle JSON file, which must hold an object."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
-def load_summary(bundle_dir) -> dict:
-    """Read ``summary.json`` from a bundle; raises FileNotFoundError naming it.
-
-    A file that is not valid JSON, or not one JSON object, is a
-    ``ConfigurationError`` naming it.
-    """
-    path = Path(bundle_dir) / SUMMARY_FILE
-    if not path.exists():
-        raise FileNotFoundError(f"result bundle is missing {SUMMARY_FILE} (looked in {path.parent})")
-    return _read_object(path)
-
-
-def load_bayes_summary(bundle_dir) -> dict | None:
-    """Read ``bayes_summary.json`` from a bundle, or None when it has none."""
-    path = Path(bundle_dir) / BAYES_FILE
-    if not path.exists():
-        return None
-    return _read_object(path)
 
 
 def _fmt_interval(lo, hi) -> str:
@@ -297,6 +265,13 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     if err_bayes:
         parts.append(f"M-H {np.mean(err_bayes):.2f}")
     lines.append(f"{total_line} " + ", ".join(parts))
+    if bayes is not None:
+        windows, solved = bayes.get("windows"), bayes.get("solved_rows")
+        lines.append(
+            f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   "
+            f"windows {'-' if windows is None else windows}   "
+            f"solved rows {'-' if solved is None else solved}"
+        )
     lines.append("")
     lines += _level_table(summary)
     lines.append("")

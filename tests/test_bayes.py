@@ -1,20 +1,24 @@
 """Tests for the Metropolis-Hastings baseline."""
 
 import csv
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from ffemu import scenarios
+from ffemu import bayes
 from ffemu.bayes import (
     CSV_CHUNK,
-    DEPTH,
+    WINDOW_COST,
     Chain,
     McmcConfig,
     log_posterior,
     mh_sample,
     summarize,
+    _window_shapes,
     write_chain_csv,
 )
 from ffemu.errors import (
@@ -49,9 +53,10 @@ def one_dof_config(**overrides):
     return McmcConfig(**defaults)
 
 
-def sequential_chain(config, model, measured, solved=None):
+def sequential_chain(config, model, measured, solved=None, decisions=None):
     """The one-step-at-a-time definition of the chain, as the sampler ran it
-    before the windowed walk; ``solved`` collects every state it evaluates."""
+    before the windowed walk; ``solved`` collects every state it evaluates
+    and ``decisions`` each step's accept (True) or reject (False)."""
     rng = np.random.default_rng(config.rng_seed)
     theta = (
         config.initial.copy()
@@ -66,10 +71,13 @@ def sequential_chain(config, model, measured, solved=None):
         proposal = theta + rng.normal(0.0, config.proposal_sd)
         lp_prop = log_posterior(proposal, measured, model, config)
         states.append(proposal)
-        if np.log(rng.uniform()) < lp_prop - lp:
+        accept = bool(np.log(rng.uniform()) < lp_prop - lp)
+        if accept:
             theta = proposal
             lp = lp_prop
             accepted += 1
+        if decisions is not None:
+            decisions.append(accept)
         if i >= config.burn_in:
             kept[i - config.burn_in] = theta
     if solved is not None:
@@ -92,6 +100,56 @@ def assert_equals_sequential(config, model, measured):
     assert np.array_equal(chain.samples, samples)
     assert chain.acceptance_rate == rate
     return chain
+
+
+def replayed_windows(decisions):
+    """The windows the walk should make, replayed from the sequential chain's
+    decisions and the shape rule: one (shape, rows, cut, accept_branch) per
+    window, where ``cut`` means the chain's end shortened the branch taken."""
+    shapes = _window_shapes()
+    grid = len(shapes) - 1
+    n = len(decisions)
+    windows = []
+    i = accepted = 0
+    while i < n:
+        rate = accepted / i if i else 0.5
+        path, fan = shapes[math.floor(grid * rate + 0.5)]
+        a, f = min(path, n - i), min(fan, n - i)
+        branch = decisions[i]
+        limit = a if branch else f
+        j = 1
+        while j < limit and decisions[i + j] == branch:
+            j += 1
+        if j < limit:
+            j += 1
+        windows.append(((path, fan), a + f - 1, limit < (path if branch else fan), branch))
+        accepted += sum(decisions[i : i + j])
+        i += j
+    return windows
+
+
+def walk_with_windows(config, model, measured, monkeypatch):
+    """Run the walk; check it against the sequential chain bit for bit and its
+    windows against the replayed shape rule. Every row must be inside the
+    prior box, so that each window is one solve of all its rows."""
+    calls = []
+    original = StructuralModel.eigenvalues_batch
+
+    def counting(self, thetas):
+        calls.append(len(thetas))
+        return original(self, thetas)
+
+    monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
+    chain = mh_sample(config, model, measured)
+    monkeypatch.undo()
+    decisions = []
+    samples, rate = sequential_chain(config, model, measured, decisions=decisions)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.acceptance_rate == rate
+    windows = replayed_windows(decisions)
+    assert calls == [1] + [rows for _, rows, _, _ in windows]
+    assert (chain.windows, chain.solved_rows) == (len(windows), sum(calls))
+    return chain, windows
 
 
 class TestLogPosterior:
@@ -199,20 +257,64 @@ class TestWindowedWalk:
         model = one_dof_model()
         config = one_dof_config(proposal_sd=np.array([0.5]), initial=np.array([1.5]), rng_seed=4)
         measured = np.array([1.1])
-        solved_rows = []
-        original = StructuralModel.eigenvalues_batch
+        solved_rows = []  # rows per eigensolve
+        batches = []  # (rows, rows inside the box): the start state, then each window
+        original_solve = StructuralModel.eigenvalues_batch
+        original_rows = bayes._log_posterior_rows
 
         def counting(self, thetas):
             solved_rows.append(len(thetas))
-            return original(self, thetas)
+            return original_solve(self, thetas)
+
+        def recording(th, inside, *args):
+            batches.append((len(th), int(inside.sum())))
+            return original_rows(th, inside, *args)
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
+        monkeypatch.setattr(bayes, "_log_posterior_rows", recording)
         chain = mh_sample(config, model, measured)
         monkeypatch.undo()
-        assert any(0 < rows < 2 * DEPTH - 1 for rows in solved_rows)
+        assert any(0 < solved < rows for rows, solved in batches[1:])
+        # only the rows inside the box reach the eigensolver
+        assert solved_rows == [solved for _, solved in batches if solved]
+        assert (chain.windows, chain.solved_rows) == (len(batches) - 1, sum(solved_rows))
         samples, rate = sequential_chain(config, model, measured)
         assert np.array_equal(chain.samples, samples)
         assert chain.acceptance_rate == rate
+
+    @pytest.mark.parametrize(
+        "fraction, likelihood_sd, low, high, capped",
+        [(0.001, 0.005, 0.9, 1.0, (24, 1)), (0.05, 0.001, 0.0, 0.02, (1, 24))],
+        ids=["path-capped", "fan-capped"],
+    )
+    def test_capped_shapes_equal_sequential(
+        self, fraction, likelihood_sd, low, high, capped, monkeypatch
+    ):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        config = five_dof_chain_config(fraction, likelihood_sd=likelihood_sd)
+        chain, windows = walk_with_windows(config, model, measured, monkeypatch)
+        assert low <= chain.acceptance_rate <= high
+        assert capped in {shape for shape, _, _, _ in windows}
+
+    @pytest.mark.parametrize(
+        "overrides, accept_branch, window_rows",
+        [
+            # rate 0.5 at the start, then 1: the path grows to its cap of 24
+            (dict(n_samples=86, proposal_sd=np.array([1e-12])), True, [7, 24, 24, 24, 10]),
+            (dict(n_samples=301, likelihood_sd=0.0005), False, None),
+        ],
+        ids=["accept-path", "reject-fan"],
+    )
+    def test_chain_ending_mid_window_equals_sequential(
+        self, overrides, accept_branch, window_rows, monkeypatch
+    ):
+        model = one_dof_model()
+        config = one_dof_config(burn_in=0, initial=np.array([5.0]), **overrides)
+        _, windows = walk_with_windows(config, model, np.array([5.0]), monkeypatch)
+        _, _, cut, branch = windows[-1]
+        assert cut and branch == accept_branch
+        assert window_rows in (None, [rows for _, rows, _, _ in windows])
 
     def test_burn_in_zero(self):
         model = scenarios.five_dof_model()
@@ -220,13 +322,16 @@ class TestWindowedWalk:
         chain = assert_equals_sequential(five_dof_chain_config(0.03, burn_in=0), model, measured)
         assert chain.samples.shape == (600, 5)
 
-    def test_sample_count_not_a_multiple_of_depth(self):
+    def test_sample_count_not_a_multiple_of_depth(self, monkeypatch):
+        # the chain's end cuts its last window short
         model = scenarios.five_dof_model()
         measured = model.modal(scenarios.THETA_TRUE).eigenvalues
-        n = 37 * DEPTH + 5
-        chain = assert_equals_sequential(
-            five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured
+        n = 301
+        chain, windows = walk_with_windows(
+            five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured, monkeypatch
         )
+        _, _, cut, _ = windows[-1]
+        assert cut
         assert chain.samples.shape == (n - 7, 5)
 
     def test_unreached_row_that_fails_to_converge_does_not_raise(self, monkeypatch):
@@ -236,8 +341,10 @@ class TestWindowedWalk:
         reached = set()
         samples, rate = sequential_chain(config, model, measured, solved=reached)
         original = StructuralModel.eigenvalues_batch
+        passed = []
 
         def fails_off_the_chain(self, thetas):
+            passed.append(len(thetas))
             if any(row.tobytes() not in reached for row in np.asarray(thetas)):
                 raise ConvergenceError("eigensolver did not converge")
             return original(self, thetas)
@@ -246,6 +353,9 @@ class TestWindowedWalk:
         chain = mh_sample(config, model, measured)
         assert np.array_equal(chain.samples, samples)
         assert chain.acceptance_rate == rate
+        # solved_rows counts the failed batches and the one-row re-solves
+        assert 1 in passed[1:]
+        assert chain.solved_rows == sum(passed)
 
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
         model = scenarios.five_dof_model()
@@ -262,8 +372,42 @@ class TestWindowedWalk:
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_after_start)
         with pytest.raises(ConvergenceError):
             mh_sample(five_dof_chain_config(0.03), model, measured)
-        # the window's batch, then the first row of the one-row re-solve
-        assert calls == [1, 2 * DEPTH - 1, 1]
+        # the first window's batch (its shape at the starting rate 0.5),
+        # then the first row of the one-row re-solve
+        shapes = _window_shapes()
+        path, fan = shapes[len(shapes) // 2]
+        assert calls == [1, path + fan - 1, 1]
+
+
+class TestWindowShapes:
+    def test_each_shape_minimises_the_modelled_cost(self):
+        # brute force over every path and fan up to the cap of 24, in exact
+        # arithmetic, with S = (1 - p^A) / (1 - p) + (q - q^F) / p
+        shapes = _window_shapes()
+        grid = len(shapes) - 1
+        assert grid == 32
+        for g, chosen in enumerate(shapes):
+            p = Fraction(g, grid)
+            q = 1 - p
+
+            def cost(path, fan):
+                along = path if p == 1 else (1 - p**path) / (1 - p)
+                across = fan - 1 if p == 0 else (q - q**fan) / p
+                return (WINDOW_COST + path + fan - 1) / (along + across)
+
+            best = min(cost(a, f) for a in range(1, 25) for f in range(1, 25))
+            assert all(1 <= v <= 24 for v in chosen)
+            assert cost(*chosen) <= best * (1 + Fraction(1, 10**12)), (p, chosen)
+
+    def test_path_never_shortens_and_fan_never_grows_as_the_rate_rises(self):
+        paths, fans = zip(*_window_shapes())
+        assert all(a <= b for a, b in zip(paths, paths[1:]))
+        assert all(a >= b for a, b in zip(fans, fans[1:]))
+        assert (paths[0], fans[0]) == (1, 24) and (paths[-1], fans[-1]) == (24, 1)
+
+    def test_default_acceptance_takes_an_eight_step_path_and_one_fan_row(self):
+        # the bundled M-H run accepts about 0.78 of its proposals
+        assert _window_shapes()[round(0.78 * 32)] == (8, 2)
 
 
 class TestSummarize:

@@ -96,7 +96,9 @@ class TestReport:
         path.write_text(json.dumps(config))
         out = root / "bundle"
         assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
-        (out / "bayes_summary.json").write_text(json.dumps({"mean": [1.0]}))
+        config["bayes"].update(n_samples=300, burn_in=50)
+        path.write_text(json.dumps(config))
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
         return out
 
     @pytest.mark.parametrize("name", ["summary.json", "bayes_summary.json"])
@@ -116,6 +118,116 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"configuration error: {copy / name}: {message}")
 
 
+    def test_renders_the_sampler_telemetry(self, bundle, capsys):
+        payload = json.loads((bundle / "bayes_summary.json").read_text())
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(bundle)]) == cli.EXIT_OK
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
+        assert line.split() == [
+            "M-H", "sampler:", "acceptance", "rate", f"{payload['acceptance_rate']:.3f}",
+            "windows", str(payload["windows"]), "solved", "rows", str(payload["solved_rows"]),
+        ]
+
+    def test_renders_a_bayes_summary_without_telemetry(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        payload = json.loads((copy / "bayes_summary.json").read_text())
+        del payload["windows"], payload["solved_rows"]
+        (copy / "bayes_summary.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
+        assert line.split()[-5:] == ["windows", "-", "solved", "rows", "-"]
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("summary.json", lambda d: d.pop("alpha_levels"), "missing field 'alpha_levels'"),
+            (
+                "summary.json",
+                lambda d: d["metadata"].update(evaluation_counts=["x", 1]),
+                "field 'metadata.evaluation_counts' must be a list of 2 integers",
+            ),
+            (
+                "summary.json",
+                lambda d: d["parameters"][1]["cuts"].pop(),
+                "field 'parameters[1].cuts' must be a list of 2 rows of 3 numbers",
+            ),
+            (
+                "summary.json",
+                lambda d: d.update(theta_initial=[1.0]),
+                "field 'theta_initial' must be a list of 5 numbers",
+            ),
+            (
+                "bayes_summary.json",
+                lambda d: d.update(cov_percent=[1.0]),
+                "field 'cov_percent' must be a list of 5 numbers",
+            ),
+            ("summary.json", lambda d: d.update(alpha_levels=[]), "field 'alpha_levels' must not be empty"),
+            (
+                "summary.json",
+                lambda d: d.update(measured_eigenvalue_tfns=[[1.0, 2.0]] * 5),
+                "field 'measured_eigenvalue_tfns' must be a list of 5 rows of 3 numbers",
+            ),
+            ("summary.json", lambda d: d.pop("metadata"), "field 'metadata' must be an object"),
+            (
+                "summary.json",
+                lambda d: d["outputs"][0].update(mode="1"),
+                "field 'outputs[0].mode' must be an integer",
+            ),
+            ("bayes_summary.json", lambda d: d.pop("acceptance_rate"), "missing field 'acceptance_rate'"),
+            (
+                "bayes_summary.json",
+                lambda d: d.update(windows=2.5),
+                "field 'windows' must be an integer",
+            ),
+        ],
+    )
+    def test_missing_or_mistyped_field_is_a_configuration_error(
+        self, bundle, name, edit, message, tmp_path, capsys
+    ):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        data = json.loads((copy / name).read_text())
+        edit(data)
+        (copy / name).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {copy / name}: {message}\n"
+
+    def test_no_deleted_or_mistyped_field_ends_in_a_traceback(self, bundle, tmp_path, capsys):
+        # every field at every level the report reads, deleted or set to a
+        # string: the report renders it or refuses it as a configuration error
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        for name in ("summary.json", "bayes_summary.json"):
+            text = (copy / name).read_text()
+            data = json.loads(text)
+            objects = [data] + [v for v in data.values() if isinstance(v, dict)]
+            objects += [v[0] for v in data.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+            for obj in objects:
+                for key in list(obj):
+                    for edit in ("delete", "string"):
+                        value = obj.pop(key)
+                        if edit == "string":
+                            obj[key] = "x"
+                        (copy / name).write_text(json.dumps(data))
+                        code = cli.main(["report", "--bundle", str(copy)])
+                        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (name, key, edit)
+                        obj[key] = value
+            (copy / name).write_text(text)
+        capsys.readouterr()
+
+    def test_a_bare_mean_is_a_configuration_error(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / "bayes_summary.json").write_text(json.dumps({"mean": "x"}))
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_CONFIG
+        message = "field 'mean' must be a list of 5 numbers"
+        assert capsys.readouterr().err == f"configuration error: {copy / 'bayes_summary.json'}: {message}\n"
+
+
 class TestBayes:
     @pytest.mark.parametrize("section", [5, [1]])
     def test_non_object_bayes_section_is_a_configuration_error(self, section, tmp_path, capsys):
@@ -127,6 +239,23 @@ class TestBayes:
         assert cli.main(args) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(path) in err and "'bayes' must be an object" in err
+
+
+    def test_summary_records_windows_and_solved_rows(self, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"].update(n_samples=400, burn_in=50)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        payload = json.loads((out / "bayes_summary.json").read_text())
+        assert list(payload)[-2:] == ["windows", "solved_rows"]
+        # the start state, then at least one and at most 24 rows per window
+        assert payload["windows"] < payload["solved_rows"] <= 1 + 24 * payload["windows"]
+        per_step = payload["solved_rows"] / 400
+        assert f"prefetch windows: {payload['windows']}   rows solved per step: {per_step:.2f}" in (
+            capsys.readouterr().out
+        )
 
 
 class TestNonNumericConfigValues:
