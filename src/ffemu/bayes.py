@@ -9,9 +9,13 @@ The chain is the plain sequential random walk, but it is evaluated in
 prefetch windows (Brockwell 2006, "Parallel Markov chain Monte Carlo
 simulation by pre-fetching"). A step's proposal increment and uniform draw
 do not depend on the accept/reject decisions, so they are all drawn up
-front, in the order the sequential chain draws them. From a state theta at
-step i, the states the next steps can reach while their decisions all go
-one way are then known:
+front, from two child streams of ``SeedSequence(rng_seed).spawn(2)``: the
+first gives the n standard-normal increment rows, ``standard_normal((n, d))``
+scaled by ``proposal_sd``, and the second the n uniforms, ``random(n)``.
+Step i takes the i-th row and the i-th uniform, so a shorter chain with the
+same seed is a prefix of a longer one. From a state theta at step i, the
+states the next steps can reach while their decisions all go one way are
+then known:
 
 - the A-step accept path theta + z_i, theta + z_i + z_i+1, ...,
   theta + z_i + ... + z_i+A-1 (every step accepted);
@@ -58,6 +62,8 @@ would also have solved.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +94,10 @@ class McmcConfig:
     ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
     The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
     the parameters are stiffnesses. The chain starts at ``initial`` when
-    given, else at the box center. All vectors are 1-D and of one length.
+    given, else at the box center. All vectors are 1-D, of one length and
+    finite. ``rng_seed`` seeds the ``SeedSequence`` whose two child
+    streams give the proposal increments and the acceptance uniforms (see
+    ``mh_sample``).
     """
 
     n_samples: int
@@ -113,12 +122,19 @@ class McmcConfig:
             raise ConfigurationError(
                 "proposal_sd, theta_min, theta_max and initial must be 1-D and of one length"
             )
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise ConfigurationError("proposal_sd, theta_min, theta_max and initial must be finite")
+        for name in ("n_samples", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not self.n_samples > self.burn_in >= 0:
             raise ConfigurationError("need n_samples > burn_in >= 0")
         if np.any(self.proposal_sd <= 0.0):
             raise ConfigurationError("proposal_sd entries must be positive")
-        if self.likelihood_sd <= 0.0:
-            raise ConfigurationError("likelihood_sd must be positive")
+        sd = self.likelihood_sd
+        if isinstance(sd, bool) or not isinstance(sd, numbers.Real) or not 0.0 < sd < math.inf:
+            raise ConfigurationError(f"likelihood_sd must be positive and finite, got {sd!r}")
         if np.any(self.theta_min <= 0.0):
             raise ConfigurationError("theta_min entries must be positive (stiffnesses)")
         if np.any(self.theta_min >= self.theta_max):
@@ -245,10 +261,11 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
     """Random-walk Metropolis-Hastings with Gaussian proposals.
 
     Deterministic for a fixed seed, and equal bit for bit to the sequential
-    chain that draws ``rng.normal(0, proposal_sd)`` then ``rng.uniform()``
-    at each step (see the module docstring for the windowed walk). Raises
-    when nothing was ever accepted, which almost always means the proposal
-    steps are far too large.
+    chain that, at each step, draws d standard normals from the first child
+    stream of ``SeedSequence(rng_seed).spawn(2)`` (scaled by ``proposal_sd``)
+    and one uniform from the second (see the module docstring for the
+    windowed walk). Raises when nothing was ever accepted, which almost
+    always means the proposal steps are far too large.
     """
     d = config.theta_min.size
     if d != model.parameter_count:
@@ -263,14 +280,11 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
     if np.any(theta < config.theta_min) or np.any(theta > config.theta_max):
         raise ConfigurationError("chain start lies outside the prior box")
     n = config.n_samples
-    rng = np.random.default_rng(config.rng_seed)
-    steps = np.empty((n, d))
-    uniforms = np.empty(n)
-    for i in range(n):
-        rng.standard_normal(out=steps[i])
-        uniforms[i] = rng.random()
+    normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
+    steps = normals.standard_normal((n, d))
     steps *= config.proposal_sd
-    log_u = np.log(uniforms, out=uniforms)
+    log_u = uniforms.random(n)
+    np.log(log_u, out=log_u)
 
     shapes = _window_shapes()
     grid = len(shapes) - 1
@@ -350,11 +364,22 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
 
 
 def summarize(chain: Chain) -> ChainSummary:
-    """Sample mean, standard deviation (N-1 divisor), and c.o.v. in percent."""
-    if chain.samples.size == 0:
+    """Sample mean, standard deviation (N-1 divisor), and c.o.v. in percent.
+
+    The deviations are formed one column at a time (two passes: the mean,
+    then the deviations' dot product), so the only temporary is one column,
+    not a copy of the whole chain.
+    """
+    samples = chain.samples
+    if samples.size == 0:
         raise DomainError("cannot summarize an empty chain")
-    mean = chain.samples.mean(axis=0)
-    sd = chain.samples.std(axis=0, ddof=1) if chain.samples.shape[0] > 1 else np.zeros_like(mean)
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    sd = np.zeros_like(mean)
+    if n > 1:
+        for j, column in enumerate(samples.T):
+            dev = column - mean[j]
+            sd[j] = math.sqrt(dev @ dev / (n - 1))
     return ChainSummary(mean=mean, sd=sd, cov_percent=100.0 * sd / mean)
 
 

@@ -48,6 +48,14 @@ def _check_counts(config, names) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_reals(config, names) -> None:
+    """The named fields of an optimizer config must hold finite real numbers."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Plain axis-aligned box region; projection is componentwise clamping."""
@@ -89,6 +97,7 @@ class AcoConfig:
 
     def __post_init__(self):
         _check_counts(self, ("archive_size", "n_ants", "max_iterations", "stagnation_window"))
+        _check_reals(self, ("q", "xi", "stagnation_tolerance"))
         if self.archive_size < 2:
             raise DomainError("archive_size must be at least 2")
         if self.n_ants < 1:
@@ -118,6 +127,7 @@ class PsoConfig:
 
     def __post_init__(self):
         _check_counts(self, ("swarm_size", "max_iterations", "stagnation_window"))
+        _check_reals(self, ("inertia", "cognitive", "social", "v_max_fraction", "stagnation_tolerance"))
         if self.swarm_size < 2:
             raise DomainError("swarm_size must be at least 2")
         if not 0.0 < self.v_max_fraction <= 1.0:

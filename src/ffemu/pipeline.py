@@ -461,16 +461,21 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     bayes_cfg = None
     if "bayes" in raw:
         b = _section(raw, "bayes", path)
+        counts = {key: b.get(key, default) for key, default in (("n_samples", 10000), ("burn_in", 1000))}
+        for key, value in counts.items():
+            if not _is_int(value):
+                raise ConfigurationError(f"{path}: 'bayes.{key}' must be an integer, got {value!r}")
+        fraction = _number(b.get("proposal_fraction", 0.01), "bayes.proposal_fraction", path)
+        likelihood_sd = _number(b.get("likelihood_sd", 0.01), "bayes.likelihood_sd", path)
         try:
             bayes_cfg = McmcConfig.from_box(
                 theta_min,
                 theta_max,
-                n_samples=int(b.get("n_samples", 10000)),
-                burn_in=int(b.get("burn_in", 1000)),
-                proposal_fraction=float(b.get("proposal_fraction", 0.01)),
-                likelihood_sd=float(b.get("likelihood_sd", 0.01)),
+                proposal_fraction=fraction,
+                likelihood_sd=likelihood_sd,
                 rng_seed=seed,
                 initial=theta_initial,
+                **counts,
             )
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: bad bayes section: {exc}") from exc

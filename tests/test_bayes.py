@@ -54,10 +54,11 @@ def one_dof_config(**overrides):
 
 
 def sequential_chain(config, model, measured, solved=None, decisions=None):
-    """The one-step-at-a-time definition of the chain, as the sampler ran it
-    before the windowed walk; ``solved`` collects every state it evaluates
-    and ``decisions`` each step's accept (True) or reject (False)."""
-    rng = np.random.default_rng(config.rng_seed)
+    """The one-step-at-a-time definition of the chain: each step draws d
+    normals from the first child stream of ``SeedSequence(rng_seed)`` and
+    one uniform from the second. ``solved`` collects every state it
+    evaluates and ``decisions`` each step's accept (True) or reject (False)."""
+    normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
     theta = (
         config.initial.copy()
         if config.initial is not None
@@ -68,10 +69,10 @@ def sequential_chain(config, model, measured, solved=None, decisions=None):
     kept = np.empty((config.n_samples - config.burn_in, theta.size))
     accepted = 0
     for i in range(config.n_samples):
-        proposal = theta + rng.normal(0.0, config.proposal_sd)
+        proposal = theta + normals.normal(0.0, config.proposal_sd)
         lp_prop = log_posterior(proposal, measured, model, config)
         states.append(proposal)
-        accept = bool(np.log(rng.uniform()) < lp_prop - lp)
+        accept = bool(np.log(uniforms.uniform()) < lp_prop - lp)
         if accept:
             theta = proposal
             lp = lp_prop
@@ -379,6 +380,30 @@ class TestWindowedWalk:
         assert calls == [1, path + fan - 1, 1]
 
 
+class TestRandomStreams:
+    """Increments come from the first child stream of ``SeedSequence(rng_seed)``,
+    uniforms from the second, one row and one uniform per step."""
+
+    def test_shorter_chain_is_a_prefix_of_a_longer_one(self):
+        model = scenarios.five_dof_model()
+        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        short = mh_sample(five_dof_chain_config(0.03, n_samples=3000, burn_in=0), model, measured)
+        long = mh_sample(five_dof_chain_config(0.03, n_samples=5000, burn_in=0), model, measured)
+        assert np.array_equal(short.samples, long.samples[:3000])
+
+    def test_accepted_states_are_the_running_sum_of_the_first_stream(self):
+        # a step of 1e-12 changes the log posterior by about 1e-21, less than
+        # the largest log uniform, -2^-53: every proposal is accepted
+        model = one_dof_model()
+        config = one_dof_config(proposal_sd=np.array([1e-12]), initial=np.array([5.0]), rng_seed=9)
+        chain = mh_sample(config, model, np.array([5.0]))
+        first, _ = np.random.SeedSequence(9).spawn(2)
+        z = np.random.default_rng(first).standard_normal((config.n_samples, 1))
+        states = np.cumsum(np.vstack([config.initial, z * config.proposal_sd]), axis=0)
+        assert chain.acceptance_rate == 1.0
+        assert chain.samples.tobytes() == states[1 + config.burn_in :].tobytes()
+
+
 class TestWindowShapes:
     def test_each_shape_minimises_the_modelled_cost(self):
         # brute force over every path and fan up to the cap of 24, in exact
@@ -427,6 +452,13 @@ class TestSummarize:
     def test_empty_chain_rejected(self):
         with pytest.raises(DomainError):
             summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0))
+
+    def test_sd_agrees_with_numpy_on_a_long_chain(self):
+        rng = np.random.default_rng(5)
+        mean, sd = [4000.0, 2100.0, 2100.0, 2500.0, 2400.0], [90.0, 40.0, 40.0, 50.0, 45.0]
+        samples = rng.normal(mean, sd, (40000, 5))
+        summary = summarize(Chain(samples=samples, acceptance_rate=0.8))
+        np.testing.assert_allclose(summary.sd, samples.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
 
 
 def csv_writer_chain_file(chain, path):
@@ -490,6 +522,25 @@ class TestConfigValidation:
     def test_positive_likelihood_sd(self):
         with pytest.raises(ConfigurationError):
             one_dof_config(likelihood_sd=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.02", True])
+    def test_likelihood_sd_must_be_a_finite_number(self, value):
+        with pytest.raises(ConfigurationError, match="likelihood_sd"):
+            one_dof_config(likelihood_sd=value)
+
+    @pytest.mark.parametrize("field", ["proposal_sd", "theta_min", "theta_max", "initial"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_vectors_must_be_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            one_dof_config(**{field: np.array([value])})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_samples", 2500.9), ("n_samples", "2000"), ("burn_in", True)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            one_dof_config(**{field: value})
 
     def test_start_outside_box_rejected(self):
         model = one_dof_model()

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -241,6 +242,28 @@ class TestBayes:
         assert str(path) in err and "'bayes' must be an object" in err
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("likelihood_sd", math.nan, "'bayes.likelihood_sd' must be a finite number, got nan"),
+            ("proposal_fraction", math.inf, "'bayes.proposal_fraction' must be a finite number, got inf"),
+            ("n_samples", 2500.9, "'bayes.n_samples' must be an integer, got 2500.9"),
+            ("n_samples", "2000", "'bayes.n_samples' must be an integer, got '2000'"),
+            ("burn_in", True, "'bayes.burn_in' must be an integer, got True"),
+        ],
+    )
+    def test_malformed_setting_is_a_configuration_error_naming_its_key(
+        self, key, value, message, tmp_path, capsys
+    ):
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity as JSON literals
+        out = tmp_path / "out"
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_summary_records_windows_and_solved_rows(self, tmp_path, capsys):
         config = scenarios.bundled_run_config(seed=2)
         config["bayes"].update(n_samples=400, burn_in=50)
@@ -296,6 +319,14 @@ class TestNonNumericConfigValues:
             ("aco", {"n_ants": 0}, "bad optimizer section: n_ants must be at least 1"),
             ("pso", {"swarm_size": True}, "bad optimizer section: swarm_size must be an integer"),
             ("aco", {"rng_seed": 5}, "bad optimizer section"),
+            ("aco", {"q": math.nan}, "bad optimizer section: q must be a finite number, got nan"),
+            ("aco", {"xi": math.inf}, "bad optimizer section: xi must be a finite number, got inf"),
+            (
+                "aco",
+                {"stagnation_tolerance": "1e-10"},
+                "bad optimizer section: stagnation_tolerance must be a finite number, got '1e-10'",
+            ),
+            ("pso", {"inertia": math.nan}, "bad optimizer section: inertia must be a finite number"),
             ("truth", {"theta_true": "x"}, "'truth': truth spec values must be numbers"),
             (
                 "truth",

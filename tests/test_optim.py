@@ -375,6 +375,24 @@ class TestConfigCounts:
     def test_numpy_integers_accepted(self):
         assert AcoConfig(n_ants=np.int64(3)).n_ants == 3
 
+    @pytest.mark.parametrize("field", ["q", "xi", "stagnation_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1e-10", None, True])
+    def test_aco_reals_must_be_finite_numbers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+            AcoConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["inertia", "cognitive", "social", "v_max_fraction", "stagnation_tolerance"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5"])
+    def test_pso_reals_must_be_finite_numbers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+            PsoConfig(**{field: value})
+
+    def test_integers_and_numpy_floats_accepted_as_reals(self):
+        config = AcoConfig(q=1, xi=np.float64(0.5), stagnation_tolerance=0)
+        assert (config.q, config.xi, config.stagnation_tolerance) == (1, 0.5, 0)
+
 
 class TestPsoMinimize:
     def box5(self):
