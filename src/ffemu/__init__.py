@@ -21,7 +21,6 @@ from .bayes import (
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    DefiniteMatrixError,
     DegenerateVectorError,
     DiagnosticsError,
     DomainError,
@@ -30,17 +29,14 @@ from .errors import (
     ShapeError,
 )
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
-from .linalg import ModalSolution, generalized_eig, pair_modes
+from .linalg import ModalSolution, pair_modes
 from .model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
 from .objective import (
-    IntervalParameters,
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,
     WeightingConfig,
     load_measured,
-    objective_value,
     residual_batch,
-    residual_vector,
     save_measured,
     vertex_modes,
 )

@@ -63,12 +63,19 @@ would also have solved.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError, ShapeError
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DiagnosticsError,
+    DomainError,
+    ShapeError,
+    is_finite_number,
+    is_integer,
+)
 from .model import StructuralModel
 
 __all__ = [
@@ -126,14 +133,14 @@ class McmcConfig:
             raise ConfigurationError("proposal_sd, theta_min, theta_max and initial must be finite")
         for name in ("n_samples", "burn_in"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not self.n_samples > self.burn_in >= 0:
             raise ConfigurationError("need n_samples > burn_in >= 0")
         if np.any(self.proposal_sd <= 0.0):
             raise ConfigurationError("proposal_sd entries must be positive")
         sd = self.likelihood_sd
-        if isinstance(sd, bool) or not isinstance(sd, numbers.Real) or not 0.0 < sd < math.inf:
+        if not is_finite_number(sd) or sd <= 0.0:
             raise ConfigurationError(f"likelihood_sd must be positive and finite, got {sd!r}")
         if np.any(self.theta_min <= 0.0):
             raise ConfigurationError("theta_min entries must be positive (stiffnesses)")

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus its integer and finite-number tests.
 
 The CLI maps these onto exit codes: configuration problems exit 1,
 numerical failures exit 2, and I/O problems (plain ``OSError``) exit 3.
 """
+
+import math
+import numbers
 
 
 class FfemuError(Exception):
@@ -19,10 +22,6 @@ class ShapeError(FfemuError, ValueError):
 
 class DomainError(FfemuError, ValueError):
     """Argument outside its mathematical domain (negative stiffness, bad alpha, ...)."""
-
-
-class DefiniteMatrixError(FfemuError):
-    """A matrix required to be positive definite is not."""
 
 
 class ConvergenceError(FfemuError, RuntimeError):
@@ -44,3 +43,22 @@ class EvaluationError(FfemuError, RuntimeError):
 
 class DiagnosticsError(FfemuError, RuntimeError):
     """A sampler or optimizer produced statistics indicating a broken setup."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; ``True`` and ``False`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number that is finite as a float.
+
+    ``True`` and ``False`` are not numbers here, and an integer beyond the
+    float range counts as non-finite. Each caller raises its own error.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False

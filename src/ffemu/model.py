@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError
+from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, is_integer
 from .linalg import ModalSolution, fix_signs
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
@@ -137,8 +137,8 @@ class StructuralModel:
     def modal(self, theta) -> ModalSolution:
         """Modal solution of the assembled (K(theta), M) pair.
 
-        Identical to ``generalized_eig(*self.assemble(theta))``; it is the
-        one-row case of ``modal_batch``.
+        The one-row case of ``modal_batch``: ascending eigenvalues with
+        unit-norm, sign-fixed mode shapes.
         """
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.parameter_count,):
@@ -206,7 +206,7 @@ def _parse_endpoint(raw, where: str) -> int:
         if raw.lower() == "ground":
             return GROUND
         raise ConfigurationError(f"{where}: endpoint must be a node index or 'ground', got {raw!r}")
-    if isinstance(raw, bool) or not isinstance(raw, int):
+    if not is_integer(raw):
         raise ConfigurationError(f"{where}: endpoint must be an integer, got {raw!r}")
     return raw
 

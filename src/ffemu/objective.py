@@ -13,9 +13,9 @@ box, the interval a measured eigenvalue cut describes. Mode shapes carry
 no order, so the vertex shapes are MAC-paired to the box centre's shapes
 instead.
 
-``residual_batch`` is the path the optimizers use: it evaluates a whole
-population of boxes with one stacked eigensolve. ``residual_vector`` and
-``objective_value`` are its one-row case.
+``residual_batch`` is the one residual path: it evaluates a whole
+population of boxes with one stacked eigensolve, and a box's objective is
+the squared norm of its row.
 """
 
 from __future__ import annotations
@@ -38,14 +38,11 @@ from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json
 
 __all__ = [
-    "IntervalParameters",
     "WeightingConfig",
     "MeasuredModalIntervals",
     "MeasuredFuzzyModalData",
     "residual_batch",
     "vertex_modes",
-    "residual_vector",
-    "objective_value",
     "load_measured",
     "save_measured",
 ]
@@ -61,33 +58,6 @@ def hz_to_eigenvalue(f: float) -> float:
 def eigenvalue_to_hz(lam: float) -> float:
     """Eigenvalue in rad^2/s^2 to frequency in Hz."""
     return math.sqrt(lam) / _TWO_PI
-
-
-@dataclass(frozen=True)
-class IntervalParameters:
-    """Lower and upper stiffness vectors: the 2d-dimensional decision variable."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ShapeError("lower and upper must be 1-D vectors of equal length")
-        if np.any(lower > upper):
-            raise DomainError("interval parameters crossed: lower > upper")
-
-    @classmethod
-    def from_point(cls, theta) -> "IntervalParameters":
-        th = np.asarray(theta, dtype=float)
-        return cls(th.copy(), th.copy())
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -201,8 +171,10 @@ def residual_batch(
 ) -> np.ndarray:
     """Weighted residuals of m candidate boxes, one row of length 4n each.
 
-    Row r is ``residual_vector`` of the box (lower[r], upper[r]). The
-    eigenvalue errors compare the measured bounds with the sorted
+    Row r is ``[sqrt(w_lo) * e_lo, sqrt(w_hi) * e_hi]`` for the box
+    (lower[r], upper[r]), and its squared norm is that box's objective, so
+    the optimizers and the least-squares polish see one interval problem.
+    The eigenvalue errors compare the measured bounds with the sorted
     eigenvalues at the two vertices, which one ``eigenvalues_batch`` call
     solves for all 2m vertices. When a shape weight is non-zero, the
     vertices and centres come from one ``vertex_modes`` call instead, and
@@ -264,34 +236,6 @@ def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.n
         vec_v[k] = vec_v[k][:, perm]
     flip = np.einsum("kij,kij->kj", vec_v, vec_c) < 0.0
     return lam[m:], np.where(flip[:, None, :], -vec_v, vec_v)
-
-
-def residual_vector(
-    model: StructuralModel,
-    params: IntervalParameters,
-    measured: MeasuredModalIntervals,
-    weights: WeightingConfig,
-) -> np.ndarray:
-    """Weighted errors ``[sqrt(w_lo) * e_lo, sqrt(w_hi) * e_hi]`` of length 4n.
-
-    Its squared norm is the objective, so a least-squares solver can work
-    on the residuals of the same interval problem the optimizers see. It is
-    the one-row case of ``residual_batch``.
-    """
-    return residual_batch(
-        model, params.lower[None, :], params.upper[None, :], measured, weights
-    )[0]
-
-
-def objective_value(
-    model: StructuralModel,
-    params: IntervalParameters,
-    measured: MeasuredModalIntervals,
-    weights: WeightingConfig,
-) -> float:
-    """Weighted squared error of both interval branches; zero iff both vanish."""
-    r = residual_vector(model, params, measured, weights)
-    return float(r @ r)
 
 
 class MeasuredFuzzyModalData:
@@ -386,12 +330,12 @@ def load_measured(path) -> MeasuredFuzzyModalData:
             for entry in mode_entries
         ]
         shapes = np.array([entry["mode_shape"] for entry in mode_entries], dtype=float).T
+        shape_tfns = None
+        if any("mode_shape_tfns" in entry for entry in mode_entries):
+            shape_tfns = [
+                [TriangularFuzzyNumber(*vals) for vals in entry["mode_shape_tfns"]]
+                for entry in mode_entries
+            ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed measured-data file: {exc}") from exc
-    shape_tfns = None
-    if any("mode_shape_tfns" in entry for entry in mode_entries):
-        shape_tfns = [
-            [TriangularFuzzyNumber(*vals) for vals in entry["mode_shape_tfns"]]
-            for entry in mode_entries
-        ]
     return MeasuredFuzzyModalData(tfns, shapes, shape_tfns)

@@ -14,12 +14,11 @@ the objective is a sum of squares.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError
+from .errors import DomainError, EvaluationError, ShapeError, is_finite_number, is_integer
 
 __all__ = [
     "Box",
@@ -44,7 +43,7 @@ def _check_counts(config, names) -> None:
     """The named fields of an optimizer config must hold integers."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
@@ -52,7 +51,7 @@ def _check_reals(config, names) -> None:
     """The named fields of an optimizer config must hold finite real numbers."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if not is_finite_number(value):
             raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 

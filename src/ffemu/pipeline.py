@@ -16,7 +16,6 @@ stacks.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import McmcConfig
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
 from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
 from .model import StructuralModel, read_json
 from .objective import (
@@ -100,8 +99,9 @@ class FfemuRun:
             raise ConfigurationError(f"bounds must have length {d}")
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("theta_min must be strictly below theta_max")
-        if self.levels[0] != 1.0 or np.any(np.diff(self.levels) >= 0.0):
-            raise ConfigurationError("alpha levels must descend strictly from 1")
+        levels = self.levels
+        if not (levels.size and levels[0] == 1.0 and np.all(np.diff(levels) < 0.0) and levels[-1] >= 0.0):
+            raise ConfigurationError(f"alpha levels must descend strictly from 1 to 0 or above, got {levels}")
         if self.measured.n_modes != self.model.n_dof:
             raise ConfigurationError(
                 f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
@@ -265,7 +265,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             start = time.perf_counter()
             calls += len(x)
             r = residuals(x)
-            # row-wise r @ r: the same sum as objective_value and the polish
+            # row-wise r @ r: the same sum the polish takes of its residuals
             values = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
             objective_time += time.perf_counter() - start
             return values
@@ -336,38 +336,26 @@ def propagate_outputs(model: StructuralModel, parameter_stacks: list) -> list:
 
 @dataclass
 class RunConfig:
-    """Parsed run-configuration file plus the bits the CLI layers on."""
+    """Parsed run-configuration file: the fuzzy run and the optional M-H settings."""
 
     run: FfemuRun
     bayes: McmcConfig | None
-    raw: dict
 
 
 def _number_list(raw: dict, key: str, path) -> np.ndarray:
-    """``raw[key]`` as a 1-D float array; anything else is a ``ConfigurationError``."""
-    try:
-        values = np.asarray(raw[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers: {exc}") from exc
-    if values.ndim != 1:
-        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers, got {raw[key]!r}")
-    return values
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """``raw[key]`` as a 1-D float array; anything but a list of finite
+    numbers is a ``ConfigurationError``."""
+    values = raw[key]
+    if not isinstance(values, list) or not all(is_finite_number(v) for v in values):
+        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers, all finite, got {values!r}")
+    return np.asarray(values, dtype=float)
 
 
 def _number(value, key: str, path) -> float:
     """A finite JSON number as a float; anything else is a ``ConfigurationError``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigurationError(f"{path}: {key!r} must be a finite number, got {value!r}")
+    if not is_finite_number(value):
+        raise ConfigurationError(f"{path}: {key!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _section(raw: dict, key: str, path) -> dict:
@@ -404,7 +392,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     level_spec = raw.get("alpha_levels", 10)
     if isinstance(level_spec, list):
         levels = _number_list(raw, "alpha_levels", path)
-    elif _is_int(level_spec) and level_spec >= 1:
+    elif is_integer(level_spec) and level_spec >= 1:
         levels = default_levels(level_spec)
     else:
         raise ConfigurationError(
@@ -423,7 +411,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
             raise ConfigurationError(f"{path}: 'truth': {exc}") from exc
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigurationError(f"{path}: 'seed' must be a non-negative integer, got {seed!r}")
     try:
         aco = AcoConfig(**_section(raw, "aco", path))
@@ -463,7 +451,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
         b = _section(raw, "bayes", path)
         counts = {key: b.get(key, default) for key, default in (("n_samples", 10000), ("burn_in", 1000))}
         for key, value in counts.items():
-            if not _is_int(value):
+            if not is_integer(value):
                 raise ConfigurationError(f"{path}: 'bayes.{key}' must be an integer, got {value!r}")
         fraction = _number(b.get("proposal_fraction", 0.01), "bayes.proposal_fraction", path)
         likelihood_sd = _number(b.get("likelihood_sd", 0.01), "bayes.likelihood_sd", path)
@@ -479,4 +467,4 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
             )
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: bad bayes section: {exc}") from exc
-    return RunConfig(run=run, bayes=bayes_cfg, raw=raw)
+    return RunConfig(run=run, bayes=bayes_cfg)

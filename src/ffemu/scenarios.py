@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, is_finite_number
 from .model import StructuralModel, load_model, model_from_dict
 from .pipeline import simulate_measurements
 
@@ -72,12 +72,14 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
     """
     if not isinstance(spec, dict) or "theta_true" not in spec:
         raise ConfigurationError("truth spec must be an object with a 'theta_true' array")
-    try:
-        theta_true = np.asarray(spec["theta_true"], dtype=float)
-        spreads = np.asarray(spec["spreads"], dtype=float) if "spreads" in spec else None
-        fraction = float(spec.get("spread_fraction", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"truth spec values must be numbers: {exc}") from exc
+    vectors = [spec[key] for key in ("theta_true", "spreads") if key in spec]
+    fraction = spec.get("spread_fraction", 0.0)
+    if not is_finite_number(fraction) or not all(
+        isinstance(v, list) and all(is_finite_number(x) for x in v) for v in vectors
+    ):
+        raise ConfigurationError("truth spec values must be numbers, all finite")
+    theta_true = np.asarray(spec["theta_true"], dtype=float)
+    spreads = np.asarray(spec["spreads"], dtype=float) if "spreads" in spec else None
     if theta_true.shape != (model.parameter_count,):
         raise ConfigurationError(
             f"theta_true must have length {model.parameter_count}, got {theta_true.size}"
@@ -87,7 +89,7 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
     if spreads is None:
         if fraction < 0.0:
             raise DomainError("spread_fraction must be non-negative")
-        spreads = fraction * theta_true
+        spreads = float(fraction) * theta_true
     return simulate_measurements(
         model,
         theta_true,

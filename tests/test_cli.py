@@ -34,6 +34,26 @@ class TestUpdate:
         assert summary["metadata"]["evaluation_counts"] == [10 + 20 * 30] * 2
         assert "level 1" not in capsys.readouterr().err
 
+    def test_rerun_writes_the_same_bundle(self, tmp_path):
+        # every CSV byte for byte, and summary.json apart from its timings
+        config = scenarios.bundled_run_config(seed=5)
+        config["alpha_levels"] = 2
+        config["aco"].update(max_iterations=20)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        bundles = [tmp_path / "first", tmp_path / "second"]
+        for out in bundles:
+            assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        csvs = sorted(p.name for p in bundles[0].glob("*.csv"))
+        assert "history.csv" in csvs and csvs == sorted(p.name for p in bundles[1].glob("*.csv"))
+        for name in csvs:
+            assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
+        first, second = (json.loads((out / "summary.json").read_text()) for out in bundles)
+        for summary in (first, second):
+            for key in [key for key in summary["metadata"] if key.endswith("_seconds")]:
+                del summary["metadata"][key]
+        assert first == second
+
     def test_bundle_records_and_report_renders_the_level_table(self, small_config, tmp_path, capsys):
         out = tmp_path / "bundle"
         assert cli.main(["update", "--config", str(small_config), "--out", str(out)]) == cli.EXIT_OK
@@ -289,6 +309,12 @@ class TestNonNumericConfigValues:
             ("theta_max", "x"),
             ("theta_initial", "abc"),
             ("alpha_levels", ["1", "half", 0]),
+            # NaN, Infinity and a 401-digit integer as JSON literals
+            ("theta_min", [math.nan, 1900.0, 1700.0, 1900.0, 2150.0]),
+            ("theta_max", [4600.0, 2500.0, math.inf, 3300.0, 2650.0]),
+            ("theta_max", [4600.0, 2500.0, 10**400, 3300.0, 2650.0]),
+            ("theta_initial", [4150.0, math.nan, 2160.0, 2500.0, 2460.0]),
+            ("alpha_levels", [1.0, math.nan]),
         ],
     )
     def test_is_a_configuration_error_naming_file_and_key(self, key, value, tmp_path, capsys):
@@ -335,6 +361,21 @@ class TestNonNumericConfigValues:
             ),
             ("alpha_levels", 0, "'alpha_levels' must be a level count of at least 1"),
             ("alpha_levels", True, "'alpha_levels' must be a level count of at least 1"),
+            ("alpha_levels", [1.0, 0.5, -0.5], "alpha levels must descend strictly from 1 to 0 or above"),
+            ("alpha_levels", [], "alpha levels must descend strictly from 1 to 0 or above"),
+            # NaN and a 401-digit integer as JSON literals
+            ("aco", {"q": 10**400}, "bad optimizer section: q must be a finite number"),
+            ("pso", {"inertia": 10**400}, "bad optimizer section: inertia must be a finite number"),
+            (
+                "truth",
+                {"theta_true": [math.nan] + scenarios.THETA_TRUE.tolist()[1:], "spread_fraction": 0.05},
+                "'truth': truth spec values must be numbers, all finite",
+            ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": math.nan},
+                "'truth': truth spec values must be numbers, all finite",
+            ),
         ],
     )
     def test_bad_scalar_or_section_is_a_configuration_error(self, key, value, message, tmp_path, capsys):

@@ -101,8 +101,8 @@ def test_assembly_linear_in_theta():
 
 def test_modal_matches_generalized_eig_bitwise():
     # modal() takes the cached diagonal-mass shortcut; it must agree with
-    # the generic solver on the assembled pair exactly
-    from ffemu.linalg import generalized_eig
+    # the generic reference solver on the assembled pair exactly
+    from reference import generalized_eig
 
     model = scenarios.five_dof_model()
     rng = np.random.default_rng(6)

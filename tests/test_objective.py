@@ -1,25 +1,23 @@
 """Tests for the interval modal objective and the level search box's projection."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from ffemu import scenarios
-from ffemu.errors import DegenerateVectorError, DomainError
+from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
 from ffemu.fuzzy import TriangularFuzzyNumber
 from ffemu.linalg import ModalSolution, pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
-    IntervalParameters,
     MeasuredFuzzyModalData,
     MeasuredModalIntervals,
     WeightingConfig,
     _shape_errors,
     load_measured,
-    objective_value,
     residual_batch,
-    residual_vector,
     save_measured,
     vertex_modes,
 )
@@ -51,9 +49,9 @@ def two_mass_model(coupling=0.01):
     )
 
 
-def measured_from_params(model, params):
-    """Self-consistent measured intervals: regenerate from the candidate itself."""
-    lam, vec = vertex_modes(model, params.lower[None, :], params.upper[None, :])
+def measured_from_box(model, lower, upper):
+    """Self-consistent measured intervals: regenerate from the box (lower, upper) itself."""
+    lam, vec = vertex_modes(model, [lower], [upper])
     return MeasuredModalIntervals(lam[0], lam[1], vec[0], vec[1])
 
 
@@ -124,9 +122,9 @@ class TestIntervalModal:
 
     def test_bounds_bracket_center(self):
         model = scenarios.five_dof_model()
-        params = IntervalParameters(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lam, _ = vertex_modes(model, params.lower[None, :], params.upper[None, :])
-        center = model.modal(params.center).eigenvalues
+        lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
+        lam, _ = vertex_modes(model, [lower], [upper])
+        center = model.modal(0.5 * (lower + upper)).eigenvalues
         assert np.all(lam[0] <= center + 1e-12)
         assert np.all(center <= lam[1] + 1e-12)
 
@@ -135,9 +133,9 @@ class TestIntervalModal:
         # grid points, so under stiffness monotonicity the grid extremes
         # must coincide with the vertex solves.
         model = scenarios.five_dof_model()
-        params = IntervalParameters(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lam, _ = vertex_modes(model, params.lower[None, :], params.upper[None, :])
-        axes = [np.linspace(lo, hi, 3) for lo, hi in zip(params.lower, params.upper)]
+        lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
+        lam, _ = vertex_modes(model, [lower], [upper])
+        axes = [np.linspace(lo, hi, 3) for lo, hi in zip(lower, upper)]
         grid_lo = np.full(model.n_dof, np.inf)
         grid_hi = np.full(model.n_dof, -np.inf)
         for theta in itertools.product(*axes):
@@ -203,13 +201,13 @@ class TestModalScaleFactor:
 
 
 class TestErrorVectors:
-    # residual_vector with identity weights is the error vector pair
-    # [e_lo, e_hi], each n eigenvalue errors followed by n shape errors
+    # a one-row residual_batch with identity weights is the error vector
+    # pair [e_lo, e_hi], each n eigenvalue errors followed by n shape errors
     def test_exact_match_gives_zeros(self):
         model = scenarios.five_dof_model()
-        params = IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        measured = measured_from_params(model, params)
-        r = residual_vector(model, params, measured, WeightingConfig.identity(5))
+        lower, upper = 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE
+        measured = measured_from_box(model, lower, upper)
+        r = residual_batch(model, [lower], [upper], measured, WeightingConfig.identity(5))[0]
         # eigenvalue entries are bitwise zero; shape entries only pick up
         # the last-ulp renormalization of the stored measured vectors
         np.testing.assert_array_equal(r[:5], np.zeros(5))
@@ -219,15 +217,13 @@ class TestErrorVectors:
     def test_lower_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        params = IntervalParameters([90.0], [100.0])
-        r = residual_vector(one_dof_model(), params, measured, WeightingConfig.identity(1))
+        r = residual_batch(one_dof_model(), [[90.0]], [[100.0]], measured, WeightingConfig.identity(1))[0]
         np.testing.assert_allclose(r, [0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_upper_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        params = IntervalParameters([100.0], [110.0])
-        r = residual_vector(one_dof_model(), params, measured, WeightingConfig.identity(1))
+        r = residual_batch(one_dof_model(), [[100.0]], [[110.0]], measured, WeightingConfig.identity(1))[0]
         assert r[2] == pytest.approx(0.1, rel=1e-12)
 
     def test_invariant_to_predicted_vector_scaling(self):
@@ -245,8 +241,7 @@ class TestErrorVectors:
         measured = MeasuredModalIntervals([4.0], [9.0], phi, phi)
         widths = []
         for lo in (4.0, 3.5, 3.0):
-            params = IntervalParameters([lo], [9.0])
-            r = residual_vector(model, params, measured, WeightingConfig.identity(1))
+            r = residual_batch(model, [[lo]], [[9.0]], measured, WeightingConfig.identity(1))[0]
             widths.append(abs(r[0]))
         assert widths[0] < widths[1] < widths[2]
 
@@ -254,44 +249,41 @@ class TestErrorVectors:
 class TestObjective:
     def test_self_consistency_is_exactly_zero(self):
         model = scenarios.five_dof_model()
-        params = IntervalParameters(0.96 * scenarios.THETA_TRUE, 1.02 * scenarios.THETA_TRUE)
-        measured = measured_from_params(model, params)
-        value = objective_value(model, params, measured, WeightingConfig.identity(5))
-        assert 0.0 <= value <= 1e-16
+        lower, upper = 0.96 * scenarios.THETA_TRUE, 1.02 * scenarios.THETA_TRUE
+        measured = measured_from_box(model, lower, upper)
+        r = residual_batch(model, [lower], [upper], measured, WeightingConfig.identity(5))[0]
+        assert 0.0 <= r @ r <= 1e-16
 
     def test_one_dof_hand_sum(self):
         # both branches off by 10% -> 0.1^2 + 0.1^2
         model = one_dof_model()
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        params = IntervalParameters([90.0], [110.0])
-        value = objective_value(model, params, measured, WeightingConfig.identity(1))
-        assert value == pytest.approx(0.02, rel=1e-12)
+        r = residual_batch(model, [[90.0]], [[110.0]], measured, WeightingConfig.identity(1))[0]
+        assert r @ r == pytest.approx(0.02, rel=1e-12)
 
     def test_doubling_lower_weights_doubles_lower_contribution(self):
         model = one_dof_model()
         phi = np.array([[1.0]])
         measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        params = IntervalParameters([90.0], [100.0])  # only the lower branch errs
-        w1 = objective_value(model, params, measured, WeightingConfig.identity(1))
-        w2 = objective_value(
-            model, params, measured,
+        lower, upper = [[90.0]], [[100.0]]  # only the lower branch errs
+        r1 = residual_batch(model, lower, upper, measured, WeightingConfig.identity(1))[0]
+        r2 = residual_batch(
+            model, lower, upper, measured,
             WeightingConfig(lower=2.0 * np.ones(2), upper=np.ones(2)),
-        )
-        assert w2 == pytest.approx(2.0 * w1, rel=1e-15)
+        )[0]
+        assert r2 @ r2 == pytest.approx(2.0 * (r1 @ r1), rel=1e-15)
 
     def test_nonnegative_on_random_candidates(self):
         model = scenarios.five_dof_model()
-        measured = measured_from_params(
-            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        )
+        measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         rng = np.random.default_rng(31)
         weights = WeightingConfig.identity(5)
         for _ in range(25):
             a = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
             b = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
-            params = IntervalParameters(np.minimum(a, b), np.maximum(a, b))
-            assert objective_value(model, params, measured, weights) >= 0.0
+            r = residual_batch(model, [np.minimum(a, b)], [np.maximum(a, b)], measured, weights)[0]
+            assert r @ r >= 0.0
 
 
 def level_box(theta_min, theta_max, prev_lower, prev_upper):
@@ -396,9 +388,7 @@ class TestResidualBatch:
     @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
     def test_rows_match_per_candidate_reference(self, eigenvector_weight):
         model = scenarios.five_dof_model()
-        measured = measured_from_params(
-            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        )
+        measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         weights = WeightingConfig.from_scalars(5, 1.0, eigenvector_weight)
         lower, upper = self.population(53)
         batch = residual_batch(model, lower, upper, measured, weights)
@@ -406,7 +396,7 @@ class TestResidualBatch:
         for row, lo, hi in zip(batch, lower, upper):
             ref = reference_residual(model, lo, hi, measured, weights)
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
-            one_row = residual_vector(model, IntervalParameters(lo, hi), measured, weights)
+            one_row = residual_batch(model, [lo], [hi], measured, weights)[0]
             np.testing.assert_array_equal(one_row, row)
 
     @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
@@ -414,9 +404,7 @@ class TestResidualBatch:
         # reference layout: two zeroed (m, 2n) error blocks, each scaled by
         # sqrt(weights) as a whole row, then concatenated
         model = scenarios.five_dof_model()
-        measured = measured_from_params(
-            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        )
+        measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         weights = WeightingConfig.from_scalars(5, 0.7, eigenvector_weight)
         lower, upper = self.population(61)
         m, n = len(lower), 5
@@ -442,9 +430,8 @@ class TestResidualBatch:
         model = two_mass_model()
         lower = np.array([[1.0, 1.9], [1.0, 1.9]])
         upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
-        crossing = IntervalParameters(lower[0], upper[0])
-        center = model.modal(crossing.center)
-        assert pair_modes(center, model.modal(crossing.upper)).tolist() == [1, 0]
+        center = model.modal(0.5 * (lower[0] + upper[0]))
+        assert pair_modes(center, model.modal(upper[0])).tolist() == [1, 0]
         measured = MeasuredModalIntervals([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
         weights = WeightingConfig.identity(2)
         batch = residual_batch(model, lower, upper, measured, weights)
@@ -468,7 +455,7 @@ class TestResidualBatch:
         rng = np.random.default_rng(73)
         a, b = rng.uniform(lo, hi, (2, 400, 5))
         lower, upper = np.minimum(a, b), np.maximum(a, b)
-        measured = measured_from_params(model, IntervalParameters(0.9 * mid, 1.1 * mid))
+        measured = measured_from_box(model, 0.9 * mid, 1.1 * mid)
         batch = residual_batch(model, lower, upper, measured, WeightingConfig.from_scalars(5, 1.0, 0.0))
         sorted_lo = np.array([model.modal(x).eigenvalues for x in lower])
         sorted_hi = np.array([model.modal(x).eigenvalues for x in upper])
@@ -486,9 +473,7 @@ class TestResidualBatch:
 
     def test_eigenvalue_only_rows_never_solve_mode_shapes(self, monkeypatch):
         model = scenarios.five_dof_model()
-        measured = measured_from_params(
-            model, IntervalParameters(0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        )
+        measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         lower, upper = self.population(67)
 
         def modal_batch(self, thetas):
@@ -500,7 +485,7 @@ class TestResidualBatch:
 
     def test_nonpositive_row_rejected(self):
         model = scenarios.five_dof_model()
-        measured = measured_from_params(model, IntervalParameters.from_point(scenarios.THETA_TRUE))
+        measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(59, m=4)
         lower[2, 1] = 0.0
         with pytest.raises(DomainError):
@@ -508,7 +493,7 @@ class TestResidualBatch:
 
     def test_crossed_row_rejected(self):
         model = scenarios.five_dof_model()
-        measured = measured_from_params(model, IntervalParameters.from_point(scenarios.THETA_TRUE))
+        measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(61, m=4)
         with pytest.raises(DomainError, match="crossed"):
             residual_batch(model, upper, lower, measured, WeightingConfig.identity(5))
@@ -562,6 +547,15 @@ class TestMeasuredData:
         assert cuts.vec_lo[0, 0] == pytest.approx(0.9 / 0.9)  # normalized columns
         raw = loaded.shape_tfns[0][0]
         assert (raw.a, raw.b, raw.c) == (0.9, 1.0, 1.05)
+
+    def test_malformed_shape_tfn_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "measured.json"
+        save_measured(self.make_data(), path)
+        data = json.loads(path.read_text())
+        data["modes"][0]["mode_shape_tfns"] = [[1.0, 2.0], [0.5, 0.6, 0.7]]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="malformed measured-data file"):
+            load_measured(path)
 
     def test_nonpositive_eigenvalue_support_rejected(self):
         with pytest.raises(DomainError):

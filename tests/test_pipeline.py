@@ -10,7 +10,7 @@ from ffemu import pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
-from ffemu.objective import IntervalParameters, WeightingConfig, objective_value, save_measured
+from ffemu.objective import WeightingConfig, residual_batch, save_measured
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
 from ffemu.pipeline import (
     FfemuRun,
@@ -147,12 +147,10 @@ class TestRunFfemu:
         run, result = aco_result
         for k in range(1, run.levels.size):
             measured_k = run.measured.cuts_at(run.levels[k])
-            prev = IntervalParameters(
-                np.array([s.intervals[k - 1].lo for s in result.parameter_stacks]),
-                np.array([s.intervals[k - 1].hi for s in result.parameter_stacks]),
-            )
-            f_prev = objective_value(run.model, prev, measured_k, run.weights)
-            assert result.objective_values[k] <= f_prev + 1e-18
+            prev_lower = np.array([s.intervals[k - 1].lo for s in result.parameter_stacks])
+            prev_upper = np.array([s.intervals[k - 1].hi for s in result.parameter_stacks])
+            r = residual_batch(run.model, [prev_lower], [prev_upper], measured_k, run.weights)[0]
+            assert result.objective_values[k] <= r @ r + 1e-18
 
     def test_evaluation_bookkeeping(self, aco_result):
         run, result = aco_result
@@ -177,10 +175,10 @@ class TestRunFfemu:
         d = run.model.parameter_count
         for k, hist in enumerate(result.histories):
             x = hist.best_x
-            params = IntervalParameters.from_point(x) if k == 0 else IntervalParameters(x[:d], x[d:])
+            lower, upper = (x, x) if k == 0 else (x[:d], x[d:])
             measured_k = run.measured.cuts_at(run.levels[k])
-            f = objective_value(run.model, params, measured_k, run.weights)
-            assert f == hist.best_f
+            r = residual_batch(run.model, [lower], [upper], measured_k, run.weights)[0]
+            assert r @ r == hist.best_f
 
     def test_containment_of_generating_cuts_aco(self, aco_result):
         run, result = aco_result
@@ -281,13 +279,8 @@ class TestRunFfemu:
         result = run_ffemu(run)
         for stack in result.parameter_stacks:
             assert stack.support.width <= eps.max()
-        crisp_residual = objective_value(
-            model,
-            IntervalParameters.from_point(theta_p),
-            measured.cuts_at(1.0),
-            EIG_ONLY,
-        )
-        assert result.objective_values[0] == pytest.approx(crisp_residual, rel=1e-2)
+        r = residual_batch(model, [theta_p], [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
+        assert result.objective_values[0] == pytest.approx(r @ r, rel=1e-2)
 
     def test_mode_count_mismatch_rejected(self):
         measured = simulate_measurements(one_dof_model(), [5.0], [0.5])
