@@ -3,7 +3,8 @@
 ``summary.json`` (an ``ffemu update`` run) and ``bayes_summary.json`` (an
 ``ffemu bayes`` run) are read through ``model.read_json``. Every field the
 report and the membership curves read is checked for presence, type and
-length before anything is rendered, so a damaged or hand-edited file is a
+length before anything is rendered, and the cuts and measured triangles
+must make valid alpha-cut stacks, so a damaged or hand-edited file is a
 ``ConfigurationError`` naming it, never a traceback.
 """
 
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
+from .fuzzy import AlphaCutStack, TriangularFuzzyNumber
 from .model import read_json
 
 __all__ = ["SUMMARY_FILE", "BAYES_FILE", "load_summary", "load_bayes_summary"]
@@ -103,6 +105,13 @@ def _check_summary(path: Path, data: dict) -> None:
         ("stop_reasons", (n,), "U", True),
     ]:
         _field(path, meta, key, shape, kinds, f"metadata.{key}", optional)
+    try:  # the cuts and the measured triangles must make alpha-cut stacks
+        for entry in params + outputs:
+            AlphaCutStack(*np.asarray(entry["cuts"], dtype=float).T)
+        for a, b, c in data["measured_eigenvalue_tfns"]:
+            AlphaCutStack.from_tfn(TriangularFuzzyNumber(a, b, c), data["alpha_levels"])
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _check_bayes(path: Path, data: dict, summary: dict) -> None:

@@ -1,8 +1,9 @@
 """Triangular fuzzy numbers, alpha-cuts, and nested interval stacks.
 
 A fuzzy quantity is represented either parametrically as a triangular
-membership function (a, b, c) or discretely as a stack of nested intervals,
-one per alpha level. The stack form is what the updating procedure produces;
+membership function (a, b, c) or discretely as a stack of nested
+alpha-cuts, one per level, held as arrays of levels and lower and upper
+bounds. The stack form is what the updating procedure produces;
 the helpers here convert between the two and export curves as CSV.
 """
 
@@ -17,30 +18,11 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "TriangularFuzzyNumber",
-    "Interval",
     "AlphaCutStack",
     "default_levels",
     "write_cuts_csv",
     "write_membership_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed real interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not self.lo <= self.hi:
-            raise DomainError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -73,81 +55,77 @@ class TriangularFuzzyNumber:
             return (x - self.a) / (self.b - self.a)
         return (self.c - x) / (self.c - self.b)
 
-    def alpha_cut(self, alpha: float) -> Interval:
-        """The interval {x : membership(x) >= alpha}; alpha 0 gives [a, c]."""
+    def alpha_cut(self, alpha: float) -> tuple[float, float]:
+        """Bounds (lo, hi) of {x : membership(x) >= alpha}; alpha 0 gives (a, c)."""
         alpha = float(alpha)
         if not 0.0 <= alpha <= 1.0:
             raise DomainError(f"alpha must be in [0, 1], got {alpha}")
         if alpha == 1.0:
-            return Interval(self.b, self.b)
+            return self.b, self.b
         if alpha == 0.0:
-            return Interval(self.a, self.c)
+            return self.a, self.c
         lo = self.a + alpha * (self.b - self.a)
         hi = self.c - alpha * (self.c - self.b)
         if lo > hi:  # 1-ulp rounding near a degenerate peak
             lo = hi = 0.5 * (lo + hi)
-        return Interval(lo, hi)
+        return lo, hi
 
 
 def default_levels(count: int = 10) -> np.ndarray:
     """Uniformly spaced alpha levels, descending from 1 to 0 inclusive."""
     if count < 1:
         raise DomainError("need at least one alpha level")
-    if count == 1:
-        return np.array([1.0])
     return np.linspace(1.0, 0.0, count)
+
+
+def _first(mask) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
 class AlphaCutStack:
-    """Nested intervals at descending alpha levels; levels[0] must be 1.
+    """Nested alpha-cuts [lo[k], hi[k]] at descending ``levels[k]``, levels[0] = 1.
 
-    The discrete representation of a (convex) membership function: smaller
-    alpha means a wider interval.
+    The discrete representation of a (convex) membership function, held as
+    three 1-D float arrays of one length: smaller alpha means a wider cut.
+    A stack that breaks any of this is a ``ConfigurationError`` naming the
+    first offending level.
     """
 
     levels: np.ndarray
-    intervals: tuple[Interval, ...]
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if levels.ndim != 1 or levels.size != len(self.intervals):
-            raise ConfigurationError("levels and intervals must have matching lengths")
+        levels, lo, hi = (np.asarray(v, dtype=float) for v in (self.levels, self.lo, self.hi))
+        for name, value in zip(("levels", "lo", "hi"), (levels, lo, hi)):
+            object.__setattr__(self, name, value)
+        if levels.ndim != 1 or lo.shape != levels.shape or hi.shape != levels.shape:
+            raise ConfigurationError("levels, lo and hi must be 1-D arrays of one length")
         if levels.size == 0:
             raise ConfigurationError("stack must have at least one level")
         if levels[0] != 1.0:
             raise ConfigurationError(f"first level must be alpha = 1, got {levels[0]}")
-        if np.any(np.diff(levels) >= 0.0):
-            raise ConfigurationError("levels must be strictly descending")
-        if levels[-1] < 0.0 or levels[0] > 1.0:
-            raise ConfigurationError("levels must lie in [0, 1]")
-        for k in range(len(self.intervals) - 1):
-            inner, outer = self.intervals[k], self.intervals[k + 1]
-            if not (outer.lo <= inner.lo and inner.hi <= outer.hi):
-                raise ConfigurationError(
-                    f"nesting violated between levels {levels[k]} and {levels[k + 1]}: "
-                    f"[{inner.lo}, {inner.hi}] not inside [{outer.lo}, {outer.hi}]"
-                )
+        if (k := _first(~(np.diff(levels) < 0.0))) is not None:
+            raise ConfigurationError(f"levels must be strictly descending: {levels[k + 1]} after {levels[k]}")
+        if (k := _first(levels < 0.0)) is not None:
+            raise ConfigurationError(f"levels must lie in [0, 1], got {levels[k]}")
+        if (k := _first(~(lo <= hi))) is not None:
+            raise ConfigurationError(f"bounds out of order at level {levels[k]}: [{lo[k]}, {hi[k]}]")
+        if (k := _first(~((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:])))) is not None:
+            raise ConfigurationError(
+                f"nesting violated between levels {levels[k]} and {levels[k + 1]}: "
+                f"[{lo[k]}, {hi[k]}] not inside [{lo[k + 1]}, {hi[k + 1]}]"
+            )
 
     @classmethod
     def from_tfn(cls, tfn: TriangularFuzzyNumber, levels) -> "AlphaCutStack":
         """Stack of alpha-cuts of a triangular number at the given levels."""
         levels = np.asarray(levels, dtype=float)
-        return cls(levels, tuple(tfn.alpha_cut(a) for a in levels))
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def peak(self) -> Interval:
-        return self.intervals[0]
-
-    @property
-    def support(self) -> Interval:
-        return self.intervals[-1]
+        cuts = np.array([tfn.alpha_cut(a) for a in levels]).reshape(-1, 2)
+        return cls(levels, cuts[:, 0], cuts[:, 1])
 
     def to_membership(self) -> np.ndarray:
         """Piecewise-linear membership polyline as an array of (x, mu) rows.
@@ -155,11 +133,9 @@ class AlphaCutStack:
         Left branch first (ascending x and mu), then the right branch
         (descending mu); a degenerate peak contributes a single apex vertex.
         """
-        left = [(iv.lo, a) for a, iv in zip(self.levels[::-1], self.intervals[::-1])]
-        right = [(iv.hi, a) for a, iv in zip(self.levels, self.intervals)]
-        if self.peak.width == 0.0:
-            right = right[1:]
-        return np.array(left + right, dtype=float)
+        left = np.column_stack([self.lo[::-1], self.levels[::-1]])
+        right = np.column_stack([self.hi, self.levels])
+        return np.concatenate([left, right[1:] if self.lo[0] == self.hi[0] else right])
 
 
 def write_cuts_csv(stacks: dict[str, AlphaCutStack], path) -> None:
@@ -168,8 +144,8 @@ def write_cuts_csv(stacks: dict[str, AlphaCutStack], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["quantity_id", "alpha", "lo", "hi"])
         for name, stack in stacks.items():
-            for alpha, iv in zip(stack.levels, stack.intervals):
-                writer.writerow([name, repr(float(alpha)), repr(iv.lo), repr(iv.hi)])
+            for row in zip(stack.levels.tolist(), stack.lo.tolist(), stack.hi.tolist()):
+                writer.writerow([name, *map(repr, row)])
 
 
 def write_membership_csv(stacks: dict[str, AlphaCutStack], path) -> None:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, is_integer
+from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, is_finite_number, is_integer
 from .linalg import ModalSolution, fix_signs
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
@@ -229,6 +229,8 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
         spring_entries = data["springs"]
     except KeyError as exc:
         raise ConfigurationError(f"{source}: missing required key {exc.args[0]!r}") from exc
+    if not isinstance(masses, list) or not all(is_finite_number(m) for m in masses):
+        raise ConfigurationError(f"{source}: 'masses' must be a list of finite numbers, got {masses!r}")
     if not isinstance(spring_entries, list) or not spring_entries:
         raise ConfigurationError(f"{source}: 'springs' must be a non-empty array")
 
@@ -246,6 +248,10 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
         b = _parse_endpoint(entry["b"], where)
         stiffness = entry.get("stiffness")
         param = entry.get("param")
+        if not (stiffness is None or is_finite_number(stiffness)):
+            raise ConfigurationError(f"{where}: 'stiffness' must be a finite number, got {stiffness!r}")
+        if not (param is None or is_integer(param)):
+            raise ConfigurationError(f"{where}: 'param' must be an integer, got {param!r}")
         try:
             springs.append(
                 SpringElement(
@@ -253,17 +259,19 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
                     node_a=a,
                     node_b=b,
                     stiffness=None if stiffness is None else float(stiffness),
-                    param_index=None if param is None else int(param),
+                    param_index=param,
                 )
             )
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {exc}") from exc
         if param is not None:
-            max_param = max(max_param, int(param))
+            max_param = max(max_param, param)
 
     count = data.get("parameters", max_param + 1)
+    if not is_integer(count):
+        raise ConfigurationError(f"{source}: 'parameters' must be an integer, got {count!r}")
     try:
-        return StructuralModel(masses=np.asarray(masses, dtype=float), springs=tuple(springs), parameter_count=int(count))
+        return StructuralModel(masses=np.asarray(masses, dtype=float), springs=tuple(springs), parameter_count=count)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from exc
 

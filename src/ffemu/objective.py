@@ -55,9 +55,10 @@ def hz_to_eigenvalue(f: float) -> float:
     return (_TWO_PI * f) ** 2
 
 
-def eigenvalue_to_hz(lam: float) -> float:
-    """Eigenvalue in rad^2/s^2 to frequency in Hz."""
-    return math.sqrt(lam) / _TWO_PI
+def eigenvalue_to_hz(lam):
+    """Eigenvalues (scalar or array) in rad^2/s^2 to Hz; a negative one raises FloatingPointError."""
+    with np.errstate(invalid="raise"):
+        return np.sqrt(lam) / _TWO_PI
 
 
 @dataclass(frozen=True)
@@ -278,9 +279,7 @@ class MeasuredFuzzyModalData:
         equal the stored vectors; with fuzzy shapes they are the
         component-wise cut endpoints.
         """
-        cuts = [t.alpha_cut(alpha) for t in self.eigenvalue_tfns]
-        eig_lo = np.array([c.lo for c in cuts])
-        eig_hi = np.array([c.hi for c in cuts])
+        eig_lo, eig_hi = np.array([t.alpha_cut(alpha) for t in self.eigenvalue_tfns]).T
         if self.shape_tfns is None:
             vec_lo = self.mode_shapes
             vec_hi = self.mode_shapes
@@ -289,9 +288,7 @@ class MeasuredFuzzyModalData:
             vec_hi = np.empty_like(self.mode_shapes)
             for j, col in enumerate(self.shape_tfns):
                 for i, tfn in enumerate(col):
-                    cut = tfn.alpha_cut(alpha)
-                    vec_lo[i, j] = cut.lo
-                    vec_hi[i, j] = cut.hi
+                    vec_lo[i, j], vec_hi[i, j] = tfn.alpha_cut(alpha)
         return MeasuredModalIntervals(eig_lo, eig_hi, vec_lo, vec_hi)
 
 

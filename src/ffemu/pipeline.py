@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
-from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
+from .fuzzy import AlphaCutStack, TriangularFuzzyNumber, default_levels
 from .model import StructuralModel, read_json
 from .objective import (
     MeasuredFuzzyModalData,
@@ -188,20 +188,11 @@ def simulate_measurements(
     component_tfns = None
     if shape_tfns:
         vec_lo, vec_hi = np.split(vec, 2)
-        component_tfns = []
-        for j in range(n):
-            col = []
-            for i in range(n):
-                values = np.stack([vec_lo[:, i, j], vec_hi[:, i, j]])
-                col.append(
-                    _fit_tfn(
-                        center.eigenvectors[i, j],
-                        levels,
-                        values.min(axis=0),
-                        values.max(axis=0),
-                    )
-                )
-            component_tfns.append(col)
+        v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
+        component_tfns = [
+            [_fit_tfn(center.eigenvectors[i, j], levels, v_min[:, i, j], v_max[:, i, j]) for i in range(n)]
+            for j in range(n)
+        ]
     return MeasuredFuzzyModalData(tfns, center.eigenvectors, component_tfns)
 
 
@@ -291,10 +282,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             k + 1, alpha, f, eval_counts[k], polish_counts[k], result.stop_reason,
         )
 
-    parameter_stacks = [
-        AlphaCutStack(run.levels, tuple(Interval(lo, hi) for lo, hi in zip(lower[:, i], upper[:, i])))
-        for i in range(d)
-    ]
+    parameter_stacks = [AlphaCutStack(run.levels, lower[:, i], upper[:, i]) for i in range(d)]
     output_stacks = propagate_outputs(model, parameter_stacks)
     return FfemuResult(
         levels=run.levels.copy(),
@@ -322,16 +310,13 @@ def propagate_outputs(model: StructuralModel, parameter_stacks: list) -> list:
     if not parameter_stacks:
         raise DomainError("need at least one parameter stack")
     levels = parameter_stacks[0].levels
-    lower = np.array([[iv.lo for iv in stack.intervals] for stack in parameter_stacks]).T
-    upper = np.array([[iv.hi for iv in stack.intervals] for stack in parameter_stacks]).T
+    lower = np.column_stack([s.lo for s in parameter_stacks])
+    upper = np.column_stack([s.hi for s in parameter_stacks])
     lows, highs = np.split(model.eigenvalues_batch(np.concatenate([lower, upper])), 2)
     # monotonicity puts highs above lows; the max() only absorbs last-ulp
     # eigensolver noise when a box is pinched to near-zero width
     highs = np.maximum(lows, highs)
-    return [
-        AlphaCutStack(levels, tuple(Interval(lows[k, j], highs[k, j]) for k in range(levels.size)))
-        for j in range(model.n_dof)
-    ]
+    return [AlphaCutStack(levels, lows[:, j], highs[:, j]) for j in range(model.n_dof)]
 
 
 @dataclass

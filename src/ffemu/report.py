@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import SUMMARY_FILE
-from .fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, write_cuts_csv, write_membership_csv
+from .fuzzy import AlphaCutStack, TriangularFuzzyNumber, write_cuts_csv, write_membership_csv
 from .model import StructuralModel
 from .objective import eigenvalue_to_hz
 
@@ -39,19 +39,16 @@ def parameter_labels(model: StructuralModel) -> list[str]:
 
 
 def _stack_payload(stack: AlphaCutStack) -> list:
-    return [[float(a), iv.lo, iv.hi] for a, iv in zip(stack.levels, stack.intervals)]
+    """A stack as JSON rows of [alpha, lo, hi]."""
+    return np.column_stack([stack.levels, stack.lo, stack.hi]).tolist()
 
 
 def _stack_from_payload(payload) -> AlphaCutStack:
-    levels = np.array([row[0] for row in payload])
-    return AlphaCutStack(levels, tuple(Interval(row[1], row[2]) for row in payload))
+    return AlphaCutStack(*np.asarray(payload, dtype=float).T)
 
 
 def _stack_to_hz(stack: AlphaCutStack) -> AlphaCutStack:
-    return AlphaCutStack(
-        stack.levels,
-        tuple(Interval(eigenvalue_to_hz(iv.lo), eigenvalue_to_hz(iv.hi)) for iv in stack.intervals),
-    )
+    return AlphaCutStack(stack.levels, eigenvalue_to_hz(stack.lo), eigenvalue_to_hz(stack.hi))
 
 
 def write_bundle(out_dir, run, result) -> Path:
@@ -224,18 +221,13 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
         header += f" {'M-H':>12} {'err %':>8}"
     lines.append(header)
 
-    measured_hz = [eigenvalue_to_hz(t[1]) for t in summary["measured_eigenvalue_tfns"]]
-    updated_hz = [eigenvalue_to_hz(v) for v in summary["updated_eigenvalues"]]
-    initial_hz = (
-        None
-        if summary.get("initial_eigenvalues") is None
-        else [eigenvalue_to_hz(v) for v in summary["initial_eigenvalues"]]
-    )
-    bayes_hz = (
-        None
-        if bayes is None or bayes.get("posterior_eigenvalues") is None
-        else [eigenvalue_to_hz(v) for v in bayes["posterior_eigenvalues"]]
-    )
+    def hz(eigenvalues):
+        return None if eigenvalues is None else eigenvalue_to_hz(eigenvalues)
+
+    measured_hz = hz([t[1] for t in summary["measured_eigenvalue_tfns"]])
+    updated_hz = hz(summary["updated_eigenvalues"])
+    initial_hz = hz(summary.get("initial_eigenvalues"))
+    bayes_hz = None if bayes is None else hz(bayes.get("posterior_eigenvalues"))
     err_initial, err_updated, err_bayes = [], [], []
     for j, out in enumerate(summary["outputs"]):
         support = out["cuts"][-1]

@@ -80,10 +80,9 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
         raise ConfigurationError("truth spec values must be numbers, all finite")
     theta_true = np.asarray(spec["theta_true"], dtype=float)
     spreads = np.asarray(spec["spreads"], dtype=float) if "spreads" in spec else None
-    if theta_true.shape != (model.parameter_count,):
-        raise ConfigurationError(
-            f"theta_true must have length {model.parameter_count}, got {theta_true.size}"
-        )
+    for key, vector in (("theta_true", theta_true), ("spreads", spreads)):
+        if vector is not None and vector.shape != (model.parameter_count,):
+            raise ConfigurationError(f"{key} must have length {model.parameter_count}, got {vector.size}")
     if spreads is not None and "spread_fraction" in spec:
         raise ConfigurationError("give either 'spreads' or 'spread_fraction', not both")
     if spreads is None:

@@ -202,6 +202,22 @@ class TestReport:
                 lambda d: d.update(windows=2.5),
                 "field 'windows' must be an integer",
             ),
+            (
+                "summary.json",
+                lambda d: d["parameters"][0]["cuts"][1].__setitem__(slice(1, 3), [5000.0, 3000.0]),
+                "bounds out of order at level 0.0: [5000.0, 3000.0]",
+            ),
+            (
+                "summary.json",
+                lambda d: d["measured_eigenvalue_tfns"].__setitem__(0, [3.0, 1.0, 2.0]),
+                "triangular vertices out of order: (3.0, 1.0, 2.0)",
+            ),
+            (
+                "summary.json",
+                lambda d: d["parameters"][1].update(cuts=[[1.0, 100.0, 300.0], [0.0, 150.0, 250.0]]),
+                "nesting violated between levels 1.0 and 0.0: [100.0, 300.0] not inside [150.0, 250.0]",
+            ),
+            ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "first level must be alpha = 1, got 0.0"),
         ],
     )
     def test_missing_or_mistyped_field_is_a_configuration_error(
@@ -375,6 +391,11 @@ class TestNonNumericConfigValues:
                 "truth",
                 {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": math.nan},
                 "'truth': truth spec values must be numbers, all finite",
+            ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spreads": [1.0, 2.0]},
+                "'truth': spreads must have length 5, got 2",
             ),
         ],
     )

@@ -8,7 +8,6 @@ import pytest
 from ffemu.errors import ConfigurationError, DomainError
 from ffemu.fuzzy import (
     AlphaCutStack,
-    Interval,
     TriangularFuzzyNumber,
     default_levels,
     write_cuts_csv,
@@ -45,16 +44,13 @@ class TestMembership:
 
 class TestAlphaCut:
     def test_peak_collapse(self):
-        cut = TFN(0, 1, 3).alpha_cut(1.0)
-        assert (cut.lo, cut.hi) == (1.0, 1.0)
+        assert TFN(0, 1, 3).alpha_cut(1.0) == (1.0, 1.0)
 
     def test_full_support(self):
-        cut = TFN(0, 1, 3).alpha_cut(0.0)
-        assert (cut.lo, cut.hi) == (0.0, 3.0)
+        assert TFN(0, 1, 3).alpha_cut(0.0) == (0.0, 3.0)
 
     def test_half_level(self):
-        cut = TFN(0, 1, 3).alpha_cut(0.5)
-        assert (cut.lo, cut.hi) == (0.5, 2.0)
+        assert TFN(0, 1, 3).alpha_cut(0.5) == (0.5, 2.0)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(DomainError):
@@ -68,35 +64,39 @@ class TestAlphaCut:
             a, b, c = np.sort(rng.uniform(-5, 5, 3))
             t = TFN(a, b, c)
             a1, a2 = np.sort(rng.uniform(0, 1, 2))
-            wide, narrow = t.alpha_cut(a1), t.alpha_cut(a2)
-            assert wide.lo <= narrow.lo and narrow.hi <= wide.hi
+            (wide_lo, wide_hi), (narrow_lo, narrow_hi) = t.alpha_cut(a1), t.alpha_cut(a2)
+            assert wide_lo <= narrow_lo and narrow_hi <= wide_hi
 
 
 class TestStack:
     def test_from_tfn_three_levels(self):
         stack = AlphaCutStack.from_tfn(TFN(0, 1, 3), [1.0, 0.5, 0.0])
-        assert [(iv.lo, iv.hi) for iv in stack.intervals] == [(1, 1), (0.5, 2), (0, 3)]
+        assert list(zip(stack.lo, stack.hi)) == [(1, 1), (0.5, 2), (0, 3)]
 
     def test_degenerate_tfn(self):
         stack = AlphaCutStack.from_tfn(TFN(2, 2, 2), default_levels())
-        assert all((iv.lo, iv.hi) == (2.0, 2.0) for iv in stack.intervals)
+        assert all((lo, hi) == (2.0, 2.0) for lo, hi in zip(stack.lo, stack.hi))
 
     def test_symmetric_tfn_symmetric_cuts(self):
         stack = AlphaCutStack.from_tfn(TFN(-1, 0, 1), default_levels())
-        for iv in stack.intervals:
-            assert iv.lo == -iv.hi
+        for lo, hi in zip(stack.lo, stack.hi):
+            assert lo == -hi
 
     def test_nesting_enforced(self):
         with pytest.raises(ConfigurationError, match="nesting"):
-            AlphaCutStack([1.0, 0.5], (Interval(0, 2), Interval(0.5, 1.5)))
+            AlphaCutStack([1.0, 0.5], [0, 0.5], [2, 1.5])
 
     def test_levels_must_start_at_one(self):
         with pytest.raises(ConfigurationError):
-            AlphaCutStack([0.9, 0.5], (Interval(0, 1), Interval(0, 1)))
+            AlphaCutStack([0.9, 0.5], [0, 0], [1, 1])
 
     def test_levels_must_descend(self):
         with pytest.raises(ConfigurationError):
-            AlphaCutStack([1.0, 1.0], (Interval(0, 1), Interval(0, 1)))
+            AlphaCutStack([1.0, 1.0], [0, 0], [1, 1])
+
+    def test_crossed_bounds_rejected(self):
+        with pytest.raises(ConfigurationError, match="out of order at level 0.5"):
+            AlphaCutStack([1.0, 0.5], [0.0, 2.0], [1.0, 1.0])
 
     def test_default_levels(self):
         levels = default_levels()
@@ -130,9 +130,9 @@ class TestMembershipPolyline:
         left = verts[: levels.size]
         right = verts[levels.size - 1 :]
         for (x, mu) in left:
-            assert x == t.alpha_cut(mu).lo
+            assert x == t.alpha_cut(mu)[0]
         for (x, mu) in right:
-            assert x == t.alpha_cut(mu).hi
+            assert x == t.alpha_cut(mu)[1]
 
     def test_mu_monotone_up_then_down(self):
         rng = np.random.default_rng(8)
@@ -146,11 +146,8 @@ class TestMembershipPolyline:
 
     def test_nesting_preserved_under_monotone_transform(self):
         stack = AlphaCutStack.from_tfn(TFN(1, 2, 4), default_levels())
-        transformed = AlphaCutStack(
-            stack.levels,
-            tuple(Interval(np.sqrt(iv.lo), np.sqrt(iv.hi)) for iv in stack.intervals),
-        )
-        assert transformed.n_levels == stack.n_levels  # constructor re-validates nesting
+        transformed = AlphaCutStack(stack.levels, np.sqrt(stack.lo), np.sqrt(stack.hi))
+        assert transformed.levels.size == stack.levels.size  # constructor re-validates nesting
 
 
 class TestCsvExport:

@@ -1,6 +1,8 @@
 """Tests for structural model assembly and the model file format."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +289,34 @@ class TestModelFile:
     def test_missing_key_reported(self):
         with pytest.raises(ConfigurationError, match="'springs'"):
             model_from_dict({"masses": [1.0]}, source="unit")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["springs"][1].update(param="x"), "springs[1] (id 'k2'): 'param' must be an integer"),
+            (lambda d: d["springs"][1].update(param=1.9), "springs[1] (id 'k2'): 'param' must be an integer"),
+            (lambda d: d["springs"][1].update(param=True), "springs[1] (id 'k2'): 'param' must be an integer"),
+            (lambda d: d.update(parameters="2"), "'parameters' must be an integer"),
+            (lambda d: d.update(masses=[1.0, math.nan]), "'masses' must be a list of finite numbers"),
+            (lambda d: d.update(masses=[math.inf, 1.0]), "'masses' must be a list of finite numbers"),
+            (
+                lambda d: d["springs"].append({"id": "k3", "a": 0, "b": 1, "stiffness": math.nan}),
+                "springs[2] (id 'k3'): 'stiffness' must be a finite number",
+            ),
+        ],
+    )
+    def test_mistyped_or_non_finite_value_names_source_and_spring(self, edit, message):
+        data = {
+            "masses": [1.0, 1.0],
+            "springs": [
+                {"id": "k1", "a": "ground", "b": 0, "param": 0},
+                {"id": "k2", "a": 0, "b": 1, "param": 1},
+            ],
+        }
+        model_from_dict(data, source="unit")  # valid before the edit
+        edit(data)
+        with pytest.raises(ConfigurationError, match=re.escape(f"unit: {message}")):
+            model_from_dict(data, source="unit")
 
     def test_bad_endpoint_token(self):
         with pytest.raises(ConfigurationError, match="endpoint"):

@@ -8,7 +8,7 @@ import pytest
 
 from ffemu import pipeline, scenarios
 from ffemu.errors import ConfigurationError
-from ffemu.fuzzy import AlphaCutStack, Interval, TriangularFuzzyNumber, default_levels
+from ffemu.fuzzy import AlphaCutStack, TriangularFuzzyNumber, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import WeightingConfig, residual_batch, save_measured
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
@@ -85,9 +85,9 @@ class TestSimulateMeasurements:
             grid_lo = np.minimum(grid_lo, lam)
             grid_hi = np.maximum(grid_hi, lam)
         for j, tfn in enumerate(measured.eigenvalue_tfns):
-            cut = tfn.alpha_cut(0.0)
-            assert cut.lo == pytest.approx(grid_lo[j], rel=1e-3)
-            assert cut.hi == pytest.approx(grid_hi[j], rel=1e-3)
+            lo, hi = tfn.alpha_cut(0.0)
+            assert lo == pytest.approx(grid_lo[j], rel=1e-3)
+            assert hi == pytest.approx(grid_hi[j], rel=1e-3)
 
     def test_mode_shapes_are_center_shapes(self):
         model = scenarios.five_dof_model()
@@ -111,7 +111,8 @@ class TestSimulateMeasurements:
         # cuts of the fuzzy shapes widen as alpha drops (before normalization
         # they nest component-wise; compare through the raw TFNs)
         raw = measured.shape_tfns[0][0]
-        assert raw.alpha_cut(0.0).width >= raw.alpha_cut(0.5).width
+        (wide_lo, wide_hi), (narrow_lo, narrow_hi) = raw.alpha_cut(0.0), raw.alpha_cut(0.5)
+        assert wide_hi - wide_lo >= narrow_hi - narrow_lo
         assert wide.vec_lo.shape == narrow.vec_lo.shape
 
     def test_spread_validation(self):
@@ -131,24 +132,24 @@ class TestRunFfemu:
     def test_nesting_exact_and_level1_degenerate(self, aco_result):
         _, result = aco_result
         for stack in result.parameter_stacks + result.output_stacks:
-            assert stack.peak.width >= 0.0
-            for k in range(stack.n_levels - 1):
-                assert stack.intervals[k + 1].lo <= stack.intervals[k].lo
-                assert stack.intervals[k].hi <= stack.intervals[k + 1].hi
+            assert stack.hi[0] - stack.lo[0] >= 0.0
+            for k in range(stack.levels.size - 1):
+                assert stack.lo[k + 1] <= stack.lo[k]
+                assert stack.hi[k] <= stack.hi[k + 1]
         for stack in result.parameter_stacks:
-            assert stack.peak.width == 0.0
+            assert stack.hi[0] - stack.lo[0] == 0.0
 
     def test_center_is_peak_of_every_stack(self, aco_result):
         _, result = aco_result
         for i, stack in enumerate(result.parameter_stacks):
-            assert stack.peak.lo == result.center[i]
+            assert stack.lo[0] == result.center[i]
 
     def test_warm_start_never_worsens(self, aco_result):
         run, result = aco_result
         for k in range(1, run.levels.size):
             measured_k = run.measured.cuts_at(run.levels[k])
-            prev_lower = np.array([s.intervals[k - 1].lo for s in result.parameter_stacks])
-            prev_upper = np.array([s.intervals[k - 1].hi for s in result.parameter_stacks])
+            prev_lower = np.array([s.lo[k - 1] for s in result.parameter_stacks])
+            prev_upper = np.array([s.hi[k - 1] for s in result.parameter_stacks])
             r = residual_batch(run.model, [prev_lower], [prev_upper], measured_k, run.weights)[0]
             assert result.objective_values[k] <= r @ r + 1e-18
 
@@ -188,10 +189,10 @@ class TestRunFfemu:
         for i in range(5):
             gen = TriangularFuzzyNumber(truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
-                cut = gen.alpha_cut(alpha)
-                iv = result.parameter_stacks[i].intervals[k]
-                assert iv.lo <= cut.lo + slack[i]
-                assert iv.hi >= cut.hi - slack[i]
+                cut_lo, cut_hi = gen.alpha_cut(alpha)
+                stack = result.parameter_stacks[i]
+                assert stack.lo[k] <= cut_lo + slack[i]
+                assert stack.hi[k] >= cut_hi - slack[i]
 
     def test_every_level_converges_within_polish_cap(self, aco_result):
         # with eigenvalue-only weights each level is a zero-residual
@@ -208,14 +209,14 @@ class TestRunFfemu:
         run, result = aco_result
         centers = run.measured.center_eigenvalues()
         for j, stack in enumerate(result.output_stacks):
-            assert stack.support.lo <= centers[j] <= stack.support.hi
+            assert stack.lo[-1] <= centers[j] <= stack.hi[-1]
 
     def test_deterministic_rerun(self, aco_result):
         run, result = aco_result
         again = run_ffemu(fuzzy_run("aco"))
         for a, b in zip(result.parameter_stacks, again.parameter_stacks):
-            for iva, ivb in zip(a.intervals, b.intervals):
-                assert (iva.lo, iva.hi) == (ivb.lo, ivb.hi)
+            for k in range(a.levels.size):
+                assert (a.lo[k], a.hi[k]) == (b.lo[k], b.hi[k])
         np.testing.assert_array_equal(result.objective_values, again.objective_values)
 
     def test_containment_pso_at_looser_slack(self):
@@ -231,10 +232,10 @@ class TestRunFfemu:
         for i in range(5):
             gen = TriangularFuzzyNumber(truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
-                cut = gen.alpha_cut(alpha)
-                iv = result.parameter_stacks[i].intervals[k]
-                assert iv.lo <= cut.lo + slack[i]
-                assert iv.hi >= cut.hi - slack[i]
+                cut_lo, cut_hi = gen.alpha_cut(alpha)
+                stack = result.parameter_stacks[i]
+                assert stack.lo[k] <= cut_lo + slack[i]
+                assert stack.hi[k] >= cut_hi - slack[i]
 
     def test_each_level_searches_the_box_anchored_to_the_previous_level(self, monkeypatch):
         # level 1 searches [theta_min, theta_max]; level k >= 2 searches
@@ -249,8 +250,8 @@ class TestRunFfemu:
         monkeypatch.setattr(pipeline, "aco_minimize", recording)
         run = fuzzy_run("aco", iters=20, seed=4)
         result = run_ffemu(run)
-        lower = np.array([[iv.lo for iv in s.intervals] for s in result.parameter_stacks]).T
-        upper = np.array([[iv.hi for iv in s.intervals] for s in result.parameter_stacks]).T
+        lower = np.column_stack([s.lo for s in result.parameter_stacks])
+        upper = np.column_stack([s.hi for s in result.parameter_stacks])
         assert len(calls) == run.levels.size
         np.testing.assert_array_equal(calls[0][0], run.theta_min)
         np.testing.assert_array_equal(calls[0][1], run.theta_max)
@@ -278,7 +279,7 @@ class TestRunFfemu:
         )
         result = run_ffemu(run)
         for stack in result.parameter_stacks:
-            assert stack.support.width <= eps.max()
+            assert stack.hi[-1] - stack.lo[-1] <= eps.max()
         r = residual_batch(model, [theta_p], [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
         assert result.objective_values[0] == pytest.approx(r @ r, rel=1e-2)
 
@@ -311,20 +312,20 @@ class TestPropagateOutputs:
         theta = scenarios.THETA_TRUE
         levels = default_levels(4)
         stacks = [
-            AlphaCutStack(levels, tuple(Interval(t, t) for _ in range(4))) for t in theta
+            AlphaCutStack(levels, np.full(4, t), np.full(4, t)) for t in theta
         ]
         outputs = propagate_outputs(model, stacks)
         lam = model.eigenvalues_batch(theta[None, :])[0]
         for j, stack in enumerate(outputs):
-            for iv in stack.intervals:
-                assert iv.lo == iv.hi == lam[j]
+            for lo, hi in zip(stack.lo, stack.hi):
+                assert lo == hi == lam[j]
 
     def test_one_dof_identity(self):
         stacks = [AlphaCutStack.from_tfn(TriangularFuzzyNumber(4, 5, 6), default_levels())]
         outputs = propagate_outputs(one_dof_model(), stacks)
-        for iv_in, iv_out in zip(stacks[0].intervals, outputs[0].intervals):
-            assert iv_out.lo == pytest.approx(iv_in.lo, rel=1e-12)
-            assert iv_out.hi == pytest.approx(iv_in.hi, rel=1e-12)
+        for k in range(stacks[0].levels.size):
+            assert outputs[0].lo[k] == pytest.approx(stacks[0].lo[k], rel=1e-12)
+            assert outputs[0].hi[k] == pytest.approx(stacks[0].hi[k], rel=1e-12)
 
 
 class TestRunConfig:
