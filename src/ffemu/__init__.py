@@ -28,7 +28,7 @@ from .errors import (
     FfemuError,
     ShapeError,
 )
-from .fuzzy import AlphaCutStack, TriangularFuzzyNumber, default_levels
+from .fuzzy import AlphaCutStack, alpha_cuts, default_levels, triangles
 from .linalg import ModalSolution, pair_modes
 from .model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
 from .objective import (

@@ -3,9 +3,11 @@
 ``summary.json`` (an ``ffemu update`` run) and ``bayes_summary.json`` (an
 ``ffemu bayes`` run) are read through ``model.read_json``. Every field the
 report and the membership curves read is checked for presence, type and
-length before anything is rendered, and the cuts and measured triangles
-must make valid alpha-cut stacks, so a damaged or hand-edited file is a
-``ConfigurationError`` naming it, never a traceback.
+length before anything is rendered. The cuts must make valid alpha-cut
+stacks, the measured triangles must be ordered and cut at valid levels,
+and every eigenvalue the report takes the square root of must be
+positive, so a damaged or hand-edited file is a ``ConfigurationError``
+naming it, never a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fuzzy import AlphaCutStack, TriangularFuzzyNumber
+from .fuzzy import AlphaCutStack, check_levels, triangles
 from .model import read_json
 
 __all__ = ["SUMMARY_FILE", "BAYES_FILE", "load_summary", "load_bayes_summary"]
@@ -105,13 +107,24 @@ def _check_summary(path: Path, data: dict) -> None:
         ("stop_reasons", (n,), "U", True),
     ]:
         _field(path, meta, key, shape, kinds, f"metadata.{key}", optional)
-    try:  # the cuts and the measured triangles must make alpha-cut stacks
+    for key in ("updated_eigenvalues", "initial_eigenvalues", "measured_eigenvalue_tfns"):
+        _positive(path, key, data.get(key))
+    for j, entry in enumerate(outputs):
+        _positive(path, f"outputs[{j}].cuts", np.asarray(entry["cuts"])[:, 1:])
+    try:  # the cuts must make alpha-cut stacks, the levels keep the level rule, the triangles their order
         for entry in params + outputs:
             AlphaCutStack(*np.asarray(entry["cuts"], dtype=float).T)
-        for a, b, c in data["measured_eigenvalue_tfns"]:
-            AlphaCutStack.from_tfn(TriangularFuzzyNumber(a, b, c), data["alpha_levels"])
+        check_levels(data["alpha_levels"])
+        triangles(data["measured_eigenvalue_tfns"])
     except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _positive(path: Path, label: str, values) -> None:
+    """``values``, eigenvalues whose square root the report takes, must all
+    be positive; None (an absent optional field) passes."""
+    if values is not None and not (np.asarray(values, dtype=float) > 0.0).all():
+        raise ConfigurationError(f"{path}: field {label!r} must hold positive eigenvalues")
 
 
 def _check_bayes(path: Path, data: dict, summary: dict) -> None:
@@ -128,6 +141,7 @@ def _check_bayes(path: Path, data: dict, summary: dict) -> None:
         ("solved_rows", (), "i", True),
     ]:
         _field(path, data, key, shape, kinds, optional=optional)
+    _positive(path, "posterior_eigenvalues", data.get("posterior_eigenvalues"))
 
 
 def load_summary(bundle_dir) -> dict:

@@ -40,9 +40,9 @@ def _resolve_truth(ref: str) -> dict:
 def cmd_simulate(args) -> int:
     model = scenarios.resolve_model(args.model)
     truth = _resolve_truth(args.truth)
-    measured = scenarios.simulate_from_truth_spec(model, truth, default_levels(args.levels))
+    measured = scenarios.simulate_from_truth_spec(model, truth, default_levels(args.levels), args.truth)
     save_measured(measured, args.out)
-    freqs = [f"{eigenvalue_to_hz(t.b):.6g}" for t in measured.eigenvalue_tfns]
+    freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.center_eigenvalues())]
     kind = "crisp" if measured.is_crisp else "fuzzy"
     print(f"wrote {measured.n_modes} {kind} modes to {args.out}")
     print("center frequencies (Hz): " + ", ".join(freqs))

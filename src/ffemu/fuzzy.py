@@ -1,10 +1,11 @@
-"""Triangular fuzzy numbers, alpha-cuts, and nested interval stacks.
+"""Triangular fuzzy numbers, alpha levels, and nested alpha-cut stacks.
 
-A fuzzy quantity is represented either parametrically as a triangular
-membership function (a, b, c) or discretely as a stack of nested
-alpha-cuts, one per level, held as arrays of levels and lower and upper
-bounds. The stack form is what the updating procedure produces;
-the helpers here convert between the two and export curves as CSV.
+A fuzzy quantity is represented either parametrically, as triangles held
+in float arrays whose last axis is (a, b, c), or discretely, as a stack of
+nested alpha-cuts: arrays of levels and lower and upper bounds. The stack
+form is what the updating procedure produces. The helpers here check and
+cut any number of triangles in one call, hold the one rule for a list of
+alpha levels (``check_levels``), and export curves as CSV.
 """
 
 from __future__ import annotations
@@ -14,74 +15,81 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ShapeError
 
 __all__ = [
-    "TriangularFuzzyNumber",
     "AlphaCutStack",
+    "alpha_cuts",
+    "check_levels",
     "default_levels",
+    "triangles",
     "write_cuts_csv",
     "write_membership_csv",
 ]
-
-
-@dataclass(frozen=True)
-class TriangularFuzzyNumber:
-    """Triangular membership function with support [a, c] and peak at b."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        if not self.a <= self.b <= self.c:
-            raise DomainError(f"triangular vertices out of order: ({self.a}, {self.b}, {self.c})")
-
-    @property
-    def is_crisp(self) -> bool:
-        return self.a == self.b == self.c
-
-    def membership(self, x: float) -> float:
-        """Piecewise-linear membership degree in [0, 1]; 1 at the peak."""
-        x = float(x)
-        if x == self.b:
-            return 1.0
-        if x <= self.a or x >= self.c:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
-
-    def alpha_cut(self, alpha: float) -> tuple[float, float]:
-        """Bounds (lo, hi) of {x : membership(x) >= alpha}; alpha 0 gives (a, c)."""
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError(f"alpha must be in [0, 1], got {alpha}")
-        if alpha == 1.0:
-            return self.b, self.b
-        if alpha == 0.0:
-            return self.a, self.c
-        lo = self.a + alpha * (self.b - self.a)
-        hi = self.c - alpha * (self.c - self.b)
-        if lo > hi:  # 1-ulp rounding near a degenerate peak
-            lo = hi = 0.5 * (lo + hi)
-        return lo, hi
-
-
-def default_levels(count: int = 10) -> np.ndarray:
-    """Uniformly spaced alpha levels, descending from 1 to 0 inclusive."""
-    if count < 1:
-        raise DomainError("need at least one alpha level")
-    return np.linspace(1.0, 0.0, count)
 
 
 def _first(mask) -> int | None:
     """Index of the first True in ``mask``, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
+
+
+def triangles(values) -> np.ndarray:
+    """``values`` as a float array of triangles, its last axis (a, b, c); vertices
+    out of order (NaN included) are a ``DomainError`` naming the first such triangle."""
+    tfns = np.asarray(values, dtype=float)
+    if tfns.ndim == 0 or tfns.shape[-1] != 3:
+        raise ShapeError(f"triangles need a last axis of length 3, got shape {tfns.shape}")
+    a, b, c = np.moveaxis(tfns, -1, 0)
+    if (k := _first(~((a <= b) & (b <= c)))) is not None:
+        a, b, c = tfns.reshape(-1, 3)[k].tolist()
+        raise DomainError(f"triangular vertices out of order: ({a}, {b}, {c})")
+    return tfns
+
+
+def alpha_cuts(tfns, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of {x : membership(x) >= alpha} for triangles (..., 3).
+
+    A scalar alpha gives arrays of shape (...), and L levels give (L, ...).
+    Alpha 1 gives (b, b) and alpha 0 gives (a, c); a cut that rounding
+    crosses near a degenerate peak is pinched to its midpoint.
+    """
+    a, b, c = np.moveaxis(np.asarray(tfns, dtype=float), -1, 0)
+    alpha = np.asarray(alpha, dtype=float)
+    if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
+        raise DomainError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = alpha.reshape(alpha.shape + (1,) * a.ndim)
+    lo = a + alpha * (b - a)
+    hi = c - alpha * (c - b)
+    crossed = lo > hi
+    mid = 0.5 * (lo + hi)
+    lo = np.where(alpha == 1.0, b, np.where(alpha == 0.0, a, np.where(crossed, mid, lo)))
+    hi = np.where(alpha == 1.0, b, np.where(alpha == 0.0, c, np.where(crossed, mid, hi)))
+    return lo, hi
+
+
+def check_levels(levels) -> np.ndarray:
+    """``levels`` as a 1-D float array of alpha levels.
+
+    There must be at least one; the first is 1, and they descend strictly
+    to 0 or above. Anything else is a ``ConfigurationError`` naming the
+    first offending level.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ConfigurationError("need at least one alpha level, as a 1-D list")
+    if levels[0] != 1.0:
+        raise ConfigurationError(f"first level must be alpha = 1, got {levels[0]}")
+    if (k := _first(~(np.diff(levels) < 0.0))) is not None:
+        raise ConfigurationError(f"levels must be strictly descending: {levels[k + 1]} after {levels[k]}")
+    if (k := _first(levels < 0.0)) is not None:
+        raise ConfigurationError(f"levels must lie in [0, 1], got {levels[k]}")
+    return levels
+
+
+def default_levels(count: int = 10) -> np.ndarray:
+    """``count`` uniformly spaced alpha levels, descending from 1 to 0 inclusive."""
+    return check_levels(np.linspace(1.0, 0.0, max(count, 0)))
 
 
 @dataclass(frozen=True)
@@ -99,19 +107,12 @@ class AlphaCutStack:
     hi: np.ndarray
 
     def __post_init__(self):
-        levels, lo, hi = (np.asarray(v, dtype=float) for v in (self.levels, self.lo, self.hi))
+        levels = check_levels(self.levels)
+        lo, hi = (np.asarray(v, dtype=float) for v in (self.lo, self.hi))
         for name, value in zip(("levels", "lo", "hi"), (levels, lo, hi)):
             object.__setattr__(self, name, value)
-        if levels.ndim != 1 or lo.shape != levels.shape or hi.shape != levels.shape:
+        if lo.shape != levels.shape or hi.shape != levels.shape:
             raise ConfigurationError("levels, lo and hi must be 1-D arrays of one length")
-        if levels.size == 0:
-            raise ConfigurationError("stack must have at least one level")
-        if levels[0] != 1.0:
-            raise ConfigurationError(f"first level must be alpha = 1, got {levels[0]}")
-        if (k := _first(~(np.diff(levels) < 0.0))) is not None:
-            raise ConfigurationError(f"levels must be strictly descending: {levels[k + 1]} after {levels[k]}")
-        if (k := _first(levels < 0.0)) is not None:
-            raise ConfigurationError(f"levels must lie in [0, 1], got {levels[k]}")
         if (k := _first(~(lo <= hi))) is not None:
             raise ConfigurationError(f"bounds out of order at level {levels[k]}: [{lo[k]}, {hi[k]}]")
         if (k := _first(~((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:])))) is not None:
@@ -119,13 +120,6 @@ class AlphaCutStack:
                 f"nesting violated between levels {levels[k]} and {levels[k + 1]}: "
                 f"[{lo[k]}, {hi[k]}] not inside [{lo[k + 1]}, {hi[k + 1]}]"
             )
-
-    @classmethod
-    def from_tfn(cls, tfn: TriangularFuzzyNumber, levels) -> "AlphaCutStack":
-        """Stack of alpha-cuts of a triangular number at the given levels."""
-        levels = np.asarray(levels, dtype=float)
-        cuts = np.array([tfn.alpha_cut(a) for a in levels]).reshape(-1, 2)
-        return cls(levels, cuts[:, 0], cuts[:, 1])
 
     def to_membership(self) -> np.ndarray:
         """Piecewise-linear membership polyline as an array of (x, mu) rows.

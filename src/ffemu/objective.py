@@ -32,8 +32,9 @@ from .errors import (
     DegenerateVectorError,
     DomainError,
     ShapeError,
+    is_finite_number,
 )
-from .fuzzy import TriangularFuzzyNumber
+from .fuzzy import alpha_cuts, triangles
 from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json
 
@@ -50,9 +51,9 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def hz_to_eigenvalue(f: float) -> float:
-    """Frequency in Hz to eigenvalue in rad^2/s^2."""
-    return (_TWO_PI * f) ** 2
+def hz_to_eigenvalue(f):
+    """Frequencies in Hz to eigenvalues in rad^2/s^2, each squared as ``float ** 2`` rounds it."""
+    return np.float_power(_TWO_PI * np.asarray(f, dtype=float), 2)
 
 
 def eigenvalue_to_hz(lam):
@@ -240,26 +241,24 @@ def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.n
 
 
 class MeasuredFuzzyModalData:
-    """Fuzzy measured modal data: one eigenvalue TFN per mode plus mode shapes.
+    """Fuzzy measured modal data: one eigenvalue triangle per mode plus mode shapes.
 
-    Mode shapes are either crisp (one vector per mode) or fuzzy
-    (per-component TFNs); crisp is the common case. Internally eigenvalues
-    are in rad^2/s^2; files store Hz by default.
+    Triangles are arrays with last axis (a, b, c): ``eigenvalue_tfns`` is
+    (n, 3) in rad^2/s^2, and ``shape_tfns``, None for crisp shapes (the
+    common case), is (n_dof, n, 3), laid out like the unit ``mode_shapes``
+    (n_dof, n). Files store Hz by default.
     """
 
     def __init__(self, eigenvalue_tfns, mode_shapes, shape_tfns=None):
-        self.eigenvalue_tfns = list(eigenvalue_tfns)
+        self.eigenvalue_tfns = triangles(eigenvalue_tfns)
         self.mode_shapes = _unit_columns(np.asarray(mode_shapes, dtype=float))
-        self.shape_tfns = shape_tfns
-        n = len(self.eigenvalue_tfns)
-        if self.mode_shapes.shape[1] != n:
-            raise ShapeError("need one mode-shape column per eigenvalue TFN")
-        if any(t.a <= 0.0 for t in self.eigenvalue_tfns):
-            raise DomainError("eigenvalue TFN supports must be positive")
-        if shape_tfns is not None and (
-            len(shape_tfns) != n or any(len(col) != self.mode_shapes.shape[0] for col in shape_tfns)
-        ):
-            raise ShapeError("shape TFNs must be given per mode, per component")
+        self.shape_tfns = None if shape_tfns is None else triangles(shape_tfns)
+        if self.eigenvalue_tfns.ndim != 2 or self.mode_shapes.shape[1:] != (self.n_modes,):
+            raise ShapeError("need one mode-shape column per eigenvalue triangle")
+        if (self.eigenvalue_tfns[:, 0] <= 0.0).any():
+            raise DomainError("eigenvalue triangle supports must be positive")
+        if self.shape_tfns is not None and self.shape_tfns.shape != self.mode_shapes.shape + (3,):
+            raise ShapeError("shape triangles must be given per component, per mode")
 
     @property
     def n_modes(self) -> int:
@@ -267,10 +266,10 @@ class MeasuredFuzzyModalData:
 
     @property
     def is_crisp(self) -> bool:
-        return all(t.is_crisp for t in self.eigenvalue_tfns)
+        return bool((self.eigenvalue_tfns == self.eigenvalue_tfns[:, 1:2]).all())
 
     def center_eigenvalues(self) -> np.ndarray:
-        return np.array([t.b for t in self.eigenvalue_tfns])
+        return self.eigenvalue_tfns[:, 1].copy()
 
     def cuts_at(self, alpha: float) -> MeasuredModalIntervals:
         """Measured bounds at one alpha level.
@@ -279,60 +278,79 @@ class MeasuredFuzzyModalData:
         equal the stored vectors; with fuzzy shapes they are the
         component-wise cut endpoints.
         """
-        eig_lo, eig_hi = np.array([t.alpha_cut(alpha) for t in self.eigenvalue_tfns]).T
+        eigenvalues = alpha_cuts(self.eigenvalue_tfns, alpha)
         if self.shape_tfns is None:
-            vec_lo = self.mode_shapes
-            vec_hi = self.mode_shapes
-        else:
-            vec_lo = np.empty_like(self.mode_shapes)
-            vec_hi = np.empty_like(self.mode_shapes)
-            for j, col in enumerate(self.shape_tfns):
-                for i, tfn in enumerate(col):
-                    vec_lo[i, j], vec_hi[i, j] = tfn.alpha_cut(alpha)
-        return MeasuredModalIntervals(eig_lo, eig_hi, vec_lo, vec_hi)
+            return MeasuredModalIntervals(*eigenvalues, self.mode_shapes, self.mode_shapes)
+        return MeasuredModalIntervals(*eigenvalues, *alpha_cuts(self.shape_tfns, alpha))
 
 
 def save_measured(data: MeasuredFuzzyModalData, path, units: str = "hz") -> None:
-    """Write measured fuzzy modal data as JSON (eigenvalue TFNs in Hz by default)."""
+    """Write measured fuzzy modal data as ``load_measured`` reads it (Hz by default)."""
     if units not in ("hz", "eigenvalue"):
         raise ConfigurationError(f"unknown units {units!r}; use 'hz' or 'eigenvalue'")
-    convert = eigenvalue_to_hz if units == "hz" else (lambda x: x)
-    modes = []
-    for j, tfn in enumerate(data.eigenvalue_tfns):
-        entry = {
-            "eigenvalue": [convert(tfn.a), convert(tfn.b), convert(tfn.c)],
-            "mode_shape": [float(v) for v in data.mode_shapes[:, j]],
-        }
-        if data.is_crisp:
-            entry["crisp"] = True
-        if data.shape_tfns is not None:
-            entry["mode_shape_tfns"] = [[t.a, t.b, t.c] for t in data.shape_tfns[j]]
-        modes.append(entry)
+    eigenvalues = eigenvalue_to_hz(data.eigenvalue_tfns) if units == "hz" else data.eigenvalue_tfns
+    columns = {"eigenvalue": eigenvalues.tolist(), "mode_shape": data.mode_shapes.T.tolist()}
+    if data.is_crisp:
+        columns["crisp"] = [True] * data.n_modes
+    if data.shape_tfns is not None:
+        columns["mode_shape_tfns"] = np.swapaxes(data.shape_tfns, 0, 1).tolist()
+    modes = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"units": units, "modes": modes}, fh, indent=2)
         fh.write("\n")
 
 
+def _finite_numbers(value) -> bool:
+    """Whether ``value`` is a finite number or a list, nested to any depth, of them."""
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return is_finite_number(value)
+
+
 def load_measured(path) -> MeasuredFuzzyModalData:
-    """Read measured fuzzy modal data, converting Hz TFNs to eigenvalues."""
+    """Read measured fuzzy modal data, converting Hz triangles to eigenvalues.
+
+    The file is one JSON object::
+
+        {"units": "hz",
+         "modes": [{"eigenvalue": [a, b, c],
+                    "mode_shape": [phi_1, ..., phi_n],
+                    "mode_shape_tfns": [[a, b, c], ...]}, ...]}
+
+    with one entry in ``modes`` per mode. ``units`` is ``"hz"`` (the
+    default) for eigenvalue triangles given as frequencies, or
+    ``"eigenvalue"`` for rad^2/s^2; either way the triangles must be
+    positive. ``mode_shape`` has one component per degree of freedom and
+    is normalized on reading. ``mode_shape_tfns``, one triangle per
+    component, is optional, but given for every mode or for none.
+    ``save_measured`` also writes ``"crisp": true`` on each mode when every
+    eigenvalue triangle is a point; it is ignored here. Every value must be
+    a finite JSON number. Anything else is a ``ConfigurationError`` naming
+    the file.
+    """
     raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     units = raw.get("units", "hz")
     if units not in ("hz", "eigenvalue"):
         raise ConfigurationError(f"{path}: unknown units {units!r}")
-    convert = hz_to_eigenvalue if units == "hz" else (lambda x: x)
     try:
-        mode_entries = raw["modes"]
-        tfns = [
-            TriangularFuzzyNumber(*(convert(float(v)) for v in entry["eigenvalue"]))
-            for entry in mode_entries
-        ]
-        shapes = np.array([entry["mode_shape"] for entry in mode_entries], dtype=float).T
-        shape_tfns = None
-        if any("mode_shape_tfns" in entry for entry in mode_entries):
-            shape_tfns = [
-                [TriangularFuzzyNumber(*vals) for vals in entry["mode_shape_tfns"]]
-                for entry in mode_entries
-            ]
+        modes = raw["modes"]
+        keys = ["eigenvalue", "mode_shape"]
+        if any("mode_shape_tfns" in entry for entry in modes):
+            keys.append("mode_shape_tfns")
+        values = {key: [entry[key] for entry in modes] for key in keys}
+        for key, value in values.items():
+            if not _finite_numbers(value):
+                raise ValueError(f"{key!r} values must be numbers, all finite")
+        eigenvalues = np.array(values["eigenvalue"], dtype=float)
+        if (eigenvalues <= 0.0).any():
+            raise ValueError("eigenvalue triangles must be positive")
+        shape_tfns = values.get("mode_shape_tfns")
+        return MeasuredFuzzyModalData(
+            hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues,
+            np.array(values["mode_shape"], dtype=float).T,
+            None if shape_tfns is None else np.swapaxes(triangles(shape_tfns), 0, 1),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed measured-data file: {exc}") from exc
-    return MeasuredFuzzyModalData(tfns, shapes, shape_tfns)

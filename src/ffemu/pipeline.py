@@ -24,7 +24,7 @@ import numpy as np
 
 from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
-from .fuzzy import AlphaCutStack, TriangularFuzzyNumber, default_levels
+from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json
 from .objective import (
     MeasuredFuzzyModalData,
@@ -82,10 +82,8 @@ class FfemuRun:
     def __post_init__(self):
         object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
         object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
-        if self.levels is None:
-            object.__setattr__(self, "levels", default_levels())
-        else:
-            object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
+        levels = default_levels() if self.levels is None else check_levels(self.levels)
+        object.__setattr__(self, "levels", levels)
         if self.weights is None:
             object.__setattr__(self, "weights", WeightingConfig.identity(self.measured.n_modes))
         if self.theta_initial is not None:
@@ -99,9 +97,6 @@ class FfemuRun:
             raise ConfigurationError(f"bounds must have length {d}")
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("theta_min must be strictly below theta_max")
-        levels = self.levels
-        if not (levels.size and levels[0] == 1.0 and np.all(np.diff(levels) < 0.0) and levels[-1] >= 0.0):
-            raise ConfigurationError(f"alpha levels must descend strictly from 1 to 0 or above, got {levels}")
         if self.measured.n_modes != self.model.n_dof:
             raise ConfigurationError(
                 f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
@@ -135,19 +130,22 @@ class FfemuResult:
     histories: list
 
 
-def _fit_tfn(center: float, alphas: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> TriangularFuzzyNumber:
-    """Least-squares triangular fit through the peak to per-level bounds.
+def _fit_triangles(center: np.ndarray, levels: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Least-squares triangles (..., 3) through the peaks ``center`` (...) to
+    per-level bounds ``lows`` and ``highs`` (L, ...).
 
     The model is lo(alpha) = b - (1 - alpha) * s_left (and mirrored for the
     upper branch); exact whenever propagation is linear in alpha.
     """
-    w = 1.0 - alphas
-    ssq = float(w @ w)
-    if ssq == 0.0:
-        return TriangularFuzzyNumber(center, center, center)
-    s_left = max(0.0, float(w @ (center - lows)) / ssq)
-    s_right = max(0.0, float(w @ (highs - center)) / ssq)
-    return TriangularFuzzyNumber(center - s_left, center, center + s_right)
+    w = 1.0 - levels
+    ssq = float(w @ w) or 1.0  # level 1 alone makes w, and so every slope, zero
+
+    def slope(gaps):
+        # one w @ gap dot product per triangle, each summed as the 1-D one is
+        gaps = np.ascontiguousarray(np.moveaxis(gaps, 0, -1))
+        return np.maximum((gaps[..., None, :] @ w[:, None])[..., 0, 0] / ssq, 0.0)
+
+    return np.stack([center - slope(center - lows), center, center + slope(highs - center)], axis=-1)
 
 
 def simulate_measurements(
@@ -164,7 +162,9 @@ def simulate_measurements(
     The parameter alpha-cuts of every level are solved at their vertices
     by one ``vertex_modes`` call; the sorted vertex eigenvalues are the
     per-level eigenvalue intervals, which are then fitted to one triangle
-    per mode. With ``shape_tfns`` the mode-shape components get
+    per mode. Level 1 is the point box at theta_true, so row 0 of that
+    solve is the centre: its eigenvalues are the peaks and its shapes the
+    measured mode shapes. With ``shape_tfns`` the mode-shape components get
     component-wise triangles fitted from the paired vertex shapes.
     """
     theta_true = np.asarray(theta_true, dtype=float)
@@ -175,25 +175,16 @@ def simulate_measurements(
         raise DomainError("spreads must be non-negative")
     if np.any(theta_true - spreads <= 0.0):
         raise DomainError("fuzzy support reaches non-positive stiffness")
-    levels = default_levels() if levels is None else np.asarray(levels, dtype=float)
+    levels = default_levels() if levels is None else check_levels(levels)
 
-    center = model.modal(theta_true)
-    n = model.n_dof
     halves = (1.0 - levels)[:, None] * spreads
     lam, vec = vertex_modes(model, theta_true - halves, theta_true + halves)
     lam_lo, lam_hi = np.split(lam, 2)
-    tfns = [
-        _fit_tfn(center.eigenvalues[j], levels, lam_lo[:, j], lam_hi[:, j]) for j in range(n)
-    ]
-    component_tfns = None
+    vec_lo, vec_hi = np.split(vec, 2)
+    shape_fit = None
     if shape_tfns:
-        vec_lo, vec_hi = np.split(vec, 2)
-        v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
-        component_tfns = [
-            [_fit_tfn(center.eigenvectors[i, j], levels, v_min[:, i, j], v_max[:, i, j]) for i in range(n)]
-            for j in range(n)
-        ]
-    return MeasuredFuzzyModalData(tfns, center.eigenvectors, component_tfns)
+        shape_fit = _fit_triangles(vec_lo[0], levels, np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi))
+    return MeasuredFuzzyModalData(_fit_triangles(lam_lo[0], levels, lam_lo, lam_hi), vec_lo[0], shape_fit)
 
 
 def run_ffemu(run: FfemuRun) -> FfemuResult:
@@ -384,16 +375,17 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
             f"{path}: 'alpha_levels' must be a level count of at least 1 or a list of levels, "
             f"got {level_spec!r}"
         )
+    try:
+        levels = check_levels(levels)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
     if ("measured" in raw) == ("truth" in raw):
         raise ConfigurationError(f"{path}: give exactly one of 'measured' or 'truth'")
     if "measured" in raw:
         measured = load_measured(base / raw["measured"])
     else:
-        try:
-            measured = scenarios.simulate_from_truth_spec(model, raw["truth"], levels)
-        except (ConfigurationError, DomainError) as exc:  # the spec's values are out of range
-            raise ConfigurationError(f"{path}: 'truth': {exc}") from exc
+        measured = scenarios.simulate_from_truth_spec(model, raw["truth"], levels, f"{path}: 'truth'")
 
     seed = raw.get("seed", 0) if seed_override is None else seed_override
     if not is_integer(seed) or seed < 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import SUMMARY_FILE
-from .fuzzy import AlphaCutStack, TriangularFuzzyNumber, write_cuts_csv, write_membership_csv
+from .fuzzy import AlphaCutStack, alpha_cuts, write_cuts_csv, write_membership_csv
 from .model import StructuralModel
 from .objective import eigenvalue_to_hz
 
@@ -98,9 +98,7 @@ def write_bundle(out_dir, run, result) -> Path:
             }
             for j in range(model.n_dof)
         ],
-        "measured_eigenvalue_tfns": [
-            [t.a, t.b, t.c] for t in run.measured.eigenvalue_tfns
-        ],
+        "measured_eigenvalue_tfns": run.measured.eigenvalue_tfns.tolist(),
         "initial_eigenvalues": initial_eigs,
         "updated_eigenvalues": [float(v) for v in model.modal(result.center).eigenvalues],
     }
@@ -130,10 +128,8 @@ def regenerate_curves(out_dir, summary: dict) -> None:
         f"mode_{o['mode']}": _stack_to_hz(_stack_from_payload(o["cuts"])) for o in summary["outputs"]
     }
     levels = np.asarray(summary["alpha_levels"], dtype=float)
-    measured_stacks = {}
-    for j, (a, b, c) in enumerate(summary["measured_eigenvalue_tfns"]):
-        stack = AlphaCutStack.from_tfn(TriangularFuzzyNumber(a, b, c), levels)
-        measured_stacks[f"mode_{j + 1}"] = _stack_to_hz(stack)
+    lo, hi = eigenvalue_to_hz(alpha_cuts(summary["measured_eigenvalue_tfns"], levels))
+    measured_stacks = {f"mode_{j + 1}": AlphaCutStack(levels, lo[:, j], hi[:, j]) for j in range(lo.shape[1])}
     write_cuts_csv(param_stacks, out / "parameter_cuts.csv")
     write_membership_csv(param_stacks, out / "parameter_membership.csv")
     write_cuts_csv(output_stacks, out / "output_cuts.csv")

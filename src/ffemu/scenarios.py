@@ -63,13 +63,22 @@ def bundled_truth_spec(kind: str = "fuzzy") -> dict:
     return json.loads(text)
 
 
-def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None):
+def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, source: str = "truth spec"):
     """Simulate measured data from a truth-spec dictionary.
 
     The spec carries ``theta_true`` plus either absolute ``spreads`` or a
     single ``spread_fraction``; ``shape_tfns`` optionally fuzzifies the
-    mode-shape components too.
+    mode-shape components too. A spec, or levels, that cannot be simulated
+    is a ``ConfigurationError`` prefixed with ``source``, the file (and
+    key) the spec came from.
     """
+    try:
+        return _simulate(model, spec, levels)
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{source}: {exc}") from exc
+
+
+def _simulate(model: StructuralModel, spec: dict, levels):
     if not isinstance(spec, dict) or "theta_true" not in spec:
         raise ConfigurationError("truth spec must be an object with a 'theta_true' array")
     vectors = [spec[key] for key in ("theta_true", "spreads") if key in spec]

@@ -6,6 +6,12 @@ diagonal by construction, so it solves its eigenproblems only through
 ``StructuralModel``'s scaled stiffness stack; this general solver checks
 that path bit for bit on the assembled pair (``test_model``) and the MAC
 and pairing utilities on general problems (``test_linalg``).
+
+``membership`` and ``alpha_cut`` evaluate one triangle (a, b, c) at one
+point or level, and ``fit_triangle`` fits one triangle to per-level
+bounds; the package's array forms (``AlphaCutStack.to_membership``,
+``fuzzy.alpha_cuts`` and the fit in ``simulate_measurements``) are checked
+against them element by element (``test_fuzzy``, ``test_pipeline``).
 """
 
 import numpy as np
@@ -72,3 +78,43 @@ def generalized_eig(stiffness, mass) -> ModalSolution:
         phi = np.linalg.solve(chol.T, y)
     phi = phi / np.linalg.norm(phi, axis=0)
     return ModalSolution(lam, fix_signs(phi))
+
+
+def membership(tfn, x: float) -> float:
+    """Piecewise-linear membership degree of the triangle (a, b, c) at x; 1 at the peak."""
+    a, b, c = (float(v) for v in tfn)
+    x = float(x)
+    if x == b:
+        return 1.0
+    if x <= a or x >= c:
+        return 0.0
+    if x < b:
+        return (x - a) / (b - a)
+    return (c - x) / (c - b)
+
+
+def alpha_cut(tfn, alpha: float) -> tuple[float, float]:
+    """Bounds (lo, hi) of {x : membership(x) >= alpha} of one triangle (a, b, c)."""
+    a, b, c = (float(v) for v in tfn)
+    alpha = float(alpha)
+    if alpha == 1.0:
+        return b, b
+    if alpha == 0.0:
+        return a, c
+    lo = a + alpha * (b - a)
+    hi = c - alpha * (c - b)
+    if lo > hi:  # 1-ulp rounding near a degenerate peak
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
+def fit_triangle(center: float, alphas, lows, highs) -> tuple[float, float, float]:
+    """Least-squares triangle through the peak ``center`` to one quantity's
+    per-level bounds: lo(alpha) = b - (1 - alpha) * s_left, mirrored above."""
+    w = 1.0 - np.asarray(alphas, dtype=float)
+    ssq = float(w @ w)
+    if ssq == 0.0:
+        return center, center, center
+    s_left = max(0.0, float(w @ (center - np.asarray(lows))) / ssq)
+    s_right = max(0.0, float(w @ (np.asarray(highs) - center)) / ssq)
+    return center - s_left, center, center + s_right

@@ -218,6 +218,31 @@ class TestReport:
                 "nesting violated between levels 1.0 and 0.0: [100.0, 300.0] not inside [150.0, 250.0]",
             ),
             ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "first level must be alpha = 1, got 0.0"),
+            (
+                "summary.json",
+                lambda d: d["updated_eigenvalues"].__setitem__(0, -1.0),
+                "field 'updated_eigenvalues' must hold positive eigenvalues",
+            ),
+            (
+                "summary.json",
+                lambda d: d["initial_eigenvalues"].__setitem__(2, 0.0),
+                "field 'initial_eigenvalues' must hold positive eigenvalues",
+            ),
+            (
+                "summary.json",
+                lambda d: d["outputs"][1]["cuts"][1].__setitem__(1, -5.0),
+                "field 'outputs[1].cuts' must hold positive eigenvalues",
+            ),
+            (
+                "summary.json",
+                lambda d: d["measured_eigenvalue_tfns"].__setitem__(0, [-1.0, 1.0, 2.0]),
+                "field 'measured_eigenvalue_tfns' must hold positive eigenvalues",
+            ),
+            (
+                "bayes_summary.json",
+                lambda d: d["posterior_eigenvalues"].__setitem__(4, -1.0),
+                "field 'posterior_eigenvalues' must hold positive eigenvalues",
+            ),
         ],
     )
     def test_missing_or_mistyped_field_is_a_configuration_error(
@@ -317,6 +342,90 @@ class TestBayes:
         )
 
 
+class TestSimulate:
+    def test_truth_file_error_names_the_file(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": -0.1}))
+        args = ["simulate", "--truth", str(truth), "--out", str(tmp_path / "m.json")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        message = "spread_fraction must be non-negative"
+        assert capsys.readouterr().err == f"configuration error: {truth}: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_no_levels_is_a_configuration_error(self, count, tmp_path, capsys):
+        args = ["simulate", "--levels", count, "--out", str(tmp_path / "m.json")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        message = "need at least one alpha level, as a 1-D list"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+class TestMeasuredFile:
+    @pytest.fixture(scope="class")
+    def measured(self, tmp_path_factory):
+        """A simulated measured-data file with shape triangles, in Hz."""
+        root = tmp_path_factory.mktemp("measured")
+        truth = root / "truth.json"
+        truth.write_text(json.dumps(dict(scenarios.bundled_truth_spec("fuzzy"), shape_tfns=True)))
+        out = root / "m.json"
+        args = ["simulate", "--truth", str(truth), "--levels", "2", "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_OK
+        return json.loads(out.read_text())
+
+    def run_with(self, data, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        config = scenarios.bundled_run_config(seed=2)
+        del config["truth"]
+        config.update(measured="m.json", alpha_levels=2)
+        config["aco"].update(max_iterations=5)
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        args = ["update", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "b")]
+        return path, cli.main(args)
+
+    def test_simulated_file_runs(self, measured, tmp_path, capsys):
+        assert self.run_with(measured, tmp_path)[1] == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "mode, key, index, value, message",
+        [
+            (0, "eigenvalue", 2, math.inf, "'eigenvalue' values must be numbers, all finite"),
+            (1, "eigenvalue", 0, "1.0", "'eigenvalue' values must be numbers, all finite"),
+            (0, "mode_shape", 1, math.nan, "'mode_shape' values must be numbers, all finite"),
+            (4, "mode_shape", 0, "0.5", "'mode_shape' values must be numbers, all finite"),
+            (2, "mode_shape_tfns", 3, [0.1, None, 0.2], "'mode_shape_tfns' values must be numbers"),
+            (0, "eigenvalue", 0, -0.7, "eigenvalue triangles must be positive"),
+            (0, "eigenvalue", 0, 1e6, "triangular vertices out of order"),
+            (3, "mode_shape_tfns", 1, [0.1, 0.2], "malformed measured-data file"),
+            (3, "mode_shape", None, None, "malformed measured-data file: 'mode_shape'"),
+            (None, "modes", None, 5, "malformed measured-data file"),
+            (None, "units", None, "khz", "unknown units 'khz'"),
+        ],
+    )
+    def test_bad_value_is_a_configuration_error_naming_the_file(
+        self, measured, mode, key, index, value, message, tmp_path, capsys
+    ):
+        # modes[mode][key][index] = value, or the key deleted when value is None
+        data = json.loads(json.dumps(measured))
+        entry = data if mode is None else data["modes"][mode]
+        if value is None:
+            del entry[key]
+        elif index is None:
+            entry[key] = value
+        else:
+            entry[key][index] = value
+        path, code = self.run_with(data, tmp_path)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and message in err
+        assert not (tmp_path / "b").exists()
+
+    def test_top_level_list_is_a_configuration_error(self, measured, tmp_path, capsys):
+        path, code = self.run_with([measured], tmp_path)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {path}: expected a JSON object, got list\n"
+
+
 class TestNonNumericConfigValues:
     @pytest.mark.parametrize(
         "key, value",
@@ -377,8 +486,8 @@ class TestNonNumericConfigValues:
             ),
             ("alpha_levels", 0, "'alpha_levels' must be a level count of at least 1"),
             ("alpha_levels", True, "'alpha_levels' must be a level count of at least 1"),
-            ("alpha_levels", [1.0, 0.5, -0.5], "alpha levels must descend strictly from 1 to 0 or above"),
-            ("alpha_levels", [], "alpha levels must descend strictly from 1 to 0 or above"),
+            ("alpha_levels", [1.0, 0.5, -0.5], "levels must lie in [0, 1], got -0.5"),
+            ("alpha_levels", [], "need at least one alpha level"),
             # NaN and a 401-digit integer as JSON literals
             ("aco", {"q": 10**400}, "bad optimizer section: q must be a finite number"),
             ("pso", {"inertia": 10**400}, "bad optimizer section: inertia must be a finite number"),

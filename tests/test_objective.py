@@ -8,7 +8,6 @@ import pytest
 
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
-from ffemu.fuzzy import TriangularFuzzyNumber
 from ffemu.linalg import ModalSolution, pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
@@ -503,8 +502,8 @@ class TestMeasuredData:
     def make_data(self, crisp=False):
         spread = 0.0 if crisp else 0.1
         tfns = [
-            TriangularFuzzyNumber(100.0 * (1 - spread), 100.0, 100.0 * (1 + spread)),
-            TriangularFuzzyNumber(200.0 * (1 - spread), 200.0, 200.0 * (1 + spread)),
+            [100.0 * (1 - spread), 100.0, 100.0 * (1 + spread)],
+            [200.0 * (1 - spread), 200.0, 200.0 * (1 + spread)],
         ]
         vecs = np.array([[0.8, -0.6], [0.6, 0.8]]).T
         return MeasuredFuzzyModalData(tfns, vecs)
@@ -523,9 +522,9 @@ class TestMeasuredData:
         save_measured(data, path)
         loaded = load_measured(path)
         for a, b in zip(data.eigenvalue_tfns, loaded.eigenvalue_tfns):
-            assert b.a == pytest.approx(a.a, rel=1e-14)
-            assert b.b == pytest.approx(a.b, rel=1e-14)
-            assert b.c == pytest.approx(a.c, rel=1e-14)
+            assert b[0] == pytest.approx(a[0], rel=1e-14)
+            assert b[1] == pytest.approx(a[1], rel=1e-14)
+            assert b[2] == pytest.approx(a[2], rel=1e-14)
         np.testing.assert_allclose(loaded.mode_shapes, data.mode_shapes, atol=1e-15)
 
     def test_save_load_round_trip_eigenvalue_units(self, tmp_path):
@@ -534,19 +533,19 @@ class TestMeasuredData:
         save_measured(data, path, units="eigenvalue")
         loaded = load_measured(path)
         for a, b in zip(data.eigenvalue_tfns, loaded.eigenvalue_tfns):
-            assert (b.a, b.b, b.c) == (a.a, a.b, a.c)
+            assert tuple(b) == tuple(a)
 
     def test_shape_tfns_round_trip_and_cuts(self, tmp_path):
-        tfns = [TriangularFuzzyNumber(90.0, 100.0, 115.0)]
-        shape = [[TriangularFuzzyNumber(0.9, 1.0, 1.05)]]
+        tfns = [[90.0, 100.0, 115.0]]
+        shape = [[[0.9, 1.0, 1.05]]]
         data = MeasuredFuzzyModalData(tfns, np.array([[1.0]]), shape)
         path = tmp_path / "measured.json"
         save_measured(data, path)
         loaded = load_measured(path)
         cuts = loaded.cuts_at(0.0)
         assert cuts.vec_lo[0, 0] == pytest.approx(0.9 / 0.9)  # normalized columns
-        raw = loaded.shape_tfns[0][0]
-        assert (raw.a, raw.b, raw.c) == (0.9, 1.0, 1.05)
+        raw = loaded.shape_tfns[0, 0]
+        assert tuple(raw) == (0.9, 1.0, 1.05)
 
     def test_malformed_shape_tfn_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "measured.json"
@@ -560,5 +559,5 @@ class TestMeasuredData:
     def test_nonpositive_eigenvalue_support_rejected(self):
         with pytest.raises(DomainError):
             MeasuredFuzzyModalData(
-                [TriangularFuzzyNumber(-1.0, 1.0, 2.0)], np.array([[1.0]])
+                [[-1.0, 1.0, 2.0]], np.array([[1.0]])
             )

@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from reference import alpha_cut, fit_triangle
 
 from ffemu import pipeline, scenarios
 from ffemu.errors import ConfigurationError
-from ffemu.fuzzy import AlphaCutStack, TriangularFuzzyNumber, default_levels
+from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
-from ffemu.objective import WeightingConfig, residual_batch, save_measured
+from ffemu.objective import WeightingConfig, load_measured, residual_batch, save_measured, vertex_modes
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
 from ffemu.pipeline import (
     FfemuRun,
@@ -58,17 +59,17 @@ class TestSimulateMeasurements:
         assert measured.is_crisp
         center = model.modal(scenarios.THETA_TRUE).eigenvalues
         np.testing.assert_array_equal(measured.center_eigenvalues(), center)
-        for tfn, lam in zip(measured.eigenvalue_tfns, center):
-            assert tfn.a == tfn.b == tfn.c == lam
+        for (a, b, c), lam in zip(measured.eigenvalue_tfns, center):
+            assert a == b == c == lam
 
     def test_one_dof_identity_map(self):
         # lambda = k/m with m = 1, so the parameter triangle (4, 5, 6)
         # propagates to the identical eigenvalue triangle
         measured = simulate_measurements(one_dof_model(), [5.0], [1.0])
-        tfn = measured.eigenvalue_tfns[0]
-        assert tfn.a == pytest.approx(4.0, rel=1e-12)
-        assert tfn.b == pytest.approx(5.0, rel=1e-12)
-        assert tfn.c == pytest.approx(6.0, rel=1e-12)
+        a, b, c = measured.eigenvalue_tfns[0]
+        assert a == pytest.approx(4.0, rel=1e-12)
+        assert b == pytest.approx(5.0, rel=1e-12)
+        assert c == pytest.approx(6.0, rel=1e-12)
 
     def test_support_interval_matches_grid_brute_force(self):
         # coarse grid oracle; box corners are grid points, and stiffness
@@ -85,7 +86,7 @@ class TestSimulateMeasurements:
             grid_lo = np.minimum(grid_lo, lam)
             grid_hi = np.maximum(grid_hi, lam)
         for j, tfn in enumerate(measured.eigenvalue_tfns):
-            lo, hi = tfn.alpha_cut(0.0)
+            lo, hi = alpha_cuts(tfn, 0.0)
             assert lo == pytest.approx(grid_lo[j], rel=1e-3)
             assert hi == pytest.approx(grid_hi[j], rel=1e-3)
 
@@ -102,18 +103,65 @@ class TestSimulateMeasurements:
         )
         center = model.modal(scenarios.THETA_TRUE)
         assert measured.shape_tfns is not None
-        for j, col in enumerate(measured.shape_tfns):
-            for i, tfn in enumerate(col):
-                assert tfn.b == pytest.approx(center.eigenvectors[i, j], abs=1e-12)
-                assert tfn.a <= tfn.b <= tfn.c
+        for i, j in np.ndindex(5, 5):
+            a, b, c = measured.shape_tfns[i, j]
+            assert b == pytest.approx(center.eigenvectors[i, j], abs=1e-12)
+            assert a <= b <= c
         wide = measured.cuts_at(0.0)
         narrow = measured.cuts_at(0.5)
         # cuts of the fuzzy shapes widen as alpha drops (before normalization
         # they nest component-wise; compare through the raw TFNs)
-        raw = measured.shape_tfns[0][0]
-        (wide_lo, wide_hi), (narrow_lo, narrow_hi) = raw.alpha_cut(0.0), raw.alpha_cut(0.5)
+        raw = measured.shape_tfns[0, 0]
+        (wide_lo, wide_hi), (narrow_lo, narrow_hi) = alpha_cuts(raw, 0.0), alpha_cuts(raw, 0.5)
         assert wide_hi - wide_lo >= narrow_hi - narrow_lo
         assert wide.vec_lo.shape == narrow.vec_lo.shape
+
+    @pytest.mark.parametrize("levels", [default_levels(), LEVELS4, default_levels(1)])
+    def test_fits_equal_the_per_triangle_reference_bit_for_bit(self, levels):
+        # the centre is model.modal at theta_true, as the per-triangle fit
+        # took it, and the bounds are the vertex solve's, one column each
+        model = scenarios.five_dof_model()
+        truth, spreads = scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE
+        measured = simulate_measurements(model, truth, spreads, levels=levels, shape_tfns=True)
+        center = model.modal(truth)
+        halves = (1.0 - levels)[:, None] * spreads
+        lam, vec = vertex_modes(model, truth - halves, truth + halves)
+        (lam_lo, lam_hi), (vec_lo, vec_hi) = np.split(lam, 2), np.split(vec, 2)
+        v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
+        np.testing.assert_array_equal(measured.shape_tfns[..., 1], center.eigenvectors)
+        for j in range(5):
+            fit = fit_triangle(center.eigenvalues[j], levels, lam_lo[:, j], lam_hi[:, j])
+            assert tuple(measured.eigenvalue_tfns[j]) == fit
+            for i in range(5):
+                fit = fit_triangle(center.eigenvectors[i, j], levels, v_min[:, i, j], v_max[:, i, j])
+                assert tuple(measured.shape_tfns[i, j]) == fit
+
+    def test_shape_tfns_layout_survives_save_load_and_cuts(self, tmp_path):
+        # shape_tfns[i, j] is component i of mode j, laid out like
+        # mode_shapes; the 5-DOF model's distinct components and modes make
+        # a transposed layout anywhere show
+        model = scenarios.five_dof_model()
+        measured = simulate_measurements(
+            model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, levels=LEVELS4, shape_tfns=True
+        )
+        assert measured.shape_tfns.shape == (5, 5, 3)
+        np.testing.assert_allclose(measured.shape_tfns[..., 1], measured.mode_shapes, atol=1e-15)
+        save_measured(measured, tmp_path / "m.json", units="eigenvalue")
+        loaded = load_measured(tmp_path / "m.json")
+        np.testing.assert_array_equal(loaded.eigenvalue_tfns, measured.eigenvalue_tfns)
+        np.testing.assert_array_equal(loaded.shape_tfns, measured.shape_tfns)
+        np.testing.assert_allclose(loaded.mode_shapes, measured.mode_shapes, atol=1e-15)
+        for alpha in LEVELS4:
+            cuts = loaded.cuts_at(alpha)
+            eig = np.array([alpha_cut(t, alpha) for t in loaded.eigenvalue_tfns])
+            np.testing.assert_array_equal(cuts.eig_lo, eig[:, 0])
+            np.testing.assert_array_equal(cuts.eig_hi, eig[:, 1])
+            vec = np.empty((2, 5, 5))
+            for i, j in np.ndindex(5, 5):
+                vec[:, i, j] = alpha_cut(loaded.shape_tfns[i, j], alpha)
+            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+            np.testing.assert_array_equal(cuts.vec_lo, vec[0])
+            np.testing.assert_array_equal(cuts.vec_hi, vec[1])
 
     def test_spread_validation(self):
         model = one_dof_model()
@@ -187,9 +235,9 @@ class TestRunFfemu:
         spreads = 0.05 * truth
         slack = 0.01 * (scenarios.THETA_MAX - scenarios.THETA_MIN)
         for i in range(5):
-            gen = TriangularFuzzyNumber(truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
+            gen = (truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
-                cut_lo, cut_hi = gen.alpha_cut(alpha)
+                cut_lo, cut_hi = alpha_cuts(gen, alpha)
                 stack = result.parameter_stacks[i]
                 assert stack.lo[k] <= cut_lo + slack[i]
                 assert stack.hi[k] >= cut_hi - slack[i]
@@ -230,9 +278,9 @@ class TestRunFfemu:
         spreads = 0.05 * truth
         slack = 0.10 * (scenarios.THETA_MAX - scenarios.THETA_MIN)
         for i in range(5):
-            gen = TriangularFuzzyNumber(truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
+            gen = (truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
-                cut_lo, cut_hi = gen.alpha_cut(alpha)
+                cut_lo, cut_hi = alpha_cuts(gen, alpha)
                 stack = result.parameter_stacks[i]
                 assert stack.lo[k] <= cut_lo + slack[i]
                 assert stack.hi[k] >= cut_hi - slack[i]
@@ -321,7 +369,8 @@ class TestPropagateOutputs:
                 assert lo == hi == lam[j]
 
     def test_one_dof_identity(self):
-        stacks = [AlphaCutStack.from_tfn(TriangularFuzzyNumber(4, 5, 6), default_levels())]
+        levels = default_levels()
+        stacks = [AlphaCutStack(levels, *alpha_cuts([4, 5, 6], levels))]
         outputs = propagate_outputs(one_dof_model(), stacks)
         for k in range(stacks[0].levels.size):
             assert outputs[0].lo[k] == pytest.approx(stacks[0].lo[k], rel=1e-12)
