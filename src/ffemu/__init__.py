@@ -33,8 +33,6 @@ from .linalg import ModalSolution, pair_modes
 from .model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
 from .objective import (
     MeasuredFuzzyModalData,
-    MeasuredModalIntervals,
-    WeightingConfig,
     load_measured,
     residual_batch,
     save_measured,

@@ -3,7 +3,9 @@
 The decision variable is a pair of stiffness vectors (lower, upper). The
 model is solved at both vertices of the box, and the weighted squared
 errors between predicted and measured eigenvalue/eigenvector bounds are
-summed into a single scalar objective.
+summed into a single scalar objective. The measured bounds of a level are
+the arrays ``MeasuredFuzzyModalData.cuts_at`` returns, and the weights are
+two scalars: one for every eigenvalue error, one for every shape error.
 
 Eigenvalues are sorted ascending at each vertex. Every unit stiffness
 matrix is positive semidefinite, so each sorted eigenvalue is monotone in
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json
 
 __all__ = [
-    "WeightingConfig",
-    "MeasuredModalIntervals",
     "MeasuredFuzzyModalData",
     "residual_batch",
     "vertex_modes",
@@ -60,81 +58,6 @@ def eigenvalue_to_hz(lam):
     """Eigenvalues (scalar or array) in rad^2/s^2 to Hz; a negative one raises FloatingPointError."""
     with np.errstate(invalid="raise"):
         return np.sqrt(lam) / _TWO_PI
-
-
-@dataclass(frozen=True)
-class WeightingConfig:
-    """Diagonals of the lower/upper weighting matrices.
-
-    Each diagonal has one entry per stacked error component: first the n
-    eigenvalue errors, then the n eigenvector errors.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or lower.ndim != 1 or lower.size % 2:
-            raise ShapeError("weight diagonals must be 1-D, equal, even-length vectors")
-        if np.any(lower < 0.0) or np.any(upper < 0.0):
-            raise DomainError("weights must be non-negative")
-
-    @cached_property
-    def sqrt_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``sqrt`` of the lower and upper diagonals, the residual row scales."""
-        return np.sqrt(self.lower), np.sqrt(self.upper)
-
-    @cached_property
-    def has_shape_weight(self) -> bool:
-        """Whether any eigenvector (second-half) weight is non-zero."""
-        n = self.lower.size // 2
-        return bool(np.any(self.lower[n:]) or np.any(self.upper[n:]))
-
-    @classmethod
-    def identity(cls, n_modes: int) -> "WeightingConfig":
-        w = np.ones(2 * n_modes)
-        return cls(w, w.copy())
-
-    @classmethod
-    def from_scalars(cls, n_modes: int, eigenvalue: float = 1.0, eigenvector: float = 1.0) -> "WeightingConfig":
-        """Uniform block weights for the eigenvalue and eigenvector parts."""
-        w = np.concatenate([np.full(n_modes, float(eigenvalue)), np.full(n_modes, float(eigenvector))])
-        return cls(w, w.copy())
-
-
-class MeasuredModalIntervals:
-    """Measured modal bounds at one alpha level.
-
-    Eigenvalue intervals per mode plus unit-norm lower/upper measured mode
-    shapes (columns of ``vec_lo`` / ``vec_hi``). Eigenvalue bounds must be
-    positive and interval centers ascending.
-    """
-
-    def __init__(self, eig_lo, eig_hi, vec_lo, vec_hi):
-        self.eig_lo = np.asarray(eig_lo, dtype=float)
-        self.eig_hi = np.asarray(eig_hi, dtype=float)
-        self.vec_lo = _unit_columns(np.asarray(vec_lo, dtype=float))
-        self.vec_hi = _unit_columns(np.asarray(vec_hi, dtype=float))
-        n = self.eig_lo.size
-        if self.eig_hi.shape != (n,):
-            raise ShapeError("eigenvalue bound arrays must have equal length")
-        if self.vec_lo.shape != (self.vec_lo.shape[0], n) or self.vec_hi.shape != self.vec_lo.shape:
-            raise ShapeError("eigenvector arrays must have one column per mode")
-        if np.any(self.eig_lo <= 0.0) or np.any(self.eig_hi <= 0.0):
-            raise DomainError("measured eigenvalue bounds must be positive")
-        if np.any(self.eig_lo > self.eig_hi):
-            raise DomainError("measured eigenvalue intervals crossed")
-        centers = 0.5 * (self.eig_lo + self.eig_hi)
-        if np.any(np.diff(centers) < 0.0):
-            raise DomainError("measured eigenvalue interval centers must be ascending")
-
-    @property
-    def n_modes(self) -> int:
-        return self.eig_lo.size
 
 
 def _unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -164,56 +87,53 @@ def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.n
     )
 
 
-def residual_batch(
-    model: StructuralModel,
-    lower,
-    upper,
-    measured: MeasuredModalIntervals,
-    weights: WeightingConfig,
-) -> np.ndarray:
+def residual_batch(model: StructuralModel, lower, upper, cuts, weights) -> np.ndarray:
     """Weighted residuals of m candidate boxes, one row of length 4n each.
 
-    Row r is ``[sqrt(w_lo) * e_lo, sqrt(w_hi) * e_hi]`` for the box
-    (lower[r], upper[r]), and its squared norm is that box's objective, so
-    the optimizers and the least-squares polish see one interval problem.
+    ``cuts`` is the tuple ``(eig_lo, eig_hi, vec_lo, vec_hi)`` of one
+    level's measured bounds: two (n,) eigenvalue arrays and two (n_dof, n)
+    arrays of unit mode shapes. ``weights`` is the pair (eigenvalue,
+    eigenvector). Row r is ``[e_lo, e_hi]`` for the box (lower[r],
+    upper[r]), each block n eigenvalue errors scaled by the square root of
+    the eigenvalue weight, then n shape errors scaled by that of the
+    eigenvector weight. Its squared norm is that box's objective, so the
+    optimizers and the least-squares polish see one interval problem.
     The eigenvalue errors compare the measured bounds with the sorted
     eigenvalues at the two vertices, which one ``eigenvalues_batch`` call
-    solves for all 2m vertices. When a shape weight is non-zero, the
-    vertices and centres come from one ``vertex_modes`` call instead, and
-    its paired vertex shapes give the shape errors. Point boxes, passed as
-    ``upper is lower``, solve their one vertex once.
+    solves for all 2m vertices. When the eigenvector weight is non-zero,
+    the vertices and centres come from one ``vertex_modes`` call instead,
+    and its paired vertex shapes give the shape errors. Point boxes,
+    passed as ``upper is lower``, solve their one vertex once.
 
-    Each weighted block is written in place into one zeroed (m, 4n) buffer
-    as ``sqrt(w) * e``, the same bits as scaling whole error rows; the
-    shape columns stay zero when no shape weight is set.
+    Each weighted block is written in place into one zeroed (m, 4n)
+    buffer; the shape columns stay zero when the eigenvector weight is 0.
     """
     point = upper is lower
     lower = np.asarray(lower, dtype=float)
     upper = lower if point else np.asarray(upper, dtype=float)
-    n = measured.n_modes
+    eig_lo, eig_hi, vec_lo, vec_hi = cuts
+    n = eig_lo.size
     if lower.shape != upper.shape or lower.ndim != 2:
         raise ShapeError("lower and upper must be (m, d) arrays of equal shape")
     if not point and (lower > upper).any():
         raise DomainError("interval parameters crossed: lower > upper")
     if model.n_dof != n:
         raise ShapeError("predicted and measured mode counts differ")
-    if weights.lower.size != 2 * n:
-        raise ShapeError(f"weights sized for {weights.lower.size // 2} modes, data has {n}")
     m = lower.shape[0]
-    root_lo, root_hi = weights.sqrt_diagonals
+    root_eig, root_vec = map(math.sqrt, weights)
     out = np.zeros((m, 4 * n))
-    if weights.has_shape_weight:
+    if root_vec:
         lam, vec = vertex_modes(model, lower, upper)
-        np.multiply(root_lo[n:], _shape_errors(measured.vec_lo, vec[:m]), out=out[:, n : 2 * n])
-        np.multiply(root_hi[n:], _shape_errors(measured.vec_hi, vec[m:]), out=out[:, 3 * n :])
+        np.multiply(root_vec, _shape_errors(vec_lo, vec[:m]), out=out[:, n : 2 * n])
+        np.multiply(root_vec, _shape_errors(vec_hi, vec[m:]), out=out[:, 3 * n :])
     else:
         lam = model.eigenvalues_batch(lower if point else np.concatenate([lower, upper]))
-    e_lo = np.subtract(measured.eig_lo, lam[:m], out=out[:, :n])
-    e_lo /= measured.eig_lo
-    e_lo *= root_lo[:n]
-    e_hi = np.subtract(lam[-m:], measured.eig_hi, out=out[:, 2 * n : 3 * n])
-    e_hi /= measured.eig_hi
-    e_hi *= root_hi[:n]
+    e_lo = np.subtract(eig_lo, lam[:m], out=out[:, :n])
+    e_lo /= eig_lo
+    e_lo *= root_eig
+    e_hi = np.subtract(lam[-m:], eig_hi, out=out[:, 2 * n : 3 * n])
+    e_hi /= eig_hi
+    e_hi *= root_eig
     return out
 
 
@@ -247,6 +167,10 @@ class MeasuredFuzzyModalData:
     (n, 3) in rad^2/s^2, and ``shape_tfns``, None for crisp shapes (the
     common case), is (n_dof, n, 3), laid out like the unit ``mode_shapes``
     (n_dof, n). Files store Hz by default.
+
+    Modes are in ascending order: at every alpha level each eigenvalue
+    cut's centre is at or above the one before it. A centre is affine in
+    alpha, so the rule is checked at alpha 1 and alpha 0, once, here.
     """
 
     def __init__(self, eigenvalue_tfns, mode_shapes, shape_tfns=None):
@@ -257,6 +181,9 @@ class MeasuredFuzzyModalData:
             raise ShapeError("need one mode-shape column per eigenvalue triangle")
         if (self.eigenvalue_tfns[:, 0] <= 0.0).any():
             raise DomainError("eigenvalue triangle supports must be positive")
+        a, b, c = self.eigenvalue_tfns.T
+        if (k := np.flatnonzero((np.diff(b) < 0.0) | (np.diff(a + c) < 0.0))).size:
+            raise DomainError(f"modes out of ascending order: modes[{k[0] + 1}] is below modes[{k[0]}]")
         if self.shape_tfns is not None and self.shape_tfns.shape != self.mode_shapes.shape + (3,):
             raise ShapeError("shape triangles must be given per component, per mode")
 
@@ -271,17 +198,19 @@ class MeasuredFuzzyModalData:
     def center_eigenvalues(self) -> np.ndarray:
         return self.eigenvalue_tfns[:, 1].copy()
 
-    def cuts_at(self, alpha: float) -> MeasuredModalIntervals:
-        """Measured bounds at one alpha level.
+    def cuts_at(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Measured bounds ``(eig_lo, eig_hi, vec_lo, vec_hi)`` at one alpha level.
 
-        With crisp shapes the lower and upper measured mode shapes both
-        equal the stored vectors; with fuzzy shapes they are the
-        component-wise cut endpoints.
+        The eigenvalue bounds are (n,) arrays. The (n_dof, n) shape bounds
+        both equal the stored vectors for crisp shapes, and are the
+        component-wise cut endpoints for fuzzy ones; either way each column
+        is scaled to unit length.
         """
-        eigenvalues = alpha_cuts(self.eigenvalue_tfns, alpha)
         if self.shape_tfns is None:
-            return MeasuredModalIntervals(*eigenvalues, self.mode_shapes, self.mode_shapes)
-        return MeasuredModalIntervals(*eigenvalues, *alpha_cuts(self.shape_tfns, alpha))
+            vec_lo = vec_hi = self.mode_shapes
+        else:
+            vec_lo, vec_hi = alpha_cuts(self.shape_tfns, alpha)
+        return (*alpha_cuts(self.eigenvalue_tfns, alpha), _unit_columns(vec_lo), _unit_columns(vec_hi))
 
 
 def save_measured(data: MeasuredFuzzyModalData, path, units: str = "hz") -> None:
@@ -320,9 +249,12 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     with one entry in ``modes`` per mode. ``units`` is ``"hz"`` (the
     default) for eigenvalue triangles given as frequencies, or
     ``"eigenvalue"`` for rad^2/s^2; either way the triangles must be
-    positive. ``mode_shape`` has one component per degree of freedom and
-    is normalized on reading. ``mode_shape_tfns``, one triangle per
-    component, is optional, but given for every mode or for none.
+    positive. Modes come in ascending order: each eigenvalue triangle's
+    peak, and the midpoint of its support in rad^2/s^2, is at or above the
+    previous mode's. ``mode_shape`` has one component per degree of
+    freedom and is normalized on reading. ``mode_shape_tfns``, one
+    triangle per component, is optional, but given for every mode or for
+    none.
     ``save_measured`` also writes ``"crisp": true`` on each mode when every
     eigenvalue triangle is a point; it is ignored here. Every value must be
     a finite JSON number. Anything else is a ``ConfigurationError`` naming

@@ -8,7 +8,9 @@ nesting against the previous level) is handled by projection into that
 region, so optimizers only ever evaluate feasible candidates. Each level
 is a global search (ACO or PSO) followed by a bounded Gauss-Newton polish
 of the weighted residuals inside the same region, so the level ends at a
-minimizer rather than wherever the iteration cap left the search.
+minimizer rather than wherever the iteration cap left the search. A level
+reads its measured bounds as the four arrays ``cuts_at`` returns, and the
+run's two scalar weights scale every eigenvalue and every shape error.
 Parameter and output membership functions come out as nested alpha-cut
 stacks.
 """
@@ -26,13 +28,7 @@ from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json
-from .objective import (
-    MeasuredFuzzyModalData,
-    WeightingConfig,
-    load_measured,
-    residual_batch,
-    vertex_modes,
-)
+from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
 from .optim import (
     AcoConfig,
     Box,
@@ -62,9 +58,12 @@ _log = logging.getLogger(__name__)
 class FfemuRun:
     """Everything one fuzzy updating run needs.
 
-    Per-level optimizer seeds are derived from ``seed`` plus the level
-    index, so levels draw independent random streams but the whole run is
-    reproducible.
+    ``weights`` is the pair (eigenvalue, eigenvector): every eigenvalue
+    error of a level's residual is weighted by the first, every mode-shape
+    error by the second, and a zero second weight skips the shape solve.
+    Both must be finite and non-negative. Per-level optimizer seeds are
+    derived from ``seed`` plus the level index, so levels draw independent
+    random streams but the whole run is reproducible.
     """
 
     model: StructuralModel
@@ -75,7 +74,7 @@ class FfemuRun:
     aco: AcoConfig = field(default_factory=AcoConfig)
     pso: PsoConfig = field(default_factory=PsoConfig)
     levels: np.ndarray | None = None
-    weights: WeightingConfig | None = None
+    weights: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
     theta_initial: np.ndarray | None = None
 
@@ -84,8 +83,11 @@ class FfemuRun:
         object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
         levels = default_levels() if self.levels is None else check_levels(self.levels)
         object.__setattr__(self, "levels", levels)
-        if self.weights is None:
-            object.__setattr__(self, "weights", WeightingConfig.identity(self.measured.n_modes))
+        if len(self.weights) != 2 or not all(map(is_finite_number, self.weights)):
+            raise ConfigurationError(f"weights must be two finite numbers, got {self.weights!r}")
+        if min(self.weights) < 0.0:
+            raise ConfigurationError(f"weights must be non-negative, got {self.weights!r}")
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if self.theta_initial is not None:
             object.__setattr__(self, "theta_initial", np.asarray(self.theta_initial, dtype=float))
         if self.optimizer not in OPTIMIZERS:
@@ -220,7 +222,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     histories: list[OptimizationResult] = []
 
     for k, alpha in enumerate(run.levels):
-        measured_k = run.measured.cuts_at(alpha)
+        cuts = run.measured.cuts_at(alpha)
         rng = np.random.default_rng(run.seed + k)
         t0 = time.perf_counter()
         if k == 0:
@@ -240,7 +242,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
 
         def residuals(x):
             lower, upper = (x, x) if k == 0 else (x[:, :d], x[:, d:])
-            return residual_batch(model, lower, upper, measured_k, run.weights)
+            return residual_batch(model, lower, upper, cuts, run.weights)
 
         def objective(x):
             nonlocal calls, objective_time
@@ -362,6 +364,9 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
         theta_max = _number_list(raw, "theta_max", path)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing required key {exc.args[0]!r}") from exc
+    for key in ("model", "measured"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigurationError(f"{path}: {key!r} must be a path string")
 
     model = scenarios.resolve_model(model_ref, base)
 
@@ -397,10 +402,8 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
 
     weights_spec = _section(raw, "weights", path)
-    weights = WeightingConfig.from_scalars(
-        model.n_dof,
-        eigenvalue=_number(weights_spec.get("eigenvalue", 1.0), "weights.eigenvalue", path),
-        eigenvector=_number(weights_spec.get("eigenvector", 1.0), "weights.eigenvector", path),
+    weights = tuple(
+        _number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in ("eigenvalue", "eigenvector")
     )
     theta_initial = raw.get("theta_initial")
     if theta_initial is not None:

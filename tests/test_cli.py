@@ -420,6 +420,16 @@ class TestMeasuredFile:
         assert err.startswith(f"configuration error: {path}: ") and message in err
         assert not (tmp_path / "b").exists()
 
+    def test_modes_out_of_order_are_a_configuration_error_naming_the_file(self, measured, tmp_path, capsys):
+        data = json.loads(json.dumps(measured))
+        data["modes"][:2] = data["modes"][1::-1]
+        path, code = self.run_with(data, tmp_path)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ")
+        assert "modes out of ascending order: modes[1] is below modes[0]" in err
+        assert not (tmp_path / "b").exists()
+
     def test_top_level_list_is_a_configuration_error(self, measured, tmp_path, capsys):
         path, code = self.run_with([measured], tmp_path)
         assert code == cli.EXIT_CONFIG
@@ -463,6 +473,8 @@ class TestNonNumericConfigValues:
             ("weights", {"eigenvector": None}, "'weights.eigenvector' must be a finite number"),
             ("weights", {"eigenvalue": 10**400}, "'weights.eigenvalue' must be a finite number"),
             ("weights", 5, "'weights' must be an object"),
+            ("weights", {"eigenvalue": -1.0}, "weights must be non-negative, got (-1.0, 1.0)"),
+            ("weights", {"eigenvector": -0.3}, "weights must be non-negative, got (1.0, -0.3)"),
             ("aco", [1], "'aco' must be an object"),
             ("aco", 5, "'aco' must be an object"),
             ("pso", "xy", "'pso' must be an object"),
@@ -518,6 +530,19 @@ class TestNonNumericConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: {message}")
         assert not (tmp_path / "bundle").exists()
+
+
+    @pytest.mark.parametrize("key, value", [("measured", 5), ("model", 5), ("measured", ["m.json"])])
+    def test_non_string_path_is_a_configuration_error(self, key, value, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        del config["truth"]
+        config.update(measured="m.json")
+        config[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = ["update", "--config", str(path), "--out", str(tmp_path / "bundle")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {path}: {key!r} must be a path string\n"
 
 
 class TestUsageErrors:

@@ -12,9 +12,8 @@ from ffemu.linalg import ModalSolution, pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
     MeasuredFuzzyModalData,
-    MeasuredModalIntervals,
-    WeightingConfig,
     _shape_errors,
+    _unit_columns,
     load_measured,
     residual_batch,
     save_measured,
@@ -49,9 +48,14 @@ def two_mass_model(coupling=0.01):
 
 
 def measured_from_box(model, lower, upper):
-    """Self-consistent measured intervals: regenerate from the box (lower, upper) itself."""
+    """Self-consistent measured cuts: regenerate from the box (lower, upper) itself."""
     lam, vec = vertex_modes(model, [lower], [upper])
-    return MeasuredModalIntervals(lam[0], lam[1], vec[0], vec[1])
+    return lam[0], lam[1], _unit_columns(vec[0]), _unit_columns(vec[1])
+
+
+def cuts_of(eig_lo, eig_hi, vec_lo, vec_hi):
+    """Measured cuts from lists: (n,) eigenvalue bounds, (n_dof, n) unit shapes."""
+    return tuple(np.asarray(v, dtype=float) for v in (eig_lo, eig_hi, vec_lo, vec_hi))
 
 
 def paired_vertex_modes(model, lower, upper):
@@ -83,27 +87,28 @@ def reference_shape_errors(measured_cols, predicted_cols):
     return np.array(errors)
 
 
-def reference_residual(model, lower, upper, measured, weights):
+def reference_residual(model, lower, upper, cuts, weights):
     """Per-candidate reference row: sorted vertex eigenvalues, paired vertex shapes.
 
-    Without shape weights the eigenvalues come from the eigenvalue-only
+    Without a shape weight the eigenvalues come from the eigenvalue-only
     solve, as in ``residual_batch``; it differs from ``modal`` in the last
     bits.
     """
-    n = measured.n_modes
+    eig_lo, eig_hi, vec_lo, vec_hi = cuts
+    root = np.repeat(np.sqrt(weights), eig_lo.size)
     shape_lo, shape_hi = paired_vertex_modes(model, lower, upper)
     lam_lo, lam_hi = model.eigenvalues_batch(np.stack([lower, upper]))
-    if np.any(weights.lower[n:]) or np.any(weights.upper[n:]):
+    if weights[1]:
         lam_lo, lam_hi = model.modal(lower).eigenvalues, model.modal(upper).eigenvalues
     e_lo = np.concatenate([
-        (measured.eig_lo - lam_lo) / measured.eig_lo,
-        reference_shape_errors(measured.vec_lo, shape_lo.eigenvectors),
+        (eig_lo - lam_lo) / eig_lo,
+        reference_shape_errors(vec_lo, shape_lo.eigenvectors),
     ])
     e_hi = np.concatenate([
-        (lam_hi - measured.eig_hi) / measured.eig_hi,
-        reference_shape_errors(measured.vec_hi, shape_hi.eigenvectors),
+        (lam_hi - eig_hi) / eig_hi,
+        reference_shape_errors(vec_hi, shape_hi.eigenvectors),
     ])
-    return np.concatenate([np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi])
+    return np.concatenate([root * e_lo, root * e_hi])
 
 
 class TestIntervalModal:
@@ -200,13 +205,13 @@ class TestModalScaleFactor:
 
 
 class TestErrorVectors:
-    # a one-row residual_batch with identity weights is the error vector
+    # a one-row residual_batch with unit weights is the error vector
     # pair [e_lo, e_hi], each n eigenvalue errors followed by n shape errors
     def test_exact_match_gives_zeros(self):
         model = scenarios.five_dof_model()
         lower, upper = 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
-        r = residual_batch(model, [lower], [upper], measured, WeightingConfig.identity(5))[0]
+        r = residual_batch(model, [lower], [upper], measured, (1.0, 1.0))[0]
         # eigenvalue entries are bitwise zero; shape entries only pick up
         # the last-ulp renormalization of the stored measured vectors
         np.testing.assert_array_equal(r[:5], np.zeros(5))
@@ -215,14 +220,14 @@ class TestErrorVectors:
 
     def test_lower_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
-        measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        r = residual_batch(one_dof_model(), [[90.0]], [[100.0]], measured, WeightingConfig.identity(1))[0]
+        measured = cuts_of([100.0], [100.0], phi, phi)
+        r = residual_batch(one_dof_model(), [[90.0]], [[100.0]], measured, (1.0, 1.0))[0]
         np.testing.assert_allclose(r, [0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_upper_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
-        measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        r = residual_batch(one_dof_model(), [[100.0]], [[110.0]], measured, WeightingConfig.identity(1))[0]
+        measured = cuts_of([100.0], [100.0], phi, phi)
+        r = residual_batch(one_dof_model(), [[100.0]], [[110.0]], measured, (1.0, 1.0))[0]
         assert r[2] == pytest.approx(0.1, rel=1e-12)
 
     def test_invariant_to_predicted_vector_scaling(self):
@@ -237,10 +242,10 @@ class TestErrorVectors:
     def test_widening_beyond_measured_increases_error(self):
         model = one_dof_model()
         phi = np.array([[1.0]])
-        measured = MeasuredModalIntervals([4.0], [9.0], phi, phi)
+        measured = cuts_of([4.0], [9.0], phi, phi)
         widths = []
         for lo in (4.0, 3.5, 3.0):
-            r = residual_batch(model, [[lo]], [[9.0]], measured, WeightingConfig.identity(1))[0]
+            r = residual_batch(model, [[lo]], [[9.0]], measured, (1.0, 1.0))[0]
             widths.append(abs(r[0]))
         assert widths[0] < widths[1] < widths[2]
 
@@ -250,34 +255,30 @@ class TestObjective:
         model = scenarios.five_dof_model()
         lower, upper = 0.96 * scenarios.THETA_TRUE, 1.02 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
-        r = residual_batch(model, [lower], [upper], measured, WeightingConfig.identity(5))[0]
+        r = residual_batch(model, [lower], [upper], measured, (1.0, 1.0))[0]
         assert 0.0 <= r @ r <= 1e-16
 
     def test_one_dof_hand_sum(self):
         # both branches off by 10% -> 0.1^2 + 0.1^2
         model = one_dof_model()
         phi = np.array([[1.0]])
-        measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
-        r = residual_batch(model, [[90.0]], [[110.0]], measured, WeightingConfig.identity(1))[0]
+        measured = cuts_of([100.0], [100.0], phi, phi)
+        r = residual_batch(model, [[90.0]], [[110.0]], measured, (1.0, 1.0))[0]
         assert r @ r == pytest.approx(0.02, rel=1e-12)
 
-    def test_doubling_lower_weights_doubles_lower_contribution(self):
+    def test_doubling_eigenvalue_weight_doubles_the_objective(self):
         model = one_dof_model()
-        phi = np.array([[1.0]])
-        measured = MeasuredModalIntervals([100.0], [100.0], phi, phi)
+        measured = cuts_of([100.0], [100.0], [[1.0]], [[1.0]])
         lower, upper = [[90.0]], [[100.0]]  # only the lower branch errs
-        r1 = residual_batch(model, lower, upper, measured, WeightingConfig.identity(1))[0]
-        r2 = residual_batch(
-            model, lower, upper, measured,
-            WeightingConfig(lower=2.0 * np.ones(2), upper=np.ones(2)),
-        )[0]
+        r1 = residual_batch(model, lower, upper, measured, (1.0, 1.0))[0]
+        r2 = residual_batch(model, lower, upper, measured, (2.0, 1.0))[0]
         assert r2 @ r2 == pytest.approx(2.0 * (r1 @ r1), rel=1e-15)
 
     def test_nonnegative_on_random_candidates(self):
         model = scenarios.five_dof_model()
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         rng = np.random.default_rng(31)
-        weights = WeightingConfig.identity(5)
+        weights = (1.0, 1.0)
         for _ in range(25):
             a = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
             b = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
@@ -388,7 +389,7 @@ class TestResidualBatch:
     def test_rows_match_per_candidate_reference(self, eigenvector_weight):
         model = scenarios.five_dof_model()
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        weights = WeightingConfig.from_scalars(5, 1.0, eigenvector_weight)
+        weights = (1.0, eigenvector_weight)
         lower, upper = self.population(53)
         batch = residual_batch(model, lower, upper, measured, weights)
         assert batch.shape == (30, 20)
@@ -404,21 +405,21 @@ class TestResidualBatch:
         # sqrt(weights) as a whole row, then concatenated
         model = scenarios.five_dof_model()
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
-        weights = WeightingConfig.from_scalars(5, 0.7, eigenvector_weight)
+        weights = (0.7, eigenvector_weight)
+        eig_lo, eig_hi, vec_lo, vec_hi = measured
         lower, upper = self.population(61)
         m, n = len(lower), 5
         e_lo, e_hi = np.zeros((m, 2 * n)), np.zeros((m, 2 * n))
         if eigenvector_weight:
             lam, vec = vertex_modes(model, lower, upper)
-            e_lo[:, n:] = _shape_errors(measured.vec_lo, vec[:m])
-            e_hi[:, n:] = _shape_errors(measured.vec_hi, vec[m:])
+            e_lo[:, n:] = _shape_errors(vec_lo, vec[:m])
+            e_hi[:, n:] = _shape_errors(vec_hi, vec[m:])
         else:
             lam = model.eigenvalues_batch(np.concatenate([lower, upper]))
-        e_lo[:, :n] = (measured.eig_lo - lam[:m]) / measured.eig_lo
-        e_hi[:, :n] = (lam[m:] - measured.eig_hi) / measured.eig_hi
-        expected = np.concatenate(
-            [np.sqrt(weights.lower) * e_lo, np.sqrt(weights.upper) * e_hi], axis=1
-        )
+        e_lo[:, :n] = (eig_lo - lam[:m]) / eig_lo
+        e_hi[:, :n] = (lam[m:] - eig_hi) / eig_hi
+        root = np.repeat(np.sqrt(weights), n)
+        expected = np.concatenate([root * e_lo, root * e_hi], axis=1)
         got = residual_batch(model, lower, upper, measured, weights)
         assert got.tobytes() == expected.tobytes()
 
@@ -431,16 +432,16 @@ class TestResidualBatch:
         upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
         center = model.modal(0.5 * (lower[0] + upper[0]))
         assert pair_modes(center, model.modal(upper[0])).tolist() == [1, 0]
-        measured = MeasuredModalIntervals([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
-        weights = WeightingConfig.identity(2)
+        measured = cuts_of([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
+        weights = (1.0, 1.0)
         batch = residual_batch(model, lower, upper, measured, weights)
         for row, lo, hi in zip(batch, lower, upper):
             ref = reference_residual(model, lo, hi, measured, weights)
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
         # the upper eigenvalues stay sorted on the crossing row; only the
         # shapes are paired
-        e_hi = batch[0, 4:6] / np.sqrt(weights.upper[:2])
-        lam_hi = e_hi * measured.eig_hi + measured.eig_hi
+        e_hi = batch[0, 4:6] / np.sqrt(weights[0])
+        lam_hi = e_hi * measured[1] + measured[1]
         assert lam_hi[0] < lam_hi[1]
 
     def test_eigenvalue_rows_are_sorted_vertex_bounds_on_a_wide_box(self):
@@ -455,15 +456,12 @@ class TestResidualBatch:
         a, b = rng.uniform(lo, hi, (2, 400, 5))
         lower, upper = np.minimum(a, b), np.maximum(a, b)
         measured = measured_from_box(model, 0.9 * mid, 1.1 * mid)
-        batch = residual_batch(model, lower, upper, measured, WeightingConfig.from_scalars(5, 1.0, 0.0))
+        batch = residual_batch(model, lower, upper, measured, (1.0, 0.0))
         sorted_lo = np.array([model.modal(x).eigenvalues for x in lower])
         sorted_hi = np.array([model.modal(x).eigenvalues for x in upper])
-        np.testing.assert_allclose(
-            batch[:, :5], (measured.eig_lo - sorted_lo) / measured.eig_lo, rtol=0, atol=1e-13
-        )
-        np.testing.assert_allclose(
-            batch[:, 10:15], (sorted_hi - measured.eig_hi) / measured.eig_hi, rtol=0, atol=1e-13
-        )
+        eig_lo, eig_hi = measured[:2]
+        np.testing.assert_allclose(batch[:, :5], (eig_lo - sorted_lo) / eig_lo, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(batch[:, 10:15], (sorted_hi - eig_hi) / eig_hi, rtol=0, atol=1e-13)
         paired = [paired_vertex_modes(model, x, y) for x, y in zip(lower, upper)]
         paired_lo = np.array([p[0].eigenvalues for p in paired])
         paired_hi = np.array([p[1].eigenvalues for p in paired])
@@ -479,7 +477,7 @@ class TestResidualBatch:
             raise AssertionError("eigenvalue-only residuals solved for mode shapes")
 
         monkeypatch.setattr(StructuralModel, "modal_batch", modal_batch)
-        weights = WeightingConfig.from_scalars(5, 1.0, 0.0)
+        weights = (1.0, 0.0)
         assert residual_batch(model, lower, upper, measured, weights).shape == (30, 20)
 
     def test_nonpositive_row_rejected(self):
@@ -488,14 +486,14 @@ class TestResidualBatch:
         lower, upper = self.population(59, m=4)
         lower[2, 1] = 0.0
         with pytest.raises(DomainError):
-            residual_batch(model, lower, upper, measured, WeightingConfig.identity(5))
+            residual_batch(model, lower, upper, measured, (1.0, 1.0))
 
     def test_crossed_row_rejected(self):
         model = scenarios.five_dof_model()
         measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(61, m=4)
         with pytest.raises(DomainError, match="crossed"):
-            residual_batch(model, upper, lower, measured, WeightingConfig.identity(5))
+            residual_batch(model, upper, lower, measured, (1.0, 1.0))
 
 
 class TestMeasuredData:
@@ -509,8 +507,8 @@ class TestMeasuredData:
         return MeasuredFuzzyModalData(tfns, vecs)
 
     def test_cuts_at_peak_are_degenerate(self):
-        cuts = self.make_data().cuts_at(1.0)
-        np.testing.assert_array_equal(cuts.eig_lo, cuts.eig_hi)
+        eig_lo, eig_hi, _, _ = self.make_data().cuts_at(1.0)
+        np.testing.assert_array_equal(eig_lo, eig_hi)
 
     def test_crisp_detection(self):
         assert self.make_data(crisp=True).is_crisp
@@ -542,8 +540,8 @@ class TestMeasuredData:
         path = tmp_path / "measured.json"
         save_measured(data, path)
         loaded = load_measured(path)
-        cuts = loaded.cuts_at(0.0)
-        assert cuts.vec_lo[0, 0] == pytest.approx(0.9 / 0.9)  # normalized columns
+        _, _, vec_lo, _ = loaded.cuts_at(0.0)
+        assert vec_lo[0, 0] == pytest.approx(0.9 / 0.9)  # normalized columns
         raw = loaded.shape_tfns[0, 0]
         assert tuple(raw) == (0.9, 1.0, 1.05)
 
@@ -555,6 +553,24 @@ class TestMeasuredData:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigurationError, match="malformed measured-data file"):
             load_measured(path)
+
+    @pytest.mark.parametrize(
+        "tfns",
+        [
+            [[190.0, 200.0, 210.0], [90.0, 100.0, 110.0]],  # peaks descend
+            [[90.0, 100.0, 130.0], [80.0, 101.0, 102.0]],  # support midpoints descend
+        ],
+    )
+    def test_modes_out_of_ascending_order_rejected(self, tfns):
+        with pytest.raises(DomainError, match=r"modes\[1\] is below modes\[0\]"):
+            MeasuredFuzzyModalData(tfns, np.eye(2))
+
+    def test_every_level_centre_ascends_when_both_ends_do(self):
+        # peaks and support midpoints ascend, so the centre of every cut in
+        # between does too
+        data = MeasuredFuzzyModalData([[90.0, 100.0, 130.0], [70.0, 101.0, 160.0]], np.eye(2))
+        eig_lo, eig_hi, _, _ = data.cuts_at(np.linspace(0.0, 1.0, 101))
+        assert (np.diff(eig_lo + eig_hi, axis=1) >= 0.0).all()
 
     def test_nonpositive_eigenvalue_support_rejected(self):
         with pytest.raises(DomainError):

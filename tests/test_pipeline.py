@@ -11,7 +11,7 @@ from ffemu import pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
-from ffemu.objective import WeightingConfig, load_measured, residual_batch, save_measured, vertex_modes
+from ffemu.objective import load_measured, residual_batch, save_measured, vertex_modes
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
 from ffemu.pipeline import (
     FfemuRun,
@@ -22,7 +22,7 @@ from ffemu.pipeline import (
 )
 
 LEVELS4 = np.array([1.0, 2.0 / 3.0, 1.0 / 3.0, 0.0])
-EIG_ONLY = WeightingConfig.from_scalars(5, eigenvalue=1.0, eigenvector=0.0)
+EIG_ONLY = (1.0, 0.0)
 
 
 def one_dof_model():
@@ -114,7 +114,7 @@ class TestSimulateMeasurements:
         raw = measured.shape_tfns[0, 0]
         (wide_lo, wide_hi), (narrow_lo, narrow_hi) = alpha_cuts(raw, 0.0), alpha_cuts(raw, 0.5)
         assert wide_hi - wide_lo >= narrow_hi - narrow_lo
-        assert wide.vec_lo.shape == narrow.vec_lo.shape
+        assert wide[2].shape == narrow[2].shape
 
     @pytest.mark.parametrize("levels", [default_levels(), LEVELS4, default_levels(1)])
     def test_fits_equal_the_per_triangle_reference_bit_for_bit(self, levels):
@@ -152,16 +152,16 @@ class TestSimulateMeasurements:
         np.testing.assert_array_equal(loaded.shape_tfns, measured.shape_tfns)
         np.testing.assert_allclose(loaded.mode_shapes, measured.mode_shapes, atol=1e-15)
         for alpha in LEVELS4:
-            cuts = loaded.cuts_at(alpha)
+            eig_lo, eig_hi, vec_lo, vec_hi = loaded.cuts_at(alpha)
             eig = np.array([alpha_cut(t, alpha) for t in loaded.eigenvalue_tfns])
-            np.testing.assert_array_equal(cuts.eig_lo, eig[:, 0])
-            np.testing.assert_array_equal(cuts.eig_hi, eig[:, 1])
+            np.testing.assert_array_equal(eig_lo, eig[:, 0])
+            np.testing.assert_array_equal(eig_hi, eig[:, 1])
             vec = np.empty((2, 5, 5))
             for i, j in np.ndindex(5, 5):
                 vec[:, i, j] = alpha_cut(loaded.shape_tfns[i, j], alpha)
             vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-            np.testing.assert_array_equal(cuts.vec_lo, vec[0])
-            np.testing.assert_array_equal(cuts.vec_hi, vec[1])
+            np.testing.assert_array_equal(vec_lo, vec[0])
+            np.testing.assert_array_equal(vec_hi, vec[1])
 
     def test_spread_validation(self):
         model = one_dof_model()
@@ -331,6 +331,57 @@ class TestRunFfemu:
         r = residual_batch(model, [theta_p], [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
         assert result.objective_values[0] == pytest.approx(r @ r, rel=1e-2)
 
+    def test_shape_weighted_levels_record_their_residual_norms(self):
+        # the one tier-1 run with a shape weight: fuzzy shapes, 3 levels
+        model = scenarios.five_dof_model()
+        levels = default_levels(3)
+        truth = scenarios.THETA_TRUE
+        measured = simulate_measurements(model, truth, 0.05 * truth, levels=levels, shape_tfns=True)
+        run = FfemuRun(
+            model=model,
+            measured=measured,
+            theta_min=scenarios.THETA_MIN,
+            theta_max=scenarios.THETA_MAX,
+            aco=AcoConfig(max_iterations=40),
+            levels=levels,
+            weights=(1.0, 0.3),
+            seed=7,
+            theta_initial=scenarios.THETA_INITIAL,
+        )
+        result = run_ffemu(run)
+        lower = np.column_stack([s.lo for s in result.parameter_stacks])
+        upper = np.column_stack([s.hi for s in result.parameter_stacks])
+        for k, alpha in enumerate(levels):
+            cuts = measured.cuts_at(alpha)
+            r = residual_batch(model, lower[k : k + 1], upper[k : k + 1], cuts, run.weights)[0]
+            assert r[5:10].any() and r[15:].any()  # the shape errors are in the objective
+            assert result.objective_values[k] == r @ r
+        assert (np.diff(lower, axis=0) <= 0.0).all() and (np.diff(upper, axis=0) >= 0.0).all()
+        for stack in result.output_stacks:
+            assert (np.diff(stack.lo) <= 0.0).all() and (np.diff(stack.hi) >= 0.0).all()
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((-1.0, 0.0), "weights must be non-negative"),
+            ((1.0, -0.5), "weights must be non-negative"),
+            ((1.0, float("nan")), "weights must be two finite numbers"),
+            ((1.0, "0.5"), "weights must be two finite numbers"),
+            ((1.0, 0.0, 0.0), "weights must be two finite numbers"),
+        ],
+    )
+    def test_bad_weights_rejected(self, weights, message):
+        model = one_dof_model()
+        measured = simulate_measurements(model, [5.0], [0.5])
+        with pytest.raises(ConfigurationError, match=message):
+            FfemuRun(model=model, measured=measured, theta_min=[1.0], theta_max=[9.0], weights=weights)
+
+    def test_default_weights_are_one_each(self):
+        model = one_dof_model()
+        measured = simulate_measurements(model, [5.0], [0.5])
+        run = FfemuRun(model=model, measured=measured, theta_min=[1.0], theta_max=[9.0])
+        assert run.weights == (1.0, 1.0)
+
     def test_mode_count_mismatch_rejected(self):
         measured = simulate_measurements(one_dof_model(), [5.0], [0.5])
         with pytest.raises(ConfigurationError, match="modes"):
@@ -405,7 +456,7 @@ class TestRunConfig:
         assert rc.run.aco.max_iterations == 50
         assert not rc.run.measured.is_crisp
         assert rc.bayes is not None and rc.bayes.n_samples == 500
-        np.testing.assert_array_equal(rc.run.weights.lower, [1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
+        assert rc.run.weights == (1.0, 0.0)
 
     def test_measured_path_resolves_relative(self, tmp_path):
         model = scenarios.five_dof_model()
