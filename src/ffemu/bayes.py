@@ -82,7 +82,6 @@ __all__ = [
     "McmcConfig",
     "Chain",
     "ChainSummary",
-    "log_posterior",
     "log_posterior_batch",
     "mh_sample",
     "summarize",
@@ -240,12 +239,6 @@ def _log_likelihood(lam, lam_m, config: McmcConfig) -> np.ndarray:
     return total
 
 
-def log_posterior(theta, measured_eigenvalues, model: StructuralModel, config: McmcConfig) -> float:
-    """Log posterior at one parameter vector: the one-row case of ``log_posterior_batch``."""
-    row = np.asarray(theta, dtype=float).reshape(1, -1)
-    return float(log_posterior_batch(row, measured_eigenvalues, model, config)[0])
-
-
 def _window_shapes() -> list[tuple[int, int]]:
     """Window shape (A, F) for each running acceptance rate g / 32, g = 0..32.
 
@@ -295,7 +288,7 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
 
     shapes = _window_shapes()
     grid = len(shapes) - 1
-    lp = log_posterior(theta, measured_eigenvalues, model, config)
+    lp = log_posterior_batch(theta[None, :], measured_eigenvalues, model, config).item()
     # a window reads the increments of steps i.. before it writes the states
     # of steps i..i+j-1 and the next window starts at i+j, so the trace
     # overwrites the increments in place
@@ -328,7 +321,8 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
             def row_lp(r, rows=rows, inside=inside):
                 nonlocal solved
                 solved += int(inside[r])
-                return log_posterior(rows[r], measured_eigenvalues, model, config)
+                one = slice(r, r + 1)
+                return _log_posterior_rows(rows[one], inside[one], measured_eigenvalues, model, config).item()
         u = log_u[i : i + max(a, f)].tolist()
         lp_next = row_lp(0)
         if u[0] < lp_next - lp:

@@ -80,7 +80,7 @@ def cmd_bayes(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bayes.write_chain_csv(chain, out / "chain.csv")
-    posterior_eigs = config.run.model.modal(summary.mean).eigenvalues
+    posterior_eigs = config.run.model.eigenvalues_batch(summary.mean[None, :])[0]
     payload = {
         "mean": [float(v) for v in summary.mean],
         "sd": [float(v) for v in summary.sd],

@@ -1,42 +1,18 @@
 """Mode bookkeeping for small structural models.
 
-The modal solution type, the mode-shape sign convention, and the
-mode-correspondence utilities (MAC and greedy mode pairing) needed to keep
-track of physical modes while stiffness parameters vary. The eigensolves
-themselves are ``StructuralModel``'s.
+The mode-shape sign convention and the mode-correspondence utilities (MAC
+and greedy mode pairing) needed to keep track of physical modes while
+stiffness parameters vary. The eigensolves themselves are
+``StructuralModel``'s.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateVectorError, ShapeError
 
-__all__ = ["ModalSolution", "pair_modes", "fix_signs"]
-
-
-@dataclass
-class ModalSolution:
-    """Eigenpairs of a generalized symmetric eigenvalue problem.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (n,)
-        In rad^2/s^2, ascending as produced by the solver.
-    eigenvectors : ndarray, shape (n, n)
-        Column j is the mode shape of ``eigenvalues[j]``, normalized to
-        unit Euclidean norm and signed so its largest-magnitude component
-        is positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.shape[0]
+__all__ = ["pair_modes", "fix_signs"]
 
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -82,21 +58,23 @@ def diagonal_dominates(table: np.ndarray) -> np.ndarray:
     )
 
 
-def pair_modes(reference: ModalSolution, candidate: ModalSolution) -> np.ndarray:
+def pair_modes(ref_values, ref_vectors, cand_values, cand_vectors) -> np.ndarray:
     """Match candidate modes to reference modes by greedy best-MAC assignment.
 
-    Returns ``perm`` such that candidate mode ``perm[j]`` corresponds to
-    reference mode ``j``; each candidate mode is used exactly once. MAC
-    ties break toward the pair with the closest eigenvalues, which keeps
-    the assignment well defined for repeated eigenvalues.
+    Each side is its eigenvalues (n,) and its mode shapes (n_dof, n), one
+    column per mode. Returns ``perm`` such that candidate mode ``perm[j]``
+    corresponds to reference mode ``j``; each candidate mode is used
+    exactly once. MAC ties break toward the pair with the closest
+    eigenvalues, which keeps the assignment well defined for repeated
+    eigenvalues.
     """
-    n = reference.n_modes
-    if candidate.n_modes != n:
-        raise ShapeError(f"mode counts differ: {n} vs {candidate.n_modes}")
-    table = mac_matrix(reference.eigenvectors, candidate.eigenvectors)
+    n = len(ref_values)
+    if len(cand_values) != n:
+        raise ShapeError(f"mode counts differ: {n} vs {len(cand_values)}")
+    table = mac_matrix(ref_vectors, cand_vectors)
     if diagonal_dominates(table):
         return np.arange(n)
-    gaps = np.abs(reference.eigenvalues[:, None] - candidate.eigenvalues[None, :])
+    gaps = np.abs(np.subtract.outer(ref_values, cand_values))
     order = np.lexsort((gaps.ravel(), -table.ravel()))
     perm = np.full(n, -1, dtype=int)
     used = np.zeros(n, dtype=bool)

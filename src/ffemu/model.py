@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, is_finite_number, is_integer
-from .linalg import ModalSolution, fix_signs
+from .linalg import fix_signs
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
 
@@ -134,20 +134,6 @@ class StructuralModel:
     def _inv_sqrt_masses(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.masses)
 
-    def modal(self, theta) -> ModalSolution:
-        """Modal solution of the assembled (K(theta), M) pair.
-
-        The one-row case of ``modal_batch``: ascending eigenvalues with
-        unit-norm, sign-fixed mode shapes.
-        """
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.parameter_count,):
-            raise ShapeError(
-                f"theta has shape {th.shape}, expected ({self.parameter_count},)"
-            )
-        lam, phi = self.modal_batch(th[None, :])
-        return ModalSolution(lam[0], phi[0])
-
     def _scaled_stiffness(self, thetas) -> np.ndarray:
         """The stack M^-1/2 K(theta) M^-1/2 (m, n, n) at m updating vectors.
 
@@ -177,7 +163,7 @@ class StructuralModel:
         """Eigenvalues (m, n) and eigenvectors (m, n, n) at m updating vectors.
 
         The whole stack is solved by one ``eigh``. Eigenvectors come out
-        unit-norm and sign-fixed, as in ``modal``.
+        unit-norm and sign-fixed.
         """
         scaled = self._scaled_stiffness(thetas)
         try:

@@ -35,7 +35,7 @@ from .errors import (
     is_finite_number,
 )
 from .fuzzy import alpha_cuts, triangles
-from .linalg import ModalSolution, diagonal_dominates, mac_matrix, pair_modes
+from .linalg import diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json
 
 __all__ = [
@@ -154,7 +154,7 @@ def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.n
     vec_c = np.concatenate([vec[:m], vec[:m]])
     vec_v = vec[m:].copy()
     for k in np.flatnonzero(~diagonal_dominates(mac_matrix(vec_c, vec_v))):
-        perm = pair_modes(ModalSolution(lam[k % m], vec_c[k]), ModalSolution(lam[m + k], vec_v[k]))
+        perm = pair_modes(lam[k % m], vec_c[k], lam[m + k], vec_v[k])
         vec_v[k] = vec_v[k][:, perm]
     flip = np.einsum("kij,kij->kj", vec_v, vec_c) < 0.0
     return lam[m:], np.where(flip[:, None, :], -vec_v, vec_v)

@@ -61,9 +61,10 @@ class FfemuRun:
     ``weights`` is the pair (eigenvalue, eigenvector): every eigenvalue
     error of a level's residual is weighted by the first, every mode-shape
     error by the second, and a zero second weight skips the shape solve.
-    Both must be finite and non-negative. Per-level optimizer seeds are
-    derived from ``seed`` plus the level index, so levels draw independent
-    random streams but the whole run is reproducible.
+    Both must be finite and non-negative, and at least one positive.
+    Per-level optimizer seeds are derived from ``seed`` plus the level
+    index, so levels draw independent random streams but the whole run is
+    reproducible.
     """
 
     model: StructuralModel
@@ -87,6 +88,8 @@ class FfemuRun:
             raise ConfigurationError(f"weights must be two finite numbers, got {self.weights!r}")
         if min(self.weights) < 0.0:
             raise ConfigurationError(f"weights must be non-negative, got {self.weights!r}")
+        if max(self.weights) == 0.0:
+            raise ConfigurationError(f"at least one weight must be positive, got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if self.theta_initial is not None:
             object.__setattr__(self, "theta_initial", np.asarray(self.theta_initial, dtype=float))
@@ -354,6 +357,8 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     """
     path = Path(path)
     raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     base = path.parent
 
     from . import scenarios  # local import; scenarios builds on this module's simulate

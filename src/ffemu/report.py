@@ -54,7 +54,12 @@ def _stack_to_hz(stack: AlphaCutStack) -> AlphaCutStack:
 def write_bundle(out_dir, run, result) -> Path:
     """Persist a finished run; returns the directory path.
 
-    ``run`` is the FfemuRun that produced ``result``.
+    ``run`` is the FfemuRun that produced ``result``. ``updated_eigenvalues``
+    is the alpha = 1 row of ``result.output_stacks``: level 1 is the point
+    box at ``result.center``, so that row is the centre's sorted
+    eigenvalues, already solved by ``propagate_outputs``.
+    ``initial_eigenvalues`` are those of ``run.theta_initial``, one
+    ``eigenvalues_batch`` row.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -63,7 +68,7 @@ def write_bundle(out_dir, run, result) -> Path:
     initial_eigs = (
         None
         if run.theta_initial is None
-        else [float(v) for v in model.modal(run.theta_initial).eigenvalues]
+        else model.eigenvalues_batch(run.theta_initial[None, :])[0].tolist()
     )
     summary = {
         "metadata": {
@@ -100,7 +105,7 @@ def write_bundle(out_dir, run, result) -> Path:
         ],
         "measured_eigenvalue_tfns": run.measured.eigenvalue_tfns.tolist(),
         "initial_eigenvalues": initial_eigs,
-        "updated_eigenvalues": [float(v) for v in model.modal(result.center).eigenvalues],
+        "updated_eigenvalues": [float(stack.lo[0]) for stack in result.output_stacks],
     }
     with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -17,7 +17,7 @@ against them element by element (``test_fuzzy``, ``test_pipeline``).
 import numpy as np
 
 from ffemu.errors import ConvergenceError, FfemuError, ShapeError
-from ffemu.linalg import ModalSolution, fix_signs
+from ffemu.linalg import fix_signs
 
 
 class DefiniteMatrixError(FfemuError):
@@ -36,10 +36,11 @@ def _as_symmetric(matrix, name: str) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def generalized_eig(stiffness, mass) -> ModalSolution:
+def generalized_eig(stiffness, mass) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``K phi = lambda M phi`` for symmetric K, symmetric positive definite M.
 
-    Returns ascending eigenvalues with unit-norm, sign-fixed eigenvectors.
+    Returns ``(lam, phi)``: ascending eigenvalues (n,) and unit-norm,
+    sign-fixed eigenvectors (n, n), column j the mode of ``lam[j]``.
 
     Raises
     ------
@@ -77,7 +78,7 @@ def generalized_eig(stiffness, mass) -> ModalSolution:
             raise ConvergenceError(f"generalized eigensolver did not converge: {exc}") from exc
         phi = np.linalg.solve(chol.T, y)
     phi = phi / np.linalg.norm(phi, axis=0)
-    return ModalSolution(lam, fix_signs(phi))
+    return lam, fix_signs(phi)
 
 
 def membership(tfn, x: float) -> float:

@@ -15,7 +15,7 @@ from ffemu.bayes import (
     WINDOW_COST,
     Chain,
     McmcConfig,
-    log_posterior,
+    log_posterior_batch,
     mh_sample,
     summarize,
     _window_shapes,
@@ -53,6 +53,18 @@ def one_dof_config(**overrides):
     return McmcConfig(**defaults)
 
 
+def log_posterior_row(theta, measured, model, config) -> float:
+    """Log posterior at one parameter vector: a one-row ``log_posterior_batch``."""
+    row = np.asarray(theta, dtype=float)[None, :]
+    return log_posterior_batch(row, measured, model, config).item()
+
+
+def center_eigenvalues(model, theta):
+    """Eigenvalues at one parameter vector, from a one-row ``modal_batch``."""
+    (lam,), _ = model.modal_batch(np.asarray(theta, dtype=float)[None, :])
+    return lam
+
+
 def sequential_chain(config, model, measured, solved=None, decisions=None):
     """The one-step-at-a-time definition of the chain: each step draws d
     normals from the first child stream of ``SeedSequence(rng_seed)`` and
@@ -64,13 +76,13 @@ def sequential_chain(config, model, measured, solved=None, decisions=None):
         if config.initial is not None
         else 0.5 * (config.theta_min + config.theta_max)
     )
-    lp = log_posterior(theta, measured, model, config)
+    lp = log_posterior_row(theta, measured, model, config)
     states = [theta]
     kept = np.empty((config.n_samples - config.burn_in, theta.size))
     accepted = 0
     for i in range(config.n_samples):
         proposal = theta + normals.normal(0.0, config.proposal_sd)
-        lp_prop = log_posterior(proposal, measured, model, config)
+        lp_prop = log_posterior_row(proposal, measured, model, config)
         states.append(proposal)
         accept = bool(np.log(uniforms.uniform()) < lp_prop - lp)
         if accept:
@@ -158,28 +170,28 @@ class TestLogPosterior:
         # coarse grid scan oracle around the truth on noise-free data
         model = scenarios.five_dof_model()
         truth = scenarios.THETA_TRUE
-        measured = model.modal(truth).eigenvalues
+        measured = center_eigenvalues(model, truth)
         config = McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lp_truth = log_posterior(truth, measured, model, config)
+        lp_truth = log_posterior_row(truth, measured, model, config)
         rng = np.random.default_rng(2)
         for _ in range(60):
             probe = truth + rng.uniform(-100.0, 100.0, truth.size)
             probe = np.clip(probe, scenarios.THETA_MIN, scenarios.THETA_MAX)
-            assert log_posterior(probe, measured, model, config) <= lp_truth + 1e-12
+            assert log_posterior_row(probe, measured, model, config) <= lp_truth + 1e-12
 
     def test_outside_box_is_minus_inf(self):
         model = one_dof_model()
         config = one_dof_config()
-        assert log_posterior([0.5], [5.0], model, config) == -np.inf
-        assert log_posterior([9.5], [5.0], model, config) == -np.inf
+        assert log_posterior_row([0.5], [5.0], model, config) == -np.inf
+        assert log_posterior_row([9.5], [5.0], model, config) == -np.inf
 
     def test_doubling_sd_quarters_quadratic_term_exactly(self):
         model = one_dof_model()
         # power-of-two scales keep the quartering bitwise exact
         cfg1 = one_dof_config(likelihood_sd=0.015625)
         cfg2 = one_dof_config(likelihood_sd=0.03125)
-        lp1 = log_posterior([4.5], [5.0], model, cfg1)
-        lp2 = log_posterior([4.5], [5.0], model, cfg2)
+        lp1 = log_posterior_row([4.5], [5.0], model, cfg1)
+        lp2 = log_posterior_row([4.5], [5.0], model, cfg2)
         assert 4.0 * lp2 == lp1
 
 
@@ -228,7 +240,7 @@ class TestMhSample:
     def test_five_dof_desk_run_recovers_truth(self):
         model = scenarios.five_dof_model()
         truth = scenarios.THETA_TRUE
-        measured = model.modal(truth).eigenvalues
+        measured = center_eigenvalues(model, truth)
         config = McmcConfig.from_box(
             scenarios.THETA_MIN, scenarios.THETA_MAX,
             n_samples=10000, burn_in=1000, likelihood_sd=0.005,
@@ -248,7 +260,7 @@ class TestWindowedWalk:
     )
     def test_five_dof_equals_sequential_at_high_mid_low_acceptance(self, fraction, low, high):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         chain = assert_equals_sequential(five_dof_chain_config(fraction), model, measured)
         assert low < chain.acceptance_rate < high
 
@@ -292,7 +304,7 @@ class TestWindowedWalk:
         self, fraction, likelihood_sd, low, high, capped, monkeypatch
     ):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         config = five_dof_chain_config(fraction, likelihood_sd=likelihood_sd)
         chain, windows = walk_with_windows(config, model, measured, monkeypatch)
         assert low <= chain.acceptance_rate <= high
@@ -319,14 +331,14 @@ class TestWindowedWalk:
 
     def test_burn_in_zero(self):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         chain = assert_equals_sequential(five_dof_chain_config(0.03, burn_in=0), model, measured)
         assert chain.samples.shape == (600, 5)
 
     def test_sample_count_not_a_multiple_of_depth(self, monkeypatch):
         # the chain's end cuts its last window short
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         n = 301
         chain, windows = walk_with_windows(
             five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured, monkeypatch
@@ -337,7 +349,7 @@ class TestWindowedWalk:
 
     def test_unreached_row_that_fails_to_converge_does_not_raise(self, monkeypatch):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         config = five_dof_chain_config(0.03, n_samples=300)
         reached = set()
         samples, rate = sequential_chain(config, model, measured, solved=reached)
@@ -360,7 +372,7 @@ class TestWindowedWalk:
 
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -386,7 +398,7 @@ class TestRandomStreams:
 
     def test_shorter_chain_is_a_prefix_of_a_longer_one(self):
         model = scenarios.five_dof_model()
-        measured = model.modal(scenarios.THETA_TRUE).eigenvalues
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         short = mh_sample(five_dof_chain_config(0.03, n_samples=3000, burn_in=0), model, measured)
         long = mh_sample(five_dof_chain_config(0.03, n_samples=5000, burn_in=0), model, measured)
         assert np.array_equal(short.samples, long.samples[:3000])

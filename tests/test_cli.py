@@ -91,6 +91,17 @@ class TestUpdate:
         assert row[:6] == ["1", "1.000", "-", "-", "610", "-"]
         assert row[-3:] == ["-", "-", "-"]
 
+    def test_updated_eigenvalues_are_the_alpha_one_output_cuts(self, small_config, tmp_path):
+        # one eigenvalue convention: the centre's eigenvalues are recorded
+        # once, with the bits of the output stacks' alpha = 1 row
+        out = tmp_path / "bundle"
+        assert cli.main(["update", "--config", str(small_config), "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["alpha_levels"][0] == 1.0
+        for value, output in zip(summary["updated_eigenvalues"], summary["outputs"], strict=True):
+            _, lo, hi = output["cuts"][0]
+            assert value.hex() == lo.hex() == hi.hex()
+
     def test_verbose_logs_one_record_per_level(self, small_config, tmp_path, caplog, capsys):
         out = tmp_path / "bundle"
         args = ["update", "--config", str(small_config), "--out", str(out), "--verbose"]
@@ -475,6 +486,11 @@ class TestNonNumericConfigValues:
             ("weights", 5, "'weights' must be an object"),
             ("weights", {"eigenvalue": -1.0}, "weights must be non-negative, got (-1.0, 1.0)"),
             ("weights", {"eigenvector": -0.3}, "weights must be non-negative, got (1.0, -0.3)"),
+            (
+                "weights",
+                {"eigenvalue": 0, "eigenvector": 0},
+                "at least one weight must be positive, got (0.0, 0.0)",
+            ),
             ("aco", [1], "'aco' must be an object"),
             ("aco", 5, "'aco' must be an object"),
             ("pso", "xy", "'pso' must be an object"),
@@ -531,6 +547,15 @@ class TestNonNumericConfigValues:
         assert err.startswith(f"configuration error: {path}: {message}")
         assert not (tmp_path / "bundle").exists()
 
+
+    @pytest.mark.parametrize("command, content, kind", [("update", "[1]", "list"), ("bayes", '"x"', "str")])
+    def test_non_object_config_is_a_configuration_error(self, command, content, kind, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(content)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {path}: expected a JSON object, got {kind}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("measured", 5), ("model", 5), ("measured", ["m.json"])])
     def test_non_string_path_is_a_configuration_error(self, key, value, tmp_path, capsys):
@@ -599,3 +624,16 @@ def test_cli_runs_load_no_scipy_module(tmp_path):
     assert done.returncode == 0, done.stderr
     last = done.stdout.strip().splitlines()[-1]
     assert last == "scipy modules: []"
+
+
+def test_package_import_loads_no_submodule():
+    # a fresh interpreter, since this one has every submodule loaded
+    src = str(Path(ffemu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import json, sys, ffemu; print(json.dumps(sorted(m for m in sys.modules if m.startswith('ffemu.'))))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -33,14 +33,14 @@ def test_single_mass_ground_spring():
     k, m = model.assemble(np.array([5.0]))
     assert k == pytest.approx(np.array([[5.0]]))
     assert m == pytest.approx(np.array([[1.0]]))
-    assert model.modal([5.0]).eigenvalues == pytest.approx([5.0])
+    assert model.eigenvalues_batch([[5.0]])[0] == pytest.approx([5.0])
 
 
 def test_two_dof_chain_matches_hand_superposition():
     k, m = chain_2dof().assemble(np.zeros(0))
     np.testing.assert_array_equal(k, np.array([[2.0, -1.0], [-1.0, 1.0]]))
     np.testing.assert_array_equal(m, np.eye(2))
-    lam = chain_2dof().modal(np.zeros(0)).eigenvalues
+    lam = chain_2dof().eigenvalues_batch(np.zeros((1, 0)))[0]
     np.testing.assert_allclose(lam, [0.3819660112501051, 2.618033988749895], rtol=1e-12)
 
 
@@ -82,8 +82,7 @@ def test_stiffness_monotone_in_theta():
         k_hi, _ = model.assemble(theta_up)
         # increment is PSD by construction from non-negative superposition
         assert np.linalg.eigvalsh(k_hi - k_lo).min() >= -1e-9
-        lam_lo = model.modal(theta).eigenvalues
-        lam_hi = model.modal(theta_up).eigenvalues
+        lam_lo, lam_hi = model.eigenvalues_batch([theta, theta_up])
         assert np.all(lam_hi >= lam_lo - 1e-9 * lam_lo)
 
 
@@ -102,18 +101,19 @@ def test_assembly_linear_in_theta():
 
 
 def test_modal_matches_generalized_eig_bitwise():
-    # modal() takes the cached diagonal-mass shortcut; it must agree with
-    # the generic reference solver on the assembled pair exactly
+    # a one-row modal_batch takes the cached diagonal-mass shortcut; it
+    # must agree with the generic reference solver on the assembled pair
+    # exactly
     from reference import generalized_eig
 
     model = scenarios.five_dof_model()
     rng = np.random.default_rng(6)
     for _ in range(20):
         theta = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        fast = model.modal(theta)
-        slow = generalized_eig(*model.assemble(theta))
-        np.testing.assert_array_equal(fast.eigenvalues, slow.eigenvalues)
-        np.testing.assert_array_equal(fast.eigenvectors, slow.eigenvectors)
+        lam, phi = model.modal_batch(theta[None, :])
+        slow_lam, slow_phi = generalized_eig(*model.assemble(theta))
+        np.testing.assert_array_equal(lam[0], slow_lam)
+        np.testing.assert_array_equal(phi[0], slow_phi)
 
 
 def crossing_two_mass_model():
@@ -190,7 +190,7 @@ def test_nonpositive_theta_rejected():
     with pytest.raises(DomainError):
         model.assemble(np.array([4000.0, -1.0, 2120.0, 2600.0, 2400.0]))
     with pytest.raises(DomainError):
-        model.modal(np.array([4000.0, -1.0, 2120.0, 2600.0, 2400.0]))
+        model.modal_batch(np.array([[4000.0, -1.0, 2120.0, 2600.0, 2400.0]]))
 
 
 def test_wrong_theta_length_rejected():

@@ -8,7 +8,7 @@ import pytest
 
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
-from ffemu.linalg import ModalSolution, pair_modes
+from ffemu.linalg import pair_modes
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
     MeasuredFuzzyModalData,
@@ -58,23 +58,30 @@ def cuts_of(eig_lo, eig_hi, vec_lo, vec_hi):
     return tuple(np.asarray(v, dtype=float) for v in (eig_lo, eig_hi, vec_lo, vec_hi))
 
 
+def modal_row(model, theta):
+    """Eigenvalues (n,) and mode shapes (n, n) at one parameter vector: a
+    one-row ``modal_batch``."""
+    lam, phi = model.modal_batch(np.asarray(theta, dtype=float)[None, :])
+    return lam[0], phi[0]
+
+
 def paired_vertex_modes(model, lower, upper):
-    """Per-candidate MAC-paired vertex solutions of one box, the reference
-    for ``vertex_modes``' shapes.
+    """Per-candidate MAC-paired vertex solutions ``(lam, vec)`` of one box,
+    the reference for ``vertex_modes``' shapes.
 
     The centre and both vertices are solved one at a time; each vertex
     solution is reordered by ``pair_modes`` against the centre, eigenvalues
     included, and its shapes are sign-aligned with the centre's.
     """
-    center = model.modal(0.5 * (lower + upper))
+    center_lam, center_vec = modal_row(model, 0.5 * (lower + upper))
     paired = []
     for theta in (lower, upper):
-        sol = model.modal(theta)
-        perm = pair_modes(center, sol)
-        vec = sol.eigenvectors[:, perm]
-        flip = np.sum(vec * center.eigenvectors, axis=0) < 0.0
+        lam, vec = modal_row(model, theta)
+        perm = pair_modes(center_lam, center_vec, lam, vec)
+        vec = vec[:, perm]
+        flip = np.sum(vec * center_vec, axis=0) < 0.0
         vec[:, flip] = -vec[:, flip]
-        paired.append(ModalSolution(sol.eigenvalues[perm], vec))
+        paired.append((lam[perm], vec))
     return paired
 
 
@@ -91,22 +98,22 @@ def reference_residual(model, lower, upper, cuts, weights):
     """Per-candidate reference row: sorted vertex eigenvalues, paired vertex shapes.
 
     Without a shape weight the eigenvalues come from the eigenvalue-only
-    solve, as in ``residual_batch``; it differs from ``modal`` in the last
-    bits.
+    solve, as in ``residual_batch``; it differs from ``modal_batch`` in the
+    last bits.
     """
     eig_lo, eig_hi, vec_lo, vec_hi = cuts
     root = np.repeat(np.sqrt(weights), eig_lo.size)
-    shape_lo, shape_hi = paired_vertex_modes(model, lower, upper)
+    (_, shape_lo), (_, shape_hi) = paired_vertex_modes(model, lower, upper)
     lam_lo, lam_hi = model.eigenvalues_batch(np.stack([lower, upper]))
     if weights[1]:
-        lam_lo, lam_hi = model.modal(lower).eigenvalues, model.modal(upper).eigenvalues
+        lam_lo, lam_hi = model.modal_batch(np.stack([lower, upper]))[0]
     e_lo = np.concatenate([
         (eig_lo - lam_lo) / eig_lo,
-        reference_shape_errors(vec_lo, shape_lo.eigenvectors),
+        reference_shape_errors(vec_lo, shape_lo),
     ])
     e_hi = np.concatenate([
         (lam_hi - eig_hi) / eig_hi,
-        reference_shape_errors(vec_hi, shape_hi.eigenvectors),
+        reference_shape_errors(vec_hi, shape_hi),
     ])
     return np.concatenate([root * e_lo, root * e_hi])
 
@@ -128,7 +135,7 @@ class TestIntervalModal:
         model = scenarios.five_dof_model()
         lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
         lam, _ = vertex_modes(model, [lower], [upper])
-        center = model.modal(0.5 * (lower + upper)).eigenvalues
+        center, _ = modal_row(model, 0.5 * (lower + upper))
         assert np.all(lam[0] <= center + 1e-12)
         assert np.all(center <= lam[1] + 1e-12)
 
@@ -143,7 +150,7 @@ class TestIntervalModal:
         grid_lo = np.full(model.n_dof, np.inf)
         grid_hi = np.full(model.n_dof, -np.inf)
         for theta in itertools.product(*axes):
-            eigs = model.modal(np.array(theta)).eigenvalues
+            eigs, _ = modal_row(model, theta)
             grid_lo = np.minimum(grid_lo, eigs)
             grid_hi = np.maximum(grid_hi, eigs)
         np.testing.assert_allclose(lam[0], grid_lo, rtol=1e-3)
@@ -430,8 +437,8 @@ class TestResidualBatch:
         model = two_mass_model()
         lower = np.array([[1.0, 1.9], [1.0, 1.9]])
         upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
-        center = model.modal(0.5 * (lower[0] + upper[0]))
-        assert pair_modes(center, model.modal(upper[0])).tolist() == [1, 0]
+        center = modal_row(model, 0.5 * (lower[0] + upper[0]))
+        assert pair_modes(*center, *modal_row(model, upper[0])).tolist() == [1, 0]
         measured = cuts_of([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
         weights = (1.0, 1.0)
         batch = residual_batch(model, lower, upper, measured, weights)
@@ -457,14 +464,14 @@ class TestResidualBatch:
         lower, upper = np.minimum(a, b), np.maximum(a, b)
         measured = measured_from_box(model, 0.9 * mid, 1.1 * mid)
         batch = residual_batch(model, lower, upper, measured, (1.0, 0.0))
-        sorted_lo = np.array([model.modal(x).eigenvalues for x in lower])
-        sorted_hi = np.array([model.modal(x).eigenvalues for x in upper])
+        sorted_lo = np.array([modal_row(model, x)[0] for x in lower])
+        sorted_hi = np.array([modal_row(model, x)[0] for x in upper])
         eig_lo, eig_hi = measured[:2]
         np.testing.assert_allclose(batch[:, :5], (eig_lo - sorted_lo) / eig_lo, rtol=0, atol=1e-13)
         np.testing.assert_allclose(batch[:, 10:15], (sorted_hi - eig_hi) / eig_hi, rtol=0, atol=1e-13)
         paired = [paired_vertex_modes(model, x, y) for x, y in zip(lower, upper)]
-        paired_lo = np.array([p[0].eigenvalues for p in paired])
-        paired_hi = np.array([p[1].eigenvalues for p in paired])
+        paired_lo = np.array([p[0][0] for p in paired])
+        paired_hi = np.array([p[1][0] for p in paired])
         crossed = np.any(paired_lo != sorted_lo, axis=1) | np.any(paired_hi != sorted_hi, axis=1)
         assert crossed.sum() >= 3
 

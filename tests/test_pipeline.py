@@ -57,7 +57,7 @@ class TestSimulateMeasurements:
         model = scenarios.five_dof_model()
         measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
         assert measured.is_crisp
-        center = model.modal(scenarios.THETA_TRUE).eigenvalues
+        (center,), _ = model.modal_batch(scenarios.THETA_TRUE[None, :])
         np.testing.assert_array_equal(measured.center_eigenvalues(), center)
         for (a, b, c), lam in zip(measured.eigenvalue_tfns, center):
             assert a == b == c == lam
@@ -79,12 +79,8 @@ class TestSimulateMeasurements:
         spreads = 0.05 * truth
         measured = simulate_measurements(model, truth, spreads)
         axes = [np.linspace(t - s, t + s, 3) for t, s in zip(truth, spreads)]
-        grid_lo = np.full(5, np.inf)
-        grid_hi = np.full(5, -np.inf)
-        for theta in itertools.product(*axes):
-            lam = model.modal(np.array(theta)).eigenvalues
-            grid_lo = np.minimum(grid_lo, lam)
-            grid_hi = np.maximum(grid_hi, lam)
+        lam, _ = model.modal_batch(np.array(list(itertools.product(*axes))))
+        grid_lo, grid_hi = lam.min(axis=0), lam.max(axis=0)
         for j, tfn in enumerate(measured.eigenvalue_tfns):
             lo, hi = alpha_cuts(tfn, 0.0)
             assert lo == pytest.approx(grid_lo[j], rel=1e-3)
@@ -93,19 +89,19 @@ class TestSimulateMeasurements:
     def test_mode_shapes_are_center_shapes(self):
         model = scenarios.five_dof_model()
         measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.02 * scenarios.THETA_TRUE)
-        center = model.modal(scenarios.THETA_TRUE)
-        np.testing.assert_allclose(measured.mode_shapes, center.eigenvectors, atol=1e-12)
+        _, (center,) = model.modal_batch(scenarios.THETA_TRUE[None, :])
+        np.testing.assert_allclose(measured.mode_shapes, center, atol=1e-12)
 
     def test_shape_tfns_nest_and_peak_at_center(self):
         model = scenarios.five_dof_model()
         measured = simulate_measurements(
             model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, shape_tfns=True
         )
-        center = model.modal(scenarios.THETA_TRUE)
+        _, (center,) = model.modal_batch(scenarios.THETA_TRUE[None, :])
         assert measured.shape_tfns is not None
         for i, j in np.ndindex(5, 5):
             a, b, c = measured.shape_tfns[i, j]
-            assert b == pytest.approx(center.eigenvectors[i, j], abs=1e-12)
+            assert b == pytest.approx(center[i, j], abs=1e-12)
             assert a <= b <= c
         wide = measured.cuts_at(0.0)
         narrow = measured.cuts_at(0.5)
@@ -118,22 +114,23 @@ class TestSimulateMeasurements:
 
     @pytest.mark.parametrize("levels", [default_levels(), LEVELS4, default_levels(1)])
     def test_fits_equal_the_per_triangle_reference_bit_for_bit(self, levels):
-        # the centre is model.modal at theta_true, as the per-triangle fit
-        # took it, and the bounds are the vertex solve's, one column each
+        # the centre is a one-row modal_batch at theta_true, as the
+        # per-triangle fit took it, and the bounds are the vertex solve's,
+        # one column each
         model = scenarios.five_dof_model()
         truth, spreads = scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE
         measured = simulate_measurements(model, truth, spreads, levels=levels, shape_tfns=True)
-        center = model.modal(truth)
+        (center_lam,), (center_vec,) = model.modal_batch(truth[None, :])
         halves = (1.0 - levels)[:, None] * spreads
         lam, vec = vertex_modes(model, truth - halves, truth + halves)
         (lam_lo, lam_hi), (vec_lo, vec_hi) = np.split(lam, 2), np.split(vec, 2)
         v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
-        np.testing.assert_array_equal(measured.shape_tfns[..., 1], center.eigenvectors)
+        np.testing.assert_array_equal(measured.shape_tfns[..., 1], center_vec)
         for j in range(5):
-            fit = fit_triangle(center.eigenvalues[j], levels, lam_lo[:, j], lam_hi[:, j])
+            fit = fit_triangle(center_lam[j], levels, lam_lo[:, j], lam_hi[:, j])
             assert tuple(measured.eigenvalue_tfns[j]) == fit
             for i in range(5):
-                fit = fit_triangle(center.eigenvectors[i, j], levels, v_min[:, i, j], v_max[:, i, j])
+                fit = fit_triangle(center_vec[i, j], levels, v_min[:, i, j], v_max[:, i, j])
                 assert tuple(measured.shape_tfns[i, j]) == fit
 
     def test_shape_tfns_layout_survives_save_load_and_cuts(self, tmp_path):
@@ -368,6 +365,7 @@ class TestRunFfemu:
             ((1.0, float("nan")), "weights must be two finite numbers"),
             ((1.0, "0.5"), "weights must be two finite numbers"),
             ((1.0, 0.0, 0.0), "weights must be two finite numbers"),
+            ((0.0, 0.0), "at least one weight must be positive"),
         ],
     )
     def test_bad_weights_rejected(self, weights, message):
