@@ -99,11 +99,11 @@ class McmcConfig:
 
     ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
     The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
-    the parameters are stiffnesses. The chain starts at ``initial`` when
-    given, else at the box center. All vectors are 1-D, of one length and
-    finite. ``rng_seed`` seeds the ``SeedSequence`` whose two child
-    streams give the proposal increments and the acceptance uniforms (see
-    ``mh_sample``).
+    the parameters are stiffnesses. The chain starts at ``initial``, which
+    must lie in the box, when given, else at the box center. All vectors
+    are 1-D, of one length and finite. ``rng_seed`` seeds the
+    ``SeedSequence`` whose two child streams give the proposal increments
+    and the acceptance uniforms (see ``mh_sample``).
     """
 
     n_samples: int
@@ -145,6 +145,8 @@ class McmcConfig:
             raise ConfigurationError("theta_min entries must be positive (stiffnesses)")
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("prior box must have positive widths")
+        if self.initial is not None and not _in_box(self.initial[None, :], self)[0]:
+            raise ConfigurationError("chain start lies outside the prior box")
 
     @classmethod
     def from_box(
@@ -277,8 +279,6 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
         if config.initial is not None
         else 0.5 * (config.theta_min + config.theta_max)
     )
-    if np.any(theta < config.theta_min) or np.any(theta > config.theta_max):
-        raise ConfigurationError("chain start lies outside the prior box")
     n = config.n_samples
     normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
     steps = normals.standard_normal((n, d))

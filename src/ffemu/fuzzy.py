@@ -2,10 +2,11 @@
 
 A fuzzy quantity is represented either parametrically, as triangles held
 in float arrays whose last axis is (a, b, c), or discretely, as a stack of
-nested alpha-cuts: arrays of levels and lower and upper bounds. The stack
-form is what the updating procedure produces. The helpers here check and
-cut any number of triangles in one call, hold the one rule for a list of
-alpha levels (``check_levels``), and export curves as CSV.
+nested alpha-cuts: levels, and lower and upper bounds with one row per
+level and one column per quantity. The stack form is what the updating
+procedure produces, one stack for all parameters and one for all outputs.
+The helpers here check and cut any number of triangles in one call, hold
+the one rule for alpha levels (``check_levels``), and export CSV curves.
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def default_levels(count: int = 10) -> np.ndarray:
 class AlphaCutStack:
     """Nested alpha-cuts [lo[k], hi[k]] at descending ``levels[k]``, levels[0] = 1.
 
-    The discrete representation of a (convex) membership function, held as
-    three 1-D float arrays of one length: smaller alpha means a wider cut.
-    A stack that breaks any of this is a ``ConfigurationError`` naming the
-    first offending level.
+    The discrete representation of (convex) membership functions: ``levels``
+    is (L,), and ``lo`` and ``hi`` are (L,) for one quantity or (L, q) for
+    q quantities, column j holding quantity j. Smaller alpha means a wider
+    cut. A stack that breaks any of this is a ``ConfigurationError`` naming
+    the first offending level (and, for q quantities, its column).
     """
 
     levels: np.ndarray
@@ -111,42 +113,54 @@ class AlphaCutStack:
         lo, hi = (np.asarray(v, dtype=float) for v in (self.lo, self.hi))
         for name, value in zip(("levels", "lo", "hi"), (levels, lo, hi)):
             object.__setattr__(self, name, value)
-        if lo.shape != levels.shape or hi.shape != levels.shape:
-            raise ConfigurationError("levels, lo and hi must be 1-D arrays of one length")
-        if (k := _first(~(lo <= hi))) is not None:
-            raise ConfigurationError(f"bounds out of order at level {levels[k]}: [{lo[k]}, {hi[k]}]")
-        if (k := _first(~((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:])))) is not None:
+        if lo.shape != hi.shape or lo.shape[:1] != levels.shape or lo.ndim > 2:
+            raise ConfigurationError("lo and hi must be (L,) or (L, q) arrays, one row per level")
+        column = "" if lo.ndim == 1 else " in column {}"
+        lo, hi = self.columns()
+        if (i := _first(~(lo <= hi))) is not None:
+            k, j = divmod(i, lo.shape[1])
+            cut = f"[{lo[k, j]}, {hi[k, j]}]{column.format(j)}"
+            raise ConfigurationError(f"bounds out of order at level {levels[k]}: {cut}")
+        if (i := _first(~((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:])))) is not None:
+            k, j = divmod(i, lo.shape[1])
             raise ConfigurationError(
-                f"nesting violated between levels {levels[k]} and {levels[k + 1]}: "
-                f"[{lo[k]}, {hi[k]}] not inside [{lo[k + 1]}, {hi[k + 1]}]"
+                f"nesting violated between levels {levels[k]} and {levels[k + 1]}: [{lo[k, j]}, {hi[k, j]}] "
+                f"not inside [{lo[k + 1, j]}, {hi[k + 1, j]}]{column.format(j)}"
             )
 
-    def to_membership(self) -> np.ndarray:
-        """Piecewise-linear membership polyline as an array of (x, mu) rows.
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lo`` and ``hi`` as (L, q) arrays; q is 1 for a one-quantity stack."""
+        return self.lo.reshape(self.levels.size, -1), self.hi.reshape(self.levels.size, -1)
+
+    def to_membership(self, column: int = 0) -> np.ndarray:
+        """Piecewise-linear membership polyline of one quantity as (x, mu) rows.
 
         Left branch first (ascending x and mu), then the right branch
         (descending mu); a degenerate peak contributes a single apex vertex.
         """
-        left = np.column_stack([self.lo[::-1], self.levels[::-1]])
-        right = np.column_stack([self.hi, self.levels])
-        return np.concatenate([left, right[1:] if self.lo[0] == self.hi[0] else right])
+        lo, hi = (cuts[:, column] for cuts in self.columns())
+        left = np.column_stack([lo[::-1], self.levels[::-1]])
+        right = np.column_stack([hi, self.levels])
+        return np.concatenate([left, right[1:] if lo[0] == hi[0] else right])
 
 
-def write_cuts_csv(stacks: dict[str, AlphaCutStack], path) -> None:
-    """Write interval stacks as rows of (quantity_id, alpha, lo, hi)."""
+def write_cuts_csv(names, stack: AlphaCutStack, path) -> None:
+    """Write the stack's quantities, named by ``names`` in column order, as
+    rows of (quantity_id, alpha, lo, hi)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity_id", "alpha", "lo", "hi"])
-        for name, stack in stacks.items():
-            for row in zip(stack.levels.tolist(), stack.lo.tolist(), stack.hi.tolist()):
+        for name, lo, hi in zip(names, *(cuts.T.tolist() for cuts in stack.columns()), strict=True):
+            for row in zip(stack.levels.tolist(), lo, hi):
                 writer.writerow([name, *map(repr, row)])
 
 
-def write_membership_csv(stacks: dict[str, AlphaCutStack], path) -> None:
-    """Write membership polylines as rows of (quantity_id, x, mu)."""
+def write_membership_csv(names, stack: AlphaCutStack, path) -> None:
+    """Write the membership polylines of the stack's quantities, named by
+    ``names`` in column order, as rows of (quantity_id, x, mu)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity_id", "x", "mu"])
-        for name, stack in stacks.items():
-            for x, mu in stack.to_membership():
+        for j, name in enumerate(names):
+            for x, mu in stack.to_membership(j):
                 writer.writerow([name, repr(float(x)), repr(float(mu))])

@@ -219,8 +219,6 @@ def save_measured(data: MeasuredFuzzyModalData, path, units: str = "hz") -> None
         raise ConfigurationError(f"unknown units {units!r}; use 'hz' or 'eigenvalue'")
     eigenvalues = eigenvalue_to_hz(data.eigenvalue_tfns) if units == "hz" else data.eigenvalue_tfns
     columns = {"eigenvalue": eigenvalues.tolist(), "mode_shape": data.mode_shapes.T.tolist()}
-    if data.is_crisp:
-        columns["crisp"] = [True] * data.n_modes
     if data.shape_tfns is not None:
         columns["mode_shape_tfns"] = np.swapaxes(data.shape_tfns, 0, 1).tolist()
     modes = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
@@ -254,11 +252,8 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     previous mode's. ``mode_shape`` has one component per degree of
     freedom and is normalized on reading. ``mode_shape_tfns``, one
     triangle per component, is optional, but given for every mode or for
-    none.
-    ``save_measured`` also writes ``"crisp": true`` on each mode when every
-    eigenvalue triangle is a point; it is ignored here. Every value must be
-    a finite JSON number. Anything else is a ``ConfigurationError`` naming
-    the file.
+    none. Every value must be a finite JSON number. Anything else is a
+    ``ConfigurationError`` naming the file.
     """
     raw = read_json(path)
     if not isinstance(raw, dict):

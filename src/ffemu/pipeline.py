@@ -11,8 +11,8 @@ of the weighted residuals inside the same region, so the level ends at a
 minimizer rather than wherever the iteration cap left the search. A level
 reads its measured bounds as the four arrays ``cuts_at`` returns, and the
 run's two scalar weights scale every eigenvalue and every shape error.
-Parameter and output membership functions come out as nested alpha-cut
-stacks.
+The parameter and the output membership functions come out as two nested
+alpha-cut stacks, (L, d) and (L, n).
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class FfemuRun:
     error of a level's residual is weighted by the first, every mode-shape
     error by the second, and a zero second weight skips the shape solve.
     Both must be finite and non-negative, and at least one positive.
-    Per-level optimizer seeds are derived from ``seed`` plus the level
-    index, so levels draw independent random streams but the whole run is
-    reproducible.
+    ``theta_initial``, the optional start of the alpha = 1 search, must be
+    d finite numbers inside [theta_min, theta_max]. Per-level optimizer
+    seeds are derived from ``seed`` plus the level index, so levels draw
+    independent random streams but the whole run is reproducible.
     """
 
     model: StructuralModel
@@ -91,8 +92,6 @@ class FfemuRun:
         if max(self.weights) == 0.0:
             raise ConfigurationError(f"at least one weight must be positive, got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        if self.theta_initial is not None:
-            object.__setattr__(self, "theta_initial", np.asarray(self.theta_initial, dtype=float))
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; valid choices: {', '.join(OPTIMIZERS)}"
@@ -102,6 +101,13 @@ class FfemuRun:
             raise ConfigurationError(f"bounds must have length {d}")
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("theta_min must be strictly below theta_max")
+        if self.theta_initial is not None:
+            start = np.asarray(self.theta_initial, dtype=float)
+            if start.shape != (d,) or not np.isfinite(start).all():
+                raise ConfigurationError(f"theta_initial must be {d} finite numbers, got {start.tolist()}")
+            if ((start < self.theta_min) | (start > self.theta_max)).any():
+                raise ConfigurationError(f"theta_initial {start.tolist()} is outside [theta_min, theta_max]")
+            object.__setattr__(self, "theta_initial", start)
         if self.measured.n_modes != self.model.n_dof:
             raise ConfigurationError(
                 f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
@@ -112,20 +118,21 @@ class FfemuRun:
 class FfemuResult:
     """Membership stacks plus per-level bookkeeping for one run.
 
-    Per level: ``objective_values`` is the final (polished) objective,
-    ``evaluation_counts`` the optimizer's objective evaluations (population
-    rows), ``polish_evaluations`` the polish's residual evaluations, and
-    ``elapsed_seconds`` the time of search plus polish. Of that time,
-    ``objective_seconds`` was spent inside the optimizer's population
-    objective and ``polish_seconds`` in the polish; the rest is optimizer
-    overhead. ``histories`` hold the optimizer results before the polish,
-    each with its ``stop_reason``.
+    ``parameters`` is the (L, d) stack of the updated parameters at the
+    run's levels; its alpha = 1 row, ``parameters.lo[0]``, is the centre.
+    ``outputs`` is the (L, n) eigenvalue stack ``propagate_outputs`` gives
+    for it. Per level: ``objective_values`` is the final (polished)
+    objective, ``evaluation_counts`` the optimizer's objective evaluations
+    (population rows), ``polish_evaluations`` the polish's residual
+    evaluations, and ``elapsed_seconds`` the time of search plus polish. Of
+    that time, ``objective_seconds`` was spent inside the optimizer's
+    population objective and ``polish_seconds`` in the polish; the rest is
+    optimizer overhead. ``histories`` hold the optimizer results before the
+    polish, each with its ``stop_reason``.
     """
 
-    levels: np.ndarray
-    center: np.ndarray
-    parameter_stacks: list
-    output_stacks: list
+    parameters: AlphaCutStack
+    outputs: AlphaCutStack
     objective_values: np.ndarray
     evaluation_counts: np.ndarray
     polish_evaluations: np.ndarray
@@ -278,13 +285,10 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             k + 1, alpha, f, eval_counts[k], polish_counts[k], result.stop_reason,
         )
 
-    parameter_stacks = [AlphaCutStack(run.levels, lower[:, i], upper[:, i]) for i in range(d)]
-    output_stacks = propagate_outputs(model, parameter_stacks)
+    parameters = AlphaCutStack(run.levels, lower, upper)
     return FfemuResult(
-        levels=run.levels.copy(),
-        center=lower[0].copy(),
-        parameter_stacks=parameter_stacks,
-        output_stacks=output_stacks,
+        parameters=parameters,
+        outputs=propagate_outputs(model, parameters),
         objective_values=objective_values,
         evaluation_counts=eval_counts,
         polish_evaluations=polish_counts,
@@ -295,24 +299,18 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     )
 
 
-def propagate_outputs(model: StructuralModel, parameter_stacks: list) -> list:
-    """Eigenvalue stacks implied by nested parameter stacks.
+def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> AlphaCutStack:
+    """The (L, n) eigenvalue stack implied by the (L, d) parameter stack.
 
     Every level's parameter box is solved at its two vertices, all levels
     in one ``eigenvalues_batch`` call. Its eigenvalues are sorted, so
     output nesting follows exactly from stiffness monotonicity and no mode
     pairing is needed for the bounds.
     """
-    if not parameter_stacks:
-        raise DomainError("need at least one parameter stack")
-    levels = parameter_stacks[0].levels
-    lower = np.column_stack([s.lo for s in parameter_stacks])
-    upper = np.column_stack([s.hi for s in parameter_stacks])
-    lows, highs = np.split(model.eigenvalues_batch(np.concatenate([lower, upper])), 2)
+    lows, highs = np.split(model.eigenvalues_batch(np.concatenate(parameters.columns())), 2)
     # monotonicity puts highs above lows; the max() only absorbs last-ulp
     # eigensolver noise when a box is pinched to near-zero width
-    highs = np.maximum(lows, highs)
-    return [AlphaCutStack(levels, lows[:, j], highs[:, j]) for j in range(model.n_dof)]
+    return AlphaCutStack(parameters.levels, lows, np.maximum(lows, highs))
 
 
 @dataclass

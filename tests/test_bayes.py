@@ -555,10 +555,8 @@ class TestConfigValidation:
             one_dof_config(**{field: value})
 
     def test_start_outside_box_rejected(self):
-        model = one_dof_model()
-        config = one_dof_config(initial=np.array([100.0]))
-        with pytest.raises(ConfigurationError):
-            mh_sample(config, model, np.array([5.0]))
+        with pytest.raises(ConfigurationError, match="chain start lies outside the prior box"):
+            one_dof_config(initial=np.array([100.0]))
 
     @pytest.mark.parametrize(
         "field, value",

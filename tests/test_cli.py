@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import ffemu
-from ffemu import cli, scenarios
+from ffemu import cli, report, scenarios
+from ffemu.bundle import cut_stack, load_summary
+from ffemu.pipeline import load_run_config, run_ffemu
 
 
 @pytest.fixture
@@ -76,20 +78,41 @@ class TestUpdate:
         overhead = meta["elapsed_seconds"][1] - meta["objective_seconds"][1] - meta["polish_seconds"][1]
         assert float(row[-1]) == pytest.approx(overhead, abs=1e-4)
 
-    def test_report_renders_a_bundle_without_telemetry(self, small_config, tmp_path, capsys):
-        out = tmp_path / "bundle"
-        assert cli.main(["update", "--config", str(small_config), "--out", str(out)]) == cli.EXIT_OK
-        path = out / "summary.json"
-        summary = json.loads(path.read_text())
-        for key in ("stop_reasons", "iterations", "objective_seconds", "polish_seconds", "polish_evaluations"):
-            del summary["metadata"][key]
-        path.write_text(json.dumps(summary))
-        capsys.readouterr()
-        assert cli.main(["report", "--bundle", str(out)]) == cli.EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        row = lines[lines.index("Per alpha level") + 2].split()
-        assert row[:6] == ["1", "1.000", "-", "-", "610", "-"]
-        assert row[-3:] == ["-", "-", "-"]
+    def test_bundle_reads_back_the_result_stacks_bit_for_bit(self, small_config, tmp_path):
+        config = load_run_config(small_config)
+        result = run_ffemu(config.run)
+        out = report.write_bundle(tmp_path / "bundle", config.run, result)
+        summary = load_summary(out)
+        for group, stack in [("parameters", result.parameters), ("outputs", result.outputs)]:
+            read = cut_stack(summary, group)
+            for name in ("levels", "lo", "hi"):
+                assert getattr(read, name).shape == getattr(stack, name).shape
+                assert getattr(read, name).tobytes() == getattr(stack, name).tobytes(), (group, name)
+
+    @pytest.mark.parametrize("command, bayes", [("update", False), ("update", True), ("bayes", True)])
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ([4000, 2000, 2000], "theta_initial must be 5 finite numbers, got [4000.0, 2000.0, 2000.0]"),
+            (
+                [40000, 2000, 2000, 2000, 2000],
+                "theta_initial [40000.0, 2000.0, 2000.0, 2000.0, 2000.0] is outside [theta_min, theta_max]",
+            ),
+        ],
+    )
+    def test_bad_theta_initial_is_a_configuration_error_naming_the_config(
+        self, command, bayes, start, message, tmp_path, capsys
+    ):
+        config = scenarios.bundled_run_config(seed=2)
+        config["theta_initial"] = start
+        if not bayes:
+            del config["bayes"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_updated_eigenvalues_are_the_alpha_one_output_cuts(self, small_config, tmp_path):
         # one eigenvalue convention: the centre's eigenvalues are recorded
@@ -160,17 +183,6 @@ class TestReport:
             "windows", str(payload["windows"]), "solved", "rows", str(payload["solved_rows"]),
         ]
 
-    def test_renders_a_bayes_summary_without_telemetry(self, bundle, tmp_path, capsys):
-        copy = tmp_path / "bundle"
-        shutil.copytree(bundle, copy)
-        payload = json.loads((copy / "bayes_summary.json").read_text())
-        del payload["windows"], payload["solved_rows"]
-        (copy / "bayes_summary.json").write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
-        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
-        assert line.split()[-5:] == ["windows", "-", "solved", "rows", "-"]
-
     @pytest.mark.parametrize(
         "name, edit, message",
         [
@@ -216,7 +228,7 @@ class TestReport:
             (
                 "summary.json",
                 lambda d: d["parameters"][0]["cuts"][1].__setitem__(slice(1, 3), [5000.0, 3000.0]),
-                "bounds out of order at level 0.0: [5000.0, 3000.0]",
+                "bounds out of order at level 0.0: [5000.0, 3000.0] in column 0",
             ),
             (
                 "summary.json",
@@ -226,7 +238,7 @@ class TestReport:
             (
                 "summary.json",
                 lambda d: d["parameters"][1].update(cuts=[[1.0, 100.0, 300.0], [0.0, 150.0, 250.0]]),
-                "nesting violated between levels 1.0 and 0.0: [100.0, 300.0] not inside [150.0, 250.0]",
+                "nesting violated between levels 1.0 and 0.0: [100.0, 300.0] not inside [150.0, 250.0] in column 1",
             ),
             ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "first level must be alpha = 1, got 0.0"),
             (
@@ -253,6 +265,26 @@ class TestReport:
                 "bayes_summary.json",
                 lambda d: d["posterior_eigenvalues"].__setitem__(4, -1.0),
                 "field 'posterior_eigenvalues' must hold positive eigenvalues",
+            ),
+            # every telemetry field this version writes is required
+            *[
+                ("summary.json", lambda d, key=key: d["metadata"].pop(key), f"missing field 'metadata.{key}'")
+                for key in ("stop_reasons", "iterations", "objective_seconds", "polish_seconds", "polish_evaluations")
+            ],
+            *[
+                ("bayes_summary.json", lambda d, key=key: d.pop(key), f"missing field {key!r}")
+                for key in ("windows", "solved_rows")
+            ],
+            # an alpha column that disagrees with alpha_levels
+            (
+                "summary.json",
+                lambda d: d["parameters"][0]["cuts"][1].__setitem__(0, 0.7),
+                "field 'parameters[0].cuts' has alpha 0.7 in row 1, but alpha_levels[1] is 0.0",
+            ),
+            (
+                "summary.json",
+                lambda d: d["outputs"][3]["cuts"][0].__setitem__(0, 0.5),
+                "field 'outputs[3].cuts' has alpha 0.5 in row 0, but alpha_levels[0] is 1.0",
             ),
         ],
     )

@@ -133,6 +133,38 @@ class TestStack:
         with pytest.raises(ConfigurationError, match="out of order at level 0.5"):
             AlphaCutStack([1.0, 0.5], [0.0, 2.0], [1.0, 1.0])
 
+    def test_one_stack_holds_many_quantities(self):
+        levels = [1.0, 0.5, 0.0]
+        tfns = [(0, 1, 3), (2, 2, 2), (-1, 0, 1)]
+        stack = AlphaCutStack(levels, *alpha_cuts(tfns, levels))
+        assert stack.lo.shape == stack.hi.shape == (3, 3)
+        for j, tfn in enumerate(tfns):
+            one = stack_of(tfn, levels)
+            np.testing.assert_array_equal(stack.lo[:, j], one.lo)
+            np.testing.assert_array_equal(stack.hi[:, j], one.hi)
+            np.testing.assert_array_equal(stack.to_membership(j), one.to_membership())
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (
+                [[0, 1], [0, 2]],
+                [[1, 1], [1, 0.5]],
+                r"bounds out of order at level 0.5: \[2.0, 0.5\] in column 1",
+            ),
+            (
+                [[0, 1], [0, 1.5]],
+                [[1, 2], [1, 2]],
+                r"nesting violated between levels 1.0 and 0.5: \[1.0, 2.0\] not inside \[1.5, 2.0\] in column 1",
+            ),
+            ([[0, 1]], [[1, 2]], r"lo and hi must be \(L,\) or \(L, q\) arrays"),
+            ([0, 0], [[1], [1]], r"lo and hi must be \(L,\) or \(L, q\) arrays"),
+        ],
+    )
+    def test_many_quantity_errors_name_level_and_column(self, lo, hi, message):
+        with pytest.raises(ConfigurationError, match=message):
+            AlphaCutStack([1.0, 0.5], lo, hi)
+
     @pytest.mark.parametrize(
         "levels, message",
         [
@@ -210,7 +242,7 @@ class TestCsvExport:
     def test_cuts_csv_round_trip(self, tmp_path):
         stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
         path = tmp_path / "cuts.csv"
-        write_cuts_csv({"q1": stack}, path)
+        write_cuts_csv(["q1"], stack, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -222,10 +254,21 @@ class TestCsvExport:
     def test_membership_csv(self, tmp_path):
         stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
         path = tmp_path / "mem.csv"
-        write_membership_csv({"q1": stack}, path)
+        write_membership_csv(["q1"], stack, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         xs = [float(r["x"]) for r in rows]
         mus = [float(r["mu"]) for r in rows]
         assert xs == [0.0, 0.5, 1.0, 2.0, 3.0]
         assert mus == [0.0, 0.5, 1.0, 0.5, 0.0]
+
+    def test_many_quantities_are_written_in_column_order(self, tmp_path):
+        levels = [1.0, 0.5, 0.0]
+        tfns = [(0, 1, 3), (2, 2, 2)]
+        stack = AlphaCutStack(levels, *alpha_cuts(tfns, levels))
+        for write in (write_cuts_csv, write_membership_csv):
+            write(["a", "b"], stack, tmp_path / "both.csv")
+            for name, tfn in zip("ab", tfns):
+                write([name], stack_of(tfn, levels), tmp_path / f"{name}.csv")
+            parts = [(tmp_path / f"{name}.csv").read_text().splitlines() for name in "ab"]
+            assert (tmp_path / "both.csv").read_text().splitlines() == parts[0] + parts[1][1:]

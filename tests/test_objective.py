@@ -532,6 +532,19 @@ class TestMeasuredData:
             assert b[2] == pytest.approx(a[2], rel=1e-14)
         np.testing.assert_allclose(loaded.mode_shapes, data.mode_shapes, atol=1e-15)
 
+    def test_crisp_data_are_saved_without_a_crisp_key_and_still_load_with_one(self, tmp_path):
+        data = self.make_data(crisp=True)
+        path = tmp_path / "measured.json"
+        save_measured(data, path)
+        raw = json.loads(path.read_text())
+        assert all(set(mode) == {"eigenvalue", "mode_shape"} for mode in raw["modes"])
+        for mode in raw["modes"]:
+            mode["crisp"] = True
+        path.write_text(json.dumps(raw))
+        loaded = load_measured(path)
+        assert loaded.is_crisp
+        np.testing.assert_allclose(loaded.eigenvalue_tfns, data.eigenvalue_tfns, rtol=1e-14)
+
     def test_save_load_round_trip_eigenvalue_units(self, tmp_path):
         data = self.make_data()
         path = tmp_path / "measured.json"

@@ -176,25 +176,26 @@ class TestRunFfemu:
 
     def test_nesting_exact_and_level1_degenerate(self, aco_result):
         _, result = aco_result
-        for stack in result.parameter_stacks + result.output_stacks:
-            assert stack.hi[0] - stack.lo[0] >= 0.0
+        for stack in (result.parameters, result.outputs):
+            assert (stack.hi[0] - stack.lo[0] >= 0.0).all()
             for k in range(stack.levels.size - 1):
-                assert stack.lo[k + 1] <= stack.lo[k]
-                assert stack.hi[k] <= stack.hi[k + 1]
-        for stack in result.parameter_stacks:
-            assert stack.hi[0] - stack.lo[0] == 0.0
+                assert (stack.lo[k + 1] <= stack.lo[k]).all()
+                assert (stack.hi[k] <= stack.hi[k + 1]).all()
+        assert (result.parameters.hi[0] - result.parameters.lo[0] == 0.0).all()
 
     def test_center_is_peak_of_every_stack(self, aco_result):
         _, result = aco_result
-        for i, stack in enumerate(result.parameter_stacks):
-            assert stack.lo[0] == result.center[i]
+        # the centre is the alpha = 1 row, a point: the peak of every parameter
+        stack = result.parameters
+        for i in range(stack.lo.shape[1]):
+            assert stack.lo[0, i] == stack.hi[0, i]
 
     def test_warm_start_never_worsens(self, aco_result):
         run, result = aco_result
         for k in range(1, run.levels.size):
             measured_k = run.measured.cuts_at(run.levels[k])
-            prev_lower = np.array([s.lo[k - 1] for s in result.parameter_stacks])
-            prev_upper = np.array([s.hi[k - 1] for s in result.parameter_stacks])
+            prev_lower = result.parameters.lo[k - 1]
+            prev_upper = result.parameters.hi[k - 1]
             r = residual_batch(run.model, [prev_lower], [prev_upper], measured_k, run.weights)[0]
             assert result.objective_values[k] <= r @ r + 1e-18
 
@@ -235,9 +236,9 @@ class TestRunFfemu:
             gen = (truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
                 cut_lo, cut_hi = alpha_cuts(gen, alpha)
-                stack = result.parameter_stacks[i]
-                assert stack.lo[k] <= cut_lo + slack[i]
-                assert stack.hi[k] >= cut_hi - slack[i]
+                stack = result.parameters
+                assert stack.lo[k, i] <= cut_lo + slack[i]
+                assert stack.hi[k, i] >= cut_hi - slack[i]
 
     def test_every_level_converges_within_polish_cap(self, aco_result):
         # with eigenvalue-only weights each level is a zero-residual
@@ -253,15 +254,16 @@ class TestRunFfemu:
     def test_output_stacks_bracket_measured_centers(self, aco_result):
         run, result = aco_result
         centers = run.measured.center_eigenvalues()
-        for j, stack in enumerate(result.output_stacks):
-            assert stack.lo[-1] <= centers[j] <= stack.hi[-1]
+        stack = result.outputs
+        for j in range(stack.lo.shape[1]):
+            assert stack.lo[-1, j] <= centers[j] <= stack.hi[-1, j]
 
     def test_deterministic_rerun(self, aco_result):
         run, result = aco_result
         again = run_ffemu(fuzzy_run("aco"))
-        for a, b in zip(result.parameter_stacks, again.parameter_stacks):
-            for k in range(a.levels.size):
-                assert (a.lo[k], a.hi[k]) == (b.lo[k], b.hi[k])
+        a, b = result.parameters, again.parameters
+        for k in range(a.levels.size):
+            assert (a.lo[k] == b.lo[k]).all() and (a.hi[k] == b.hi[k]).all()
         np.testing.assert_array_equal(result.objective_values, again.objective_values)
 
     def test_containment_pso_at_looser_slack(self):
@@ -278,9 +280,9 @@ class TestRunFfemu:
             gen = (truth[i] - spreads[i], truth[i], truth[i] + spreads[i])
             for k, alpha in enumerate(run.levels):
                 cut_lo, cut_hi = alpha_cuts(gen, alpha)
-                stack = result.parameter_stacks[i]
-                assert stack.lo[k] <= cut_lo + slack[i]
-                assert stack.hi[k] >= cut_hi - slack[i]
+                stack = result.parameters
+                assert stack.lo[k, i] <= cut_lo + slack[i]
+                assert stack.hi[k, i] >= cut_hi - slack[i]
 
     def test_each_level_searches_the_box_anchored_to_the_previous_level(self, monkeypatch):
         # level 1 searches [theta_min, theta_max]; level k >= 2 searches
@@ -295,8 +297,7 @@ class TestRunFfemu:
         monkeypatch.setattr(pipeline, "aco_minimize", recording)
         run = fuzzy_run("aco", iters=20, seed=4)
         result = run_ffemu(run)
-        lower = np.column_stack([s.lo for s in result.parameter_stacks])
-        upper = np.column_stack([s.hi for s in result.parameter_stacks])
+        lower, upper = result.parameters.lo, result.parameters.hi
         assert len(calls) == run.levels.size
         np.testing.assert_array_equal(calls[0][0], run.theta_min)
         np.testing.assert_array_equal(calls[0][1], run.theta_max)
@@ -323,8 +324,8 @@ class TestRunFfemu:
             seed=0,
         )
         result = run_ffemu(run)
-        for stack in result.parameter_stacks:
-            assert stack.hi[-1] - stack.lo[-1] <= eps.max()
+        stack = result.parameters
+        assert (stack.hi[-1] - stack.lo[-1] <= eps.max()).all()
         r = residual_batch(model, [theta_p], [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
         assert result.objective_values[0] == pytest.approx(r @ r, rel=1e-2)
 
@@ -346,16 +347,15 @@ class TestRunFfemu:
             theta_initial=scenarios.THETA_INITIAL,
         )
         result = run_ffemu(run)
-        lower = np.column_stack([s.lo for s in result.parameter_stacks])
-        upper = np.column_stack([s.hi for s in result.parameter_stacks])
+        lower, upper = result.parameters.lo, result.parameters.hi
         for k, alpha in enumerate(levels):
             cuts = measured.cuts_at(alpha)
             r = residual_batch(model, lower[k : k + 1], upper[k : k + 1], cuts, run.weights)[0]
             assert r[5:10].any() and r[15:].any()  # the shape errors are in the objective
             assert result.objective_values[k] == r @ r
         assert (np.diff(lower, axis=0) <= 0.0).all() and (np.diff(upper, axis=0) >= 0.0).all()
-        for stack in result.output_stacks:
-            assert (np.diff(stack.lo) <= 0.0).all() and (np.diff(stack.hi) >= 0.0).all()
+        stack = result.outputs
+        assert (np.diff(stack.lo, axis=0) <= 0.0).all() and (np.diff(stack.hi, axis=0) >= 0.0).all()
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -408,22 +408,20 @@ class TestPropagateOutputs:
         model = scenarios.five_dof_model()
         theta = scenarios.THETA_TRUE
         levels = default_levels(4)
-        stacks = [
-            AlphaCutStack(levels, np.full(4, t), np.full(4, t)) for t in theta
-        ]
-        outputs = propagate_outputs(model, stacks)
+        stack = AlphaCutStack(levels, np.tile(theta, (4, 1)), np.tile(theta, (4, 1)))
+        outputs = propagate_outputs(model, stack)
         lam = model.eigenvalues_batch(theta[None, :])[0]
-        for j, stack in enumerate(outputs):
-            for lo, hi in zip(stack.lo, stack.hi):
+        for j in range(outputs.lo.shape[1]):
+            for lo, hi in zip(outputs.lo[:, j], outputs.hi[:, j]):
                 assert lo == hi == lam[j]
 
     def test_one_dof_identity(self):
         levels = default_levels()
-        stacks = [AlphaCutStack(levels, *alpha_cuts([4, 5, 6], levels))]
-        outputs = propagate_outputs(one_dof_model(), stacks)
-        for k in range(stacks[0].levels.size):
-            assert outputs[0].lo[k] == pytest.approx(stacks[0].lo[k], rel=1e-12)
-            assert outputs[0].hi[k] == pytest.approx(stacks[0].hi[k], rel=1e-12)
+        stack = AlphaCutStack(levels, *alpha_cuts([[4, 5, 6]], levels))
+        outputs = propagate_outputs(one_dof_model(), stack)
+        for k in range(stack.levels.size):
+            assert outputs.lo[k, 0] == pytest.approx(stack.lo[k, 0], rel=1e-12)
+            assert outputs.hi[k, 0] == pytest.approx(stack.hi[k, 0], rel=1e-12)
 
 
 class TestRunConfig:
