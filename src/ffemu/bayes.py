@@ -12,52 +12,66 @@ do not depend on the accept/reject decisions, so they are all drawn up
 front, from two child streams of ``SeedSequence(rng_seed).spawn(2)``: the
 first gives the n standard-normal increment rows, ``standard_normal((n, d))``
 scaled by ``proposal_sd``, and the second the n uniforms, ``random(n)``.
-Step i takes the i-th row and the i-th uniform, so a shorter chain with the
-same seed is a prefix of a longer one. From a state theta at step i, the
-states the next steps can reach while their decisions all go one way are
-then known:
+Step i takes the i-th row z_i and the i-th uniform u_i, so a shorter chain
+with the same seed is a prefix of a longer one.
 
-- the A-step accept path theta + z_i, theta + z_i + z_i+1, ...,
-  theta + z_i + ... + z_i+A-1 (every step accepted);
-- the (F - 1)-row reject fan theta + z_i+1, ..., theta + z_i+F-1 (every
-  step from step i on rejected so far).
+Each window follows one predicted path (predictive prefetching, Angelino
+et al. 2014, "Accelerating MCMC via parallel predictive prefetching"). From
+the state theta at step i it predicts the next a decisions m_0..m_a-1 (1
+for accept, 0 for reject), forms the states the chain passes through if
+they all go as predicted,
 
-Step i's proposal theta + z_i heads the path whichever way its decision
-goes, so one stacked eigensolve of A + F - 1 rows covers the window (fewer
-where the chain's end cuts it short); the likelihood needs eigenvalues
-only, so that solve is ``StructuralModel.eigenvalues_batch``, which skips
-the mode shapes. The walk follows the accept path up to and including the
-first rejection, or the reject fan up to and including the first
-acceptance, and the next window starts from the state it lands on.
+    s_0 = theta,   s_k+1 = s_k + m_k z_i+k,
 
-The shape follows Strid (2010, "Efficient parallelisation of
-Metropolis-Hastings algorithms using a prefetching approach"): at
-acceptance rate p, with q = 1 - p, a window advances
+and solves the a proposals s_k + z_i+k in one stacked eigensolve (the
+likelihood needs eigenvalues only, so that solve is
+``StructuralModel.eigenvalues_batch``, which skips the mode shapes). The walk
+then decides steps in order until the first decision that differs from its
+prediction, which is still decided and consumed, or until all a are
+decided; the next window starts from the state the walk lands on.
 
-    S(A, F) = (1 - p^A) / (1 - p) + (q - q^F) / p
+The predictions come from a Gaussian surrogate of the posterior,
+-1/2 (x - mu)^T P (x - mu): step k is predicted accepted iff
+log u_k < the surrogate's change from s_k to s_k + z_k. Along the predicted
+path that change includes the cross terms -z_j^T P z_k of every earlier
+predicted accept j: the changes are formed along the path on which every
+step goes the majority way (below), then corrected by +-z_j^T P z_k for
+each step j predicted the other way, from one (a, a) product of that
+window's increments only. mu and P are fitted to the chain's own decided
+states, from the sums of x and x x^T over the second half of them: first
+after 256 steps, then each time the chain's length doubles. Before the
+first fit, when a fit is singular, and when the surrogate's predictions
+have missed more than 1 / ``SURROGATE_WINDOW_COST`` times as often as the
+majority prediction's (accept iff the running acceptance rate is at least
+1/2) since the last fit, the window predicts the majority way for every
+step instead: the surrogate must save more windows than its own work
+costs. While the majority leads, the surrogate's predictions are checked
+on every ``CHECK_EVERY``-th window, and both counts take only the steps of
+checked windows.
 
-steps on average, and costs ``WINDOW_COST`` + A + F - 1 solved rows. Each
-window takes the (A, F), each at most 24, that minimises cost / S at the
-running acceptance rate (accepted steps over steps so far, 0.5 before the
-first window), rounded to a multiple of 1/32. A chain that accepts most
-proposals gets a long path and a short fan, one that rejects most gets the
-reverse; at the default acceptance of about 0.78 the shape is (8, 2).
+The path length a comes from h, the running share of decided steps whose
+prediction held (counting one held and one missed prediction before the
+first step, so h is 0.5 at the start). If each prediction holds with
+probability h, a window decides S(a) = (1 - h^a) / (1 - h) steps on average
+and costs ``WINDOW_COST`` + a solved rows; a is the length, at most
+``PATH_CAP``, that minimises cost / S at h rounded to a multiple of 1/32.
 
 The chain equals the sequential definition bit for bit, whatever the
-shapes: the shape only decides which states are solved ahead, never which
-states get a decision or how they are formed. Every proposal is formed by
-the same floating-point additions in the same order (the accept path is a
-running sum over [theta, z_i, z_i+1, ...]), each row's log posterior does
-not depend on the other rows of its batch, and every decision compares the
-same numbers. The window is built in one preallocated buffer (the running
-sum written in place, the fan added into its rows), and solved as it
-stands when every row is inside the prior box; every step from buffer to
-log posterior is elementwise or a per-matrix eigensolve, so each row's
-value is independent of its batch, which is what the exactness needs.
-Rows the walk never reaches are solved but their results are discarded;
-if a batch fails to converge, the window is re-solved one row at a time in
-walk order, so an error surfaces only for a state the sequential chain
-would also have solved.
+predictions: they decide only which states are solved ahead, never which
+states get a decision or how they are formed. The path is a running sum,
+in place in one buffer, over [theta, m_0 z_i, m_1 z_i+1, ...]. A predicted
+accept adds 1.0 z = z, exactly the addition the sequential chain makes on
+an accept; a predicted reject adds 0.0 z = +-0.0, and adding a zero leaves
+the (positive, in-box) state's bits unchanged, as a sequential reject
+does. So each row on the path that the walk reaches is the sequential
+chain's proposal bit for bit, each row's log posterior does not depend on
+the other rows of its batch (every step from buffer to log posterior is
+elementwise or a per-matrix eigensolve), and every decision compares the
+same numbers. The rows are solved as they stand when all are inside the
+prior box; rows outside it are not solved. Rows the walk never reaches are
+solved but their results are discarded; if a batch fails to converge, the
+window is re-solved one row at a time in walk order, so an error surfaces
+only for a state the sequential chain would also have solved.
 """
 
 from __future__ import annotations
@@ -87,9 +101,20 @@ __all__ = [
     "summarize",
 ]
 
-# a prefetch window's fixed cost in solved rows: on one CPU a window's
-# Python and numpy overhead is about 70 us, a solved 5x5 row about 3.5 us
-WINDOW_COST = 20
+# a prefetch window's fixed cost in solved rows, prediction included: timed
+# inside bundled 40,000-step walks (proposal fractions 0.003-0.1) on one
+# pinned CPU of a shared 2-CPU machine (Python 3.11, numpy 2.4), a window's
+# solve call and walk cost about 70 us, 105 us when it follows the
+# surrogate, and a solved 5x5 row about 3.2 us; most of the bundled run's
+# windows follow the surrogate
+WINDOW_COST = 30
+PATH_CAP = 48  # longest predicted path
+FIRST_FIT = 256  # steps decided before the surrogate is first fitted
+CHECK_EVERY = 4  # while the majority leads, one window in this many checks the surrogate
+# a window that follows the surrogate costs about 1.5 times one that does not
+# (see WINDOW_COST), and windows end at missed predictions, so the surrogate
+# is followed only while it misses at most 1 / 1.5 as often as the majority
+SURROGATE_WINDOW_COST = 1.5
 CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
@@ -179,16 +204,18 @@ class McmcConfig:
 class Chain:
     """Post-burn-in samples (rows) plus the whole-run acceptance rate.
 
-    ``windows`` counts the prefetch windows of the walk and ``solved_rows``
+    ``windows`` counts the prefetch windows of the walk, ``solved_rows``
     the rows it passed to ``eigenvalues_batch``, the start state and any
-    one-row re-solves included; both are 0 for a chain not built by
-    ``mh_sample``.
+    one-row re-solves included, and ``prediction_rate`` is the share of
+    steps whose decision matched its prediction; all are 0 for a chain not
+    built by ``mh_sample``.
     """
 
     samples: np.ndarray
     acceptance_rate: float
     windows: int = 0
     solved_rows: int = 0
+    prediction_rate: float = 0.0
 
 
 @dataclass
@@ -241,22 +268,80 @@ def _log_likelihood(lam, lam_m, config: McmcConfig) -> np.ndarray:
     return total
 
 
-def _window_shapes() -> list[tuple[int, int]]:
-    """Window shape (A, F) for each running acceptance rate g / 32, g = 0..32.
+def _path_lengths() -> list[int]:
+    """Predicted-path length for each running hold rate g / 32, g = 0..32.
 
-    A is the accept path's length and F - 1 the reject fan's row count, each
-    1..24; the pair minimises (WINDOW_COST + A + F - 1) / S(A, F) (see the
-    module docstring). S is summed as powers, so p = 0 and p = 1 need no
-    special case.
+    The length a, 1..PATH_CAP, minimises (WINDOW_COST + a) / S(a), with
+    S(a) = 1 + h + ... + h^(a-1) the steps a window decides on average
+    when each prediction holds with probability h. S is summed as powers,
+    so h = 0 and h = 1 need no special case.
     """
-    p = np.linspace(0.0, 1.0, 33)[:, None]
-    k = np.arange(24)
-    path_steps = (p**k).cumsum(axis=1)  # 1 + p + ... + p^(A-1), A = 1..24
-    fan_steps = ((1.0 - p) ** k).cumsum(axis=1) - 1.0  # q + ... + q^(F-1), F = 1..24
-    rows = k[:, None] + k[None, :] + 1  # A + F - 1
-    # one rate at a time: every temporary stays small, which keeps the peak RSS down
-    best = [((WINDOW_COST + rows) / (a[:, None] + f)).argmin() for a, f in zip(path_steps, fan_steps)]
-    return [(int(a) + 1, int(f) + 1) for a, f in zip(*np.divmod(best, k.size))]
+    h = np.linspace(0.0, 1.0, 33)[:, None]
+    steps = (h ** np.arange(PATH_CAP)).cumsum(axis=1)
+    return (((WINDOW_COST + np.arange(1, PATH_CAP + 1)) / steps).argmin(axis=1) + 1).tolist()
+
+
+def _gaussian_fit(states) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mean and precision of the Gaussian fitted to the rows of ``states``,
+    or None when their covariance is singular to the rounding of its sums.
+
+    Built from the sums of x and x x^T, so no temporary grows with the row
+    count. ``einsum`` and ``eigh`` keep the peak memory down: a BLAS product
+    over all the states (with its work buffers) and LAPACK's Cholesky and
+    inverse (code the walk does not otherwise load) raised the ``bayes``
+    run's peak resident memory by about 0.5 MB.
+    """
+    m, d = states.shape
+    total = states.sum(axis=0)
+    mean = total / m
+    scatter = np.einsum("ki,kj->ij", states, states)
+    rounding = d * np.finfo(float).eps * np.trace(scatter)
+    scatter -= np.outer(total, mean)
+    spread, axes = np.linalg.eigh(scatter)
+    if not spread[0] > rounding:
+        return None
+    return mean, (m - 1) * np.einsum("ik,jk->ij", axes / spread, axes)
+
+
+def _surrogate_change(states, z, mean, precision) -> tuple[np.ndarray, np.ndarray]:
+    """The change of the surrogate -1/2 (x - mean)^T precision (x - mean)
+    from each state to its proposal, the state plus its row of ``z``, which
+    is (mean - state - z / 2)^T precision z; and ``z @ precision``."""
+    w = np.dot(z, precision)  # np.dot: less call overhead than @ on these small arrays
+    reach = mean - states
+    reach -= 0.5 * z
+    return np.einsum("ij,ij->i", reach, w), w
+
+
+def _surrogate_guess(log_u, delta, z, w, majority: bool) -> list[bool]:
+    """The surrogate's prediction for each step of a window, along the path
+    on which every step goes as it predicts: accept step k iff log u_k is
+    below the surrogate's change from the state before step k to its
+    proposal.
+
+    ``delta`` holds those changes along the path on which every step goes
+    the ``majority`` way (it is corrected in place), and ``w`` is
+    ``z @ precision``. A step predicted
+    the other way moves every later state by -z_k (or +z_k), which changes
+    each later step j's change by +z_k^T precision z_j (or its negative);
+    the (a, a) product of those terms is formed only when some step goes
+    the other way.
+    """
+    guess = []
+    ahead = delta.tolist()
+    gram = None
+    for k, u in enumerate(log_u):
+        accept = u < ahead[k]
+        guess.append(accept)
+        if accept != majority:
+            if gram is None:
+                gram = np.dot(w, z.T)
+            if accept:
+                delta -= gram[k]
+            else:
+                delta += gram[k]
+            ahead = delta.tolist()
+    return guess
 
 
 def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) -> Chain:
@@ -266,7 +351,9 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
     chain that, at each step, draws d standard normals from the first child
     stream of ``SeedSequence(rng_seed).spawn(2)`` (scaled by ``proposal_sd``)
     and one uniform from the second (see the module docstring for the
-    windowed walk). Raises when nothing was ever accepted, which almost
+    windowed walk). Raises ``DiagnosticsError`` when the start state's log
+    posterior is not finite (its squared residuals overflow at a tiny
+    ``likelihood_sd``), or when nothing was ever accepted, which almost
     always means the proposal steps are far too large.
     """
     d = config.theta_min.size
@@ -279,38 +366,64 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
         if config.initial is not None
         else 0.5 * (config.theta_min + config.theta_max)
     )
-    n = config.n_samples
+    with np.errstate(over="ignore"):  # a squared residual that overflows gives a log posterior of -inf
+        lp = log_posterior_batch(theta[None, :], measured_eigenvalues, model, config).item()
+        if not math.isfinite(lp):
+            raise DiagnosticsError(
+                f"the log posterior at the chain start is {lp}; likelihood_sd = "
+                f"{config.likelihood_sd!r} is too small for its eigenvalue residuals"
+            )
+        return _walk(config, model, measured_eigenvalues, theta, lp)
+
+
+def _walk(config: McmcConfig, model, measured_eigenvalues, theta, lp) -> Chain:
+    """The windowed walk of ``mh_sample`` from ``theta``, whose log posterior is ``lp``."""
+    n, d = config.n_samples, theta.size
     normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
     steps = normals.standard_normal((n, d))
     steps *= config.proposal_sd
     log_u = uniforms.random(n)
     np.log(log_u, out=log_u)
 
-    shapes = _window_shapes()
-    grid = len(shapes) - 1
-    lp = log_posterior_batch(theta[None, :], measured_eigenvalues, model, config).item()
+    lengths = _path_lengths()
+    grid = len(lengths) - 1
     # a window reads the increments of steps i.. before it writes the states
-    # of steps i..i+j-1 and the next window starts at i+j, so the trace
+    # of steps i..i+k and the next window starts at i+k+1, so the trace
     # overwrites the increments in place
     trace = steps
-    # window buffer: row 0 is the current state, rows 1..a the accept path,
-    # rows a+1..a+f-1 the reject fan after row 1
-    a_max = max(a for a, _ in shapes)
-    f_max = max(f for _, f in shapes)
-    win = np.empty((a_max + f_max, d))
-    win[0] = theta
-    accepted = 0
-    windows = 0
+    # the predicted path: row 0 is the current state, row k + 1 the state
+    # after step k; proposal k is row k plus step k's increment
+    path = np.empty((PATH_CAP + 1, d))
+    proposals = np.empty((PATH_CAP, d))
+    path[0] = theta
+    accepted = windows = missed = 0
     solved = 1  # the start state
+    fit, next_fit = None, FIRST_FIT
+    surrogate_missed = majority_missed = 0  # predictions of each kind that missed since the last fit
     i = 0
     while i < n:
-        # running acceptance rate rounded to a multiple of 1 / grid; 0.5 at the start
-        a, f = shapes[(2 * grid * accepted + i) // (2 * i) if i else grid // 2]
-        a, f = min(a, n - i), min(f, n - i)
-        win[1 : a + 1] = steps[i : i + a]
-        win[: a + 1].cumsum(axis=0, out=win[: a + 1])
-        np.add(win[0], steps[i + 1 : i + f], out=win[a + 1 : a + f])
-        rows = win[1 : a + f]
+        if i >= next_fit:
+            fit, next_fit = _gaussian_fit(trace[i // 2 : i]), 2 * i
+            surrogate_missed = majority_missed = 0
+        # share of held predictions, counting one held and one missed before the
+        # first step (so 0.5 at the start), rounded to a multiple of 1 / grid
+        a = min(lengths[(2 * grid * (i - missed + 1) + i + 2) // (2 * (i + 2))], n - i)
+        z, u = steps[i : i + a], log_u[i : i + a]
+        u_list = u.tolist()
+        majority = 2 * accepted >= i
+        follow_surrogate = fit is not None and SURROGATE_WINDOW_COST * surrogate_missed <= majority_missed
+        checking = fit is not None and (follow_surrogate or windows % CHECK_EVERY == 0)
+        np.multiply(z, float(majority), out=path[1 : a + 1])
+        path[: a + 1].cumsum(axis=0, out=path[: a + 1])
+        if checking:  # the surrogate's changes along the majority path
+            delta, w = _surrogate_change(path[:a], z, *fit)
+        guess = [majority] * a
+        if follow_surrogate:
+            guess = _surrogate_guess(u_list, delta, z, w, majority)
+            if (not majority) in guess:
+                np.multiply(z, np.array(guess)[:, None], out=path[1 : a + 1])
+                path[: a + 1].cumsum(axis=0, out=path[: a + 1])
+        rows = np.add(path[:a], z, out=proposals[:a])
         inside = _in_box(rows, config)
         solved += int(np.count_nonzero(inside))
         windows += 1
@@ -323,35 +436,29 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
                 solved += int(inside[r])
                 one = slice(r, r + 1)
                 return _log_posterior_rows(rows[one], inside[one], measured_eigenvalues, model, config).item()
-        u = log_u[i : i + max(a, f)].tolist()
-        lp_next = row_lp(0)
-        if u[0] < lp_next - lp:
-            j, lp = 1, lp_next
-            while j < a:
-                lp_next = row_lp(j)
-                if not u[j] < lp_next - lp:
-                    break
-                j, lp = j + 1, lp_next
-            trace[i : i + j] = win[1 : j + 1]
-            win[0] = win[j]
-            accepted += j
-            span = a
-        else:
-            j = 1
-            while j < f:
-                lp_next = row_lp(a - 1 + j)
-                if u[j] < lp_next - lp:
-                    break
-                j += 1
-            trace[i : i + j] = win[0]
-            if j < f:
-                win[0], lp = win[a + j], lp_next
-                accepted += 1
-            span = f
-        if j < span:  # the step that ended the run is consumed too
-            trace[i + j] = win[0]
-            j += 1
-        i += j
+        # decide steps until the first that breaks its prediction, which is consumed too
+        for k, (u_k, guess_k) in enumerate(zip(u_list, guess)):
+            lp_next = row_lp(k)
+            accept = u_k < lp_next - lp
+            if accept:
+                lp = lp_next
+            if accept != guess_k:
+                missed += 1
+                break
+        window_accepts = sum(guess[:k]) + accept
+        accepted += window_accepts
+        if checking:
+            majority_missed += k + 1 - window_accepts if majority else window_accepts
+            if follow_surrogate:
+                surrogate_missed += accept != guess_k
+            else:  # the walk followed the majority path, so the surrogate's changes along it apply
+                hunches = int(np.count_nonzero(u[:k] < delta[:k]))
+                surrogate_missed += (k - hunches if majority else hunches) + ((u_k < delta.item(k)) != accept)
+        # the states after steps i..i+k: the predicted path's, the last one as decided
+        trace[i : i + k] = path[1 : k + 1]
+        path[0] = rows[k] if accept else path[k]
+        trace[i + k] = path[0]
+        i += k + 1
     if accepted == 0:
         raise DiagnosticsError(
             "no proposal was ever accepted; decrease proposal_sd (or check the likelihood)"
@@ -361,6 +468,7 @@ def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) 
         acceptance_rate=accepted / n,
         windows=windows,
         solved_rows=solved,
+        prediction_rate=(n - missed) / n,
     )
 
 

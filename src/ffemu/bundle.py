@@ -154,6 +154,7 @@ def _check_bayes(data: dict, summary: dict) -> None:
         ("acceptance_rate", (), "iuf", False),
         ("windows", (), "i", False),
         ("solved_rows", (), "i", False),
+        ("prediction_rate", (), "iuf", False),
     ]:
         _field(data, key, shape, kinds, optional=optional)
     _positive("posterior_eigenvalues", data.get("posterior_eigenvalues"))

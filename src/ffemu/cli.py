@@ -90,6 +90,7 @@ def cmd_bayes(args) -> int:
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
         "windows": chain.windows,
         "solved_rows": chain.solved_rows,
+        "prediction_rate": chain.prediction_rate,
     }
     with open(out / bundle.BAYES_FILE, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -104,7 +105,7 @@ def cmd_bayes(args) -> int:
     print(f"acceptance rate: {chain.acceptance_rate:.3f}")
     print(
         f"prefetch windows: {chain.windows}   rows solved per step: "
-        f"{chain.solved_rows / config.bayes.n_samples:.2f}"
+        f"{chain.solved_rows / config.bayes.n_samples:.2f}   prediction rate: {chain.prediction_rate:.3f}"
     )
     print(f"chain and summary written to {out}")
     return EXIT_OK

@@ -229,7 +229,8 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     if bayes is not None:
         lines.append(
             f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   "
-            f"windows {bayes['windows']}   solved rows {bayes['solved_rows']}"
+            f"windows {bayes['windows']}   solved rows {bayes['solved_rows']}   "
+            f"prediction rate {bayes['prediction_rate']:.3f}"
         )
     lines.append("")
     lines += _level_table(summary)

@@ -11,14 +11,18 @@ from scipy import stats
 from ffemu import scenarios
 from ffemu import bayes
 from ffemu.bayes import (
+    CHECK_EVERY,
     CSV_CHUNK,
+    FIRST_FIT,
+    PATH_CAP,
+    SURROGATE_WINDOW_COST,
     WINDOW_COST,
     Chain,
     McmcConfig,
     log_posterior_batch,
     mh_sample,
     summarize,
-    _window_shapes,
+    _path_lengths,
     write_chain_csv,
 )
 from ffemu.errors import (
@@ -65,11 +69,12 @@ def center_eigenvalues(model, theta):
     return lam
 
 
-def sequential_chain(config, model, measured, solved=None, decisions=None):
+def sequential_chain(config, model, measured, solved=None, decisions=None, trajectory=None):
     """The one-step-at-a-time definition of the chain: each step draws d
     normals from the first child stream of ``SeedSequence(rng_seed)`` and
     one uniform from the second. ``solved`` collects every state it
-    evaluates and ``decisions`` each step's accept (True) or reject (False)."""
+    evaluates, ``decisions`` each step's accept (True) or reject (False)
+    and ``trajectory`` the start state, then the state after each step."""
     normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
     theta = (
         config.initial.copy()
@@ -78,6 +83,8 @@ def sequential_chain(config, model, measured, solved=None, decisions=None):
     )
     lp = log_posterior_row(theta, measured, model, config)
     states = [theta]
+    if trajectory is not None:
+        trajectory.append(theta)
     kept = np.empty((config.n_samples - config.burn_in, theta.size))
     accepted = 0
     for i in range(config.n_samples):
@@ -91,6 +98,8 @@ def sequential_chain(config, model, measured, solved=None, decisions=None):
             accepted += 1
         if decisions is not None:
             decisions.append(accept)
+        if trajectory is not None:
+            trajectory.append(theta)
         if i >= config.burn_in:
             kept[i - config.burn_in] = theta
     if solved is not None:
@@ -115,53 +124,109 @@ def assert_equals_sequential(config, model, measured):
     return chain
 
 
-def replayed_windows(decisions):
+def step_draws(config):
+    """Every step's increment and log uniform, drawn in bulk from the two
+    child streams of ``SeedSequence(rng_seed)``."""
+    normals, uniforms = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(2))
+    steps = normals.standard_normal((config.n_samples, config.theta_min.size))
+    steps *= config.proposal_sd
+    return steps, np.log(uniforms.random(config.n_samples))
+
+
+def replayed_windows(decisions, log_u, fits, changes, guesses):
     """The windows the walk should make, replayed from the sequential chain's
-    decisions and the shape rule: one (shape, rows, cut, accept_branch) per
-    window, where ``cut`` means the chain's end shortened the branch taken."""
-    shapes = _window_shapes()
-    grid = len(shapes) - 1
+    decisions and the path rule: one dict per window with its first step
+    ``start``, its length ``a``, its predictions ``guess``, ``missed`` (the
+    last decided step broke its prediction), ``cut`` (the chain's end
+    shortened it) and ``follow`` (the predictions are the surrogate's).
+    The predictor's outputs come in as the walk produced them, in call
+    order: ``fits`` from ``_gaussian_fit``, ``changes`` (the surrogate's
+    changes along the majority path) from ``_surrogate_change`` and
+    ``guesses`` from ``_surrogate_guess``; the replay decides when each is
+    used."""
+    lengths = _path_lengths()
+    grid = len(lengths) - 1
+    fits, changes, guesses = iter(fits), iter(changes), iter(guesses)
     n = len(decisions)
     windows = []
-    i = accepted = 0
+    i = accepted = missed = 0
+    fit, next_fit = None, FIRST_FIT
+    surrogate_missed = majority_missed = 0
     while i < n:
-        rate = accepted / i if i else 0.5
-        path, fan = shapes[math.floor(grid * rate + 0.5)]
-        a, f = min(path, n - i), min(fan, n - i)
-        branch = decisions[i]
-        limit = a if branch else f
-        j = 1
-        while j < limit and decisions[i + j] == branch:
-            j += 1
-        if j < limit:
-            j += 1
-        windows.append(((path, fan), a + f - 1, limit < (path if branch else fan), branch))
-        accepted += sum(decisions[i : i + j])
+        if i >= next_fit:
+            fit, next_fit = next(fits), 2 * i
+            surrogate_missed = majority_missed = 0
+        full = lengths[math.floor(grid * (i - missed + 1) / (i + 2) + 0.5)]
+        a = min(full, n - i)
+        majority = 2 * accepted >= i
+        follow = fit is not None and SURROGATE_WINDOW_COST * surrogate_missed <= majority_missed
+        checking = fit is not None and (follow or len(windows) % CHECK_EVERY == 0)
+        # the surrogate's predictions along the majority path, or along its own
+        hunch = (log_u[i : i + a] < next(changes)).tolist() if checking else None
+        guess = [majority] * a
+        if follow:
+            guess = hunch = next(guesses)
+        j = next((k + 1 for k in range(a) if decisions[i + k] != guess[k]), a)
+        decided = decisions[i : i + j]
+        broke = decided[-1] != guess[j - 1]
+        missed += broke
+        if checking:
+            majority_missed += sum(d != majority for d in decided)
+            surrogate_missed += sum(d != h for d, h in zip(decided, hunch))
+        windows.append(dict(start=i, a=a, guess=guess, missed=broke, cut=a < full, follow=follow))
+        accepted += sum(decided)
         i += j
+    assert next(fits, None) is None and next(changes, None) is None and next(guesses, None) is None
     return windows
 
 
 def walk_with_windows(config, model, measured, monkeypatch):
-    """Run the walk; check it against the sequential chain bit for bit and its
-    windows against the replayed shape rule. Every row must be inside the
-    prior box, so that each window is one solve of all its rows."""
-    calls = []
-    original = StructuralModel.eigenvalues_batch
+    """Run the walk; check it against the sequential chain bit for bit, its
+    eigensolve calls against the replayed path rule, and every solved row
+    against the predicted path: the sequential chain's state at the
+    window's start, advanced by each predicted accept in turn, plus the
+    step's increment. Every row must be inside the prior box, so that each
+    window is one solve of all its rows."""
+    batches, fits, changes, guesses = [], [], [], []
+    original_solve = StructuralModel.eigenvalues_batch
 
-    def counting(self, thetas):
-        calls.append(len(thetas))
-        return original(self, thetas)
+    def recording_solve(self, thetas):
+        batches.append(np.array(thetas))
+        return original_solve(self, thetas)
 
-    monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
+    def record(name, out, keep=lambda result: result):
+        original = getattr(bayes, name)
+
+        def recording(*args):
+            result = original(*args)
+            out.append(keep(result))
+            return result
+
+        monkeypatch.setattr(bayes, name, recording)
+
+    monkeypatch.setattr(StructuralModel, "eigenvalues_batch", recording_solve)
+    record("_gaussian_fit", fits)
+    record("_surrogate_change", changes, keep=lambda result: result[0].copy())
+    record("_surrogate_guess", guesses)
     chain = mh_sample(config, model, measured)
     monkeypatch.undo()
-    decisions = []
-    samples, rate = sequential_chain(config, model, measured, decisions=decisions)
+    decisions, trajectory = [], []
+    samples, rate = sequential_chain(config, model, measured, decisions=decisions, trajectory=trajectory)
     assert np.array_equal(chain.samples, samples)
     assert chain.acceptance_rate == rate
-    windows = replayed_windows(decisions)
-    assert calls == [1] + [rows for _, rows, _, _ in windows]
-    assert (chain.windows, chain.solved_rows) == (len(windows), sum(calls))
+    steps, log_u = step_draws(config)
+    windows = replayed_windows(decisions, log_u, fits, changes, guesses)
+    assert [len(b) for b in batches] == [1] + [w["a"] for w in windows]
+    assert (chain.windows, chain.solved_rows) == (len(windows), sum(map(len, batches)))
+    n = config.n_samples
+    assert chain.prediction_rate == (n - sum(w["missed"] for w in windows)) / n
+    for w, batch in zip(windows, batches[1:]):
+        state = trajectory[w["start"]]
+        for k, (row, accept) in enumerate(zip(batch, w["guess"])):
+            proposal = state + steps[w["start"] + k]
+            assert row.tobytes() == proposal.tobytes()
+            if accept:
+                state = proposal
     return chain, windows
 
 
@@ -296,25 +361,26 @@ class TestWindowedWalk:
         assert chain.acceptance_rate == rate
 
     @pytest.mark.parametrize(
-        "fraction, likelihood_sd, low, high, capped",
-        [(0.001, 0.005, 0.9, 1.0, (24, 1)), (0.05, 0.001, 0.0, 0.02, (1, 24))],
+        "fraction, overrides, low, high",
+        [(0.0005, dict(likelihood_sd=0.005), 0.9, 1.0), (0.05, dict(likelihood_sd=0.001, n_samples=1000), 0.0, 0.02)],
         ids=["path-capped", "fan-capped"],
     )
-    def test_capped_shapes_equal_sequential(
-        self, fraction, likelihood_sd, low, high, capped, monkeypatch
-    ):
+    def test_capped_shapes_equal_sequential(self, fraction, overrides, low, high, monkeypatch):
+        # almost every step goes one way, so the predictions hold for more
+        # than 63/64 of the steps and the path grows to its cap
         model = scenarios.five_dof_model()
         measured = center_eigenvalues(model, scenarios.THETA_TRUE)
-        config = five_dof_chain_config(fraction, likelihood_sd=likelihood_sd)
+        config = five_dof_chain_config(fraction, **overrides)
         chain, windows = walk_with_windows(config, model, measured, monkeypatch)
         assert low <= chain.acceptance_rate <= high
-        assert capped in {shape for shape, _, _, _ in windows}
+        assert PATH_CAP in {w["a"] for w in windows}
 
     @pytest.mark.parametrize(
         "overrides, accept_branch, window_rows",
         [
-            # rate 0.5 at the start, then 1: the path grows to its cap of 24
-            (dict(n_samples=86, proposal_sd=np.array([1e-12])), True, [7, 24, 24, 24, 10]),
+            # every prediction holds, so h = (held + 1) / (decided + 2) rises
+            # from 0.5 and the path grows until the chain's end cuts it
+            (dict(n_samples=86, proposal_sd=np.array([1e-12])), True, [5, 12, 23, 35, 11]),
             (dict(n_samples=301, likelihood_sd=0.0005), False, None),
         ],
         ids=["accept-path", "reject-fan"],
@@ -325,9 +391,8 @@ class TestWindowedWalk:
         model = one_dof_model()
         config = one_dof_config(burn_in=0, initial=np.array([5.0]), **overrides)
         _, windows = walk_with_windows(config, model, np.array([5.0]), monkeypatch)
-        _, _, cut, branch = windows[-1]
-        assert cut and branch == accept_branch
-        assert window_rows in (None, [rows for _, rows, _, _ in windows])
+        assert windows[-1]["cut"] and set(windows[-1]["guess"]) == {accept_branch}
+        assert window_rows in (None, [w["a"] for w in windows])
 
     def test_burn_in_zero(self):
         model = scenarios.five_dof_model()
@@ -343,8 +408,7 @@ class TestWindowedWalk:
         chain, windows = walk_with_windows(
             five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured, monkeypatch
         )
-        _, _, cut, _ = windows[-1]
-        assert cut
+        assert windows[-1]["cut"]
         assert chain.samples.shape == (n - 7, 5)
 
     def test_unreached_row_that_fails_to_converge_does_not_raise(self, monkeypatch):
@@ -385,11 +449,138 @@ class TestWindowedWalk:
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_after_start)
         with pytest.raises(ConvergenceError):
             mh_sample(five_dof_chain_config(0.03), model, measured)
-        # the first window's batch (its shape at the starting rate 0.5),
+        # the first window's batch (its path at the starting hold rate 0.5),
         # then the first row of the one-row re-solve
-        shapes = _window_shapes()
-        path, fan = shapes[len(shapes) // 2]
-        assert calls == [1, path + fan - 1, 1]
+        lengths = _path_lengths()
+        assert calls == [1, lengths[len(lengths) // 2], 1]
+
+
+    @pytest.mark.parametrize(
+        "wrong_fit",
+        [
+            lambda states: (scenarios.THETA_MAX.copy(), 1e6 * np.eye(5)),  # far mean, tiny covariance
+            lambda states: (states.mean(axis=0), -np.eye(5) / 100.0),  # not positive definite
+            lambda states: (states.mean(axis=0), np.zeros((5, 5))),  # flat: predicts every accept
+        ],
+        ids=["far-and-narrow", "indefinite", "flat"],
+    )
+    def test_wrong_surrogate_still_equals_sequential(self, wrong_fit, monkeypatch):
+        # the predictions steer only which rows are solved ahead, so even a
+        # surrogate that predicts badly leaves the chain as it is; the
+        # majority takes over once it has held more often
+        model = scenarios.five_dof_model()
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
+        monkeypatch.setattr(bayes, "_gaussian_fit", wrong_fit)
+        _, windows = walk_with_windows(five_dof_chain_config(0.03), model, measured, monkeypatch)
+        fitted = [w for w in windows if w["start"] >= FIRST_FIT]
+        assert any(w["follow"] for w in fitted) and not all(w["follow"] for w in fitted)
+
+
+class TestPredictor:
+    """The surrogate's predictions, against a step-by-step reference."""
+
+    @staticmethod
+    def surrogate(x, mean, precision):
+        r = x - mean
+        return -0.5 * r @ precision @ r
+
+    def test_predictions_follow_the_predicted_path(self):
+        # each log u sits 0.5 above or below the reference change at the
+        # reference path's state, far outside rounding, so the predictions
+        # are fixed; both majority baselines must give them
+        rng = np.random.default_rng(4)
+        a, d = 40, 5
+        z = 3.0 * rng.standard_normal((a, d))
+        theta = np.full(d, 100.0)
+        mean = theta + rng.standard_normal(d)
+        root = rng.standard_normal((d, d))
+        precision = root @ root.T / d + 0.1 * np.eye(d)
+        state, expected, log_u = theta, [], []
+        for k in range(a):
+            change = self.surrogate(state + z[k], mean, precision) - self.surrogate(state, mean, precision)
+            accept = bool(rng.random() < 0.6)
+            log_u.append(change - 0.5 if accept else change + 0.5)
+            expected.append(accept)
+            if accept:
+                state = state + z[k]
+        assert 0 < sum(expected) < a
+        for majority in (True, False):
+            path = theta + np.vstack([np.zeros(d), np.cumsum(z[:-1], axis=0)]) if majority else np.tile(theta, (a, 1))
+            delta, w = bayes._surrogate_change(path, z, mean, precision)
+            reference = [
+                self.surrogate(s + step, mean, precision) - self.surrogate(s, mean, precision)
+                for s, step in zip(path, z)
+            ]
+            np.testing.assert_allclose(delta, reference, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(w, z @ precision, rtol=1e-12)
+            assert bayes._surrogate_guess(log_u, delta, z, w, majority) == expected
+
+    def test_fit_matches_mean_and_inverse_covariance(self):
+        rng = np.random.default_rng(6)
+        states = 4000.0 + rng.standard_normal((700, 5)) @ rng.standard_normal((5, 5)) * 30.0
+        mean, precision = bayes._gaussian_fit(states)
+        np.testing.assert_allclose(mean, states.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(precision, np.linalg.inv(np.cov(states.T)), rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "states",
+        [np.full((300, 5), 2000.0), np.repeat(np.arange(300.0)[:, None], 5, axis=1) + 1000.0],
+        ids=["constant", "rank-one"],
+    )
+    def test_singular_fit_is_none(self, states):
+        assert bayes._gaussian_fit(states) is None
+
+
+class TestAgainstStridWindows:
+    """The predicted path against Strid's (2010) accept-path-plus-reject-fan
+    windows, kept here as a reference: from the same decisions, the modelled
+    cost ``WINDOW_COST`` x windows + solved rows."""
+
+    @staticmethod
+    def strid_shapes():
+        """(A, F) for each running acceptance rate g / 32: the A-step accept
+        path and (F - 1)-row reject fan, each 1..24, that minimise
+        (WINDOW_COST + A + F - 1) / S(A, F), S = (1 - p^A) / (1 - p) + (q - q^F) / p."""
+        p = np.linspace(0.0, 1.0, 33)[:, None]
+        k = np.arange(24)
+        path_steps = (p**k).cumsum(axis=1)
+        fan_steps = ((1.0 - p) ** k).cumsum(axis=1) - 1.0
+        rows = k[:, None] + k[None, :] + 1
+        best = [((WINDOW_COST + rows) / (a[:, None] + f)).argmin() for a, f in zip(path_steps, fan_steps)]
+        return [(int(a) + 1, int(f) + 1) for a, f in zip(*np.divmod(best, k.size))]
+
+    def strid_cost(self, decisions):
+        """Strid's walk over ``decisions``: the path up to and including the
+        first reject, or the fan up to and including the first accept."""
+        shapes = self.strid_shapes()
+        n = len(decisions)
+        i = accepted = windows = 0
+        rows = 1  # the start state
+        while i < n:
+            path, fan = shapes[math.floor(32 * (accepted / i if i else 0.5) + 0.5)]
+            a, f = min(path, n - i), min(fan, n - i)
+            branch = decisions[i]
+            limit = a if branch else f
+            j = next((k for k in range(1, limit) if decisions[i + k] != branch), limit - 1) + 1
+            windows += 1
+            rows += a + f - 1
+            accepted += sum(decisions[i : i + j])
+            i += j
+        return WINDOW_COST * windows + rows
+
+    @pytest.mark.parametrize("fraction, lower", [(0.003, False), (0.007, True), (0.03, True), (0.1, False)])
+    def test_predicted_path_costs_no_more(self, fraction, lower):
+        # the benchmark's chain length: the fits need the chain to have
+        # settled (at 0.003 a chain of 10,000 steps still costs up to 2% more)
+        model = scenarios.five_dof_model()
+        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
+        config = five_dof_chain_config(fraction, n_samples=40000, burn_in=0, rng_seed=1)
+        chain = mh_sample(config, model, measured)
+        before = np.vstack([config.initial, chain.samples[:-1]])
+        decisions = (chain.samples != before).any(axis=1).tolist()  # an accept always moves
+        assert sum(decisions) == round(chain.acceptance_rate * config.n_samples)
+        cost, strid = WINDOW_COST * chain.windows + chain.solved_rows, self.strid_cost(decisions)
+        assert cost < strid if lower else cost <= strid
 
 
 class TestRandomStreams:
@@ -416,35 +607,32 @@ class TestRandomStreams:
         assert chain.samples.tobytes() == states[1 + config.burn_in :].tobytes()
 
 
-class TestWindowShapes:
-    def test_each_shape_minimises_the_modelled_cost(self):
-        # brute force over every path and fan up to the cap of 24, in exact
-        # arithmetic, with S = (1 - p^A) / (1 - p) + (q - q^F) / p
-        shapes = _window_shapes()
-        grid = len(shapes) - 1
+class TestPathLengths:
+    def test_each_length_minimises_the_modelled_cost(self):
+        # brute force over every length up to the cap, in exact arithmetic,
+        # with S = (1 - h^a) / (1 - h) steps decided per window
+        lengths = _path_lengths()
+        grid = len(lengths) - 1
         assert grid == 32
-        for g, chosen in enumerate(shapes):
-            p = Fraction(g, grid)
-            q = 1 - p
+        for g, chosen in enumerate(lengths):
+            h = Fraction(g, grid)
 
-            def cost(path, fan):
-                along = path if p == 1 else (1 - p**path) / (1 - p)
-                across = fan - 1 if p == 0 else (q - q**fan) / p
-                return (WINDOW_COST + path + fan - 1) / (along + across)
+            def cost(a):
+                steps = a if h == 1 else (1 - h**a) / (1 - h)
+                return (WINDOW_COST + a) / steps
 
-            best = min(cost(a, f) for a in range(1, 25) for f in range(1, 25))
-            assert all(1 <= v <= 24 for v in chosen)
-            assert cost(*chosen) <= best * (1 + Fraction(1, 10**12)), (p, chosen)
+            best = min(cost(a) for a in range(1, PATH_CAP + 1))
+            assert 1 <= chosen <= PATH_CAP
+            assert cost(chosen) <= best * (1 + Fraction(1, 10**12)), (h, chosen)
 
-    def test_path_never_shortens_and_fan_never_grows_as_the_rate_rises(self):
-        paths, fans = zip(*_window_shapes())
-        assert all(a <= b for a, b in zip(paths, paths[1:]))
-        assert all(a >= b for a, b in zip(fans, fans[1:]))
-        assert (paths[0], fans[0]) == (1, 24) and (paths[-1], fans[-1]) == (24, 1)
+    def test_path_never_shortens_as_the_hold_rate_rises(self):
+        lengths = _path_lengths()
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+        assert (lengths[0], lengths[-1]) == (1, PATH_CAP)
 
-    def test_default_acceptance_takes_an_eight_step_path_and_one_fan_row(self):
-        # the bundled M-H run accepts about 0.78 of its proposals
-        assert _window_shapes()[round(0.78 * 32)] == (8, 2)
+    def test_bundled_hold_rate_takes_a_23_step_path(self):
+        # the bundled M-H run's predictions hold for about 0.93 of its steps
+        assert _path_lengths()[round(0.93 * 32)] == 23
 
 
 class TestSummarize:

@@ -7,12 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ffemu
 from ffemu import cli, report, scenarios
+from ffemu.bayes import PATH_CAP
 from ffemu.bundle import cut_stack, load_summary
 from ffemu.pipeline import load_run_config, run_ffemu
 
@@ -181,6 +183,7 @@ class TestReport:
         assert line.split() == [
             "M-H", "sampler:", "acceptance", "rate", f"{payload['acceptance_rate']:.3f}",
             "windows", str(payload["windows"]), "solved", "rows", str(payload["solved_rows"]),
+            "prediction", "rate", f"{payload['prediction_rate']:.3f}",
         ]
 
     @pytest.mark.parametrize(
@@ -273,7 +276,7 @@ class TestReport:
             ],
             *[
                 ("bayes_summary.json", lambda d, key=key: d.pop(key), f"missing field {key!r}")
-                for key in ("windows", "solved_rows")
+                for key in ("windows", "solved_rows", "prediction_rate")
             ],
             # an alpha column that disagrees with alpha_levels
             (
@@ -376,13 +379,33 @@ class TestBayes:
         out = tmp_path / "out"
         assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
         payload = json.loads((out / "bayes_summary.json").read_text())
-        assert list(payload)[-2:] == ["windows", "solved_rows"]
-        # the start state, then at least one and at most 24 rows per window
-        assert payload["windows"] < payload["solved_rows"] <= 1 + 24 * payload["windows"]
+        assert list(payload)[-3:] == ["windows", "solved_rows", "prediction_rate"]
+        # the start state, then at least one and at most PATH_CAP rows per window
+        assert payload["windows"] < payload["solved_rows"] <= 1 + PATH_CAP * payload["windows"]
+        # a window misses at most one prediction: its last decided step's
+        assert 1 - payload["windows"] / 400 <= payload["prediction_rate"] <= 1
         per_step = payload["solved_rows"] / 400
-        assert f"prefetch windows: {payload['windows']}   rows solved per step: {per_step:.2f}" in (
-            capsys.readouterr().out
+        line = (
+            f"prefetch windows: {payload['windows']}   rows solved per step: {per_step:.2f}   "
+            f"prediction rate: {payload['prediction_rate']:.3f}"
         )
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_non_finite_start_log_posterior_names_likelihood_sd(self, tmp_path, capsys):
+        # the squared residuals overflow at the chain start: the run stops
+        # there, naming the setting, without a numpy warning
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"]["likelihood_sd"] = 1e-300
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the log posterior at the chain start is -inf")
+        assert "likelihood_sd = 1e-300" in err
+        assert not out.exists()
 
 
 class TestSimulate:
