@@ -37,17 +37,18 @@ path that change includes the cross terms -z_j^T P z_k of every earlier
 predicted accept j: the changes are formed along the path on which every
 step goes the majority way (below), then corrected by +-z_j^T P z_k for
 each step j predicted the other way, from one (a, a) product of that
-window's increments only. mu and P are fitted to the chain's own decided
-states, from the sums of x and x x^T over the second half of them: first
-after 256 steps, then each time the chain's length doubles. Before the
-first fit, when a fit is singular, and when the surrogate's predictions
-have missed more than 1 / ``SURROGATE_WINDOW_COST`` times as often as the
-majority prediction's (accept iff the running acceptance rate is at least
-1/2) since the last fit, the window predicts the majority way for every
-step instead: the surrogate must save more windows than its own work
-costs. While the majority leads, the surrogate's predictions are checked
-on every ``CHECK_EVERY``-th window, and both counts take only the steps of
-checked windows.
+window's increments only. Each window's solved rows and their exact log
+posteriors go into a ring of the ``FIT_ROWS`` most recent; the least-squares
+quadratic through its finite entries gives P (minus its Hessian) and mu (its
+maximiser), first after 256 steps, then each time the chain's length
+doubles. Before the first fit, when a fit fails (``_quadratic_fit``), and
+when the surrogate's predictions have missed more than
+1 / ``SURROGATE_WINDOW_COST`` times as often as the majority's (accept iff
+the running acceptance rate is at least 1/2) since the last fit, the window
+predicts the majority way for every step instead: the surrogate must save
+more windows than its own work costs. While the majority leads, the
+surrogate is checked on every ``CHECK_EVERY``-th window; both miss counts
+take only the steps of checked windows.
 
 The path length a comes from h, the running share of decided steps whose
 prediction held (counting one held and one missed prediction before the
@@ -69,9 +70,9 @@ the other rows of its batch (every step from buffer to log posterior is
 elementwise or a per-matrix eigensolve), and every decision compares the
 same numbers. The rows are solved as they stand when all are inside the
 prior box; rows outside it are not solved. Rows the walk never reaches are
-solved but their results are discarded; if a batch fails to converge, the
-window is re-solved one row at a time in walk order, so an error surfaces
-only for a state the sequential chain would also have solved.
+solved and feed only the fit; if a batch fails to converge, the window is
+re-solved one row at a time in walk order, so an error surfaces only for a
+state the sequential chain would also have solved.
 """
 
 from __future__ import annotations
@@ -104,12 +105,14 @@ __all__ = [
 # a prefetch window's fixed cost in solved rows, prediction included: timed
 # inside bundled 40,000-step walks (proposal fractions 0.003-0.1) on one
 # pinned CPU of a shared 2-CPU machine (Python 3.11, numpy 2.4), a window's
-# solve call and walk cost about 70 us, 105 us when it follows the
-# surrogate, and a solved 5x5 row about 3.2 us; most of the bundled run's
+# solve call and walk cost 60-90 us, 95-125 us when it follows the
+# surrogate, and a solved 5x5 row 3-4 us; over 90% of the bundled run's
 # windows follow the surrogate
 WINDOW_COST = 30
 PATH_CAP = 48  # longest predicted path
 FIRST_FIT = 256  # steps decided before the surrogate is first fitted
+FIT_ROWS = 1024  # the surrogate is fitted to the log posteriors of the most recent solved rows
+FIT_CHUNK = 128  # rows per term of the fit's normal equations
 CHECK_EVERY = 4  # while the majority leads, one window in this many checks the surrogate
 # a window that follows the surrogate costs about 1.5 times one that does not
 # (see WINDOW_COST), and windows end at missed predictions, so the surrogate
@@ -281,26 +284,47 @@ def _path_lengths() -> list[int]:
     return (((WINDOW_COST + np.arange(1, PATH_CAP + 1)) / steps).argmin(axis=1) + 1).tolist()
 
 
-def _gaussian_fit(states) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mean and precision of the Gaussian fitted to the rows of ``states``,
-    or None when their covariance is singular to the rounding of its sums.
+def _quadratic_fit(points, values) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mean and precision of the Gaussian whose log density is the least-squares
+    quadratic c + g^T u + 1/2 u^T H u through the finite ``values`` at the rows
+    of ``points``, u = (x - centre) / scale: the precision is -H, the mean the
+    maximiser. None for too few finite rows, a constant coordinate, singular
+    normal equations, or -H not positive definite beyond the values' rounding.
 
-    Built from the sums of x and x x^T, so no temporary grows with the row
-    count. ``einsum`` and ``eigh`` keep the peak memory down: a BLAS product
-    over all the states (with its work buffers) and LAPACK's Cholesky and
-    inverse (code the walk does not otherwise load) raised the ``bayes``
-    run's peak resident memory by about 0.5 MB.
+    The normal equations are summed ``FIT_CHUNK`` rows at a time by ``einsum``
+    and solved by ``eigh``, so no temporary grows with the row count: ``lstsq``,
+    a BLAS product over all rows or Cholesky raise the ``bayes`` run's peak memory.
     """
-    m, d = states.shape
-    total = states.sum(axis=0)
-    mean = total / m
-    scatter = np.einsum("ki,kj->ij", states, states)
-    rounding = d * np.finfo(float).eps * np.trace(scatter)
-    scatter -= np.outer(total, mean)
-    spread, axes = np.linalg.eigh(scatter)
-    if not spread[0] > rounding:
+    finite = np.isfinite(values)
+    m, d = np.count_nonzero(finite), points.shape[1]
+    pairs = tuple(np.array([(a, b) for a in range(d) for b in range(a, d)]).T)  # np.triu_indices pages in more code
+    p = 1 + d + pairs[0].size  # coefficients: 1, u, u_i u_j for i <= j
+    if m <= p:
         return None
-    return mean, (m - 1) * np.einsum("ik,jk->ij", axes / spread, axes)
+    centre = np.add.reduce(points, axis=0, where=finite[:, None]) / m
+    gram, moments = np.zeros((p, p)), np.zeros(p)
+    for start in range(0, len(values), FIT_CHUNK):
+        keep = finite[start : start + FIT_CHUNK]
+        u = points[start : start + FIT_CHUNK][keep] - centre
+        basis = np.hstack([np.ones((len(u), 1)), u, u[:, pairs[0]] * u[:, pairs[1]]])
+        gram += np.einsum("ki,kj->ij", basis, basis)
+        moments += np.einsum("ki,k->i", basis, values[start : start + FIT_CHUNK][keep])
+    scale = np.sqrt(gram.diagonal()[1 : 1 + d] / m)
+    inverse = np.divide(1.0, scale, out=np.zeros(d), where=scale > 0.0)  # a constant coordinate: singular
+    unit = np.concatenate([[1.0], inverse, inverse[pairs[0]] * inverse[pairs[1]]])
+    gram *= np.outer(unit, unit)  # the sums in u = (x - centre) / scale
+    spread, axes = np.linalg.eigh(gram)
+    if not spread[0] > p * np.finfo(float).eps * spread[-1]:
+        return None
+    coefficients = np.dot(axes, np.dot(moments * unit, axes) / spread)
+    precision = np.zeros((d, d))
+    precision[pairs] = -coefficients[1 + d :]
+    precision += precision.T  # u_i^2 carries H_ii / 2, u_i u_j (i < j) carries H_ij
+    curvature, axes = np.linalg.eigh(precision)
+    if not curvature[0] > math.sqrt(np.finfo(float).eps) * np.abs(values[finite]).max():
+        return None
+    peak = np.dot(axes, np.dot(coefficients[1 : 1 + d], axes) / curvature)
+    return centre + scale * peak, precision / np.outer(scale, scale)
 
 
 def _surrogate_change(states, z, mean, precision) -> tuple[np.ndarray, np.ndarray]:
@@ -396,14 +420,16 @@ def _walk(config: McmcConfig, model, measured_eigenvalues, theta, lp) -> Chain:
     path = np.empty((PATH_CAP + 1, d))
     proposals = np.empty((PATH_CAP, d))
     path[0] = theta
-    accepted = windows = missed = 0
+    # the fit's ring: an unwritten slot or a row outside the box holds -inf, which the fit drops
+    ring_rows, ring_lps = np.zeros((FIT_ROWS, d)), np.full(FIT_ROWS, -np.inf)
+    accepted = windows = missed = seen = 0
     solved = 1  # the start state
     fit, next_fit = None, FIRST_FIT
     surrogate_missed = majority_missed = 0  # predictions of each kind that missed since the last fit
     i = 0
     while i < n:
         if i >= next_fit:
-            fit, next_fit = _gaussian_fit(trace[i // 2 : i]), 2 * i
+            fit, next_fit = _quadratic_fit(ring_rows, ring_lps), 2 * i
             surrogate_missed = majority_missed = 0
         # share of held predictions, counting one held and one missed before the
         # first step (so 0.5 at the start), rounded to a multiple of 1 / grid
@@ -428,14 +454,18 @@ def _walk(config: McmcConfig, model, measured_eigenvalues, theta, lp) -> Chain:
         solved += int(np.count_nonzero(inside))
         windows += 1
         try:
-            lps = _log_posterior_rows(rows, inside, measured_eigenvalues, model, config).tolist()
-            row_lp = lps.__getitem__
+            lps = _log_posterior_rows(rows, inside, measured_eigenvalues, model, config)
         except ConvergenceError:  # re-solve only the rows the walk reaches
             def row_lp(r, rows=rows, inside=inside):
                 nonlocal solved
                 solved += int(inside[r])
                 one = slice(r, r + 1)
                 return _log_posterior_rows(rows[one], inside[one], measured_eigenvalues, model, config).item()
+        else:
+            slots = np.arange(seen, seen + a) % FIT_ROWS
+            ring_rows[slots], ring_lps[slots] = rows, lps
+            seen += a
+            row_lp = lps.tolist().__getitem__
         # decide steps until the first that breaks its prediction, which is consumed too
         for k, (u_k, guess_k) in enumerate(zip(u_list, guess)):
             lp_next = row_lp(k)

@@ -1,6 +1,7 @@
 """Tests for the Metropolis-Hastings baseline."""
 
 import csv
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ffemu.bayes import (
     CHECK_EVERY,
     CSV_CHUNK,
     FIRST_FIT,
+    FIT_ROWS,
     PATH_CAP,
     SURROGATE_WINDOW_COST,
     WINDOW_COST,
@@ -33,6 +35,7 @@ from ffemu.errors import (
     ShapeError,
 )
 from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.pipeline import load_run_config
 
 
 def one_dof_model():
@@ -116,6 +119,17 @@ def five_dof_chain_config(proposal_fraction, **overrides):
     return McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX, **settings)
 
 
+def bundled_chain(tmp_path, seed, n_samples=2000):
+    """The bundled run config's sampler settings at ``seed``, cut to
+    ``n_samples`` steps, with its model and measured centre eigenvalues."""
+    config = scenarios.bundled_run_config(seed=seed)
+    config["bayes"]["n_samples"] = n_samples
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    run_config = load_run_config(path)
+    return run_config.bayes, run_config.run.model, run_config.run.measured.center_eigenvalues()
+
+
 def assert_equals_sequential(config, model, measured):
     chain = mh_sample(config, model, measured)
     samples, rate = sequential_chain(config, model, measured)
@@ -140,7 +154,7 @@ def replayed_windows(decisions, log_u, fits, changes, guesses):
     last decided step broke its prediction), ``cut`` (the chain's end
     shortened it) and ``follow`` (the predictions are the surrogate's).
     The predictor's outputs come in as the walk produced them, in call
-    order: ``fits`` from ``_gaussian_fit``, ``changes`` (the surrogate's
+    order: ``fits`` from ``_quadratic_fit``, ``changes`` (the surrogate's
     changes along the majority path) from ``_surrogate_change`` and
     ``guesses`` from ``_surrogate_guess``; the replay decides when each is
     used."""
@@ -185,10 +199,14 @@ def walk_with_windows(config, model, measured, monkeypatch):
     eigensolve calls against the replayed path rule, and every solved row
     against the predicted path: the sequential chain's state at the
     window's start, advanced by each predicted accept in turn, plus the
-    step's increment. Every row must be inside the prior box, so that each
-    window is one solve of all its rows."""
-    batches, fits, changes, guesses = [], [], [], []
+    step's increment; and every fit's input against the ring of the
+    ``FIT_ROWS`` most recent solved rows, in their slots, with their log
+    posteriors bit for bit. Every row must be inside the prior box, so that
+    each window is one solve of all its rows. Also returns, for each fit,
+    how many rows the walk had solved before it."""
+    batches, fits, changes, guesses, rings = [], [], [], [], []
     original_solve = StructuralModel.eigenvalues_batch
+    original_fit = bayes._quadratic_fit
 
     def recording_solve(self, thetas):
         batches.append(np.array(thetas))
@@ -204,8 +222,13 @@ def walk_with_windows(config, model, measured, monkeypatch):
 
         monkeypatch.setattr(bayes, name, recording)
 
+    def recording_fit(points, values):
+        rings.append((len(batches), points.copy(), values.copy()))
+        fits.append(original_fit(points, values))
+        return fits[-1]
+
     monkeypatch.setattr(StructuralModel, "eigenvalues_batch", recording_solve)
-    record("_gaussian_fit", fits)
+    monkeypatch.setattr(bayes, "_quadratic_fit", recording_fit)
     record("_surrogate_change", changes, keep=lambda result: result[0].copy())
     record("_surrogate_guess", guesses)
     chain = mh_sample(config, model, measured)
@@ -227,7 +250,16 @@ def walk_with_windows(config, model, measured, monkeypatch):
             assert row.tobytes() == proposal.tobytes()
             if accept:
                 state = proposal
-    return chain, windows
+    seen = []
+    for count, points, values in rings:
+        rows = np.vstack(batches[1:count])
+        recent = np.arange(max(len(rows) - FIT_ROWS, 0), len(rows))
+        ring_rows, ring_lps = np.zeros((FIT_ROWS, rows.shape[1])), np.full(FIT_ROWS, -np.inf)
+        ring_rows[recent % FIT_ROWS] = rows[recent]
+        ring_lps[recent % FIT_ROWS] = log_posterior_batch(rows[recent], measured, model, config)
+        assert points.tobytes() == ring_rows.tobytes() and values.tobytes() == ring_lps.tobytes()
+        seen.append(len(rows))
+    return chain, windows, seen
 
 
 class TestLogPosterior:
@@ -371,7 +403,7 @@ class TestWindowedWalk:
         model = scenarios.five_dof_model()
         measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         config = five_dof_chain_config(fraction, **overrides)
-        chain, windows = walk_with_windows(config, model, measured, monkeypatch)
+        chain, windows, _ = walk_with_windows(config, model, measured, monkeypatch)
         assert low <= chain.acceptance_rate <= high
         assert PATH_CAP in {w["a"] for w in windows}
 
@@ -390,7 +422,7 @@ class TestWindowedWalk:
     ):
         model = one_dof_model()
         config = one_dof_config(burn_in=0, initial=np.array([5.0]), **overrides)
-        _, windows = walk_with_windows(config, model, np.array([5.0]), monkeypatch)
+        _, windows, _ = walk_with_windows(config, model, np.array([5.0]), monkeypatch)
         assert windows[-1]["cut"] and set(windows[-1]["guess"]) == {accept_branch}
         assert window_rows in (None, [w["a"] for w in windows])
 
@@ -405,7 +437,7 @@ class TestWindowedWalk:
         model = scenarios.five_dof_model()
         measured = center_eigenvalues(model, scenarios.THETA_TRUE)
         n = 301
-        chain, windows = walk_with_windows(
+        chain, windows, _ = walk_with_windows(
             five_dof_chain_config(0.03, n_samples=n, burn_in=7), model, measured, monkeypatch
         )
         assert windows[-1]["cut"]
@@ -458,9 +490,9 @@ class TestWindowedWalk:
     @pytest.mark.parametrize(
         "wrong_fit",
         [
-            lambda states: (scenarios.THETA_MAX.copy(), 1e6 * np.eye(5)),  # far mean, tiny covariance
-            lambda states: (states.mean(axis=0), -np.eye(5) / 100.0),  # not positive definite
-            lambda states: (states.mean(axis=0), np.zeros((5, 5))),  # flat: predicts every accept
+            lambda points, values: (scenarios.THETA_MAX.copy(), 1e6 * np.eye(5)),  # far mean, tiny covariance
+            lambda points, values: (points[0].copy(), -np.eye(5) / 100.0),  # not positive definite
+            lambda points, values: (points[0].copy(), np.zeros((5, 5))),  # flat: predicts every accept
         ],
         ids=["far-and-narrow", "indefinite", "flat"],
     )
@@ -470,8 +502,8 @@ class TestWindowedWalk:
         # majority takes over once it has held more often
         model = scenarios.five_dof_model()
         measured = center_eigenvalues(model, scenarios.THETA_TRUE)
-        monkeypatch.setattr(bayes, "_gaussian_fit", wrong_fit)
-        _, windows = walk_with_windows(five_dof_chain_config(0.03), model, measured, monkeypatch)
+        monkeypatch.setattr(bayes, "_quadratic_fit", wrong_fit)
+        _, windows, _ = walk_with_windows(five_dof_chain_config(0.03), model, measured, monkeypatch)
         fitted = [w for w in windows if w["start"] >= FIRST_FIT]
         assert any(w["follow"] for w in fitted) and not all(w["follow"] for w in fitted)
 
@@ -515,20 +547,117 @@ class TestPredictor:
             np.testing.assert_allclose(w, z @ precision, rtol=1e-12)
             assert bayes._surrogate_guess(log_u, delta, z, w, majority) == expected
 
-    def test_fit_matches_mean_and_inverse_covariance(self):
+    @staticmethod
+    def scattered_quadratic(rng, m, mean, precision, offset=-40.0):
+        """``m`` points scattered about ``mean`` (correlated, two widths), and
+        the exact log density offset - 1/2 (x - mean)^T precision (x - mean) at each."""
+        d = mean.size
+        points = mean + 2.0 * rng.standard_normal((m, d)) @ rng.standard_normal((d, d)) * 30.0
+        r = points - mean
+        return points, offset - 0.5 * np.einsum("ki,ij,kj->k", r, precision, r)
+
+    @staticmethod
+    def bundled_like_precision(rng, d=5):
+        """A precision whose covariance is strongly correlated, as the bundled
+        posterior's is (for ``default_rng(6)``: correlations down to -0.98,
+        condition number about 330)."""
+        root = rng.standard_normal((d, d))
+        covariance = root @ root.T + 0.05 * np.eye(d)
+        return np.linalg.inv(100.0 * covariance)
+
+    def test_fit_recovers_an_exact_quadratic(self):
+        # the values are an exact quadratic, so the fit is exact up to the
+        # rounding of the normal equations: the errors are below 1e-11, and
+        # 1e-7 is far above that and far below any error that would matter
+        # to a prediction; rows at -inf (outside the box) are dropped
         rng = np.random.default_rng(6)
-        states = 4000.0 + rng.standard_normal((700, 5)) @ rng.standard_normal((5, 5)) * 30.0
-        mean, precision = bayes._gaussian_fit(states)
-        np.testing.assert_allclose(mean, states.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(precision, np.linalg.inv(np.cov(states.T)), rtol=1e-6)
+        mean = np.array([4000.0, 2500.0, 2000.0, 1800.0, 3000.0])
+        precision = self.bundled_like_precision(rng)
+        points, values = self.scattered_quadratic(rng, 700, mean, precision)
+        values[::7] = -np.inf
+        fit_mean, fit_precision = bayes._quadratic_fit(points, values)
+        sd = np.sqrt(np.diag(np.linalg.inv(precision)))
+        np.testing.assert_allclose((fit_mean - mean) / sd, 0.0, atol=1e-7)
+        np.testing.assert_allclose(fit_precision, precision, rtol=1e-7, atol=1e-7 * np.abs(precision).max())
+
+    def test_fit_uses_only_finite_rows(self):
+        # garbage at the -inf rows, as in an unwritten ring slot, changes nothing
+        rng = np.random.default_rng(7)
+        mean, precision = np.full(5, 3000.0), self.bundled_like_precision(rng)
+        points, values = self.scattered_quadratic(rng, 400, mean, precision)
+        values[300:] = -np.inf
+        expected = bayes._quadratic_fit(points[:300], values[:300])
+        points[300:] = np.nan
+        for got, want in zip(bayes._quadratic_fit(points, values), expected):
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def broken(case):
+        rng = np.random.default_rng(8)
+        mean, precision = np.full(5, 3000.0), TestPredictor.bundled_like_precision(rng)
+        points, values = TestPredictor.scattered_quadratic(rng, 500, mean, precision)
+        if case == "indefinite":  # a saddle: one direction curves up
+            axis = np.linalg.eigh(precision)[1][:, 0]
+            values += ((points - mean) @ axis) ** 2 * 2.0 * np.linalg.eigvalsh(precision)[-1]
+        elif case == "flat-linear":
+            values = -10.0 + (points - mean) @ rng.standard_normal(5)
+        elif case == "flat-constant":
+            values = np.full(len(points), -7.25)
+        elif case == "flat-to-rounding":  # curves down by less than sqrt(eps) of the values
+            values = -40.0 + 1e-8 * (values + 40.0)
+        elif case == "too-few-finite":  # 21 coefficients need more than 21 rows
+            values[21:] = -np.inf
+        elif case == "constant-coordinate":
+            points[:, 2] = 2000.0
+        elif case == "rank-one":  # every point on one line: the normal equations are singular
+            points = mean + np.outer(points[:, 0] - mean[0], np.arange(1.0, 6.0))
+        return points, values
 
     @pytest.mark.parametrize(
-        "states",
-        [np.full((300, 5), 2000.0), np.repeat(np.arange(300.0)[:, None], 5, axis=1) + 1000.0],
-        ids=["constant", "rank-one"],
+        "case",
+        [
+            "indefinite", "flat-linear", "flat-constant", "flat-to-rounding",
+            "too-few-finite", "constant-coordinate", "rank-one",
+        ],
     )
-    def test_singular_fit_is_none(self, states):
-        assert bayes._gaussian_fit(states) is None
+    def test_failed_fit_is_none(self, case):
+        assert bayes._quadratic_fit(*self.broken(case)) is None
+
+    @pytest.mark.parametrize("case", ["one-more-finite-row", "curving-above-rounding"])
+    def test_fit_just_past_the_limits(self, case):
+        # the too-few-finite and flat-to-rounding cases fail for their row
+        # count and their curvature alone
+        points, values = self.broken("none")
+        if case == "one-more-finite-row":
+            values[22:] = -np.inf
+        else:
+            values = -40.0 + 1e-6 * (values + 40.0)
+        assert bayes._quadratic_fit(points, values) is not None
+
+
+class TestBundledPredictions:
+    """The surrogate fitted to the solved log posteriors, on the bundled
+    run config's chains cut to 2,000 steps."""
+
+    # seeds 0-4 measured prediction rates 0.950-0.971 and 142-183 windows
+    # (0.776-0.845 and 378-490 with a Gaussian fitted to the chain's own
+    # states); the floor is 0.02 below the lowest rate, the ceiling 15%
+    # above the most windows
+    RATE_FLOOR = 0.93
+    WINDOW_CEILING = 210
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_predictions_hold_and_windows_are_few(self, seed, tmp_path):
+        chain = mh_sample(*bundled_chain(tmp_path, seed))
+        assert chain.prediction_rate >= self.RATE_FLOOR
+        assert chain.windows <= self.WINDOW_CEILING
+
+    def test_wrapped_ring_fits_only_its_most_recent_rows(self, tmp_path, monkeypatch):
+        # walk_with_windows checks every fit's input against the most recent
+        # rows; by the fit at step 1,024 the walk has solved more rows than
+        # the ring holds
+        _, _, seen = walk_with_windows(*bundled_chain(tmp_path, 1), monkeypatch)
+        assert seen[0] < FIT_ROWS < seen[-1]
 
 
 class TestAgainstStridWindows:
