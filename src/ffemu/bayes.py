@@ -3,7 +3,10 @@
 The likelihood is Gaussian on relative eigenvalue residuals against crisp
 (center) measured eigenvalues, with a uniform box prior. This gives the
 probabilistic comparison column (posterior means and coefficients of
-variation) next to the fuzzy interval results.
+variation) next to the fuzzy interval results. The sampler's settings,
+``McmcConfig``, are defined in ``ffemu.pipeline``, next to the
+run-configuration parser that builds them, and re-exported here; so only
+the ``bayes`` subcommand imports this module.
 
 The chain is the plain sequential random walk, but it is evaluated in
 prefetch windows (Brockwell 2006, "Parallel Markov chain Monte Carlo
@@ -82,16 +85,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DiagnosticsError,
-    DomainError,
-    ShapeError,
-    is_finite_number,
-    is_integer,
-)
+from .errors import ConvergenceError, DiagnosticsError, DomainError, ShapeError
 from .model import StructuralModel
+from .pipeline import McmcConfig
 
 __all__ = [
     "McmcConfig",
@@ -119,88 +115,6 @@ CHECK_EVERY = 4  # while the majority leads, one window in this many checks the 
 # is followed only while it misses at most 1 / 1.5 as often as the majority
 SURROGATE_WINDOW_COST = 1.5
 CSV_CHUNK = 512  # chain.csv rows formatted per write
-
-
-@dataclass(frozen=True)
-class McmcConfig:
-    """Sampler settings; ``proposal_sd`` is per-parameter in N/m.
-
-    ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
-    The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
-    the parameters are stiffnesses. The chain starts at ``initial``, which
-    must lie in the box, when given, else at the box center. All vectors
-    are 1-D, of one length and finite. ``rng_seed`` seeds the
-    ``SeedSequence`` whose two child streams give the proposal increments
-    and the acceptance uniforms (see ``mh_sample``).
-    """
-
-    n_samples: int
-    burn_in: int
-    proposal_sd: np.ndarray
-    likelihood_sd: float
-    theta_min: np.ndarray
-    theta_max: np.ndarray
-    rng_seed: int = 0
-    initial: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "proposal_sd", np.asarray(self.proposal_sd, dtype=float))
-        object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
-        object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
-        if self.initial is not None:
-            object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float))
-        vectors = [self.proposal_sd, self.theta_min, self.theta_max]
-        if self.initial is not None:
-            vectors.append(self.initial)
-        if any(v.ndim != 1 for v in vectors) or len({v.size for v in vectors}) != 1:
-            raise ConfigurationError(
-                "proposal_sd, theta_min, theta_max and initial must be 1-D and of one length"
-            )
-        if not all(np.isfinite(v).all() for v in vectors):
-            raise ConfigurationError("proposal_sd, theta_min, theta_max and initial must be finite")
-        for name in ("n_samples", "burn_in"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if not self.n_samples > self.burn_in >= 0:
-            raise ConfigurationError("need n_samples > burn_in >= 0")
-        if np.any(self.proposal_sd <= 0.0):
-            raise ConfigurationError("proposal_sd entries must be positive")
-        sd = self.likelihood_sd
-        if not is_finite_number(sd) or sd <= 0.0:
-            raise ConfigurationError(f"likelihood_sd must be positive and finite, got {sd!r}")
-        if np.any(self.theta_min <= 0.0):
-            raise ConfigurationError("theta_min entries must be positive (stiffnesses)")
-        if np.any(self.theta_min >= self.theta_max):
-            raise ConfigurationError("prior box must have positive widths")
-        if self.initial is not None and not _in_box(self.initial[None, :], self)[0]:
-            raise ConfigurationError("chain start lies outside the prior box")
-
-    @classmethod
-    def from_box(
-        cls,
-        theta_min,
-        theta_max,
-        n_samples: int = 10000,
-        burn_in: int = 1000,
-        proposal_fraction: float = 0.01,
-        likelihood_sd: float = 0.01,
-        rng_seed: int = 0,
-        initial=None,
-    ) -> "McmcConfig":
-        """Convenience constructor: proposal steps as a fraction of box width."""
-        tmin = np.asarray(theta_min, dtype=float)
-        tmax = np.asarray(theta_max, dtype=float)
-        return cls(
-            n_samples=n_samples,
-            burn_in=burn_in,
-            proposal_sd=proposal_fraction * (tmax - tmin),
-            likelihood_sd=likelihood_sd,
-            theta_min=tmin,
-            theta_max=tmax,
-            rng_seed=rng_seed,
-            initial=initial,
-        )
 
 
 @dataclass
@@ -241,12 +155,7 @@ def log_posterior_batch(thetas, measured_eigenvalues, model: StructuralModel, co
     is, without gathering the rows and scattering their results.
     """
     th = np.asarray(thetas, dtype=float)
-    return _log_posterior_rows(th, _in_box(th, config), measured_eigenvalues, model, config)
-
-
-def _in_box(th, config: McmcConfig) -> np.ndarray:
-    """Which rows of ``th`` lie inside the prior box."""
-    return ((th >= config.theta_min) & (th <= config.theta_max)).all(axis=1)
+    return _log_posterior_rows(th, config.in_box(th), measured_eigenvalues, model, config)
 
 
 def _log_posterior_rows(th, inside, measured_eigenvalues, model, config) -> np.ndarray:
@@ -450,7 +359,7 @@ def _walk(config: McmcConfig, model, measured_eigenvalues, theta, lp) -> Chain:
                 np.multiply(z, np.array(guess)[:, None], out=path[1 : a + 1])
                 path[: a + 1].cumsum(axis=0, out=path[: a + 1])
         rows = np.add(path[:a], z, out=proposals[:a])
-        inside = _in_box(rows, config)
+        inside = config.in_box(rows)
         solved += int(np.count_nonzero(inside))
         windows += 1
         try:

@@ -5,7 +5,9 @@ fuzzy updating pipeline and write a result bundle), ``bayes`` (run the
 Metropolis-Hastings baseline), ``report`` (re-render tables and curves from
 a bundle). Exit codes: 0 success, 1 configuration (including command-line
 usage errors), 2 numerical failure, 3 I/O. ``update --verbose`` logs one
-line per alpha level to stderr through the ``ffemu`` logger.
+line per alpha level to stderr through the ``ffemu`` logger. The
+Metropolis-Hastings sampler (``ffemu.bayes``) is imported by ``bayes``
+only; the other subcommands never load it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, bayes, bundle, report, scenarios
+from . import __version__, bundle, report, scenarios
 from .errors import ConfigurationError, FfemuError
 from .fuzzy import default_levels
 from .model import read_json
@@ -71,6 +73,8 @@ def cmd_update(args) -> int:
 
 
 def cmd_bayes(args) -> int:
+    from . import bayes  # the sampler is loaded by this command only
+
     config = load_run_config(args.config, seed_override=args.seed)
     if config.bayes is None:
         raise ConfigurationError(f"{args.config}: no 'bayes' section")

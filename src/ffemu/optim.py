@@ -28,6 +28,7 @@ __all__ = [
     "OptimizationResult",
     "aco_weights",
     "selection_probabilities",
+    "aco_cdf",
     "aco_construct",
     "aco_minimize",
     "pso_minimize",
@@ -57,7 +58,12 @@ def _check_reals(config, names) -> None:
 
 @dataclass(frozen=True)
 class Box:
-    """Plain axis-aligned box region; projection is componentwise clamping."""
+    """Plain axis-aligned box region; projection is componentwise clamping.
+
+    Both bounds must be finite: a NaN bound would slip through the order
+    check (every comparison with NaN is false), and the optimizers draw
+    their starting points uniformly between the bounds.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -69,12 +75,20 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ShapeError("box bounds must be 1-D and equal length")
+        for name, bound in (("lower", lo), ("upper", hi)):
+            if not np.isfinite(bound).all():
+                raise DomainError(f"box {name} bound must be finite, got {bound.tolist()}")
         if np.any(lo > hi):
             raise DomainError("box bounds out of order")
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Clamp one point or a stack of rows into the box."""
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+    def project(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Clamp one point or a stack of rows into the box.
+
+        The same bits as ``np.clip(x, lo, hi)``, without its wrapper; ``out``
+        (say ``x`` itself, when the caller owns it) receives the result.
+        """
+        out = np.maximum(x, self.lo, out=out)
+        return np.minimum(out, self.hi, out=out)
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,7 @@ class SolutionArchive:
         """Per-row, per-dimension sampling spreads: xi times the mean
         absolute distance to the other rows (divisor Q - 1)."""
         diffs = np.subtract(self.x[:, None, :], self.x)
-        return xi * np.abs(diffs, out=diffs).sum(axis=1) / (len(self) - 1)
+        return xi * np.add.reduce(np.abs(diffs, out=diffs), axis=1) / (len(self) - 1)
 
 
 def aco_weights(archive_size: int, q: float) -> np.ndarray:
@@ -235,37 +249,46 @@ def selection_probabilities(weights) -> np.ndarray:
     return w / total
 
 
-def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, probs) -> np.ndarray:
+def aco_cdf(archive_size: int, q: float) -> np.ndarray:
+    """The rank roulette's table: the normalised cumulative sum of
+    ``selection_probabilities(aco_weights(archive_size, q))``, as
+    ``Generator.choice`` forms it from ``p``. It depends on the settings
+    only, so a run forms it once."""
+    cdf = np.cumsum(selection_probabilities(aco_weights(archive_size, q)))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, cdf, offsets) -> np.ndarray:
     """Construct ``n_ants`` candidates by Gaussian-kernel sampling.
 
     Per dimension each ant picks a guide row by rank-weight roulette, with
-    ``probs`` the rank selection probabilities
-    (``selection_probabilities(aco_weights(len(archive), config.q))``), then
-    samples a Gaussian centered on that row's component with the archive
-    dispersion as spread. Candidates are projected feasible before return.
+    ``cdf`` the rank roulette's table (``aco_cdf(len(archive), config.q)``),
+    then samples a Gaussian centered on that row's component with the
+    archive dispersion as spread. Candidates are projected feasible before
+    return. ``offsets`` is ``np.arange(dim)``, each column's offset within
+    a row of the flattened archive; like ``cdf`` it is formed once per run.
 
     The random stream and every candidate bit are those of
     ``rows = rng.choice(len(archive), size=(n_ants, dim), p=probs)`` then
-    ``rng.normal(archive.x[rows, cols], sigma[rows, cols])``, without their
-    per-call cost. ``choice`` with replacement inverts the normalised
-    cumulative ``probs`` at ``rng.random(size)`` uniforms with
-    ``searchsorted(side="right")``, and ``normal`` returns
-    ``loc + scale * z`` for standard normals ``z`` drawn in C order; both
-    steps are written out here, and the guide components are gathered by
-    flat index.
+    ``rng.normal(archive.x[rows, cols], sigma[rows, cols])``, with ``probs``
+    the selection probabilities ``cdf`` sums, without their per-call cost.
+    ``choice`` with replacement inverts the normalised cumulative ``probs``
+    at ``rng.random(size)`` uniforms with ``searchsorted(side="right")``,
+    and ``normal`` returns ``loc + scale * z`` for standard normals ``z``
+    drawn in C order; both steps are written out here, and the guide
+    components are gathered by flat index.
     """
-    if len(probs) != len(archive):
-        raise ShapeError(f"{len(probs)} selection probabilities for {len(archive)} archive rows")
+    if len(cdf) != len(archive):
+        raise ShapeError(f"{len(cdf)} roulette entries for {len(archive)} archive rows")
     dim = archive.x.shape[1]
-    cdf = np.cumsum(probs, dtype=float)
-    cdf /= cdf[-1]
-    rows = cdf.searchsorted(rng.random((config.n_ants, dim)), side="right")
-    flat = rows * dim
-    flat += np.arange(dim)
+    flat = cdf.searchsorted(rng.random((config.n_ants, dim)), side="right")
+    flat *= dim
+    flat += offsets
     candidates = rng.standard_normal(flat.shape)
     candidates *= archive.sigma_matrix(config.xi).take(flat)
     candidates += archive.x.take(flat)
-    return region.project(candidates)
+    return region.project(candidates, out=candidates)
 
 
 def _evaluate(f, points) -> np.ndarray:
@@ -314,18 +337,19 @@ def aco_minimize(f, region, config: AcoConfig, rng, initial=None) -> Optimizatio
     vals = _evaluate(f, pts)
     n_evals = len(pts)
     archive = SolutionArchive(pts, vals)
-    probs = selection_probabilities(aco_weights(len(archive), config.q))
-    mean = float(archive.f.mean())
+    cdf = aco_cdf(len(archive), config.q)
+    offsets = np.arange(archive.x.shape[1])
+    mean = float(np.add.reduce(archive.f)) / len(archive)
     history_best = [archive.best_f]
     history_mean = [mean]
     iterations = 0
     stop_reason = "max_iterations"
     for _ in range(config.max_iterations):
-        candidates = aco_construct(archive, config, region, rng, probs)
+        candidates = aco_construct(archive, config, region, rng, cdf, offsets)
         values = _evaluate(f, candidates)
         n_evals += len(candidates)
         if archive.update(candidates, values):
-            mean = float(archive.f.mean())
+            mean = float(np.add.reduce(archive.f)) / len(archive)
         history_best.append(archive.best_f)
         history_mean.append(mean)
         iterations += 1

@@ -13,6 +13,11 @@ reads its measured bounds as the four arrays ``cuts_at`` returns, and the
 run's two scalar weights scale every eigenvalue and every shape error.
 The parameter and the output membership functions come out as two nested
 alpha-cut stacks, (L, d) and (L, n).
+
+``load_run_config`` parses a run-configuration file, including its optional
+``bayes`` section. The M-H sampler's settings, ``McmcConfig``, are defined
+here, next to that parser, so parsing a config (and ``ffemu update``) never
+imports the sampler itself, ``ffemu.bayes``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import McmcConfig
 from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json
@@ -43,6 +47,7 @@ __all__ = [
     "FfemuRun",
     "FfemuResult",
     "RunConfig",
+    "McmcConfig",
     "simulate_measurements",
     "run_ffemu",
     "propagate_outputs",
@@ -311,6 +316,93 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
     # monotonicity puts highs above lows; the max() only absorbs last-ulp
     # eigensolver noise when a box is pinched to near-zero width
     return AlphaCutStack(parameters.levels, lows, np.maximum(lows, highs))
+
+
+@dataclass(frozen=True)
+class McmcConfig:
+    """Settings of the M-H sampler (``bayes.mh_sample``); ``proposal_sd`` is
+    per-parameter in N/m.
+
+    ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
+    The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
+    the parameters are stiffnesses. The chain starts at ``initial``, which
+    must lie in the box, when given, else at the box center. All vectors
+    are 1-D, of one length and finite. ``rng_seed`` seeds the
+    ``SeedSequence`` whose two child streams give the proposal increments
+    and the acceptance uniforms (see ``mh_sample``).
+    """
+
+    n_samples: int
+    burn_in: int
+    proposal_sd: np.ndarray
+    likelihood_sd: float
+    theta_min: np.ndarray
+    theta_max: np.ndarray
+    rng_seed: int = 0
+    initial: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "proposal_sd", np.asarray(self.proposal_sd, dtype=float))
+        object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
+        object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
+        if self.initial is not None:
+            object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float))
+        vectors = [self.proposal_sd, self.theta_min, self.theta_max]
+        if self.initial is not None:
+            vectors.append(self.initial)
+        if any(v.ndim != 1 for v in vectors) or len({v.size for v in vectors}) != 1:
+            raise ConfigurationError(
+                "proposal_sd, theta_min, theta_max and initial must be 1-D and of one length"
+            )
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise ConfigurationError("proposal_sd, theta_min, theta_max and initial must be finite")
+        for name in ("n_samples", "burn_in"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not self.n_samples > self.burn_in >= 0:
+            raise ConfigurationError("need n_samples > burn_in >= 0")
+        if np.any(self.proposal_sd <= 0.0):
+            raise ConfigurationError("proposal_sd entries must be positive")
+        sd = self.likelihood_sd
+        if not is_finite_number(sd) or sd <= 0.0:
+            raise ConfigurationError(f"likelihood_sd must be positive and finite, got {sd!r}")
+        if np.any(self.theta_min <= 0.0):
+            raise ConfigurationError("theta_min entries must be positive (stiffnesses)")
+        if np.any(self.theta_min >= self.theta_max):
+            raise ConfigurationError("prior box must have positive widths")
+        if self.initial is not None and not self.in_box(self.initial[None, :])[0]:
+            raise ConfigurationError("chain start lies outside the prior box")
+
+    def in_box(self, th) -> np.ndarray:
+        """Which rows of ``th`` lie inside the prior box."""
+        return ((th >= self.theta_min) & (th <= self.theta_max)).all(axis=1)
+
+    @classmethod
+    def from_box(
+        cls,
+        theta_min,
+        theta_max,
+        n_samples: int = 10000,
+        burn_in: int = 1000,
+        proposal_fraction: float = 0.01,
+        likelihood_sd: float = 0.01,
+        rng_seed: int = 0,
+        initial=None,
+    ) -> "McmcConfig":
+        """Convenience constructor: proposal steps as a fraction of box width."""
+        tmin = np.asarray(theta_min, dtype=float)
+        tmax = np.asarray(theta_max, dtype=float)
+        return cls(
+            n_samples=n_samples,
+            burn_in=burn_in,
+            proposal_sd=proposal_fraction * (tmax - tmin),
+            likelihood_sd=likelihood_sd,
+            theta_min=tmin,
+            theta_max=tmax,
+            rng_seed=rng_seed,
+            initial=initial,
+        )
 
 
 @dataclass

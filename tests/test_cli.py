@@ -681,6 +681,44 @@ def test_cli_runs_load_no_scipy_module(tmp_path):
     assert last == "scipy modules: []"
 
 
+UPDATE_IMPORTS_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+from ffemu import pipeline, scenarios
+
+out = Path(sys.argv[1])
+config = scenarios.bundled_run_config(seed=2)
+config["alpha_levels"] = 1
+config["aco"].update(max_iterations=20)
+config["bayes"].update(n_samples=300, burn_in=50)
+path = out / "run.json"
+path.write_text(json.dumps(config))
+assert pipeline.load_run_config(path).bayes is not None
+loaded = {"load_run_config": "ffemu.bayes" in sys.modules}
+import ffemu.cli as cli
+assert cli.main(["update", "--config", str(path), "--out", str(out / "bundle")]) == cli.EXIT_OK
+loaded["update"] = "ffemu.bayes" in sys.modules
+assert cli.main(["bayes", "--config", str(path), "--out", str(out / "bayes")]) == cli.EXIT_OK
+loaded["bayes"] = "ffemu.bayes" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_update_loads_no_sampler(tmp_path):
+    # a fresh interpreter, since this one has ffemu.bayes loaded by other tests
+    src = str(Path(ffemu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", UPDATE_IMPORTS_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded == {"load_run_config": False, "update": False, "bayes": True}
+    assert (tmp_path / "bayes" / "chain.csv").is_file()
+
+
 def test_package_import_loads_no_submodule():
     # a fresh interpreter, since this one has every submodule loaded
     src = str(Path(ffemu.__file__).resolve().parents[1])

@@ -375,6 +375,20 @@ class TestProjection:
             assert np.all(self.PREV_UPPER <= upper)
             assert np.all(upper <= self.THETA_MAX)
 
+    @pytest.mark.parametrize(
+        "lo, hi, name",
+        [
+            ([np.nan, 0.0], [1.0, 1.0], "lower"),
+            ([0.0, 0.0], [1.0, np.inf], "upper"),
+            ([-np.inf, 0.0], [1.0, 1.0], "lower"),
+        ],
+        ids=["nan-lower", "inf-upper", "minus-inf-lower"],
+    )
+    def test_non_finite_bound_rejected(self, lo, hi, name):
+        # NaN compares false, so the order check alone lets it through
+        with pytest.raises(DomainError, match=f"box {name} bound must be finite"):
+            Box(np.array(lo), np.array(hi))
+
     def test_infeasible_region_rejected(self):
         with pytest.raises(DomainError):
             level_box(

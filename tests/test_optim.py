@@ -13,6 +13,7 @@ from ffemu.optim import (
     Box,
     PsoConfig,
     SolutionArchive,
+    aco_cdf,
     aco_construct,
     aco_minimize,
     aco_weights,
@@ -134,13 +135,44 @@ def reference_construct(archive, config, region, rng, probs):
 
     The reference for the written-out draws: roulette rows by ``choice``
     with ``p``, then one ``normal`` draw per component centred on the
-    guide row with its archive spread.
+    guide row with its archive spread, clipped into the box.
     """
     dim = archive.x.shape[1]
     sig = archive.sigma_matrix(config.xi)
     rows = rng.choice(len(archive), size=(config.n_ants, dim), p=probs)
     cols = np.arange(dim)[None, :]
-    return region.project(rng.normal(archive.x[rows, cols], sig[rows, cols]))
+    return np.clip(rng.normal(archive.x[rows, cols], sig[rows, cols]), region.lo, region.hi)
+
+
+def reference_aco(f, region, config, seed, initial=None):
+    """``aco_minimize`` as the textbook loop: per iteration one
+    ``reference_construct``, one archive update, the archive mean by
+    ``ndarray.mean`` and the stagnation rule, with nothing kept between
+    iterations but the archive and the histories."""
+    rng = np.random.default_rng(seed)
+    size, dim = config.archive_size, region.lo.size
+    seeds = np.empty((0, dim))
+    if initial is not None:
+        seeds = np.clip(np.reshape(initial, (-1, dim))[:size], region.lo, region.hi)
+    drawn = np.clip(rng.uniform(region.lo, region.hi, size=(size - len(seeds), dim)), region.lo, region.hi)
+    points = np.vstack([seeds, drawn])
+    archive = SolutionArchive(points, f(points))
+    probs = selection_probabilities(aco_weights(size, config.q))
+    history_best, history_mean = [archive.best_f], [float(archive.f.mean())]
+    evaluations, stop_reason = size, "max_iterations"
+    for _ in range(config.max_iterations):
+        candidates = reference_construct(archive, config, region, rng, probs)
+        archive.update(candidates, f(candidates))
+        evaluations += len(candidates)
+        history_best.append(archive.best_f)
+        history_mean.append(float(archive.f.mean()))
+        window = config.stagnation_window
+        if len(history_best) > window and (
+            history_best[-1 - window] - history_best[-1] < config.stagnation_tolerance
+        ):
+            stop_reason = "stagnation"
+            break
+    return archive, np.array(history_best), np.array(history_mean), evaluations, stop_reason
 
 
 class TestConstruct:
@@ -150,6 +182,7 @@ class TestConstruct:
         region = Box(np.full(4, -3.0), np.full(4, 3.0))
         config = AcoConfig(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.8)
         probs = selection_probabilities(aco_weights(archive_size, config.q))
+        cdf = aco_cdf(archive_size, config.q)
         for seed in range(6):
             pts = np.random.default_rng(100 + seed).uniform(-4.0, 4.0, (archive_size, 4))
             pts[:, 2] = 0.25  # a zero-spread column
@@ -157,7 +190,7 @@ class TestConstruct:
             assert np.all(archive.sigma_matrix(config.xi)[:, 2] == 0.0)
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # the streams stay in step across calls
-                got = aco_construct(archive, config, region, rng_new, probs)
+                got = aco_construct(archive, config, region, rng_new, cdf, np.arange(4))
                 expected = reference_construct(archive, config, region, rng_ref, probs)
                 assert got.shape == (n_ants, 4)
                 assert got.tobytes() == expected.tobytes()
@@ -168,15 +201,14 @@ class TestConstruct:
         config = AcoConfig(archive_size=3, n_ants=4)
         region = Box(np.array([-5.0]), np.array([5.0]))
         with pytest.raises(ShapeError):
-            aco_construct(archive, config, region, np.random.default_rng(0), np.full(4, 0.25))
+            aco_construct(archive, config, region, np.random.default_rng(0), aco_cdf(4, config.q), np.arange(1))
 
     def test_collapsed_archive_reproduces_point(self):
         pts = np.tile([1.0, -2.0], (4, 1))
         archive = SolutionArchive(pts, np.zeros(4))
         region = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
         config = AcoConfig(archive_size=4, n_ants=50)
-        probs = selection_probabilities(aco_weights(4, config.q))
-        cands = aco_construct(archive, config, region, np.random.default_rng(0), probs)
+        cands = aco_construct(archive, config, region, np.random.default_rng(0), aco_cdf(4, config.q), np.arange(2))
         np.testing.assert_array_equal(cands, np.tile([1.0, -2.0], (50, 1)))
 
     def test_empirical_sd_matches_mixture_oracle(self):
@@ -190,8 +222,7 @@ class TestConstruct:
         archive = SolutionArchive(np.array([[0.0], [2.0]]), np.array([0.0, 1.0]))
         region = Box(np.array([-100.0]), np.array([100.0]))
         config = AcoConfig(archive_size=2, n_ants=100000, q=0.5, xi=1.0)
-        probs = selection_probabilities(aco_weights(2, config.q))
-        cands = aco_construct(archive, config, region, np.random.default_rng(99), probs)
+        cands = aco_construct(archive, config, region, np.random.default_rng(99), aco_cdf(2, config.q), np.arange(1))
         assert cands.std() == pytest.approx(oracle_sd, rel=0.05)
 
     def test_candidates_inside_box(self):
@@ -200,8 +231,7 @@ class TestConstruct:
         archive = SolutionArchive(pts, rng.uniform(size=5))
         region = Box(np.array([-0.5, -0.5, -0.5]), np.array([0.5, 0.5, 0.5]))
         config = AcoConfig(archive_size=5, n_ants=200)
-        probs = selection_probabilities(aco_weights(5, config.q))
-        cands = aco_construct(archive, config, region, rng, probs)
+        cands = aco_construct(archive, config, region, rng, aco_cdf(5, config.q), np.arange(3))
         assert np.all(cands >= region.lo) and np.all(cands <= region.hi)
 
 
@@ -312,6 +342,40 @@ class TestAcoMinimize:
     def test_objective_must_return_one_value_per_row(self):
         with pytest.raises(ShapeError):
             aco_minimize(lambda x: 0.0, self.box5(), AcoConfig(), 19)
+
+    @pytest.mark.parametrize("archive_size", [2, 10])
+    @pytest.mark.parametrize("n_ants", [1, 20])
+    @pytest.mark.parametrize("case", ["plain", "warm start", "stagnation", "pinched"])
+    def test_bitwise_equal_to_textbook_loop(self, archive_size, n_ants, case):
+        lo, hi = np.array([-2.0, -1.0, 0.5, -3.0]), np.array([2.0, 3.0, 4.0, -0.5])
+        if case == "pinched":
+            lo[1] = hi[1] = 0.25  # a zero-width coordinate
+        region = Box(lo, hi)
+        settings = dict(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.85, max_iterations=60)
+        if case == "stagnation":
+            settings.update(max_iterations=400, stagnation_window=6, stagnation_tolerance=1e-3)
+        config = AcoConfig(**settings)
+        initial = None
+        if case == "warm start":  # three starts, one outside the box: truncated to the archive and clipped
+            initial = [[0.5, 0.5, 1.0, -1.0], [9.0, -9.0, 2.0, -2.0], [0.1, 0.2, 0.3, -0.6]]
+        center = np.array([0.7, 1.3, 3.9, -2.2])
+
+        def f(x):
+            return np.sum((x - center) ** 2, axis=1) + 0.1 * np.sin(7.0 * x).sum(axis=1)
+
+        for seed in (3, 4):
+            res = aco_minimize(f, region, config, seed, initial=initial)
+            archive, history_best, history_mean, evaluations, stop_reason = reference_aco(
+                f, region, config, seed, initial
+            )
+            assert res.stop_reason == stop_reason == ("stagnation" if case == "stagnation" else "max_iterations")
+            assert res.n_evaluations == evaluations
+            assert res.n_iterations == history_best.size - 1
+            assert res.history_best.tobytes() == history_best.tobytes()
+            assert res.history_mean.tobytes() == history_mean.tobytes()
+            assert res.population_x.tobytes() == archive.x.tobytes()
+            assert res.population_f.tobytes() == archive.f.tobytes()
+            assert res.best_x.tobytes() == archive.best_x.tobytes()
 
     def test_stagnation_stops_early(self):
         config = AcoConfig(max_iterations=5000, stagnation_window=30)
