@@ -145,19 +145,22 @@ def _positive(label: str, values) -> None:
 
 def _check_bayes(data: dict, summary: dict) -> None:
     """Check every ``bayes_summary.json`` field the report reads; its vectors
-    have one entry per parameter or mode of ``summary``."""
+    have one entry per parameter or mode of ``summary``, its acceptance rate
+    lies in [0, 1] and it counts at least one chain."""
     p, m = len(summary["parameters"]), len(summary["outputs"])
     for key, shape, kinds, optional in [
         ("mean", (p,), "iuf", False),
         ("cov_percent", (p,), "iuf", False),
         ("posterior_eigenvalues", (m,), "iuf", True),
         ("acceptance_rate", (), "iuf", False),
-        ("windows", (), "i", False),
-        ("solved_rows", (), "i", False),
-        ("prediction_rate", (), "iuf", False),
+        ("chains", (), "i", False),
     ]:
         _field(data, key, shape, kinds, optional=optional)
     _positive("posterior_eigenvalues", data.get("posterior_eigenvalues"))
+    if not 0.0 <= data["acceptance_rate"] <= 1.0:
+        raise ConfigurationError("field 'acceptance_rate' must lie in [0, 1]")
+    if data["chains"] < 1:
+        raise ConfigurationError("field 'chains' must be a positive integer")
 
 
 def load_summary(bundle_dir) -> dict:

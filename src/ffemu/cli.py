@@ -7,7 +7,9 @@ a bundle). Exit codes: 0 success, 1 configuration (including command-line
 usage errors), 2 numerical failure, 3 I/O. ``update --verbose`` logs one
 line per alpha level to stderr through the ``ffemu`` logger. The
 Metropolis-Hastings sampler (``ffemu.bayes``) is imported by ``bayes``
-only; the other subcommands never load it.
+only, and the run pipeline (``ffemu.pipeline``, with ``ffemu.optim``) and
+the bundled scenarios (``ffemu.scenarios``) by the commands that call
+them, so ``report`` loads none of the four.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, bundle, report, scenarios
+from . import __version__, bundle, report
 from .errors import ConfigurationError, FfemuError
 from .fuzzy import default_levels
 from .model import read_json
 from .objective import eigenvalue_to_hz, save_measured
-from .pipeline import load_run_config, run_ffemu
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,17 +32,15 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-def _resolve_truth(ref: str) -> dict:
-    if ref == "bundled-fuzzy":
-        return scenarios.bundled_truth_spec("fuzzy")
-    if ref == "bundled-crisp":
-        return scenarios.bundled_truth_spec("crisp")
-    return read_json(ref)
+_BUNDLED_TRUTHS = {"bundled-fuzzy": "fuzzy", "bundled-crisp": "crisp"}
 
 
 def cmd_simulate(args) -> int:
+    from . import scenarios
+
     model = scenarios.resolve_model(args.model)
-    truth = _resolve_truth(args.truth)
+    kind = _BUNDLED_TRUTHS.get(args.truth)
+    truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
     measured = scenarios.simulate_from_truth_spec(model, truth, default_levels(args.levels), args.truth)
     save_measured(measured, args.out)
     freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.center_eigenvalues())]
@@ -52,6 +51,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_update(args) -> int:
+    from .pipeline import load_run_config, run_ffemu
+
     config = load_run_config(args.config, seed_override=args.seed)
     logger = logging.getLogger("ffemu")
     handler = logging.StreamHandler(sys.stderr)
@@ -74,6 +75,7 @@ def cmd_update(args) -> int:
 
 def cmd_bayes(args) -> int:
     from . import bayes  # the sampler is loaded by this command only
+    from .pipeline import load_run_config
 
     config = load_run_config(args.config, seed_override=args.seed)
     if config.bayes is None:
@@ -91,10 +93,8 @@ def cmd_bayes(args) -> int:
         "cov_percent": [float(v) for v in summary.cov_percent],
         "acceptance_rate": float(chain.acceptance_rate),
         "n_samples": int(chain.samples.shape[0]),
+        "chains": chain.chains,
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
-        "windows": chain.windows,
-        "solved_rows": chain.solved_rows,
-        "prediction_rate": chain.prediction_rate,
     }
     with open(out / bundle.BAYES_FILE, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -106,11 +106,7 @@ def cmd_bayes(args) -> int:
             f"{label:>8} {summary.mean[i]:12.6g} {summary.sd[i]:12.6g} "
             f"{summary.cov_percent[i]:9.2f}"
         )
-    print(f"acceptance rate: {chain.acceptance_rate:.3f}")
-    print(
-        f"prefetch windows: {chain.windows}   rows solved per step: "
-        f"{chain.solved_rows / config.bayes.n_samples:.2f}   prediction rate: {chain.prediction_rate:.3f}"
-    )
+    print(f"acceptance rate: {chain.acceptance_rate:.3f}   chains: {chain.chains}")
     print(f"chain and summary written to {out}")
     return EXIT_OK
 

@@ -325,11 +325,13 @@ class McmcConfig:
 
     ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
     The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
-    the parameters are stiffnesses. The chain starts at ``initial``, which
-    must lie in the box, when given, else at the box center. All vectors
-    are 1-D, of one length and finite. ``rng_seed`` seeds the
-    ``SeedSequence`` whose two child streams give the proposal increments
-    and the acceptance uniforms (see ``mh_sample``).
+    the parameters are stiffnesses. The sampler runs ``bayes.CHAINS``
+    chains; each starts at ``initial``, which must lie in the box, when
+    given, else at the box center, and each drops its own first ``burn_in``
+    states. ``n_samples - burn_in`` is the number of states kept in total,
+    over all chains. All vectors are 1-D, of one length and finite.
+    ``rng_seed`` seeds the ``SeedSequence`` whose children give each
+    chain's proposal increments and acceptance uniforms (see ``mh_sample``).
     """
 
     n_samples: int

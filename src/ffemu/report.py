@@ -228,9 +228,7 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     lines.append(f"{total_line} " + ", ".join(parts))
     if bayes is not None:
         lines.append(
-            f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   "
-            f"windows {bayes['windows']}   solved rows {bayes['solved_rows']}   "
-            f"prediction rate {bayes['prediction_rate']:.3f}"
+            f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   chains {bayes['chains']}"
         )
     lines.append("")
     lines += _level_table(summary)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 import logging
 import math
@@ -14,7 +15,6 @@ import pytest
 
 import ffemu
 from ffemu import cli, report, scenarios
-from ffemu.bayes import PATH_CAP
 from ffemu.bundle import cut_stack, load_summary
 from ffemu.pipeline import load_run_config, run_ffemu
 
@@ -182,8 +182,7 @@ class TestReport:
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
         assert line.split() == [
             "M-H", "sampler:", "acceptance", "rate", f"{payload['acceptance_rate']:.3f}",
-            "windows", str(payload["windows"]), "solved", "rows", str(payload["solved_rows"]),
-            "prediction", "rate", f"{payload['prediction_rate']:.3f}",
+            "chains", str(payload["chains"]),
         ]
 
     @pytest.mark.parametrize(
@@ -225,9 +224,21 @@ class TestReport:
             ("bayes_summary.json", lambda d: d.pop("acceptance_rate"), "missing field 'acceptance_rate'"),
             (
                 "bayes_summary.json",
-                lambda d: d.update(windows=2.5),
-                "field 'windows' must be an integer",
+                lambda d: d.update(chains=2.5),
+                "field 'chains' must be an integer",
             ),
+            ("bayes_summary.json", lambda d: d.update(chains=True), "field 'chains' must be an integer"),
+            ("bayes_summary.json", lambda d: d.update(chains="16"), "field 'chains' must be an integer"),
+            ("bayes_summary.json", lambda d: d.update(chains=0), "field 'chains' must be a positive integer"),
+            ("bayes_summary.json", lambda d: d.update(chains=-16), "field 'chains' must be a positive integer"),
+            *[
+                (
+                    "bayes_summary.json",
+                    lambda d, rate=rate: d.update(acceptance_rate=rate),
+                    "field 'acceptance_rate' must lie in [0, 1]",
+                )
+                for rate in (-0.25, 1.5, math.nan)
+            ],
             (
                 "summary.json",
                 lambda d: d["parameters"][0]["cuts"][1].__setitem__(slice(1, 3), [5000.0, 3000.0]),
@@ -276,7 +287,7 @@ class TestReport:
             ],
             *[
                 ("bayes_summary.json", lambda d, key=key: d.pop(key), f"missing field {key!r}")
-                for key in ("windows", "solved_rows", "prediction_rate")
+                for key in ("chains",)
             ],
             # an alpha column that disagrees with alpha_levels
             (
@@ -371,7 +382,7 @@ class TestBayes:
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not out.exists()
 
-    def test_summary_records_windows_and_solved_rows(self, tmp_path, capsys):
+    def test_summary_records_the_chain_count(self, tmp_path, capsys):
         config = scenarios.bundled_run_config(seed=2)
         config["bayes"].update(n_samples=400, burn_in=50)
         path = tmp_path / "run.json"
@@ -379,16 +390,12 @@ class TestBayes:
         out = tmp_path / "out"
         assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
         payload = json.loads((out / "bayes_summary.json").read_text())
-        assert list(payload)[-3:] == ["windows", "solved_rows", "prediction_rate"]
-        # the start state, then at least one and at most PATH_CAP rows per window
-        assert payload["windows"] < payload["solved_rows"] <= 1 + PATH_CAP * payload["windows"]
-        # a window misses at most one prediction: its last decided step's
-        assert 1 - payload["windows"] / 400 <= payload["prediction_rate"] <= 1
-        per_step = payload["solved_rows"] / 400
-        line = (
-            f"prefetch windows: {payload['windows']}   rows solved per step: {per_step:.2f}   "
-            f"prediction rate: {payload['prediction_rate']:.3f}"
-        )
+        # n_samples - burn_in states kept in all, from 16 chains
+        assert (payload["n_samples"], payload["chains"]) == (350, 16)
+        with open(out / "chain.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in rows] == list(range(350))  # sample_index runs across the chains
+        line = f"acceptance rate: {payload['acceptance_rate']:.3f}   chains: 16"
         assert line in capsys.readouterr().out.splitlines()
 
     def test_non_finite_start_log_posterior_names_likelihood_sd(self, tmp_path, capsys):
@@ -717,6 +724,39 @@ def test_update_loads_no_sampler(tmp_path):
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert loaded == {"load_run_config": False, "update": False, "bayes": True}
     assert (tmp_path / "bayes" / "chain.csv").is_file()
+
+
+REPORT_IMPORTS_SCRIPT = """
+import json, sys
+
+import ffemu.cli as cli
+
+assert cli.main(["report", "--bundle", sys.argv[1]]) == cli.EXIT_OK
+unused = ("ffemu.optim", "ffemu.pipeline", "ffemu.scenarios", "ffemu.bayes")
+print(json.dumps([m for m in unused if m in sys.modules]))
+"""
+
+
+def test_report_loads_no_pipeline_scenarios_or_sampler(tmp_path):
+    config = scenarios.bundled_run_config(seed=2)
+    config["alpha_levels"] = 1
+    config["aco"].update(max_iterations=5)
+    config["bayes"].update(n_samples=300, burn_in=50)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "bundle"
+    assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    # a fresh interpreter, since this one has every submodule loaded
+    src = str(Path(ffemu.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", REPORT_IMPORTS_SCRIPT, str(out)],
+        env=dict(os.environ, PYTHONPATH=env_path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "M-H sampler:" in done.stdout
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_package_import_loads_no_submodule():
