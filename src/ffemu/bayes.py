@@ -1,12 +1,12 @@
 """Random-walk Metropolis-Hastings baseline for the updating parameters.
 
-The likelihood is Gaussian on relative eigenvalue residuals against crisp
-(center) measured eigenvalues, with a uniform box prior. This gives the
-probabilistic comparison column (posterior means and coefficients of
-variation) next to the fuzzy interval results. The sampler's settings,
-``McmcConfig``, are defined in ``ffemu.pipeline``, next to the
-run-configuration parser that builds them, and re-exported here; so only
-the ``bayes`` subcommand imports this module.
+The likelihood is Gaussian on relative eigenvalue residuals against the
+run's crisp (center) measured eigenvalues, with a uniform prior on its box
+[theta_min, theta_max]. This gives the probabilistic comparison column
+(posterior means and coefficients of variation) next to the fuzzy interval
+results of the same ``FfemuRun``. The sampler's own settings,
+``McmcConfig``, are defined in ``ffemu.pipeline``, next to the parser that
+builds them, so only the ``bayes`` subcommand imports this module.
 
 ``mh_sample`` runs ``CHAINS`` random-walk chains in lockstep. Their states
 are one (``CHAINS``, d) array, and each step is one ``CHAINS``-row
@@ -14,24 +14,24 @@ are one (``CHAINS``, d) array, and each step is one ``CHAINS``-row
 the rows inside the prior box) and one vectorised accept,
 log u < lp_new - lp, applied with ``np.copyto(..., where=)``.
 
-Chain c draws from child c of ``SeedSequence(rng_seed).spawn(CHAINS)``,
+Chain c draws from child c of ``SeedSequence(run.seed).spawn(CHAINS)``,
 which is split again by ``.spawn(2)``: the first child gives the chain's
-standard-normal increment rows, scaled by ``proposal_sd``, the second its
-uniforms, each drawn in bulk. Step i of the chain takes its i-th increment
-and its i-th uniform, so a chain run with a larger ``n_samples`` (and the
-same ``burn_in``) extends its run with a smaller one. Each step's log
+standard-normal increment rows, scaled by the proposal steps
+``proposal_fraction * (theta_max - theta_min)``, the second its uniforms,
+each drawn in bulk. Step i of the chain takes its i-th increment and its
+i-th uniform, so a chain run with a larger ``n_samples`` (and the same
+``burn_in``) extends its run with a smaller one. Each step's log
 posterior does not depend on the other rows of its batch (every operation
 from increment to log posterior is elementwise or a per-matrix
 eigensolve), so every chain equals, bit for bit, the one-row sequential
 chain on its own streams.
 
-Every chain starts where ``McmcConfig`` says (``initial``, or the box
-centre) and drops its first ``burn_in`` states. Together the chains keep
-``n_samples - burn_in`` states: with k, r = divmod(n_samples - burn_in,
-``CHAINS``), chain c keeps k + 1 of them if c < r, else k, so the chains
-make ``CHAINS`` x ``burn_in`` + ``n_samples`` - ``burn_in`` steps in all.
-The kept states are stored chain-major: chain 0's, then chain 1's, and so
-on.
+Every chain starts at the run's ``theta_initial`` (or the box centre) and
+drops its first ``burn_in`` states. Together the chains keep ``n_samples -
+burn_in`` states: with k, r = divmod(n_samples - burn_in, ``CHAINS``),
+chain c keeps k + 1 of them if c < r, else k, so the chains make
+``CHAINS`` x ``burn_in`` + ``n_samples`` - ``burn_in`` steps in all. The
+kept states are stored chain-major: chain 0's, then chain 1's, and so on.
 
 Why 16 chains, each with its own full burn-in: on the bundled run config
 at 40,000 samples (burn-in 1,000, proposal fraction 0.01), on one pinned
@@ -52,13 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticsError, DomainError, ShapeError
-from .model import StructuralModel
-from .pipeline import McmcConfig
+from .errors import DiagnosticsError, DomainError
+from .pipeline import FfemuRun, McmcConfig
 
 __all__ = [
     "CHAINS",
-    "McmcConfig",
     "Chain",
     "ChainSummary",
     "log_posterior_batch",
@@ -75,12 +73,12 @@ class Chain:
     """Post-burn-in samples (rows, chain-major) plus the whole-run acceptance rate.
 
     ``chains`` counts the chains whose kept states ``samples`` holds, one
-    block after another; 1 for a chain not built by ``mh_sample``.
+    block after another.
     """
 
     samples: np.ndarray
     acceptance_rate: float
-    chains: int = 1
+    chains: int
 
 
 @dataclass
@@ -92,24 +90,26 @@ class ChainSummary:
     cov_percent: np.ndarray
 
 
-def log_posterior_batch(thetas, measured_eigenvalues, model: StructuralModel, config: McmcConfig) -> np.ndarray:
-    """Unnormalized log posterior of each row of ``thetas`` (m, d); -inf outside the prior box.
+def log_posterior_batch(thetas, measured_eigenvalues, run: FfemuRun, config: McmcConfig) -> np.ndarray:
+    """Unnormalized log posterior of each row of ``thetas`` (m, d); -inf outside the run's prior box.
 
-    Inside the box this is the Gaussian log likelihood of the relative
-    eigenvalue residuals (constant terms dropped), since the uniform prior
-    contributes nothing that varies. Rows outside the box are not solved;
-    the rest go to one ``model.eigenvalues_batch`` call, which solves for
-    eigenvalues only. When every row is inside, the stack is solved as it
-    is, without gathering the rows and scattering their results.
+    ``measured_eigenvalues`` are ``run.measured.center_eigenvalues()``, formed
+    once per run of the chains. Inside the box this is the Gaussian log
+    likelihood of the relative eigenvalue residuals (constant terms
+    dropped), since the uniform prior contributes nothing that varies. Rows
+    outside the box are not solved; the rest go to one
+    ``run.model.eigenvalues_batch`` call, which solves for eigenvalues only.
+    When every row is inside, the stack is solved as it is, without
+    gathering the rows and scattering their results.
     """
     th = np.asarray(thetas, dtype=float)
-    inside = config.in_box(th)
+    inside = ((th >= run.theta_min) & (th <= run.theta_max)).all(axis=1)
     lam_m = np.asarray(measured_eigenvalues, dtype=float)
     if inside.all():
-        return _log_likelihood(model.eigenvalues_batch(th), lam_m, config)
+        return _log_likelihood(run.model.eigenvalues_batch(th), lam_m, config)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
-        out[inside] = _log_likelihood(model.eigenvalues_batch(th[inside]), lam_m, config)
+        out[inside] = _log_likelihood(run.model.eigenvalues_batch(th[inside]), lam_m, config)
     return out
 
 
@@ -124,40 +124,33 @@ def _log_likelihood(lam, lam_m, config: McmcConfig) -> np.ndarray:
     return total
 
 
-def mh_sample(config: McmcConfig, model: StructuralModel, measured_eigenvalues) -> Chain:
+def mh_sample(run: FfemuRun, config: McmcConfig) -> Chain:
     """Random-walk Metropolis-Hastings with Gaussian proposals, as ``CHAINS``
-    chains in lockstep (see the module docstring).
+    chains in lockstep from the run's ``theta_initial`` or box centre (see
+    the module docstring).
 
-    Deterministic for a fixed seed; chain c equals bit for bit the
+    Deterministic for a fixed ``run.seed``; chain c equals bit for bit the
     sequential chain that, at each step, draws d standard normals from the
-    first child stream of ``SeedSequence(rng_seed).spawn(CHAINS)[c].spawn(2)``
-    (scaled by ``proposal_sd``) and one uniform from the second. Raises
+    first child stream of ``SeedSequence(run.seed).spawn(CHAINS)[c].spawn(2)``
+    (scaled by the proposal steps) and one uniform from the second. Raises
     ``DiagnosticsError`` when the start state's log posterior is not finite
     (its squared residuals overflow at a tiny ``likelihood_sd``), or when
     nothing was ever accepted, which almost always means the proposal steps
     are far too large; a ``ConvergenceError`` of any step propagates.
     """
-    d = config.theta_min.size
-    if d != model.parameter_count:
-        raise ShapeError(
-            f"sampler config has {d} parameters, the model has {model.parameter_count}"
-        )
-    start = (
-        config.initial.copy()
-        if config.initial is not None
-        else 0.5 * (config.theta_min + config.theta_max)
-    )
+    lam_m = run.measured.center_eigenvalues()
+    start = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
     with np.errstate(over="ignore"):  # a squared residual that overflows gives a log posterior of -inf
-        lp = log_posterior_batch(start[None, :], measured_eigenvalues, model, config).item()
+        lp = log_posterior_batch(start[None, :], lam_m, run, config).item()
         if not math.isfinite(lp):
             raise DiagnosticsError(
                 f"the log posterior at the chain start is {lp}; likelihood_sd = "
                 f"{config.likelihood_sd!r} is too small for its eigenvalue residuals"
             )
-        return _lockstep(config, model, measured_eigenvalues, start, lp)
+        return _lockstep(run, config, lam_m, start, lp)
 
 
-def _lockstep(config: McmcConfig, model, measured_eigenvalues, start, lp) -> Chain:
+def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
     """The chains of ``mh_sample``, all from ``start``, whose log posterior is ``lp``."""
     burn, d = config.burn_in, start.size
     k, r = divmod(config.n_samples - burn, CHAINS)
@@ -169,12 +162,12 @@ def _lockstep(config: McmcConfig, model, measured_eigenvalues, start, lp) -> Cha
     kept_rows = CHAINS * burn + np.cumsum(kept) - kept
     trace = np.empty((CHAINS * burn + config.n_samples - burn, d))
     log_u = np.ones((CHAINS, burn + k + 1))  # a chain that keeps k makes no last step: log 1, never read
-    for c, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(CHAINS)):
+    for c, seed in enumerate(np.random.SeedSequence(run.seed).spawn(CHAINS)):
         normals, uniforms = map(np.random.default_rng, seed.spawn(2))
         normals.standard_normal(out=trace[burn_rows[c] : burn_rows[c] + burn])
         normals.standard_normal(out=trace[kept_rows[c] : kept_rows[c] + kept[c]])
         uniforms.random(out=log_u[c, : burn + kept[c]])
-    trace *= config.proposal_sd
+    trace *= config.proposal_fraction * (run.theta_max - run.theta_min)
     np.log(log_u, out=log_u)
 
     states = np.tile(start, (CHAINS, 1))
@@ -185,7 +178,7 @@ def _lockstep(config: McmcConfig, model, measured_eigenvalues, start, lp) -> Cha
         rows = (burn_rows + t if t < burn else kept_rows + (t - burn))[:m]
         now, lp_now = states[:m], lps[:m]
         proposals = now + trace[rows]
-        lp_new = log_posterior_batch(proposals, measured_eigenvalues, model, config)
+        lp_new = log_posterior_batch(proposals, lam_m, run, config)
         accept = log_u[:m, t] < lp_new - lp_now
         np.copyto(now, proposals, where=accept[:, None])
         np.copyto(lp_now, lp_new, where=accept)
@@ -193,7 +186,7 @@ def _lockstep(config: McmcConfig, model, measured_eigenvalues, start, lp) -> Cha
         trace[rows] = now
     if accepted == 0:
         raise DiagnosticsError(
-            "no proposal was ever accepted; decrease proposal_sd (or check the likelihood)"
+            "no proposal was ever accepted; decrease proposal_fraction (or check the likelihood)"
         )
     return Chain(samples=trace[CHAINS * burn :], acceptance_rate=accepted / len(trace), chains=CHAINS)
 

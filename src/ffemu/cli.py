@@ -80,8 +80,7 @@ def cmd_bayes(args) -> int:
     config = load_run_config(args.config, seed_override=args.seed)
     if config.bayes is None:
         raise ConfigurationError(f"{args.config}: no 'bayes' section")
-    measured_eigs = config.run.measured.center_eigenvalues()
-    chain = bayes.mh_sample(config.bayes, config.run.model, measured_eigs)
+    chain = bayes.mh_sample(config.run, config.bayes)
     summary = bayes.summarize(chain)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

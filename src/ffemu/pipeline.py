@@ -14,9 +14,10 @@ run's two scalar weights scale every eigenvalue and every shape error.
 The parameter and the output membership functions come out as two nested
 alpha-cut stacks, (L, d) and (L, n).
 
-``load_run_config`` parses a run-configuration file, including its optional
-``bayes`` section. The M-H sampler's settings, ``McmcConfig``, are defined
-here, next to that parser, so parsing a config (and ``ffemu update``) never
+``load_run_config`` parses a run-configuration file into one ``FfemuRun``
+(model, measured data, prior box, start and seed) and, from its optional
+``bayes`` section, the M-H sampler's four settings, ``McmcConfig``, which
+are defined here so that parsing a config (and ``ffemu update``) never
 imports the sampler itself, ``ffemu.bayes``.
 """
 
@@ -66,11 +67,14 @@ class FfemuRun:
     ``weights`` is the pair (eigenvalue, eigenvector): every eigenvalue
     error of a level's residual is weighted by the first, every mode-shape
     error by the second, and a zero second weight skips the shape solve.
-    Both must be finite and non-negative, and at least one positive.
-    ``theta_initial``, the optional start of the alpha = 1 search, must be
-    d finite numbers inside [theta_min, theta_max]. Per-level optimizer
+    Both must be finite and non-negative, and at least one positive. The
+    prior box [theta_min, theta_max] holds d finite stiffnesses, 0 <
+    theta_min < theta_max, for both the fuzzy search and the M-H prior.
+    ``theta_initial``, the optional start of the alpha = 1 search and of the
+    M-H chains, must be d finite numbers inside the box. Per-level optimizer
     seeds are derived from ``seed`` plus the level index, so levels draw
-    independent random streams but the whole run is reproducible.
+    independent random streams but the whole run is reproducible; ``seed``
+    seeds the M-H chains too.
     """
 
     model: StructuralModel
@@ -104,6 +108,12 @@ class FfemuRun:
         d = self.model.parameter_count
         if self.theta_min.shape != (d,) or self.theta_max.shape != (d,):
             raise ConfigurationError(f"bounds must have length {d}")
+        if not (np.isfinite(self.theta_min).all() and np.isfinite(self.theta_max).all()):
+            raise ConfigurationError("theta_min and theta_max must be finite")
+        if np.any(self.theta_min <= 0.0):
+            raise ConfigurationError(
+                f"theta_min entries must be positive (stiffnesses), got {self.theta_min.tolist()}"
+            )
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("theta_min must be strictly below theta_max")
         if self.theta_initial is not None:
@@ -320,91 +330,39 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Settings of the M-H sampler (``bayes.mh_sample``); ``proposal_sd`` is
-    per-parameter in N/m.
+    """Settings of the M-H sampler (``bayes.mh_sample``), the ``bayes``
+    section of a run config.
 
-    ``likelihood_sd`` is the relative eigenvalue noise scale (dimensionless).
-    The prior is uniform on [theta_min, theta_max], with theta_min > 0 since
-    the parameters are stiffnesses. The sampler runs ``bayes.CHAINS``
-    chains; each starts at ``initial``, which must lie in the box, when
-    given, else at the box center, and each drops its own first ``burn_in``
-    states. ``n_samples - burn_in`` is the number of states kept in total,
-    over all chains. All vectors are 1-D, of one length and finite.
-    ``rng_seed`` seeds the ``SeedSequence`` whose children give each
-    chain's proposal increments and acceptance uniforms (see ``mh_sample``).
+    The prior box, the chain start, the seed, the model and the measured
+    data are the run's (``FfemuRun``). ``n_samples - burn_in`` states are
+    kept in total, over all ``bayes.CHAINS`` chains, each of which drops
+    its own first ``burn_in``. Every proposal step is ``proposal_fraction``
+    times the box width, per parameter, and ``likelihood_sd`` is the
+    relative eigenvalue noise scale (dimensionless).
     """
 
-    n_samples: int
-    burn_in: int
-    proposal_sd: np.ndarray
-    likelihood_sd: float
-    theta_min: np.ndarray
-    theta_max: np.ndarray
-    rng_seed: int = 0
-    initial: np.ndarray | None = None
+    n_samples: int = 10000
+    burn_in: int = 1000
+    proposal_fraction: float = 0.01
+    likelihood_sd: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "proposal_sd", np.asarray(self.proposal_sd, dtype=float))
-        object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
-        object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
-        if self.initial is not None:
-            object.__setattr__(self, "initial", np.asarray(self.initial, dtype=float))
-        vectors = [self.proposal_sd, self.theta_min, self.theta_max]
-        if self.initial is not None:
-            vectors.append(self.initial)
-        if any(v.ndim != 1 for v in vectors) or len({v.size for v in vectors}) != 1:
-            raise ConfigurationError(
-                "proposal_sd, theta_min, theta_max and initial must be 1-D and of one length"
-            )
-        if not all(np.isfinite(v).all() for v in vectors):
-            raise ConfigurationError("proposal_sd, theta_min, theta_max and initial must be finite")
         for name in ("n_samples", "burn_in"):
             value = getattr(self, name)
             if not is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+                raise ConfigurationError(f"'bayes.{name}' must be an integer, got {value!r}")
+        for name in ("proposal_fraction", "likelihood_sd"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ConfigurationError(f"'bayes.{name}' must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.n_samples > self.burn_in >= 0:
             raise ConfigurationError("need n_samples > burn_in >= 0")
-        if np.any(self.proposal_sd <= 0.0):
-            raise ConfigurationError("proposal_sd entries must be positive")
-        sd = self.likelihood_sd
-        if not is_finite_number(sd) or sd <= 0.0:
-            raise ConfigurationError(f"likelihood_sd must be positive and finite, got {sd!r}")
-        if np.any(self.theta_min <= 0.0):
-            raise ConfigurationError("theta_min entries must be positive (stiffnesses)")
-        if np.any(self.theta_min >= self.theta_max):
-            raise ConfigurationError("prior box must have positive widths")
-        if self.initial is not None and not self.in_box(self.initial[None, :])[0]:
-            raise ConfigurationError("chain start lies outside the prior box")
-
-    def in_box(self, th) -> np.ndarray:
-        """Which rows of ``th`` lie inside the prior box."""
-        return ((th >= self.theta_min) & (th <= self.theta_max)).all(axis=1)
-
-    @classmethod
-    def from_box(
-        cls,
-        theta_min,
-        theta_max,
-        n_samples: int = 10000,
-        burn_in: int = 1000,
-        proposal_fraction: float = 0.01,
-        likelihood_sd: float = 0.01,
-        rng_seed: int = 0,
-        initial=None,
-    ) -> "McmcConfig":
-        """Convenience constructor: proposal steps as a fraction of box width."""
-        tmin = np.asarray(theta_min, dtype=float)
-        tmax = np.asarray(theta_max, dtype=float)
-        return cls(
-            n_samples=n_samples,
-            burn_in=burn_in,
-            proposal_sd=proposal_fraction * (tmax - tmin),
-            likelihood_sd=likelihood_sd,
-            theta_min=tmin,
-            theta_max=tmax,
-            rng_seed=rng_seed,
-            initial=initial,
-        )
+        if self.proposal_fraction <= 0.0 or self.likelihood_sd <= 0.0:
+            raise ConfigurationError(
+                f"proposal_fraction and likelihood_sd must be positive, got "
+                f"{self.proposal_fraction!r} and {self.likelihood_sd!r}"
+            )
 
 
 @dataclass
@@ -498,10 +456,13 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     except (TypeError, DomainError) as exc:
         raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
 
+    weight_keys = ("eigenvalue", "eigenvector")
     weights_spec = _section(raw, "weights", path)
-    weights = tuple(
-        _number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in ("eigenvalue", "eigenvector")
-    )
+    if unknown := sorted(weights_spec.keys() - set(weight_keys)):
+        raise ConfigurationError(
+            f"{path}: unknown key 'weights.{unknown[0]}'; valid keys: {', '.join(weight_keys)}"
+        )
+    weights = tuple(_number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in weight_keys)
     theta_initial = raw.get("theta_initial")
     if theta_initial is not None:
         theta_initial = _number_list(raw, "theta_initial", path)
@@ -525,23 +486,11 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
 
     bayes_cfg = None
     if "bayes" in raw:
-        b = _section(raw, "bayes", path)
-        counts = {key: b.get(key, default) for key, default in (("n_samples", 10000), ("burn_in", 1000))}
-        for key, value in counts.items():
-            if not is_integer(value):
-                raise ConfigurationError(f"{path}: 'bayes.{key}' must be an integer, got {value!r}")
-        fraction = _number(b.get("proposal_fraction", 0.01), "bayes.proposal_fraction", path)
-        likelihood_sd = _number(b.get("likelihood_sd", 0.01), "bayes.likelihood_sd", path)
+        section = _section(raw, "bayes", path)
         try:
-            bayes_cfg = McmcConfig.from_box(
-                theta_min,
-                theta_max,
-                proposal_fraction=fraction,
-                likelihood_sd=likelihood_sd,
-                rng_seed=seed,
-                initial=theta_initial,
-                **counts,
-            )
-        except (TypeError, ValueError, ConfigurationError) as exc:
+            bayes_cfg = McmcConfig(**section)
+        except TypeError as exc:
             raise ConfigurationError(f"{path}: bad bayes section: {exc}") from exc
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
     return RunConfig(run=run, bayes=bayes_cfg)

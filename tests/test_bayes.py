@@ -12,20 +12,17 @@ from ffemu.bayes import (
     CHAINS,
     CSV_CHUNK,
     Chain,
-    McmcConfig,
     log_posterior_batch,
     mh_sample,
     summarize,
     write_chain_csv,
 )
-from ffemu.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DiagnosticsError,
-    DomainError,
-    ShapeError,
-)
+from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError
 from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.objective import MeasuredFuzzyModalData
+from ffemu.pipeline import FfemuRun, McmcConfig, simulate_measurements
+
+WIDTH = 8.0  # of the 1-DOF prior box [1, 9]
 
 
 def one_dof_model():
@@ -36,30 +33,47 @@ def one_dof_model():
     )
 
 
-def one_dof_config(**overrides):
-    defaults = dict(
-        n_samples=1000,
-        burn_in=100,
-        proposal_sd=np.array([0.25]),
-        likelihood_sd=0.02,
-        theta_min=np.array([1.0]),
-        theta_max=np.array([9.0]),
-        rng_seed=0,
+def one_dof_run(measured=5.0, **overrides):
+    """The 1-DOF spring (eigenvalue = stiffness) on the prior box [1, 9],
+    measured crisply at eigenvalue ``measured``."""
+    settings = dict(theta_min=[1.0], theta_max=[9.0], seed=0)
+    settings.update(overrides)
+    return FfemuRun(
+        model=one_dof_model(), measured=MeasuredFuzzyModalData([[measured] * 3], [[1.0]]), **settings
     )
-    defaults.update(overrides)
-    return McmcConfig(**defaults)
 
 
-def log_posterior_row(theta, measured, model, config) -> float:
+def one_dof_config(step=0.25, **overrides):
+    """Sampler settings whose proposal step on the 1-DOF box is ``step``,
+    exactly: the box width is a power of two."""
+    settings = dict(n_samples=1000, burn_in=100, proposal_fraction=step / WIDTH, likelihood_sd=0.02)
+    settings.update(overrides)
+    return McmcConfig(**settings)
+
+
+def five_dof_run(seed=3):
+    """The bundled five-DOF structure on its prior box, measured crisply at
+    the truth, its chains starting at the bundled initial guess."""
+    model = scenarios.five_dof_model()
+    return FfemuRun(
+        model=model,
+        measured=simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5)),
+        theta_min=scenarios.THETA_MIN,
+        theta_max=scenarios.THETA_MAX,
+        seed=seed,
+        theta_initial=scenarios.THETA_INITIAL,
+    )
+
+
+def log_posterior_row(theta, run, config) -> float:
     """Log posterior at one parameter vector: a one-row ``log_posterior_batch``."""
     row = np.asarray(theta, dtype=float)[None, :]
-    return log_posterior_batch(row, measured, model, config).item()
+    return log_posterior_batch(row, run.measured.center_eigenvalues(), run, config).item()
 
 
-def center_eigenvalues(model, theta):
-    """Eigenvalues at one parameter vector, from a one-row ``modal_batch``."""
-    (lam,), _ = model.modal_batch(np.asarray(theta, dtype=float)[None, :])
-    return lam
+def proposal_steps(run, config):
+    """Per-parameter proposal steps, formed as ``mh_sample`` forms them."""
+    return config.proposal_fraction * (run.theta_max - run.theta_min)
 
 
 def chain_steps(config, c):
@@ -75,24 +89,20 @@ def chain_blocks(chain, config):
     return np.split(chain.samples, np.cumsum(sizes)[:-1])
 
 
-def sequential_chain(config, model, measured, c):
+def sequential_chain(run, config, c):
     """The one-step-at-a-time definition of chain c: each step draws d
     normals from the first child stream of
-    ``SeedSequence(rng_seed).spawn(CHAINS)[c]`` and one uniform from the
+    ``SeedSequence(run.seed).spawn(CHAINS)[c]`` and one uniform from the
     second. Returns the kept states and the number of accepted steps."""
-    seed = np.random.SeedSequence(config.rng_seed).spawn(CHAINS)[c]
+    seed = np.random.SeedSequence(run.seed).spawn(CHAINS)[c]
     normals, uniforms = map(np.random.default_rng, seed.spawn(2))
-    theta = (
-        config.initial.copy()
-        if config.initial is not None
-        else 0.5 * (config.theta_min + config.theta_max)
-    )
-    lp = log_posterior_row(theta, measured, model, config)
+    theta = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
+    lp = log_posterior_row(theta, run, config)
     kept = np.empty((chain_steps(config, c) - config.burn_in, theta.size))
     accepted = 0
     for i in range(chain_steps(config, c)):
-        proposal = theta + normals.normal(0.0, config.proposal_sd)
-        lp_prop = log_posterior_row(proposal, measured, model, config)
+        proposal = theta + normals.normal(0.0, proposal_steps(run, config))
+        lp_prop = log_posterior_row(proposal, run, config)
         if np.log(uniforms.uniform()) < lp_prop - lp:
             theta = proposal
             lp = lp_prop
@@ -103,21 +113,18 @@ def sequential_chain(config, model, measured, c):
 
 
 def five_dof_chain_config(proposal_fraction, **overrides):
-    settings = dict(
-        n_samples=600, burn_in=50, proposal_fraction=proposal_fraction,
-        likelihood_sd=0.005, initial=scenarios.THETA_INITIAL, rng_seed=3,
-    )
+    settings = dict(n_samples=600, burn_in=50, proposal_fraction=proposal_fraction, likelihood_sd=0.005)
     settings.update(overrides)
-    return McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX, **settings)
+    return McmcConfig(**settings)
 
 
-def assert_equals_sequential(config, model, measured):
+def assert_equals_sequential(run, config):
     """Each chain of ``mh_sample`` equals its one-row sequential reference bit
     for bit, and the acceptance rate counts every step of every chain."""
-    chain = mh_sample(config, model, measured)
+    chain = mh_sample(run, config)
     accepted = 0
     for c, block in enumerate(chain_blocks(chain, config)):
-        samples, chain_accepted = sequential_chain(config, model, measured, c)
+        samples, chain_accepted = sequential_chain(run, config, c)
         assert block.tobytes() == samples.tobytes(), c
         accepted += chain_accepted
     steps = sum(chain_steps(config, c) for c in range(CHAINS))
@@ -129,30 +136,29 @@ def assert_equals_sequential(config, model, measured):
 class TestLogPosterior:
     def test_truth_is_maximal_on_grid_probe(self):
         # coarse grid scan oracle around the truth on noise-free data
-        model = scenarios.five_dof_model()
+        run = five_dof_run()
         truth = scenarios.THETA_TRUE
-        measured = center_eigenvalues(model, truth)
-        config = McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lp_truth = log_posterior_row(truth, measured, model, config)
+        config = McmcConfig()
+        lp_truth = log_posterior_row(truth, run, config)
         rng = np.random.default_rng(2)
         for _ in range(60):
             probe = truth + rng.uniform(-100.0, 100.0, truth.size)
             probe = np.clip(probe, scenarios.THETA_MIN, scenarios.THETA_MAX)
-            assert log_posterior_row(probe, measured, model, config) <= lp_truth + 1e-12
+            assert log_posterior_row(probe, run, config) <= lp_truth + 1e-12
 
     def test_outside_box_is_minus_inf(self):
-        model = one_dof_model()
+        run = one_dof_run()
         config = one_dof_config()
-        assert log_posterior_row([0.5], [5.0], model, config) == -np.inf
-        assert log_posterior_row([9.5], [5.0], model, config) == -np.inf
+        assert log_posterior_row([0.5], run, config) == -np.inf
+        assert log_posterior_row([9.5], run, config) == -np.inf
 
     def test_doubling_sd_quarters_quadratic_term_exactly(self):
-        model = one_dof_model()
+        run = one_dof_run()
         # power-of-two scales keep the quartering bitwise exact
         cfg1 = one_dof_config(likelihood_sd=0.015625)
         cfg2 = one_dof_config(likelihood_sd=0.03125)
-        lp1 = log_posterior_row([4.5], [5.0], model, cfg1)
-        lp2 = log_posterior_row([4.5], [5.0], model, cfg2)
+        lp1 = log_posterior_row([4.5], run, cfg1)
+        lp2 = log_posterior_row([4.5], run, cfg2)
         assert 4.0 * lp2 == lp1
 
     @pytest.mark.parametrize("rows", [1, 3, 16, 17, 64])
@@ -161,77 +167,61 @@ class TestLogPosterior:
         # the lockstep chains rest on this: a row's log posterior does not
         # depend on the other rows of its stack, solved whole when every row
         # is inside the box, else gathered and scattered
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
-        config = McmcConfig.from_box(scenarios.THETA_MIN, scenarios.THETA_MAX, likelihood_sd=0.005)
-        centre = 0.5 * (config.theta_min + config.theta_max)
-        half = 0.5 * (config.theta_max - config.theta_min)
+        run = five_dof_run()
+        config = McmcConfig(likelihood_sd=0.005)
+        centre = 0.5 * (run.theta_min + run.theta_max)
+        half = 0.5 * (run.theta_max - run.theta_min)
         thetas = centre + spread * half * np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 5))
         if spread > 1.0:
             thetas[0] = centre
-            thetas[-1] = config.theta_max + 1.0
-        inside = config.in_box(thetas)
+            thetas[-1] = run.theta_max + 1.0
+        inside = ((thetas >= run.theta_min) & (thetas <= run.theta_max)).all(axis=1)
         assert inside.all() if spread < 1.0 else (inside.any() == (rows > 1) and not inside.all())
-        batch = log_posterior_batch(thetas, measured, model, config)
-        each = np.array([log_posterior_row(theta, measured, model, config) for theta in thetas])
+        batch = log_posterior_batch(thetas, run.measured.center_eigenvalues(), run, config)
+        each = np.array([log_posterior_row(theta, run, config) for theta in thetas])
         assert batch.tobytes() == each.tobytes()
         assert np.isfinite(batch).tolist() == inside.tolist()
 
 
 class TestMhSample:
     def test_tiny_proposal_accepts_everything(self):
-        model = one_dof_model()
-        config = one_dof_config(proposal_sd=np.array([1e-12]), initial=np.array([5.0]))
-        chain = mh_sample(config, model, np.array([5.0]))
+        run = one_dof_run(theta_initial=[5.0])
+        chain = mh_sample(run, one_dof_config(step=1e-12))
         assert chain.acceptance_rate > 0.999
         assert np.ptp(chain.samples) < 1e-9
 
     def test_one_dim_gaussian_variance_and_ks(self):
         # lambda(theta) = theta here, so the posterior is Gaussian with
         # mean 5 and sd = 5 * likelihood_sd, far from the box edges
-        model = one_dof_model()
-        config = one_dof_config(n_samples=100000, burn_in=1000, rng_seed=7)
-        chain = mh_sample(config, model, np.array([5.0]))
+        config = one_dof_config(n_samples=100000, burn_in=1000)
+        chain = mh_sample(one_dof_run(seed=7), config)
         sd_target = 5.0 * config.likelihood_sd
         assert chain.samples.var(ddof=1) == pytest.approx(sd_target**2, rel=0.10)
         ks = stats.kstest(chain.samples[:, 0], stats.norm(5.0, sd_target).cdf).statistic
         assert ks <= 0.02
 
     def test_samples_stay_inside_prior_box(self):
-        model = one_dof_model()
-        config = one_dof_config(proposal_sd=np.array([3.0]), rng_seed=3)
-        chain = mh_sample(config, model, np.array([5.0]))
+        chain = mh_sample(one_dof_run(seed=3), one_dof_config(step=3.0))
         assert np.all(chain.samples >= 1.0) and np.all(chain.samples <= 9.0)
         assert 0.0 < chain.acceptance_rate < 1.0
 
     def test_seed_determinism(self):
-        model = one_dof_model()
-        a = mh_sample(one_dof_config(rng_seed=11), model, np.array([5.0]))
-        b = mh_sample(one_dof_config(rng_seed=11), model, np.array([5.0]))
+        a = mh_sample(one_dof_run(seed=11), one_dof_config())
+        b = mh_sample(one_dof_run(seed=11), one_dof_config())
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_zero_acceptance_raises_diagnostics(self):
-        model = one_dof_model()
-        config = one_dof_config(
-            n_samples=200, burn_in=0, proposal_sd=np.array([1e9]), rng_seed=1,
-            initial=np.array([5.0]),
-        )
-        with pytest.raises(DiagnosticsError, match="proposal_sd"):
-            mh_sample(config, model, np.array([5.0]))
+        run = one_dof_run(seed=1, theta_initial=[5.0])
+        config = one_dof_config(n_samples=200, burn_in=0, step=1e9)
+        with pytest.raises(DiagnosticsError, match="proposal_fraction"):
+            mh_sample(run, config)
 
     def test_five_dof_desk_run_recovers_truth(self):
-        model = scenarios.five_dof_model()
-        truth = scenarios.THETA_TRUE
-        measured = center_eigenvalues(model, truth)
-        config = McmcConfig.from_box(
-            scenarios.THETA_MIN, scenarios.THETA_MAX,
-            n_samples=10000, burn_in=1000, likelihood_sd=0.005,
-            initial=scenarios.THETA_INITIAL, rng_seed=0,
-        )
-        chain = mh_sample(config, model, measured)
+        config = McmcConfig(n_samples=10000, burn_in=1000, likelihood_sd=0.005)
+        chain = mh_sample(five_dof_run(seed=0), config)
         summary = summarize(chain)
-        np.testing.assert_allclose(summary.mean, truth, rtol=0.02)
+        np.testing.assert_allclose(summary.mean, scenarios.THETA_TRUE, rtol=0.02)
         assert np.all(summary.cov_percent < 5.0)  # the probabilistic spread stays small
 
 
@@ -242,51 +232,40 @@ class TestLockstepChains:
         "fraction, low, high", [(0.007, 0.7, 0.9), (0.03, 0.3, 0.55), (0.1, 0.01, 0.1)]
     )
     def test_five_dof_equals_sequential_at_high_mid_low_acceptance(self, fraction, low, high):
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
-        chain = assert_equals_sequential(five_dof_chain_config(fraction), model, measured)
+        chain = assert_equals_sequential(five_dof_run(), five_dof_chain_config(fraction))
         assert low < chain.acceptance_rate < high
 
     def test_box_edge_steps_mix_outside_and_inside_rows(self, monkeypatch):
         # the posterior peak at 1.1 sits by the lower box edge at 1.0, so
         # many proposals leave the box and are not solved
-        model = one_dof_model()
-        config = one_dof_config(proposal_sd=np.array([0.5]), initial=np.array([1.5]), rng_seed=4)
-        measured = np.array([1.1])
-        solves = []  # rows per eigensolve
-        batches = []  # (rows, rows inside the box): the start state, then each step
-        original_solve = StructuralModel.eigenvalues_batch
-        original_in_box = McmcConfig.in_box
+        run = one_dof_run(measured=1.1, seed=4, theta_initial=[1.5])
+        config = one_dof_config(step=0.5)
+        solves = []  # rows per eigensolve: the start state, then each step with a row inside
+        original = StructuralModel.eigenvalues_batch
 
         def counting(self, thetas):
+            # only the rows inside the box reach the eigensolver
+            assert ((thetas >= run.theta_min) & (thetas <= run.theta_max)).all()
             solves.append(len(thetas))
-            return original_solve(self, thetas)
-
-        def recording(self, th):
-            inside = original_in_box(self, th)
-            batches.append((len(th), int(inside.sum())))
-            return inside
+            return original(self, thetas)
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        monkeypatch.setattr(McmcConfig, "in_box", recording)
-        mh_sample(config, model, measured)
+        mh_sample(run, config)
         monkeypatch.undo()
-        assert batches[1][0] == CHAINS and any(0 < solved < rows for rows, solved in batches[1:])
-        # only the rows inside the box reach the eigensolver
-        assert solves == [solved for _, solved in batches if solved]
-        assert_equals_sequential(config, model, measured)
+        # 900 = 56 x 16 + 4 kept states: 156 full steps, then one 4-row step
+        steps = config.burn_in + 56
+        assert solves[0] == 1 and len(solves) <= 1 + steps + 1
+        assert sum(0 < rows < CHAINS for rows in solves[1 : 1 + steps]) > steps // 2
+        assert_equals_sequential(run, config)
 
     def test_burn_in_zero(self):
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
-        chain = assert_equals_sequential(five_dof_chain_config(0.03, burn_in=0), model, measured)
+        chain = assert_equals_sequential(five_dof_run(), five_dof_chain_config(0.03, burn_in=0))
         assert chain.samples.shape == (600, 5)
 
     def test_kept_count_not_a_multiple_of_chains(self, monkeypatch):
         # 294 = 18 x 16 + 6 kept states: chains 0-5 keep 19 and make the last
         # step alone, one 6-row solve
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
+        run = five_dof_run()
         config = five_dof_chain_config(0.03, n_samples=301, burn_in=7)
         original = StructuralModel.eigenvalues_batch
         calls = []
@@ -296,15 +275,14 @@ class TestLockstepChains:
             return original(self, thetas)
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        chain = mh_sample(config, model, measured)
+        chain = mh_sample(run, config)
         monkeypatch.undo()
         assert calls == [1] + [CHAINS] * (7 + 18) + [6]
         assert [len(block) for block in chain_blocks(chain, config)] == [19] * 6 + [18] * 10
-        assert_equals_sequential(config, model, measured)
+        assert_equals_sequential(run, config)
 
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
+        run = five_dof_run()
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -316,7 +294,7 @@ class TestLockstepChains:
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_after_start)
         with pytest.raises(ConvergenceError):
-            mh_sample(five_dof_chain_config(0.03), model, measured)
+            mh_sample(run, five_dof_chain_config(0.03))
         # the start state, then the first step of every chain
         assert calls == [1, CHAINS]
 
@@ -327,8 +305,7 @@ class TestLockstepChains:
     def test_failure_at_any_step_propagates(self, failing_call, monkeypatch):
         # 58 - 6 = 52 = 3 x 16 + 4 kept: the start, 6 burn-in steps, 3 kept
         # steps of every chain, then one 4-row step
-        model = one_dof_model()
-        config = one_dof_config(n_samples=58, burn_in=6, proposal_sd=np.array([0.05]))
+        config = one_dof_config(n_samples=58, burn_in=6, step=0.05)
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -340,7 +317,7 @@ class TestLockstepChains:
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_at)
         with pytest.raises(ConvergenceError):
-            mh_sample(config, model, np.array([5.0]))
+            mh_sample(one_dof_run(), config)
         assert calls == ([1] + [CHAINS] * 9 + [4])[:failing_call]
 
     @pytest.mark.parametrize(
@@ -351,11 +328,8 @@ class TestLockstepChains:
         # chain c keeps k + (c < r) states, k, r = divmod(n_samples - burn_in, 16):
         # fewer kept states than chains, one or one more than one per chain,
         # and whole and partial rounds, with and without a burn-in
-        model = one_dof_model()
-        measured = np.array([5.0])
-        config = one_dof_config(
-            n_samples=n_samples, burn_in=burn_in, proposal_sd=np.array([0.05]), rng_seed=1
-        )  # at seed 1 the one-step run's step is accepted; a run that accepts nothing raises
+        run = one_dof_run(seed=1)  # at seed 1 the one-step run's step is accepted; a run that accepts nothing raises
+        config = one_dof_config(n_samples=n_samples, burn_in=burn_in, step=0.05)
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -364,85 +338,80 @@ class TestLockstepChains:
             return original(self, thetas)
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        chain = mh_sample(config, model, measured)
+        chain = mh_sample(run, config)
         monkeypatch.undo()
         k, r = divmod(n_samples - burn_in, CHAINS)
         assert calls == [1] + [CHAINS] * (burn_in + k) + ([r] if r else [])
         assert chain.samples.shape == (n_samples - burn_in, 1)
         assert [len(block) for block in chain_blocks(chain, config)] == [k + 1] * r + [k] * (CHAINS - r)
-        assert_equals_sequential(config, model, measured)
+        assert_equals_sequential(run, config)
 
     def test_chains_draw_distinct_streams(self):
         # every chain starts at the box centre, so only its streams tell it
         # apart; another seed changes every chain
-        model = one_dof_model()
-        measured = np.array([5.0])
-        config = one_dof_config(n_samples=420, burn_in=100, rng_seed=2)
-        blocks = chain_blocks(mh_sample(config, model, measured), config)
+        config = one_dof_config(n_samples=420, burn_in=100)
+        blocks = chain_blocks(mh_sample(one_dof_run(seed=2), config), config)
         assert len({block.tobytes() for block in blocks}) == CHAINS
-        other_config = one_dof_config(n_samples=420, burn_in=100, rng_seed=3)
-        others = chain_blocks(mh_sample(other_config, model, measured), other_config)
+        others = chain_blocks(mh_sample(one_dof_run(seed=3), config), config)
         assert not any(np.array_equal(a, b) for a, b in zip(blocks, others))
 
     def test_start_vector_is_left_unchanged(self):
         # the chains' states are updated in place; none of them may be the
-        # config's own start vector
+        # run's own start vector
         initial = np.array([5.0])
-        config = one_dof_config(initial=initial, proposal_sd=np.array([0.05]))
-        chain = mh_sample(config, one_dof_model(), np.array([5.0]))
+        run = one_dof_run(theta_initial=initial)
+        chain = mh_sample(run, one_dof_config(step=0.05))
         assert chain.acceptance_rate > 0.5
-        assert config.initial is initial and initial.tolist() == [5.0]
+        assert run.theta_initial is initial and initial.tolist() == [5.0]
 
 
 class TestRandomStreams:
     """Chain c draws its increments from the first child stream of
-    ``SeedSequence(rng_seed).spawn(CHAINS)[c]`` and its uniforms from the
+    ``SeedSequence(run.seed).spawn(CHAINS)[c]`` and its uniforms from the
     second, one row and one uniform per step."""
 
     def test_each_chain_is_a_prefix_of_itself_in_a_longer_run(self):
-        model = scenarios.five_dof_model()
-        measured = center_eigenvalues(model, scenarios.THETA_TRUE)
+        run = five_dof_run()
         short_config = five_dof_chain_config(0.03, n_samples=3000, burn_in=0)
         long_config = five_dof_chain_config(0.03, n_samples=5000, burn_in=0)
-        short = chain_blocks(mh_sample(short_config, model, measured), short_config)
-        long = chain_blocks(mh_sample(long_config, model, measured), long_config)
+        short = chain_blocks(mh_sample(run, short_config), short_config)
+        long = chain_blocks(mh_sample(run, long_config), long_config)
         for c, (a, b) in enumerate(zip(short, long)):
             assert len(a) < len(b) and np.array_equal(a, b[: len(a)]), c
 
     def test_each_chains_accepted_states_are_the_running_sum_of_its_first_stream(self):
         # a step of 1e-12 changes the log posterior by about 1e-21, less than
         # the largest log uniform, -2^-53: every proposal is accepted
-        model = one_dof_model()
-        config = one_dof_config(proposal_sd=np.array([1e-12]), initial=np.array([5.0]), rng_seed=9)
-        chain = mh_sample(config, model, np.array([5.0]))
+        run = one_dof_run(seed=9, theta_initial=[5.0])
+        config = one_dof_config(step=1e-12)
+        chain = mh_sample(run, config)
         assert chain.acceptance_rate == 1.0
         seeds = np.random.SeedSequence(9).spawn(CHAINS)
         for c, (block, seed) in enumerate(zip(chain_blocks(chain, config), seeds)):
             first, _ = seed.spawn(2)
             z = np.random.default_rng(first).standard_normal((chain_steps(config, c), 1))
-            states = np.cumsum(np.vstack([config.initial, z * config.proposal_sd]), axis=0)
+            states = np.cumsum(np.vstack([run.theta_initial, z * proposal_steps(run, config)]), axis=0)
             assert block.tobytes() == states[1 + config.burn_in :].tobytes(), c
 
     def test_each_chain_is_a_prefix_of_itself_with_the_same_burn_in(self):
-        model = one_dof_model()
-        measured = np.array([5.0])
-        short_config = one_dof_config(n_samples=900, burn_in=100, rng_seed=6)
-        long_config = one_dof_config(n_samples=1700, burn_in=100, rng_seed=6)
-        short = chain_blocks(mh_sample(short_config, model, measured), short_config)
-        long = chain_blocks(mh_sample(long_config, model, measured), long_config)
+        run = one_dof_run(seed=6)
+        short_config = one_dof_config(n_samples=900, burn_in=100)
+        long_config = one_dof_config(n_samples=1700, burn_in=100)
+        short = chain_blocks(mh_sample(run, short_config), short_config)
+        long = chain_blocks(mh_sample(run, long_config), long_config)
         for c, (a, b) in enumerate(zip(short, long)):
             assert len(a) == 50 and len(b) == 100 and np.array_equal(a, b[:50]), c
 
 
 class TestSummarize:
     def test_constant_chain(self):
-        chain = Chain(samples=np.full((50, 2), 3.0), acceptance_rate=1.0)
+        chain = Chain(samples=np.full((50, 2), 3.0), acceptance_rate=1.0, chains=1)
         summary = summarize(chain)
         np.testing.assert_array_equal(summary.sd, [0.0, 0.0])
         np.testing.assert_array_equal(summary.cov_percent, [0.0, 0.0])
 
     def test_two_sample_hand_values(self):
-        chain = Chain(samples=np.array([[1.0], [3.0]]), acceptance_rate=0.5)
+        chain = Chain(samples=np.array([[1.0], [3.0]]), acceptance_rate=0.5, chains=1)
         summary = summarize(chain)
         assert summary.mean[0] == 2.0
         assert summary.sd[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
@@ -450,13 +419,13 @@ class TestSummarize:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(DomainError):
-            summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0))
+            summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0, chains=1))
 
     def test_sd_agrees_with_numpy_on_a_long_chain(self):
         rng = np.random.default_rng(5)
         mean, sd = [4000.0, 2100.0, 2100.0, 2500.0, 2400.0], [90.0, 40.0, 40.0, 50.0, 45.0]
         samples = rng.normal(mean, sd, (40000, 5))
-        summary = summarize(Chain(samples=samples, acceptance_rate=0.8))
+        summary = summarize(Chain(samples=samples, acceptance_rate=0.8, chains=1))
         np.testing.assert_allclose(summary.sd, samples.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
 
 
@@ -483,7 +452,7 @@ def extreme_chain(n=1337, d=5, seed=8):
     for i in np.flatnonzero(repeat[1:]) + 1:
         samples[i] = samples[i - 1]
     samples[11], samples[12] = 0.0, -0.0
-    return Chain(samples=samples, acceptance_rate=0.4)
+    return Chain(samples=samples, acceptance_rate=0.4, chains=1)
 
 
 class TestChainCsv:
@@ -493,7 +462,7 @@ class TestChainCsv:
         ids=["extreme", "one-parameter", "no-rows", "no-parameters"],
     )
     def test_bytes_equal_csv_writer_output(self, samples, tmp_path):
-        chain = Chain(samples=samples, acceptance_rate=0.5)
+        chain = Chain(samples=samples, acceptance_rate=0.5, chains=1)
         write_chain_csv(chain, tmp_path / "chain.csv")
         csv_writer_chain_file(chain, tmp_path / "reference.csv")
         assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -509,10 +478,9 @@ class TestChainCsv:
         assert back.tobytes() == chain.samples.tobytes()
 
     def test_sampler_rows_are_chain_major_with_one_running_index(self, tmp_path):
-        model = one_dof_model()
-        measured = np.array([5.0])
-        config = one_dof_config(n_samples=150, burn_in=20, rng_seed=8)
-        write_chain_csv(mh_sample(config, model, measured), tmp_path / "chain.csv")
+        run = one_dof_run(seed=8)
+        config = one_dof_config(n_samples=150, burn_in=20)
+        write_chain_csv(mh_sample(run, config), tmp_path / "chain.csv")
         with open(tmp_path / "chain.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [int(r[0]) for r in rows] == list(range(130))
@@ -520,65 +488,43 @@ class TestChainCsv:
         # 130 = 8 x 16 + 2: chains 0 and 1 keep 9 states, the others 8
         start = 0
         for c in range(CHAINS):
-            states, _ = sequential_chain(config, model, measured, c)
+            states, _ = sequential_chain(run, config, c)
             assert len(states) == (9 if c < 2 else 8)
             assert back[start : start + len(states)].tobytes() == states.tobytes(), c
             start += len(states)
 
 
 class TestConfigValidation:
+    """The sampler's own four settings; the prior box and the chain start
+    are the run's, checked by ``FfemuRun`` (see ``test_pipeline``)."""
+
+    def test_defaults(self):
+        config = McmcConfig()
+        assert (config.n_samples, config.burn_in) == (10000, 1000)
+        assert (config.proposal_fraction, config.likelihood_sd) == (0.01, 0.01)
+
     def test_samples_must_exceed_burn_in(self):
         with pytest.raises(ConfigurationError):
             one_dof_config(n_samples=100, burn_in=100)
 
-    def test_positive_proposal_sd(self):
-        with pytest.raises(ConfigurationError):
-            one_dof_config(proposal_sd=np.array([0.0]))
+    def test_positive_proposal_fraction(self):
+        with pytest.raises(ConfigurationError, match="proposal_fraction"):
+            one_dof_config(step=0.0)
 
     def test_positive_likelihood_sd(self):
         with pytest.raises(ConfigurationError):
             one_dof_config(likelihood_sd=-0.1)
 
+    @pytest.mark.parametrize("field", ["proposal_fraction", "likelihood_sd"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, "0.02", True])
-    def test_likelihood_sd_must_be_a_finite_number(self, value):
-        with pytest.raises(ConfigurationError, match="likelihood_sd"):
-            one_dof_config(likelihood_sd=value)
-
-    @pytest.mark.parametrize("field", ["proposal_sd", "theta_min", "theta_max", "initial"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_vectors_must_be_finite(self, field, value):
-        with pytest.raises(ConfigurationError, match="must be finite"):
-            one_dof_config(**{field: np.array([value])})
+    def test_scales_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            one_dof_config(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
         [("n_samples", 2500.9), ("n_samples", "2000"), ("burn_in", True)],
     )
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        with pytest.raises(ConfigurationError, match=f"{field}' must be an integer"):
             one_dof_config(**{field: value})
-
-    def test_start_outside_box_rejected(self):
-        with pytest.raises(ConfigurationError, match="chain start lies outside the prior box"):
-            one_dof_config(initial=np.array([100.0]))
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("proposal_sd", np.array([0.25, 0.25, 0.25])),
-            ("theta_min", np.array([[1.0]])),
-            ("initial", np.array([5.0, 5.0])),
-        ],
-    )
-    def test_vector_shapes_must_agree(self, field, value):
-        with pytest.raises(ConfigurationError, match="one length"):
-            one_dof_config(**{field: value})
-
-    def test_theta_min_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="theta_min"):
-            one_dof_config(theta_min=np.array([0.0]))
-
-    def test_config_length_must_match_model(self):
-        config = McmcConfig.from_box(np.array([1.0, 1.0]), np.array([9.0, 9.0]))
-        with pytest.raises(ShapeError):
-            mh_sample(config, one_dof_model(), np.array([5.0]))

@@ -116,6 +116,24 @@ class TestUpdate:
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, bayes", [("update", False), ("update", True), ("bayes", True)])
+    @pytest.mark.parametrize("low", [-3400.0, 0.0])
+    def test_non_positive_theta_min_is_a_configuration_error_naming_the_config(
+        self, command, bayes, low, tmp_path, capsys
+    ):
+        # one box rule, checked by the run, whichever command reads it
+        config = scenarios.bundled_run_config(seed=2)
+        config["theta_min"][0] = low
+        if not bayes:
+            del config["bayes"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        message = f"theta_min entries must be positive (stiffnesses), got {config['theta_min']}"
+        assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_updated_eigenvalues_are_the_alpha_one_output_cuts(self, small_config, tmp_path):
         # one eigenvalue convention: the centre's eigenvalues are recorded
         # once, with the bits of the output stacks' alpha = 1 row
@@ -382,6 +400,18 @@ class TestBayes:
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not out.exists()
 
+    def test_unknown_setting_is_a_configuration_error_naming_its_key(self, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"]["n_sample"] = config["bayes"].pop("n_samples")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: bad bayes section: ")
+        assert "unexpected keyword argument 'n_sample'" in err
+        assert not out.exists()
+
     def test_summary_records_the_chain_count(self, tmp_path, capsys):
         config = scenarios.bundled_run_config(seed=2)
         config["bayes"].update(n_samples=400, burn_in=50)
@@ -546,6 +576,11 @@ class TestNonNumericConfigValues:
             ("weights", {"eigenvector": None}, "'weights.eigenvector' must be a finite number"),
             ("weights", {"eigenvalue": 10**400}, "'weights.eigenvalue' must be a finite number"),
             ("weights", 5, "'weights' must be an object"),
+            (
+                "weights",
+                {"eigenvalues": 2.0},
+                "unknown key 'weights.eigenvalues'; valid keys: eigenvalue, eigenvector",
+            ),
             ("weights", {"eigenvalue": -1.0}, "weights must be non-negative, got (-1.0, 1.0)"),
             ("weights", {"eigenvector": -0.3}, "weights must be non-negative, got (1.0, -0.3)"),
             (

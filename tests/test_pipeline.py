@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,6 +404,50 @@ class TestRunFfemu:
             )
 
 
+class TestPriorBox:
+    """``FfemuRun`` owns the prior box and the start point, for both the
+    fuzzy search and the M-H chains."""
+
+    def one_dof_run(self, **overrides):
+        settings = dict(theta_min=[1.0], theta_max=[9.0])
+        settings.update(overrides)
+        model = one_dof_model()
+        return FfemuRun(model=model, measured=simulate_measurements(model, [5.0], [0.5]), **settings)
+
+    @pytest.mark.parametrize("field", ["theta_min", "theta_max", "theta_initial"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_vectors_must_be_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            self.one_dof_run(**{field: [value]})
+
+    @pytest.mark.parametrize("value", [0.0, -3400.0])
+    def test_theta_min_must_be_positive(self, value):
+        with pytest.raises(ConfigurationError, match=r"theta_min entries must be positive \(stiffnesses\)"):
+            self.one_dof_run(theta_min=[value])
+
+    @pytest.mark.parametrize("theta_max", [[1.0], [0.5]])
+    def test_box_must_be_strictly_ordered(self, theta_max):
+        with pytest.raises(ConfigurationError, match="theta_min must be strictly below theta_max"):
+            self.one_dof_run(theta_max=theta_max)
+
+    def test_start_outside_box_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"is outside \[theta_min, theta_max\]"):
+            self.one_dof_run(theta_initial=[100.0])
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"theta_min": [[1.0]]}, "bounds must have length 1"),
+            ({"theta_min": [1.0, 1.0], "theta_max": [9.0, 9.0]}, "bounds must have length 1"),
+            ({"theta_initial": [5.0, 5.0]}, "theta_initial must be 1 finite numbers"),
+        ],
+        ids=["two-dimensional", "longer-than-the-model", "start-length"],
+    )
+    def test_vector_shapes_must_match_the_model(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            self.one_dof_run(**overrides)
+
+
 class TestPropagateOutputs:
     def test_degenerate_stacks_give_degenerate_outputs(self):
         model = scenarios.five_dof_model()
@@ -478,9 +523,16 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_seed_override(self, tmp_path):
+        # --seed reaches the M-H chains through run.seed, the run's one seed
+        from ffemu.bayes import mh_sample
+
         rc = load_run_config(self.write_config(tmp_path), seed_override=99)
         assert rc.run.seed == 99
-        assert rc.bayes.rng_seed == 99
+        chain = mh_sample(rc.run, rc.bayes)
+        written = load_run_config(self.write_config(tmp_path, seed=99))
+        assert mh_sample(written.run, written.bayes).samples.tobytes() == chain.samples.tobytes()
+        unchanged = load_run_config(self.write_config(tmp_path))
+        assert mh_sample(unchanged.run, unchanged.bayes).samples.tobytes() != chain.samples.tobytes()
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.json"
