@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, plus its integer and finite-number tests.
+"""Exception hierarchy shared across the package, plus its number and known-key checks.
 
 The CLI maps these onto exit codes: configuration problems exit 1,
 numerical failures exit 2, and I/O problems (plain ``OSError``) exit 3.
@@ -62,3 +62,10 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def check_keys(obj: dict, valid, label: str = "") -> None:
+    """The first key of the JSON object ``obj`` (sorted) not in ``valid`` is a
+    ``ConfigurationError`` naming it as ``label`` + key; callers prefix the file."""
+    if unknown := sorted(obj.keys() - set(valid)):
+        raise ConfigurationError(f"unknown key '{label}{unknown[0]}'; valid keys: {', '.join(valid)}")

@@ -2,9 +2,10 @@
 
 A fuzzy quantity is represented either parametrically, as triangles held
 in float arrays whose last axis is (a, b, c), or discretely, as a stack of
-nested alpha-cuts: levels, and lower and upper bounds with one row per
-level and one column per quantity. The stack form is what the updating
-procedure produces, one stack for all parameters and one for all outputs.
+nested alpha-cuts: levels, and (L, q) lower and upper bounds with one row
+per level and one column per quantity (q is 1 for a single quantity). The
+stack form is what the updating procedure produces, one stack for all
+parameters and one for all outputs.
 The helpers here check and cut any number of triangles in one call, hold
 the one rule for alpha levels (``check_levels``), and export CSV curves.
 """
@@ -98,10 +99,10 @@ class AlphaCutStack:
     """Nested alpha-cuts [lo[k], hi[k]] at descending ``levels[k]``, levels[0] = 1.
 
     The discrete representation of (convex) membership functions: ``levels``
-    is (L,), and ``lo`` and ``hi`` are (L,) for one quantity or (L, q) for
-    q quantities, column j holding quantity j. Smaller alpha means a wider
-    cut. A stack that breaks any of this is a ``ConfigurationError`` naming
-    the first offending level (and, for q quantities, its column).
+    is (L,), and ``lo`` and ``hi`` are (L, q), column j holding quantity j
+    (a single quantity is one column). Smaller alpha means a wider cut. A
+    stack that breaks any of this is a ``ConfigurationError`` naming the
+    first offending level and its column.
     """
 
     levels: np.ndarray
@@ -113,32 +114,27 @@ class AlphaCutStack:
         lo, hi = (np.asarray(v, dtype=float) for v in (self.lo, self.hi))
         for name, value in zip(("levels", "lo", "hi"), (levels, lo, hi)):
             object.__setattr__(self, name, value)
-        if lo.shape != hi.shape or lo.shape[:1] != levels.shape or lo.ndim > 2:
-            raise ConfigurationError("lo and hi must be (L,) or (L, q) arrays, one row per level")
-        column = "" if lo.ndim == 1 else " in column {}"
-        lo, hi = self.columns()
+        if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[0] != levels.size:
+            raise ConfigurationError("lo and hi must be (L, q) arrays, one row per level")
         if (i := _first(~(lo <= hi))) is not None:
             k, j = divmod(i, lo.shape[1])
-            cut = f"[{lo[k, j]}, {hi[k, j]}]{column.format(j)}"
-            raise ConfigurationError(f"bounds out of order at level {levels[k]}: {cut}")
+            raise ConfigurationError(
+                f"bounds out of order at level {levels[k]}: [{lo[k, j]}, {hi[k, j]}] in column {j}"
+            )
         if (i := _first(~((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:])))) is not None:
             k, j = divmod(i, lo.shape[1])
             raise ConfigurationError(
                 f"nesting violated between levels {levels[k]} and {levels[k + 1]}: [{lo[k, j]}, {hi[k, j]}] "
-                f"not inside [{lo[k + 1, j]}, {hi[k + 1, j]}]{column.format(j)}"
+                f"not inside [{lo[k + 1, j]}, {hi[k + 1, j]}] in column {j}"
             )
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``lo`` and ``hi`` as (L, q) arrays; q is 1 for a one-quantity stack."""
-        return self.lo.reshape(self.levels.size, -1), self.hi.reshape(self.levels.size, -1)
-
-    def to_membership(self, column: int = 0) -> np.ndarray:
-        """Piecewise-linear membership polyline of one quantity as (x, mu) rows.
+    def to_membership(self, column: int) -> np.ndarray:
+        """Piecewise-linear membership polyline of quantity ``column`` as (x, mu) rows.
 
         Left branch first (ascending x and mu), then the right branch
         (descending mu); a degenerate peak contributes a single apex vertex.
         """
-        lo, hi = (cuts[:, column] for cuts in self.columns())
+        lo, hi = self.lo[:, column], self.hi[:, column]
         left = np.column_stack([lo[::-1], self.levels[::-1]])
         right = np.column_stack([hi, self.levels])
         return np.concatenate([left, right[1:] if lo[0] == hi[0] else right])
@@ -150,7 +146,7 @@ def write_cuts_csv(names, stack: AlphaCutStack, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity_id", "alpha", "lo", "hi"])
-        for name, lo, hi in zip(names, *(cuts.T.tolist() for cuts in stack.columns()), strict=True):
+        for name, lo, hi in zip(names, stack.lo.T.tolist(), stack.hi.T.tolist(), strict=True):
             for row in zip(stack.levels.tolist(), lo, hi):
                 writer.writerow([name, *map(repr, row)])
 

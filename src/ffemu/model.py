@@ -94,7 +94,9 @@ class StructuralModel:
     @cached_property
     def _assembly(self) -> tuple[np.ndarray, np.ndarray]:
         """Fixed-spring stiffness plus one unit-stiffness matrix per parameter;
-        K(theta) is exactly their linear superposition."""
+        K(theta) is exactly their linear superposition. A ground spring k at
+        node i adds k to K[i, i]; a spring between nodes i and j adds k to
+        both diagonal entries and -k off-diagonal."""
         n = self.n_dof
         fixed = np.zeros((n, n))
         units = np.zeros((self.parameter_count, n, n))
@@ -112,23 +114,6 @@ class StructuralModel:
                 target[a, b] -= k
                 target[b, a] -= k
         return fixed, units
-
-    def assemble(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Stiffness and mass matrices at the given updating vector.
-
-        A ground spring k at node i adds k to K[i, i]; a spring between
-        nodes i and j adds k to both diagonal entries and -k off-diagonal.
-        """
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (self.parameter_count,):
-            raise ShapeError(
-                f"theta has shape {th.shape}, expected ({self.parameter_count},)"
-            )
-        if np.any(th <= 0.0):
-            raise DomainError("all stiffness parameters must be positive")
-        fixed, units = self._assembly
-        k_mat = fixed + np.tensordot(th, units, axes=1)
-        return k_mat, np.diag(self.masses)
 
     @cached_property
     def _inv_sqrt_masses(self) -> np.ndarray:

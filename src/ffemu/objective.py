@@ -32,6 +32,7 @@ from .errors import (
     DegenerateVectorError,
     DomainError,
     ShapeError,
+    check_keys,
     is_finite_number,
 )
 from .fuzzy import alpha_cuts, triangles
@@ -166,7 +167,7 @@ class MeasuredFuzzyModalData:
     Triangles are arrays with last axis (a, b, c): ``eigenvalue_tfns`` is
     (n, 3) in rad^2/s^2, and ``shape_tfns``, None for crisp shapes (the
     common case), is (n_dof, n, 3), laid out like the unit ``mode_shapes``
-    (n_dof, n). Files store Hz by default.
+    (n_dof, n). ``save_measured`` writes Hz.
 
     Modes are in ascending order: at every alpha level each eigenvalue
     cut's centre is at or above the one before it. A centre is affine in
@@ -213,17 +214,16 @@ class MeasuredFuzzyModalData:
         return (*alpha_cuts(self.eigenvalue_tfns, alpha), _unit_columns(vec_lo), _unit_columns(vec_hi))
 
 
-def save_measured(data: MeasuredFuzzyModalData, path, units: str = "hz") -> None:
-    """Write measured fuzzy modal data as ``load_measured`` reads it (Hz by default)."""
-    if units not in ("hz", "eigenvalue"):
-        raise ConfigurationError(f"unknown units {units!r}; use 'hz' or 'eigenvalue'")
-    eigenvalues = eigenvalue_to_hz(data.eigenvalue_tfns) if units == "hz" else data.eigenvalue_tfns
-    columns = {"eigenvalue": eigenvalues.tolist(), "mode_shape": data.mode_shapes.T.tolist()}
+def save_measured(data: MeasuredFuzzyModalData, path) -> None:
+    """Write measured fuzzy modal data as ``load_measured`` reads it, the
+    eigenvalue triangles in Hz."""
+    hz = eigenvalue_to_hz(data.eigenvalue_tfns)
+    columns = {"eigenvalue": hz.tolist(), "mode_shape": data.mode_shapes.T.tolist()}
     if data.shape_tfns is not None:
         columns["mode_shape_tfns"] = np.swapaxes(data.shape_tfns, 0, 1).tolist()
     modes = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"units": units, "modes": modes}, fh, indent=2)
+        json.dump({"units": "hz", "modes": modes}, fh, indent=2)
         fh.write("\n")
 
 
@@ -252,8 +252,10 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     previous mode's. ``mode_shape`` has one component per degree of
     freedom and is normalized on reading. ``mode_shape_tfns``, one
     triangle per component, is optional, but given for every mode or for
-    none. Every value must be a finite JSON number. Anything else is a
-    ``ConfigurationError`` naming the file.
+    none. A mode may also carry the legacy key ``crisp``, which is ignored.
+    Every value must be a finite JSON number. Anything else, an unknown key
+    at the top level or in a mode included, is a ``ConfigurationError``
+    naming the file.
     """
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -262,7 +264,12 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     if units not in ("hz", "eigenvalue"):
         raise ConfigurationError(f"{path}: unknown units {units!r}")
     try:
+        check_keys(raw, ("units", "modes"))
         modes = raw["modes"]
+        for i, entry in enumerate(modes):
+            if not isinstance(entry, dict):
+                raise TypeError(f"modes[{i}] must be an object")
+            check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
         keys = ["eigenvalue", "mode_shape"]
         if any("mode_shape_tfns" in entry for entry in modes):
             keys.append("mode_shape_tfns")
@@ -279,5 +286,5 @@ def load_measured(path) -> MeasuredFuzzyModalData:
             np.array(values["mode_shape"], dtype=float).T,
             None if shape_tfns is None else np.swapaxes(triangles(shape_tfns), 0, 1),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed measured-data file: {exc}") from exc

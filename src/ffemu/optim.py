@@ -27,7 +27,6 @@ __all__ = [
     "PsoConfig",
     "OptimizationResult",
     "aco_weights",
-    "selection_probabilities",
     "aco_cdf",
     "aco_construct",
     "aco_minimize",
@@ -97,7 +96,9 @@ class AcoConfig:
 
     ``q`` spreads the rank weights (small q concentrates sampling on the
     best rows); ``xi`` scales the per-dimension sampling spread and plays
-    the role pheromone evaporation plays in the discrete algorithm.
+    the role pheromone evaporation plays in the discrete algorithm. A ``q``
+    that makes the rank roulette table (``aco_cdf``) non-finite is a
+    ``DomainError`` naming ``aco.q``.
     """
 
     archive_size: int = 10
@@ -119,6 +120,13 @@ class AcoConfig:
             raise DomainError("q and xi must be positive")
         if self.max_iterations < 0 or self.stagnation_window < 1:
             raise DomainError("invalid iteration limits")
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(aco_cdf(self.archive_size, self.q)).all()
+        except OverflowError:  # q ** 2 beyond the float range
+            finite = False
+        if not finite:
+            raise DomainError(f"aco.q = {self.q!r} makes the rank roulette table non-finite")
 
 
 @dataclass(frozen=True)
@@ -238,23 +246,14 @@ def aco_weights(archive_size: int, q: float) -> np.ndarray:
     return norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))
 
 
-def selection_probabilities(weights) -> np.ndarray:
-    """Normalize non-negative weights into selection probabilities."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
-        raise DomainError("weights must be non-negative")
-    total = w.sum()
-    if total == 0.0:
-        raise DomainError("all-zero weights give a degenerate distribution")
-    return w / total
-
-
 def aco_cdf(archive_size: int, q: float) -> np.ndarray:
-    """The rank roulette's table: the normalised cumulative sum of
-    ``selection_probabilities(aco_weights(archive_size, q))``, as
-    ``Generator.choice`` forms it from ``p``. It depends on the settings
-    only, so a run forms it once."""
-    cdf = np.cumsum(selection_probabilities(aco_weights(archive_size, q)))
+    """The rank roulette's table: the normalised cumulative sum of the
+    selection probabilities ``w / w.sum()`` of the rank weights
+    ``w = aco_weights(archive_size, q)``, as ``Generator.choice`` forms it
+    from ``p``. It depends on the settings only, so a run forms it once;
+    ``AcoConfig`` checks that it is finite."""
+    weights = aco_weights(archive_size, q)
+    cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     return cdf
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, is_finite_number, is_integer
+from .errors import ConfigurationError, DomainError, ShapeError, check_keys, is_finite_number, is_integer
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json
 from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 OPTIMIZERS = ("aco", "pso")
+RUN_KEYS = (
+    "model", "theta_min", "theta_max", "theta_initial", "alpha_levels", "measured", "truth",
+    "optimizer", "seed", "aco", "pso", "weights", "bayes",
+)
+WEIGHT_KEYS = ("eigenvalue", "eigenvector")
 
 _log = logging.getLogger(__name__)
 
@@ -137,19 +142,18 @@ class FfemuResult:
     run's levels; its alpha = 1 row, ``parameters.lo[0]``, is the centre.
     ``outputs`` is the (L, n) eigenvalue stack ``propagate_outputs`` gives
     for it. Per level: ``objective_values`` is the final (polished)
-    objective, ``evaluation_counts`` the optimizer's objective evaluations
-    (population rows), ``polish_evaluations`` the polish's residual
-    evaluations, and ``elapsed_seconds`` the time of search plus polish. Of
-    that time, ``objective_seconds`` was spent inside the optimizer's
-    population objective and ``polish_seconds`` in the polish; the rest is
-    optimizer overhead. ``histories`` hold the optimizer results before the
-    polish, each with its ``stop_reason``.
+    objective, ``polish_evaluations`` the polish's residual evaluations, and
+    ``elapsed_seconds`` the time of search plus polish. Of that time,
+    ``objective_seconds`` was spent inside the optimizer's population
+    objective and ``polish_seconds`` in the polish; the rest is optimizer
+    overhead. ``histories`` hold the optimizer results before the polish,
+    each with its ``stop_reason`` and ``n_evaluations``, the objective
+    evaluations (population rows) of the search.
     """
 
     parameters: AlphaCutStack
     outputs: AlphaCutStack
     objective_values: np.ndarray
-    evaluation_counts: np.ndarray
     polish_evaluations: np.ndarray
     elapsed_seconds: np.ndarray
     objective_seconds: np.ndarray
@@ -239,7 +243,6 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     lower = np.empty((n_levels, d))
     upper = np.empty((n_levels, d))
     objective_values = np.empty(n_levels)
-    eval_counts = np.empty(n_levels, dtype=int)
     polish_counts = np.empty(n_levels, dtype=int)
     elapsed = np.empty(n_levels)
     objective_seconds = np.empty(n_levels)
@@ -292,12 +295,11 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         objective_seconds[k] = objective_time
         polish_seconds[k] = done - t_polish
         objective_values[k] = f
-        eval_counts[k] = result.n_evaluations
         histories.append(result)
         lower[k], upper[k] = (x, x) if k == 0 else (x[:d], x[d:])
         _log.info(
             "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish, stopped on %s",
-            k + 1, alpha, f, eval_counts[k], polish_counts[k], result.stop_reason,
+            k + 1, alpha, f, result.n_evaluations, polish_counts[k], result.stop_reason,
         )
 
     parameters = AlphaCutStack(run.levels, lower, upper)
@@ -305,7 +307,6 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         parameters=parameters,
         outputs=propagate_outputs(model, parameters),
         objective_values=objective_values,
-        evaluation_counts=eval_counts,
         polish_evaluations=polish_counts,
         elapsed_seconds=elapsed,
         objective_seconds=objective_seconds,
@@ -322,7 +323,7 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
     output nesting follows exactly from stiffness monotonicity and no mode
     pairing is needed for the bounds.
     """
-    lows, highs = np.split(model.eigenvalues_batch(np.concatenate(parameters.columns())), 2)
+    lows, highs = np.split(model.eigenvalues_batch(np.concatenate([parameters.lo, parameters.hi])), 2)
     # monotonicity puts highs above lows; the max() only absorbs last-ulp
     # eigensolver noise when a box is pinched to near-zero width
     return AlphaCutStack(parameters.levels, lows, np.maximum(lows, highs))
@@ -403,12 +404,21 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     Relative paths resolve against the config file's directory. The
     ``model`` entry may be the token ``"bundled"`` for the packaged
     five-DOF structure. Measured data come either from a ``measured`` file
-    path or inline via a ``truth`` section (simulated on the spot).
+    path or inline via a ``truth`` section (simulated on the spot). A key
+    outside ``RUN_KEYS``, or an unknown key in ``truth``, ``weights``,
+    ``aco``, ``pso`` or ``bayes``, is a ``ConfigurationError`` naming the
+    file and the key.
     """
     path = Path(path)
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    weights_spec = _section(raw, "weights", path)
+    try:
+        check_keys(raw, RUN_KEYS)
+        check_keys(weights_spec, WEIGHT_KEYS, "weights.")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     base = path.parent
 
     from . import scenarios  # local import; scenarios builds on this module's simulate
@@ -456,13 +466,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     except (TypeError, DomainError) as exc:
         raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
 
-    weight_keys = ("eigenvalue", "eigenvector")
-    weights_spec = _section(raw, "weights", path)
-    if unknown := sorted(weights_spec.keys() - set(weight_keys)):
-        raise ConfigurationError(
-            f"{path}: unknown key 'weights.{unknown[0]}'; valid keys: {', '.join(weight_keys)}"
-        )
-    weights = tuple(_number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in weight_keys)
+    weights = tuple(_number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in WEIGHT_KEYS)
     theta_initial = raw.get("theta_initial")
     if theta_initial is not None:
         theta_initial = _number_list(raw, "theta_initial", path)

@@ -69,7 +69,7 @@ def write_bundle(out_dir, run, result) -> Path:
             "package_version": __version__,
             "optimizer": run.optimizer,
             "seed": int(run.seed),
-            "evaluation_counts": [int(v) for v in result.evaluation_counts],
+            "evaluation_counts": [int(h.n_evaluations) for h in result.histories],
             "polish_evaluations": [int(v) for v in result.polish_evaluations],
             "elapsed_seconds": [float(v) for v in result.elapsed_seconds],
             "objective_seconds": [float(v) for v in result.objective_seconds],

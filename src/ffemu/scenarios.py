@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, is_finite_number
+from .errors import ConfigurationError, DomainError, check_keys, is_finite_number
 from .model import StructuralModel, load_model, model_from_dict
 from .pipeline import simulate_measurements
 
@@ -26,7 +26,6 @@ __all__ = [
     "THETA_TRUE",
     "five_dof_model",
     "resolve_model",
-    "bundled_model_text",
     "bundled_truth_spec",
     "simulate_from_truth_spec",
 ]
@@ -35,16 +34,13 @@ THETA_MIN = np.array([3400.0, 1900.0, 1700.0, 1900.0, 2150.0])
 THETA_MAX = np.array([4600.0, 2500.0, 2370.0, 3300.0, 2650.0])
 THETA_INITIAL = np.array([4150.0, 2150.0, 2160.0, 2500.0, 2460.0])
 THETA_TRUE = np.array([4000.0, 2200.0, 2120.0, 2600.0, 2400.0])
-
-
-def bundled_model_text() -> str:
-    """Raw JSON text of the packaged model file."""
-    return resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8")
+TRUTH_KEYS = ("theta_true", "spreads", "spread_fraction", "shape_tfns")
 
 
 def five_dof_model() -> StructuralModel:
     """The packaged 5-mass / 10-spring structure with 5 uncertain stiffnesses."""
-    return model_from_dict(json.loads(bundled_model_text()), source="bundled model_5dof.json")
+    text = resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8")
+    return model_from_dict(json.loads(text), source="bundled model_5dof.json")
 
 
 def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
@@ -67,10 +63,10 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, so
     """Simulate measured data from a truth-spec dictionary.
 
     The spec carries ``theta_true`` plus either absolute ``spreads`` or a
-    single ``spread_fraction``; ``shape_tfns`` optionally fuzzifies the
-    mode-shape components too. A spec, or levels, that cannot be simulated
-    is a ``ConfigurationError`` prefixed with ``source``, the file (and
-    key) the spec came from.
+    single ``spread_fraction``; ``shape_tfns``, a JSON boolean, optionally
+    fuzzifies the mode-shape components too. A spec with any other key, or
+    a spec or levels that cannot be simulated, is a ``ConfigurationError``
+    prefixed with ``source``, the file (and key) the spec came from.
     """
     try:
         return _simulate(model, spec, levels)
@@ -81,6 +77,10 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, so
 def _simulate(model: StructuralModel, spec: dict, levels):
     if not isinstance(spec, dict) or "theta_true" not in spec:
         raise ConfigurationError("truth spec must be an object with a 'theta_true' array")
+    check_keys(spec, TRUTH_KEYS)
+    shape_tfns = spec.get("shape_tfns", False)
+    if not isinstance(shape_tfns, bool):
+        raise ConfigurationError(f"'shape_tfns' must be true or false, got {shape_tfns!r}")
     vectors = [spec[key] for key in ("theta_true", "spreads") if key in spec]
     fraction = spec.get("spread_fraction", 0.0)
     if not is_finite_number(fraction) or not all(
@@ -103,7 +103,7 @@ def _simulate(model: StructuralModel, spec: dict, levels):
         theta_true,
         spreads,
         levels=levels,
-        shape_tfns=bool(spec.get("shape_tfns", False)),
+        shape_tfns=shape_tfns,
     )
 
 

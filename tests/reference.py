@@ -4,8 +4,9 @@
 symmetric positive definite M, diagonal or not. The package's masses are
 diagonal by construction, so it solves its eigenproblems only through
 ``StructuralModel``'s scaled stiffness stack; this general solver checks
-that path bit for bit on the assembled pair (``test_model``) and the MAC
-and pairing utilities on general problems (``test_linalg``).
+that path bit for bit on the pair that ``test_model.brute_force_assemble``
+builds, and the MAC and pairing utilities on general problems
+(``test_linalg``).
 
 ``membership`` and ``alpha_cut`` evaluate one triangle (a, b, c) at one
 point or level, and ``fit_triangle`` fits one triangle to per-level

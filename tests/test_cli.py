@@ -446,12 +446,22 @@ class TestBayes:
 
 
 class TestSimulate:
-    def test_truth_file_error_names_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("spread_fraction", -0.1, "spread_fraction must be non-negative"),
+            (
+                "spread_fractions",
+                0.5,
+                "unknown key 'spread_fractions'; valid keys: theta_true, spreads, spread_fraction, shape_tfns",
+            ),
+        ],
+    )
+    def test_truth_file_error_names_the_file(self, key, value, message, tmp_path, capsys):
         truth = tmp_path / "truth.json"
-        truth.write_text(json.dumps({"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": -0.1}))
+        truth.write_text(json.dumps({"theta_true": scenarios.THETA_TRUE.tolist(), key: value}))
         args = ["simulate", "--truth", str(truth), "--out", str(tmp_path / "m.json")]
         assert cli.main(args) == cli.EXIT_CONFIG
-        message = "spread_fraction must be non-negative"
         assert capsys.readouterr().err == f"configuration error: {truth}: {message}\n"
         assert not (tmp_path / "m.json").exists()
 
@@ -503,6 +513,9 @@ class TestMeasuredFile:
             (3, "mode_shape", None, None, "malformed measured-data file: 'mode_shape'"),
             (None, "modes", None, 5, "malformed measured-data file"),
             (None, "units", None, "khz", "unknown units 'khz'"),
+            (None, "unit", None, "eigenvalue", "unknown key 'unit'; valid keys: units, modes"),
+            (2, "mode_shape_tfn", None, [[0.1, 0.2, 0.3]] * 5, "unknown key 'modes[2].mode_shape_tfn'"),
+            (0, "mode_shapes", None, [1.0] * 5, "unknown key 'modes[0].mode_shapes'"),
         ],
     )
     def test_bad_value_is_a_configuration_error_naming_the_file(
@@ -631,6 +644,25 @@ class TestNonNumericConfigValues:
                 {"theta_true": scenarios.THETA_TRUE.tolist(), "spreads": [1.0, 2.0]},
                 "'truth': spreads must have length 5, got 2",
             ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": 0.05, "spread_fractions": 0.5},
+                "'truth': unknown key 'spread_fractions'; valid keys: theta_true, spreads, spread_fraction, shape_tfns",
+            ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": 0.05, "shape_tfns": "no"},
+                "'truth': 'shape_tfns' must be true or false, got 'no'",
+            ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": 0.05, "shape_tfns": 1},
+                "'truth': 'shape_tfns' must be true or false, got 1",
+            ),
+            ("alpha_level", 2, "unknown key 'alpha_level'; valid keys: model, theta_min"),
+            ("weight", {"eigenvalue": 1.0}, "unknown key 'weight'; valid keys: model, theta_min"),
+            ("aco", {"q": 1e200}, "bad optimizer section: aco.q = 1e+200 makes the rank roulette table non-finite"),
+            ("aco", {"q": 1e-170}, "bad optimizer section: aco.q = 1e-170 makes the rank roulette table non-finite"),
         ],
     )
     def test_bad_scalar_or_section_is_a_configuration_error(self, key, value, message, tmp_path, capsys):

@@ -20,9 +20,9 @@ from ffemu.fuzzy import (
 
 
 def stack_of(tfn, levels) -> AlphaCutStack:
-    """The alpha-cut stack of one triangle at ``levels``."""
+    """The (L, 1) alpha-cut stack of one triangle at ``levels``."""
     levels = np.asarray(levels, dtype=float)
-    return AlphaCutStack(levels, *alpha_cuts(tfn, levels))
+    return AlphaCutStack(levels, *alpha_cuts([tfn], levels))
 
 
 class TestMembership:
@@ -106,32 +106,32 @@ class TestAlphaCut:
 class TestStack:
     def test_from_tfn_three_levels(self):
         stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
-        assert list(zip(stack.lo, stack.hi)) == [(1, 1), (0.5, 2), (0, 3)]
+        assert stack.lo.shape == stack.hi.shape == (3, 1)
+        assert list(zip(stack.lo[:, 0], stack.hi[:, 0])) == [(1, 1), (0.5, 2), (0, 3)]
 
     def test_degenerate_tfn(self):
         stack = stack_of((2, 2, 2), default_levels())
-        assert all((lo, hi) == (2.0, 2.0) for lo, hi in zip(stack.lo, stack.hi))
+        assert all((lo, hi) == (2.0, 2.0) for lo, hi in zip(stack.lo[:, 0], stack.hi[:, 0]))
 
     def test_symmetric_tfn_symmetric_cuts(self):
         stack = stack_of((-1, 0, 1), default_levels())
-        for lo, hi in zip(stack.lo, stack.hi):
-            assert lo == -hi
+        np.testing.assert_array_equal(stack.lo, -stack.hi)
 
     def test_nesting_enforced(self):
         with pytest.raises(ConfigurationError, match="nesting"):
-            AlphaCutStack([1.0, 0.5], [0, 0.5], [2, 1.5])
+            AlphaCutStack([1.0, 0.5], [[0], [0.5]], [[2], [1.5]])
 
     def test_levels_must_start_at_one(self):
         with pytest.raises(ConfigurationError):
-            AlphaCutStack([0.9, 0.5], [0, 0], [1, 1])
+            AlphaCutStack([0.9, 0.5], [[0], [0]], [[1], [1]])
 
     def test_levels_must_descend(self):
         with pytest.raises(ConfigurationError):
-            AlphaCutStack([1.0, 1.0], [0, 0], [1, 1])
+            AlphaCutStack([1.0, 1.0], [[0], [0]], [[1], [1]])
 
     def test_crossed_bounds_rejected(self):
-        with pytest.raises(ConfigurationError, match="out of order at level 0.5"):
-            AlphaCutStack([1.0, 0.5], [0.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError, match=r"out of order at level 0.5: \[2.0, 1.0\] in column 0$"):
+            AlphaCutStack([1.0, 0.5], [[0.0], [2.0]], [[1.0], [1.0]])
 
     def test_one_stack_holds_many_quantities(self):
         levels = [1.0, 0.5, 0.0]
@@ -140,9 +140,9 @@ class TestStack:
         assert stack.lo.shape == stack.hi.shape == (3, 3)
         for j, tfn in enumerate(tfns):
             one = stack_of(tfn, levels)
-            np.testing.assert_array_equal(stack.lo[:, j], one.lo)
-            np.testing.assert_array_equal(stack.hi[:, j], one.hi)
-            np.testing.assert_array_equal(stack.to_membership(j), one.to_membership())
+            np.testing.assert_array_equal(stack.lo[:, [j]], one.lo)
+            np.testing.assert_array_equal(stack.hi[:, [j]], one.hi)
+            np.testing.assert_array_equal(stack.to_membership(j), one.to_membership(0))
 
     @pytest.mark.parametrize(
         "lo, hi, message",
@@ -157,8 +157,10 @@ class TestStack:
                 [[1, 2], [1, 2]],
                 r"nesting violated between levels 1.0 and 0.5: \[1.0, 2.0\] not inside \[1.5, 2.0\] in column 1",
             ),
-            ([[0, 1]], [[1, 2]], r"lo and hi must be \(L,\) or \(L, q\) arrays"),
-            ([0, 0], [[1], [1]], r"lo and hi must be \(L,\) or \(L, q\) arrays"),
+            ([[0, 1]], [[1, 2]], r"lo and hi must be \(L, q\) arrays"),
+            ([0, 0], [[1], [1]], r"lo and hi must be \(L, q\) arrays"),
+            ([0, 0], [1, 1], r"lo and hi must be \(L, q\) arrays"),
+            ([[[0]], [[0]]], [[[1]], [[1]]], r"lo and hi must be \(L, q\) arrays"),
         ],
     )
     def test_many_quantity_errors_name_level_and_column(self, lo, hi, message):
@@ -196,7 +198,7 @@ class TestStack:
 class TestMembershipPolyline:
     def test_round_trip_recovers_corners(self):
         stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
-        verts = stack.to_membership()
+        verts = stack.to_membership(0)
         rows = [tuple(r) for r in verts]
         assert (0.0, 0.0) in rows and (1.0, 1.0) in rows and (3.0, 0.0) in rows
         # membership recovered exactly at every vertex of this stack
@@ -205,7 +207,7 @@ class TestMembershipPolyline:
 
     def test_all_degenerate_stack_single_spike(self):
         stack = stack_of((2, 2, 2), [1.0, 0.5, 0.0])
-        verts = stack.to_membership()
+        verts = stack.to_membership(0)
         assert np.all(verts[:, 0] == 2.0)
         assert verts[:, 1].max() == 1.0
 
@@ -214,7 +216,7 @@ class TestMembershipPolyline:
         t = (2, 4, 5)
         levels = default_levels()
         stack = stack_of(t, levels)
-        verts = stack.to_membership()
+        verts = stack.to_membership(0)
         left = verts[: levels.size]
         right = verts[levels.size - 1 :]
         for (x, mu) in left:
@@ -227,7 +229,7 @@ class TestMembershipPolyline:
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(-10, 10, 3))
             stack = stack_of((a, b, c), default_levels())
-            mu = stack.to_membership()[:, 1]
+            mu = stack.to_membership(0)[:, 1]
             peak = int(np.argmax(mu))
             assert np.all(np.diff(mu[: peak + 1]) >= 0)
             assert np.all(np.diff(mu[peak:]) <= 0)

@@ -30,25 +30,28 @@ def test_single_mass_ground_spring():
         springs=(SpringElement("k", GROUND, 0, param_index=0),),
         parameter_count=1,
     )
-    k, m = model.assemble(np.array([5.0]))
-    assert k == pytest.approx(np.array([[5.0]]))
-    assert m == pytest.approx(np.array([[1.0]]))
-    assert model.eigenvalues_batch([[5.0]])[0] == pytest.approx([5.0])
+    assert brute_force_assemble(model, [5.0]).tolist() == [[5.0]]
+    assert model.eigenvalues_batch([[5.0]])[0].tolist() == [5.0]
+    assert_modal_matches_generalized_eig(model, np.array([5.0]), [[5.0]])
 
 
 def test_two_dof_chain_matches_hand_superposition():
-    k, m = chain_2dof().assemble(np.zeros(0))
-    np.testing.assert_array_equal(k, np.array([[2.0, -1.0], [-1.0, 1.0]]))
-    np.testing.assert_array_equal(m, np.eye(2))
+    hand = np.array([[2.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(brute_force_assemble(chain_2dof(), np.zeros(0)), hand)
+    assert_modal_matches_generalized_eig(chain_2dof(), np.zeros(0), hand)
     lam = chain_2dof().eigenvalues_batch(np.zeros((1, 0)))[0]
     np.testing.assert_allclose(lam, [0.3819660112501051, 2.618033988749895], rtol=1e-12)
 
 
 def brute_force_assemble(model, theta):
-    # independent oracle: accumulate every element contribution in a dict
+    # independent oracle: accumulate every element contribution in a dict,
+    # the parameter springs (in parameter order) apart from the fixed ones,
+    # then add the two sums; K(theta) = sum_d theta_d K_d + K_fixed rounds
+    # in that order, so the oracle and the package agree bit for bit
     n = model.n_dof
-    entries = {}
-    for s in model.springs:
+    fixed, params = {}, {}
+    for s in sorted(model.springs, key=lambda s: -1 if s.param_index is None else s.param_index):
+        entries = fixed if s.param_index is None else params
         k = s.stiffness if s.param_index is None else theta[s.param_index]
         nodes = [v for v in (s.node_a, s.node_b) if v != GROUND]
         for v in nodes:
@@ -58,18 +61,30 @@ def brute_force_assemble(model, theta):
             entries[(a, b)] = entries.get((a, b), 0.0) - k
             entries[(b, a)] = entries.get((b, a), 0.0) - k
     out = np.zeros((n, n))
-    for (i, j), v in entries.items():
-        out[i, j] = v
+    for entries in (fixed, params):
+        for (i, j), v in entries.items():
+            out[i, j] += v
     return out
+
+
+def assert_modal_matches_generalized_eig(model, theta, stiffness):
+    # the package's one-row modal_batch, which assembles K(theta) itself,
+    # must give the generic reference solver's bits on (stiffness, M)
+    from reference import generalized_eig
+
+    lam, phi = model.modal_batch(theta[None, :])
+    slow_lam, slow_phi = generalized_eig(stiffness, np.diag(model.masses))
+    np.testing.assert_array_equal(lam[0], slow_lam)
+    np.testing.assert_array_equal(phi[0], slow_phi)
 
 
 def test_default_model_matches_brute_force_superposition():
     model = scenarios.five_dof_model()
     theta = scenarios.THETA_TRUE
-    k, m = model.assemble(theta)
-    np.testing.assert_array_equal(k, brute_force_assemble(model, theta))
-    np.testing.assert_array_equal(m, np.diag([27.0, 27.0, 71.0, 53.0, 29.0]))
+    k = brute_force_assemble(model, theta)
     np.testing.assert_array_equal(k, k.T)
+    np.testing.assert_array_equal(model.masses, [27.0, 27.0, 71.0, 53.0, 29.0])
+    assert_modal_matches_generalized_eig(model, theta, k)
 
 
 def test_stiffness_monotone_in_theta():
@@ -78,42 +93,23 @@ def test_stiffness_monotone_in_theta():
     for _ in range(100):
         theta = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
         theta_up = theta + rng.uniform(0.0, 200.0, 5)
-        k_lo, m = model.assemble(theta)
-        k_hi, _ = model.assemble(theta_up)
+        k_lo = brute_force_assemble(model, theta)
+        k_hi = brute_force_assemble(model, theta_up)
         # increment is PSD by construction from non-negative superposition
         assert np.linalg.eigvalsh(k_hi - k_lo).min() >= -1e-9
         lam_lo, lam_hi = model.eigenvalues_batch([theta, theta_up])
         assert np.all(lam_hi >= lam_lo - 1e-9 * lam_lo)
 
 
-def test_assembly_linear_in_theta():
-    model = scenarios.five_dof_model()
-    base = np.array([1000.0, 1000.0, 1000.0, 1000.0, 1000.0])
-    k_base, _ = model.assemble(base)
-    units = []
-    for i in range(5):
-        bumped = base.copy()
-        bumped[i] += 1.0
-        units.append(model.assemble(bumped)[0] - k_base)
-    theta = np.array([4000.0, 2200.0, 2120.0, 2600.0, 2400.0])
-    expected = k_base + sum((theta[i] - base[i]) * units[i] for i in range(5))
-    np.testing.assert_array_equal(model.assemble(theta)[0], expected)
-
-
 def test_modal_matches_generalized_eig_bitwise():
     # a one-row modal_batch takes the cached diagonal-mass shortcut; it
-    # must agree with the generic reference solver on the assembled pair
+    # must agree with the generic reference solver on the brute-force pair
     # exactly
-    from reference import generalized_eig
-
     model = scenarios.five_dof_model()
     rng = np.random.default_rng(6)
     for _ in range(20):
         theta = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
-        lam, phi = model.modal_batch(theta[None, :])
-        slow_lam, slow_phi = generalized_eig(*model.assemble(theta))
-        np.testing.assert_array_equal(lam[0], slow_lam)
-        np.testing.assert_array_equal(phi[0], slow_phi)
+        assert_modal_matches_generalized_eig(model, theta, brute_force_assemble(model, theta))
 
 
 def crossing_two_mass_model():
@@ -188,14 +184,7 @@ class TestEigenvaluesBatch:
 def test_nonpositive_theta_rejected():
     model = scenarios.five_dof_model()
     with pytest.raises(DomainError):
-        model.assemble(np.array([4000.0, -1.0, 2120.0, 2600.0, 2400.0]))
-    with pytest.raises(DomainError):
         model.modal_batch(np.array([[4000.0, -1.0, 2120.0, 2600.0, 2400.0]]))
-
-
-def test_wrong_theta_length_rejected():
-    with pytest.raises(ShapeError):
-        scenarios.five_dof_model().assemble(np.ones(3))
 
 
 class TestValidation:
@@ -264,8 +253,9 @@ class TestModelFile:
             )
         )
         model = load_model(path)
-        k, _ = model.assemble(np.zeros(0))
-        np.testing.assert_array_equal(k, [[8.0, -5.0], [-5.0, 9.0]])
+        hand = np.array([[8.0, -5.0], [-5.0, 9.0]])
+        np.testing.assert_array_equal(brute_force_assemble(model, np.zeros(0)), hand)
+        assert_modal_matches_generalized_eig(model, np.zeros(0), hand)
 
     def test_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 """Tests for the continuous ACO and PSO optimizers."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,6 @@ from ffemu.optim import (
     aco_weights,
     least_squares_polish,
     pso_minimize,
-    selection_probabilities,
 )
 
 mp.mp.dps = 50
@@ -64,29 +64,47 @@ class TestWeights:
             aco_weights(10, 0.0)
 
 
-class TestSelectionProbabilities:
-    def test_uniform(self):
-        p = selection_probabilities(np.ones(7))
-        np.testing.assert_allclose(p, 1.0 / 7.0, rtol=1e-15)
+def roulette_probabilities(archive_size, q):
+    """The rank weights normalised into selection probabilities, the ``p``
+    that ``Generator.choice`` takes."""
+    w = aco_weights(archive_size, q)
+    return w / w.sum()
 
-    def test_three_to_one(self):
-        np.testing.assert_allclose(selection_probabilities([3.0, 1.0]), [0.75, 0.25])
+
+class TestRouletteTable:
+    def test_uniform_at_a_large_q(self):
+        # a q this large flattens the Gaussian: every rank weighs the same
+        np.testing.assert_allclose(aco_cdf(7, 1e100), np.arange(1, 8) / 7.0, rtol=1e-15)
 
     def test_matches_high_precision_normalization(self):
-        w = aco_weights(10, 0.5)
-        p = selection_probabilities(w)
+        cdf = aco_cdf(10, 0.5)
         oracle = hp_weights(10, mp.mpf("0.5"))
         total = sum(oracle)
-        for got, want in zip(p, oracle):
-            assert got == pytest.approx(float(want / total), rel=1e-12)
+        for k, got in enumerate(cdf):
+            assert got == pytest.approx(float(sum(oracle[: k + 1]) / total), rel=1e-12)
 
-    def test_sums_to_one_within_1e15(self):
-        p = selection_probabilities(aco_weights(10, 0.5))
-        assert abs(p.sum() - 1.0) <= 1e-15
+    def test_ends_at_one_and_ascends(self):
+        cdf = aco_cdf(10, 0.5)
+        assert cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) > 0.0)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(DomainError):
-            selection_probabilities(np.zeros(3))
+    @pytest.mark.parametrize("q", [1e-150, 1e-100, 0.01, 0.5, 3.0, 1e100, 1e150])
+    def test_finite_table_is_accepted_and_is_the_choice_table(self, q):
+        # every q that gives a finite table passes AcoConfig, and the table
+        # is the one Generator.choice forms from p, bit for bit
+        AcoConfig(q=q)
+        cdf = np.cumsum(roulette_probabilities(10, q))
+        cdf /= cdf[-1]
+        assert aco_cdf(10, q).tobytes() == cdf.tobytes()
+
+    @pytest.mark.parametrize("q", [1e200, 1e308, 1e-170, 1e-200, pytest.param(10**200, id="int-10**200")])
+    def test_non_finite_table_rejected_naming_q_without_a_warning(self, q):
+        # q ** 2 overflows (a Python OverflowError) or underflows to 0 (an
+        # all-NaN table); both are caught when the config is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"aco\.q = .* makes the rank roulette table non-finite"):
+                AcoConfig(q=q)
 
 
 class TestArchiveUpdate:
@@ -157,7 +175,7 @@ def reference_aco(f, region, config, seed, initial=None):
     drawn = np.clip(rng.uniform(region.lo, region.hi, size=(size - len(seeds), dim)), region.lo, region.hi)
     points = np.vstack([seeds, drawn])
     archive = SolutionArchive(points, f(points))
-    probs = selection_probabilities(aco_weights(size, config.q))
+    probs = roulette_probabilities(size, config.q)
     history_best, history_mean = [archive.best_f], [float(archive.f.mean())]
     evaluations, stop_reason = size, "max_iterations"
     for _ in range(config.max_iterations):
@@ -181,7 +199,7 @@ class TestConstruct:
     def test_bitwise_equal_to_choice_and_normal(self, archive_size, n_ants):
         region = Box(np.full(4, -3.0), np.full(4, 3.0))
         config = AcoConfig(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.8)
-        probs = selection_probabilities(aco_weights(archive_size, config.q))
+        probs = roulette_probabilities(archive_size, config.q)
         cdf = aco_cdf(archive_size, config.q)
         for seed in range(6):
             pts = np.random.default_rng(100 + seed).uniform(-4.0, 4.0, (archive_size, 4))

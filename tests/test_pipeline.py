@@ -144,9 +144,9 @@ class TestSimulateMeasurements:
         )
         assert measured.shape_tfns.shape == (5, 5, 3)
         np.testing.assert_allclose(measured.shape_tfns[..., 1], measured.mode_shapes, atol=1e-15)
-        save_measured(measured, tmp_path / "m.json", units="eigenvalue")
+        save_measured(measured, tmp_path / "m.json")
         loaded = load_measured(tmp_path / "m.json")
-        np.testing.assert_array_equal(loaded.eigenvalue_tfns, measured.eigenvalue_tfns)
+        np.testing.assert_allclose(loaded.eigenvalue_tfns, measured.eigenvalue_tfns, rtol=1e-14)
         np.testing.assert_array_equal(loaded.shape_tfns, measured.shape_tfns)
         np.testing.assert_allclose(loaded.mode_shapes, measured.mode_shapes, atol=1e-15)
         for alpha in LEVELS4:
@@ -204,7 +204,7 @@ class TestRunFfemu:
         run, result = aco_result
         for k, hist in enumerate(result.histories):
             expected = run.aco.archive_size + run.aco.n_ants * hist.n_iterations
-            assert result.evaluation_counts[k] == expected == hist.n_evaluations
+            assert hist.n_evaluations == expected
 
     def test_time_split_and_stop_reasons(self, aco_result):
         run, result = aco_result
