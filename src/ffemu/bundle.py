@@ -2,8 +2,10 @@
 
 ``summary.json`` (an ``ffemu update`` run) and ``bayes_summary.json`` (an
 ``ffemu bayes`` run) are read through ``model.read_json``. Every field the
-report and the membership curves read is checked for presence, type and
-length before anything is rendered. ``cut_stack``, the one reader of the
+report and the membership curves read is checked for presence, kind and
+shape by ``errors.check_value`` before anything is rendered, so every
+number is finite and a complaint names the field, as
+``'metadata.elapsed_seconds'``. ``cut_stack``, the one reader of the
 cuts, makes a group's cuts one alpha-cut stack at ``alpha_levels``. The
 measured triangles must be ordered, and every eigenvalue the report takes
 the square root of must be positive, so a damaged or hand-edited file is
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, check_value, in_file
 from .fuzzy import AlphaCutStack, triangles
 from .model import read_json
 
@@ -30,48 +32,9 @@ def _load(path: Path, check, *args) -> dict:
     """One bundle JSON file, which must hold an object that passes
     ``check(data, *args)``; every complaint names ``path``."""
     data = read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    try:
+    with in_file(path):
         check(data, *args)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
     return data
-
-
-_KINDS = {"U": ("a string", "strings"), "i": ("an integer", "integers"), "iuf": ("a number", "numbers")}
-
-
-def _field(obj: dict, key: str, shape=(), kinds="iuf", label=None, optional=False):
-    """``obj[key]``, which must be a JSON array of ``shape`` (``()`` for a
-    scalar, -1 for any length) of "U" strings, "i" integers or "iuf" numbers;
-    else a ``ConfigurationError``. An optional field may be absent or null,
-    and then gives None."""
-    value, label = obj.get(key), label or key
-    if value is None and optional:
-        return None
-    if key not in obj:
-        raise ConfigurationError(f"missing field {label!r}")
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = np.asarray(None)
-    fits = array.ndim == len(shape) and all(s in (-1, a) for s, a in zip(shape, array.shape))
-    if not fits or array.dtype.kind not in kinds:
-        what, many = _KINDS[kinds]
-        if shape:
-            count = "" if shape[0] == -1 else f"{shape[0]} "
-            what = f"a list of {count}" + (many if len(shape) == 1 else f"rows of {shape[1]} {many}")
-        raise ConfigurationError(f"field {label!r} must be {what}")
-    return value
-
-
-def _objects(data: dict, key: str) -> list:
-    """``data[key]``, which must be a list of JSON objects."""
-    value = data.get(key)
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise ConfigurationError(f"field {key!r} must be a list of objects")
-    return value
 
 
 def cut_stack(summary: dict, group: str) -> AlphaCutStack:
@@ -81,53 +44,52 @@ def cut_stack(summary: dict, group: str) -> AlphaCutStack:
     first) and whose alpha column is ``alpha_levels``."""
     levels, entries = summary["alpha_levels"], summary[group]
     for j, entry in enumerate(entries):
-        _field(entry, "cuts", (len(levels), 3), label=f"{group}[{j}].cuts")
+        check_value(entry, "cuts", shape=(len(levels), 3), label=f"{group}[{j}].cuts")
     cuts = np.asarray([entry["cuts"] for entry in entries], dtype=float).reshape(len(entries), len(levels), 3)
     stack = AlphaCutStack(levels, cuts[:, :, 1].T, cuts[:, :, 2].T)
     if (hits := np.argwhere(cuts[:, :, 0] != stack.levels)).size:
         j, k = hits[0]
         row = f"alpha {cuts[j, k, 0]} in row {k}, but alpha_levels[{k}] is {stack.levels[k]}"
-        raise ConfigurationError(f"field '{group}[{j}].cuts' has {row}")
+        raise ConfigurationError(f"'{group}[{j}].cuts' has {row}")
     return stack
 
 
 def _check_summary(data: dict) -> None:
     """Check every ``summary.json`` field the report and the curves read."""
-    n = len(_field(data, "alpha_levels", (-1,)))
+    n = len(check_value(data, "alpha_levels", shape=(-1,)))
     if n == 0:
-        raise ConfigurationError("field 'alpha_levels' must not be empty")
-    params, outputs = _objects(data, "parameters"), _objects(data, "outputs")
-    meta = data.get("metadata")
-    if not isinstance(meta, dict):
-        raise ConfigurationError("field 'metadata' must be an object")
+        raise ConfigurationError("'alpha_levels' must not be empty")
+    params = check_value(data, "parameters", "object", (-1,))
+    outputs = check_value(data, "outputs", "object", (-1,))
+    meta = check_value(data, "metadata", "object")
     for group, entries, fields in [
-        ("parameters", params, [("id", (), "U"), ("center", (), "iuf")]),
-        ("outputs", outputs, [("mode", (), "i")]),
+        ("parameters", params, [("id", "string"), ("center", "number")]),
+        ("outputs", outputs, [("mode", "integer")]),
     ]:
         for i, entry in enumerate(entries):
-            for key, shape, kinds in fields:
-                _field(entry, key, shape, kinds, f"{group}[{i}].{key}")
+            for key, kind in fields:
+                check_value(entry, key, kind, label=f"{group}[{i}].{key}")
     p, m = len(params), len(outputs)
-    for key, shape, optional in [
-        ("theta_initial", (p,), True),
-        ("measured_eigenvalue_tfns", (m, 3), False),
-        ("updated_eigenvalues", (m,), False),
-        ("initial_eigenvalues", (m,), True),
-        ("objective_per_level", (n,), False),
+    for key, shape in [
+        ("measured_eigenvalue_tfns", (m, 3)),
+        ("updated_eigenvalues", (m,)),
+        ("objective_per_level", (n,)),
     ]:
-        _field(data, key, shape, optional=optional)
-    for key, shape, kinds in [
-        ("optimizer", (), "U"),
-        ("seed", (), "i"),
-        ("evaluation_counts", (n,), "i"),
-        ("polish_evaluations", (n,), "i"),
-        ("iterations", (n,), "i"),
-        ("elapsed_seconds", (n,), "iuf"),
-        ("objective_seconds", (n,), "iuf"),
-        ("polish_seconds", (n,), "iuf"),
-        ("stop_reasons", (n,), "U"),
+        check_value(data, key, shape=shape)
+    for key, shape in [("theta_initial", (p,)), ("initial_eigenvalues", (m,))]:
+        check_value(data, key, shape=shape, default=None)
+    for key, kind, shape in [
+        ("optimizer", "string", ()),
+        ("seed", "integer", ()),
+        ("evaluation_counts", "integer", (n,)),
+        ("polish_evaluations", "integer", (n,)),
+        ("iterations", "integer", (n,)),
+        ("elapsed_seconds", "number", (n,)),
+        ("objective_seconds", "number", (n,)),
+        ("polish_seconds", "number", (n,)),
+        ("stop_reasons", "string", (n,)),
     ]:
-        _field(meta, key, shape, kinds, f"metadata.{key}")
+        check_value(meta, key, kind, shape, f"metadata.{key}")
     for key in ("updated_eigenvalues", "initial_eigenvalues", "measured_eigenvalue_tfns"):
         _positive(key, data.get(key))
     cut_stack(data, "parameters")
@@ -140,7 +102,7 @@ def _positive(label: str, values) -> None:
     """``values``, eigenvalues whose square root the report takes, must all
     be positive; None (an absent optional field) passes."""
     if values is not None and not (np.asarray(values, dtype=float) > 0.0).all():
-        raise ConfigurationError(f"field {label!r} must hold positive eigenvalues")
+        raise ConfigurationError(f"{label!r} must hold positive eigenvalues")
 
 
 def _check_bayes(data: dict, summary: dict) -> None:
@@ -148,19 +110,13 @@ def _check_bayes(data: dict, summary: dict) -> None:
     have one entry per parameter or mode of ``summary``, its acceptance rate
     lies in [0, 1] and it counts at least one chain."""
     p, m = len(summary["parameters"]), len(summary["outputs"])
-    for key, shape, kinds, optional in [
-        ("mean", (p,), "iuf", False),
-        ("cov_percent", (p,), "iuf", False),
-        ("posterior_eigenvalues", (m,), "iuf", True),
-        ("acceptance_rate", (), "iuf", False),
-        ("chains", (), "i", False),
-    ]:
-        _field(data, key, shape, kinds, optional=optional)
-    _positive("posterior_eigenvalues", data.get("posterior_eigenvalues"))
-    if not 0.0 <= data["acceptance_rate"] <= 1.0:
-        raise ConfigurationError("field 'acceptance_rate' must lie in [0, 1]")
-    if data["chains"] < 1:
-        raise ConfigurationError("field 'chains' must be a positive integer")
+    for key in ("mean", "cov_percent"):
+        check_value(data, key, shape=(p,))
+    _positive("posterior_eigenvalues", check_value(data, "posterior_eigenvalues", shape=(m,), default=None))
+    if not 0.0 <= (rate := check_value(data, "acceptance_rate")) <= 1.0:
+        raise ConfigurationError(f"'acceptance_rate' must lie in [0, 1], got {rate!r}")
+    if (chains := check_value(data, "chains", "integer")) < 1:
+        raise ConfigurationError(f"'chains' must be a positive integer, got {chains!r}")
 
 
 def load_summary(bundle_dir) -> dict:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, bundle, report
-from .errors import ConfigurationError, FfemuError
+from .errors import ConfigurationError, FfemuError, in_file
 from .fuzzy import default_levels
 from .model import read_json
 from .objective import eigenvalue_to_hz, save_measured
@@ -40,8 +40,10 @@ def cmd_simulate(args) -> int:
 
     model = scenarios.resolve_model(args.model)
     kind = _BUNDLED_TRUTHS.get(args.truth)
-    truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
-    measured = scenarios.simulate_from_truth_spec(model, truth, default_levels(args.levels), args.truth)
+    levels = default_levels(args.levels)
+    with in_file(args.truth):
+        truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
+        measured = scenarios.simulate_from_truth_spec(model, truth, levels)
     save_measured(measured, args.out)
     freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.center_eigenvalues())]
     kind = "crisp" if measured.is_crisp else "fuzzy"
@@ -121,6 +123,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with ``EXIT_CONFIG``.
 
@@ -155,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("update", help="run fuzzy model updating")
     p.add_argument("--config", required=True, help="run-configuration JSON path")
     p.add_argument("--out", default="ffemu_results", help="result bundle directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--verbose", action="store_true", help="per-level progress on stderr")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("bayes", help="run the Metropolis-Hastings baseline")
     p.add_argument("--config", required=True, help="run-configuration JSON path")
     p.add_argument("--out", default="ffemu_results", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.set_defaults(func=cmd_bayes)
 
     p = sub.add_parser("report", help="render tables and curves from a result bundle")

@@ -1,11 +1,24 @@
-"""Exception hierarchy shared across the package, plus its number and known-key checks.
+"""Exception hierarchy shared across the package, plus the one input-value rule.
 
 The CLI maps these onto exit codes: configuration problems exit 1,
 numerical failures exit 2, and I/O problems (plain ``OSError``) exit 3.
+
+Every value read from a JSON input (run config, truth spec, model file,
+measured-data file, result bundle) is checked by ``check_value``: a scalar
+or a list of a stated shape holding integers, finite numbers, strings,
+booleans or objects. A boolean is not a number, and NaN, +-Infinity and an
+integer beyond the float range are not finite (such an integer is not an
+integer here either). A complaint names the value by its path in the file,
+as ``'aco.n_ants'`` or ``'modes[2].eigenvalue'``; ``in_file`` adds the
+file's name, once per file. ``check_settings`` applies the same rule to a
+settings dataclass, field by field, and ``check_keys`` names an unknown key.
 """
 
 import math
 import numbers
+import reprlib
+from contextlib import contextmanager
+from dataclasses import fields
 
 
 class FfemuError(Exception):
@@ -13,7 +26,12 @@ class FfemuError(Exception):
 
 
 class ConfigurationError(FfemuError):
-    """Invalid model, run configuration, or infeasible constraint setup."""
+    """Invalid model, run configuration, or infeasible constraint setup.
+
+    ``source`` is the input file the message names, once ``in_file`` named it.
+    """
+
+    source = None
 
 
 class ShapeError(FfemuError, ValueError):
@@ -45,16 +63,11 @@ class DiagnosticsError(FfemuError, RuntimeError):
     """A sampler or optimizer produced statistics indicating a broken setup."""
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer; ``True`` and ``False`` are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def is_finite_number(value) -> bool:
     """Whether ``value`` is a real number that is finite as a float.
 
     ``True`` and ``False`` are not numbers here, and an integer beyond the
-    float range counts as non-finite. Each caller raises its own error.
+    float range counts as non-finite.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
@@ -64,8 +77,97 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer that is finite as a float; ``True``
+    and ``False`` are not integers here."""
+    return isinstance(value, numbers.Integral) and is_finite_number(value)
+
+
+# kind: (test of one entry, "one" and "many" for messages)
+_KINDS = {
+    "integer": (is_integer, "an integer", "integers"),
+    "number": (is_finite_number, "a finite number", "finite numbers"),
+    "string": (lambda v: isinstance(v, str), "a string", "strings"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    "object": (lambda v: isinstance(v, dict), "an object", "objects"),
+}
+_REQUIRED = object()
+
+
+def _fits(value, test, shape) -> bool:
+    """Whether ``value`` is nested lists of ``shape`` whose entries pass ``test``."""
+    if not shape:
+        return test(value)
+    return (
+        isinstance(value, list)
+        and shape[0] in (-1, len(value))
+        and all(_fits(v, test, shape[1:]) for v in value)
+    )
+
+
+def _complaint(label: str, kind: str, shape, value) -> str:
+    _, what, many = _KINDS[kind]
+    if shape:
+        counts = ["" if n == -1 else f"{n} " for n in shape]
+        for count in reversed(counts[1:]):
+            many = f"rows of {count}{many}"
+        what = f"a list of {counts[0]}{many}"
+    return f"{label!r} must be {what}, got {reprlib.repr(value)}"
+
+
+def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None, default=_REQUIRED):
+    """``obj[key]``, which must be ``kind`` ("integer", "number", "string",
+    "boolean" or "object") at ``shape``: ``()`` for a scalar, else the
+    length of each list level, -1 for any length.
+
+    An absent key gives ``default``, or is a ``ConfigurationError`` when no
+    default is given; a key whose default is None may also be null. Any
+    other value is a ``ConfigurationError`` naming it as ``label`` (``key``
+    when not given).
+    """
+    label = label or key
+    value = obj.get(key)
+    if key not in obj or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigurationError(f"missing required key {label!r}")
+        return default
+    if not _fits(value, _KINDS[kind][0], shape):
+        raise ConfigurationError(_complaint(label, kind, shape, value))
+    return value
+
+
+def check_settings(config, section: str, error=ConfigurationError) -> None:
+    """Each field of the settings dataclass ``config`` must hold an integer
+    where its default is an int and a finite number where it is a float;
+    else an ``error`` naming it as ``'<section>.<field>'``."""
+    for f in fields(config):
+        kind = "integer" if type(f.default) is int else "number"
+        value = getattr(config, f.name)
+        if not _fits(value, _KINDS[kind][0], ()):
+            raise error(_complaint(f"{section}.{f.name}", kind, (), value))
+
+
 def check_keys(obj: dict, valid, label: str = "") -> None:
     """The first key of the JSON object ``obj`` (sorted) not in ``valid`` is a
-    ``ConfigurationError`` naming it as ``label`` + key; callers prefix the file."""
+    ``ConfigurationError`` naming it as ``label`` + key."""
     if unknown := sorted(obj.keys() - set(valid)):
         raise ConfigurationError(f"unknown key '{label}{unknown[0]}'; valid keys: {', '.join(valid)}")
+
+
+@contextmanager
+def in_file(source):
+    """Name the input file ``source`` in every input error the block raises.
+
+    A ``ConfigurationError``, ``DomainError`` or ``ShapeError`` becomes a
+    ``ConfigurationError`` reading ``<source>: <message>``. One that already
+    names a file, from a file the block reads in turn (a run config's model
+    or measured-data file), passes unchanged.
+    """
+    try:
+        yield
+    except (ConfigurationError, DomainError, ShapeError) as exc:
+        if getattr(exc, "source", None) is not None:
+            raise
+        named = ConfigurationError(f"{source}: {exc}")
+        named.source = source
+        raise named from exc

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, is_finite_number, is_integer
+from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, check_value, in_file, is_integer
 from .linalg import fix_signs
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
@@ -172,18 +172,18 @@ class StructuralModel:
             raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _parse_endpoint(raw, where: str) -> int:
-    if isinstance(raw, str):
-        if raw.lower() == "ground":
-            return GROUND
-        raise ConfigurationError(f"{where}: endpoint must be a node index or 'ground', got {raw!r}")
+def _parse_endpoint(entry: dict, key: str, where: str) -> int:
+    """A spring endpoint: a node index or the token "ground"."""
+    raw = entry.get(key)
+    if isinstance(raw, str) and raw.lower() == "ground":
+        return GROUND
     if not is_integer(raw):
-        raise ConfigurationError(f"{where}: endpoint must be an integer, got {raw!r}")
+        raise ConfigurationError(f"'{where}.{key}' must be a node index or 'ground', got {raw!r}")
     return raw
 
 
 def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
-    """Build a model from its JSON dictionary form, validating as it goes.
+    """Build a model from its JSON object form, validating as it goes.
 
     Expected shape::
 
@@ -191,60 +191,29 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
           "stiffness": ... | "param": ...}, ...], "parameters": d?}
 
     ``parameters`` is optional; when absent the count is inferred from the
-    largest ``param`` reference.
+    largest ``param`` reference. Values go through ``errors.check_value``,
+    and every error is a ``ConfigurationError`` naming ``source`` and the
+    key, as ``'springs[1].param'``.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{source}: top level must be an object")
-    try:
-        masses = data["masses"]
-        spring_entries = data["springs"]
-    except KeyError as exc:
-        raise ConfigurationError(f"{source}: missing required key {exc.args[0]!r}") from exc
-    if not isinstance(masses, list) or not all(is_finite_number(m) for m in masses):
-        raise ConfigurationError(f"{source}: 'masses' must be a list of finite numbers, got {masses!r}")
-    if not isinstance(spring_entries, list) or not spring_entries:
-        raise ConfigurationError(f"{source}: 'springs' must be a non-empty array")
-
-    springs = []
-    max_param = -1
-    for pos, entry in enumerate(spring_entries):
-        where = f"{source}: springs[{pos}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(f"{where}: must be an object")
-        sid = str(entry.get("id", f"spring{pos}"))
-        where = f"{where} (id {sid!r})"
-        if "a" not in entry or "b" not in entry:
-            raise ConfigurationError(f"{where}: needs endpoints 'a' and 'b'")
-        a = _parse_endpoint(entry["a"], where)
-        b = _parse_endpoint(entry["b"], where)
-        stiffness = entry.get("stiffness")
-        param = entry.get("param")
-        if not (stiffness is None or is_finite_number(stiffness)):
-            raise ConfigurationError(f"{where}: 'stiffness' must be a finite number, got {stiffness!r}")
-        if not (param is None or is_integer(param)):
-            raise ConfigurationError(f"{where}: 'param' must be an integer, got {param!r}")
-        try:
-            springs.append(
-                SpringElement(
-                    id=sid,
-                    node_a=a,
-                    node_b=b,
-                    stiffness=None if stiffness is None else float(stiffness),
-                    param_index=param,
-                )
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from exc
-        if param is not None:
-            max_param = max(max_param, param)
-
-    count = data.get("parameters", max_param + 1)
-    if not is_integer(count):
-        raise ConfigurationError(f"{source}: 'parameters' must be an integer, got {count!r}")
-    try:
+    with in_file(source):
+        masses = check_value(data, "masses", shape=(-1,))
+        spring_entries = check_value(data, "springs", "object", (-1,))
+        if not spring_entries:
+            raise ConfigurationError("'springs' must not be empty")
+        springs = []
+        for pos, entry in enumerate(spring_entries):
+            where = f"springs[{pos}]"
+            sid = str(entry.get("id", f"spring{pos}"))
+            a, b = _parse_endpoint(entry, "a", where), _parse_endpoint(entry, "b", where)
+            param = check_value(entry, "param", "integer", label=f"{where}.param", default=None)
+            stiffness = check_value(entry, "stiffness", label=f"{where}.stiffness", default=None)
+            try:
+                springs.append(SpringElement(sid, a, b, None if stiffness is None else float(stiffness), param))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where} (id {sid!r}): {exc}") from exc
+        count = max((s.param_index for s in springs if s.param_index is not None), default=-1) + 1
+        count = check_value(data, "parameters", "integer", default=count)
         return StructuralModel(masses=np.asarray(masses, dtype=float), springs=tuple(springs), parameter_count=count)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{source}: {exc}") from exc
 
 
 def load_model(path) -> StructuralModel:
@@ -256,13 +225,15 @@ def load_model(path) -> StructuralModel:
     return model_from_dict(read_json(path), source=str(path))
 
 
-def read_json(path):
-    """Parse one JSON file; a syntax error becomes a ``ConfigurationError``
-    naming the file, line and column."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(path) -> dict:
+    """Parse one JSON file, which must hold one JSON object; a syntax error
+    (with its line and column) or any other top level is a
+    ``ConfigurationError`` naming the file."""
+    with in_file(path), open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+            raise ConfigurationError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"expected a JSON object, got {type(data).__name__}")
+    return data

@@ -33,7 +33,8 @@ from .errors import (
     DomainError,
     ShapeError,
     check_keys,
-    is_finite_number,
+    check_value,
+    in_file,
 )
 from .fuzzy import alpha_cuts, triangles
 from .linalg import diagonal_dominates, mac_matrix, pair_modes
@@ -227,13 +228,6 @@ def save_measured(data: MeasuredFuzzyModalData, path) -> None:
         fh.write("\n")
 
 
-def _finite_numbers(value) -> bool:
-    """Whether ``value`` is a finite number or a list, nested to any depth, of them."""
-    if isinstance(value, list):
-        return all(_finite_numbers(v) for v in value)
-    return is_finite_number(value)
-
-
 def load_measured(path) -> MeasuredFuzzyModalData:
     """Read measured fuzzy modal data, converting Hz triangles to eigenvalues.
 
@@ -250,41 +244,38 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     positive. Modes come in ascending order: each eigenvalue triangle's
     peak, and the midpoint of its support in rad^2/s^2, is at or above the
     previous mode's. ``mode_shape`` has one component per degree of
-    freedom and is normalized on reading. ``mode_shape_tfns``, one
-    triangle per component, is optional, but given for every mode or for
-    none. A mode may also carry the legacy key ``crisp``, which is ignored.
-    Every value must be a finite JSON number. Anything else, an unknown key
-    at the top level or in a mode included, is a ``ConfigurationError``
-    naming the file.
+    freedom, as many in every mode, and is normalized on reading.
+    ``mode_shape_tfns``, one triangle per component, is optional, but given
+    for every mode or for none. A mode may also carry the legacy key
+    ``crisp``, which is ignored. Every value goes through
+    ``errors.check_value``, so anything else, an unknown key included, is a
+    ``ConfigurationError`` naming the file and the key, as
+    ``'modes[2].eigenvalue'``.
     """
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    units = raw.get("units", "hz")
-    if units not in ("hz", "eigenvalue"):
-        raise ConfigurationError(f"{path}: unknown units {units!r}")
-    try:
+    with in_file(path):
         check_keys(raw, ("units", "modes"))
-        modes = raw["modes"]
-        for i, entry in enumerate(modes):
-            if not isinstance(entry, dict):
-                raise TypeError(f"modes[{i}] must be an object")
-            check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
+        units = check_value(raw, "units", "string", default="hz")
+        if units not in ("hz", "eigenvalue"):
+            raise ConfigurationError(f"'units' must be 'hz' or 'eigenvalue', got {units!r}")
+        modes = check_value(raw, "modes", "object", (-1,))
         keys = ["eigenvalue", "mode_shape"]
         if any("mode_shape_tfns" in entry for entry in modes):
             keys.append("mode_shape_tfns")
-        values = {key: [entry[key] for entry in modes] for key in keys}
-        for key, value in values.items():
-            if not _finite_numbers(value):
-                raise ValueError(f"{key!r} values must be numbers, all finite")
+        values = {key: [] for key in keys}
+        n_dof = -1  # any, until the first mode shape sets it
+        for i, entry in enumerate(modes):
+            check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
+            shapes = {"eigenvalue": (3,), "mode_shape": (n_dof,), "mode_shape_tfns": (n_dof, 3)}
+            for key in keys:
+                values[key].append(check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}"))
+            n_dof = len(values["mode_shape"][0])
         eigenvalues = np.array(values["eigenvalue"], dtype=float)
         if (eigenvalues <= 0.0).any():
-            raise ValueError("eigenvalue triangles must be positive")
+            raise ConfigurationError("eigenvalue triangles must be positive")
         shape_tfns = values.get("mode_shape_tfns")
         return MeasuredFuzzyModalData(
             hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues,
             np.array(values["mode_shape"], dtype=float).T,
             None if shape_tfns is None else np.swapaxes(triangles(shape_tfns), 0, 1),
         )
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed measured-data file: {exc}") from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError, is_finite_number, is_integer
+from .errors import DomainError, EvaluationError, ShapeError, check_settings
 
 __all__ = [
     "Box",
@@ -37,22 +37,6 @@ __all__ = [
 
 POLISH_ITERATIONS = 10
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
-def _check_counts(config, names) -> None:
-    """The named fields of an optimizer config must hold integers."""
-    for name in names:
-        value = getattr(config, name)
-        if not is_integer(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_reals(config, names) -> None:
-    """The named fields of an optimizer config must hold finite real numbers."""
-    for name in names:
-        value = getattr(config, name)
-        if not is_finite_number(value):
-            raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +94,7 @@ class AcoConfig:
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
-        _check_counts(self, ("archive_size", "n_ants", "max_iterations", "stagnation_window"))
-        _check_reals(self, ("q", "xi", "stagnation_tolerance"))
+        check_settings(self, "aco", DomainError)
         if self.archive_size < 2:
             raise DomainError("archive_size must be at least 2")
         if self.n_ants < 1:
@@ -147,8 +130,7 @@ class PsoConfig:
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
-        _check_counts(self, ("swarm_size", "max_iterations", "stagnation_window"))
-        _check_reals(self, ("inertia", "cognitive", "social", "v_max_fraction", "stagnation_tolerance"))
+        check_settings(self, "pso", DomainError)
         if self.swarm_size < 2:
             raise DomainError("swarm_size must be at least 2")
         if not 0.0 < self.v_max_fraction <= 1.0:

@@ -24,13 +24,24 @@ imports the sampler itself, ``ffemu.bayes``.
 from __future__ import annotations
 
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check_keys, is_finite_number, is_integer
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    ShapeError,
+    check_keys,
+    check_settings,
+    check_value,
+    in_file,
+    is_finite_number,
+    is_integer,
+)
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json
 from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
@@ -61,6 +72,7 @@ RUN_KEYS = (
     "optimizer", "seed", "aco", "pso", "weights", "bayes",
 )
 WEIGHT_KEYS = ("eigenvalue", "eigenvector")
+STEP_MARGIN = 2.0**32
 
 _log = logging.getLogger(__name__)
 
@@ -76,10 +88,15 @@ class FfemuRun:
     prior box [theta_min, theta_max] holds d finite stiffnesses, 0 <
     theta_min < theta_max, for both the fuzzy search and the M-H prior.
     ``theta_initial``, the optional start of the alpha = 1 search and of the
-    M-H chains, must be d finite numbers inside the box. Per-level optimizer
-    seeds are derived from ``seed`` plus the level index, so levels draw
-    independent random streams but the whole run is reproducible; ``seed``
-    seeds the M-H chains too.
+    M-H chains, must be d finite numbers inside the box, and ``seed`` a
+    non-negative integer. No search step may overflow: ``aco.xi``, and the
+    PSO velocity scale |inertia| * v_max_fraction + |cognitive| + |social|,
+    each times the box's widest span and ``STEP_MARGIN`` = 2**32 (room for
+    an archive's sum of up to 2**32 spreads and any Gaussian draw), must be
+    finite, else the key with the largest share is named. Per-level
+    optimizer seeds are derived from ``seed`` plus the level index, so
+    levels draw independent random streams but the whole run is
+    reproducible; ``seed`` seeds the M-H chains too.
     """
 
     model: StructuralModel
@@ -101,11 +118,13 @@ class FfemuRun:
         object.__setattr__(self, "levels", levels)
         if len(self.weights) != 2 or not all(map(is_finite_number, self.weights)):
             raise ConfigurationError(f"weights must be two finite numbers, got {self.weights!r}")
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if min(self.weights) < 0.0:
             raise ConfigurationError(f"weights must be non-negative, got {self.weights!r}")
         if max(self.weights) == 0.0:
             raise ConfigurationError(f"at least one weight must be positive, got {self.weights!r}")
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigurationError(f"'seed' must be a non-negative integer, got {self.seed!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; valid choices: {', '.join(OPTIMIZERS)}"
@@ -128,6 +147,12 @@ class FfemuRun:
             if ((start < self.theta_min) | (start > self.theta_max)).any():
                 raise ConfigurationError(f"theta_initial {start.tolist()} is outside [theta_min, theta_max]")
             object.__setattr__(self, "theta_initial", start)
+        span = float((self.theta_max - self.theta_min).max())
+        p = self.pso
+        shares = {"inertia": abs(p.inertia) * p.v_max_fraction, "cognitive": abs(p.cognitive), "social": abs(p.social)}
+        for key, scale in [("aco.xi", self.aco.xi), (f"pso.{max(shares, key=shares.get)}", sum(shares.values()))]:
+            if not math.isfinite(float(scale) * span * STEP_MARGIN):
+                raise ConfigurationError(f"{key!r} makes a search step overflow on a box span of {span!r}")
         if self.measured.n_modes != self.model.n_dof:
             raise ConfigurationError(
                 f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
@@ -348,15 +373,7 @@ class McmcConfig:
     likelihood_sd: float = 0.01
 
     def __post_init__(self):
-        for name in ("n_samples", "burn_in"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigurationError(f"'bayes.{name}' must be an integer, got {value!r}")
-        for name in ("proposal_fraction", "likelihood_sd"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ConfigurationError(f"'bayes.{name}' must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        check_settings(self, "bayes")
         if not self.n_samples > self.burn_in >= 0:
             raise ConfigurationError("need n_samples > burn_in >= 0")
         if self.proposal_fraction <= 0.0 or self.likelihood_sd <= 0.0:
@@ -374,28 +391,12 @@ class RunConfig:
     bayes: McmcConfig | None
 
 
-def _number_list(raw: dict, key: str, path) -> np.ndarray:
-    """``raw[key]`` as a 1-D float array; anything but a list of finite
-    numbers is a ``ConfigurationError``."""
-    values = raw[key]
-    if not isinstance(values, list) or not all(is_finite_number(v) for v in values):
-        raise ConfigurationError(f"{path}: {key!r} must be a list of numbers, all finite, got {values!r}")
-    return np.asarray(values, dtype=float)
-
-
-def _number(value, key: str, path) -> float:
-    """A finite JSON number as a float; anything else is a ``ConfigurationError``."""
-    if not is_finite_number(value):
-        raise ConfigurationError(f"{path}: {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _section(raw: dict, key: str, path) -> dict:
-    """The JSON object ``raw[key]`` (empty when absent)."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
-    return value
+def _settings(raw: dict, key: str, cls):
+    """The settings dataclass ``cls`` from the JSON object ``raw[key]``
+    (defaults when absent), whose keys must be ``cls``'s fields."""
+    section = check_value(raw, key, "object", default={})
+    check_keys(section, [f.name for f in fields(cls)], f"{key}.")
+    return cls(**section)
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:
@@ -404,97 +405,59 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     Relative paths resolve against the config file's directory. The
     ``model`` entry may be the token ``"bundled"`` for the packaged
     five-DOF structure. Measured data come either from a ``measured`` file
-    path or inline via a ``truth`` section (simulated on the spot). A key
-    outside ``RUN_KEYS``, or an unknown key in ``truth``, ``weights``,
-    ``aco``, ``pso`` or ``bayes``, is a ``ConfigurationError`` naming the
-    file and the key.
+    path or inline via a ``truth`` section (simulated on the spot). The
+    ``aco``, ``pso`` and ``bayes`` sections are read by one reader, whose
+    keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``.
+    Every value goes through ``errors.check_value`` or
+    ``errors.check_settings``, so a key outside ``RUN_KEYS``, an unknown key
+    in a section, or a value of the wrong kind or shape is a
+    ``ConfigurationError`` naming the file and the key, as
+    ``'aco.n_ants'``; an error in the model or measured-data file names
+    that file. ``seed_override`` (``--seed``) replaces the config's seed.
     """
-    path = Path(path)
-    raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    weights_spec = _section(raw, "weights", path)
-    try:
-        check_keys(raw, RUN_KEYS)
-        check_keys(weights_spec, WEIGHT_KEYS, "weights.")
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    base = path.parent
-
     from . import scenarios  # local import; scenarios builds on this module's simulate
 
-    try:
-        model_ref = raw["model"]
-        theta_min = _number_list(raw, "theta_min", path)
-        theta_max = _number_list(raw, "theta_max", path)
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing required key {exc.args[0]!r}") from exc
-    for key in ("model", "measured"):
-        if not isinstance(raw.get(key, ""), str):
-            raise ConfigurationError(f"{path}: {key!r} must be a path string")
+    path = Path(path)
+    raw = read_json(path)
+    base = path.parent
+    with in_file(path):
+        check_keys(raw, RUN_KEYS)
+        model = scenarios.resolve_model(check_value(raw, "model", "string"), base)
+        theta_min = check_value(raw, "theta_min", shape=(-1,))
+        theta_max = check_value(raw, "theta_max", shape=(-1,))
 
-    model = scenarios.resolve_model(model_ref, base)
+        levels = raw.get("alpha_levels", 10)
+        if isinstance(levels, list):
+            levels = check_value(raw, "alpha_levels", shape=(-1,))
+        elif is_integer(levels) and levels >= 1:
+            levels = default_levels(levels)
+        else:
+            raise ConfigurationError(
+                f"'alpha_levels' must be a level count of at least 1 or a list of levels, got {levels!r}"
+            )
 
-    level_spec = raw.get("alpha_levels", 10)
-    if isinstance(level_spec, list):
-        levels = _number_list(raw, "alpha_levels", path)
-    elif is_integer(level_spec) and level_spec >= 1:
-        levels = default_levels(level_spec)
-    else:
-        raise ConfigurationError(
-            f"{path}: 'alpha_levels' must be a level count of at least 1 or a list of levels, "
-            f"got {level_spec!r}"
-        )
-    try:
-        levels = check_levels(levels)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+        if ("measured" in raw) == ("truth" in raw):
+            raise ConfigurationError("give exactly one of 'measured' or 'truth'")
+        if "measured" in raw:
+            measured = load_measured(base / check_value(raw, "measured", "string"))
+        else:
+            truth = check_value(raw, "truth", "object")
+            measured = scenarios.simulate_from_truth_spec(model, truth, levels, "truth.")
 
-    if ("measured" in raw) == ("truth" in raw):
-        raise ConfigurationError(f"{path}: give exactly one of 'measured' or 'truth'")
-    if "measured" in raw:
-        measured = load_measured(base / raw["measured"])
-    else:
-        measured = scenarios.simulate_from_truth_spec(model, raw["truth"], levels, f"{path}: 'truth'")
-
-    seed = raw.get("seed", 0) if seed_override is None else seed_override
-    if not is_integer(seed) or seed < 0:
-        raise ConfigurationError(f"{path}: 'seed' must be a non-negative integer, got {seed!r}")
-    try:
-        aco = AcoConfig(**_section(raw, "aco", path))
-        pso = PsoConfig(**_section(raw, "pso", path))
-    except (TypeError, DomainError) as exc:
-        raise ConfigurationError(f"{path}: bad optimizer section: {exc}") from exc
-
-    weights = tuple(_number(weights_spec.get(key, 1.0), f"weights.{key}", path) for key in WEIGHT_KEYS)
-    theta_initial = raw.get("theta_initial")
-    if theta_initial is not None:
-        theta_initial = _number_list(raw, "theta_initial", path)
-
-    try:
+        weights = check_value(raw, "weights", "object", default={})
+        check_keys(weights, WEIGHT_KEYS, "weights.")
         run = FfemuRun(
             model=model,
             measured=measured,
             theta_min=theta_min,
             theta_max=theta_max,
-            optimizer=raw.get("optimizer", "aco"),
-            aco=aco,
-            pso=pso,
+            optimizer=check_value(raw, "optimizer", "string", default="aco"),
+            aco=_settings(raw, "aco", AcoConfig),
+            pso=_settings(raw, "pso", PsoConfig),
             levels=levels,
-            weights=weights,
-            seed=seed,
-            theta_initial=theta_initial,
+            weights=tuple(check_value(weights, key, label=f"weights.{key}", default=1.0) for key in WEIGHT_KEYS),
+            seed=check_value(raw, "seed", "integer", default=0) if seed_override is None else seed_override,
+            theta_initial=check_value(raw, "theta_initial", shape=(-1,), default=None),
         )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-
-    bayes_cfg = None
-    if "bayes" in raw:
-        section = _section(raw, "bayes", path)
-        try:
-            bayes_cfg = McmcConfig(**section)
-        except TypeError as exc:
-            raise ConfigurationError(f"{path}: bad bayes section: {exc}") from exc
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
-    return RunConfig(run=run, bayes=bayes_cfg)
+        bayes = _settings(raw, "bayes", McmcConfig) if "bayes" in raw else None
+    return RunConfig(run=run, bayes=bayes)

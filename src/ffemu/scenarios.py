@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_keys, is_finite_number
+from .errors import ConfigurationError, check_keys, check_value
 from .model import StructuralModel, load_model, model_from_dict
 from .pipeline import simulate_measurements
 
@@ -59,52 +59,30 @@ def bundled_truth_spec(kind: str = "fuzzy") -> dict:
     return json.loads(text)
 
 
-def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, source: str = "truth spec"):
-    """Simulate measured data from a truth-spec dictionary.
+def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, label: str = ""):
+    """Simulate measured data from a truth-spec JSON object.
 
     The spec carries ``theta_true`` plus either absolute ``spreads`` or a
-    single ``spread_fraction``; ``shape_tfns``, a JSON boolean, optionally
-    fuzzifies the mode-shape components too. A spec with any other key, or
-    a spec or levels that cannot be simulated, is a ``ConfigurationError``
-    prefixed with ``source``, the file (and key) the spec came from.
+    single non-negative ``spread_fraction``, one entry per updating
+    parameter; ``shape_tfns``, a JSON boolean, optionally fuzzifies the
+    mode-shape components too. A spec with any other key, or any value that
+    fails ``errors.check_value``, is a ``ConfigurationError`` naming the key
+    as ``label`` + key (``label`` is ``"truth."`` in a run config); the
+    caller names the file the spec came from.
     """
-    try:
-        return _simulate(model, spec, levels)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"{source}: {exc}") from exc
-
-
-def _simulate(model: StructuralModel, spec: dict, levels):
-    if not isinstance(spec, dict) or "theta_true" not in spec:
-        raise ConfigurationError("truth spec must be an object with a 'theta_true' array")
-    check_keys(spec, TRUTH_KEYS)
-    shape_tfns = spec.get("shape_tfns", False)
-    if not isinstance(shape_tfns, bool):
-        raise ConfigurationError(f"'shape_tfns' must be true or false, got {shape_tfns!r}")
-    vectors = [spec[key] for key in ("theta_true", "spreads") if key in spec]
-    fraction = spec.get("spread_fraction", 0.0)
-    if not is_finite_number(fraction) or not all(
-        isinstance(v, list) and all(is_finite_number(x) for x in v) for v in vectors
-    ):
-        raise ConfigurationError("truth spec values must be numbers, all finite")
-    theta_true = np.asarray(spec["theta_true"], dtype=float)
-    spreads = np.asarray(spec["spreads"], dtype=float) if "spreads" in spec else None
-    for key, vector in (("theta_true", theta_true), ("spreads", spreads)):
-        if vector is not None and vector.shape != (model.parameter_count,):
-            raise ConfigurationError(f"{key} must have length {model.parameter_count}, got {vector.size}")
+    check_keys(spec, TRUTH_KEYS, label)
+    d = model.parameter_count
+    theta_true = np.asarray(check_value(spec, "theta_true", shape=(d,), label=f"{label}theta_true"), dtype=float)
+    spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None)
+    fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0)
+    shape_tfns = check_value(spec, "shape_tfns", "boolean", label=f"{label}shape_tfns", default=False)
     if spreads is not None and "spread_fraction" in spec:
-        raise ConfigurationError("give either 'spreads' or 'spread_fraction', not both")
+        raise ConfigurationError(f"give either '{label}spreads' or '{label}spread_fraction', not both")
+    if fraction < 0.0:
+        raise ConfigurationError(f"'{label}spread_fraction' must be non-negative, got {fraction!r}")
     if spreads is None:
-        if fraction < 0.0:
-            raise DomainError("spread_fraction must be non-negative")
         spreads = float(fraction) * theta_true
-    return simulate_measurements(
-        model,
-        theta_true,
-        spreads,
-        levels=levels,
-        shape_tfns=shape_tfns,
-    )
+    return simulate_measurements(model, theta_true, spreads, levels=levels, shape_tfns=shape_tfns)
 
 
 def bundled_run_config(optimizer: str = "aco", seed: int = 0) -> dict:

@@ -283,15 +283,15 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d["springs"][1].update(param="x"), "springs[1] (id 'k2'): 'param' must be an integer"),
-            (lambda d: d["springs"][1].update(param=1.9), "springs[1] (id 'k2'): 'param' must be an integer"),
-            (lambda d: d["springs"][1].update(param=True), "springs[1] (id 'k2'): 'param' must be an integer"),
+            (lambda d: d["springs"][1].update(param="x"), "'springs[1].param' must be an integer, got 'x'"),
+            (lambda d: d["springs"][1].update(param=1.9), "'springs[1].param' must be an integer, got 1.9"),
+            (lambda d: d["springs"][1].update(param=True), "'springs[1].param' must be an integer, got True"),
             (lambda d: d.update(parameters="2"), "'parameters' must be an integer"),
             (lambda d: d.update(masses=[1.0, math.nan]), "'masses' must be a list of finite numbers"),
             (lambda d: d.update(masses=[math.inf, 1.0]), "'masses' must be a list of finite numbers"),
             (
                 lambda d: d["springs"].append({"id": "k3", "a": 0, "b": 1, "stiffness": math.nan}),
-                "springs[2] (id 'k3'): 'stiffness' must be a finite number",
+                "'springs[2].stiffness' must be a finite number, got nan",
             ),
         ],
     )
@@ -309,7 +309,7 @@ class TestModelFile:
             model_from_dict(data, source="unit")
 
     def test_bad_endpoint_token(self):
-        with pytest.raises(ConfigurationError, match="endpoint"):
+        with pytest.raises(ConfigurationError, match=re.escape("unit: 'springs[0].a' must be a node index or 'ground'")):
             model_from_dict(
                 {
                     "masses": [1.0],

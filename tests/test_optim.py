@@ -446,12 +446,12 @@ class TestConfigCounts:
     @pytest.mark.parametrize("field", ["archive_size", "n_ants", "max_iterations", "stagnation_window"])
     @pytest.mark.parametrize("value", [2.5, 20.0, True, "20"])
     def test_aco_counts_must_be_integers(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        with pytest.raises(DomainError, match=f"'aco.{field}' must be an integer"):
             AcoConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["swarm_size", "max_iterations", "stagnation_window"])
     def test_pso_counts_must_be_integers(self, field):
-        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        with pytest.raises(DomainError, match=f"'pso.{field}' must be an integer, got 7.5"):
             PsoConfig(**{field: 7.5})
 
     def test_numpy_integers_accepted(self):
@@ -460,7 +460,7 @@ class TestConfigCounts:
     @pytest.mark.parametrize("field", ["q", "xi", "stagnation_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1e-10", None, True])
     def test_aco_reals_must_be_finite_numbers(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+        with pytest.raises(DomainError, match=f"'aco.{field}' must be a finite number"):
             AcoConfig(**{field: value})
 
     @pytest.mark.parametrize(
@@ -468,7 +468,7 @@ class TestConfigCounts:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5"])
     def test_pso_reals_must_be_finite_numbers(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+        with pytest.raises(DomainError, match=f"'pso.{field}' must be a finite number"):
             PsoConfig(**{field: value})
 
     def test_integers_and_numpy_floats_accepted_as_reals(self):
