@@ -113,10 +113,8 @@ def _check_bayes(data: dict, summary: dict) -> None:
     for key in ("mean", "cov_percent"):
         check_value(data, key, shape=(p,))
     _positive("posterior_eigenvalues", check_value(data, "posterior_eigenvalues", shape=(m,), default=None))
-    if not 0.0 <= (rate := check_value(data, "acceptance_rate")) <= 1.0:
-        raise ConfigurationError(f"'acceptance_rate' must lie in [0, 1], got {rate!r}")
-    if (chains := check_value(data, "chains", "integer")) < 1:
-        raise ConfigurationError(f"'chains' must be a positive integer, got {chains!r}")
+    check_value(data, "acceptance_rate", at_least=0, at_most=1)
+    check_value(data, "chains", "integer", at_least=1)
 
 
 def load_summary(bundle_dir) -> dict:

@@ -15,7 +15,6 @@ them, so ``report`` loads none of the four.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 from . import __version__, bundle, report
 from .errors import ConfigurationError, FfemuError, in_file
 from .fuzzy import default_levels
-from .model import read_json
+from .model import read_json, write_json
 from .objective import eigenvalue_to_hz, save_measured
 
 EXIT_OK = 0
@@ -97,9 +96,7 @@ def cmd_bayes(args) -> int:
         "chains": chain.chains,
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
     }
-    with open(out / bundle.BAYES_FILE, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out / bundle.BAYES_FILE, payload)
     labels = report.parameter_labels(config.run.model)
     print(f"{'param':>8} {'mean':>12} {'sd':>12} {'c.o.v. %':>9}")
     for i, label in enumerate(labels):

@@ -8,14 +8,17 @@ measured-data file, result bundle) is checked by ``check_value``: a scalar
 or a list of a stated shape holding integers, finite numbers, strings,
 booleans or objects. A boolean is not a number, and NaN, +-Infinity and an
 integer beyond the float range are not finite (such an integer is not an
-integer here either). A complaint names the value by its path in the file,
-as ``'aco.n_ants'`` or ``'modes[2].eigenvalue'``; ``in_file`` adds the
-file's name, once per file. ``check_settings`` applies the same rule to a
-settings dataclass, field by field, and ``check_keys`` names an unknown key.
+integer here either). Bounds (``at_least``, ``above``, ``at_most``) are
+stated where the value is read and hold for every entry. A complaint names
+the value by its path in the file, as ``'aco.n_ants' must be at least 1,
+got 0``; ``in_file`` adds the file's name, once per file. ``check_settings``
+applies the rule to a settings dataclass, field by field, with each bound
+stated on its field, and ``check_keys`` names an unknown key.
 """
 
 import math
 import numbers
+import operator
 import reprlib
 from contextlib import contextmanager
 from dataclasses import fields
@@ -91,6 +94,7 @@ _KINDS = {
     "boolean": (lambda v: isinstance(v, bool), "true or false", "booleans"),
     "object": (lambda v: isinstance(v, dict), "an object", "objects"),
 }
+_BOUNDS = {"at_least": operator.ge, "above": operator.gt, "at_most": operator.le}
 _REQUIRED = object()
 
 
@@ -115,10 +119,21 @@ def _complaint(label: str, kind: str, shape, value) -> str:
     return f"{label!r} must be {what}, got {reprlib.repr(value)}"
 
 
-def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None, default=_REQUIRED):
+def _check(value, label: str, kind: str, shape, bounds, error=ConfigurationError) -> None:
+    """``value`` must be ``kind`` at ``shape``, every entry within ``bounds``
+    ({"at_least": 1}, say); else an ``error`` naming it as ``label``."""
+    if not _fits(value, _KINDS[kind][0], shape):
+        raise error(_complaint(label, kind, shape, value))
+    for name, bound in bounds.items():
+        if not _fits(value, lambda v: _BOUNDS[name](v, bound), shape):
+            raise error(f"{label!r} must be {name.replace('_', ' ')} {bound!r}, got {reprlib.repr(value)}")
+
+
+def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None, default=_REQUIRED, **bounds):
     """``obj[key]``, which must be ``kind`` ("integer", "number", "string",
     "boolean" or "object") at ``shape``: ``()`` for a scalar, else the
-    length of each list level, -1 for any length.
+    length of each list level, -1 for any length, with every entry
+    ``at_least``, ``above`` or ``at_most`` the number given as ``bounds``.
 
     An absent key gives ``default``, or is a ``ConfigurationError`` when no
     default is given; a key whose default is None may also be null. Any
@@ -131,20 +146,18 @@ def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None,
         if default is _REQUIRED:
             raise ConfigurationError(f"missing required key {label!r}")
         return default
-    if not _fits(value, _KINDS[kind][0], shape):
-        raise ConfigurationError(_complaint(label, kind, shape, value))
+    _check(value, label, kind, shape, bounds)
     return value
 
 
 def check_settings(config, section: str, error=ConfigurationError) -> None:
     """Each field of the settings dataclass ``config`` must hold an integer
-    where its default is an int and a finite number where it is a float;
-    else an ``error`` naming it as ``'<section>.<field>'``."""
+    where its default is an int and a finite number where it is a float,
+    within the bounds stated on the field, as ``field(default=20,
+    metadata={"at_least": 1})``; else an ``error`` naming ``'<section>.<field>'``."""
     for f in fields(config):
         kind = "integer" if type(f.default) is int else "number"
-        value = getattr(config, f.name)
-        if not _fits(value, _KINDS[kind][0], ()):
-            raise error(_complaint(f"{section}.{f.name}", kind, (), value))
+        _check(getattr(config, f.name), f"{section}.{f.name}", kind, (), f.metadata, error)
 
 
 def check_keys(obj: dict, valid, label: str = "") -> None:

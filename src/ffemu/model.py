@@ -237,3 +237,10 @@ def read_json(path) -> dict:
         if not isinstance(data, dict):
             raise ConfigurationError(f"expected a JSON object, got {type(data).__name__}")
     return data
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")

@@ -22,7 +22,6 @@ the squared norm of its row.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .fuzzy import alpha_cuts, triangles
 from .linalg import diagonal_dominates, mac_matrix, pair_modes
-from .model import StructuralModel, read_json
+from .model import StructuralModel, read_json, write_json
 
 __all__ = [
     "MeasuredFuzzyModalData",
@@ -223,9 +222,7 @@ def save_measured(data: MeasuredFuzzyModalData, path) -> None:
     if data.shape_tfns is not None:
         columns["mode_shape_tfns"] = np.swapaxes(data.shape_tfns, 0, 1).tolist()
     modes = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"units": "hz", "modes": modes}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"units": "hz", "modes": modes})
 
 
 def load_measured(path) -> MeasuredFuzzyModalData:
@@ -268,11 +265,10 @@ def load_measured(path) -> MeasuredFuzzyModalData:
             check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
             shapes = {"eigenvalue": (3,), "mode_shape": (n_dof,), "mode_shape_tfns": (n_dof, 3)}
             for key in keys:
-                values[key].append(check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}"))
+                bounds = {"above": 0} if key == "eigenvalue" else {}
+                values[key].append(check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}", **bounds))
             n_dof = len(values["mode_shape"][0])
         eigenvalues = np.array(values["eigenvalue"], dtype=float)
-        if (eigenvalues <= 0.0).any():
-            raise ConfigurationError("eigenvalue triangles must be positive")
         shape_tfns = values.get("mode_shape_tfns")
         return MeasuredFuzzyModalData(
             hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues,

@@ -14,7 +14,7 @@ the objective is a sum of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,29 +80,23 @@ class AcoConfig:
 
     ``q`` spreads the rank weights (small q concentrates sampling on the
     best rows); ``xi`` scales the per-dimension sampling spread and plays
-    the role pheromone evaporation plays in the discrete algorithm. A ``q``
-    that makes the rank roulette table (``aco_cdf``) non-finite is a
-    ``DomainError`` naming ``aco.q``.
+    the role pheromone evaporation plays in the discrete algorithm. Bounds
+    are stated on the fields; ``errors.check_settings`` makes a breach a
+    ``DomainError`` naming ``'aco.<field>'``. A ``q`` that makes the rank
+    roulette table (``aco_cdf``) non-finite is a ``DomainError`` naming
+    ``aco.q``.
     """
 
-    archive_size: int = 10
-    n_ants: int = 20
-    q: float = 0.5
-    xi: float = 1.0
-    max_iterations: int = 300
-    stagnation_window: int = 50
+    archive_size: int = field(default=10, metadata={"at_least": 2})
+    n_ants: int = field(default=20, metadata={"at_least": 1})
+    q: float = field(default=0.5, metadata={"above": 0})
+    xi: float = field(default=1.0, metadata={"above": 0})
+    max_iterations: int = field(default=300, metadata={"at_least": 0})
+    stagnation_window: int = field(default=50, metadata={"at_least": 1})
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
         check_settings(self, "aco", DomainError)
-        if self.archive_size < 2:
-            raise DomainError("archive_size must be at least 2")
-        if self.n_ants < 1:
-            raise DomainError("n_ants must be at least 1")
-        if self.q <= 0.0 or self.xi <= 0.0:
-            raise DomainError("q and xi must be positive")
-        if self.max_iterations < 0 or self.stagnation_window < 1:
-            raise DomainError("invalid iteration limits")
         try:
             with np.errstate(all="ignore"):
                 finite = np.isfinite(aco_cdf(self.archive_size, self.q)).all()
@@ -117,26 +111,22 @@ class PsoConfig:
     """Inertia-weight PSO settings with per-dimension velocity clamping.
 
     ``v_max_fraction`` sets the velocity clamp as a fraction of each
-    dimension's width in the current region.
+    dimension's width in the current region. Bounds are stated on the
+    fields; ``errors.check_settings`` makes a breach a ``DomainError``
+    naming ``'pso.<field>'``.
     """
 
-    swarm_size: int = 80
+    swarm_size: int = field(default=80, metadata={"at_least": 2})
     inertia: float = 0.729
     cognitive: float = 1.494
     social: float = 1.494
-    v_max_fraction: float = 0.5
-    max_iterations: int = 300
-    stagnation_window: int = 50
+    v_max_fraction: float = field(default=0.5, metadata={"above": 0, "at_most": 1})
+    max_iterations: int = field(default=300, metadata={"at_least": 0})
+    stagnation_window: int = field(default=50, metadata={"at_least": 1})
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
         check_settings(self, "pso", DomainError)
-        if self.swarm_size < 2:
-            raise DomainError("swarm_size must be at least 2")
-        if not 0.0 < self.v_max_fraction <= 1.0:
-            raise DomainError("v_max_fraction must be in (0, 1]")
-        if self.max_iterations < 0 or self.stagnation_window < 1:
-            raise DomainError("invalid iteration limits")
 
 
 @dataclass
@@ -218,11 +208,8 @@ class SolutionArchive:
 
 
 def aco_weights(archive_size: int, q: float) -> np.ndarray:
-    """Rank weights: a Gaussian in (rank - 1) with spread q * archive_size."""
-    if archive_size < 1:
-        raise DomainError("archive_size must be at least 1")
-    if q <= 0.0:
-        raise DomainError("q must be positive")
+    """Rank weights: a Gaussian in (rank - 1) with spread q * archive_size,
+    for an ``archive_size`` and ``q`` that ``AcoConfig`` has checked."""
     ranks = np.arange(1, archive_size + 1, dtype=float)
     norm = 1.0 / (q * archive_size * math.sqrt(2.0 * math.pi))
     return norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))

@@ -364,22 +364,21 @@ class McmcConfig:
     kept in total, over all ``bayes.CHAINS`` chains, each of which drops
     its own first ``burn_in``. Every proposal step is ``proposal_fraction``
     times the box width, per parameter, and ``likelihood_sd`` is the
-    relative eigenvalue noise scale (dimensionless).
+    relative eigenvalue noise scale (dimensionless). Bounds are stated on
+    the fields, and ``errors.check_settings`` names a breach as
+    ``'bayes.<field>'``; ``n_samples`` must also exceed ``burn_in``.
     """
 
     n_samples: int = 10000
-    burn_in: int = 1000
-    proposal_fraction: float = 0.01
-    likelihood_sd: float = 0.01
+    burn_in: int = field(default=1000, metadata={"at_least": 0})
+    proposal_fraction: float = field(default=0.01, metadata={"above": 0})
+    likelihood_sd: float = field(default=0.01, metadata={"above": 0})
 
     def __post_init__(self):
         check_settings(self, "bayes")
-        if not self.n_samples > self.burn_in >= 0:
-            raise ConfigurationError("need n_samples > burn_in >= 0")
-        if self.proposal_fraction <= 0.0 or self.likelihood_sd <= 0.0:
+        if self.n_samples <= self.burn_in:
             raise ConfigurationError(
-                f"proposal_fraction and likelihood_sd must be positive, got "
-                f"{self.proposal_fraction!r} and {self.likelihood_sd!r}"
+                f"'bayes.n_samples' must be above 'bayes.burn_in' ({self.burn_in!r}), got {self.n_samples!r}"
             )
 
 
@@ -410,7 +409,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
     keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``.
     Every value goes through ``errors.check_value`` or
     ``errors.check_settings``, so a key outside ``RUN_KEYS``, an unknown key
-    in a section, or a value of the wrong kind or shape is a
+    in a section, or a value of the wrong kind, shape or range is a
     ``ConfigurationError`` naming the file and the key, as
     ``'aco.n_ants'``; an error in the model or measured-data file names
     that file. ``seed_override`` (``--seed``) replaces the config's seed.

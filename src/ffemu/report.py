@@ -11,7 +11,6 @@ bundle's JSON files back, and checking them, is ``bundle``'s job; its
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bundle import SUMMARY_FILE, cut_stack
 from .fuzzy import AlphaCutStack, alpha_cuts, write_cuts_csv, write_membership_csv
-from .model import StructuralModel
+from .model import StructuralModel, write_json
 from .objective import eigenvalue_to_hz
 
 __all__ = [
@@ -91,9 +90,7 @@ def write_bundle(out_dir, run, result) -> Path:
         "initial_eigenvalues": initial_eigs,
         "updated_eigenvalues": outputs.lo[0].tolist(),
     }
-    with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(out / SUMMARY_FILE, summary)
 
     _write_history(out / "history.csv", result)
     regenerate_curves(out, summary)

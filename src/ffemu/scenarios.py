@@ -52,11 +52,12 @@ def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
 
 
 def bundled_truth_spec(kind: str = "fuzzy") -> dict:
-    """Packaged truth specification, ``kind`` one of 'fuzzy' or 'crisp'."""
-    if kind not in ("fuzzy", "crisp"):
+    """Bundled truth specification at ``THETA_TRUE``, ``kind`` one of 'fuzzy'
+    (a 5% spread) or 'crisp' (none)."""
+    fractions = {"fuzzy": 0.05, "crisp": 0.0}
+    if kind not in fractions:
         raise ConfigurationError(f"unknown bundled truth {kind!r}; use 'fuzzy' or 'crisp'")
-    text = resources.files("ffemu.data").joinpath(f"truth_{kind}.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    return {"theta_true": THETA_TRUE.tolist(), "spread_fraction": fractions[kind]}
 
 
 def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, label: str = ""):
@@ -74,12 +75,10 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, la
     d = model.parameter_count
     theta_true = np.asarray(check_value(spec, "theta_true", shape=(d,), label=f"{label}theta_true"), dtype=float)
     spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None)
-    fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0)
+    fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0, at_least=0)
     shape_tfns = check_value(spec, "shape_tfns", "boolean", label=f"{label}shape_tfns", default=False)
     if spreads is not None and "spread_fraction" in spec:
         raise ConfigurationError(f"give either '{label}spreads' or '{label}spread_fraction', not both")
-    if fraction < 0.0:
-        raise ConfigurationError(f"'{label}spread_fraction' must be non-negative, got {fraction!r}")
     if spreads is None:
         spreads = float(fraction) * theta_true
     return simulate_measurements(model, theta_true, spreads, levels=levels, shape_tfns=shape_tfns)

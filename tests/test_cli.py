@@ -247,15 +247,15 @@ class TestReport:
             ),
             ("bayes_summary.json", lambda d: d.update(chains=True), "'chains' must be an integer, got True"),
             ("bayes_summary.json", lambda d: d.update(chains="16"), "'chains' must be an integer, got '16'"),
-            ("bayes_summary.json", lambda d: d.update(chains=0), "'chains' must be a positive integer, got 0"),
-            ("bayes_summary.json", lambda d: d.update(chains=-16), "'chains' must be a positive integer, got -16"),
+            ("bayes_summary.json", lambda d: d.update(chains=0), "'chains' must be at least 1, got 0"),
+            ("bayes_summary.json", lambda d: d.update(chains=-16), "'chains' must be at least 1, got -16"),
             *[
                 (
                     "bayes_summary.json",
                     lambda d, rate=rate: d.update(acceptance_rate=rate),
-                    f"'acceptance_rate' must lie in [0, 1], got {rate!r}",
+                    f"'acceptance_rate' must be {bound}, got {rate!r}",
                 )
-                for rate in (-0.25, 1.5)
+                for rate, bound in ((-0.25, "at least 0"), (1.5, "at most 1"))
             ],
             (
                 "bayes_summary.json",
@@ -476,7 +476,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("spread_fraction", -0.1, "'spread_fraction' must be non-negative, got -0.1"),
+            ("spread_fraction", -0.1, "'spread_fraction' must be at least 0, got -0.1"),
             (
                 "spread_fractions",
                 0.5,
@@ -491,6 +491,12 @@ class TestSimulate:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {truth}: {message}\n"
         assert not (tmp_path / "m.json").exists()
+
+    def test_bundled_truth_specs(self):
+        theta = "[4000.0, 2200.0, 2120.0, 2600.0, 2400.0]"
+        for kind, fraction in [("fuzzy", "0.05"), ("crisp", "0.0")]:
+            spec = scenarios.bundled_truth_spec(kind)
+            assert json.dumps(spec) == f'{{"theta_true": {theta}, "spread_fraction": {fraction}}}'
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_no_levels_is_a_configuration_error(self, count, tmp_path, capsys):
@@ -534,7 +540,7 @@ class TestMeasuredFile:
             (0, "mode_shape", 1, math.nan, "'modes[0].mode_shape' must be a list of finite numbers, got ["),
             (4, "mode_shape", 0, "0.5", "'modes[4].mode_shape' must be a list of 5 finite numbers, got ['0.5', "),
             (2, "mode_shape_tfns", 3, [0.1, None, 0.2], "'modes[2].mode_shape_tfns' must be a list of 5 rows of 3"),
-            (0, "eigenvalue", 0, -0.7, "eigenvalue triangles must be positive"),
+            (0, "eigenvalue", 0, -0.7, "'modes[0].eigenvalue' must be above 0, got [-0.7, "),
             (0, "eigenvalue", 0, 1e6, "triangular vertices out of order"),
             (3, "mode_shape_tfns", 1, [0.1, 0.2], "'modes[3].mode_shape_tfns' must be a list of 5 rows of 3"),
             (3, "mode_shape", None, None, "missing required key 'modes[3].mode_shape'"),
@@ -632,7 +638,7 @@ class TestNonNumericConfigValues:
             ("aco", 5, "'aco' must be an object"),
             ("pso", "xy", "'pso' must be an object"),
             ("aco", {"n_ants": 2.5}, "'aco.n_ants' must be an integer, got 2.5"),
-            ("aco", {"n_ants": 0}, "n_ants must be at least 1"),
+            ("aco", {"n_ants": 0}, "'aco.n_ants' must be at least 1, got 0"),
             ("pso", {"swarm_size": True}, "'pso.swarm_size' must be an integer, got True"),
             (
                 "aco",
@@ -663,7 +669,7 @@ class TestNonNumericConfigValues:
             (
                 "truth",
                 {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": -0.1},
-                "'truth.spread_fraction' must be non-negative, got -0.1",
+                "'truth.spread_fraction' must be at least 0, got -0.1",
             ),
             ("alpha_levels", 0, "'alpha_levels' must be a level count of at least 1"),
             ("alpha_levels", True, "'alpha_levels' must be a level count of at least 1"),

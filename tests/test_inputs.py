@@ -3,7 +3,9 @@
 Each file the CLI reads (run config, truth spec, model file, measured-data
 file and the result bundle's two summaries) gets one table: at each numeric
 key, a boolean, a string, NaN, Infinity, an integer beyond the float range
-and a nested list must each exit 1, naming the file and the key.
+and a nested list must each exit 1, naming the file and the key. A second
+table sets each bounded key just outside its range: each case must exit 1,
+naming the file, the key and the value.
 """
 
 import json
@@ -129,9 +131,9 @@ MEASURED_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
-@pytest.mark.parametrize("where, label", MEASURED_KEYS, ids=[label for _, label in MEASURED_KEYS])
-def test_measured_file_value(measured, where, label, value, tmp_path, capsys):
+def update_with_measured(measured, where, value, tmp_path):
+    """Exit code of ``ffemu update`` on the measured-data file ``measured``
+    with ``value`` set at ``where``, and that file's path."""
     data = json.loads(json.dumps(measured))
     set_at(data, where, value)
     path = tmp_path / "m.json"
@@ -140,10 +142,17 @@ def test_measured_file_value(measured, where, label, value, tmp_path, capsys):
     del config["truth"]
     config.update(measured="m.json", alpha_levels=2)
     (tmp_path / "run.json").write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert cli.main(["update", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == cli.EXIT_CONFIG
+    code = cli.main(["update", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return code, path
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+@pytest.mark.parametrize("where, label", MEASURED_KEYS, ids=[label for _, label in MEASURED_KEYS])
+def test_measured_file_value(measured, where, label, value, tmp_path, capsys):
+    code, path = update_with_measured(measured, where, value, tmp_path)
+    assert code == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, path, label)
-    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +209,52 @@ def test_bundle_value(bundle, name, where, label, value, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, copy / name, label)
+
+
+def assert_names_file_key_and_value(capsys, path, label, value):
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: '{label}' must be "), err
+    assert err.endswith(f", got {value!r}\n"), err
+
+
+OUT_OF_RANGE = [
+    (("aco", "archive_size"), 1),
+    (("aco", "n_ants"), 0),
+    (("aco", "q"), 0),
+    (("aco", "xi"), -1),
+    (("aco", "max_iterations"), -1),
+    (("aco", "stagnation_window"), 0),
+    (("pso", "swarm_size"), 1),
+    (("pso", "v_max_fraction"), 0),
+    (("pso", "v_max_fraction"), 1.5),
+    (("pso", "max_iterations"), -1),
+    (("pso", "stagnation_window"), 0),
+    (("bayes", "burn_in"), -1),
+    (("bayes", "n_samples"), scenarios.bundled_run_config()["bayes"]["burn_in"]),
+    (("bayes", "proposal_fraction"), 0),
+    (("bayes", "likelihood_sd"), 0),
+    (("truth", "spread_fraction"), -0.1),
+]
+
+
+@pytest.mark.parametrize("where, value", OUT_OF_RANGE, ids=[f"{'.'.join(w)}={v}" for w, v in OUT_OF_RANGE])
+def test_run_config_value_out_of_range(where, value, tmp_path, capsys):
+    config = scenarios.bundled_run_config(seed=2)
+    config["alpha_levels"] = 2
+    set_at(config, where, value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert_names_file_key_and_value(capsys, path, ".".join(where), value)
+    assert not out.exists()
+
+
+def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):
+    code, path = update_with_measured(measured, ("modes", 2, "eigenvalue", 0), -1, tmp_path)
+    assert code == cli.EXIT_CONFIG
+    value = [-1, *measured["modes"][2]["eigenvalue"][1:]]
+    assert_names_file_key_and_value(capsys, path, "modes[2].eigenvalue", value)
 
 
 @pytest.mark.parametrize(

@@ -57,12 +57,6 @@ class TestWeights:
         for q in (0.1, 0.5, 2.0):
             assert aco_weights(1, q)[0] == pytest.approx(1.0 / (q * math.sqrt(2 * math.pi)), rel=1e-15)
 
-    def test_invalid_args(self):
-        with pytest.raises(DomainError):
-            aco_weights(0, 0.5)
-        with pytest.raises(DomainError):
-            aco_weights(10, 0.0)
-
 
 def roulette_probabilities(archive_size, q):
     """The rank weights normalised into selection probabilities, the ``p``
@@ -476,9 +470,88 @@ class TestConfigCounts:
         assert (config.q, config.xi, config.stagnation_tolerance) == (1, 0.5, 0)
 
 
+def reference_pso(f, region, config, seed, initial=None):
+    """``pso_minimize`` as the textbook loop: per iteration uniform r1 and
+    r2, the inertia-weight velocity update, ``np.clip`` of the velocity and
+    the position, strict personal- and global-best updates particle by
+    particle, and the stagnation rule."""
+    rng = np.random.default_rng(seed)
+    size, dim = config.swarm_size, region.lo.size
+    seeds = np.empty((0, dim))
+    if initial is not None:
+        seeds = np.clip(np.reshape(initial, (-1, dim))[:size], region.lo, region.hi)
+    drawn = np.clip(rng.uniform(region.lo, region.hi, size=(size - len(seeds), dim)), region.lo, region.hi)
+    x = np.vstack([seeds, drawn])
+    fx = f(x)
+    v_max = config.v_max_fraction * (region.hi - region.lo)
+    v = np.zeros_like(x)
+    pbest_x, pbest_f = x.copy(), fx.copy()
+    g = int(np.argmin(pbest_f))
+    gbest_x, gbest_f = pbest_x[g].copy(), pbest_f[g]
+    history_best, history_mean = [gbest_f], [fx.mean()]
+    evaluations, stop_reason = size, "max_iterations"
+    for _ in range(config.max_iterations):
+        r1 = rng.uniform(size=(size, dim))
+        r2 = rng.uniform(size=(size, dim))
+        v = config.inertia * v + config.cognitive * r1 * (pbest_x - x) + config.social * r2 * (gbest_x - x)
+        v = np.clip(v, -v_max, v_max)
+        x = np.clip(x + v, region.lo, region.hi)
+        fx = f(x)
+        evaluations += size
+        for i in range(size):
+            if fx[i] < pbest_f[i]:
+                pbest_x[i], pbest_f[i] = x[i], fx[i]
+        g = int(np.argmin(pbest_f))
+        if pbest_f[g] < gbest_f:
+            gbest_x, gbest_f = pbest_x[g].copy(), pbest_f[g]
+        history_best.append(gbest_f)
+        history_mean.append(fx.mean())
+        window = config.stagnation_window
+        if len(history_best) > window and (
+            history_best[-1 - window] - history_best[-1] < config.stagnation_tolerance
+        ):
+            stop_reason = "stagnation"
+            break
+    return pbest_x, pbest_f, gbest_x, np.array(history_best), np.array(history_mean), evaluations, stop_reason
+
+
 class TestPsoMinimize:
     def box5(self):
         return Box(-5.0 * np.ones(5), 5.0 * np.ones(5))
+
+    @pytest.mark.parametrize("swarm_size", [2, 15])
+    @pytest.mark.parametrize("case", ["plain", "warm start", "stagnation", "pinched"])
+    def test_bitwise_equal_to_textbook_loop(self, swarm_size, case):
+        lo, hi = np.array([-2.0, -1.0, 0.5, -3.0]), np.array([2.0, 3.0, 4.0, -0.5])
+        if case == "pinched":
+            lo[1] = hi[1] = 0.25  # a zero-width coordinate
+        region = Box(lo, hi)
+        settings = dict(swarm_size=swarm_size, inertia=0.6, cognitive=1.7, social=1.3, v_max_fraction=0.3)
+        settings.update(max_iterations=60, stagnation_window=100)
+        if case == "stagnation":
+            settings.update(max_iterations=400, stagnation_window=6, stagnation_tolerance=1e-3)
+        config = PsoConfig(**settings)
+        initial = None
+        if case == "warm start":  # two starts, one outside the box: clipped
+            initial = [[0.5, 0.5, 1.0, -1.0], [9.0, -9.0, 2.0, -2.0]]
+        center = np.array([0.7, 1.3, 3.9, -2.2])
+
+        def f(x):  # flat near the centre, so new points tie with personal bests
+            return np.maximum(np.sum((x - center) ** 2, axis=1) + 0.1 * np.sin(7.0 * x).sum(axis=1), 0.5)
+
+        for seed in (3, 4):
+            res = pso_minimize(f, region, config, seed, initial=initial)
+            pbest_x, pbest_f, best_x, history_best, history_mean, evaluations, stop_reason = reference_pso(
+                f, region, config, seed, initial
+            )
+            assert res.stop_reason == stop_reason == ("stagnation" if case == "stagnation" else "max_iterations")
+            assert res.n_evaluations == evaluations
+            assert res.n_iterations == history_best.size - 1
+            assert res.history_best.tobytes() == history_best.tobytes()
+            assert res.history_mean.tobytes() == history_mean.tobytes()
+            assert res.population_x.tobytes() == pbest_x.tobytes()
+            assert res.population_f.tobytes() == pbest_f.tobytes()
+            assert res.best_x.tobytes() == best_x.tobytes()
 
     def test_sphere_ten_seed_median(self):
         center = np.array([1.0, -2.0, 0.5, 3.0, -4.0])
@@ -598,17 +671,21 @@ class TestLeastSquaresPolish:
 
 class TestConfigValidation:
     def test_aco_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'aco.archive_size' must be at least 2, got 1$"):
             AcoConfig(archive_size=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'aco.q' must be above 0, got -1.0$"):
             AcoConfig(q=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'aco.xi' must be above 0, got 0.0$"):
             AcoConfig(xi=0.0)
 
     def test_pso_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'pso.swarm_size' must be at least 2, got 1$"):
             PsoConfig(swarm_size=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'pso.v_max_fraction' must be above 0, got 0.0$"):
             PsoConfig(v_max_fraction=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^'pso.v_max_fraction' must be at most 1, got 1.5$"):
             PsoConfig(v_max_fraction=1.5)
+
+    def test_bounds_are_inclusive_where_stated(self):
+        AcoConfig(archive_size=2, n_ants=1, max_iterations=0, stagnation_window=1)
+        PsoConfig(swarm_size=2, v_max_fraction=1.0, max_iterations=0, stagnation_window=1)
