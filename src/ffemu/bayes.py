@@ -26,12 +26,13 @@ from increment to log posterior is elementwise or a per-matrix
 eigensolve), so every chain equals, bit for bit, the one-row sequential
 chain on its own streams.
 
-Every chain starts at the run's ``theta_initial`` (or the box centre) and
-drops its first ``burn_in`` states. Together the chains keep ``n_samples -
-burn_in`` states: with k, r = divmod(n_samples - burn_in, ``CHAINS``),
-chain c keeps k + 1 of them if c < r, else k, so the chains make
-``CHAINS`` x ``burn_in`` + ``n_samples`` - ``burn_in`` steps in all. The
-kept states are stored chain-major: chain 0's, then chain 1's, and so on.
+Every chain starts at the run's ``theta_initial`` (or the box centre),
+drops its first ``burn_in`` states and keeps the next s, with s =
+ceil((``n_samples`` - ``burn_in``) / ``CHAINS``), so every chain makes the
+same ``burn_in`` + s steps. The kept states are stored chain-major: chain
+0's s, then chain 1's, and so on. The run publishes the first ``n_samples
+- burn_in`` of them, so the last chain or chains publish fewer than s, and
+fewer than ``CHAINS`` kept states go unpublished.
 
 Why 16 chains, each with its own full burn-in: on the bundled run config
 at 40,000 samples (burn-in 1,000, proposal fraction 0.01), on one pinned
@@ -70,15 +71,11 @@ CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 @dataclass
 class Chain:
-    """Post-burn-in samples (rows, chain-major) plus the whole-run acceptance rate.
-
-    ``chains`` counts the chains whose kept states ``samples`` holds, one
-    block after another.
-    """
+    """Published post-burn-in samples (rows, chain-major) plus the acceptance
+    rate over every proposal of every chain, burn-in included."""
 
     samples: np.ndarray
     acceptance_rate: float
-    chains: int
 
 
 @dataclass
@@ -153,42 +150,39 @@ def mh_sample(run: FfemuRun, config: McmcConfig) -> Chain:
 def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
     """The chains of ``mh_sample``, all from ``start``, whose log posterior is ``lp``."""
     burn, d = config.burn_in, start.size
-    k, r = divmod(config.n_samples - burn, CHAINS)
-    kept = k + (np.arange(CHAINS) < r)
-    # the trace holds every chain's burn-in block, chain after chain, then
-    # every chain's kept block; each step's increment is drawn into the row
-    # of the state it leads to, and that state overwrites it
-    burn_rows = burn * np.arange(CHAINS)
-    kept_rows = CHAINS * burn + np.cumsum(kept) - kept
-    trace = np.empty((CHAINS * burn + config.n_samples - burn, d))
-    log_u = np.ones((CHAINS, burn + k + 1))  # a chain that keeps k makes no last step: log 1, never read
+    s = -(-(config.n_samples - burn) // CHAINS)  # steps each chain makes after its burn-in
+    # step t's increments are drawn into burned[:, t] (kept[:, t - burn]
+    # after the burn-in), and the states they lead to overwrite them
+    burned, kept = np.empty((CHAINS, burn, d)), np.empty((CHAINS, s, d))
+    log_u = np.empty((CHAINS, burn + s))
     for c, seed in enumerate(np.random.SeedSequence(run.seed).spawn(CHAINS)):
         normals, uniforms = map(np.random.default_rng, seed.spawn(2))
-        normals.standard_normal(out=trace[burn_rows[c] : burn_rows[c] + burn])
-        normals.standard_normal(out=trace[kept_rows[c] : kept_rows[c] + kept[c]])
-        uniforms.random(out=log_u[c, : burn + kept[c]])
-    trace *= config.proposal_fraction * (run.theta_max - run.theta_min)
+        normals.standard_normal(out=burned[c])
+        normals.standard_normal(out=kept[c])
+        uniforms.random(out=log_u[c])
+    steps = config.proposal_fraction * (run.theta_max - run.theta_min)
+    burned *= steps
+    kept *= steps
     np.log(log_u, out=log_u)
 
     states = np.tile(start, (CHAINS, 1))
     lps = np.full(CHAINS, lp)
     accepted = 0
-    for t in range(burn + k + (r > 0)):
-        m = CHAINS if t < burn + k else r  # the last step belongs to the chains that keep k + 1
-        rows = (burn_rows + t if t < burn else kept_rows + (t - burn))[:m]
-        now, lp_now = states[:m], lps[:m]
-        proposals = now + trace[rows]
+    for t in range(burn + s):
+        row = burned[:, t] if t < burn else kept[:, t - burn]
+        proposals = states + row
         lp_new = log_posterior_batch(proposals, lam_m, run, config)
-        accept = log_u[:m, t] < lp_new - lp_now
-        np.copyto(now, proposals, where=accept[:, None])
-        np.copyto(lp_now, lp_new, where=accept)
+        accept = log_u[:, t] < lp_new - lps
+        np.copyto(states, proposals, where=accept[:, None])
+        np.copyto(lps, lp_new, where=accept)
         accepted += int(np.count_nonzero(accept))
-        trace[rows] = now
+        row[...] = states
     if accepted == 0:
         raise DiagnosticsError(
             "no proposal was ever accepted; decrease proposal_fraction (or check the likelihood)"
         )
-    return Chain(samples=trace[CHAINS * burn :], acceptance_rate=accepted / len(trace), chains=CHAINS)
+    samples = kept.reshape(-1, d)[: config.n_samples - burn]
+    return Chain(samples=samples, acceptance_rate=accepted / log_u.size)
 
 
 def summarize(chain: Chain) -> ChainSummary:
@@ -215,10 +209,11 @@ def write_chain_csv(chain: Chain, path) -> None:
     r"""Dump samples as (sample_index, theta_0, ..., theta_d-1) rows.
 
     The rows are ``chain.samples`` in order, so chain-major for a lockstep
-    run: chain 0's kept states, then chain 1's, and so on, with
-    ``sample_index`` counting 0, 1, ... across the chains, not restarting
-    in each. Fields are comma-separated, lines end in ``\r\n``, and every value is
-    its shortest round-trip ``repr``, so reading the file back gives the
+    run: chain 0's s published states, then chain 1's, and so on, the last
+    chain or chains publishing fewer, with ``sample_index`` counting 0, 1,
+    ... across the chains, not restarting in each. Fields are
+    comma-separated, lines end in ``\r\n``, and every value is its
+    shortest round-trip ``repr``, so reading the file back gives the
     samples bit for bit. Rows are formatted ``CSV_CHUNK`` at a time, and a
     row that repeats the previous one bit for bit (a rejected step) reuses
     its text.

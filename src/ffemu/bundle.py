@@ -57,9 +57,10 @@ def cut_stack(summary: dict, group: str) -> AlphaCutStack:
 def _check_summary(data: dict) -> None:
     """Check every ``summary.json`` field the report and the curves read."""
     n = len(check_value(data, "alpha_levels", shape=(-1,)))
-    if n == 0:
-        raise ConfigurationError("'alpha_levels' must not be empty")
     params = check_value(data, "parameters", "object", (-1,))
+    for key, entries in [("alpha_levels", n), ("parameters", params)]:
+        if not entries:
+            raise ConfigurationError(f"{key!r} must not be empty")
     outputs = check_value(data, "outputs", "object", (-1,))
     meta = check_value(data, "metadata", "object")
     for group, entries, fields in [
@@ -70,14 +71,12 @@ def _check_summary(data: dict) -> None:
             for key, kind in fields:
                 check_value(entry, key, kind, label=f"{group}[{i}].{key}")
     p, m = len(params), len(outputs)
-    for key, shape in [
-        ("measured_eigenvalue_tfns", (m, 3)),
-        ("updated_eigenvalues", (m,)),
-        ("objective_per_level", (n,)),
-    ]:
-        check_value(data, key, shape=shape)
-    for key, shape in [("theta_initial", (p,)), ("initial_eigenvalues", (m,))]:
-        check_value(data, key, shape=shape, default=None)
+    # the report takes the square root of every eigenvalue
+    check_value(data, "measured_eigenvalue_tfns", shape=(m, 3), above=0)
+    check_value(data, "updated_eigenvalues", shape=(m,), above=0)
+    check_value(data, "objective_per_level", shape=(n,))
+    check_value(data, "theta_initial", shape=(p,), default=None)
+    check_value(data, "initial_eigenvalues", shape=(m,), default=None, above=0)
     for key, kind, shape in [
         ("optimizer", "string", ()),
         ("seed", "integer", ()),
@@ -90,19 +89,13 @@ def _check_summary(data: dict) -> None:
         ("stop_reasons", "string", (n,)),
     ]:
         check_value(meta, key, kind, shape, f"metadata.{key}")
-    for key in ("updated_eigenvalues", "initial_eigenvalues", "measured_eigenvalue_tfns"):
-        _positive(key, data.get(key))
     cut_stack(data, "parameters")
-    for j, lows in enumerate(cut_stack(data, "outputs").lo.T):
-        _positive(f"outputs[{j}].cuts", lows)
+    lows = cut_stack(data, "outputs").lo
+    if (hits := np.argwhere(lows <= 0.0)).size:
+        k, j = hits[0]
+        bound = f"lower bounds above 0, got {lows[k, j].item()!r} in row {k}"
+        raise ConfigurationError(f"'outputs[{j}].cuts' must have {bound}")
     triangles(data["measured_eigenvalue_tfns"])
-
-
-def _positive(label: str, values) -> None:
-    """``values``, eigenvalues whose square root the report takes, must all
-    be positive; None (an absent optional field) passes."""
-    if values is not None and not (np.asarray(values, dtype=float) > 0.0).all():
-        raise ConfigurationError(f"{label!r} must hold positive eigenvalues")
 
 
 def _check_bayes(data: dict, summary: dict) -> None:
@@ -112,7 +105,7 @@ def _check_bayes(data: dict, summary: dict) -> None:
     p, m = len(summary["parameters"]), len(summary["outputs"])
     for key in ("mean", "cov_percent"):
         check_value(data, key, shape=(p,))
-    _positive("posterior_eigenvalues", check_value(data, "posterior_eigenvalues", shape=(m,), default=None))
+    check_value(data, "posterior_eigenvalues", shape=(m,), above=0)
     check_value(data, "acceptance_rate", at_least=0, at_most=1)
     check_value(data, "chains", "integer", at_least=1)
 

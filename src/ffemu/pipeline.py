@@ -360,13 +360,15 @@ class McmcConfig:
     section of a run config.
 
     The prior box, the chain start, the seed, the model and the measured
-    data are the run's (``FfemuRun``). ``n_samples - burn_in`` states are
-    kept in total, over all ``bayes.CHAINS`` chains, each of which drops
-    its own first ``burn_in``. Every proposal step is ``proposal_fraction``
-    times the box width, per parameter, and ``likelihood_sd`` is the
-    relative eigenvalue noise scale (dimensionless). Bounds are stated on
-    the fields, and ``errors.check_settings`` names a breach as
-    ``'bayes.<field>'``; ``n_samples`` must also exceed ``burn_in``.
+    data are the run's (``FfemuRun``). Each of the ``bayes.CHAINS`` chains
+    drops its own first ``burn_in`` states and keeps the next s =
+    ceil((``n_samples - burn_in``) / ``bayes.CHAINS``); the first
+    ``n_samples - burn_in`` kept states, chain-major, are published. Every
+    proposal step is ``proposal_fraction`` times the box width, per
+    parameter, and ``likelihood_sd`` is the relative eigenvalue noise scale
+    (dimensionless). Bounds are stated on the fields, and
+    ``errors.check_settings`` names a breach as ``'bayes.<field>'``;
+    ``n_samples`` must also exceed ``burn_in``.
     """
 
     n_samples: int = 10000
@@ -454,7 +456,9 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
             aco=_settings(raw, "aco", AcoConfig),
             pso=_settings(raw, "pso", PsoConfig),
             levels=levels,
-            weights=tuple(check_value(weights, key, label=f"weights.{key}", default=1.0) for key in WEIGHT_KEYS),
+            weights=tuple(
+                check_value(weights, key, label=f"weights.{key}", default=1.0, at_least=0) for key in WEIGHT_KEYS
+            ),
             seed=check_value(raw, "seed", "integer", default=0) if seed_override is None else seed_override,
             theta_initial=check_value(raw, "theta_initial", shape=(-1,), default=None),
         )

@@ -193,7 +193,7 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     measured_hz = hz([t[1] for t in summary["measured_eigenvalue_tfns"]])
     updated_hz = hz(summary["updated_eigenvalues"])
     initial_hz = hz(summary.get("initial_eigenvalues"))
-    bayes_hz = None if bayes is None else hz(bayes.get("posterior_eigenvalues"))
+    bayes_hz = None if bayes is None else hz(bayes["posterior_eigenvalues"])
     support_lo, support_hi = hz([outputs.lo[-1], outputs.hi[-1]])
     err_initial, err_updated, err_bayes = [], [], []
     for j, out in enumerate(summary["outputs"]):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ffemu import scenarios
+from ffemu import bayes, scenarios
 from ffemu.bayes import (
     CHAINS,
     CSV_CHUNK,
@@ -76,31 +76,32 @@ def proposal_steps(run, config):
     return config.proposal_fraction * (run.theta_max - run.theta_min)
 
 
-def chain_steps(config, c):
-    """Steps chain c makes: its burn-in, then its share of the kept states."""
-    k, r = divmod(config.n_samples - config.burn_in, CHAINS)
-    return config.burn_in + k + (c < r)
+def kept_steps(config):
+    """Steps every chain makes after its burn-in: s = ceil((n_samples - burn_in) / 16)."""
+    return math.ceil((config.n_samples - config.burn_in) / CHAINS)
 
 
 def chain_blocks(chain, config):
-    """``chain.samples`` split into the chains' kept blocks, chain-major."""
-    sizes = [chain_steps(config, c) - config.burn_in for c in range(CHAINS)]
-    assert chain.chains == CHAINS and len(chain.samples) == sum(sizes)
-    return np.split(chain.samples, np.cumsum(sizes)[:-1])
+    """``chain.samples`` split into the chains' published blocks, chain-major:
+    s rows each, but fewer for the last chain or chains."""
+    s = kept_steps(config)
+    assert len(chain.samples) == config.n_samples - config.burn_in > CHAINS * (s - 1)
+    return [chain.samples[c * s : (c + 1) * s] for c in range(CHAINS)]
 
 
 def sequential_chain(run, config, c):
     """The one-step-at-a-time definition of chain c: each step draws d
     normals from the first child stream of
     ``SeedSequence(run.seed).spawn(CHAINS)[c]`` and one uniform from the
-    second. Returns the kept states and the number of accepted steps."""
+    second, for ``burn_in`` + s steps. Returns the s kept states and the
+    number of accepted steps."""
     seed = np.random.SeedSequence(run.seed).spawn(CHAINS)[c]
     normals, uniforms = map(np.random.default_rng, seed.spawn(2))
     theta = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
     lp = log_posterior_row(theta, run, config)
-    kept = np.empty((chain_steps(config, c) - config.burn_in, theta.size))
+    kept = np.empty((kept_steps(config), theta.size))
     accepted = 0
-    for i in range(chain_steps(config, c)):
+    for i in range(config.burn_in + kept_steps(config)):
         proposal = theta + normals.normal(0.0, proposal_steps(run, config))
         lp_prop = log_posterior_row(proposal, run, config)
         if np.log(uniforms.uniform()) < lp_prop - lp:
@@ -119,17 +120,16 @@ def five_dof_chain_config(proposal_fraction, **overrides):
 
 
 def assert_equals_sequential(run, config):
-    """Each chain of ``mh_sample`` equals its one-row sequential reference bit
-    for bit, and the acceptance rate counts every step of every chain."""
+    """Each chain's published block of ``mh_sample`` is a prefix, bit for bit,
+    of its one-row sequential reference's kept states, and the acceptance
+    rate counts every step of every chain, published or not."""
     chain = mh_sample(run, config)
     accepted = 0
     for c, block in enumerate(chain_blocks(chain, config)):
         samples, chain_accepted = sequential_chain(run, config, c)
-        assert block.tobytes() == samples.tobytes(), c
+        assert block.tobytes() == samples[: len(block)].tobytes(), c
         accepted += chain_accepted
-    steps = sum(chain_steps(config, c) for c in range(CHAINS))
-    assert steps == CHAINS * config.burn_in + config.n_samples - config.burn_in
-    assert chain.acceptance_rate == accepted / steps
+    assert chain.acceptance_rate == accepted / (CHAINS * (config.burn_in + kept_steps(config)))
     return chain
 
 
@@ -252,34 +252,15 @@ class TestLockstepChains:
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
         mh_sample(run, config)
         monkeypatch.undo()
-        # 900 = 56 x 16 + 4 kept states: 156 full steps, then one 4-row step
-        steps = config.burn_in + 56
-        assert solves[0] == 1 and len(solves) <= 1 + steps + 1
+        # 900 kept states: s = 57 steps after the burn-in, 157 steps in all
+        steps = config.burn_in + 57
+        assert solves[0] == 1 and len(solves) <= 1 + steps
         assert sum(0 < rows < CHAINS for rows in solves[1 : 1 + steps]) > steps // 2
         assert_equals_sequential(run, config)
 
     def test_burn_in_zero(self):
         chain = assert_equals_sequential(five_dof_run(), five_dof_chain_config(0.03, burn_in=0))
         assert chain.samples.shape == (600, 5)
-
-    def test_kept_count_not_a_multiple_of_chains(self, monkeypatch):
-        # 294 = 18 x 16 + 6 kept states: chains 0-5 keep 19 and make the last
-        # step alone, one 6-row solve
-        run = five_dof_run()
-        config = five_dof_chain_config(0.03, n_samples=301, burn_in=7)
-        original = StructuralModel.eigenvalues_batch
-        calls = []
-
-        def counting(self, thetas):
-            calls.append(len(thetas))
-            return original(self, thetas)
-
-        monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        chain = mh_sample(run, config)
-        monkeypatch.undo()
-        assert calls == [1] + [CHAINS] * (7 + 18) + [6]
-        assert [len(block) for block in chain_blocks(chain, config)] == [19] * 6 + [18] * 10
-        assert_equals_sequential(run, config)
 
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
         run = five_dof_run()
@@ -300,11 +281,11 @@ class TestLockstepChains:
 
     @pytest.mark.parametrize(
         "failing_call", [1, 2, 7, 8, 11],
-        ids=["start", "first-burn-in", "last-burn-in", "first-kept", "last-partial"],
+        ids=["start", "first-burn-in", "last-burn-in", "first-kept", "last"],
     )
     def test_failure_at_any_step_propagates(self, failing_call, monkeypatch):
-        # 58 - 6 = 52 = 3 x 16 + 4 kept: the start, 6 burn-in steps, 3 kept
-        # steps of every chain, then one 4-row step
+        # 58 - 6 = 52 kept: the start, then 6 burn-in and s = 4 kept steps,
+        # each of every chain
         config = one_dof_config(n_samples=58, burn_in=6, step=0.05)
         original = StructuralModel.eigenvalues_batch
         calls = []
@@ -318,33 +299,42 @@ class TestLockstepChains:
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_at)
         with pytest.raises(ConvergenceError):
             mh_sample(one_dof_run(), config)
-        assert calls == ([1] + [CHAINS] * 9 + [4])[:failing_call]
+        assert calls == ([1] + [CHAINS] * 10)[:failing_call]
 
     @pytest.mark.parametrize(
-        "n_samples, burn_in",
-        [(1, 0), (5, 0), (16, 0), (17, 0), (40, 0), (11, 10), (25, 10), (26, 10), (42, 10), (58, 10)],
+        "kept, burn_in",
+        [
+            *((kept, burn_in) for kept in (1, 5, 15, 16, 17, 40) for burn_in in (0, 10)),
+            (1000, 100),
+            (9000, 1000),
+            (39000, 1000),
+        ],
     )
-    def test_every_keep_split_equals_sequential(self, n_samples, burn_in, monkeypatch):
-        # chain c keeps k + (c < r) states, k, r = divmod(n_samples - burn_in, 16):
-        # fewer kept states than chains, one or one more than one per chain,
-        # and whole and partial rounds, with and without a burn-in
-        run = one_dof_run(seed=1)  # at seed 1 the one-step run's step is accepted; a run that accepts nothing raises
-        config = one_dof_config(n_samples=n_samples, burn_in=burn_in, step=0.05)
-        original = StructuralModel.eigenvalues_batch
-        calls = []
+    def test_every_chain_makes_the_same_steps(self, kept, burn_in, monkeypatch):
+        # s = ceil(kept / 16) steps after every chain's burn-in: fewer kept
+        # states than chains, one or one more than one per chain, whole and
+        # partial rounds, the bundled run's 9,000 and the benchmark's 39,000
+        run = one_dof_run(seed=1)  # at seed 1 the one-step runs accept a step; a run that accepts nothing raises
+        config = one_dof_config(n_samples=burn_in + kept, burn_in=burn_in, step=0.05)
+        steps = burn_in + math.ceil(kept / CHAINS)
+        calls, failing_call = [], None
 
-        def counting(self, thetas):
+        def counting(thetas, *args):
             calls.append(len(thetas))
-            return original(self, thetas)
+            if len(calls) == failing_call:
+                raise ConvergenceError("eigensolver did not converge")
+            return log_posterior_batch(thetas, *args)
 
-        monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        chain = mh_sample(run, config)
-        monkeypatch.undo()
-        k, r = divmod(n_samples - burn_in, CHAINS)
-        assert calls == [1] + [CHAINS] * (burn_in + k) + ([r] if r else [])
-        assert chain.samples.shape == (n_samples - burn_in, 1)
-        assert [len(block) for block in chain_blocks(chain, config)] == [k + 1] * r + [k] * (CHAINS - r)
-        assert_equals_sequential(run, config)
+        monkeypatch.setattr(bayes, "log_posterior_batch", counting)
+        chain = assert_equals_sequential(run, config)
+        # the start state, then one CHAINS-row call per step
+        assert calls == [1] + [CHAINS] * steps
+        assert chain.samples.shape == (kept, 1) and chain.samples.flags.c_contiguous
+        calls.clear()
+        failing_call = 1 + steps  # the last step
+        with pytest.raises(ConvergenceError):
+            mh_sample(run, config)
+        assert calls == [1] + [CHAINS] * steps
 
     def test_chains_draw_distinct_streams(self):
         # every chain starts at the box centre, so only its streams tell it
@@ -389,9 +379,9 @@ class TestRandomStreams:
         seeds = np.random.SeedSequence(9).spawn(CHAINS)
         for c, (block, seed) in enumerate(zip(chain_blocks(chain, config), seeds)):
             first, _ = seed.spawn(2)
-            z = np.random.default_rng(first).standard_normal((chain_steps(config, c), 1))
+            z = np.random.default_rng(first).standard_normal((config.burn_in + kept_steps(config), 1))
             states = np.cumsum(np.vstack([run.theta_initial, z * proposal_steps(run, config)]), axis=0)
-            assert block.tobytes() == states[1 + config.burn_in :].tobytes(), c
+            assert block.tobytes() == states[1 + config.burn_in :][: len(block)].tobytes(), c
 
     def test_each_chain_is_a_prefix_of_itself_with_the_same_burn_in(self):
         run = one_dof_run(seed=6)
@@ -405,13 +395,13 @@ class TestRandomStreams:
 
 class TestSummarize:
     def test_constant_chain(self):
-        chain = Chain(samples=np.full((50, 2), 3.0), acceptance_rate=1.0, chains=1)
+        chain = Chain(samples=np.full((50, 2), 3.0), acceptance_rate=1.0)
         summary = summarize(chain)
         np.testing.assert_array_equal(summary.sd, [0.0, 0.0])
         np.testing.assert_array_equal(summary.cov_percent, [0.0, 0.0])
 
     def test_two_sample_hand_values(self):
-        chain = Chain(samples=np.array([[1.0], [3.0]]), acceptance_rate=0.5, chains=1)
+        chain = Chain(samples=np.array([[1.0], [3.0]]), acceptance_rate=0.5)
         summary = summarize(chain)
         assert summary.mean[0] == 2.0
         assert summary.sd[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
@@ -419,13 +409,13 @@ class TestSummarize:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(DomainError):
-            summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0, chains=1))
+            summarize(Chain(samples=np.empty((0, 2)), acceptance_rate=0.0))
 
     def test_sd_agrees_with_numpy_on_a_long_chain(self):
         rng = np.random.default_rng(5)
         mean, sd = [4000.0, 2100.0, 2100.0, 2500.0, 2400.0], [90.0, 40.0, 40.0, 50.0, 45.0]
         samples = rng.normal(mean, sd, (40000, 5))
-        summary = summarize(Chain(samples=samples, acceptance_rate=0.8, chains=1))
+        summary = summarize(Chain(samples=samples, acceptance_rate=0.8))
         np.testing.assert_allclose(summary.sd, samples.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
 
 
@@ -452,7 +442,7 @@ def extreme_chain(n=1337, d=5, seed=8):
     for i in np.flatnonzero(repeat[1:]) + 1:
         samples[i] = samples[i - 1]
     samples[11], samples[12] = 0.0, -0.0
-    return Chain(samples=samples, acceptance_rate=0.4, chains=1)
+    return Chain(samples=samples, acceptance_rate=0.4)
 
 
 class TestChainCsv:
@@ -462,7 +452,7 @@ class TestChainCsv:
         ids=["extreme", "one-parameter", "no-rows", "no-parameters"],
     )
     def test_bytes_equal_csv_writer_output(self, samples, tmp_path):
-        chain = Chain(samples=samples, acceptance_rate=0.5, chains=1)
+        chain = Chain(samples=samples, acceptance_rate=0.5)
         write_chain_csv(chain, tmp_path / "chain.csv")
         csv_writer_chain_file(chain, tmp_path / "reference.csv")
         assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -485,13 +475,13 @@ class TestChainCsv:
             rows = list(csv.reader(fh))[1:]
         assert [int(r[0]) for r in rows] == list(range(130))
         back = np.array([[float(v) for v in r[1:]] for r in rows])
-        # 130 = 8 x 16 + 2: chains 0 and 1 keep 9 states, the others 8
-        start = 0
+        # 130 kept states: every chain keeps s = 9, chains 0-13 publish 9,
+        # chain 14 publishes 4 and chain 15 none
         for c in range(CHAINS):
             states, _ = sequential_chain(run, config, c)
-            assert len(states) == (9 if c < 2 else 8)
-            assert back[start : start + len(states)].tobytes() == states.tobytes(), c
-            start += len(states)
+            published = back[9 * c : 9 * (c + 1)]
+            assert len(states) == 9 and len(published) == (9 if c < 14 else 4 if c == 14 else 0)
+            assert published.tobytes() == states[: len(published)].tobytes(), c
 
 
 class TestConfigValidation:

@@ -302,27 +302,27 @@ class TestReport:
             (
                 "summary.json",
                 lambda d: d["updated_eigenvalues"].__setitem__(0, -1.0),
-                "'updated_eigenvalues' must hold positive eigenvalues",
+                "'updated_eigenvalues' must be above 0, got [-1.0, ",
             ),
             (
                 "summary.json",
                 lambda d: d["initial_eigenvalues"].__setitem__(2, 0.0),
-                "'initial_eigenvalues' must hold positive eigenvalues",
+                "'initial_eigenvalues' must be above 0, got [",
             ),
             (
                 "summary.json",
                 lambda d: d["outputs"][1]["cuts"][1].__setitem__(1, -5.0),
-                "'outputs[1].cuts' must hold positive eigenvalues",
+                "'outputs[1].cuts' must have lower bounds above 0, got -5.0 in row 1\n",
             ),
             (
                 "summary.json",
                 lambda d: d["measured_eigenvalue_tfns"].__setitem__(0, [-1.0, 1.0, 2.0]),
-                "'measured_eigenvalue_tfns' must hold positive eigenvalues",
+                "'measured_eigenvalue_tfns' must be above 0, got [[-1.0, 1.0, 2.0], ",
             ),
             (
                 "bayes_summary.json",
                 lambda d: d["posterior_eigenvalues"].__setitem__(4, -1.0),
-                "'posterior_eigenvalues' must hold positive eigenvalues",
+                "'posterior_eigenvalues' must be above 0, got [",
             ),
             # every telemetry field this version writes is required
             *[
@@ -331,8 +331,14 @@ class TestReport:
             ],
             *[
                 ("bayes_summary.json", lambda d, key=key: d.pop(key), f"missing required key {key!r}")
-                for key in ("chains",)
+                for key in ("chains", "posterior_eigenvalues")
             ],
+            # a bundle without parameters
+            (
+                "summary.json",
+                lambda d: d.update(parameters=[], theta_initial=None),
+                "'parameters' must not be empty\n",
+            ),
             # an alpha column that disagrees with alpha_levels
             (
                 "summary.json",
@@ -627,8 +633,8 @@ class TestNonNumericConfigValues:
                 {"eigenvalues": 2.0},
                 "unknown key 'weights.eigenvalues'; valid keys: eigenvalue, eigenvector",
             ),
-            ("weights", {"eigenvalue": -1.0}, "weights must be non-negative, got (-1.0, 1.0)"),
-            ("weights", {"eigenvector": -0.3}, "weights must be non-negative, got (1.0, -0.3)"),
+            ("weights", {"eigenvalue": -1.0}, "'weights.eigenvalue' must be at least 0, got -1.0"),
+            ("weights", {"eigenvector": -0.3}, "'weights.eigenvector' must be at least 0, got -0.3"),
             (
                 "weights",
                 {"eigenvalue": 0, "eigenvector": 0},

@@ -234,6 +234,8 @@ OUT_OF_RANGE = [
     (("bayes", "proposal_fraction"), 0),
     (("bayes", "likelihood_sd"), 0),
     (("truth", "spread_fraction"), -0.1),
+    (("weights", "eigenvalue"), -1.0),
+    (("weights", "eigenvector"), -0.3),
 ]
 
 
