@@ -58,10 +58,10 @@ def _check_summary(data: dict) -> None:
     """Check every ``summary.json`` field the report and the curves read."""
     n = len(check_value(data, "alpha_levels", shape=(-1,)))
     params = check_value(data, "parameters", "object", (-1,))
-    for key, entries in [("alpha_levels", n), ("parameters", params)]:
+    outputs = check_value(data, "outputs", "object", (-1,))
+    for key, entries in [("alpha_levels", n), ("parameters", params), ("outputs", outputs)]:
         if not entries:
             raise ConfigurationError(f"{key!r} must not be empty")
-    outputs = check_value(data, "outputs", "object", (-1,))
     meta = check_value(data, "metadata", "object")
     for group, entries, fields in [
         ("parameters", params, [("id", "string"), ("center", "number")]),

@@ -122,12 +122,13 @@ class StructuralModel:
     def _scaled_stiffness(self, thetas) -> np.ndarray:
         """The stack M^-1/2 K(theta) M^-1/2 (m, n, n) at m updating vectors.
 
-        Every K(theta) is assembled at once by one ``einsum``; the mass
-        matrix is diagonal by construction, so each row of the generalized
-        problem reduces to the standard problem of this matrix directly.
-        The fixed part and both scalings are applied in place on the
-        ``einsum`` output, entry by entry as (a_i K_ij) a_j with
-        a = M^-1/2, so every row is the same bits whatever the stack.
+        Every K(theta) is assembled at once by one matrix product of the
+        (m, d) thetas with the d unit matrices, each flattened to a row; the
+        mass matrix is diagonal by construction, so each row of the
+        generalized problem reduces to the standard problem of this matrix
+        directly. The fixed part and both scalings are applied in place on
+        the product, entry by entry as (a_i K_ij) a_j with a = M^-1/2, so
+        every row is the same bits whatever the stack.
         """
         th = np.asarray(thetas, dtype=float)
         if th.ndim != 2 or th.shape[1] != self.parameter_count:
@@ -137,7 +138,8 @@ class StructuralModel:
         if (th <= 0.0).any():
             raise DomainError("all stiffness parameters must be positive")
         fixed, units = self._assembly
-        scaled = np.einsum("md,dij->mij", th, units)
+        n = self.n_dof
+        scaled = (th @ units.reshape(-1, n * n)).reshape(-1, n, n)
         scaled += fixed
         inv_sqrt = self._inv_sqrt_masses
         scaled *= inv_sqrt[:, None]

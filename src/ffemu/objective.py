@@ -1,11 +1,13 @@
 """Interval modal objective for one alpha level.
 
-The decision variable is a pair of stiffness vectors (lower, upper). The
-model is solved at both vertices of the box, and the weighted squared
-errors between predicted and measured eigenvalue/eigenvector bounds are
-summed into a single scalar objective. The measured bounds of a level are
-the arrays ``MeasuredFuzzyModalData.cuts_at`` returns, and the weights are
-two scalars: one for every eigenvalue error, one for every shape error.
+A stiffness box is one row, as the optimizers search it: a point (d,) at
+alpha = 1, or [lower | upper] (2d,) below. Its one or two vertices are
+solved as consecutive rows of one stacked eigensolve, and the weighted
+squared errors between predicted and measured eigenvalue/eigenvector
+bounds are summed into a single scalar objective. The measured bounds of
+a level are the arrays ``MeasuredFuzzyModalData.cuts_at`` returns, and
+the weights are two scalars: one for every eigenvalue error, one for
+every shape error.
 
 Eigenvalues are sorted ascending at each vertex. Every unit stiffness
 matrix is positive semidefinite, so each sorted eigenvalue is monotone in
@@ -88,77 +90,79 @@ def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.n
     )
 
 
-def residual_batch(model: StructuralModel, lower, upper, cuts, weights) -> np.ndarray:
+def _vertices(model: StructuralModel, boxes) -> np.ndarray:
+    """The (m, v, d) vertices of m boxes: v = 1 for (m, d) points, v = 2 for
+    (m, 2d) rows [lower | upper]."""
+    boxes = np.asarray(boxes, dtype=float)
+    d = model.parameter_count
+    if boxes.ndim != 2 or boxes.shape[1] not in (d, 2 * d):
+        raise ShapeError(f"boxes have shape {boxes.shape}, expected (m, {d}) points or (m, {2 * d}) rows")
+    vertices = boxes.reshape(-1, boxes.shape[1] // d, d)
+    if (vertices[:, 0] > vertices[:, -1]).any():
+        raise DomainError("interval parameters crossed: lower > upper")
+    return vertices
+
+
+def residual_batch(model: StructuralModel, boxes, cuts, weights) -> np.ndarray:
     """Weighted residuals of m candidate boxes, one row of length 4n each.
 
-    ``cuts`` is the tuple ``(eig_lo, eig_hi, vec_lo, vec_hi)`` of one
-    level's measured bounds: two (n,) eigenvalue arrays and two (n_dof, n)
-    arrays of unit mode shapes. ``weights`` is the pair (eigenvalue,
-    eigenvector). Row r is ``[e_lo, e_hi]`` for the box (lower[r],
-    upper[r]), each block n eigenvalue errors scaled by the square root of
-    the eigenvalue weight, then n shape errors scaled by that of the
-    eigenvector weight. Its squared norm is that box's objective, so the
-    optimizers and the least-squares polish see one interval problem.
-    The eigenvalue errors compare the measured bounds with the sorted
-    eigenvalues at the two vertices, which one ``eigenvalues_batch`` call
-    solves for all 2m vertices. When the eigenvector weight is non-zero,
-    the vertices and centres come from one ``vertex_modes`` call instead,
-    and its paired vertex shapes give the shape errors. Point boxes,
-    passed as ``upper is lower``, solve their one vertex once.
+    ``boxes`` are the optimizer's rows: (m, d) points or (m, 2d) rows
+    [lower | upper]. ``cuts`` is the tuple ``(eig_lo, eig_hi, vec_lo,
+    vec_hi)`` of one level's measured bounds: two (n,) eigenvalue arrays
+    and two (n_dof, n) arrays of unit mode shapes. ``weights`` is the pair
+    (eigenvalue, eigenvector). Row r is ``[e_lo, e_hi]`` for box r, each
+    block n eigenvalue errors scaled by the square root of the eigenvalue
+    weight, then n shape errors scaled by that of the eigenvector weight.
+    Its squared norm is that box's objective, so the optimizers and the
+    least-squares polish see one interval problem. The lower bounds are
+    predicted at a box's first vertex and the upper ones at its last (a
+    point's one vertex is both), from the sorted eigenvalues of one
+    ``eigenvalues_batch`` call. When the eigenvector weight is non-zero,
+    one ``vertex_modes`` call solves them instead, and its paired vertex
+    shapes give the shape errors.
 
     Each weighted block is written in place into one zeroed (m, 4n)
     buffer; the shape columns stay zero when the eigenvector weight is 0.
     """
-    point = upper is lower
-    lower = np.asarray(lower, dtype=float)
-    upper = lower if point else np.asarray(upper, dtype=float)
     eig_lo, eig_hi, vec_lo, vec_hi = cuts
     n = eig_lo.size
-    if lower.shape != upper.shape or lower.ndim != 2:
-        raise ShapeError("lower and upper must be (m, d) arrays of equal shape")
-    if not point and (lower > upper).any():
-        raise DomainError("interval parameters crossed: lower > upper")
     if model.n_dof != n:
         raise ShapeError("predicted and measured mode counts differ")
-    m = lower.shape[0]
     root_eig, root_vec = map(math.sqrt, weights)
-    out = np.zeros((m, 4 * n))
     if root_vec:
-        lam, vec = vertex_modes(model, lower, upper)
-        np.multiply(root_vec, _shape_errors(vec_lo, vec[:m]), out=out[:, n : 2 * n])
-        np.multiply(root_vec, _shape_errors(vec_hi, vec[m:]), out=out[:, 3 * n :])
+        lam, vec = vertex_modes(model, boxes)
     else:
-        lam = model.eigenvalues_batch(lower if point else np.concatenate([lower, upper]))
-    e_lo = np.subtract(eig_lo, lam[:m], out=out[:, :n])
-    e_lo /= eig_lo
-    e_lo *= root_eig
-    e_hi = np.subtract(lam[-m:], eig_hi, out=out[:, 2 * n : 3 * n])
-    e_hi /= eig_hi
-    e_hi *= root_eig
+        vertices = _vertices(model, boxes)
+        lam = model.eigenvalues_batch(vertices.reshape(-1, vertices.shape[-1])).reshape(vertices.shape[:2] + (n,))
+    out = np.zeros((len(lam), 4 * n))
+    np.multiply(root_eig, (eig_lo - lam[:, 0]) / eig_lo, out=out[:, :n])
+    np.multiply(root_eig, (lam[:, -1] - eig_hi) / eig_hi, out=out[:, 2 * n : 3 * n])
+    if root_vec:
+        np.multiply(root_vec, _shape_errors(vec_lo, vec[:, 0]), out=out[:, n : 2 * n])
+        np.multiply(root_vec, _shape_errors(vec_hi, vec[:, -1]), out=out[:, 3 * n :])
     return out
 
 
-def vertex_modes(model: StructuralModel, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (2m, n) and mode shapes (2m, n, n) at the vertices of m boxes.
+def vertex_modes(model: StructuralModel, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (m, v, n) and mode shapes (m, v, n, n) at the v vertices of m boxes.
 
-    Rows are the m lower vertices, then the m upper ones. The eigenvalues
-    are sorted ascending. The shapes are tracked to the box centre's by
-    MAC, so column j is one physical mode at both vertices, and are
-    sign-aligned with the centre shapes. The centres and vertices are
-    solved as one stack of 3m rows; the greedy ``pair_modes`` runs only on
-    rows whose MAC diagonal does not dominate.
+    ``boxes`` are (m, d) points (v = 1) or (m, 2d) rows [lower | upper]
+    (v = 2). The eigenvalues are sorted ascending. The shapes are tracked
+    to the box centre's, the mean of its vertices, by MAC, so column j is
+    one physical mode at every vertex, and are sign-aligned with the centre
+    shapes. Each box's centre and vertices are solved as v + 1 consecutive
+    rows of one ``modal_batch`` stack; the greedy ``pair_modes`` runs only
+    on vertices whose MAC diagonal does not dominate.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    m = len(lower)
-    lam, vec = model.modal_batch(np.concatenate([0.5 * (lower + upper), lower, upper]))
-    vec_c = np.concatenate([vec[:m], vec[:m]])
-    vec_v = vec[m:].copy()
-    for k in np.flatnonzero(~diagonal_dominates(mac_matrix(vec_c, vec_v))):
-        perm = pair_modes(lam[k % m], vec_c[k], lam[m + k], vec_v[k])
-        vec_v[k] = vec_v[k][:, perm]
-    flip = np.einsum("kij,kij->kj", vec_v, vec_c) < 0.0
-    return lam[m:], np.where(flip[:, None, :], -vec_v, vec_v)
+    vertices = _vertices(model, boxes)
+    rows = np.concatenate([vertices.mean(axis=1, keepdims=True), vertices], axis=1)
+    lam, vec = (a.reshape(rows.shape[:2] + a.shape[1:]) for a in model.modal_batch(rows.reshape(-1, rows.shape[-1])))
+    centre, shapes = vec[:, :1], vec[:, 1:]
+    for k, j in np.argwhere(~diagonal_dominates(mac_matrix(centre, shapes))):
+        perm = pair_modes(lam[k, 0], centre[k, 0], lam[k, j + 1], shapes[k, j])
+        shapes[k, j] = shapes[k, j][:, perm]
+    flip = np.einsum("...ij,...ij->...j", shapes, centre) < 0.0
+    return lam[:, 1:], np.where(flip[..., None, :], -shapes, shapes)
 
 
 class MeasuredFuzzyModalData:

@@ -218,9 +218,10 @@ def simulate_measurements(
     The parameter alpha-cuts of every level are solved at their vertices
     by one ``vertex_modes`` call; the sorted vertex eigenvalues are the
     per-level eigenvalue intervals, which are then fitted to one triangle
-    per mode. Level 1 is the point box at theta_true, so row 0 of that
-    solve is the centre: its eigenvalues are the peaks and its shapes the
-    measured mode shapes. With ``shape_tfns`` the mode-shape components get
+    per mode. The cuts go in as (L, 2d) rows [lower | upper]; level 1's
+    row is the point theta_true at both vertices, so its lower vertex is
+    the centre: its eigenvalues are the peaks and its shapes the measured
+    mode shapes. With ``shape_tfns`` the mode-shape components get
     component-wise triangles fitted from the paired vertex shapes.
     """
     theta_true = np.asarray(theta_true, dtype=float)
@@ -233,10 +234,10 @@ def simulate_measurements(
         raise DomainError("fuzzy support reaches non-positive stiffness")
     levels = default_levels() if levels is None else check_levels(levels)
 
-    halves = (1.0 - levels)[:, None] * spreads
-    lam, vec = vertex_modes(model, theta_true - halves, theta_true + halves)
-    lam_lo, lam_hi = np.split(lam, 2)
-    vec_lo, vec_hi = np.split(vec, 2)
+    offsets = (1.0 - levels)[:, None, None] * [-spreads, spreads]  # (L, 2, d): lower, upper vertex
+    lam, vec = vertex_modes(model, (theta_true + offsets).reshape(levels.size, -1))
+    lam_lo, lam_hi = lam.swapaxes(0, 1)
+    vec_lo, vec_hi = vec.swapaxes(0, 1)
     shape_fit = None
     if shape_tfns:
         shape_fit = _fit_triangles(vec_lo[0], levels, np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi))
@@ -251,13 +252,16 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     2d-dimensional box of (lower, upper) vectors anchored to the previous
     level's solution: lower in [theta_min, previous lower], upper in
     [previous upper, theta_max], warm-started from that solution. Level k
-    draws from ``default_rng(run.seed + k)``. The optimizer hands each
-    population to ``residual_batch`` whole. Each level's best point is
-    then polished by ``least_squares_polish`` inside the same box; the
-    polish moves only on a strictly lower objective, so no level ends
-    worse than its search. Nesting of the resulting stacks is guaranteed
-    by the boxes, not repaired after the fact. Each finished level is
-    logged at INFO on the ``ffemu`` logger.
+    draws from ``default_rng(run.seed + k)``. The optimizer's populations,
+    (m, d) points at level 1 and (m, 2d) rows [lower | upper] below it, go
+    to ``residual_batch`` unchanged. Each level's best row is then polished
+    by ``least_squares_polish`` inside the same box; the polish moves only
+    on a strictly lower objective, so no level ends worse than its search.
+    The solved boxes are kept as one (L, 2, d) array of lower and upper
+    vertices, level 1's point filling both, from which every later region
+    and seed is built. Nesting of the resulting stacks is guaranteed by the
+    boxes, not repaired after the fact. Each finished level is logged at
+    INFO on the ``ffemu`` logger.
     """
     model = run.model
     d = model.parameter_count
@@ -265,8 +269,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     # looked up per run, not bound at import, so wrappers of the module
     # attributes see every call
     minimize, config = (aco_minimize, run.aco) if run.optimizer == "aco" else (pso_minimize, run.pso)
-    lower = np.empty((n_levels, d))
-    upper = np.empty((n_levels, d))
+    bounds = np.empty((n_levels, 2, d))
     objective_values = np.empty(n_levels)
     polish_counts = np.empty(n_levels, dtype=int)
     elapsed = np.empty(n_levels)
@@ -284,18 +287,15 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         else:
             # Box rejects lo > hi: theta_min <= previous lower and
             # previous upper <= theta_max are checked here
-            region = Box(
-                np.concatenate([run.theta_min, upper[k - 1]]),
-                np.concatenate([lower[k - 1], run.theta_max]),
-            )
-            seeds = [np.concatenate([lower[k - 1], upper[k - 1]])]
+            lower, upper = bounds[k - 1]
+            region = Box(np.concatenate([run.theta_min, upper]), np.concatenate([lower, run.theta_max]))
+            seeds = [bounds[k - 1].ravel()]
 
         calls = 0
         objective_time = 0.0
 
         def residuals(x):
-            lower, upper = (x, x) if k == 0 else (x[:, :d], x[:, d:])
-            return residual_batch(model, lower, upper, cuts, run.weights)
+            return residual_batch(model, x, cuts, run.weights)
 
         def objective(x):
             nonlocal calls, objective_time
@@ -321,13 +321,13 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         polish_seconds[k] = done - t_polish
         objective_values[k] = f
         histories.append(result)
-        lower[k], upper[k] = (x, x) if k == 0 else (x[:d], x[d:])
+        bounds[k] = x.reshape(-1, d)
         _log.info(
             "level %d (alpha=%.3f): objective %.3e, %d evaluations + %d polish, stopped on %s",
             k + 1, alpha, f, result.n_evaluations, polish_counts[k], result.stop_reason,
         )
 
-    parameters = AlphaCutStack(run.levels, lower, upper)
+    parameters = AlphaCutStack(run.levels, *bounds.swapaxes(0, 1))
     return FfemuResult(
         parameters=parameters,
         outputs=propagate_outputs(model, parameters),
@@ -344,11 +344,13 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
     """The (L, n) eigenvalue stack implied by the (L, d) parameter stack.
 
     Every level's parameter box is solved at its two vertices, all levels
-    in one ``eigenvalues_batch`` call. Its eigenvalues are sorted, so
-    output nesting follows exactly from stiffness monotonicity and no mode
-    pairing is needed for the bounds.
+    in one ``eigenvalues_batch`` call, each level's two vertices as
+    consecutive rows. Its eigenvalues are sorted, so output nesting follows
+    exactly from stiffness monotonicity and no mode pairing is needed for
+    the bounds.
     """
-    lows, highs = np.split(model.eigenvalues_batch(np.concatenate([parameters.lo, parameters.hi])), 2)
+    lam = model.eigenvalues_batch(np.stack([parameters.lo, parameters.hi], axis=1).reshape(-1, model.parameter_count))
+    lows, highs = lam[::2], lam[1::2]
     # monotonicity puts highs above lows; the max() only absorbs last-ulp
     # eigensolver noise when a box is pinched to near-zero width
     return AlphaCutStack(parameters.levels, lows, np.maximum(lows, highs))

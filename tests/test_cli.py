@@ -339,6 +339,14 @@ class TestReport:
                 lambda d: d.update(parameters=[], theta_initial=None),
                 "'parameters' must not be empty\n",
             ),
+            # a bundle without outputs, every per-mode vector emptied with them
+            (
+                "summary.json",
+                lambda d: d.update(
+                    outputs=[], measured_eigenvalue_tfns=[], updated_eigenvalues=[], initial_eigenvalues=[]
+                ),
+                "'outputs' must not be empty\n",
+            ),
             # an alpha column that disagrees with alpha_levels
             (
                 "summary.json",

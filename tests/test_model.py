@@ -147,25 +147,23 @@ class TestEigenvaluesBatch:
 
     @pytest.mark.parametrize("model_factory", [scenarios.five_dof_model, crossing_two_mass_model])
     def test_rows_bitwise_independent_of_stack_size_and_position(self, model_factory):
-        # the windowed M-H walk and the point-box residuals rely on this:
-        # a row's solution must not depend on what else is in its stack
+        # the residuals solve each box's vertices as consecutive rows and
+        # the M-H chains step in lockstep, so a row's solution must not
+        # depend on what else is in its stack: every stack size from 1 to
+        # 64, and a few large ones, must give each row, wherever it sits,
+        # the bits of that row solved alone
         model = model_factory()
-        d = model.parameter_count
-        rng = np.random.default_rng(29)
-        for _ in range(150):
-            size = int(rng.integers(1, 48))
-            stack = rng.uniform(100.0, 6000.0, (size, d))
-            ties = rng.random(size) < 0.25  # equal k0, k1: near-degenerate modes
-            stack[ties, 1] = stack[ties, 0]
-            pos = int(rng.integers(size))
-            alone = stack[pos : pos + 1].copy()
-            lam_alone, phi_alone = model.modal_batch(alone)
-            lam, phi = model.modal_batch(stack)
-            assert lam[pos].tobytes() == lam_alone[0].tobytes()
-            assert phi[pos].tobytes() == phi_alone[0].tobytes()
-            assert model.eigenvalues_batch(stack)[pos].tobytes() == (
-                model.eigenvalues_batch(alone)[0].tobytes()
-            )
+        rng = np.random.default_rng(37)
+        pool = rng.uniform(100.0, 6000.0, (4096, model.parameter_count))
+        pool[::4, 1] = pool[::4, 0]  # equal k0, k1: near-degenerate modes
+        alone_lam, alone_phi = map(np.concatenate, zip(*(model.modal_batch(row[None, :]) for row in pool)))
+        alone_eig = np.concatenate([model.eigenvalues_batch(row[None, :]) for row in pool])
+        for size in [*range(1, 65), 128, 1000, 4096]:
+            pick = rng.permutation(len(pool))[:size]
+            lam, phi = model.modal_batch(pool[pick])
+            assert lam.tobytes() == alone_lam[pick].tobytes(), size
+            assert phi.tobytes() == alone_phi[pick].tobytes(), size
+            assert model.eigenvalues_batch(pool[pick]).tobytes() == alone_eig[pick].tobytes(), size
 
     @pytest.mark.parametrize("method", ["modal_batch", "eigenvalues_batch"])
     @pytest.mark.parametrize(

@@ -47,9 +47,14 @@ def two_mass_model(coupling=0.01):
     )
 
 
+def rows(lower, upper):
+    """(m, 2d) box rows [lower | upper] from (m, d) lower and upper vertices."""
+    return np.hstack([lower, upper])
+
+
 def measured_from_box(model, lower, upper):
     """Self-consistent measured cuts: regenerate from the box (lower, upper) itself."""
-    lam, vec = vertex_modes(model, [lower], [upper])
+    (lam,), (vec,) = vertex_modes(model, rows([lower], [upper]))
     return lam[0], lam[1], _unit_columns(vec[0]), _unit_columns(vec[1])
 
 
@@ -122,19 +127,19 @@ class TestIntervalModal:
     def test_degenerate_parameters_give_identical_solutions(self):
         model = scenarios.five_dof_model()
         theta = scenarios.THETA_TRUE[None, :]
-        lam, vec = vertex_modes(model, theta, theta)
+        (lam,), (vec,) = vertex_modes(model, rows(theta, theta))
         np.testing.assert_array_equal(lam[0], lam[1])
         np.testing.assert_array_equal(vec[0], vec[1])
 
     def test_one_dof_scalar_monotone(self):
-        lam, _ = vertex_modes(one_dof_model(), [[4.0]], [[9.0]])
+        (lam,), _ = vertex_modes(one_dof_model(), rows([[4.0]], [[9.0]]))
         assert lam[0, 0] == pytest.approx(4.0, rel=1e-12)
         assert lam[1, 0] == pytest.approx(9.0, rel=1e-12)
 
     def test_bounds_bracket_center(self):
         model = scenarios.five_dof_model()
         lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
-        lam, _ = vertex_modes(model, [lower], [upper])
+        (lam,), _ = vertex_modes(model, rows([lower], [upper]))
         center, _ = modal_row(model, 0.5 * (lower + upper))
         assert np.all(lam[0] <= center + 1e-12)
         assert np.all(center <= lam[1] + 1e-12)
@@ -145,7 +150,7 @@ class TestIntervalModal:
         # must coincide with the vertex solves.
         model = scenarios.five_dof_model()
         lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
-        lam, _ = vertex_modes(model, [lower], [upper])
+        (lam,), _ = vertex_modes(model, rows([lower], [upper]))
         axes = [np.linspace(lo, hi, 3) for lo, hi in zip(lower, upper)]
         grid_lo = np.full(model.n_dof, np.inf)
         grid_hi = np.full(model.n_dof, -np.inf)
@@ -218,7 +223,7 @@ class TestErrorVectors:
         model = scenarios.five_dof_model()
         lower, upper = 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
-        r = residual_batch(model, [lower], [upper], measured, (1.0, 1.0))[0]
+        r = residual_batch(model, rows([lower], [upper]), measured, (1.0, 1.0))[0]
         # eigenvalue entries are bitwise zero; shape entries only pick up
         # the last-ulp renormalization of the stored measured vectors
         np.testing.assert_array_equal(r[:5], np.zeros(5))
@@ -228,13 +233,13 @@ class TestErrorVectors:
     def test_lower_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = cuts_of([100.0], [100.0], phi, phi)
-        r = residual_batch(one_dof_model(), [[90.0]], [[100.0]], measured, (1.0, 1.0))[0]
+        r = residual_batch(one_dof_model(), rows([[90.0]], [[100.0]]), measured, (1.0, 1.0))[0]
         np.testing.assert_allclose(r, [0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_upper_eigenvalue_error_hand_value(self):
         phi = np.array([[1.0]])
         measured = cuts_of([100.0], [100.0], phi, phi)
-        r = residual_batch(one_dof_model(), [[100.0]], [[110.0]], measured, (1.0, 1.0))[0]
+        r = residual_batch(one_dof_model(), rows([[100.0]], [[110.0]]), measured, (1.0, 1.0))[0]
         assert r[2] == pytest.approx(0.1, rel=1e-12)
 
     def test_invariant_to_predicted_vector_scaling(self):
@@ -252,7 +257,7 @@ class TestErrorVectors:
         measured = cuts_of([4.0], [9.0], phi, phi)
         widths = []
         for lo in (4.0, 3.5, 3.0):
-            r = residual_batch(model, [[lo]], [[9.0]], measured, (1.0, 1.0))[0]
+            r = residual_batch(model, rows([[lo]], [[9.0]]), measured, (1.0, 1.0))[0]
             widths.append(abs(r[0]))
         assert widths[0] < widths[1] < widths[2]
 
@@ -262,7 +267,7 @@ class TestObjective:
         model = scenarios.five_dof_model()
         lower, upper = 0.96 * scenarios.THETA_TRUE, 1.02 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
-        r = residual_batch(model, [lower], [upper], measured, (1.0, 1.0))[0]
+        r = residual_batch(model, rows([lower], [upper]), measured, (1.0, 1.0))[0]
         assert 0.0 <= r @ r <= 1e-16
 
     def test_one_dof_hand_sum(self):
@@ -270,15 +275,15 @@ class TestObjective:
         model = one_dof_model()
         phi = np.array([[1.0]])
         measured = cuts_of([100.0], [100.0], phi, phi)
-        r = residual_batch(model, [[90.0]], [[110.0]], measured, (1.0, 1.0))[0]
+        r = residual_batch(model, rows([[90.0]], [[110.0]]), measured, (1.0, 1.0))[0]
         assert r @ r == pytest.approx(0.02, rel=1e-12)
 
     def test_doubling_eigenvalue_weight_doubles_the_objective(self):
         model = one_dof_model()
         measured = cuts_of([100.0], [100.0], [[1.0]], [[1.0]])
         lower, upper = [[90.0]], [[100.0]]  # only the lower branch errs
-        r1 = residual_batch(model, lower, upper, measured, (1.0, 1.0))[0]
-        r2 = residual_batch(model, lower, upper, measured, (2.0, 1.0))[0]
+        r1 = residual_batch(model, rows(lower, upper), measured, (1.0, 1.0))[0]
+        r2 = residual_batch(model, rows(lower, upper), measured, (2.0, 1.0))[0]
         assert r2 @ r2 == pytest.approx(2.0 * (r1 @ r1), rel=1e-15)
 
     def test_nonnegative_on_random_candidates(self):
@@ -289,7 +294,7 @@ class TestObjective:
         for _ in range(25):
             a = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
             b = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
-            r = residual_batch(model, [np.minimum(a, b)], [np.maximum(a, b)], measured, weights)[0]
+            r = residual_batch(model, rows([np.minimum(a, b)], [np.maximum(a, b)]), measured, weights)[0]
             assert r @ r >= 0.0
 
 
@@ -412,12 +417,12 @@ class TestResidualBatch:
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         weights = (1.0, eigenvector_weight)
         lower, upper = self.population(53)
-        batch = residual_batch(model, lower, upper, measured, weights)
+        batch = residual_batch(model, rows(lower, upper), measured, weights)
         assert batch.shape == (30, 20)
         for row, lo, hi in zip(batch, lower, upper):
             ref = reference_residual(model, lo, hi, measured, weights)
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
-            one_row = residual_batch(model, [lo], [hi], measured, weights)[0]
+            one_row = residual_batch(model, rows([lo], [hi]), measured, weights)[0]
             np.testing.assert_array_equal(one_row, row)
 
     @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
@@ -432,16 +437,17 @@ class TestResidualBatch:
         m, n = len(lower), 5
         e_lo, e_hi = np.zeros((m, 2 * n)), np.zeros((m, 2 * n))
         if eigenvector_weight:
-            lam, vec = vertex_modes(model, lower, upper)
-            e_lo[:, n:] = _shape_errors(vec_lo, vec[:m])
-            e_hi[:, n:] = _shape_errors(vec_hi, vec[m:])
+            lam, vec = vertex_modes(model, rows(lower, upper))
+            (lam_lo, lam_hi), (shape_lo, shape_hi) = lam.swapaxes(0, 1), vec.swapaxes(0, 1)
+            e_lo[:, n:] = _shape_errors(vec_lo, shape_lo)
+            e_hi[:, n:] = _shape_errors(vec_hi, shape_hi)
         else:
-            lam = model.eigenvalues_batch(np.concatenate([lower, upper]))
-        e_lo[:, :n] = (eig_lo - lam[:m]) / eig_lo
-        e_hi[:, :n] = (lam[m:] - eig_hi) / eig_hi
+            lam_lo, lam_hi = np.split(model.eigenvalues_batch(np.concatenate([lower, upper])), 2)
+        e_lo[:, :n] = (eig_lo - lam_lo) / eig_lo
+        e_hi[:, :n] = (lam_hi - eig_hi) / eig_hi
         root = np.repeat(np.sqrt(weights), n)
         expected = np.concatenate([root * e_lo, root * e_hi], axis=1)
-        got = residual_batch(model, lower, upper, measured, weights)
+        got = residual_batch(model, rows(lower, upper), measured, weights)
         assert got.tobytes() == expected.tobytes()
 
     def test_crossing_modes_take_the_pairing_fallback(self):
@@ -455,7 +461,7 @@ class TestResidualBatch:
         assert pair_modes(*center, *modal_row(model, upper[0])).tolist() == [1, 0]
         measured = cuts_of([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
         weights = (1.0, 1.0)
-        batch = residual_batch(model, lower, upper, measured, weights)
+        batch = residual_batch(model, rows(lower, upper), measured, weights)
         for row, lo, hi in zip(batch, lower, upper):
             ref = reference_residual(model, lo, hi, measured, weights)
             assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -477,7 +483,7 @@ class TestResidualBatch:
         a, b = rng.uniform(lo, hi, (2, 400, 5))
         lower, upper = np.minimum(a, b), np.maximum(a, b)
         measured = measured_from_box(model, 0.9 * mid, 1.1 * mid)
-        batch = residual_batch(model, lower, upper, measured, (1.0, 0.0))
+        batch = residual_batch(model, rows(lower, upper), measured, (1.0, 0.0))
         sorted_lo = np.array([modal_row(model, x)[0] for x in lower])
         sorted_hi = np.array([modal_row(model, x)[0] for x in upper])
         eig_lo, eig_hi = measured[:2]
@@ -499,7 +505,30 @@ class TestResidualBatch:
 
         monkeypatch.setattr(StructuralModel, "modal_batch", modal_batch)
         weights = (1.0, 0.0)
-        assert residual_batch(model, lower, upper, measured, weights).shape == (30, 20)
+        assert residual_batch(model, rows(lower, upper), measured, weights).shape == (30, 20)
+
+    def test_point_boxes_solve_two_rows_each_and_match_their_pinched_boxes(self, monkeypatch):
+        # a point box solves its centre and its one vertex; the same point
+        # given as the box [x | x] solves its centre and both vertices, and
+        # its residual row has the same bits
+        model = scenarios.five_dof_model()
+        measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
+        points = self.population(71, m=6)[0]
+        solved = []
+        original = StructuralModel.modal_batch
+
+        def modal_batch(self, thetas):
+            solved.append(len(thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(StructuralModel, "modal_batch", modal_batch)
+        lam, vec = vertex_modes(model, points)
+        assert (lam.shape, vec.shape, solved) == ((6, 1, 5), (6, 1, 5, 5), [12])
+        lam, vec = vertex_modes(model, rows(points, points))
+        assert (lam.shape, vec.shape, solved) == ((6, 2, 5), (6, 2, 5, 5), [12, 18])
+        weights = (1.0, 0.3)
+        point_rows = residual_batch(model, points, measured, weights)
+        assert point_rows.tobytes() == residual_batch(model, rows(points, points), measured, weights).tobytes()
 
     def test_nonpositive_row_rejected(self):
         model = scenarios.five_dof_model()
@@ -507,14 +536,14 @@ class TestResidualBatch:
         lower, upper = self.population(59, m=4)
         lower[2, 1] = 0.0
         with pytest.raises(DomainError):
-            residual_batch(model, lower, upper, measured, (1.0, 1.0))
+            residual_batch(model, rows(lower, upper), measured, (1.0, 1.0))
 
     def test_crossed_row_rejected(self):
         model = scenarios.five_dof_model()
         measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(61, m=4)
         with pytest.raises(DomainError, match="crossed"):
-            residual_batch(model, upper, lower, measured, (1.0, 1.0))
+            residual_batch(model, rows(upper, lower), measured, (1.0, 1.0))
 
 
 class TestMeasuredData:

@@ -124,8 +124,8 @@ class TestSimulateMeasurements:
         measured = simulate_measurements(model, truth, spreads, levels=levels, shape_tfns=True)
         (center_lam,), (center_vec,) = model.modal_batch(truth[None, :])
         halves = (1.0 - levels)[:, None] * spreads
-        lam, vec = vertex_modes(model, truth - halves, truth + halves)
-        (lam_lo, lam_hi), (vec_lo, vec_hi) = np.split(lam, 2), np.split(vec, 2)
+        lam, vec = vertex_modes(model, np.hstack([truth - halves, truth + halves]))
+        (lam_lo, lam_hi), (vec_lo, vec_hi) = lam.swapaxes(0, 1), vec.swapaxes(0, 1)
         v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
         np.testing.assert_array_equal(measured.shape_tfns[..., 1], center_vec)
         for j in range(5):
@@ -198,7 +198,7 @@ class TestRunFfemu:
             measured_k = run.measured.cuts_at(run.levels[k])
             prev_lower = result.parameters.lo[k - 1]
             prev_upper = result.parameters.hi[k - 1]
-            r = residual_batch(run.model, [prev_lower], [prev_upper], measured_k, run.weights)[0]
+            r = residual_batch(run.model, [np.concatenate([prev_lower, prev_upper])], measured_k, run.weights)[0]
             assert result.objective_values[k] <= r @ r + 1e-18
 
     def test_evaluation_bookkeeping(self, aco_result):
@@ -221,12 +221,9 @@ class TestRunFfemu:
         # must be the very numbers the one-row objective gives, so the
         # polish (which starts from them) can never report a level worse
         run, result = aco_result
-        d = run.model.parameter_count
         for k, hist in enumerate(result.histories):
-            x = hist.best_x
-            lower, upper = (x, x) if k == 0 else (x[:d], x[d:])
             measured_k = run.measured.cuts_at(run.levels[k])
-            r = residual_batch(run.model, [lower], [upper], measured_k, run.weights)[0]
+            r = residual_batch(run.model, [hist.best_x], measured_k, run.weights)[0]
             assert r @ r == hist.best_f
 
     def test_containment_of_generating_cuts_aco(self, aco_result):
@@ -328,7 +325,7 @@ class TestRunFfemu:
         result = run_ffemu(run)
         stack = result.parameters
         assert (stack.hi[-1] - stack.lo[-1] <= eps.max()).all()
-        r = residual_batch(model, [theta_p], [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
+        r = residual_batch(model, [theta_p], measured.cuts_at(1.0), EIG_ONLY)[0]
         assert result.objective_values[0] == pytest.approx(r @ r, rel=1e-2)
 
     def test_shape_weighted_levels_record_their_residual_norms(self):
@@ -352,7 +349,7 @@ class TestRunFfemu:
         lower, upper = result.parameters.lo, result.parameters.hi
         for k, alpha in enumerate(levels):
             cuts = measured.cuts_at(alpha)
-            r = residual_batch(model, lower[k : k + 1], upper[k : k + 1], cuts, run.weights)[0]
+            r = residual_batch(model, np.hstack([lower[k : k + 1], upper[k : k + 1]]), cuts, run.weights)[0]
             assert r[5:10].any() and r[15:].any()  # the shape errors are in the objective
             assert result.objective_values[k] == r @ r
         assert (np.diff(lower, axis=0) <= 0.0).all() and (np.diff(upper, axis=0) >= 0.0).all()
