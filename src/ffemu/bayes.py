@@ -4,9 +4,9 @@ The likelihood is Gaussian on relative eigenvalue residuals against the
 run's crisp (center) measured eigenvalues, with a uniform prior on its box
 [theta_min, theta_max]. This gives the probabilistic comparison column
 (posterior means and coefficients of variation) next to the fuzzy interval
-results of the same ``FfemuRun``. The sampler's own settings,
-``McmcConfig``, are defined in ``ffemu.pipeline``, next to the parser that
-builds them, so only the ``bayes`` subcommand imports this module.
+results of the same ``FfemuRun``. Its settings are the run's ``bayes``
+(``McmcConfig``, the defaults when a run config has no ``bayes`` section),
+defined in ``ffemu.pipeline`` so that only ``ffemu bayes`` loads this module.
 
 ``mh_sample`` runs ``CHAINS`` random-walk chains in lockstep. Their states
 are one (``CHAINS``, d) array, and each step is one ``CHAINS``-row
@@ -17,7 +17,7 @@ log u < lp_new - lp, applied with ``np.copyto(..., where=)``.
 Chain c draws from child c of ``SeedSequence(run.seed).spawn(CHAINS)``,
 which is split again by ``.spawn(2)``: the first child gives the chain's
 standard-normal increment rows, scaled by the proposal steps
-``proposal_fraction * (theta_max - theta_min)``, the second its uniforms,
+``bayes.proposal_fraction * (theta_max - theta_min)``, the second its uniforms,
 each drawn in bulk. Step i of the chain takes its i-th increment and its
 i-th uniform, so a chain run with a larger ``n_samples`` (and the same
 ``burn_in``) extends its run with a smaller one. Each step's log
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticsError, DomainError
-from .pipeline import FfemuRun, McmcConfig
+from .pipeline import FfemuRun
 
 __all__ = [
     "CHAINS",
@@ -87,13 +87,14 @@ class ChainSummary:
     cov_percent: np.ndarray
 
 
-def log_posterior_batch(thetas, measured_eigenvalues, run: FfemuRun, config: McmcConfig) -> np.ndarray:
+def log_posterior_batch(thetas, measured_eigenvalues, run: FfemuRun) -> np.ndarray:
     """Unnormalized log posterior of each row of ``thetas`` (m, d); -inf outside the run's prior box.
 
     ``measured_eigenvalues`` are ``run.measured.center_eigenvalues()``, formed
     once per run of the chains. Inside the box this is the Gaussian log
     likelihood of the relative eigenvalue residuals (constant terms
-    dropped), since the uniform prior contributes nothing that varies. Rows
+    dropped, noise scale ``run.bayes.likelihood_sd``), since the uniform
+    prior contributes nothing that varies. Rows
     outside the box are not solved; the rest go to one
     ``run.model.eigenvalues_batch`` call, which solves for eigenvalues only.
     When every row is inside, the stack is solved as it is, without
@@ -103,28 +104,28 @@ def log_posterior_batch(thetas, measured_eigenvalues, run: FfemuRun, config: Mcm
     inside = ((th >= run.theta_min) & (th <= run.theta_max)).all(axis=1)
     lam_m = np.asarray(measured_eigenvalues, dtype=float)
     if inside.all():
-        return _log_likelihood(run.model.eigenvalues_batch(th), lam_m, config)
+        return _log_likelihood(run.model.eigenvalues_batch(th), lam_m, run.bayes.likelihood_sd)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
-        out[inside] = _log_likelihood(run.model.eigenvalues_batch(th[inside]), lam_m, config)
+        out[inside] = _log_likelihood(run.model.eigenvalues_batch(th[inside]), lam_m, run.bayes.likelihood_sd)
     return out
 
 
-def _log_likelihood(lam, lam_m, config: McmcConfig) -> np.ndarray:
+def _log_likelihood(lam, lam_m, likelihood_sd: float) -> np.ndarray:
     """Row sums of -0.5 ((lam_m - lam) / lam_m / sd)^2, overwriting ``lam``."""
     resid = np.subtract(lam_m, lam, out=lam)
     resid /= lam_m
-    resid /= config.likelihood_sd
+    resid /= likelihood_sd
     np.square(resid, out=resid)
     total = resid.sum(axis=1)
     total *= -0.5
     return total
 
 
-def mh_sample(run: FfemuRun, config: McmcConfig) -> Chain:
+def mh_sample(run: FfemuRun) -> Chain:
     """Random-walk Metropolis-Hastings with Gaussian proposals, as ``CHAINS``
-    chains in lockstep from the run's ``theta_initial`` or box centre (see
-    the module docstring).
+    chains in lockstep from the run's ``theta_initial`` or box centre, with
+    the settings ``run.bayes`` (see the module docstring).
 
     Deterministic for a fixed ``run.seed``; chain c equals bit for bit the
     sequential chain that, at each step, draws d standard normals from the
@@ -138,19 +139,19 @@ def mh_sample(run: FfemuRun, config: McmcConfig) -> Chain:
     lam_m = run.measured.center_eigenvalues()
     start = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
     with np.errstate(over="ignore"):  # a squared residual that overflows gives a log posterior of -inf
-        lp = log_posterior_batch(start[None, :], lam_m, run, config).item()
+        lp = log_posterior_batch(start[None, :], lam_m, run).item()
         if not math.isfinite(lp):
             raise DiagnosticsError(
                 f"the log posterior at the chain start is {lp}; likelihood_sd = "
-                f"{config.likelihood_sd!r} is too small for its eigenvalue residuals"
+                f"{run.bayes.likelihood_sd!r} is too small for its eigenvalue residuals"
             )
-        return _lockstep(run, config, lam_m, start, lp)
+        return _lockstep(run, lam_m, start, lp)
 
 
-def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
+def _lockstep(run: FfemuRun, lam_m, start, lp) -> Chain:
     """The chains of ``mh_sample``, all from ``start``, whose log posterior is ``lp``."""
-    burn, d = config.burn_in, start.size
-    s = -(-(config.n_samples - burn) // CHAINS)  # steps each chain makes after its burn-in
+    burn, d = run.bayes.burn_in, start.size
+    s = -(-(run.bayes.n_samples - burn) // CHAINS)  # steps each chain makes after its burn-in
     # step t's increments are drawn into burned[:, t] (kept[:, t - burn]
     # after the burn-in), and the states they lead to overwrite them
     burned, kept = np.empty((CHAINS, burn, d)), np.empty((CHAINS, s, d))
@@ -160,7 +161,7 @@ def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
         normals.standard_normal(out=burned[c])
         normals.standard_normal(out=kept[c])
         uniforms.random(out=log_u[c])
-    steps = config.proposal_fraction * (run.theta_max - run.theta_min)
+    steps = run.bayes.proposal_fraction * (run.theta_max - run.theta_min)
     burned *= steps
     kept *= steps
     np.log(log_u, out=log_u)
@@ -171,7 +172,7 @@ def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
     for t in range(burn + s):
         row = burned[:, t] if t < burn else kept[:, t - burn]
         proposals = states + row
-        lp_new = log_posterior_batch(proposals, lam_m, run, config)
+        lp_new = log_posterior_batch(proposals, lam_m, run)
         accept = log_u[:, t] < lp_new - lps
         np.copyto(states, proposals, where=accept[:, None])
         np.copyto(lps, lp_new, where=accept)
@@ -181,7 +182,7 @@ def _lockstep(run: FfemuRun, config: McmcConfig, lam_m, start, lp) -> Chain:
         raise DiagnosticsError(
             "no proposal was ever accepted; decrease proposal_fraction (or check the likelihood)"
         )
-    samples = kept.reshape(-1, d)[: config.n_samples - burn]
+    samples = kept.reshape(-1, d)[: run.bayes.n_samples - burn]
     return Chain(samples=samples, acceptance_rate=accepted / log_u.size)
 
 

@@ -15,6 +15,7 @@ them, so ``report`` loads none of the four.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -54,7 +55,8 @@ def cmd_simulate(args) -> int:
 def cmd_update(args) -> int:
     from .pipeline import load_run_config, run_ffemu
 
-    config = load_run_config(args.config, seed_override=args.seed)
+    run = load_run_config(args.config)
+    run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)  # re-runs the run's checks
     logger = logging.getLogger("ffemu")
     handler = logging.StreamHandler(sys.stderr)
     level = logger.level
@@ -62,12 +64,12 @@ def cmd_update(args) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
     try:
-        result = run_ffemu(config.run)
+        result = run_ffemu(run)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     out = Path(args.out)
-    report.write_bundle(out, config.run, result)
+    report.write_bundle(out, run, result)
     summary = bundle.load_summary(out)
     print(report.render_tables(summary, bundle.load_bayes_summary(out, summary)))
     print(f"\nresult bundle written to {out}")
@@ -78,15 +80,14 @@ def cmd_bayes(args) -> int:
     from . import bayes  # the sampler is loaded by this command only
     from .pipeline import load_run_config
 
-    config = load_run_config(args.config, seed_override=args.seed)
-    if config.bayes is None:
-        raise ConfigurationError(f"{args.config}: no 'bayes' section")
-    chain = bayes.mh_sample(config.run, config.bayes)
+    run = load_run_config(args.config)
+    run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)
+    chain = bayes.mh_sample(run)
     summary = bayes.summarize(chain)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bayes.write_chain_csv(chain, out / "chain.csv")
-    posterior_eigs = config.run.model.eigenvalues_batch(summary.mean[None, :])[0]
+    posterior_eigs = run.model.eigenvalues_batch(summary.mean[None, :])[0]
     payload = {
         "mean": [float(v) for v in summary.mean],
         "sd": [float(v) for v in summary.sd],
@@ -97,7 +98,7 @@ def cmd_bayes(args) -> int:
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
     }
     write_json(out / bundle.BAYES_FILE, payload)
-    labels = report.parameter_labels(config.run.model)
+    labels = report.parameter_labels(run.model)
     print(f"{'param':>8} {'mean':>12} {'sd':>12} {'c.o.v. %':>9}")
     for i, label in enumerate(labels):
         print(

@@ -183,22 +183,14 @@ class SolutionArchive:
     def best_f(self) -> float:
         return float(self.f[0])
 
-    def update(self, points, values) -> bool:
-        """Merge candidates, keep the best ``len(self)`` rows.
-
-        Returns whether any candidate entered. A candidate enters only
-        strictly below the worst row (a tie keeps the archive row), so
-        when none does the archive is kept as it is, with no merge.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.size == 0 or values.min() >= self.f[-1]:
-            return False
+    def update(self, points, values) -> None:
+        """Merge candidates, keep the best ``len(self)`` rows; the stable
+        sort puts the archive rows first, so a tie keeps the archive row."""
         all_x = np.concatenate([self.x, np.asarray(points, dtype=float)])
-        all_f = np.concatenate([self.f, values])
+        all_f = np.concatenate([self.f, np.asarray(values, dtype=float)])
         order = all_f.argsort(kind="stable")[: len(self)]
         self.x = all_x.take(order, axis=0)
         self.f = all_f.take(order)
-        return True
 
     def sigma_matrix(self, xi: float) -> np.ndarray:
         """Per-row, per-dimension sampling spreads: xi times the mean
@@ -307,19 +299,17 @@ def aco_minimize(f, region, config: AcoConfig, rng, initial=None) -> Optimizatio
     archive = SolutionArchive(pts, vals)
     cdf = aco_cdf(len(archive), config.q)
     offsets = np.arange(archive.x.shape[1])
-    mean = float(np.add.reduce(archive.f)) / len(archive)
     history_best = [archive.best_f]
-    history_mean = [mean]
+    history_mean = [float(np.add.reduce(archive.f)) / len(archive)]
     iterations = 0
     stop_reason = "max_iterations"
     for _ in range(config.max_iterations):
         candidates = aco_construct(archive, config, region, rng, cdf, offsets)
         values = _evaluate(f, candidates)
         n_evals += len(candidates)
-        if archive.update(candidates, values):
-            mean = float(np.add.reduce(archive.f)) / len(archive)
+        archive.update(candidates, values)
         history_best.append(archive.best_f)
-        history_mean.append(mean)
+        history_mean.append(float(np.add.reduce(archive.f)) / len(archive))
         iterations += 1
         if _stagnated(history_best, config.stagnation_window, config.stagnation_tolerance):
             stop_reason = "stagnation"

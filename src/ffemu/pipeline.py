@@ -14,11 +14,11 @@ run's two scalar weights scale every eigenvalue and every shape error.
 The parameter and the output membership functions come out as two nested
 alpha-cut stacks, (L, d) and (L, n).
 
-``load_run_config`` parses a run-configuration file into one ``FfemuRun``
-(model, measured data, prior box, start and seed) and, from its optional
-``bayes`` section, the M-H sampler's four settings, ``McmcConfig``, which
-are defined here so that parsing a config (and ``ffemu update``) never
-imports the sampler itself, ``ffemu.bayes``.
+``load_run_config`` parses a run-configuration file into one ``FfemuRun``,
+whose M-H settings, ``McmcConfig``, come from the ``bayes`` section as the
+optimizers' come from ``aco`` and ``pso``, an absent section giving the
+defaults. ``McmcConfig`` is defined here so that parsing a config (and
+``ffemu update``) never imports the sampler itself, ``ffemu.bayes``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .optim import (
 __all__ = [
     "FfemuRun",
     "FfemuResult",
-    "RunConfig",
     "McmcConfig",
     "simulate_measurements",
     "run_ffemu",
@@ -78,6 +77,36 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
+class McmcConfig:
+    """Settings of the M-H sampler (``bayes.mh_sample``), a run's ``bayes``:
+    the ``bayes`` section of a run config, or the defaults when it is absent.
+
+    The prior box, the chain start, the seed, the model and the measured
+    data are the run's (``FfemuRun``). Each of the ``bayes.CHAINS`` chains
+    drops its own first ``burn_in`` states and keeps the next s =
+    ceil((``n_samples - burn_in``) / ``bayes.CHAINS``); the first
+    ``n_samples - burn_in`` kept states, chain-major, are published. Every
+    proposal step is ``proposal_fraction`` times the box width, per
+    parameter, and ``likelihood_sd`` is the relative eigenvalue noise scale
+    (dimensionless). Bounds are stated on the fields, and
+    ``errors.check_settings`` names a breach as ``'bayes.<field>'``;
+    ``n_samples`` must also exceed ``burn_in``.
+    """
+
+    n_samples: int = 10000
+    burn_in: int = field(default=1000, metadata={"at_least": 0})
+    proposal_fraction: float = field(default=0.01, metadata={"above": 0})
+    likelihood_sd: float = field(default=0.01, metadata={"above": 0})
+
+    def __post_init__(self):
+        check_settings(self, "bayes")
+        if self.n_samples <= self.burn_in:
+            raise ConfigurationError(
+                f"'bayes.n_samples' must be above 'bayes.burn_in' ({self.burn_in!r}), got {self.n_samples!r}"
+            )
+
+
+@dataclass(frozen=True)
 class FfemuRun:
     """Everything one fuzzy updating run needs.
 
@@ -89,14 +118,14 @@ class FfemuRun:
     theta_min < theta_max, for both the fuzzy search and the M-H prior.
     ``theta_initial``, the optional start of the alpha = 1 search and of the
     M-H chains, must be d finite numbers inside the box, and ``seed`` a
-    non-negative integer. No search step may overflow: ``aco.xi``, and the
-    PSO velocity scale |inertia| * v_max_fraction + |cognitive| + |social|,
-    each times the box's widest span and ``STEP_MARGIN`` = 2**32 (room for
-    an archive's sum of up to 2**32 spreads and any Gaussian draw), must be
-    finite, else the key with the largest share is named. Per-level
-    optimizer seeds are derived from ``seed`` plus the level index, so
-    levels draw independent random streams but the whole run is
-    reproducible; ``seed`` seeds the M-H chains too.
+    non-negative integer. No search step may overflow: the box's widest
+    span, alone, times ``aco.xi`` and times the PSO velocity scale
+    |inertia| * v_max_fraction + |cognitive| + |social|, each times
+    ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to 2**32
+    spreads and any Gaussian draw), must be finite, else the box, ``aco.xi``
+    or the PSO key with the largest share is named. Level k's optimizer
+    draws from ``seed + k``, so levels draw independent streams but the
+    run is reproducible; ``seed`` and ``bayes`` drive the M-H chains.
     """
 
     model: StructuralModel
@@ -106,6 +135,7 @@ class FfemuRun:
     optimizer: str = "aco"
     aco: AcoConfig = field(default_factory=AcoConfig)
     pso: PsoConfig = field(default_factory=PsoConfig)
+    bayes: McmcConfig = field(default_factory=McmcConfig)
     levels: np.ndarray | None = None
     weights: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
@@ -150,9 +180,13 @@ class FfemuRun:
         span = float((self.theta_max - self.theta_min).max())
         p = self.pso
         shares = {"inertia": abs(p.inertia) * p.v_max_fraction, "cognitive": abs(p.cognitive), "social": abs(p.social)}
-        for key, scale in [("aco.xi", self.aco.xi), (f"pso.{max(shares, key=shares.get)}", sum(shares.values()))]:
+        for key, scale in [
+            ("the box [theta_min, theta_max]", 1.0),
+            ("'aco.xi'", self.aco.xi),
+            (f"'pso.{max(shares, key=shares.get)}'", sum(shares.values())),
+        ]:
             if not math.isfinite(float(scale) * span * STEP_MARGIN):
-                raise ConfigurationError(f"{key!r} makes a search step overflow on a box span of {span!r}")
+                raise ConfigurationError(f"{key} makes a search step overflow on a box span of {span!r}")
         if self.measured.n_modes != self.model.n_dof:
             raise ConfigurationError(
                 f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
@@ -356,44 +390,6 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
     return AlphaCutStack(parameters.levels, lows, np.maximum(lows, highs))
 
 
-@dataclass(frozen=True)
-class McmcConfig:
-    """Settings of the M-H sampler (``bayes.mh_sample``), the ``bayes``
-    section of a run config.
-
-    The prior box, the chain start, the seed, the model and the measured
-    data are the run's (``FfemuRun``). Each of the ``bayes.CHAINS`` chains
-    drops its own first ``burn_in`` states and keeps the next s =
-    ceil((``n_samples - burn_in``) / ``bayes.CHAINS``); the first
-    ``n_samples - burn_in`` kept states, chain-major, are published. Every
-    proposal step is ``proposal_fraction`` times the box width, per
-    parameter, and ``likelihood_sd`` is the relative eigenvalue noise scale
-    (dimensionless). Bounds are stated on the fields, and
-    ``errors.check_settings`` names a breach as ``'bayes.<field>'``;
-    ``n_samples`` must also exceed ``burn_in``.
-    """
-
-    n_samples: int = 10000
-    burn_in: int = field(default=1000, metadata={"at_least": 0})
-    proposal_fraction: float = field(default=0.01, metadata={"above": 0})
-    likelihood_sd: float = field(default=0.01, metadata={"above": 0})
-
-    def __post_init__(self):
-        check_settings(self, "bayes")
-        if self.n_samples <= self.burn_in:
-            raise ConfigurationError(
-                f"'bayes.n_samples' must be above 'bayes.burn_in' ({self.burn_in!r}), got {self.n_samples!r}"
-            )
-
-
-@dataclass
-class RunConfig:
-    """Parsed run-configuration file: the fuzzy run and the optional M-H settings."""
-
-    run: FfemuRun
-    bayes: McmcConfig | None
-
-
 def _settings(raw: dict, key: str, cls):
     """The settings dataclass ``cls`` from the JSON object ``raw[key]``
     (defaults when absent), whose keys must be ``cls``'s fields."""
@@ -402,21 +398,22 @@ def _settings(raw: dict, key: str, cls):
     return cls(**section)
 
 
-def load_run_config(path, seed_override: int | None = None) -> RunConfig:
-    """Parse a run-configuration JSON file.
+def load_run_config(path) -> FfemuRun:
+    """Parse a run-configuration JSON file into its ``FfemuRun``.
 
     Relative paths resolve against the config file's directory. The
     ``model`` entry may be the token ``"bundled"`` for the packaged
     five-DOF structure. Measured data come either from a ``measured`` file
     path or inline via a ``truth`` section (simulated on the spot). The
     ``aco``, ``pso`` and ``bayes`` sections are read by one reader, whose
-    keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``.
+    keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``;
+    an absent section gives the defaults.
     Every value goes through ``errors.check_value`` or
     ``errors.check_settings``, so a key outside ``RUN_KEYS``, an unknown key
     in a section, or a value of the wrong kind, shape or range is a
     ``ConfigurationError`` naming the file and the key, as
     ``'aco.n_ants'``; an error in the model or measured-data file names
-    that file. ``seed_override`` (``--seed``) replaces the config's seed.
+    that file.
     """
     from . import scenarios  # local import; scenarios builds on this module's simulate
 
@@ -449,7 +446,7 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
 
         weights = check_value(raw, "weights", "object", default={})
         check_keys(weights, WEIGHT_KEYS, "weights.")
-        run = FfemuRun(
+        return FfemuRun(
             model=model,
             measured=measured,
             theta_min=theta_min,
@@ -457,12 +454,11 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
             optimizer=check_value(raw, "optimizer", "string", default="aco"),
             aco=_settings(raw, "aco", AcoConfig),
             pso=_settings(raw, "pso", PsoConfig),
+            bayes=_settings(raw, "bayes", McmcConfig),
             levels=levels,
             weights=tuple(
                 check_value(weights, key, label=f"weights.{key}", default=1.0, at_least=0) for key in WEIGHT_KEYS
             ),
-            seed=check_value(raw, "seed", "integer", default=0) if seed_override is None else seed_override,
+            seed=check_value(raw, "seed", "integer", default=0),
             theta_initial=check_value(raw, "theta_initial", shape=(-1,), default=None),
         )
-        bayes = _settings(raw, "bayes", McmcConfig) if "bayes" in raw else None
-    return RunConfig(run=run, bayes=bayes)

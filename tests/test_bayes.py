@@ -35,8 +35,9 @@ def one_dof_model():
 
 def one_dof_run(measured=5.0, **overrides):
     """The 1-DOF spring (eigenvalue = stiffness) on the prior box [1, 9],
-    measured crisply at eigenvalue ``measured``."""
-    settings = dict(theta_min=[1.0], theta_max=[9.0], seed=0)
+    measured crisply at eigenvalue ``measured``, sampled with
+    ``one_dof_config()`` unless ``bayes`` is given."""
+    settings = dict(theta_min=[1.0], theta_max=[9.0], seed=0, bayes=one_dof_config())
     settings.update(overrides)
     return FfemuRun(
         model=one_dof_model(), measured=MeasuredFuzzyModalData([[measured] * 3], [[1.0]]), **settings
@@ -51,7 +52,7 @@ def one_dof_config(step=0.25, **overrides):
     return McmcConfig(**settings)
 
 
-def five_dof_run(seed=3):
+def five_dof_run(seed=3, bayes=McmcConfig()):
     """The bundled five-DOF structure on its prior box, measured crisply at
     the truth, its chains starting at the bundled initial guess."""
     model = scenarios.five_dof_model()
@@ -62,18 +63,19 @@ def five_dof_run(seed=3):
         theta_max=scenarios.THETA_MAX,
         seed=seed,
         theta_initial=scenarios.THETA_INITIAL,
+        bayes=bayes,
     )
 
 
-def log_posterior_row(theta, run, config) -> float:
+def log_posterior_row(theta, run) -> float:
     """Log posterior at one parameter vector: a one-row ``log_posterior_batch``."""
     row = np.asarray(theta, dtype=float)[None, :]
-    return log_posterior_batch(row, run.measured.center_eigenvalues(), run, config).item()
+    return log_posterior_batch(row, run.measured.center_eigenvalues(), run).item()
 
 
-def proposal_steps(run, config):
+def proposal_steps(run):
     """Per-parameter proposal steps, formed as ``mh_sample`` forms them."""
-    return config.proposal_fraction * (run.theta_max - run.theta_min)
+    return run.bayes.proposal_fraction * (run.theta_max - run.theta_min)
 
 
 def kept_steps(config):
@@ -89,21 +91,22 @@ def chain_blocks(chain, config):
     return [chain.samples[c * s : (c + 1) * s] for c in range(CHAINS)]
 
 
-def sequential_chain(run, config, c):
+def sequential_chain(run, c):
     """The one-step-at-a-time definition of chain c: each step draws d
     normals from the first child stream of
     ``SeedSequence(run.seed).spawn(CHAINS)[c]`` and one uniform from the
     second, for ``burn_in`` + s steps. Returns the s kept states and the
     number of accepted steps."""
+    config = run.bayes
     seed = np.random.SeedSequence(run.seed).spawn(CHAINS)[c]
     normals, uniforms = map(np.random.default_rng, seed.spawn(2))
     theta = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
-    lp = log_posterior_row(theta, run, config)
+    lp = log_posterior_row(theta, run)
     kept = np.empty((kept_steps(config), theta.size))
     accepted = 0
     for i in range(config.burn_in + kept_steps(config)):
-        proposal = theta + normals.normal(0.0, proposal_steps(run, config))
-        lp_prop = log_posterior_row(proposal, run, config)
+        proposal = theta + normals.normal(0.0, proposal_steps(run))
+        lp_prop = log_posterior_row(proposal, run)
         if np.log(uniforms.uniform()) < lp_prop - lp:
             theta = proposal
             lp = lp_prop
@@ -119,14 +122,14 @@ def five_dof_chain_config(proposal_fraction, **overrides):
     return McmcConfig(**settings)
 
 
-def assert_equals_sequential(run, config):
+def assert_equals_sequential(run):
     """Each chain's published block of ``mh_sample`` is a prefix, bit for bit,
     of its one-row sequential reference's kept states, and the acceptance
     rate counts every step of every chain, published or not."""
-    chain = mh_sample(run, config)
+    chain, config = mh_sample(run), run.bayes
     accepted = 0
     for c, block in enumerate(chain_blocks(chain, config)):
-        samples, chain_accepted = sequential_chain(run, config, c)
+        samples, chain_accepted = sequential_chain(run, c)
         assert block.tobytes() == samples[: len(block)].tobytes(), c
         accepted += chain_accepted
     assert chain.acceptance_rate == accepted / (CHAINS * (config.burn_in + kept_steps(config)))
@@ -138,27 +141,22 @@ class TestLogPosterior:
         # coarse grid scan oracle around the truth on noise-free data
         run = five_dof_run()
         truth = scenarios.THETA_TRUE
-        config = McmcConfig()
-        lp_truth = log_posterior_row(truth, run, config)
+        lp_truth = log_posterior_row(truth, run)
         rng = np.random.default_rng(2)
         for _ in range(60):
             probe = truth + rng.uniform(-100.0, 100.0, truth.size)
             probe = np.clip(probe, scenarios.THETA_MIN, scenarios.THETA_MAX)
-            assert log_posterior_row(probe, run, config) <= lp_truth + 1e-12
+            assert log_posterior_row(probe, run) <= lp_truth + 1e-12
 
     def test_outside_box_is_minus_inf(self):
         run = one_dof_run()
-        config = one_dof_config()
-        assert log_posterior_row([0.5], run, config) == -np.inf
-        assert log_posterior_row([9.5], run, config) == -np.inf
+        assert log_posterior_row([0.5], run) == -np.inf
+        assert log_posterior_row([9.5], run) == -np.inf
 
     def test_doubling_sd_quarters_quadratic_term_exactly(self):
-        run = one_dof_run()
         # power-of-two scales keep the quartering bitwise exact
-        cfg1 = one_dof_config(likelihood_sd=0.015625)
-        cfg2 = one_dof_config(likelihood_sd=0.03125)
-        lp1 = log_posterior_row([4.5], run, cfg1)
-        lp2 = log_posterior_row([4.5], run, cfg2)
+        lp1 = log_posterior_row([4.5], one_dof_run(bayes=one_dof_config(likelihood_sd=0.015625)))
+        lp2 = log_posterior_row([4.5], one_dof_run(bayes=one_dof_config(likelihood_sd=0.03125)))
         assert 4.0 * lp2 == lp1
 
     @pytest.mark.parametrize("rows", [1, 3, 16, 17, 64])
@@ -167,8 +165,7 @@ class TestLogPosterior:
         # the lockstep chains rest on this: a row's log posterior does not
         # depend on the other rows of its stack, solved whole when every row
         # is inside the box, else gathered and scattered
-        run = five_dof_run()
-        config = McmcConfig(likelihood_sd=0.005)
+        run = five_dof_run(bayes=McmcConfig(likelihood_sd=0.005))
         centre = 0.5 * (run.theta_min + run.theta_max)
         half = 0.5 * (run.theta_max - run.theta_min)
         thetas = centre + spread * half * np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 5))
@@ -177,49 +174,48 @@ class TestLogPosterior:
             thetas[-1] = run.theta_max + 1.0
         inside = ((thetas >= run.theta_min) & (thetas <= run.theta_max)).all(axis=1)
         assert inside.all() if spread < 1.0 else (inside.any() == (rows > 1) and not inside.all())
-        batch = log_posterior_batch(thetas, run.measured.center_eigenvalues(), run, config)
-        each = np.array([log_posterior_row(theta, run, config) for theta in thetas])
+        batch = log_posterior_batch(thetas, run.measured.center_eigenvalues(), run)
+        each = np.array([log_posterior_row(theta, run) for theta in thetas])
         assert batch.tobytes() == each.tobytes()
         assert np.isfinite(batch).tolist() == inside.tolist()
 
 
 class TestMhSample:
     def test_tiny_proposal_accepts_everything(self):
-        run = one_dof_run(theta_initial=[5.0])
-        chain = mh_sample(run, one_dof_config(step=1e-12))
+        chain = mh_sample(one_dof_run(theta_initial=[5.0], bayes=one_dof_config(step=1e-12)))
         assert chain.acceptance_rate > 0.999
         assert np.ptp(chain.samples) < 1e-9
 
     def test_one_dim_gaussian_variance_and_ks(self):
         # lambda(theta) = theta here, so the posterior is Gaussian with
         # mean 5 and sd = 5 * likelihood_sd, far from the box edges
-        config = one_dof_config(n_samples=100000, burn_in=1000)
-        chain = mh_sample(one_dof_run(seed=7), config)
-        sd_target = 5.0 * config.likelihood_sd
+        run = one_dof_run(seed=7, bayes=one_dof_config(n_samples=100000, burn_in=1000))
+        chain = mh_sample(run)
+        sd_target = 5.0 * run.bayes.likelihood_sd
         assert chain.samples.var(ddof=1) == pytest.approx(sd_target**2, rel=0.10)
         ks = stats.kstest(chain.samples[:, 0], stats.norm(5.0, sd_target).cdf).statistic
         assert ks <= 0.02
 
     def test_samples_stay_inside_prior_box(self):
-        chain = mh_sample(one_dof_run(seed=3), one_dof_config(step=3.0))
+        chain = mh_sample(one_dof_run(seed=3, bayes=one_dof_config(step=3.0)))
         assert np.all(chain.samples >= 1.0) and np.all(chain.samples <= 9.0)
         assert 0.0 < chain.acceptance_rate < 1.0
 
     def test_seed_determinism(self):
-        a = mh_sample(one_dof_run(seed=11), one_dof_config())
-        b = mh_sample(one_dof_run(seed=11), one_dof_config())
+        a = mh_sample(one_dof_run(seed=11))
+        b = mh_sample(one_dof_run(seed=11))
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_zero_acceptance_raises_diagnostics(self):
-        run = one_dof_run(seed=1, theta_initial=[5.0])
         config = one_dof_config(n_samples=200, burn_in=0, step=1e9)
+        run = one_dof_run(seed=1, theta_initial=[5.0], bayes=config)
         with pytest.raises(DiagnosticsError, match="proposal_fraction"):
-            mh_sample(run, config)
+            mh_sample(run)
 
     def test_five_dof_desk_run_recovers_truth(self):
         config = McmcConfig(n_samples=10000, burn_in=1000, likelihood_sd=0.005)
-        chain = mh_sample(five_dof_run(seed=0), config)
+        chain = mh_sample(five_dof_run(seed=0, bayes=config))
         summary = summarize(chain)
         np.testing.assert_allclose(summary.mean, scenarios.THETA_TRUE, rtol=0.02)
         assert np.all(summary.cov_percent < 5.0)  # the probabilistic spread stays small
@@ -232,14 +228,13 @@ class TestLockstepChains:
         "fraction, low, high", [(0.007, 0.7, 0.9), (0.03, 0.3, 0.55), (0.1, 0.01, 0.1)]
     )
     def test_five_dof_equals_sequential_at_high_mid_low_acceptance(self, fraction, low, high):
-        chain = assert_equals_sequential(five_dof_run(), five_dof_chain_config(fraction))
+        chain = assert_equals_sequential(five_dof_run(bayes=five_dof_chain_config(fraction)))
         assert low < chain.acceptance_rate < high
 
     def test_box_edge_steps_mix_outside_and_inside_rows(self, monkeypatch):
         # the posterior peak at 1.1 sits by the lower box edge at 1.0, so
         # many proposals leave the box and are not solved
-        run = one_dof_run(measured=1.1, seed=4, theta_initial=[1.5])
-        config = one_dof_config(step=0.5)
+        run = one_dof_run(measured=1.1, seed=4, theta_initial=[1.5], bayes=one_dof_config(step=0.5))
         solves = []  # rows per eigensolve: the start state, then each step with a row inside
         original = StructuralModel.eigenvalues_batch
 
@@ -250,20 +245,20 @@ class TestLockstepChains:
             return original(self, thetas)
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", counting)
-        mh_sample(run, config)
+        mh_sample(run)
         monkeypatch.undo()
         # 900 kept states: s = 57 steps after the burn-in, 157 steps in all
-        steps = config.burn_in + 57
+        steps = run.bayes.burn_in + 57
         assert solves[0] == 1 and len(solves) <= 1 + steps
         assert sum(0 < rows < CHAINS for rows in solves[1 : 1 + steps]) > steps // 2
-        assert_equals_sequential(run, config)
+        assert_equals_sequential(run)
 
     def test_burn_in_zero(self):
-        chain = assert_equals_sequential(five_dof_run(), five_dof_chain_config(0.03, burn_in=0))
+        chain = assert_equals_sequential(five_dof_run(bayes=five_dof_chain_config(0.03, burn_in=0)))
         assert chain.samples.shape == (600, 5)
 
     def test_reached_row_that_fails_to_converge_raises(self, monkeypatch):
-        run = five_dof_run()
+        run = five_dof_run(bayes=five_dof_chain_config(0.03))
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -275,7 +270,7 @@ class TestLockstepChains:
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_after_start)
         with pytest.raises(ConvergenceError):
-            mh_sample(run, five_dof_chain_config(0.03))
+            mh_sample(run)
         # the start state, then the first step of every chain
         assert calls == [1, CHAINS]
 
@@ -286,7 +281,7 @@ class TestLockstepChains:
     def test_failure_at_any_step_propagates(self, failing_call, monkeypatch):
         # 58 - 6 = 52 kept: the start, then 6 burn-in and s = 4 kept steps,
         # each of every chain
-        config = one_dof_config(n_samples=58, burn_in=6, step=0.05)
+        run = one_dof_run(bayes=one_dof_config(n_samples=58, burn_in=6, step=0.05))
         original = StructuralModel.eigenvalues_batch
         calls = []
 
@@ -298,7 +293,7 @@ class TestLockstepChains:
 
         monkeypatch.setattr(StructuralModel, "eigenvalues_batch", fails_at)
         with pytest.raises(ConvergenceError):
-            mh_sample(one_dof_run(), config)
+            mh_sample(run)
         assert calls == ([1] + [CHAINS] * 10)[:failing_call]
 
     @pytest.mark.parametrize(
@@ -314,8 +309,8 @@ class TestLockstepChains:
         # s = ceil(kept / 16) steps after every chain's burn-in: fewer kept
         # states than chains, one or one more than one per chain, whole and
         # partial rounds, the bundled run's 9,000 and the benchmark's 39,000
-        run = one_dof_run(seed=1)  # at seed 1 the one-step runs accept a step; a run that accepts nothing raises
-        config = one_dof_config(n_samples=burn_in + kept, burn_in=burn_in, step=0.05)
+        # at seed 1 the one-step runs accept a step; a run that accepts nothing raises
+        run = one_dof_run(seed=1, bayes=one_dof_config(n_samples=burn_in + kept, burn_in=burn_in, step=0.05))
         steps = burn_in + math.ceil(kept / CHAINS)
         calls, failing_call = [], None
 
@@ -326,31 +321,31 @@ class TestLockstepChains:
             return log_posterior_batch(thetas, *args)
 
         monkeypatch.setattr(bayes, "log_posterior_batch", counting)
-        chain = assert_equals_sequential(run, config)
+        chain = assert_equals_sequential(run)
         # the start state, then one CHAINS-row call per step
         assert calls == [1] + [CHAINS] * steps
         assert chain.samples.shape == (kept, 1) and chain.samples.flags.c_contiguous
         calls.clear()
         failing_call = 1 + steps  # the last step
         with pytest.raises(ConvergenceError):
-            mh_sample(run, config)
+            mh_sample(run)
         assert calls == [1] + [CHAINS] * steps
 
     def test_chains_draw_distinct_streams(self):
         # every chain starts at the box centre, so only its streams tell it
         # apart; another seed changes every chain
         config = one_dof_config(n_samples=420, burn_in=100)
-        blocks = chain_blocks(mh_sample(one_dof_run(seed=2), config), config)
+        blocks = chain_blocks(mh_sample(one_dof_run(seed=2, bayes=config)), config)
         assert len({block.tobytes() for block in blocks}) == CHAINS
-        others = chain_blocks(mh_sample(one_dof_run(seed=3), config), config)
+        others = chain_blocks(mh_sample(one_dof_run(seed=3, bayes=config)), config)
         assert not any(np.array_equal(a, b) for a, b in zip(blocks, others))
 
     def test_start_vector_is_left_unchanged(self):
         # the chains' states are updated in place; none of them may be the
         # run's own start vector
         initial = np.array([5.0])
-        run = one_dof_run(theta_initial=initial)
-        chain = mh_sample(run, one_dof_config(step=0.05))
+        run = one_dof_run(theta_initial=initial, bayes=one_dof_config(step=0.05))
+        chain = mh_sample(run)
         assert chain.acceptance_rate > 0.5
         assert run.theta_initial is initial and initial.tolist() == [5.0]
 
@@ -361,34 +356,32 @@ class TestRandomStreams:
     second, one row and one uniform per step."""
 
     def test_each_chain_is_a_prefix_of_itself_in_a_longer_run(self):
-        run = five_dof_run()
         short_config = five_dof_chain_config(0.03, n_samples=3000, burn_in=0)
         long_config = five_dof_chain_config(0.03, n_samples=5000, burn_in=0)
-        short = chain_blocks(mh_sample(run, short_config), short_config)
-        long = chain_blocks(mh_sample(run, long_config), long_config)
+        short = chain_blocks(mh_sample(five_dof_run(bayes=short_config)), short_config)
+        long = chain_blocks(mh_sample(five_dof_run(bayes=long_config)), long_config)
         for c, (a, b) in enumerate(zip(short, long)):
             assert len(a) < len(b) and np.array_equal(a, b[: len(a)]), c
 
     def test_each_chains_accepted_states_are_the_running_sum_of_its_first_stream(self):
         # a step of 1e-12 changes the log posterior by about 1e-21, less than
         # the largest log uniform, -2^-53: every proposal is accepted
-        run = one_dof_run(seed=9, theta_initial=[5.0])
-        config = one_dof_config(step=1e-12)
-        chain = mh_sample(run, config)
+        run = one_dof_run(seed=9, theta_initial=[5.0], bayes=one_dof_config(step=1e-12))
+        config = run.bayes
+        chain = mh_sample(run)
         assert chain.acceptance_rate == 1.0
         seeds = np.random.SeedSequence(9).spawn(CHAINS)
         for c, (block, seed) in enumerate(zip(chain_blocks(chain, config), seeds)):
             first, _ = seed.spawn(2)
             z = np.random.default_rng(first).standard_normal((config.burn_in + kept_steps(config), 1))
-            states = np.cumsum(np.vstack([run.theta_initial, z * proposal_steps(run, config)]), axis=0)
+            states = np.cumsum(np.vstack([run.theta_initial, z * proposal_steps(run)]), axis=0)
             assert block.tobytes() == states[1 + config.burn_in :][: len(block)].tobytes(), c
 
     def test_each_chain_is_a_prefix_of_itself_with_the_same_burn_in(self):
-        run = one_dof_run(seed=6)
         short_config = one_dof_config(n_samples=900, burn_in=100)
         long_config = one_dof_config(n_samples=1700, burn_in=100)
-        short = chain_blocks(mh_sample(run, short_config), short_config)
-        long = chain_blocks(mh_sample(run, long_config), long_config)
+        short = chain_blocks(mh_sample(one_dof_run(seed=6, bayes=short_config)), short_config)
+        long = chain_blocks(mh_sample(one_dof_run(seed=6, bayes=long_config)), long_config)
         for c, (a, b) in enumerate(zip(short, long)):
             assert len(a) == 50 and len(b) == 100 and np.array_equal(a, b[:50]), c
 
@@ -468,9 +461,8 @@ class TestChainCsv:
         assert back.tobytes() == chain.samples.tobytes()
 
     def test_sampler_rows_are_chain_major_with_one_running_index(self, tmp_path):
-        run = one_dof_run(seed=8)
-        config = one_dof_config(n_samples=150, burn_in=20)
-        write_chain_csv(mh_sample(run, config), tmp_path / "chain.csv")
+        run = one_dof_run(seed=8, bayes=one_dof_config(n_samples=150, burn_in=20))
+        write_chain_csv(mh_sample(run), tmp_path / "chain.csv")
         with open(tmp_path / "chain.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [int(r[0]) for r in rows] == list(range(130))
@@ -478,7 +470,7 @@ class TestChainCsv:
         # 130 kept states: every chain keeps s = 9, chains 0-13 publish 9,
         # chain 14 publishes 4 and chain 15 none
         for c in range(CHAINS):
-            states, _ = sequential_chain(run, config, c)
+            states, _ = sequential_chain(run, c)
             published = back[9 * c : 9 * (c + 1)]
             assert len(states) == 9 and len(published) == (9 if c < 14 else 4 if c == 14 else 0)
             assert published.tobytes() == states[: len(published)].tobytes(), c

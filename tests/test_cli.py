@@ -81,9 +81,9 @@ class TestUpdate:
         assert float(row[-1]) == pytest.approx(overhead, abs=1e-4)
 
     def test_bundle_reads_back_the_result_stacks_bit_for_bit(self, small_config, tmp_path):
-        config = load_run_config(small_config)
-        result = run_ffemu(config.run)
-        out = report.write_bundle(tmp_path / "bundle", config.run, result)
+        run = load_run_config(small_config)
+        result = run_ffemu(run)
+        out = report.write_bundle(tmp_path / "bundle", run, result)
         summary = load_summary(out)
         for group, stack in [("parameters", result.parameters), ("outputs", result.outputs)]:
             read = cut_stack(summary, group)
@@ -453,6 +453,17 @@ class TestBayes:
         assert err == f"configuration error: {path}: unknown key 'bayes.n_sample'; valid keys: {valid}\n"
         assert not out.exists()
 
+    def test_absent_section_samples_with_the_defaults(self, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        del config["bayes"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        # 10,000 samples, the first 1,000 burned in
+        assert json.loads((out / "bayes_summary.json").read_text())["n_samples"] == 9000
+        assert len((out / "chain.csv").read_bytes().splitlines()) == 9001
+
     def test_summary_records_the_chain_count(self, tmp_path, capsys):
         config = scenarios.bundled_run_config(seed=2)
         config["bayes"].update(n_samples=400, burn_in=50)
@@ -788,6 +799,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "error: argument --seed: must be a non-negative integer, got -1" in err
         assert "configuration error" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["update", "bayes"])
+    def test_negative_config_seed_is_a_configuration_error_under_the_flag(self, command, tmp_path, capsys):
+        # --seed replaces a seed the config file must still get right
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(scenarios.bundled_run_config(seed=-1)))
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        message = "'seed' must be a non-negative integer, got -1"
+        assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_help_still_exits_zero(self, capsys):

@@ -260,13 +260,24 @@ def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, key",
-    [("aco", "xi"), ("pso", "cognitive"), ("pso", "inertia"), ("pso", "social")],
+    "optimizer, where, value, named",
+    [
+        ("aco", ("aco", "xi"), 1e308, "'aco.xi'"),
+        ("pso", ("pso", "cognitive"), 1e308, "'pso.cognitive'"),
+        ("pso", ("pso", "inertia"), 1e308, "'pso.inertia'"),
+        ("pso", ("pso", "social"), 1e308, "'pso.social'"),
+        # a box too wide for a step at any setting is named, whichever optimizer runs
+        ("aco", ("theta_max", 0), 1e300, "the box [theta_min, theta_max]"),
+        ("pso", ("theta_max", 0), 1e300, "the box [theta_min, theta_max]"),
+    ],
+    ids=["aco-xi", "pso-cognitive", "pso-inertia", "pso-social", "aco-wide-box", "pso-wide-box"],
 )
-def test_setting_that_overflows_a_search_step_is_a_configuration_error(section, key, tmp_path, capsys):
-    config = scenarios.bundled_run_config(optimizer=section, seed=2)
+def test_setting_that_overflows_a_search_step_is_a_configuration_error(
+    optimizer, where, value, named, tmp_path, capsys
+):
+    config = scenarios.bundled_run_config(optimizer=optimizer, seed=2)
     config["alpha_levels"] = 2
-    config[section][key] = 1e308
+    set_at(config, where, value)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -274,7 +285,7 @@ def test_setting_that_overflows_a_search_step_is_a_configuration_error(section, 
         warnings.simplefilter("error")
         assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
-        f"configuration error: {path}: '{section}.{key}' makes a search step overflow on a box span of "
+        f"configuration error: {path}: {named} makes a search step overflow on a box span of "
     )
     assert not out.exists()
 

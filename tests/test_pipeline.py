@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from reference import alpha_cut, fit_triangle
 
-from ffemu import pipeline, scenarios
+from ffemu import cli, pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
@@ -17,6 +17,7 @@ from ffemu.objective import load_measured, residual_batch, save_measured, vertex
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
 from ffemu.pipeline import (
     FfemuRun,
+    McmcConfig,
     load_run_config,
     propagate_outputs,
     run_ffemu,
@@ -488,14 +489,22 @@ class TestRunConfig:
         return path
 
     def test_inline_truth_parses(self, tmp_path):
-        rc = load_run_config(self.write_config(tmp_path))
-        assert rc.run.optimizer == "aco"
-        assert rc.run.seed == 3
-        assert rc.run.levels.size == 4
-        assert rc.run.aco.max_iterations == 50
-        assert not rc.run.measured.is_crisp
-        assert rc.bayes is not None and rc.bayes.n_samples == 500
-        assert rc.run.weights == (1.0, 0.0)
+        run = load_run_config(self.write_config(tmp_path))
+        assert run.optimizer == "aco"
+        assert run.seed == 3
+        assert run.levels.size == 4
+        assert run.aco.max_iterations == 50
+        assert not run.measured.is_crisp
+        assert run.bayes == McmcConfig(n_samples=500, burn_in=100, likelihood_sd=0.005)
+        assert run.weights == (1.0, 0.0)
+
+    def test_absent_sections_take_the_defaults(self, tmp_path):
+        path = self.write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["bayes"]
+        path.write_text(json.dumps(raw))
+        run = load_run_config(path)
+        assert run.bayes == McmcConfig() and run.pso == PsoConfig()
 
     def test_measured_path_resolves_relative(self, tmp_path):
         model = scenarios.five_dof_model()
@@ -507,8 +516,7 @@ class TestRunConfig:
         raw = json.loads(path.read_text())
         del raw["truth"]
         path.write_text(json.dumps(raw))
-        rc = load_run_config(path)
-        assert rc.run.measured.n_modes == 5
+        assert load_run_config(path).measured.n_modes == 5
 
     def test_both_measured_and_truth_rejected(self, tmp_path):
         path = self.write_config(tmp_path, measured="meas.json")
@@ -521,16 +529,23 @@ class TestRunConfig:
             load_run_config(path)
 
     def test_seed_override(self, tmp_path):
-        # --seed reaches the M-H chains through run.seed, the run's one seed
-        from ffemu.bayes import mh_sample
+        # --seed 7 writes, for both commands, what "seed": 7 in the config
+        # writes, and not what the config's own seed 3 writes
+        def outputs(command, seed=3, flag=()):
+            out = tmp_path / f"{command}-{seed}-{len(flag)}"
+            args = [command, "--config", str(self.write_config(tmp_path, seed=seed)), "--out", str(out)]
+            assert cli.main(args + list(flag)) == cli.EXIT_OK
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "summary.json"}
+            if (out / "summary.json").exists():  # compared apart from its timings
+                summary = files["summary.json"] = json.loads((out / "summary.json").read_text())
+                for key in [key for key in summary["metadata"] if key.endswith("_seconds")]:
+                    del summary["metadata"][key]
+            return files
 
-        rc = load_run_config(self.write_config(tmp_path), seed_override=99)
-        assert rc.run.seed == 99
-        chain = mh_sample(rc.run, rc.bayes)
-        written = load_run_config(self.write_config(tmp_path, seed=99))
-        assert mh_sample(written.run, written.bayes).samples.tobytes() == chain.samples.tobytes()
-        unchanged = load_run_config(self.write_config(tmp_path))
-        assert mh_sample(unchanged.run, unchanged.bayes).samples.tobytes() != chain.samples.tobytes()
+        for command in ("update", "bayes"):
+            flagged = outputs(command, flag=["--seed", "7"])
+            assert len(flagged) >= 2 and flagged == outputs(command, seed=7), command
+            assert flagged != outputs(command), command
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.json"
