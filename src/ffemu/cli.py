@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``simulate`` (write fuzzy measured data), ``update`` (run the
-fuzzy updating pipeline and write a result bundle), ``bayes`` (run the
-Metropolis-Hastings baseline), ``report`` (re-render tables and curves from
-a bundle). Exit codes: 0 success, 1 configuration (including command-line
-usage errors), 2 numerical failure, 3 I/O. ``update --verbose`` logs one
+fuzzy updating pipeline, write a result bundle and print what ``report``
+prints for it), ``bayes`` (run the Metropolis-Hastings baseline),
+``report`` (re-render tables and curves from a bundle). Exit codes: 0
+success, 1 configuration (including command-line usage errors), 2
+numerical failure, 3 I/O. ``update --verbose`` logs one
 line per alpha level to stderr through the ``ffemu`` logger. The
 Metropolis-Hastings sampler (``ffemu.bayes``) is imported by ``bayes``
 only, and the run pipeline (``ffemu.pipeline``, with ``ffemu.optim``) and
@@ -70,8 +71,7 @@ def cmd_update(args) -> int:
         logger.setLevel(level)
     out = Path(args.out)
     report.write_bundle(out, run, result)
-    summary = bundle.load_summary(out)
-    print(report.render_tables(summary, bundle.load_bayes_summary(out, summary)))
+    print(report.render_bundle(out))
     print(f"\nresult bundle written to {out}")
     return EXIT_OK
 
@@ -98,23 +98,16 @@ def cmd_bayes(args) -> int:
         "posterior_eigenvalues": [float(v) for v in posterior_eigs],
     }
     write_json(out / bundle.BAYES_FILE, payload)
-    labels = report.parameter_labels(run.model)
-    print(f"{'param':>8} {'mean':>12} {'sd':>12} {'c.o.v. %':>9}")
-    for i, label in enumerate(labels):
-        print(
-            f"{label:>8} {summary.mean[i]:12.6g} {summary.sd[i]:12.6g} "
-            f"{summary.cov_percent[i]:9.2f}"
-        )
+    columns = [("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f")]
+    rows = zip(report.parameter_labels(run.model), summary.mean, summary.sd, summary.cov_percent)
+    print("\n".join(report.table(columns, rows)))
     print(f"acceptance rate: {chain.acceptance_rate:.3f}   chains: {bayes.CHAINS}")
     print(f"chain and summary written to {out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    summary = bundle.load_summary(args.bundle)
-    bayes_summary = bundle.load_bayes_summary(args.bundle, summary)
-    report.regenerate_curves(args.bundle, summary)
-    print(report.render_tables(summary, bayes_summary))
+    print(report.render_bundle(args.bundle, curves=True))
     return EXIT_OK
 
 

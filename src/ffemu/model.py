@@ -53,7 +53,12 @@ class SpringElement:
 
 @dataclass(frozen=True)
 class StructuralModel:
-    """Masses (kg) plus spring list; ``parameter_count`` is the updating dimension."""
+    """Masses (kg) plus spring list; ``parameter_count`` is the updating dimension.
+
+    Every node needs a spring path to ground, so that K(theta) is positive
+    definite for every positive theta; a floating node is a
+    ``ConfigurationError`` naming the first one.
+    """
 
     masses: np.ndarray
     springs: tuple[SpringElement, ...]
@@ -86,6 +91,16 @@ class StructuralModel:
             raise ConfigurationError(
                 f"updating parameters never referenced by any spring: {sorted(missing)}"
             )
+        # a connected spring network with a ground spring is positive definite
+        # for positive stiffnesses; a group of nodes without one makes K(theta)
+        # singular for every theta
+        ends = [(s.node_a, s.node_b) for s in self.springs] + [(s.node_b, s.node_a) for s in self.springs]
+        reached, near = set(), {b for a, b in ends if a == GROUND}
+        while near - reached:
+            reached |= near
+            near = {b for a, b in ends if a in reached}
+        if floating := sorted(set(range(n)) - reached):
+            raise ConfigurationError(f"node {floating[0]} has no spring path to ground, so K(theta) is singular")
 
     @property
     def n_dof(self) -> int:

@@ -6,6 +6,13 @@ frequencies are recomputed at render time so every printed number can be
 traced back to raw data. Membership curves are emitted as CSV. Reading a
 bundle's JSON files back, and checking them, is ``bundle``'s job; its
 ``cut_stack`` turns a group's cuts back into one stack.
+
+``table`` is the one table renderer: a table is a list of columns, each
+``(title, width, format spec)``, and its rows of cells, so a column's
+title, width and format are written once. ``render_bundle`` is the one
+path from a bundle directory to the printed text, which ``ffemu update``
+prints for the bundle it has just written and ``ffemu report`` for any
+bundle; the sampler table of ``ffemu bayes`` goes through ``table`` too.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import SUMMARY_FILE, cut_stack
+from .bundle import SUMMARY_FILE, cut_stack, load_bayes_summary, load_summary
 from .fuzzy import AlphaCutStack, alpha_cuts, write_cuts_csv, write_membership_csv
 from .model import StructuralModel, write_json
 from .objective import eigenvalue_to_hz
@@ -24,8 +31,10 @@ from .objective import eigenvalue_to_hz
 __all__ = [
     "parameter_labels",
     "write_bundle",
-    "render_tables",
     "regenerate_curves",
+    "table",
+    "render_tables",
+    "render_bundle",
 ]
 
 
@@ -124,116 +133,104 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     write_membership_csv(measured_ids, measured, out / "measured_output_membership.csv")
 
 
-def _fmt_interval(lo, hi) -> str:
-    return f"[{lo:.6g}, {hi:.6g}]"
+def table(columns, rows) -> list[str]:
+    """The lines of one table: a header of column titles, then one line per row.
 
-
-def _level_table(summary: dict) -> list[str]:
-    """One row per alpha level: why the search stopped, its work, and where
-    the level's time went (overhead = elapsed - objective - polish)."""
-    meta = summary["metadata"]
-    lines = [
-        "Per alpha level",
-        f"{'level':>5} {'alpha':>6} {'stop':>14} {'iters':>6} {'evals':>7} {'polish':>6} "
-        f"{'f':>10} {'elapsed s':>10} {'objective s':>11} {'polish s':>9} {'overhead s':>10}",
-    ]
-    for k, alpha in enumerate(summary["alpha_levels"]):
-        elapsed, objective_s, polish_s = (meta[f"{key}_seconds"][k] for key in ("elapsed", "objective", "polish"))
-        lines.append(
-            f"{k + 1:>5} {alpha:>6.3f} {meta['stop_reasons'][k]:>14} {meta['iterations'][k]:>6d} "
-            f"{meta['evaluation_counts'][k]:>7d} {meta['polish_evaluations'][k]:>6d} "
-            f"{summary['objective_per_level'][k]:>10.3e} {elapsed:>10.4f} "
-            f"{objective_s:>11.4f} {polish_s:>9.4f} {elapsed - objective_s - polish_s:>10.4f}"
-        )
+    Each column is ``(title, width, spec)``. Every title and cell is
+    right-aligned to its column's width, one space apart; a cell is
+    formatted by its column's format spec, and a ``None`` cell prints as
+    ``-``. A row must have one cell per column.
+    """
+    lines = [" ".join(f"{title:>{width}}" for title, width, _ in columns)]
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"a row of {len(row)} cells in a table of {len(columns)} columns")
+        cells = ("-" if cell is None else format(cell, spec) for (_, _, spec), cell in zip(columns, row))
+        lines.append(" ".join(f"{text:>{width}}" for (_, width, _), text in zip(columns, cells)))
     return lines
 
 
-def _cell(value, spec: str, width: int) -> str:
-    return f"{'-':>{width}}" if value is None else f"{value:>{width}{spec}}"
+def _intervals(lo, hi) -> list[str]:
+    return [f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi)]
 
 
 def render_tables(summary: dict, bayes: dict | None = None) -> str:
-    """Render the parameter and eigenvalue tables as monospaced text.
+    """Render the parameter, eigenvalue and per-level tables as monospaced text.
 
     Percent errors and frequencies are computed here, from raw stored
-    values, never read from the file.
+    values, never read from the file. ``bayes`` (a ``bayes_summary.json``)
+    adds the M-H columns.
     """
-    lines = []
     params, outputs = (cut_stack(summary, group) for group in ("parameters", "outputs"))
-    theta_initial = summary.get("theta_initial")
-    lines.append("Updating parameters (N/m)")
-    header = f"{'param':>8} {'initial':>12} {'updated':>12} {'interval (alpha=0)':>28}"
+    interval = "interval (alpha=0)"
+    columns = [("param", 8, ""), ("initial", 12, ".6g"), ("updated", 12, ".6g"), (interval, 28, "")]
+    cells = [
+        [p["id"] for p in summary["parameters"]],
+        summary.get("theta_initial") or [None] * params.lo.shape[1],
+        [p["center"] for p in summary["parameters"]],
+        _intervals(params.lo[-1], params.hi[-1]),
+    ]
     if bayes is not None:
-        header += f" {'M-H mean':>12} {'c.o.v. %':>9}"
-    lines.append(header)
-    for i, p in enumerate(summary["parameters"]):
-        row = (
-            f"{p['id']:>8} "
-            f"{_cell(None if theta_initial is None else theta_initial[i], '.6g', 12)} "
-            f"{_cell(p['center'], '.6g', 12)} "
-            f"{_fmt_interval(params.lo[-1, i], params.hi[-1, i]):>28}"
-        )
-        if bayes is not None:
-            row += f" {_cell(bayes['mean'][i], '.6g', 12)} {bayes['cov_percent'][i]:>9.2f}"
-        lines.append(row)
-    lines.append("")
+        columns += [("M-H mean", 12, ".6g"), ("c.o.v. %", 9, ".2f")]
+        cells += [bayes["mean"], bayes["cov_percent"]]
+    lines = ["Updating parameters (N/m)", *table(columns, zip(*cells)), ""]
 
-    lines.append("Eigenvalues as frequencies (Hz)")
-    header = (
-        f"{'mode':>4} {'measured':>12} {'initial':>12} {'err %':>8} "
-        f"{'updated':>12} {'err %':>8} {'interval (alpha=0)':>26}"
-    )
+    measured = eigenvalue_to_hz([t[1] for t in summary["measured_eigenvalue_tfns"]])
+    totals = []
+
+    def estimate(name, eigenvalues):
+        """The frequency and percent-error columns of one set of eigenvalues."""
+        freq = err = [None] * measured.size
+        if eigenvalues is not None:
+            freq = eigenvalue_to_hz(eigenvalues)
+            err = 100.0 * np.abs(freq - measured) / measured
+            totals.append(f"{name} {np.mean(err):.2f}")
+        return [(name, 12, ".6g"), ("err %", 8, ".2f")], [freq, err]
+
+    parts = [
+        ([("mode", 4, ""), ("measured", 12, ".6g")], [[o["mode"] for o in summary["outputs"]], measured]),
+        estimate("initial", summary.get("initial_eigenvalues")),
+        estimate("updated", summary["updated_eigenvalues"]),
+        ([(interval, 26, "")], [_intervals(*eigenvalue_to_hz([outputs.lo[-1], outputs.hi[-1]]))]),
+    ]
     if bayes is not None:
-        header += f" {'M-H':>12} {'err %':>8}"
-    lines.append(header)
-
-    def hz(eigenvalues):
-        return None if eigenvalues is None else eigenvalue_to_hz(eigenvalues)
-
-    measured_hz = hz([t[1] for t in summary["measured_eigenvalue_tfns"]])
-    updated_hz = hz(summary["updated_eigenvalues"])
-    initial_hz = hz(summary.get("initial_eigenvalues"))
-    bayes_hz = None if bayes is None else hz(bayes["posterior_eigenvalues"])
-    support_lo, support_hi = hz([outputs.lo[-1], outputs.hi[-1]])
-    err_initial, err_updated, err_bayes = [], [], []
-    for j, out in enumerate(summary["outputs"]):
-        meas = measured_hz[j]
-        e_upd = 100.0 * abs(updated_hz[j] - meas) / meas
-        err_updated.append(e_upd)
-        row = f"{out['mode']:>4} {_cell(meas, '.6g', 12)} "
-        if initial_hz is None:
-            row += f"{'-':>12} {'-':>8} "
-        else:
-            e_ini = 100.0 * abs(initial_hz[j] - meas) / meas
-            err_initial.append(e_ini)
-            row += f"{_cell(initial_hz[j], '.6g', 12)} {e_ini:>8.2f} "
-        row += f"{_cell(updated_hz[j], '.6g', 12)} {e_upd:>8.2f} "
-        row += f"{_fmt_interval(support_lo[j], support_hi[j]):>26}"
-        if bayes_hz is not None:
-            e_b = 100.0 * abs(bayes_hz[j] - meas) / meas
-            err_bayes.append(e_b)
-            row += f" {_cell(bayes_hz[j], '.6g', 12)} {e_b:>8.2f}"
-        lines.append(row)
-
-    total_line = "total average error %:"
-    parts = []
-    if err_initial:
-        parts.append(f"initial {np.mean(err_initial):.2f}")
-    parts.append(f"updated {np.mean(err_updated):.2f}")
-    if err_bayes:
-        parts.append(f"M-H {np.mean(err_bayes):.2f}")
-    lines.append(f"{total_line} " + ", ".join(parts))
+        parts.append(estimate("M-H", bayes["posterior_eigenvalues"]))
+    columns, cells = (sum(group, []) for group in zip(*parts))  # the parts' columns and cells, in order
+    lines += ["Eigenvalues as frequencies (Hz)", *table(columns, zip(*cells))]
+    lines.append("total average error %: " + ", ".join(totals))
     if bayes is not None:
-        lines.append(
-            f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   chains {bayes['chains']}"
-        )
-    lines.append("")
-    lines += _level_table(summary)
-    lines.append("")
+        lines.append(f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   chains {bayes['chains']}")
+
+    # per alpha level: why the search stopped, its work, and where the
+    # level's time went (overhead = elapsed - objective - polish)
     meta = summary["metadata"]
+    seconds = [meta[f"{key}_seconds"] for key in ("elapsed", "objective", "polish")]
+    columns = [
+        ("level", 5, ""), ("alpha", 6, ".3f"), ("stop", 14, ""), ("iters", 6, "d"), ("evals", 7, "d"),
+        ("polish", 6, "d"), ("f", 10, ".3e"), ("elapsed s", 10, ".4f"), ("objective s", 11, ".4f"),
+        ("polish s", 9, ".4f"), ("overhead s", 10, ".4f"),
+    ]
+    cells = [
+        range(1, len(summary["alpha_levels"]) + 1), summary["alpha_levels"], meta["stop_reasons"],
+        meta["iterations"], meta["evaluation_counts"], meta["polish_evaluations"],
+        summary["objective_per_level"], *seconds, [e - o - p for e, o, p in zip(*seconds)],
+    ]
+    lines += ["", "Per alpha level", *table(columns, zip(*cells)), ""]
     lines.append(
         f"optimizer: {meta['optimizer']}   seed: {meta['seed']}   "
         f"objective evaluations: {sum(meta['evaluation_counts'])} + {sum(meta['polish_evaluations'])} polish"
         f"   wall clock: {sum(meta['elapsed_seconds']):.1f} s"
     )
     return "\n".join(lines)
+
+
+def render_bundle(bundle_dir, curves: bool = False) -> str:
+    """The text ``ffemu report`` prints for the bundle in ``bundle_dir``:
+    ``render_tables`` of its ``summary.json`` and, when there is one, its
+    ``bayes_summary.json``. With ``curves``, the membership CSVs are first
+    rewritten from the summary (``regenerate_curves``)."""
+    summary = load_summary(bundle_dir)
+    bayes = load_bayes_summary(bundle_dir, summary)
+    if curves:
+        regenerate_curves(bundle_dir, summary)
+    return render_tables(summary, bayes)

@@ -18,6 +18,8 @@ from ffemu import cli, report, scenarios
 from ffemu.bundle import cut_stack, load_summary
 from ffemu.pipeline import load_run_config, run_ffemu
 
+from test_model import FREE_PAIR, SPLIT_TRIPLE
+
 
 @pytest.fixture
 def small_config(tmp_path):
@@ -157,6 +159,35 @@ class TestUpdate:
         assert capsys.readouterr().err.count("level ") == 2
         # the handler the flag attached is gone once the command returns
         assert logging.getLogger("ffemu").handlers == []
+
+
+@pytest.mark.parametrize("initial", [True, False], ids=["initial", "no-initial"])
+@pytest.mark.parametrize("bayes", [False, True], ids=["no-bayes", "bayes"])
+def test_update_prints_what_report_prints(initial, bayes, tmp_path, capsys):
+    config = scenarios.bundled_run_config(seed=2)
+    config["alpha_levels"] = 3
+    config["aco"].update(max_iterations=5)
+    config["bayes"].update(n_samples=300, burn_in=50)
+    if not initial:
+        del config["theta_initial"]
+    path, out = tmp_path / "run.json", tmp_path / "bundle"
+    path.write_text(json.dumps(config))
+    if bayes:  # the M-H summary is in the bundle before update writes the rest
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert cli.main(["report", "--bundle", str(out)]) == cli.EXIT_OK
+    reported = capsys.readouterr().out
+    assert printed == f"{reported}\nresult bundle written to {out}\n"
+    lines = reported.splitlines()
+    headers = {}
+    for title, rows in [("Updating parameters (N/m)", 5), ("Eigenvalues as frequencies (Hz)", 5), ("Per alpha level", 3)]:
+        at = lines.index(title)
+        headers[title] = lines[at + 1]
+        assert [len(line) for line in lines[at + 2 : at + 2 + rows]] == [len(lines[at + 1])] * rows, title
+    assert ("M-H mean" in headers["Updating parameters (N/m)"]) == ("M-H" in headers["Eigenvalues as frequencies (Hz)"]) == bayes
+    assert lines[2].split()[:2] == ["k1", "4150" if initial else "-"]
 
 
 class TestReport:
@@ -522,6 +553,25 @@ class TestSimulate:
         for kind, fraction in [("fuzzy", "0.05"), ("crisp", "0.0")]:
             spec = scenarios.bundled_truth_spec(kind)
             assert json.dumps(spec) == f'{{"theta_true": {theta}, "spread_fraction": {fraction}}}'
+
+    @pytest.mark.parametrize("data, node", [(FREE_PAIR, 0), (SPLIT_TRIPLE, 1)], ids=["free-pair", "split-triple"])
+    @pytest.mark.parametrize("command", ["simulate", "update"])
+    def test_floating_model_is_a_configuration_error_naming_the_model_file(
+        self, command, data, node, tmp_path, capsys
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        if command == "simulate":
+            args = ["simulate", "--model", str(model), "--out", str(tmp_path / "out")]
+        else:
+            config = scenarios.bundled_run_config(seed=2)
+            config["model"] = "model.json"
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = ["update", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        message = f"node {node} has no spring path to ground, so K(theta) is singular"
+        assert capsys.readouterr().err == f"configuration error: {model}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_no_levels_is_a_configuration_error(self, count, tmp_path, capsys):

@@ -227,6 +227,43 @@ class TestValidation:
             )
 
 
+# no spring path from either mass to ground
+FREE_PAIR = {"masses": [1.0, 1.0], "springs": [{"id": "k1", "a": 0, "b": 1, "param": 0}]}
+# mass 0 grounded; masses 1 and 2 joined by two springs, with no path to ground
+SPLIT_TRIPLE = {
+    "masses": [1.0, 1.0, 1.0],
+    "springs": [
+        {"id": "k1", "a": "ground", "b": 0, "param": 0},
+        {"id": "k2", "a": 1, "b": 2, "param": 1},
+        {"id": "k3", "a": 1, "b": 2, "param": 2},
+    ],
+}
+
+
+class TestGrounding:
+    @pytest.mark.parametrize("data, node", [(FREE_PAIR, 0), (SPLIT_TRIPLE, 1)], ids=["free-pair", "split-triple"])
+    def test_floating_node_is_a_configuration_error_naming_the_file(self, data, node, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        message = f"{path}: node {node} has no spring path to ground, so K(theta) is singular"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_model(path)
+
+    def test_ground_reached_through_a_chain_listed_far_end_first(self):
+        # the only ground spring is at node 0, and is listed last
+        model = StructuralModel(
+            masses=np.ones(4),
+            springs=(
+                SpringElement("c", 2, 3, param_index=0),
+                SpringElement("b", 1, 2, param_index=0),
+                SpringElement("a", 0, 1, param_index=0),
+                SpringElement("g", 0, GROUND, param_index=0),
+            ),
+            parameter_count=1,
+        )
+        assert model.eigenvalues_batch([[1.0]])[0, 0] > 0.0
+
+
 class TestModelFile:
     def test_bundled_model_loads(self):
         model = scenarios.five_dof_model()
