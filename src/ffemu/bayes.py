@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 CHAINS = 16  # chains stepped in lockstep (see the module docstring)
-CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
 @dataclass
@@ -204,36 +203,3 @@ def summarize(chain: Chain) -> ChainSummary:
             dev = column - mean[j]
             sd[j] = math.sqrt(dev @ dev / (n - 1))
     return ChainSummary(mean=mean, sd=sd, cov_percent=100.0 * sd / mean)
-
-
-def write_chain_csv(chain: Chain, path) -> None:
-    r"""Dump samples as (sample_index, theta_0, ..., theta_d-1) rows.
-
-    The rows are ``chain.samples`` in order, so chain-major for a lockstep
-    run: chain 0's s published states, then chain 1's, and so on, the last
-    chain or chains publishing fewer, with ``sample_index`` counting 0, 1,
-    ... across the chains, not restarting in each. Fields are
-    comma-separated, lines end in ``\r\n``, and every value is its
-    shortest round-trip ``repr``, so reading the file back gives the
-    samples bit for bit. Rows are formatted ``CSV_CHUNK`` at a time, and a
-    row that repeats the previous one bit for bit (a rejected step) reuses
-    its text.
-    """
-    samples = np.ascontiguousarray(chain.samples, dtype=float)
-    bits = samples.view(np.uint64)
-    repeats = np.zeros(len(samples), dtype=bool)
-    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-    header = ["sample_index"] + [f"theta_{i}" for i in range(samples.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        text = ""
-        for start in range(0, len(samples), CSV_CHUNK):
-            chunk = slice(start, start + CSV_CHUNK)
-            lines = []
-            for i, row, repeat in zip(
-                range(start, start + CSV_CHUNK), samples[chunk].tolist(), repeats[chunk].tolist()
-            ):
-                if not repeat:
-                    text = ",".join(["", *map(repr, row)])  # each value with its leading comma
-                lines.append(f"{i}{text}\r\n")
-            fh.write("".join(lines))

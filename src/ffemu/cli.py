@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``simulate`` (write fuzzy measured data), ``update`` (run the
-fuzzy updating pipeline, write a result bundle and print what ``report``
-prints for it), ``bayes`` (run the Metropolis-Hastings baseline),
-``report`` (re-render tables and curves from a bundle). Exit codes: 0
+fuzzy updating pipeline and print what ``report`` prints for its bundle),
+``bayes`` (run the Metropolis-Hastings baseline), ``report`` (re-render
+tables and curves from a bundle). ``update`` and ``bayes`` hand their
+results to ``ffemu.report``, which writes every bundle file. Exit codes: 0
 success, 1 configuration (including command-line usage errors), 2
 numerical failure, 3 I/O. ``update --verbose`` logs one
 line per alpha level to stderr through the ``ffemu`` logger. The
@@ -21,10 +22,10 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__, bundle, report
+from . import __version__, report
 from .errors import ConfigurationError, FfemuError, in_file
 from .fuzzy import default_levels
-from .model import read_json, write_json
+from .model import read_json
 from .objective import eigenvalue_to_hz, save_measured
 
 EXIT_OK = 0
@@ -84,20 +85,7 @@ def cmd_bayes(args) -> int:
     run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)
     chain = bayes.mh_sample(run)
     summary = bayes.summarize(chain)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    bayes.write_chain_csv(chain, out / "chain.csv")
-    posterior_eigs = run.model.eigenvalues_batch(summary.mean[None, :])[0]
-    payload = {
-        "mean": [float(v) for v in summary.mean],
-        "sd": [float(v) for v in summary.sd],
-        "cov_percent": [float(v) for v in summary.cov_percent],
-        "acceptance_rate": float(chain.acceptance_rate),
-        "n_samples": int(chain.samples.shape[0]),
-        "chains": bayes.CHAINS,
-        "posterior_eigenvalues": [float(v) for v in posterior_eigs],
-    }
-    write_json(out / bundle.BAYES_FILE, payload)
+    out = report.write_chain_bundle(args.out, run, chain, summary, bayes.CHAINS)
     columns = [("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f")]
     rows = zip(report.parameter_labels(run.model), summary.mean, summary.sd, summary.cov_percent)
     print("\n".join(report.table(columns, rows)))

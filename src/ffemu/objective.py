@@ -25,6 +25,7 @@ the squared norm of its row.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -245,7 +246,8 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     positive. Modes come in ascending order: each eigenvalue triangle's
     peak, and the midpoint of its support in rad^2/s^2, is at or above the
     previous mode's. ``mode_shape`` has one component per degree of
-    freedom, as many in every mode, and is normalized on reading.
+    freedom, as many in every mode, and is normalized on reading, so a
+    zero or empty one is an error.
     ``mode_shape_tfns``, one triangle per component, is optional, but given
     for every mode or for none. A mode may also carry the legacy key
     ``crisp``, which is ignored. Every value goes through
@@ -271,7 +273,9 @@ def load_measured(path) -> MeasuredFuzzyModalData:
             for key in keys:
                 bounds = {"above": 0} if key == "eigenvalue" else {}
                 values[key].append(check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}", **bounds))
-            n_dof = len(values["mode_shape"][0])
+            n_dof = len(shape := values["mode_shape"][i])
+            if np.linalg.norm(shape) == 0.0:  # an empty shape too
+                raise DomainError(f"'modes[{i}].mode_shape' must not be a zero vector, got {reprlib.repr(shape)}")
         eigenvalues = np.array(values["eigenvalue"], dtype=float)
         shape_tfns = values.get("mode_shape_tfns")
         return MeasuredFuzzyModalData(

@@ -125,7 +125,8 @@ class FfemuRun:
     spreads and any Gaussian draw), must be finite, else the box, ``aco.xi``
     or the PSO key with the largest share is named. Level k's optimizer
     draws from ``seed + k``, so levels draw independent streams but the
-    run is reproducible; ``seed`` and ``bayes`` drive the M-H chains.
+    run is reproducible; ``seed`` and ``bayes`` drive the M-H chains. The
+    measured data hold n modes of n shape components each, n the model's DOFs.
     """
 
     model: StructuralModel
@@ -187,9 +188,11 @@ class FfemuRun:
         ]:
             if not math.isfinite(float(scale) * span * STEP_MARGIN):
                 raise ConfigurationError(f"{key} makes a search step overflow on a box span of {span!r}")
-        if self.measured.n_modes != self.model.n_dof:
+        n, (k, m) = self.model.n_dof, self.measured.mode_shapes.shape
+        if (k, m) != (n, n):
             raise ConfigurationError(
-                f"measured data has {self.measured.n_modes} modes, model has {self.model.n_dof}"
+                f"measured data must have {n} modes of {n} components each (one per model degree of "
+                f"freedom), got {m} modes of {k} components"
             )
 
 

@@ -1,11 +1,23 @@
-"""Result bundles and table rendering.
+"""The result bundle: every file of it written, read back and checked, and
+the tables rendered from it.
 
-An updating run is persisted as a directory: ``summary.json`` holds raw
-values only (eigenvalues, cut bounds, counts); percent errors and
-frequencies are recomputed at render time so every printed number can be
-traced back to raw data. Membership curves are emitted as CSV. Reading a
-bundle's JSON files back, and checking them, is ``bundle``'s job; its
-``cut_stack`` turns a group's cuts back into one stack.
+A run is persisted as a directory whose files only this module writes
+and reads. ``write_bundle`` writes an ``ffemu update`` run:
+``summary.json`` holds raw values only (eigenvalues, cut bounds, counts),
+``history.csv`` the per-level histories, and ``regenerate_curves`` cuts
+the membership CSVs from the summary. ``write_chain_bundle`` writes an
+``ffemu bayes`` run: ``chain.csv`` and ``bayes_summary.json``. Percent
+errors and frequencies are recomputed at render time so every printed
+number can be traced back to raw data.
+
+``load_summary`` and ``load_bayes_summary`` read the two JSON files back
+and check every field the report and the curves read with
+``errors.check_value``, so every number is finite and a complaint names
+the field, as ``'metadata.elapsed_seconds'``; ``cut_stack``, the one
+reader of the cuts, makes a group's cuts one alpha-cut stack. The
+measured triangles must be ordered, and every eigenvalue the report takes
+the square root of positive, so a damaged or hand-edited file is a
+``ConfigurationError`` naming it, never a traceback.
 
 ``table`` is the one table renderer: a table is a list of columns, each
 ``(title, width, format spec)``, and its rows of cells, so a column's
@@ -23,19 +35,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import SUMMARY_FILE, cut_stack, load_bayes_summary, load_summary
-from .fuzzy import AlphaCutStack, alpha_cuts, write_cuts_csv, write_membership_csv
-from .model import StructuralModel, write_json
+from .errors import ConfigurationError, check_value, in_file
+from .fuzzy import AlphaCutStack, alpha_cuts, triangles, write_cuts_csv, write_membership_csv
+from .model import StructuralModel, read_json, write_json
 from .objective import eigenvalue_to_hz
 
 __all__ = [
-    "parameter_labels",
-    "write_bundle",
-    "regenerate_curves",
-    "table",
-    "render_tables",
-    "render_bundle",
+    "SUMMARY_FILE", "BAYES_FILE", "parameter_labels", "write_bundle", "regenerate_curves",
+    "write_chain_bundle", "write_chain_csv", "cut_stack", "load_summary", "load_bayes_summary",
+    "table", "render_tables", "render_bundle",
 ]
+
+SUMMARY_FILE = "summary.json"
+BAYES_FILE = "bayes_summary.json"
+CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
 def parameter_labels(model: StructuralModel) -> list[str]:
@@ -67,11 +80,7 @@ def write_bundle(out_dir, run, result) -> Path:
         rows = np.stack(np.broadcast_arrays(stack.levels[:, None], stack.lo, stack.hi), axis=-1)
         return rows.swapaxes(0, 1).tolist()
 
-    initial_eigs = (
-        None
-        if run.theta_initial is None
-        else model.eigenvalues_batch(run.theta_initial[None, :])[0].tolist()
-    )
+    initial_eigs = None if run.theta_initial is None else model.eigenvalues_batch(run.theta_initial[None])[0].tolist()
     summary = {
         "metadata": {
             "package_version": __version__,
@@ -117,7 +126,7 @@ def _write_history(path: Path, result) -> None:
 
 def regenerate_curves(out_dir, summary: dict) -> None:
     """Rewrite the membership CSVs from the raw summary data: one stack each
-    for the parameters and the outputs (in Hz), as ``bundle.cut_stack``
+    for the parameters and the outputs (in Hz), as ``cut_stack``
     reads them, and the measured triangles cut at ``alpha_levels``."""
     out = Path(out_dir)
     params, outputs = (cut_stack(summary, group) for group in ("parameters", "outputs"))
@@ -131,6 +140,168 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     write_membership_csv(modes, hz, out / "output_membership.csv")
     measured_ids = [f"mode_{j + 1}" for j in range(measured.lo.shape[1])]
     write_membership_csv(measured_ids, measured, out / "measured_output_membership.csv")
+
+
+def write_chain_bundle(out_dir, run, chain, summary, chains: int) -> Path:
+    """Persist a finished M-H run of ``chains`` chains; returns the directory path.
+
+    ``chain`` is the ``bayes.Chain`` that ``run`` sampled, written by
+    ``write_chain_csv``, and ``summary`` its ``bayes.ChainSummary``.
+    ``posterior_eigenvalues`` are those of the posterior mean, one
+    ``eigenvalues_batch`` row.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_chain_csv(chain, out / "chain.csv")
+    bayes = {
+        "mean": summary.mean.tolist(),
+        "sd": summary.sd.tolist(),
+        "cov_percent": summary.cov_percent.tolist(),
+        "acceptance_rate": float(chain.acceptance_rate),
+        "n_samples": int(chain.samples.shape[0]),
+        "chains": chains,
+        "posterior_eigenvalues": run.model.eigenvalues_batch(summary.mean[None, :])[0].tolist(),
+    }
+    write_json(out / BAYES_FILE, bayes)
+    return out
+
+
+def write_chain_csv(chain, path) -> None:
+    r"""Dump samples as (sample_index, theta_0, ..., theta_d-1) rows.
+
+    The rows are ``chain.samples`` in order, so chain-major for a lockstep
+    run: chain 0's s published states, then chain 1's, and so on, the last
+    chain or chains publishing fewer, with ``sample_index`` counting 0, 1,
+    ... across the chains, not restarting in each. Fields are
+    comma-separated, lines end in ``\r\n``, and every value is its
+    shortest round-trip ``repr``, so reading the file back gives the
+    samples bit for bit. Rows are formatted ``CSV_CHUNK`` at a time, and a
+    row that repeats the previous one bit for bit (a rejected step) reuses
+    its text.
+    """
+    samples = np.ascontiguousarray(chain.samples, dtype=float)
+    bits = samples.view(np.uint64)
+    repeats = np.zeros(len(samples), dtype=bool)
+    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    header = ["sample_index"] + [f"theta_{i}" for i in range(samples.shape[1])]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        text = ""
+        for start in range(0, len(samples), CSV_CHUNK):
+            chunk = slice(start, start + CSV_CHUNK)
+            lines = []
+            for i, row, repeat in zip(
+                range(start, start + CSV_CHUNK), samples[chunk].tolist(), repeats[chunk].tolist()
+            ):
+                if not repeat:
+                    text = ",".join(["", *map(repr, row)])  # each value with its leading comma
+                lines.append(f"{i}{text}\r\n")
+            fh.write("".join(lines))
+
+
+def _load(path: Path, check, *args) -> dict:
+    """One bundle JSON file, which must hold an object that passes
+    ``check(data, *args)``; every complaint names ``path``."""
+    data = read_json(path)
+    with in_file(path):
+        check(data, *args)
+    return data
+
+
+def cut_stack(summary: dict, group: str) -> AlphaCutStack:
+    """The cuts of ``summary[group]`` ("parameters" or "outputs") as one (L, q)
+    stack at the L ``alpha_levels``, column j holding entry j: L rows of
+    [alpha, lo, hi] each, whose bounds make a valid stack (the level rule
+    first) and whose alpha column is ``alpha_levels``."""
+    levels, entries = summary["alpha_levels"], summary[group]
+    for j, entry in enumerate(entries):
+        check_value(entry, "cuts", shape=(len(levels), 3), label=f"{group}[{j}].cuts")
+    cuts = np.asarray([entry["cuts"] for entry in entries], dtype=float).reshape(len(entries), len(levels), 3)
+    stack = AlphaCutStack(levels, cuts[:, :, 1].T, cuts[:, :, 2].T)
+    if (hits := np.argwhere(cuts[:, :, 0] != stack.levels)).size:
+        j, k = hits[0]
+        row = f"alpha {cuts[j, k, 0]} in row {k}, but alpha_levels[{k}] is {stack.levels[k]}"
+        raise ConfigurationError(f"'{group}[{j}].cuts' has {row}")
+    return stack
+
+
+def _check_summary(data: dict) -> None:
+    """Check every ``summary.json`` field the report and the curves read."""
+    n = len(check_value(data, "alpha_levels", shape=(-1,)))
+    params = check_value(data, "parameters", "object", (-1,))
+    outputs = check_value(data, "outputs", "object", (-1,))
+    for key, entries in [("alpha_levels", n), ("parameters", params), ("outputs", outputs)]:
+        if not entries:
+            raise ConfigurationError(f"{key!r} must not be empty")
+    meta = check_value(data, "metadata", "object")
+    for group, entries, fields in [
+        ("parameters", params, [("id", "string"), ("center", "number")]),
+        ("outputs", outputs, [("mode", "integer")]),
+    ]:
+        for i, entry in enumerate(entries):
+            for key, kind in fields:
+                check_value(entry, key, kind, label=f"{group}[{i}].{key}")
+    p, m = len(params), len(outputs)
+    # the report takes the square root of every eigenvalue
+    check_value(data, "measured_eigenvalue_tfns", shape=(m, 3), above=0)
+    check_value(data, "updated_eigenvalues", shape=(m,), above=0)
+    check_value(data, "objective_per_level", shape=(n,))
+    check_value(data, "theta_initial", shape=(p,), default=None)
+    check_value(data, "initial_eigenvalues", shape=(m,), default=None, above=0)
+    for key, kind, shape in [
+        ("optimizer", "string", ()),
+        ("seed", "integer", ()),
+        ("evaluation_counts", "integer", (n,)),
+        ("polish_evaluations", "integer", (n,)),
+        ("iterations", "integer", (n,)),
+        ("elapsed_seconds", "number", (n,)),
+        ("objective_seconds", "number", (n,)),
+        ("polish_seconds", "number", (n,)),
+        ("stop_reasons", "string", (n,)),
+    ]:
+        check_value(meta, key, kind, shape, f"metadata.{key}")
+    cut_stack(data, "parameters")
+    lows = cut_stack(data, "outputs").lo
+    if (hits := np.argwhere(lows <= 0.0)).size:
+        k, j = hits[0]
+        bound = f"lower bounds above 0, got {lows[k, j].item()!r} in row {k}"
+        raise ConfigurationError(f"'outputs[{j}].cuts' must have {bound}")
+    triangles(data["measured_eigenvalue_tfns"])
+
+
+def _check_bayes(data: dict, summary: dict) -> None:
+    """Check every ``bayes_summary.json`` field the report reads; its vectors
+    have one entry per parameter or mode of ``summary``, its acceptance rate
+    lies in [0, 1] and it counts at least one chain."""
+    p, m = len(summary["parameters"]), len(summary["outputs"])
+    for key in ("mean", "cov_percent"):
+        check_value(data, key, shape=(p,))
+    check_value(data, "posterior_eigenvalues", shape=(m,), above=0)
+    check_value(data, "acceptance_rate", at_least=0, at_most=1)
+    check_value(data, "chains", "integer", at_least=1)
+
+
+def load_summary(bundle_dir) -> dict:
+    """Read ``summary.json`` from a bundle; raises FileNotFoundError naming it.
+
+    A file that is not valid JSON, not one JSON object, or lacks a field the
+    report reads (or holds one of the wrong type or length) is a
+    ``ConfigurationError`` naming it.
+    """
+    path = Path(bundle_dir) / SUMMARY_FILE
+    if not path.exists():
+        raise FileNotFoundError(f"result bundle is missing {SUMMARY_FILE} (looked in {path.parent})")
+    return _load(path, _check_summary)
+
+
+def load_bayes_summary(bundle_dir, summary: dict) -> dict | None:
+    """Read ``bayes_summary.json`` from a bundle, or None when it has none.
+
+    It is checked like ``summary.json`` (the bundle's, as ``load_summary``
+    returns it), and its vectors must have one entry per parameter or mode.
+    """
+    path = Path(bundle_dir) / BAYES_FILE
+    return _load(path, _check_bayes, summary) if path.exists() else None
 
 
 def table(columns, rows) -> list[str]:

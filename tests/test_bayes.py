@@ -10,17 +10,16 @@ from scipy import stats
 from ffemu import bayes, scenarios
 from ffemu.bayes import (
     CHAINS,
-    CSV_CHUNK,
     Chain,
     log_posterior_batch,
     mh_sample,
     summarize,
-    write_chain_csv,
 )
 from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import MeasuredFuzzyModalData
 from ffemu.pipeline import FfemuRun, McmcConfig, simulate_measurements
+from ffemu.report import CSV_CHUNK, write_chain_csv
 
 WIDTH = 8.0  # of the 1-DOF prior box [1, 9]
 

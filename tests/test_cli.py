@@ -15,8 +15,8 @@ import pytest
 
 import ffemu
 from ffemu import cli, report, scenarios
-from ffemu.bundle import cut_stack, load_summary
 from ffemu.pipeline import load_run_config, run_ffemu
+from ffemu.report import cut_stack, load_summary
 
 from test_model import FREE_PAIR, SPLIT_TRIPLE
 
@@ -624,6 +624,8 @@ class TestMeasuredFile:
             (None, "unit", None, "eigenvalue", "unknown key 'unit'; valid keys: units, modes"),
             (2, "mode_shape_tfn", None, [[0.1, 0.2, 0.3]] * 5, "unknown key 'modes[2].mode_shape_tfn'"),
             (0, "mode_shapes", None, [1.0] * 5, "unknown key 'modes[0].mode_shapes'"),
+            (1, "mode_shape", None, [0.0] * 5, "'modes[1].mode_shape' must not be a zero vector, got [0.0, 0.0, "),
+            (0, "mode_shape", None, [], "'modes[0].mode_shape' must not be a zero vector, got []"),
         ],
     )
     def test_bad_value_is_a_configuration_error_naming_the_file(
@@ -642,6 +644,29 @@ class TestMeasuredFile:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ") and message in err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command, eigenvector_weight", [("update", 0.0), ("update", 0.5), ("bayes", 0.5)])
+    def test_short_mode_shapes_are_a_configuration_error_naming_the_run_config(
+        self, measured, command, eigenvector_weight, tmp_path, capsys
+    ):
+        # 3-component shapes (and shape triangles) for the 5-DOF model
+        data = json.loads(json.dumps(measured))
+        for entry in data["modes"]:
+            entry["mode_shape"], entry["mode_shape_tfns"] = entry["mode_shape"][:3], entry["mode_shape_tfns"][:3]
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        config = scenarios.bundled_run_config(seed=2)
+        del config["truth"]
+        config.update(measured="m.json", alpha_levels=2)
+        config["aco"].update(max_iterations=5)
+        config["bayes"].update(n_samples=300, burn_in=50)
+        config["weights"]["eigenvector"] = eigenvector_weight
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "b")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}: ") and "Traceback" not in err
+        assert "must have 5 modes of 5 components each" in err and "got 5 modes of 3 components" in err
         assert not (tmp_path / "b").exists()
 
     def test_modes_out_of_order_are_a_configuration_error_naming_the_file(self, measured, tmp_path, capsys):
