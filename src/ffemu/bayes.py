@@ -189,8 +189,10 @@ def summarize(chain: Chain) -> ChainSummary:
     """Sample mean, standard deviation (N-1 divisor), and c.o.v. in percent.
 
     The deviations are formed one column at a time (two passes: the mean,
-    then the deviations' dot product), so the only temporary is one column,
-    not a copy of the whole chain.
+    then the sum of the squared deviations), so the only temporary is one
+    column, not a copy of the whole chain. That sum is numpy's own pairwise
+    reduction, not a BLAS dot product, whose threaded split of a long vector
+    would make the bits depend on the BLAS thread count.
     """
     samples = chain.samples
     if samples.size == 0:
@@ -201,5 +203,5 @@ def summarize(chain: Chain) -> ChainSummary:
     if n > 1:
         for j, column in enumerate(samples.T):
             dev = column - mean[j]
-            sd[j] = math.sqrt(dev @ dev / (n - 1))
+            sd[j] = math.sqrt(np.add.reduce(np.square(dev, out=dev)) / (n - 1))
     return ChainSummary(mean=mean, sd=sd, cov_percent=100.0 * sd / mean)

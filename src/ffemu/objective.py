@@ -249,8 +249,9 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     freedom, as many in every mode, and is normalized on reading, so a
     zero or empty one is an error.
     ``mode_shape_tfns``, one triangle per component, is optional, but given
-    for every mode or for none. A mode may also carry the legacy key
-    ``crisp``, which is ignored. Every value goes through
+    for every mode or for none; its cuts are normalized too, so a lower,
+    peak or upper vertex vector that is zero is an error. A mode may also
+    carry the legacy key ``crisp``, which is ignored. Every value goes through
     ``errors.check_value``, so anything else, an unknown key included, is a
     ``ConfigurationError`` naming the file and the key, as
     ``'modes[2].eigenvalue'``.
@@ -276,6 +277,11 @@ def load_measured(path) -> MeasuredFuzzyModalData:
             n_dof = len(shape := values["mode_shape"][i])
             if np.linalg.norm(shape) == 0.0:  # an empty shape too
                 raise DomainError(f"'modes[{i}].mode_shape' must not be a zero vector, got {reprlib.repr(shape)}")
+            if "mode_shape_tfns" in values:  # its vertex vectors a, b, c are the cut ends at alpha 0 and 1
+                norms = np.linalg.norm(values["mode_shape_tfns"][i], axis=0)
+                if not norms.all():
+                    vertex = ("lower (a)", "peak (b)", "upper (c)")[int(norms.argmin())]
+                    raise DomainError(f"'modes[{i}].mode_shape_tfns' {vertex} vertex vector must not be zero")
         eigenvalues = np.array(values["eigenvalue"], dtype=float)
         shape_tfns = values.get("mode_shape_tfns")
         return MeasuredFuzzyModalData(

@@ -1,19 +1,20 @@
 """Population metaheuristics for box-constrained continuous minimization.
 
-Two optimizers share one calling convention: a continuous ant colony
-optimizer built around a ranked solution archive with per-dimension
-Gaussian kernel sampling, and a standard inertia-weight particle swarm.
-Both evaluate a whole population per call, ``f(X)`` with X of shape
-(m, dim) returning m values, so the objective can solve the population as
-one stack. Both only ever evaluate candidates that the region has
-projected into the feasible set, and both are bit-reproducible for a
-fixed seed. A bounded Gauss-Newton polish refines their best point when
-the objective is a sum of squares.
+A continuous ant colony optimizer (a ranked solution archive with
+per-dimension Gaussian kernel sampling) and an inertia-weight particle
+swarm share one search loop: each proposes a population and is told its
+values, ``f(X)`` for an (m, dim) X giving m values, so the objective can
+solve the population as one stack. The loop owns the starting points,
+the evaluation count and time, the histories and the stop. Only projected
+(feasible) candidates are evaluated, and a run is bit-reproducible for a
+fixed seed. A bounded Gauss-Newton polish refines the best point when the
+objective is a sum of squares.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,15 +132,16 @@ class PsoConfig:
 
 @dataclass
 class OptimizationResult:
-    """Outcome of one optimizer run.
+    """Outcome of one optimizer run, as the one search loop records it.
 
-    ``history_best`` / ``history_mean`` carry one entry for the initial
-    population plus one per iteration; ``population_x`` / ``population_f``
-    are the final archive rows (ACO) or personal bests (PSO).
-    ``stop_reason`` says why the search ended: ``"max_iterations"`` when
-    it ran its whole budget, ``"stagnation"`` when the best value moved
-    less than ``stagnation_tolerance`` over ``stagnation_window``
-    iterations.
+    ``history_best`` / ``history_mean`` hold the best value and the archive
+    (ACO) or swarm (PSO) mean after the start and after each iteration;
+    ``population_x`` / ``population_f`` are the final archive rows (ACO) or
+    personal bests (PSO). ``n_evaluations`` counts the rows passed to the
+    objective and ``objective_seconds`` the time spent inside it.
+    ``stop_reason`` is ``"max_iterations"`` after the whole budget, or
+    ``"stagnation"`` when the best value moved less than
+    ``stagnation_tolerance`` over ``stagnation_window`` iterations.
     """
 
     best_x: np.ndarray
@@ -150,6 +152,7 @@ class OptimizationResult:
     n_iterations: int
     population_x: np.ndarray
     population_f: np.ndarray
+    objective_seconds: float
     stop_reason: str
 
 
@@ -251,14 +254,17 @@ def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, cdf,
     return region.project(candidates, out=candidates)
 
 
-def _evaluate(f, points) -> np.ndarray:
-    """Objective values of a population; the first non-finite row raises."""
+def _evaluate(f, points) -> tuple[np.ndarray, float]:
+    """Objective values of a population and the seconds ``f`` took; the
+    first non-finite row raises."""
+    start = time.perf_counter()
     values = np.asarray(f(points), dtype=float)
+    seconds = time.perf_counter() - start
     if values.shape != (len(points),):
         raise ShapeError(f"objective returned shape {values.shape} for {len(points)} points")
     finite = np.isfinite(values)
     if finite.all():
-        return values
+        return values, seconds
     i = int(np.flatnonzero(~finite)[0])
     raise EvaluationError(
         f"objective returned {values[i]!r} at row {i}: {points[i]!r}",
@@ -267,126 +273,119 @@ def _evaluate(f, points) -> np.ndarray:
     )
 
 
-def _initial_points(region, count: int, rng, initial) -> np.ndarray:
+def _search(f, region, config, rng, initial, size: int, start) -> OptimizationResult:
+    """The one search loop: ``size`` starting points, the first rows of
+    ``initial`` and then uniform draws, all projected, are evaluated and
+    build the optimizer's state, ``start(config, region, x, fx)``, which
+    proposes each population and is told its values. The state keeps its
+    ``best_x``/``best_f``, its history ``mean`` and the population the
+    result reports, ``x``/``f``; only this loop counts, times and stops.
+    """
+    rng = np.random.default_rng(rng)
     dim = region.lo.size
-    seeds = np.empty((0, dim))
-    if initial is not None:
-        seeds = region.project(np.asarray(initial, dtype=float).reshape(-1, dim)[:count])
-    random_pts = rng.uniform(region.lo, region.hi, size=(count - len(seeds), dim))
-    return np.vstack([seeds, region.project(random_pts)])
+    seeds = np.empty((0, dim)) if initial is None else np.asarray(initial, dtype=float).reshape(-1, dim)[:size]
+    drawn = rng.uniform(region.lo, region.hi, size=(size - len(seeds), dim))
+    x = region.project(np.vstack([seeds, drawn]))
+    fx, seconds = _evaluate(f, x)
+    state = start(config, region, x, fx)
+    n_evals = len(x)
+    history_best, history_mean = [state.best_f], [state.mean]
+    window, tolerance, stop_reason = config.stagnation_window, config.stagnation_tolerance, "max_iterations"
+    for _ in range(config.max_iterations):
+        x = state.propose(rng)
+        fx, spent = _evaluate(f, x)
+        seconds += spent
+        n_evals += len(x)
+        state.tell(x, fx)
+        history_best.append(state.best_f)
+        history_mean.append(state.mean)
+        if len(history_best) > window and history_best[-1 - window] - history_best[-1] < tolerance:
+            stop_reason = "stagnation"
+            break
+    return OptimizationResult(
+        best_x=state.best_x.copy(),
+        best_f=state.best_f,
+        history_best=np.array(history_best),
+        history_mean=np.array(history_mean),
+        n_evaluations=n_evals,
+        n_iterations=len(history_best) - 1,
+        population_x=state.x.copy(),
+        population_f=state.f.copy(),
+        objective_seconds=seconds,
+        stop_reason=stop_reason,
+    )
 
 
-def _stagnated(history: list, window: int, tolerance: float) -> bool:
-    return len(history) > window and history[-1 - window] - history[-1] < tolerance
+class _Aco(SolutionArchive):
+    """ACO's state: the archive, with its roulette table and column offsets."""
+
+    def __init__(self, config: AcoConfig, region, x, fx):
+        super().__init__(x, fx)
+        self.config, self.region = config, region
+        self.cdf = aco_cdf(len(self), config.q)
+        self.offsets = np.arange(x.shape[1])
+
+    def propose(self, rng) -> np.ndarray:
+        return aco_construct(self, self.config, self.region, rng, self.cdf, self.offsets)
+
+    tell = SolutionArchive.update
+
+    @property
+    def mean(self) -> float:
+        return float(np.add.reduce(self.f)) / len(self)
+
+
+class _Pso:
+    """PSO's state: the swarm's positions and velocities, its personal bests
+    ``x``/``f`` and its global best; its history mean is the swarm's."""
+
+    def __init__(self, config: PsoConfig, region, x, fx):
+        self.config, self.region = config, region
+        self.v_max = config.v_max_fraction * (region.hi - region.lo)
+        self.position, self.velocity = x, np.zeros_like(x)
+        self.x, self.f = x.copy(), fx.copy()
+        g = int(np.argmin(fx))
+        self.best_x, self.best_f = x[g].copy(), float(fx[g])
+        self.mean = float(fx.mean())
+
+    def propose(self, rng) -> np.ndarray:
+        config, position = self.config, self.position
+        r1, r2 = rng.uniform(size=(2, *position.shape))  # the draws of two calls, r1's first
+        v = config.inertia * self.velocity + config.cognitive * r1 * (self.x - position)
+        v += config.social * r2 * (self.best_x - position)
+        self.velocity = np.clip(v, -self.v_max, self.v_max)
+        self.position = self.region.project(position + self.velocity)
+        return self.position
+
+    def tell(self, x, fx) -> None:
+        improved = fx < self.f
+        self.x[improved] = x[improved]
+        self.f[improved] = fx[improved]
+        g = int(np.argmin(self.f))
+        if float(self.f[g]) < self.best_f:
+            self.best_x, self.best_f = self.x[g].copy(), float(self.f[g])
+        self.mean = float(fx.mean())
 
 
 def aco_minimize(f, region, config: AcoConfig, rng, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with archive-based continuous ACO.
 
-    ``f`` maps an (m, dim) population to its m objective values; it is
-    called once for the starting archive and once per iteration for the
-    ants. ``rng`` is a seed or a ``numpy.random.Generator`` (used as is,
-    and advanced); it goes through ``np.random.default_rng``, so an int
-    seed and ``default_rng`` of it give the same run. ``initial`` points
-    (projected) seed the starting archive; the rest is filled uniformly at
-    random. Every candidate a row of the archive ever held was evaluated
-    through ``f``; bookkeeping is exact.
+    ``f`` is called once for the starting archive and once per iteration
+    for the ants. ``rng`` goes through ``np.random.default_rng``: a
+    ``Generator`` is used as is, and an int seed gives the same run as its
+    ``default_rng``. ``initial`` points (projected) seed the starting
+    archive; the rest is drawn uniformly.
     """
-    rng = np.random.default_rng(rng)
-    pts = _initial_points(region, config.archive_size, rng, initial)
-    vals = _evaluate(f, pts)
-    n_evals = len(pts)
-    archive = SolutionArchive(pts, vals)
-    cdf = aco_cdf(len(archive), config.q)
-    offsets = np.arange(archive.x.shape[1])
-    history_best = [archive.best_f]
-    history_mean = [float(np.add.reduce(archive.f)) / len(archive)]
-    iterations = 0
-    stop_reason = "max_iterations"
-    for _ in range(config.max_iterations):
-        candidates = aco_construct(archive, config, region, rng, cdf, offsets)
-        values = _evaluate(f, candidates)
-        n_evals += len(candidates)
-        archive.update(candidates, values)
-        history_best.append(archive.best_f)
-        history_mean.append(float(np.add.reduce(archive.f)) / len(archive))
-        iterations += 1
-        if _stagnated(history_best, config.stagnation_window, config.stagnation_tolerance):
-            stop_reason = "stagnation"
-            break
-    return OptimizationResult(
-        best_x=archive.best_x.copy(),
-        best_f=archive.best_f,
-        history_best=np.array(history_best),
-        history_mean=np.array(history_mean),
-        n_evaluations=n_evals,
-        n_iterations=iterations,
-        population_x=archive.x.copy(),
-        population_f=archive.f.copy(),
-        stop_reason=stop_reason,
-    )
+    return _search(f, region, config, rng, initial, config.archive_size, _Aco)
 
 
 def pso_minimize(f, region, config: PsoConfig, rng, initial=None) -> OptimizationResult:
     """Minimize ``f`` over the region with a standard global-best PSO.
 
-    ``f`` maps an (m, dim) population to its m objective values; it is
-    called once per iteration for the whole swarm. ``rng`` is a seed or a
-    ``numpy.random.Generator``, taken as in ``aco_minimize``. ``initial``
-    points (projected) seed the swarm. Velocities are clamped to
-    ``v_max_fraction`` of the region's per-dimension widths.
+    ``f``, ``rng`` and ``initial`` are taken as in ``aco_minimize``.
+    Velocities are clamped to ``v_max_fraction`` of the region's widths.
     """
-    rng = np.random.default_rng(rng)
-    v_max = config.v_max_fraction * (region.hi - region.lo)
-    x = _initial_points(region, config.swarm_size, rng, initial)
-    fx = _evaluate(f, x)
-    n_evals = len(x)
-    v = np.zeros_like(x)
-    pbest_x = x.copy()
-    pbest_f = fx.copy()
-    g = int(np.argmin(pbest_f))
-    gbest_x = pbest_x[g].copy()
-    gbest_f = float(pbest_f[g])
-    history_best = [gbest_f]
-    history_mean = [float(fx.mean())]
-    iterations = 0
-    stop_reason = "max_iterations"
-    for _ in range(config.max_iterations):
-        r1 = rng.uniform(size=x.shape)
-        r2 = rng.uniform(size=x.shape)
-        v = (
-            config.inertia * v
-            + config.cognitive * r1 * (pbest_x - x)
-            + config.social * r2 * (gbest_x[None, :] - x)
-        )
-        v = np.clip(v, -v_max, v_max)
-        x = region.project(x + v)
-        fx = _evaluate(f, x)
-        n_evals += len(x)
-        improved = fx < pbest_f
-        pbest_x[improved] = x[improved]
-        pbest_f[improved] = fx[improved]
-        g = int(np.argmin(pbest_f))
-        if float(pbest_f[g]) < gbest_f:
-            gbest_f = float(pbest_f[g])
-            gbest_x = pbest_x[g].copy()
-        history_best.append(gbest_f)
-        history_mean.append(float(fx.mean()))
-        iterations += 1
-        if _stagnated(history_best, config.stagnation_window, config.stagnation_tolerance):
-            stop_reason = "stagnation"
-            break
-    return OptimizationResult(
-        best_x=gbest_x,
-        best_f=gbest_f,
-        history_best=np.array(history_best),
-        history_mean=np.array(history_mean),
-        n_evaluations=n_evals,
-        n_iterations=iterations,
-        population_x=pbest_x,
-        population_f=pbest_f,
-        stop_reason=stop_reason,
-    )
+    return _search(f, region, config, rng, initial, config.swarm_size, _Pso)
 
 
 def least_squares_polish(residual, region, x0) -> tuple[np.ndarray, float, int]:

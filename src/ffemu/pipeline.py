@@ -206,11 +206,11 @@ class FfemuResult:
     for it. Per level: ``objective_values`` is the final (polished)
     objective, ``polish_evaluations`` the polish's residual evaluations, and
     ``elapsed_seconds`` the time of search plus polish. Of that time,
-    ``objective_seconds`` was spent inside the optimizer's population
-    objective and ``polish_seconds`` in the polish; the rest is optimizer
-    overhead. ``histories`` hold the optimizer results before the polish,
-    each with its ``stop_reason`` and ``n_evaluations``, the objective
-    evaluations (population rows) of the search.
+    ``polish_seconds`` was spent in the polish and each history's
+    ``objective_seconds`` inside the search's objective; the rest is
+    optimizer overhead. ``histories`` hold the optimizer results before the
+    polish, each with its ``stop_reason``, ``n_evaluations`` (population
+    rows) and ``objective_seconds``.
     """
 
     parameters: AlphaCutStack
@@ -218,7 +218,6 @@ class FfemuResult:
     objective_values: np.ndarray
     polish_evaluations: np.ndarray
     elapsed_seconds: np.ndarray
-    objective_seconds: np.ndarray
     polish_seconds: np.ndarray
     histories: list
 
@@ -289,9 +288,12 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     2d-dimensional box of (lower, upper) vectors anchored to the previous
     level's solution: lower in [theta_min, previous lower], upper in
     [previous upper, theta_max], warm-started from that solution. Level k
-    draws from ``default_rng(run.seed + k)``. The optimizer's populations,
-    (m, d) points at level 1 and (m, 2d) rows [lower | upper] below it, go
-    to ``residual_batch`` unchanged. Each level's best row is then polished
+    draws from ``default_rng(run.seed + k)``. The search is one
+    ``aco_minimize`` or ``pso_minimize`` call, whose one loop counts the
+    rows it evaluates and times the objective; the objective is the plain
+    row-wise r @ r of ``residual_batch``, which takes the populations,
+    (m, d) points at level 1 and (m, 2d) rows [lower | upper] below it,
+    unchanged. Each level's best row is then polished
     by ``least_squares_polish`` inside the same box; the polish moves only
     on a strictly lower objective, so no level ends worse than its search.
     The solved boxes are kept as one (L, 2, d) array of lower and upper
@@ -310,7 +312,6 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     objective_values = np.empty(n_levels)
     polish_counts = np.empty(n_levels, dtype=int)
     elapsed = np.empty(n_levels)
-    objective_seconds = np.empty(n_levels)
     polish_seconds = np.empty(n_levels)
     histories: list[OptimizationResult] = []
 
@@ -328,33 +329,19 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
             region = Box(np.concatenate([run.theta_min, upper]), np.concatenate([lower, run.theta_max]))
             seeds = [bounds[k - 1].ravel()]
 
-        calls = 0
-        objective_time = 0.0
-
         def residuals(x):
             return residual_batch(model, x, cuts, run.weights)
 
         def objective(x):
-            nonlocal calls, objective_time
-            start = time.perf_counter()
-            calls += len(x)
             r = residuals(x)
             # row-wise r @ r: the same sum the polish takes of its residuals
-            values = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-            objective_time += time.perf_counter() - start
-            return values
+            return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
         result = minimize(objective, region, config, rng, initial=seeds)
-        if calls != result.n_evaluations:
-            raise RuntimeError(
-                f"evaluation bookkeeping broken at level {k + 1}: "
-                f"{calls} calls vs {result.n_evaluations} recorded"
-            )
         t_polish = time.perf_counter()
         x, f, polish_counts[k] = least_squares_polish(residuals, region, result.best_x)
         done = time.perf_counter()
         elapsed[k] = done - t0
-        objective_seconds[k] = objective_time
         polish_seconds[k] = done - t_polish
         objective_values[k] = f
         histories.append(result)
@@ -371,7 +358,6 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
         objective_values=objective_values,
         polish_evaluations=polish_counts,
         elapsed_seconds=elapsed,
-        objective_seconds=objective_seconds,
         polish_seconds=polish_seconds,
         histories=histories,
     )

@@ -89,7 +89,7 @@ def write_bundle(out_dir, run, result) -> Path:
             "evaluation_counts": [int(h.n_evaluations) for h in result.histories],
             "polish_evaluations": [int(v) for v in result.polish_evaluations],
             "elapsed_seconds": [float(v) for v in result.elapsed_seconds],
-            "objective_seconds": [float(v) for v in result.objective_seconds],
+            "objective_seconds": [float(h.objective_seconds) for h in result.histories],
             "polish_seconds": [float(v) for v in result.polish_seconds],
             "iterations": [int(h.n_iterations) for h in result.histories],
             "stop_reasons": [h.stop_reason for h in result.histories],

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,32 @@ class TestSummarize:
         samples = rng.normal(mean, sd, (40000, 5))
         summary = summarize(Chain(samples=samples, acceptance_rate=0.8))
         np.testing.assert_allclose(summary.sd, samples.std(axis=0, ddof=1), rtol=1e-12, atol=0.0)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a long dot product across its threads, which
+        # changes the rounding; the summary of an 11,000-row chain (a
+        # 12,000-sample run's kept rows) must not see the thread count
+        src = str(Path(bayes.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        bits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", SUMMARIZE_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            bits.append(done.stdout)
+        assert bits[0] == bits[1]
+
+
+SUMMARIZE_SCRIPT = """
+import numpy as np
+from ffemu.bayes import Chain, summarize
+rng = np.random.default_rng(5)
+samples = rng.normal([4000.0, 2100.0, 2100.0, 2500.0, 2400.0], [90.0, 40.0, 40.0, 50.0, 45.0], (11000, 5))
+summary = summarize(Chain(samples=samples, acceptance_rate=0.8))
+print(np.concatenate([summary.mean, summary.sd, summary.cov_percent]).tobytes().hex())
+"""
 
 
 def csv_writer_chain_file(chain, path):

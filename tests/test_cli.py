@@ -626,6 +626,8 @@ class TestMeasuredFile:
             (0, "mode_shapes", None, [1.0] * 5, "unknown key 'modes[0].mode_shapes'"),
             (1, "mode_shape", None, [0.0] * 5, "'modes[1].mode_shape' must not be a zero vector, got [0.0, 0.0, "),
             (0, "mode_shape", None, [], "'modes[0].mode_shape' must not be a zero vector, got []"),
+            (1, "mode_shape_tfns", None, [[0.0, 0.5, 1.0]] * 5, "'modes[1].mode_shape_tfns' lower (a) vertex vector"),
+            (2, "mode_shape_tfns", None, [[-1.0, -0.5, 0.0]] * 5, "'modes[2].mode_shape_tfns' upper (c) vertex vector"),
         ],
     )
     def test_bad_value_is_a_configuration_error_naming_the_file(

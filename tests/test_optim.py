@@ -1,6 +1,7 @@
 """Tests for the continuous ACO and PSO optimizers."""
 
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -407,10 +408,24 @@ class TestStopReason:
 
     @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
     def test_full_budget_is_max_iterations(self, minimize, config_type):
+        # the loop's objective time covers every call of f, and no more than the whole run
+        sphere = sphere_offset(np.zeros(3))
         for iterations in (0, 12):
+            inside = 0.0
+
+            def f(x):
+                nonlocal inside
+                start = time.perf_counter()
+                values = sphere(x)
+                inside += time.perf_counter() - start
+                return values
+
             config = config_type(max_iterations=iterations, stagnation_window=50)
-            res = minimize(sphere_offset(np.zeros(3)), self.BOX, config, 1)
+            start = time.perf_counter()
+            res = minimize(f, self.BOX, config, 1)
+            elapsed = time.perf_counter() - start
             assert (res.stop_reason, res.n_iterations) == ("max_iterations", iterations)
+            assert 0.0 < inside <= res.objective_seconds <= elapsed
 
 
 class TestRngArgument:

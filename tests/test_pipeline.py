@@ -14,7 +14,7 @@ from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import load_measured, residual_batch, save_measured, vertex_modes
-from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig, aco_minimize
+from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig
 from ffemu.pipeline import (
     FfemuRun,
     McmcConfig,
@@ -210,9 +210,10 @@ class TestRunFfemu:
 
     def test_time_split_and_stop_reasons(self, aco_result):
         run, result = aco_result
-        assert result.objective_seconds.shape == result.polish_seconds.shape == (run.levels.size,)
-        assert np.all(result.objective_seconds > 0.0) and np.all(result.polish_seconds > 0.0)
-        assert np.all(result.objective_seconds + result.polish_seconds <= result.elapsed_seconds)
+        objective_seconds = np.array([hist.objective_seconds for hist in result.histories])
+        assert objective_seconds.shape == result.polish_seconds.shape == (run.levels.size,)
+        assert np.all(objective_seconds > 0.0) and np.all(result.polish_seconds > 0.0)
+        assert np.all(objective_seconds + result.polish_seconds <= result.elapsed_seconds)
         for hist in result.histories:
             expected = "max_iterations" if hist.n_iterations == run.aco.max_iterations else "stagnation"
             assert hist.stop_reason == expected
@@ -284,18 +285,21 @@ class TestRunFfemu:
                 assert stack.lo[k, i] <= cut_lo + slack[i]
                 assert stack.hi[k, i] >= cut_hi - slack[i]
 
-    def test_each_level_searches_the_box_anchored_to_the_previous_level(self, monkeypatch):
+    @pytest.mark.parametrize("optimizer", ["aco", "pso"])
+    def test_each_level_searches_the_box_anchored_to_the_previous_level(self, monkeypatch, optimizer):
         # level 1 searches [theta_min, theta_max]; level k >= 2 searches
         # lower in [theta_min, lower[k-1]] and upper in [upper[k-1], theta_max],
-        # with a generator seeded run.seed + k
+        # with a generator seeded run.seed + k; the optimizer is looked up in
+        # the pipeline module at call time, so a wrapper of it sees every level
         calls = []
+        minimize = getattr(pipeline, f"{optimizer}_minimize")
 
         def recording(f, region, config, rng, initial=None):
             calls.append((region.lo.copy(), region.hi.copy(), rng.bit_generator.state))
-            return aco_minimize(f, region, config, rng, initial=initial)
+            return minimize(f, region, config, rng, initial=initial)
 
-        monkeypatch.setattr(pipeline, "aco_minimize", recording)
-        run = fuzzy_run("aco", iters=20, seed=4)
+        monkeypatch.setattr(pipeline, f"{optimizer}_minimize", recording)
+        run = fuzzy_run(optimizer, iters=20, seed=4)
         result = run_ffemu(run)
         lower, upper = result.parameters.lo, result.parameters.hi
         assert len(calls) == run.levels.size
