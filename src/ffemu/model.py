@@ -55,9 +55,11 @@ class SpringElement:
 class StructuralModel:
     """Masses (kg) plus spring list; ``parameter_count`` is the updating dimension.
 
-    Every node needs a spring path to ground, so that K(theta) is positive
-    definite for every positive theta; a floating node is a
-    ``ConfigurationError`` naming the first one.
+    There must be at least one updating parameter: a model with none has
+    nothing to update, and is a ``ConfigurationError``. Every node needs a
+    spring path to ground, so that K(theta) is positive definite for every
+    positive theta; a floating node is a ``ConfigurationError`` naming the
+    first one.
     """
 
     masses: np.ndarray
@@ -71,6 +73,10 @@ class StructuralModel:
             raise ConfigurationError("masses must be a non-empty 1-D array")
         if np.any(self.masses <= 0.0):
             raise ConfigurationError("all masses must be positive")
+        if self.parameter_count < 1:
+            raise ConfigurationError(
+                f"need at least one updating parameter (a spring with 'param'), got {self.parameter_count}"
+            )
         n = self.masses.size
         referenced = set()
         for s in self.springs:

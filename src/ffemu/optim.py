@@ -2,13 +2,14 @@
 
 A continuous ant colony optimizer (a ranked solution archive with
 per-dimension Gaussian kernel sampling) and an inertia-weight particle
-swarm share one search loop: each proposes a population and is told its
-values, ``f(X)`` for an (m, dim) X giving m values, so the objective can
-solve the population as one stack. The loop owns the starting points,
-the evaluation count and time, the histories and the stop. Only projected
-(feasible) candidates are evaluated, and a run is bit-reproducible for a
-fixed seed. A bounded Gauss-Newton polish refines the best point when the
-objective is a sum of squares.
+swarm share one search loop. Each is one state, ``_Aco`` or ``_Pso``,
+that proposes a population and is told its values, ``f(X)`` for an
+(m, dim) X giving m values, so the objective can solve the population as
+one stack. The loop owns the starting points, the evaluation count and
+time, the histories and the stop. Only projected (feasible) candidates
+are evaluated, and a run is bit-reproducible for a fixed seed. A bounded
+Gauss-Newton polish refines the best point when the objective is a sum
+of squares.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ from .errors import DomainError, EvaluationError, ShapeError, check_settings
 
 __all__ = [
     "Box",
-    "SolutionArchive",
     "AcoConfig",
     "PsoConfig",
     "OptimizationResult",
-    "aco_weights",
-    "aco_cdf",
-    "aco_construct",
     "aco_minimize",
     "pso_minimize",
     "POLISH_ITERATIONS",
@@ -84,8 +81,7 @@ class AcoConfig:
     the role pheromone evaporation plays in the discrete algorithm. Bounds
     are stated on the fields; ``errors.check_settings`` makes a breach a
     ``DomainError`` naming ``'aco.<field>'``. A ``q`` that makes the rank
-    roulette table (``aco_cdf``) non-finite is a ``DomainError`` naming
-    ``aco.q``.
+    roulette table non-finite is a ``DomainError`` naming ``aco.q``.
     """
 
     archive_size: int = field(default=10, metadata={"at_least": 2})
@@ -100,7 +96,7 @@ class AcoConfig:
         check_settings(self, "aco", DomainError)
         try:
             with np.errstate(all="ignore"):
-                finite = np.isfinite(aco_cdf(self.archive_size, self.q)).all()
+                finite = np.isfinite(_roulette_table(self.archive_size, self.q)).all()
         except OverflowError:  # q ** 2 beyond the float range
             finite = False
         if not finite:
@@ -154,104 +150,6 @@ class OptimizationResult:
     population_f: np.ndarray
     objective_seconds: float
     stop_reason: str
-
-
-class SolutionArchive:
-    """Fixed-size archive of the best solutions seen, sorted by objective.
-
-    Row 0 is the incumbent best. Updates merge new candidates and keep the
-    lowest objective values; ties keep the earlier insertion (stable sort),
-    so results are deterministic.
-    """
-
-    def __init__(self, points, values):
-        self.x = np.array(points, dtype=float)
-        self.f = np.array(values, dtype=float)
-        if self.x.ndim != 2 or self.f.shape != (self.x.shape[0],):
-            raise ShapeError("archive needs a (Q, d) point array and Q values")
-        if self.x.shape[0] < 2:
-            raise DomainError("archive needs at least 2 rows")
-        order = np.argsort(self.f, kind="stable")
-        self.x = self.x[order]
-        self.f = self.f[order]
-
-    def __len__(self) -> int:
-        return self.f.size
-
-    @property
-    def best_x(self) -> np.ndarray:
-        return self.x[0]
-
-    @property
-    def best_f(self) -> float:
-        return float(self.f[0])
-
-    def update(self, points, values) -> None:
-        """Merge candidates, keep the best ``len(self)`` rows; the stable
-        sort puts the archive rows first, so a tie keeps the archive row."""
-        all_x = np.concatenate([self.x, np.asarray(points, dtype=float)])
-        all_f = np.concatenate([self.f, np.asarray(values, dtype=float)])
-        order = all_f.argsort(kind="stable")[: len(self)]
-        self.x = all_x.take(order, axis=0)
-        self.f = all_f.take(order)
-
-    def sigma_matrix(self, xi: float) -> np.ndarray:
-        """Per-row, per-dimension sampling spreads: xi times the mean
-        absolute distance to the other rows (divisor Q - 1)."""
-        diffs = np.subtract(self.x[:, None, :], self.x)
-        return xi * np.add.reduce(np.abs(diffs, out=diffs), axis=1) / (len(self) - 1)
-
-
-def aco_weights(archive_size: int, q: float) -> np.ndarray:
-    """Rank weights: a Gaussian in (rank - 1) with spread q * archive_size,
-    for an ``archive_size`` and ``q`` that ``AcoConfig`` has checked."""
-    ranks = np.arange(1, archive_size + 1, dtype=float)
-    norm = 1.0 / (q * archive_size * math.sqrt(2.0 * math.pi))
-    return norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))
-
-
-def aco_cdf(archive_size: int, q: float) -> np.ndarray:
-    """The rank roulette's table: the normalised cumulative sum of the
-    selection probabilities ``w / w.sum()`` of the rank weights
-    ``w = aco_weights(archive_size, q)``, as ``Generator.choice`` forms it
-    from ``p``. It depends on the settings only, so a run forms it once;
-    ``AcoConfig`` checks that it is finite."""
-    weights = aco_weights(archive_size, q)
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    return cdf
-
-
-def aco_construct(archive: SolutionArchive, config: AcoConfig, region, rng, cdf, offsets) -> np.ndarray:
-    """Construct ``n_ants`` candidates by Gaussian-kernel sampling.
-
-    Per dimension each ant picks a guide row by rank-weight roulette, with
-    ``cdf`` the rank roulette's table (``aco_cdf(len(archive), config.q)``),
-    then samples a Gaussian centered on that row's component with the
-    archive dispersion as spread. Candidates are projected feasible before
-    return. ``offsets`` is ``np.arange(dim)``, each column's offset within
-    a row of the flattened archive; like ``cdf`` it is formed once per run.
-
-    The random stream and every candidate bit are those of
-    ``rows = rng.choice(len(archive), size=(n_ants, dim), p=probs)`` then
-    ``rng.normal(archive.x[rows, cols], sigma[rows, cols])``, with ``probs``
-    the selection probabilities ``cdf`` sums, without their per-call cost.
-    ``choice`` with replacement inverts the normalised cumulative ``probs``
-    at ``rng.random(size)`` uniforms with ``searchsorted(side="right")``,
-    and ``normal`` returns ``loc + scale * z`` for standard normals ``z``
-    drawn in C order; both steps are written out here, and the guide
-    components are gathered by flat index.
-    """
-    if len(cdf) != len(archive):
-        raise ShapeError(f"{len(cdf)} roulette entries for {len(archive)} archive rows")
-    dim = archive.x.shape[1]
-    flat = cdf.searchsorted(rng.random((config.n_ants, dim)), side="right")
-    flat *= dim
-    flat += offsets
-    candidates = rng.standard_normal(flat.shape)
-    candidates *= archive.sigma_matrix(config.xi).take(flat)
-    candidates += archive.x.take(flat)
-    return region.project(candidates, out=candidates)
 
 
 def _evaluate(f, points) -> tuple[np.ndarray, float]:
@@ -316,23 +214,68 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
     )
 
 
-class _Aco(SolutionArchive):
-    """ACO's state: the archive, with its roulette table and column offsets."""
+def _roulette_table(archive_size: int, q: float) -> np.ndarray:
+    """The rank roulette's table: the normalised cumulative sum, as
+    ``Generator.choice`` forms it from ``p``, of the selection probabilities
+    ``w / w.sum()`` of the rank weights ``w``, a Gaussian in rank - 1 with
+    spread q * archive_size. ``AcoConfig`` checks that it is finite."""
+    ranks = np.arange(1, archive_size + 1, dtype=float)
+    norm = 1.0 / (q * archive_size * math.sqrt(2.0 * math.pi))
+    weights = norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _Aco:
+    """ACO's state: the archive ``x``/``f``, sorted by value (row 0 is the
+    best), with its rank roulette table and column offsets formed once.
+    ``propose`` gives the stream and bits of ``rng.choice`` guide rows, ``p``
+    the table's probabilities, then ``rng.normal`` about them, clipped:
+    ``choice`` is the table's ``searchsorted(side="right")`` at ``rng.random``
+    uniforms, and ``normal`` is ``loc + scale * z`` for C-order normals ``z``.
+    """
 
     def __init__(self, config: AcoConfig, region, x, fx):
-        super().__init__(x, fx)
         self.config, self.region = config, region
-        self.cdf = aco_cdf(len(self), config.q)
+        order = np.argsort(fx, kind="stable")
+        self.x, self.f = x[order], fx[order]
+        self.cdf = _roulette_table(len(fx), config.q)
         self.offsets = np.arange(x.shape[1])
 
-    def propose(self, rng) -> np.ndarray:
-        return aco_construct(self, self.config, self.region, rng, self.cdf, self.offsets)
+    def spreads(self) -> np.ndarray:
+        """Per-dimension spreads: xi times each row's mean distance to the other rows."""
+        diffs = np.subtract(self.x[:, None, :], self.x)
+        return self.config.xi * np.add.reduce(np.abs(diffs, out=diffs), axis=1) / (len(self.f) - 1)
 
-    tell = SolutionArchive.update
+    def propose(self, rng) -> np.ndarray:
+        dim = self.x.shape[1]
+        flat = self.cdf.searchsorted(rng.random((self.config.n_ants, dim)), side="right")
+        flat *= dim
+        flat += self.offsets
+        ants = rng.standard_normal(flat.shape)
+        ants *= self.spreads().take(flat)
+        ants += self.x.take(flat)
+        return self.region.project(ants, out=ants)
+
+    def tell(self, x, f) -> None:
+        """Keep the best Q rows of archive and ants; the stable sort puts the
+        archive rows first, so a tie keeps the archive row."""
+        all_x, all_f = np.concatenate([self.x, x]), np.concatenate([self.f, f])
+        order = all_f.argsort(kind="stable")[: len(self.f)]
+        self.x, self.f = all_x.take(order, axis=0), all_f.take(order)
+
+    @property
+    def best_x(self) -> np.ndarray:
+        return self.x[0]
+
+    @property
+    def best_f(self) -> float:
+        return float(self.f[0])
 
     @property
     def mean(self) -> float:
-        return float(np.add.reduce(self.f)) / len(self)
+        return float(np.add.reduce(self.f)) / len(self.f)
 
 
 class _Pso:

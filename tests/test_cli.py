@@ -18,7 +18,7 @@ from ffemu import cli, report, scenarios
 from ffemu.pipeline import load_run_config, run_ffemu
 from ffemu.report import cut_stack, load_summary
 
-from test_model import FREE_PAIR, SPLIT_TRIPLE
+from test_model import FIXED_PAIR, FREE_PAIR, NO_PARAMETER_MESSAGE, NO_PARAMETERS, SPLIT_TRIPLE
 
 
 @pytest.fixture
@@ -572,6 +572,32 @@ class TestSimulate:
         message = f"node {node} has no spring path to ground, so K(theta) is singular"
         assert capsys.readouterr().err == f"configuration error: {model}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [FIXED_PAIR, NO_PARAMETERS], ids=["fixed-springs", "parameters-0"])
+    @pytest.mark.parametrize(
+        "command, source", [("simulate", None), ("update", "truth"), ("update", "measured"), ("bayes", "measured")]
+    )
+    def test_model_without_updating_parameter_is_a_configuration_error_naming_the_model_file(
+        self, command, source, data, tmp_path, capsys
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        if command == "simulate":
+            args = ["simulate", "--model", str(model), "--out", str(out)]
+        else:
+            config = scenarios.bundled_run_config(seed=2)
+            config["model"] = "model.json"
+            if source == "measured":
+                assert cli.main(["simulate", "--levels", "2", "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+                del config["truth"]
+                config["measured"] = "m.json"
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = [command, "--config", str(tmp_path / "run.json"), "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {model}: {NO_PARAMETER_MESSAGE}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_no_levels_is_a_configuration_error(self, count, tmp_path, capsys):

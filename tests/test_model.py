@@ -13,14 +13,15 @@ from ffemu.model import GROUND, SpringElement, StructuralModel, load_model, mode
 
 
 def chain_2dof():
-    # one ground spring at node 0, one spring between the two nodes
+    # one fixed ground spring at node 0, one parameter spring between the
+    # two nodes
     return StructuralModel(
         masses=np.array([1.0, 1.0]),
         springs=(
             SpringElement("g", GROUND, 0, stiffness=1.0),
-            SpringElement("c", 0, 1, stiffness=1.0),
+            SpringElement("c", 0, 1, param_index=0),
         ),
-        parameter_count=0,
+        parameter_count=1,
     )
 
 
@@ -37,9 +38,9 @@ def test_single_mass_ground_spring():
 
 def test_two_dof_chain_matches_hand_superposition():
     hand = np.array([[2.0, -1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(brute_force_assemble(chain_2dof(), np.zeros(0)), hand)
-    assert_modal_matches_generalized_eig(chain_2dof(), np.zeros(0), hand)
-    lam = chain_2dof().eigenvalues_batch(np.zeros((1, 0)))[0]
+    np.testing.assert_array_equal(brute_force_assemble(chain_2dof(), np.ones(1)), hand)
+    assert_modal_matches_generalized_eig(chain_2dof(), np.ones(1), hand)
+    lam = chain_2dof().eigenvalues_batch(np.ones((1, 1)))[0]
     np.testing.assert_allclose(lam, [0.3819660112501051, 2.618033988749895], rtol=1e-12)
 
 
@@ -214,8 +215,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="node 5"):
             StructuralModel(
                 masses=np.array([1.0, 1.0]),
-                springs=(SpringElement("k", 0, 5, stiffness=1.0),),
-                parameter_count=0,
+                springs=(SpringElement("k", 0, 5, param_index=0),),
+                parameter_count=1,
             )
 
     def test_nonpositive_mass_rejected(self):
@@ -238,6 +239,26 @@ SPLIT_TRIPLE = {
         {"id": "k3", "a": 1, "b": 2, "param": 2},
     ],
 }
+
+# two masses on fixed springs only, and a model that declares no parameter
+FIXED_PAIR = {
+    "masses": [1.0, 1.0],
+    "springs": [
+        {"id": "k1", "a": "ground", "b": 0, "stiffness": 1000.0},
+        {"id": "k2", "a": 0, "b": 1, "stiffness": 500.0},
+    ],
+}
+NO_PARAMETERS = {"masses": [1.0], "parameters": 0, "springs": [{"id": "k1", "a": "ground", "b": 0, "param": 0}]}
+NO_PARAMETER_MESSAGE = "need at least one updating parameter (a spring with 'param'), got 0"
+
+
+class TestParameterCount:
+    @pytest.mark.parametrize("data", [FIXED_PAIR, NO_PARAMETERS], ids=["fixed-springs", "parameters-0"])
+    def test_no_updating_parameter_is_a_configuration_error_naming_the_file(self, data, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {NO_PARAMETER_MESSAGE}")):
+            load_model(path)
 
 
 class TestGrounding:
@@ -282,15 +303,15 @@ class TestModelFile:
                     "springs": [
                         {"id": "a", "a": "ground", "b": 0, "stiffness": 3.0},
                         {"id": "b", "a": 1, "b": -1, "stiffness": 4.0},
-                        {"id": "c", "a": 0, "b": 1, "stiffness": 5.0},
+                        {"id": "c", "a": 0, "b": 1, "param": 0},
                     ],
                 }
             )
         )
         model = load_model(path)
         hand = np.array([[8.0, -5.0], [-5.0, 9.0]])
-        np.testing.assert_array_equal(brute_force_assemble(model, np.zeros(0)), hand)
-        assert_modal_matches_generalized_eig(model, np.zeros(0), hand)
+        np.testing.assert_array_equal(brute_force_assemble(model, np.array([5.0])), hand)
+        assert_modal_matches_generalized_eig(model, np.array([5.0]), hand)
 
     def test_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -14,16 +14,16 @@ from ffemu.optim import (
     AcoConfig,
     Box,
     PsoConfig,
-    SolutionArchive,
-    aco_cdf,
-    aco_construct,
+    _Aco,
+    _roulette_table,
     aco_minimize,
-    aco_weights,
     least_squares_polish,
     pso_minimize,
 )
 
 mp.mp.dps = 50
+
+WIDE = Box(np.array([-10.0]), np.array([10.0]))
 
 
 def hp_weights(archive_size, q):
@@ -35,51 +35,59 @@ def hp_weights(archive_size, q):
     return out
 
 
+def table_probabilities(archive_size, q):
+    """The selection probabilities that the rank roulette table sums."""
+    return np.diff(_roulette_table(archive_size, q), prepend=0.0)
+
+
 class TestWeights:
     def test_rank_one_value_q10(self):
-        w = aco_weights(10, 0.5)
-        oracle = float(hp_weights(10, mp.mpf("0.5"))[0])
-        assert oracle == pytest.approx(0.0797885, abs=5e-8)
-        assert w[0] == pytest.approx(oracle, rel=1e-12)
+        p = table_probabilities(10, 0.5)
+        oracle = hp_weights(10, mp.mpf("0.5"))
+        assert float(oracle[0]) == pytest.approx(0.0797885, abs=5e-8)
+        assert p[0] == pytest.approx(float(oracle[0] / sum(oracle)), rel=1e-12)
 
     def test_all_ranks_match_high_precision(self):
-        w = aco_weights(10, 0.5)
+        p = table_probabilities(10, 0.5)
         oracle = hp_weights(10, mp.mpf("0.5"))
-        assert w.size == 10  # ranks limited to 1..Q
-        for got, want in zip(w, oracle):
-            assert got == pytest.approx(float(want), rel=1e-12)
+        assert p.size == 10  # ranks limited to 1..Q
+        for got, want in zip(p, oracle):
+            assert got == pytest.approx(float(want / sum(oracle)), rel=1e-12)
 
     def test_strictly_decreasing_and_positive(self):
-        w = aco_weights(10, 0.5)
-        assert np.all(w > 0.0)
-        assert np.all(np.diff(w) < 0.0)
+        p = table_probabilities(10, 0.5)
+        assert np.all(p > 0.0)
+        assert np.all(np.diff(p) < 0.0)
 
     def test_single_row_collapse(self):
         for q in (0.1, 0.5, 2.0):
-            assert aco_weights(1, q)[0] == pytest.approx(1.0 / (q * math.sqrt(2 * math.pi)), rel=1e-15)
+            assert _roulette_table(1, q).tolist() == [1.0]
 
 
 def roulette_probabilities(archive_size, q):
-    """The rank weights normalised into selection probabilities, the ``p``
-    that ``Generator.choice`` takes."""
-    w = aco_weights(archive_size, q)
+    """The textbook rank weights, a Gaussian in rank - 1 with spread
+    q * archive_size, normalised into the selection probabilities, the
+    ``p`` that ``Generator.choice`` takes."""
+    ranks = np.arange(1, archive_size + 1, dtype=float)
+    norm = 1.0 / (q * archive_size * math.sqrt(2.0 * math.pi))
+    w = norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))
     return w / w.sum()
 
 
 class TestRouletteTable:
     def test_uniform_at_a_large_q(self):
         # a q this large flattens the Gaussian: every rank weighs the same
-        np.testing.assert_allclose(aco_cdf(7, 1e100), np.arange(1, 8) / 7.0, rtol=1e-15)
+        np.testing.assert_allclose(_roulette_table(7, 1e100), np.arange(1, 8) / 7.0, rtol=1e-15)
 
     def test_matches_high_precision_normalization(self):
-        cdf = aco_cdf(10, 0.5)
+        cdf = _roulette_table(10, 0.5)
         oracle = hp_weights(10, mp.mpf("0.5"))
         total = sum(oracle)
         for k, got in enumerate(cdf):
             assert got == pytest.approx(float(sum(oracle[: k + 1]) / total), rel=1e-12)
 
     def test_ends_at_one_and_ascends(self):
-        cdf = aco_cdf(10, 0.5)
+        cdf = _roulette_table(10, 0.5)
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) > 0.0)
 
@@ -90,7 +98,7 @@ class TestRouletteTable:
         AcoConfig(q=q)
         cdf = np.cumsum(roulette_probabilities(10, q))
         cdf /= cdf[-1]
-        assert aco_cdf(10, q).tobytes() == cdf.tobytes()
+        assert _roulette_table(10, q).tobytes() == cdf.tobytes()
 
     @pytest.mark.parametrize("q", [1e200, 1e308, 1e-170, 1e-200, pytest.param(10**200, id="int-10**200")])
     def test_non_finite_table_rejected_naming_q_without_a_warning(self, q):
@@ -104,62 +112,60 @@ class TestRouletteTable:
 
 class TestArchiveUpdate:
     def archive(self):
-        return SolutionArchive(np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 1.0, 2.0]))
+        return _Aco(AcoConfig(archive_size=3), WIDE, np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 1.0, 2.0]))
 
     def test_no_entrant_leaves_archive_untouched(self):
         archive = self.archive()
         x, f = archive.x.copy(), archive.f.copy()
         # a tie with the worst row keeps the archive row (stable merge)
-        archive.update(np.array([[9.0], [8.0]]), np.array([2.0, 3.0]))
+        archive.tell(np.array([[9.0], [8.0]]), np.array([2.0, 3.0]))
         assert archive.x.tobytes() == x.tobytes() and archive.f.tobytes() == f.tobytes()
 
     def test_entrant_merges_like_a_stable_sort(self):
         archive = self.archive()
         points, values = np.array([[9.0], [8.0], [7.0]]), np.array([1.0, 0.1, 2.0])
-        archive.update(points, values)
+        archive.tell(points, values)
         np.testing.assert_array_equal(archive.f, [0.1, 0.5, 1.0])
         np.testing.assert_array_equal(archive.x[:, 0], [8.0, 0.0, 1.0])
 
 
 class TestSigma:
-    def make_archive(self, column):
+    def make_archive(self, column, xi=1.0):
         pts = np.array([[v] for v in column])
-        return SolutionArchive(pts, np.arange(float(len(column))))
+        return _Aco(AcoConfig(archive_size=len(column), xi=xi), WIDE, pts, np.arange(float(len(column))))
 
     def test_identical_column_gives_zero(self):
         archive = self.make_archive([1.5, 1.5, 1.5])
-        assert archive.sigma_matrix(1.0)[0, 0] == 0.0
+        assert archive.spreads()[0, 0] == 0.0
 
     def test_two_rows_hand_sum(self):
         archive = self.make_archive([0.0, 2.0])
-        np.testing.assert_array_equal(archive.sigma_matrix(1.0), [[2.0], [2.0]])
+        np.testing.assert_array_equal(archive.spreads(), [[2.0], [2.0]])
 
     def test_linear_in_xi(self):
-        archive = self.make_archive([0.0, 1.0, 3.0])
-        assert archive.sigma_matrix(2.0)[1, 0] == 2.0 * archive.sigma_matrix(1.0)[1, 0]
-
-    def test_single_row_archive_rejected(self):
-        with pytest.raises(DomainError):
-            SolutionArchive(np.array([[0.0]]), np.array([0.0]))
+        column = [0.0, 1.0, 3.0]
+        assert self.make_archive(column, xi=2.0).spreads()[1, 0] == 2.0 * self.make_archive(column).spreads()[1, 0]
 
 
-def reference_construct(archive, config, region, rng, probs):
-    """``aco_construct`` as ``Generator.choice`` plus ``Generator.normal``.
+def reference_construct(x, config, region, rng, probs):
+    """``_Aco.propose`` as ``Generator.choice`` plus ``Generator.normal``.
 
     The reference for the written-out draws: roulette rows by ``choice``
     with ``p``, then one ``normal`` draw per component centred on the
-    guide row with its archive spread, clipped into the box.
+    guide row with its spread, xi times the row's summed distance to the
+    archive rows over Q - 1, clipped into the box.
     """
-    dim = archive.x.shape[1]
-    sig = archive.sigma_matrix(config.xi)
-    rows = rng.choice(len(archive), size=(config.n_ants, dim), p=probs)
+    archive_size, dim = x.shape
+    sig = config.xi * np.abs(x[:, None, :] - x[None, :, :]).sum(axis=1) / (archive_size - 1)
+    rows = rng.choice(archive_size, size=(config.n_ants, dim), p=probs)
     cols = np.arange(dim)[None, :]
-    return np.clip(rng.normal(archive.x[rows, cols], sig[rows, cols]), region.lo, region.hi)
+    return np.clip(rng.normal(x[rows, cols], sig[rows, cols]), region.lo, region.hi)
 
 
 def reference_aco(f, region, config, seed, initial=None):
     """``aco_minimize`` as the textbook loop: per iteration one
-    ``reference_construct``, one archive update, the archive mean by
+    ``reference_construct``, a stable merge of the archive rows and then
+    the candidates that keeps the best Q, the archive mean by
     ``ndarray.mean`` and the stagnation rule, with nothing kept between
     iterations but the archive and the histories."""
     rng = np.random.default_rng(seed)
@@ -168,24 +174,28 @@ def reference_aco(f, region, config, seed, initial=None):
     if initial is not None:
         seeds = np.clip(np.reshape(initial, (-1, dim))[:size], region.lo, region.hi)
     drawn = np.clip(rng.uniform(region.lo, region.hi, size=(size - len(seeds), dim)), region.lo, region.hi)
-    points = np.vstack([seeds, drawn])
-    archive = SolutionArchive(points, f(points))
+    x = np.vstack([seeds, drawn])
+    fx = f(x)
+    order = np.argsort(fx, kind="stable")
+    x, fx = x[order], fx[order]
     probs = roulette_probabilities(size, config.q)
-    history_best, history_mean = [archive.best_f], [float(archive.f.mean())]
+    history_best, history_mean = [float(fx[0])], [float(fx.mean())]
     evaluations, stop_reason = size, "max_iterations"
     for _ in range(config.max_iterations):
-        candidates = reference_construct(archive, config, region, rng, probs)
-        archive.update(candidates, f(candidates))
+        candidates = reference_construct(x, config, region, rng, probs)
+        all_x, all_f = np.vstack([x, candidates]), np.concatenate([fx, f(candidates)])
+        keep = np.argsort(all_f, kind="stable")[:size]
+        x, fx = all_x[keep], all_f[keep]
         evaluations += len(candidates)
-        history_best.append(archive.best_f)
-        history_mean.append(float(archive.f.mean()))
+        history_best.append(float(fx[0]))
+        history_mean.append(float(fx.mean()))
         window = config.stagnation_window
         if len(history_best) > window and (
             history_best[-1 - window] - history_best[-1] < config.stagnation_tolerance
         ):
             stop_reason = "stagnation"
             break
-    return archive, np.array(history_best), np.array(history_mean), evaluations, stop_reason
+    return x, fx, np.array(history_best), np.array(history_mean), evaluations, stop_reason
 
 
 class TestConstruct:
@@ -195,33 +205,24 @@ class TestConstruct:
         region = Box(np.full(4, -3.0), np.full(4, 3.0))
         config = AcoConfig(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.8)
         probs = roulette_probabilities(archive_size, config.q)
-        cdf = aco_cdf(archive_size, config.q)
         for seed in range(6):
             pts = np.random.default_rng(100 + seed).uniform(-4.0, 4.0, (archive_size, 4))
             pts[:, 2] = 0.25  # a zero-spread column
-            archive = SolutionArchive(pts, np.arange(float(archive_size)))
-            assert np.all(archive.sigma_matrix(config.xi)[:, 2] == 0.0)
+            archive = _Aco(config, region, pts, np.arange(float(archive_size)))
+            assert np.all(archive.spreads()[:, 2] == 0.0)
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # the streams stay in step across calls
-                got = aco_construct(archive, config, region, rng_new, cdf, np.arange(4))
-                expected = reference_construct(archive, config, region, rng_ref, probs)
+                got = archive.propose(rng_new)
+                expected = reference_construct(archive.x, config, region, rng_ref, probs)
                 assert got.shape == (n_ants, 4)
                 assert got.tobytes() == expected.tobytes()
             assert rng_new.random() == rng_ref.random()
 
-    def test_probabilities_must_match_archive_rows(self):
-        archive = SolutionArchive(np.array([[0.0], [1.0], [2.0]]), np.arange(3.0))
-        config = AcoConfig(archive_size=3, n_ants=4)
-        region = Box(np.array([-5.0]), np.array([5.0]))
-        with pytest.raises(ShapeError):
-            aco_construct(archive, config, region, np.random.default_rng(0), aco_cdf(4, config.q), np.arange(1))
-
     def test_collapsed_archive_reproduces_point(self):
         pts = np.tile([1.0, -2.0], (4, 1))
-        archive = SolutionArchive(pts, np.zeros(4))
         region = Box(np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
         config = AcoConfig(archive_size=4, n_ants=50)
-        cands = aco_construct(archive, config, region, np.random.default_rng(0), aco_cdf(4, config.q), np.arange(2))
+        cands = _Aco(config, region, pts, np.zeros(4)).propose(np.random.default_rng(0))
         np.testing.assert_array_equal(cands, np.tile([1.0, -2.0], (50, 1)))
 
     def test_empirical_sd_matches_mixture_oracle(self):
@@ -232,19 +233,19 @@ class TestConstruct:
         mean = 2.0 * p2
         var = 4.0 + p2 * 4.0 - mean**2
         oracle_sd = math.sqrt(var)
-        archive = SolutionArchive(np.array([[0.0], [2.0]]), np.array([0.0, 1.0]))
         region = Box(np.array([-100.0]), np.array([100.0]))
         config = AcoConfig(archive_size=2, n_ants=100000, q=0.5, xi=1.0)
-        cands = aco_construct(archive, config, region, np.random.default_rng(99), aco_cdf(2, config.q), np.arange(1))
+        archive = _Aco(config, region, np.array([[0.0], [2.0]]), np.array([0.0, 1.0]))
+        cands = archive.propose(np.random.default_rng(99))
         assert cands.std() == pytest.approx(oracle_sd, rel=0.05)
 
     def test_candidates_inside_box(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, (5, 3))
-        archive = SolutionArchive(pts, rng.uniform(size=5))
+        values = rng.uniform(size=5)
         region = Box(np.array([-0.5, -0.5, -0.5]), np.array([0.5, 0.5, 0.5]))
         config = AcoConfig(archive_size=5, n_ants=200)
-        cands = aco_construct(archive, config, region, rng, aco_cdf(5, config.q), np.arange(3))
+        cands = _Aco(config, region, pts, values).propose(rng)
         assert np.all(cands >= region.lo) and np.all(cands <= region.hi)
 
 
@@ -358,7 +359,7 @@ class TestAcoMinimize:
 
     @pytest.mark.parametrize("archive_size", [2, 10])
     @pytest.mark.parametrize("n_ants", [1, 20])
-    @pytest.mark.parametrize("case", ["plain", "warm start", "stagnation", "pinched"])
+    @pytest.mark.parametrize("case", ["plain", "warm start", "stagnation", "pinched", "ties"])
     def test_bitwise_equal_to_textbook_loop(self, archive_size, n_ants, case):
         lo, hi = np.array([-2.0, -1.0, 0.5, -3.0]), np.array([2.0, 3.0, 4.0, -0.5])
         if case == "pinched":
@@ -367,6 +368,8 @@ class TestAcoMinimize:
         settings = dict(archive_size=archive_size, n_ants=n_ants, q=0.3, xi=0.85, max_iterations=60)
         if case == "stagnation":
             settings.update(max_iterations=400, stagnation_window=6, stagnation_tolerance=1e-3)
+        if case == "ties":  # the floor stalls the best value; run the whole budget
+            settings.update(stagnation_window=100)
         config = AcoConfig(**settings)
         initial = None
         if case == "warm start":  # three starts, one outside the box: truncated to the archive and clipped
@@ -374,11 +377,12 @@ class TestAcoMinimize:
         center = np.array([0.7, 1.3, 3.9, -2.2])
 
         def f(x):
-            return np.sum((x - center) ** 2, axis=1) + 0.1 * np.sin(7.0 * x).sum(axis=1)
+            v = np.sum((x - center) ** 2, axis=1) + 0.1 * np.sin(7.0 * x).sum(axis=1)
+            return np.maximum(v, 0.5) if case == "ties" else v  # ties: flat near the centre, so ants tie with rows
 
         for seed in (3, 4):
             res = aco_minimize(f, region, config, seed, initial=initial)
-            archive, history_best, history_mean, evaluations, stop_reason = reference_aco(
+            x, fx, history_best, history_mean, evaluations, stop_reason = reference_aco(
                 f, region, config, seed, initial
             )
             assert res.stop_reason == stop_reason == ("stagnation" if case == "stagnation" else "max_iterations")
@@ -386,9 +390,9 @@ class TestAcoMinimize:
             assert res.n_iterations == history_best.size - 1
             assert res.history_best.tobytes() == history_best.tobytes()
             assert res.history_mean.tobytes() == history_mean.tobytes()
-            assert res.population_x.tobytes() == archive.x.tobytes()
-            assert res.population_f.tobytes() == archive.f.tobytes()
-            assert res.best_x.tobytes() == archive.best_x.tobytes()
+            assert res.population_x.tobytes() == x.tobytes()
+            assert res.population_f.tobytes() == fx.tobytes()
+            assert res.best_x.tobytes() == x[0].tobytes()
 
     def test_stagnation_stops_early(self):
         config = AcoConfig(max_iterations=5000, stagnation_window=30)
