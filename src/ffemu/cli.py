@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__, report
 from .errors import ConfigurationError, FfemuError, in_file
 from .fuzzy import default_levels
-from .model import read_json
+from .model import read_json, resolve_model
 from .objective import eigenvalue_to_hz, save_measured
 
 EXIT_OK = 0
@@ -39,13 +39,14 @@ _BUNDLED_TRUTHS = {"bundled-fuzzy": "fuzzy", "bundled-crisp": "crisp"}
 
 def cmd_simulate(args) -> int:
     from . import scenarios
+    from .pipeline import simulate_from_truth_spec
 
-    model = scenarios.resolve_model(args.model)
+    model = resolve_model(args.model)
     kind = _BUNDLED_TRUTHS.get(args.truth)
     levels = default_levels(args.levels)
     with in_file(args.truth):
         truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
-        measured = scenarios.simulate_from_truth_spec(model, truth, levels)
+        measured = simulate_from_truth_spec(model, truth, levels)
     save_measured(measured, args.out)
     freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.center_eigenvalues())]
     kind = "crisp" if measured.is_crisp else "fuzzy"

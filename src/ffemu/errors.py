@@ -119,14 +119,14 @@ def _complaint(label: str, kind: str, shape, value) -> str:
     return f"{label!r} must be {what}, got {reprlib.repr(value)}"
 
 
-def _check(value, label: str, kind: str, shape, bounds, error=ConfigurationError) -> None:
+def _check(value, label: str, kind: str, shape, bounds) -> None:
     """``value`` must be ``kind`` at ``shape``, every entry within ``bounds``
-    ({"at_least": 1}, say); else an ``error`` naming it as ``label``."""
+    ({"at_least": 1}, say); else a ``ConfigurationError`` naming it as ``label``."""
     if not _fits(value, _KINDS[kind][0], shape):
-        raise error(_complaint(label, kind, shape, value))
+        raise ConfigurationError(_complaint(label, kind, shape, value))
     for name, bound in bounds.items():
         if not _fits(value, lambda v: _BOUNDS[name](v, bound), shape):
-            raise error(f"{label!r} must be {name.replace('_', ' ')} {bound!r}, got {reprlib.repr(value)}")
+            raise ConfigurationError(f"{label!r} must be {name.replace('_', ' ')} {bound!r}, got {reprlib.repr(value)}")
 
 
 def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None, default=_REQUIRED, **bounds):
@@ -150,14 +150,14 @@ def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None,
     return value
 
 
-def check_settings(config, section: str, error=ConfigurationError) -> None:
+def check_settings(config, section: str) -> None:
     """Each field of the settings dataclass ``config`` must hold an integer
     where its default is an int and a finite number where it is a float,
-    within the bounds stated on the field, as ``field(default=20,
-    metadata={"at_least": 1})``; else an ``error`` naming ``'<section>.<field>'``."""
+    within the bounds stated on the field (``metadata={"at_least": 1}``,
+    say); else a ``ConfigurationError`` naming ``'<section>.<field>'``."""
     for f in fields(config):
         kind = "integer" if type(f.default) is int else "number"
-        _check(getattr(config, f.name), f"{section}.{f.name}", kind, (), f.metadata, error)
+        _check(getattr(config, f.name), f"{section}.{f.name}", kind, (), f.metadata)
 
 
 def check_keys(obj: dict, valid, label: str = "") -> None:

@@ -6,13 +6,13 @@ nested alpha-cuts: levels, and (L, q) lower and upper bounds with one row
 per level and one column per quantity (q is 1 for a single quantity). The
 stack form is what the updating procedure produces, one stack for all
 parameters and one for all outputs.
-The helpers here check and cut any number of triangles in one call, hold
-the one rule for alpha levels (``check_levels``), and export CSV curves.
+The helpers here check and cut any number of triangles in one call and
+hold the one rule for alpha levels (``check_levels``). Nothing here
+writes a file: a stack's CSV curves are ``report``'s.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,6 @@ __all__ = [
     "check_levels",
     "default_levels",
     "triangles",
-    "write_cuts_csv",
-    "write_membership_csv",
 ]
 
 
@@ -139,24 +137,3 @@ class AlphaCutStack:
         right = np.column_stack([hi, self.levels])
         return np.concatenate([left, right[1:] if lo[0] == hi[0] else right])
 
-
-def write_cuts_csv(names, stack: AlphaCutStack, path) -> None:
-    """Write the stack's quantities, named by ``names`` in column order, as
-    rows of (quantity_id, alpha, lo, hi)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity_id", "alpha", "lo", "hi"])
-        for name, lo, hi in zip(names, stack.lo.T.tolist(), stack.hi.T.tolist(), strict=True):
-            for row in zip(stack.levels.tolist(), lo, hi):
-                writer.writerow([name, *map(repr, row)])
-
-
-def write_membership_csv(names, stack: AlphaCutStack, path) -> None:
-    """Write the membership polylines of the stack's quantities, named by
-    ``names`` in column order, as rows of (quantity_id, x, mu)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity_id", "x", "mu"])
-        for j, name in enumerate(names):
-            for x, mu in stack.to_membership(j):
-                writer.writerow([name, repr(float(x)), repr(float(mu))])

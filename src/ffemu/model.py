@@ -4,6 +4,10 @@ A model holds point masses and spring elements between nodes (or node to
 ground). Each spring's stiffness is either a fixed value or a reference
 into the updating-parameter vector, so ``K(theta)`` assembles by standard
 superposition and the mass matrix is diagonal.
+
+Mode shapes come out unit-norm, each with its largest-magnitude component
+positive (``fix_signs``). ``resolve_model`` reads a model reference: the
+token ``"bundled"`` (``ffemu/data/model_5dof.json``) or a model file.
 """
 
 from __future__ import annotations
@@ -11,15 +15,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, check_value, in_file, is_integer
-from .linalg import fix_signs
 
-__all__ = ["GROUND", "SpringElement", "StructuralModel", "load_model", "model_from_dict"]
+__all__ = ["GROUND", "SpringElement", "StructuralModel", "fix_signs", "load_model", "model_from_dict", "resolve_model"]
 
 GROUND = -1
+
+
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns so each largest-|component| entry is positive.
+
+    Accepts one (n, n) matrix or a stack (..., n, n), flipping the columns
+    of each matrix. Ties break toward the lowest index (argmax convention);
+    this keeps eigenvector output reproducible across runs and platforms.
+    """
+    out = np.asarray(vectors, dtype=float)
+    idx = np.argmax(np.abs(out), axis=-2)
+    peak = np.take_along_axis(out, idx[..., None, :], axis=-2)
+    return np.where(peak < 0.0, -out, out)
 
 
 @dataclass(frozen=True)
@@ -246,6 +264,15 @@ def load_model(path) -> StructuralModel:
     errors name the offending spring entry.
     """
     return model_from_dict(read_json(path), source=str(path))
+
+
+def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
+    """The packaged five-DOF model for the token ``"bundled"``, else the model
+    file at ``ref`` (a relative path resolves against ``base``)."""
+    if ref == "bundled":
+        text = resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8")
+        return model_from_dict(json.loads(text), source="bundled model_5dof.json")
+    return load_model(base / ref)
 
 
 def read_json(path) -> dict:

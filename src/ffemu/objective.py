@@ -15,7 +15,9 @@ each stiffness (Courant-Fischer): the j-th sorted eigenvalues at the lower
 and upper vertex are exactly the bounds of the j-th eigenvalue over the
 box, the interval a measured eigenvalue cut describes. Mode shapes carry
 no order, so the vertex shapes are MAC-paired to the box centre's shapes
-instead.
+instead. The mode bookkeeping lives here too: ``mac_matrix`` (the modal
+assurance criterion of every pair of shapes), ``diagonal_dominates`` and
+the greedy ``pair_modes`` fallback, whose one caller is ``vertex_modes``.
 
 ``residual_batch`` is the one residual path: it evaluates a whole
 population of boxes with one stacked eigensolve, and a box's objective is
@@ -39,13 +41,13 @@ from .errors import (
     in_file,
 )
 from .fuzzy import alpha_cuts, triangles
-from .linalg import diagonal_dominates, mac_matrix, pair_modes
 from .model import StructuralModel, read_json, write_json
 
 __all__ = [
     "MeasuredFuzzyModalData",
     "residual_batch",
     "vertex_modes",
+    "pair_modes",
     "load_measured",
     "save_measured",
 ]
@@ -144,6 +146,62 @@ def residual_batch(model: StructuralModel, boxes, cuts, weights) -> np.ndarray:
     return out
 
 
+def mac_matrix(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+    """MAC of every reference column against every candidate column.
+
+    The modal assurance criterion of two shapes is their squared
+    normalized projection, in [0, 1]: invariant under nonzero scaling and
+    sign flips of either, 1.0 for parallel shapes and 0.0 for orthogonal
+    ones. Accepts one pair of (n, n) matrices or two stacks (..., n, n),
+    giving one table per pair.
+    """
+    ref = np.asarray(reference, dtype=float)
+    cand = np.asarray(candidate, dtype=float)
+    if ref.shape[-2] != cand.shape[-2]:
+        raise ShapeError(f"mode shapes differ in length: {ref.shape[-2]} vs {cand.shape[-2]}")
+    cross = np.swapaxes(ref, -1, -2) @ cand
+    norms_r = np.sum(ref * ref, axis=-2)
+    norms_c = np.sum(cand * cand, axis=-2)
+    if np.any(norms_r == 0.0) or np.any(norms_c == 0.0):
+        raise DegenerateVectorError("MAC is undefined for a zero vector")
+    return np.minimum(1.0, cross**2 / (norms_r[..., :, None] * norms_c[..., None, :]))
+
+
+def diagonal_dominates(table: np.ndarray) -> np.ndarray:
+    """Whether each MAC table (or each of a stack) peaks on the diagonal in
+    every row and every column; greedy pairing then keeps the identity."""
+    identity = np.arange(table.shape[-1])
+    return np.all(np.argmax(table, axis=-1) == identity, axis=-1) & np.all(
+        np.argmax(table, axis=-2) == identity, axis=-1
+    )
+
+
+def pair_modes(table, ref_values, cand_values) -> np.ndarray:
+    """Match candidate modes to reference modes by greedy best-MAC assignment.
+
+    ``table`` is the (n, n) ``mac_matrix`` of the reference shapes against
+    the candidate shapes, and ``ref_values`` and ``cand_values`` the two
+    sides' (n,) eigenvalues. Returns ``perm`` such that candidate mode
+    ``perm[j]`` corresponds to reference mode ``j``; each candidate mode is
+    used exactly once. MAC ties break toward the pair with the closest
+    eigenvalues, which keeps the assignment well defined for repeated
+    eigenvalues.
+    """
+    n = len(ref_values)
+    if np.shape(table) != (n, n) or len(cand_values) != n:
+        raise ShapeError(f"mode counts differ: {n} vs {len(cand_values)}, with a MAC table of {np.shape(table)}")
+    gaps = np.abs(np.subtract.outer(ref_values, cand_values))
+    order = np.lexsort((gaps.ravel(), -table.ravel()))
+    perm = np.full(n, -1, dtype=int)
+    used = np.zeros(n, dtype=bool)
+    for flat in order:
+        i, j = divmod(int(flat), n)
+        if perm[i] < 0 and not used[j]:
+            perm[i] = j
+            used[j] = True
+    return perm
+
+
 def vertex_modes(model: StructuralModel, boxes) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (m, v, n) and mode shapes (m, v, n, n) at the v vertices of m boxes.
 
@@ -153,14 +211,15 @@ def vertex_modes(model: StructuralModel, boxes) -> tuple[np.ndarray, np.ndarray]
     one physical mode at every vertex, and are sign-aligned with the centre
     shapes. Each box's centre and vertices are solved as v + 1 consecutive
     rows of one ``modal_batch`` stack; the greedy ``pair_modes`` runs only
-    on vertices whose MAC diagonal does not dominate.
+    on vertices whose MAC diagonal does not dominate, with their MAC table.
     """
     vertices = _vertices(model, boxes)
     rows = np.concatenate([vertices.mean(axis=1, keepdims=True), vertices], axis=1)
     lam, vec = (a.reshape(rows.shape[:2] + a.shape[1:]) for a in model.modal_batch(rows.reshape(-1, rows.shape[-1])))
     centre, shapes = vec[:, :1], vec[:, 1:]
-    for k, j in np.argwhere(~diagonal_dominates(mac_matrix(centre, shapes))):
-        perm = pair_modes(lam[k, 0], centre[k, 0], lam[k, j + 1], shapes[k, j])
+    tables = mac_matrix(centre, shapes)
+    for k, j in np.argwhere(~diagonal_dominates(tables)):
+        perm = pair_modes(tables[k, j], lam[k, 0], lam[k, j + 1])
         shapes[k, j] = shapes[k, j][:, perm]
     flip = np.einsum("...ij,...ij->...j", shapes, centre) < 0.0
     return lam[:, 1:], np.where(flip[..., None, :], -shapes, shapes)
@@ -210,12 +269,17 @@ class MeasuredFuzzyModalData:
         The eigenvalue bounds are (n,) arrays. The (n_dof, n) shape bounds
         both equal the stored vectors for crisp shapes, and are the
         component-wise cut endpoints for fuzzy ones; either way each column
-        is scaled to unit length.
+        is scaled to unit length. A zero lower or upper cut vector (a = -b
+        gives one at alpha 0.5) is a ``DomainError`` naming its mode and alpha.
         """
         if self.shape_tfns is None:
             vec_lo = vec_hi = self.mode_shapes
         else:
             vec_lo, vec_hi = alpha_cuts(self.shape_tfns, alpha)
+            for bound, vec in (("lower", vec_lo), ("upper", vec_hi)):
+                if (j := np.flatnonzero(np.linalg.norm(vec, axis=0) == 0.0)).size:
+                    cut = f"a zero {bound} cut vector at alpha {float(alpha)!r}"
+                    raise DomainError(f"'modes[{j[0]}].mode_shape_tfns' has {cut}")
         return (*alpha_cuts(self.eigenvalue_tfns, alpha), _unit_columns(vec_lo), _unit_columns(vec_hi))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError, check_settings
+from .errors import ConfigurationError, DomainError, EvaluationError, ShapeError, check_settings
 
 __all__ = [
     "Box",
@@ -79,9 +79,9 @@ class AcoConfig:
     ``q`` spreads the rank weights (small q concentrates sampling on the
     best rows); ``xi`` scales the per-dimension sampling spread and plays
     the role pheromone evaporation plays in the discrete algorithm. Bounds
-    are stated on the fields; ``errors.check_settings`` makes a breach a
-    ``DomainError`` naming ``'aco.<field>'``. A ``q`` that makes the rank
-    roulette table non-finite is a ``DomainError`` naming ``aco.q``.
+    are stated on the fields, and ``errors.check_settings`` names a breach
+    as ``'aco.<field>'``; a ``q`` that makes the rank roulette table
+    non-finite is a ``ConfigurationError`` naming ``aco.q`` too.
     """
 
     archive_size: int = field(default=10, metadata={"at_least": 2})
@@ -93,14 +93,14 @@ class AcoConfig:
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
-        check_settings(self, "aco", DomainError)
+        check_settings(self, "aco")
         try:
             with np.errstate(all="ignore"):
                 finite = np.isfinite(_roulette_table(self.archive_size, self.q)).all()
         except OverflowError:  # q ** 2 beyond the float range
             finite = False
         if not finite:
-            raise DomainError(f"aco.q = {self.q!r} makes the rank roulette table non-finite")
+            raise ConfigurationError(f"aco.q = {self.q!r} makes the rank roulette table non-finite")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ class PsoConfig:
 
     ``v_max_fraction`` sets the velocity clamp as a fraction of each
     dimension's width in the current region. Bounds are stated on the
-    fields; ``errors.check_settings`` makes a breach a ``DomainError``
-    naming ``'pso.<field>'``.
+    fields, and ``errors.check_settings`` names a breach as ``'pso.<field>'``.
     """
 
     swarm_size: int = field(default=80, metadata={"at_least": 2})
@@ -123,7 +122,7 @@ class PsoConfig:
     stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
-        check_settings(self, "pso", DomainError)
+        check_settings(self, "pso")
 
 
 @dataclass

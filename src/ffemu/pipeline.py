@@ -43,7 +43,7 @@ from .errors import (
     is_integer,
 )
 from .fuzzy import AlphaCutStack, check_levels, default_levels
-from .model import StructuralModel, read_json
+from .model import StructuralModel, read_json, resolve_model
 from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
 from .optim import (
     AcoConfig,
@@ -60,6 +60,7 @@ __all__ = [
     "FfemuResult",
     "McmcConfig",
     "simulate_measurements",
+    "simulate_from_truth_spec",
     "run_ffemu",
     "propagate_outputs",
     "load_run_config",
@@ -71,6 +72,7 @@ RUN_KEYS = (
     "optimizer", "seed", "aco", "pso", "weights", "bayes",
 )
 WEIGHT_KEYS = ("eigenvalue", "eigenvector")
+TRUTH_KEYS = ("theta_true", "spreads", "spread_fraction", "shape_tfns")
 STEP_MARGIN = 2.0**32
 
 _log = logging.getLogger(__name__)
@@ -127,6 +129,8 @@ class FfemuRun:
     draws from ``seed + k``, so levels draw independent streams but the
     run is reproducible; ``seed`` and ``bayes`` drive the M-H chains. The
     measured data hold n modes of n shape components each, n the model's DOFs.
+    ``cuts`` holds every level's ``measured.cuts_at``, cut once here, so a
+    zero shape cut vector fails the run before either command starts.
     """
 
     model: StructuralModel
@@ -141,6 +145,7 @@ class FfemuRun:
     weights: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
     theta_initial: np.ndarray | None = None
+    cuts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
@@ -194,6 +199,7 @@ class FfemuRun:
                 f"measured data must have {n} modes of {n} components each (one per model degree of "
                 f"freedom), got {m} modes of {k} components"
             )
+        object.__setattr__(self, "cuts", [self.measured.cuts_at(alpha) for alpha in self.levels])
 
 
 @dataclass
@@ -315,8 +321,7 @@ def run_ffemu(run: FfemuRun) -> FfemuResult:
     polish_seconds = np.empty(n_levels)
     histories: list[OptimizationResult] = []
 
-    for k, alpha in enumerate(run.levels):
-        cuts = run.measured.cuts_at(alpha)
+    for k, (alpha, cuts) in enumerate(zip(run.levels, run.cuts)):
         rng = np.random.default_rng(run.seed + k)
         t0 = time.perf_counter()
         if k == 0:
@@ -387,6 +392,30 @@ def _settings(raw: dict, key: str, cls):
     return cls(**section)
 
 
+def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, label: str = ""):
+    """Simulate measured data from a truth-spec JSON object.
+
+    The spec carries ``theta_true`` plus either absolute ``spreads`` or a
+    single non-negative ``spread_fraction``, one entry per updating
+    parameter; ``shape_tfns``, a JSON boolean, optionally fuzzifies the
+    mode-shape components too. A spec with any other key, or any value that
+    fails ``errors.check_value``, is a ``ConfigurationError`` naming the key
+    as ``label`` + key (``label`` is ``"truth."`` in a run config); the
+    caller names the file the spec came from.
+    """
+    check_keys(spec, TRUTH_KEYS, label)
+    d = model.parameter_count
+    theta_true = np.asarray(check_value(spec, "theta_true", shape=(d,), label=f"{label}theta_true"), dtype=float)
+    spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None)
+    fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0, at_least=0)
+    shape_tfns = check_value(spec, "shape_tfns", "boolean", label=f"{label}shape_tfns", default=False)
+    if spreads is not None and "spread_fraction" in spec:
+        raise ConfigurationError(f"give either '{label}spreads' or '{label}spread_fraction', not both")
+    if spreads is None:
+        spreads = float(fraction) * theta_true
+    return simulate_measurements(model, theta_true, spreads, levels=levels, shape_tfns=shape_tfns)
+
+
 def load_run_config(path) -> FfemuRun:
     """Parse a run-configuration JSON file into its ``FfemuRun``.
 
@@ -404,14 +433,12 @@ def load_run_config(path) -> FfemuRun:
     ``'aco.n_ants'``; an error in the model or measured-data file names
     that file.
     """
-    from . import scenarios  # local import; scenarios builds on this module's simulate
-
     path = Path(path)
     raw = read_json(path)
     base = path.parent
     with in_file(path):
         check_keys(raw, RUN_KEYS)
-        model = scenarios.resolve_model(check_value(raw, "model", "string"), base)
+        model = resolve_model(check_value(raw, "model", "string"), base)
         theta_min = check_value(raw, "theta_min", shape=(-1,))
         theta_max = check_value(raw, "theta_max", shape=(-1,))
 
@@ -431,7 +458,7 @@ def load_run_config(path) -> FfemuRun:
             measured = load_measured(base / check_value(raw, "measured", "string"))
         else:
             truth = check_value(raw, "truth", "object")
-            measured = scenarios.simulate_from_truth_spec(model, truth, levels, "truth.")
+            measured = simulate_from_truth_spec(model, truth, levels, "truth.")
 
         weights = check_value(raw, "weights", "object", default={})
         check_keys(weights, WEIGHT_KEYS, "weights.")

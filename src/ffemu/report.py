@@ -1,14 +1,18 @@
 """The result bundle: every file of it written, read back and checked, and
 the tables rendered from it.
 
-A run is persisted as a directory whose files only this module writes
-and reads. ``write_bundle`` writes an ``ffemu update`` run:
-``summary.json`` holds raw values only (eigenvalues, cut bounds, counts),
-``history.csv`` the per-level histories, and ``regenerate_curves`` cuts
-the membership CSVs from the summary. ``write_chain_bundle`` writes an
-``ffemu bayes`` run: ``chain.csv`` and ``bayes_summary.json``. Percent
-errors and frequencies are recomputed at render time so every printed
-number can be traced back to raw data.
+A run is persisted as a directory whose files, and their formats, only
+this module writes and reads. ``write_bundle`` writes an ``ffemu update``
+run: ``summary.json`` holds raw values only (eigenvalues, cut bounds,
+counts), ``history.csv`` the per-level histories, and
+``regenerate_curves`` five curve CSVs cut from the summary: (alpha, lo,
+hi) cuts and (x, mu) membership polylines of the parameters and the
+outputs, and the measured outputs' polylines, each row led by its
+quantity_id. These six go through one writer, ``_write_csv``.
+``write_chain_bundle`` writes an ``ffemu bayes`` run: ``chain.csv``, by
+its own chunked writer, and ``bayes_summary.json``. Percent errors and
+frequencies are recomputed at render time so every printed number can be
+traced back to raw data.
 
 ``load_summary`` and ``load_bayes_summary`` read the two JSON files back
 and check every field the report and the curves read with
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, check_value, in_file
-from .fuzzy import AlphaCutStack, alpha_cuts, triangles, write_cuts_csv, write_membership_csv
+from .fuzzy import AlphaCutStack, alpha_cuts, triangles
 from .model import StructuralModel, read_json, write_json
 from .objective import eigenvalue_to_hz
 
@@ -75,11 +79,6 @@ def write_bundle(out_dir, run, result) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, params, outputs = run.model, result.parameters, result.outputs
-
-    def cuts(stack):  # per quantity, its rows of [alpha, lo, hi]
-        rows = np.stack(np.broadcast_arrays(stack.levels[:, None], stack.lo, stack.hi), axis=-1)
-        return rows.swapaxes(0, 1).tolist()
-
     initial_eigs = None if run.theta_initial is None else model.eigenvalues_batch(run.theta_initial[None])[0].tolist()
     summary = {
         "metadata": {
@@ -101,27 +100,44 @@ def write_bundle(out_dir, run, result) -> Path:
         "objective_per_level": [float(v) for v in result.objective_values],
         "parameters": [
             {"id": label, "center": center, "cuts": rows}
-            for label, center, rows in zip(parameter_labels(model), params.lo[0].tolist(), cuts(params))
+            for label, center, rows in zip(parameter_labels(model), params.lo[0].tolist(), _cut_rows(params).tolist())
         ],
-        "outputs": [{"mode": j + 1, "cuts": rows} for j, rows in enumerate(cuts(outputs))],
+        "outputs": [{"mode": j + 1, "cuts": rows} for j, rows in enumerate(_cut_rows(outputs).tolist())],
         "measured_eigenvalue_tfns": run.measured.eigenvalue_tfns.tolist(),
         "initial_eigenvalues": initial_eigs,
         "updated_eigenvalues": outputs.lo[0].tolist(),
     }
     write_json(out / SUMMARY_FILE, summary)
 
-    _write_history(out / "history.csv", result)
+    history = (
+        [k + 1, alpha, i, float(b), float(m)]
+        for k, (alpha, hist) in enumerate(zip(params.levels.tolist(), result.histories))
+        for i, (b, m) in enumerate(zip(hist.history_best, hist.history_mean))
+    )
+    _write_csv(out / "history.csv", ["level", "alpha", "iteration", "best_f", "mean_f"], history)
     regenerate_curves(out, summary)
     return out
 
 
-def _write_history(path: Path, result) -> None:
+def _cut_rows(stack: AlphaCutStack) -> np.ndarray:
+    """The stack's (q, L, 3) cuts: per quantity, its rows of [alpha, lo, hi]."""
+    return np.stack(np.broadcast_arrays(stack.levels[:, None], stack.lo, stack.hi), axis=-1).swapaxes(0, 1)
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write ``header`` and ``rows`` of Python ints, floats and strings as one
+    CSV file; the csv module writes a float as its shortest round-trip ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["level", "alpha", "iteration", "best_f", "mean_f"])
-        for k, (alpha, hist) in enumerate(zip(result.parameters.levels, result.histories)):
-            for i, (b, m) in enumerate(zip(hist.history_best, hist.history_mean)):
-                writer.writerow([k + 1, repr(float(alpha)), i, repr(float(b)), repr(float(m))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_curves(path: Path, columns: list, names, curves) -> None:
+    """One row of (quantity_id, *columns) per point of each quantity's (k,
+    len(columns)) curve, named by ``names``, quantity by quantity."""
+    rows = ([name, *point] for name, curve in zip(names, curves, strict=True) for point in curve.tolist())
+    _write_csv(path, ["quantity_id", *columns], rows)
 
 
 def regenerate_curves(out_dir, summary: dict) -> None:
@@ -134,12 +150,12 @@ def regenerate_curves(out_dir, summary: dict) -> None:
     measured = alpha_cuts(summary["measured_eigenvalue_tfns"], outputs.levels)
     measured = AlphaCutStack(outputs.levels, *eigenvalue_to_hz(measured))
     ids, modes = [p["id"] for p in summary["parameters"]], [f"mode_{o['mode']}" for o in summary["outputs"]]
-    write_cuts_csv(ids, params, out / "parameter_cuts.csv")
-    write_membership_csv(ids, params, out / "parameter_membership.csv")
-    write_cuts_csv(modes, hz, out / "output_cuts.csv")
-    write_membership_csv(modes, hz, out / "output_membership.csv")
     measured_ids = [f"mode_{j + 1}" for j in range(measured.lo.shape[1])]
-    write_membership_csv(measured_ids, measured, out / "measured_output_membership.csv")
+    cut = [("parameter", ids, params), ("output", modes, hz)]
+    for stem, names, stack in cut:
+        _write_curves(out / f"{stem}_cuts.csv", ["alpha", "lo", "hi"], names, _cut_rows(stack))
+    for stem, names, stack in [*cut, ("measured_output", measured_ids, measured)]:
+        _write_curves(out / f"{stem}_membership.csv", ["x", "mu"], names, map(stack.to_membership, range(len(names))))
 
 
 def write_chain_bundle(out_dir, run, chain, summary, chains: int) -> Path:

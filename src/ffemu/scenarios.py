@@ -1,23 +1,20 @@
-"""Bundled five-DOF benchmark scenario.
+"""Bundled five-DOF benchmark scenario: data only.
 
 Ten springs connect five masses (five spring stiffnesses uncertain), with
-search bounds, an initial guess, and the true parameter vector used to
-simulate measurements. The topology itself is configuration data: it ships
-as a JSON model file and anything structured the same way works in its
-place.
+search bounds, an initial guess, the true parameter vector used to
+simulate measurements, its truth specs and the run configuration built on
+them. The topology itself is configuration data: it ships as a JSON model
+file, which ``model.resolve_model`` reads for the token ``"bundled"``, and
+anything structured the same way works in its place. Reading a truth spec
+and simulating from it is ``pipeline``'s.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-from pathlib import Path
-
 import numpy as np
 
-from .errors import ConfigurationError, check_keys, check_value
-from .model import StructuralModel, load_model, model_from_dict
-from .pipeline import simulate_measurements
+from .errors import ConfigurationError
+from .model import StructuralModel, resolve_model
 
 __all__ = [
     "THETA_MIN",
@@ -25,30 +22,18 @@ __all__ = [
     "THETA_INITIAL",
     "THETA_TRUE",
     "five_dof_model",
-    "resolve_model",
     "bundled_truth_spec",
-    "simulate_from_truth_spec",
 ]
 
 THETA_MIN = np.array([3400.0, 1900.0, 1700.0, 1900.0, 2150.0])
 THETA_MAX = np.array([4600.0, 2500.0, 2370.0, 3300.0, 2650.0])
 THETA_INITIAL = np.array([4150.0, 2150.0, 2160.0, 2500.0, 2460.0])
 THETA_TRUE = np.array([4000.0, 2200.0, 2120.0, 2600.0, 2400.0])
-TRUTH_KEYS = ("theta_true", "spreads", "spread_fraction", "shape_tfns")
 
 
 def five_dof_model() -> StructuralModel:
     """The packaged 5-mass / 10-spring structure with 5 uncertain stiffnesses."""
-    text = resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8")
-    return model_from_dict(json.loads(text), source="bundled model_5dof.json")
-
-
-def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
-    """The packaged model for the token ``"bundled"``, else the model file
-    at ``ref`` (a relative path resolves against ``base``)."""
-    if ref == "bundled":
-        return five_dof_model()
-    return load_model(base / ref)
+    return resolve_model("bundled")
 
 
 def bundled_truth_spec(kind: str = "fuzzy") -> dict:
@@ -58,30 +43,6 @@ def bundled_truth_spec(kind: str = "fuzzy") -> dict:
     if kind not in fractions:
         raise ConfigurationError(f"unknown bundled truth {kind!r}; use 'fuzzy' or 'crisp'")
     return {"theta_true": THETA_TRUE.tolist(), "spread_fraction": fractions[kind]}
-
-
-def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, label: str = ""):
-    """Simulate measured data from a truth-spec JSON object.
-
-    The spec carries ``theta_true`` plus either absolute ``spreads`` or a
-    single non-negative ``spread_fraction``, one entry per updating
-    parameter; ``shape_tfns``, a JSON boolean, optionally fuzzifies the
-    mode-shape components too. A spec with any other key, or any value that
-    fails ``errors.check_value``, is a ``ConfigurationError`` naming the key
-    as ``label`` + key (``label`` is ``"truth."`` in a run config); the
-    caller names the file the spec came from.
-    """
-    check_keys(spec, TRUTH_KEYS, label)
-    d = model.parameter_count
-    theta_true = np.asarray(check_value(spec, "theta_true", shape=(d,), label=f"{label}theta_true"), dtype=float)
-    spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None)
-    fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0, at_least=0)
-    shape_tfns = check_value(spec, "shape_tfns", "boolean", label=f"{label}shape_tfns", default=False)
-    if spreads is not None and "spread_fraction" in spec:
-        raise ConfigurationError(f"give either '{label}spreads' or '{label}spread_fraction', not both")
-    if spreads is None:
-        spreads = float(fraction) * theta_true
-    return simulate_measurements(model, theta_true, spreads, levels=levels, shape_tfns=shape_tfns)
 
 
 def bundled_run_config(optimizer: str = "aco", seed: int = 0) -> dict:

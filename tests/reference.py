@@ -6,7 +6,7 @@ diagonal by construction, so it solves its eigenproblems only through
 ``StructuralModel``'s scaled stiffness stack; this general solver checks
 that path bit for bit on the pair that ``test_model.brute_force_assemble``
 builds, and the MAC and pairing utilities on general problems
-(``test_linalg``).
+(``test_objective``); ``test_reference`` checks the solver itself.
 
 ``membership`` and ``alpha_cut`` evaluate one triangle (a, b, c) at one
 point or level, and ``fit_triangle`` fits one triangle to per-level
@@ -18,7 +18,7 @@ against them element by element (``test_fuzzy``, ``test_pipeline``).
 import numpy as np
 
 from ffemu.errors import ConvergenceError, FfemuError, ShapeError
-from ffemu.linalg import fix_signs
+from ffemu.model import fix_signs
 
 
 class DefiniteMatrixError(FfemuError):

@@ -1,5 +1,6 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface and the package's import graph."""
 
+import ast
 import csv
 import json
 import logging
@@ -674,18 +675,14 @@ class TestMeasuredFile:
         assert err.startswith(f"configuration error: {path}: ") and message in err
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("command, eigenvector_weight", [("update", 0.0), ("update", 0.5), ("bayes", 0.5)])
-    def test_short_mode_shapes_are_a_configuration_error_naming_the_run_config(
-        self, measured, command, eigenvector_weight, tmp_path, capsys
-    ):
-        # 3-component shapes (and shape triangles) for the 5-DOF model
-        data = json.loads(json.dumps(measured))
-        for entry in data["modes"]:
-            entry["mode_shape"], entry["mode_shape_tfns"] = entry["mode_shape"][:3], entry["mode_shape_tfns"][:3]
+    def command_error(self, data, command, eigenvector_weight, levels, tmp_path, capsys):
+        """The stderr of ``command`` on a run config reading ``data`` at
+        ``levels`` levels, which must exit 1 naming the run config, with no
+        traceback and no bundle."""
         (tmp_path / "m.json").write_text(json.dumps(data))
         config = scenarios.bundled_run_config(seed=2)
         del config["truth"]
-        config.update(measured="m.json", alpha_levels=2)
+        config.update(measured="m.json", alpha_levels=levels)
         config["aco"].update(max_iterations=5)
         config["bayes"].update(n_samples=300, burn_in=50)
         config["weights"]["eigenvector"] = eigenvector_weight
@@ -694,8 +691,30 @@ class TestMeasuredFile:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "b")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {path}: ") and "Traceback" not in err
-        assert "must have 5 modes of 5 components each" in err and "got 5 modes of 3 components" in err
         assert not (tmp_path / "b").exists()
+        return err.removeprefix(f"configuration error: {path}: ")
+
+    @pytest.mark.parametrize("command, eigenvector_weight", [("update", 0.0), ("update", 0.5), ("bayes", 0.5)])
+    def test_short_mode_shapes_are_a_configuration_error_naming_the_run_config(
+        self, measured, command, eigenvector_weight, tmp_path, capsys
+    ):
+        # 3-component shapes (and shape triangles) for the 5-DOF model
+        data = json.loads(json.dumps(measured))
+        for entry in data["modes"]:
+            entry["mode_shape"], entry["mode_shape_tfns"] = entry["mode_shape"][:3], entry["mode_shape_tfns"][:3]
+        err = self.command_error(data, command, eigenvector_weight, 2, tmp_path, capsys)
+        assert "must have 5 modes of 5 components each" in err and "got 5 modes of 3 components" in err
+
+    @pytest.mark.parametrize("command, eigenvector_weight", [("update", 0.0), ("update", 0.5), ("bayes", 0.5)])
+    def test_zero_shape_cut_is_a_configuration_error_naming_the_run_config(
+        self, measured, command, eigenvector_weight, tmp_path, capsys
+    ):
+        # a = -b: no vertex vector is zero, but the lower cut at alpha 0.5 is
+        data = json.loads(json.dumps(measured))
+        for entry in data["modes"]:
+            entry["mode_shape_tfns"] = [[-abs(v), abs(v), 2 * abs(v)] for v in entry["mode_shape"]]
+        err = self.command_error(data, command, eigenvector_weight, 3, tmp_path, capsys)
+        assert err == "'modes[0].mode_shape_tfns' has a zero lower cut vector at alpha 0.5\n"
 
     def test_modes_out_of_order_are_a_configuration_error_naming_the_file(self, measured, tmp_path, capsys):
         data = json.loads(json.dumps(measured))
@@ -1038,3 +1057,49 @@ def test_package_import_loads_no_submodule():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def package_imports() -> list:
+    """Every ``from .`` import in the package's modules, read with ``ast``, as
+    (module, imported module, whether the import sits inside a function);
+    ``from . import name`` imports module ``name``, or ``__init__`` for any
+    other name."""
+    package = Path(ffemu.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = (f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        inside = {id(node) for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [a.name if a.name in modules else "__init__" for a in node.names]
+                targets = [node.module] if node.module else names
+                found += [(path.stem, target, id(node) in inside) for target in targets]
+    return found
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {}
+    for module, target, _ in package_imports():
+        graph.setdefault(module, set()).add(target)
+    path, done = [], set()
+
+    def visit(module):
+        if module in path:
+            pytest.fail("import cycle: " + " → ".join(path[path.index(module):] + [module]))
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph.get(module, ())):
+                visit(target)
+            done.add(path.pop())
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_only_cli_imports_package_modules_inside_functions():
+    # cli defers the pipeline, the scenarios and the sampler to the commands
+    # that call them; every other module imports at the top, so its
+    # dependencies are the graph the acyclic test reads
+    assert sorted({module for module, _, inside in package_imports() if inside} - {"cli"}) == []

@@ -1,7 +1,5 @@
 """Tests for triangular fuzzy numbers, alpha levels and alpha-cut stacks."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,6 @@ from ffemu.fuzzy import (
     check_levels,
     default_levels,
     triangles,
-    write_cuts_csv,
-    write_membership_csv,
 )
 
 
@@ -238,39 +234,3 @@ class TestMembershipPolyline:
         stack = stack_of((1, 2, 4), default_levels())
         transformed = AlphaCutStack(stack.levels, np.sqrt(stack.lo), np.sqrt(stack.hi))
         assert transformed.levels.size == stack.levels.size  # constructor re-validates nesting
-
-
-class TestCsvExport:
-    def test_cuts_csv_round_trip(self, tmp_path):
-        stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
-        path = tmp_path / "cuts.csv"
-        write_cuts_csv(["q1"], stack, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert rows[1]["quantity_id"] == "q1"
-        assert float(rows[1]["alpha"]) == 0.5
-        assert float(rows[1]["lo"]) == 0.5
-        assert float(rows[1]["hi"]) == 2.0
-
-    def test_membership_csv(self, tmp_path):
-        stack = stack_of((0, 1, 3), [1.0, 0.5, 0.0])
-        path = tmp_path / "mem.csv"
-        write_membership_csv(["q1"], stack, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        xs = [float(r["x"]) for r in rows]
-        mus = [float(r["mu"]) for r in rows]
-        assert xs == [0.0, 0.5, 1.0, 2.0, 3.0]
-        assert mus == [0.0, 0.5, 1.0, 0.5, 0.0]
-
-    def test_many_quantities_are_written_in_column_order(self, tmp_path):
-        levels = [1.0, 0.5, 0.0]
-        tfns = [(0, 1, 3), (2, 2, 2)]
-        stack = AlphaCutStack(levels, *alpha_cuts(tfns, levels))
-        for write in (write_cuts_csv, write_membership_csv):
-            write(["a", "b"], stack, tmp_path / "both.csv")
-            for name, tfn in zip("ab", tfns):
-                write([name], stack_of(tfn, levels), tmp_path / f"{name}.csv")
-            parts = [(tmp_path / f"{name}.csv").read_text().splitlines() for name in "ab"]
-            assert (tmp_path / "both.csv").read_text().splitlines() == parts[0] + parts[1][1:]

@@ -1,4 +1,5 @@
-"""Tests for the interval modal objective and the level search box's projection."""
+"""Tests for the interval modal objective, its mode bookkeeping (MAC and
+mode pairing) and the level search box's projection."""
 
 import itertools
 import json
@@ -6,15 +7,19 @@ import json
 import numpy as np
 import pytest
 
+from reference import generalized_eig
+from test_reference import random_spd
+
 from ffemu import scenarios
-from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError
-from ffemu.linalg import pair_modes
+from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError, ShapeError
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import (
     MeasuredFuzzyModalData,
     _shape_errors,
     _unit_columns,
     load_measured,
+    mac_matrix,
+    pair_modes,
     residual_batch,
     save_measured,
     vertex_modes,
@@ -82,7 +87,7 @@ def paired_vertex_modes(model, lower, upper):
     paired = []
     for theta in (lower, upper):
         lam, vec = modal_row(model, theta)
-        perm = pair_modes(center_lam, center_vec, lam, vec)
+        perm = pair_modes(mac_matrix(center_vec, vec), center_lam, lam)
         vec = vec[:, perm]
         flip = np.sum(vec * center_vec, axis=0) < 0.0
         vec[:, flip] = -vec[:, flip]
@@ -298,6 +303,73 @@ class TestObjective:
             assert r @ r >= 0.0
 
 
+def mac(phi_a, phi_b) -> float:
+    """MAC of two single shapes, through ``mac_matrix``."""
+    return mac_matrix(np.asarray(phi_a, float)[:, None], np.asarray(phi_b, float)[:, None])[0, 0]
+
+
+class TestMac:
+    def test_identical_vectors(self):
+        v = np.array([1.0, 2.0, -3.0])
+        assert mac(v, v) == 1.0
+
+    def test_orthogonal_vectors(self):
+        assert mac([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_scale_and_sign_invariance(self):
+        v = np.array([0.3, -1.2, 2.0])
+        assert mac(v, -3.0 * v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scaling_invariance_random(self):
+        # every column of either stack scaled by its own nonzero factor
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((100, 5, 5))
+        b = rng.standard_normal((100, 5, 5))
+        s = rng.uniform(0.1, 10.0, (100, 1, 5)) * rng.choice([-1.0, 1.0], (100, 1, 5))
+        table = mac_matrix(a, b)
+        np.testing.assert_allclose(mac_matrix(s * a, b), table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mac_matrix(a, s * b), table, rtol=0, atol=1e-12)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DegenerateVectorError):
+            mac([0.0, 0.0], [1.0, 0.0])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            mac([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+class TestPairModes:
+    def test_identity_on_self(self):
+        lam, phi = generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        np.testing.assert_array_equal(pair_modes(mac_matrix(phi, phi), lam, lam), [0, 1, 2])
+
+    def test_constructed_swap(self):
+        lam, phi = generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        swap = [1, 0, 2]
+        np.testing.assert_array_equal(pair_modes(mac_matrix(phi, phi[:, swap]), lam, lam[swap]), [1, 0, 2])
+
+    def test_small_perturbation_keeps_identity(self):
+        # Oracle: exhaustive MAC-table inspection; for a 1% SPD perturbation
+        # the diagonal dominates every row, so greedy must return identity.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            k = random_spd(rng, 5)
+            m = random_spd(rng, 5)
+            ref = generalized_eig(k, m)
+            bump = random_spd(rng, 5, shift=0.0)
+            cand = generalized_eig(k + 0.01 * np.abs(k).max() / np.abs(bump).max() * bump, m)
+            table = mac_matrix(ref[1], cand[1])
+            assert np.all(np.argmax(table, axis=1) == np.arange(5))
+            np.testing.assert_array_equal(pair_modes(table, ref[0], cand[0]), np.arange(5))
+
+    def test_mismatched_mode_counts_rejected(self):
+        a = generalized_eig(np.eye(2), np.eye(2))
+        b = generalized_eig(np.eye(3), np.eye(3))
+        with pytest.raises(ShapeError):
+            pair_modes(np.ones((2, 3)), a[0], b[0])
+
+
 def level_box(theta_min, theta_max, prev_lower, prev_upper):
     """The search box of an alpha level below 1, as ``run_ffemu`` builds it:
     lower in [theta_min, prev_lower], upper in [prev_upper, theta_max]."""
@@ -458,7 +530,8 @@ class TestResidualBatch:
         lower = np.array([[1.0, 1.9], [1.0, 1.9]])
         upper = np.array([[2.2, 2.0], [1.2, 2.0]])  # row 1 does not cross
         center = modal_row(model, 0.5 * (lower[0] + upper[0]))
-        assert pair_modes(*center, *modal_row(model, upper[0])).tolist() == [1, 0]
+        lam, vec = modal_row(model, upper[0])
+        assert pair_modes(mac_matrix(center[1], vec), center[0], lam).tolist() == [1, 0]
         measured = cuts_of([0.9, 1.8], [2.1, 2.3], np.eye(2), np.eye(2))
         weights = (1.0, 1.0)
         batch = residual_batch(model, rows(lower, upper), measured, weights)

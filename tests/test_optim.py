@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ffemu.errors import DomainError, EvaluationError, ShapeError
+from ffemu.errors import ConfigurationError, EvaluationError, ShapeError
 from ffemu.optim import (
     POLISH_ITERATIONS,
     AcoConfig,
@@ -106,7 +106,7 @@ class TestRouletteTable:
         # all-NaN table); both are caught when the config is built
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"aco\.q = .* makes the rank roulette table non-finite"):
+            with pytest.raises(ConfigurationError, match=r"aco\.q = .* makes the rank roulette table non-finite"):
                 AcoConfig(q=q)
 
 
@@ -459,12 +459,12 @@ class TestConfigCounts:
     @pytest.mark.parametrize("field", ["archive_size", "n_ants", "max_iterations", "stagnation_window"])
     @pytest.mark.parametrize("value", [2.5, 20.0, True, "20"])
     def test_aco_counts_must_be_integers(self, field, value):
-        with pytest.raises(DomainError, match=f"'aco.{field}' must be an integer"):
+        with pytest.raises(ConfigurationError, match=f"'aco.{field}' must be an integer"):
             AcoConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["swarm_size", "max_iterations", "stagnation_window"])
     def test_pso_counts_must_be_integers(self, field):
-        with pytest.raises(DomainError, match=f"'pso.{field}' must be an integer, got 7.5"):
+        with pytest.raises(ConfigurationError, match=f"'pso.{field}' must be an integer, got 7.5"):
             PsoConfig(**{field: 7.5})
 
     def test_numpy_integers_accepted(self):
@@ -473,7 +473,7 @@ class TestConfigCounts:
     @pytest.mark.parametrize("field", ["q", "xi", "stagnation_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1e-10", None, True])
     def test_aco_reals_must_be_finite_numbers(self, field, value):
-        with pytest.raises(DomainError, match=f"'aco.{field}' must be a finite number"):
+        with pytest.raises(ConfigurationError, match=f"'aco.{field}' must be a finite number"):
             AcoConfig(**{field: value})
 
     @pytest.mark.parametrize(
@@ -481,7 +481,7 @@ class TestConfigCounts:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5"])
     def test_pso_reals_must_be_finite_numbers(self, field, value):
-        with pytest.raises(DomainError, match=f"'pso.{field}' must be a finite number"):
+        with pytest.raises(ConfigurationError, match=f"'pso.{field}' must be a finite number"):
             PsoConfig(**{field: value})
 
     def test_integers_and_numpy_floats_accepted_as_reals(self):
@@ -690,19 +690,19 @@ class TestLeastSquaresPolish:
 
 class TestConfigValidation:
     def test_aco_bounds(self):
-        with pytest.raises(DomainError, match=r"^'aco.archive_size' must be at least 2, got 1$"):
+        with pytest.raises(ConfigurationError, match=r"^'aco.archive_size' must be at least 2, got 1$"):
             AcoConfig(archive_size=1)
-        with pytest.raises(DomainError, match=r"^'aco.q' must be above 0, got -1.0$"):
+        with pytest.raises(ConfigurationError, match=r"^'aco.q' must be above 0, got -1.0$"):
             AcoConfig(q=-1.0)
-        with pytest.raises(DomainError, match=r"^'aco.xi' must be above 0, got 0.0$"):
+        with pytest.raises(ConfigurationError, match=r"^'aco.xi' must be above 0, got 0.0$"):
             AcoConfig(xi=0.0)
 
     def test_pso_bounds(self):
-        with pytest.raises(DomainError, match=r"^'pso.swarm_size' must be at least 2, got 1$"):
+        with pytest.raises(ConfigurationError, match=r"^'pso.swarm_size' must be at least 2, got 1$"):
             PsoConfig(swarm_size=1)
-        with pytest.raises(DomainError, match=r"^'pso.v_max_fraction' must be above 0, got 0.0$"):
+        with pytest.raises(ConfigurationError, match=r"^'pso.v_max_fraction' must be above 0, got 0.0$"):
             PsoConfig(v_max_fraction=0.0)
-        with pytest.raises(DomainError, match=r"^'pso.v_max_fraction' must be at most 1, got 1.5$"):
+        with pytest.raises(ConfigurationError, match=r"^'pso.v_max_fraction' must be at most 1, got 1.5$"):
             PsoConfig(v_max_fraction=1.5)
 
     def test_bounds_are_inclusive_where_stated(self):

@@ -1,11 +1,10 @@
-"""Tests for the reference generalized eigensolver and the mode-pairing utilities."""
+"""Tests for the reference generalized eigensolver."""
 
 import numpy as np
 import pytest
 from reference import DefiniteMatrixError, generalized_eig
 
-from ffemu.errors import DegenerateVectorError, ShapeError
-from ffemu.linalg import mac_matrix, pair_modes
+from ffemu.errors import ShapeError
 
 
 def random_spd(rng, n, shift=None):
@@ -97,70 +96,3 @@ class TestGeneralizedEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError):
             generalized_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
-
-
-def mac(phi_a, phi_b) -> float:
-    """MAC of two single shapes, through ``mac_matrix``."""
-    return mac_matrix(np.asarray(phi_a, float)[:, None], np.asarray(phi_b, float)[:, None])[0, 0]
-
-
-class TestMac:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert mac(v, v) == 1.0
-
-    def test_orthogonal_vectors(self):
-        assert mac([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_scale_and_sign_invariance(self):
-        v = np.array([0.3, -1.2, 2.0])
-        assert mac(v, -3.0 * v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_scaling_invariance_random(self):
-        # every column of either stack scaled by its own nonzero factor
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((100, 5, 5))
-        b = rng.standard_normal((100, 5, 5))
-        s = rng.uniform(0.1, 10.0, (100, 1, 5)) * rng.choice([-1.0, 1.0], (100, 1, 5))
-        table = mac_matrix(a, b)
-        np.testing.assert_allclose(mac_matrix(s * a, b), table, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mac_matrix(a, s * b), table, rtol=0, atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateVectorError):
-            mac([0.0, 0.0], [1.0, 0.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            mac([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestPairModes:
-    def test_identity_on_self(self):
-        lam, phi = generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-        np.testing.assert_array_equal(pair_modes(lam, phi, lam, phi), [0, 1, 2])
-
-    def test_constructed_swap(self):
-        lam, phi = generalized_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-        swap = [1, 0, 2]
-        np.testing.assert_array_equal(pair_modes(lam, phi, lam[swap], phi[:, swap]), [1, 0, 2])
-
-    def test_small_perturbation_keeps_identity(self):
-        # Oracle: exhaustive MAC-table inspection; for a 1% SPD perturbation
-        # the diagonal dominates every row, so greedy must return identity.
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            k = random_spd(rng, 5)
-            m = random_spd(rng, 5)
-            ref = generalized_eig(k, m)
-            bump = random_spd(rng, 5, shift=0.0)
-            cand = generalized_eig(k + 0.01 * np.abs(k).max() / np.abs(bump).max() * bump, m)
-            table = mac_matrix(ref[1], cand[1])
-            assert np.all(np.argmax(table, axis=1) == np.arange(5))
-            np.testing.assert_array_equal(pair_modes(*ref, *cand), np.arange(5))
-
-    def test_mismatched_mode_counts_rejected(self):
-        a = generalized_eig(np.eye(2), np.eye(2))
-        b = generalized_eig(np.eye(3), np.eye(3))
-        with pytest.raises(ShapeError):
-            pair_modes(*a, *b)
