@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -85,10 +86,14 @@ def cmd_bayes(args) -> int:
     run = load_run_config(args.config)
     run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)
     chain = bayes.mh_sample(run)
-    summary = bayes.summarize(chain)
+    summary = bayes.summarize(chain.samples)
     out = report.write_chain_bundle(args.out, run, chain, summary, bayes.CHAINS)
-    columns = [("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f")]
-    rows = zip(report.parameter_labels(run.model), summary.mean, summary.sd, summary.cov_percent)
+    columns = [
+        ("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f"),
+        ("ESS", 8, ".0f"), ("R-hat", 7, ".3f"),
+    ]
+    rhat = [None if math.isnan(r) else r for r in chain.rhat.tolist()]
+    rows = zip(report.parameter_labels(run.model), summary.mean, summary.sd, summary.cov_percent, chain.ess, rhat)
     print("\n".join(report.table(columns, rows)))
     print(f"acceptance rate: {chain.acceptance_rate:.3f}   chains: {bayes.CHAINS}")
     print(f"chain and summary written to {out}")

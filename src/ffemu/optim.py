@@ -31,6 +31,7 @@ __all__ = [
     "pso_minimize",
     "POLISH_ITERATIONS",
     "least_squares_polish",
+    "forward_jacobian",
 ]
 
 POLISH_ITERATIONS = 10
@@ -359,7 +360,7 @@ def least_squares_polish(residual, region, x0) -> tuple[np.ndarray, float, int]:
         if not 0.0 < f < math.inf or not movable.any():
             break
         if jac is None:
-            jac = _forward_jacobian(residual, region, x, r, movable)
+            jac = forward_jacobian(residual, region, x, r, movable)
             calls += int(movable.sum())
         trial = region.project(x + _bounded_step(jac, r, x, region, movable, mu))
         if np.array_equal(trial, x):
@@ -382,8 +383,10 @@ def _residual_at(residual, x) -> np.ndarray:
     return np.asarray(residual(x[None, :]), dtype=float)[0]
 
 
-def _forward_jacobian(residual, region, x, r, movable) -> np.ndarray:
-    """Forward-difference Jacobian at x; columns of fixed coordinates are zero."""
+def forward_jacobian(residual, region, x, r, movable) -> np.ndarray:
+    """Forward-difference Jacobian of ``residual`` at x, whose residual is r,
+    as ``least_squares_polish`` forms it: one call on the stepped points,
+    each step into the region, and zero columns where ``movable`` is False."""
     cols = np.flatnonzero(movable)
     steps = np.empty(cols.size)
     points = np.repeat(x[None, :], cols.size, axis=0)

@@ -87,17 +87,17 @@ class McmcConfig:
     data are the run's (``FfemuRun``). Each of the ``bayes.CHAINS`` chains
     drops its own first ``burn_in`` states and keeps the next s =
     ceil((``n_samples - burn_in``) / ``bayes.CHAINS``); the first
-    ``n_samples - burn_in`` kept states, chain-major, are published. Every
-    proposal step is ``proposal_fraction`` times the box width, per
-    parameter, and ``likelihood_sd`` is the relative eigenvalue noise scale
-    (dimensionless). Bounds are stated on the fields, and
+    ``n_samples - burn_in`` kept states, chain-major, are published.
+    ``likelihood_sd`` is the relative eigenvalue noise scale
+    (dimensionless). There is no proposal setting: the sampler fixes its
+    proposal from the Laplace covariance at the posterior mode, which
+    ``likelihood_sd`` scales. Bounds are stated on the fields, and
     ``errors.check_settings`` names a breach as ``'bayes.<field>'``;
     ``n_samples`` must also exceed ``burn_in``.
     """
 
     n_samples: int = 10000
     burn_in: int = field(default=1000, metadata={"at_least": 0})
-    proposal_fraction: float = field(default=0.01, metadata={"above": 0})
     likelihood_sd: float = field(default=0.01, metadata={"above": 0})
 
     def __post_init__(self):

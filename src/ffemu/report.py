@@ -161,14 +161,18 @@ def regenerate_curves(out_dir, summary: dict) -> None:
 def write_chain_bundle(out_dir, run, chain, summary, chains: int) -> Path:
     """Persist a finished M-H run of ``chains`` chains; returns the directory path.
 
-    ``chain`` is the ``bayes.Chain`` that ``run`` sampled, written by
-    ``write_chain_csv``, and ``summary`` its ``bayes.ChainSummary``.
+    ``chain`` is the ``bayes.Chain`` that ``run`` sampled, whose samples
+    ``write_chain_csv`` writes, and ``summary`` its ``bayes.ChainSummary``.
     ``posterior_eigenvalues`` are those of the posterior mean, one
-    ``eigenvalues_batch`` row.
+    ``eigenvalues_batch`` row. The chain's diagnostics go in as they are:
+    the posterior ``mode`` and the diagonal of the Laplace covariance
+    (``laplace_variance``) that fixed the proposal, and each parameter's
+    ``ess`` and split-R-hat (``rhat``, null when it is undefined for any
+    parameter, as for chains too short to split).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_chain_csv(chain, out / "chain.csv")
+    write_chain_csv(chain.samples, out / "chain.csv")
     bayes = {
         "mean": summary.mean.tolist(),
         "sd": summary.sd.tolist(),
@@ -177,15 +181,19 @@ def write_chain_bundle(out_dir, run, chain, summary, chains: int) -> Path:
         "n_samples": int(chain.samples.shape[0]),
         "chains": chains,
         "posterior_eigenvalues": run.model.eigenvalues_batch(summary.mean[None, :])[0].tolist(),
+        "mode": chain.laplace.mode.tolist(),
+        "laplace_variance": np.diag(chain.laplace.covariance).tolist(),
+        "ess": chain.ess.tolist(),
+        "rhat": None if np.isnan(chain.rhat).any() else chain.rhat.tolist(),
     }
     write_json(out / BAYES_FILE, bayes)
     return out
 
 
-def write_chain_csv(chain, path) -> None:
-    r"""Dump samples as (sample_index, theta_0, ..., theta_d-1) rows.
+def write_chain_csv(samples, path) -> None:
+    r"""Dump the (n, d) ``samples`` as (sample_index, theta_0, ..., theta_d-1) rows.
 
-    The rows are ``chain.samples`` in order, so chain-major for a lockstep
+    The rows are ``samples`` in order, so chain-major for a lockstep
     run: chain 0's s published states, then chain 1's, and so on, the last
     chain or chains publishing fewer, with ``sample_index`` counting 0, 1,
     ... across the chains, not restarting in each. Fields are
@@ -195,7 +203,7 @@ def write_chain_csv(chain, path) -> None:
     row that repeats the previous one bit for bit (a rejected step) reuses
     its text.
     """
-    samples = np.ascontiguousarray(chain.samples, dtype=float)
+    samples = np.ascontiguousarray(samples, dtype=float)
     bits = samples.view(np.uint64)
     repeats = np.zeros(len(samples), dtype=bool)
     repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
@@ -286,12 +294,19 @@ def _check_summary(data: dict) -> None:
 
 
 def _check_bayes(data: dict, summary: dict) -> None:
-    """Check every ``bayes_summary.json`` field the report reads; its vectors
-    have one entry per parameter or mode of ``summary``, its acceptance rate
-    lies in [0, 1] and it counts at least one chain."""
+    """Check every ``bayes_summary.json`` field the report reads, and the
+    sampler's diagnostics; its vectors have one entry per parameter or mode
+    of ``summary``, its acceptance rate lies in [0, 1], it counts at least
+    one chain, the Laplace variances are positive, the ESS are not negative
+    and ``rhat`` may be null."""
     p, m = len(summary["parameters"]), len(summary["outputs"])
-    for key in ("mean", "cov_percent"):
+    for key in ("mean", "cov_percent", "mode"):
         check_value(data, key, shape=(p,))
+    check_value(data, "laplace_variance", shape=(p,), above=0)
+    check_value(data, "ess", shape=(p,), at_least=0)
+    if "rhat" not in data:
+        raise ConfigurationError("missing required key 'rhat'")
+    check_value(data, "rhat", shape=(p,), default=None)
     check_value(data, "posterior_eigenvalues", shape=(m,), above=0)
     check_value(data, "acceptance_rate", at_least=0, at_most=1)
     check_value(data, "chains", "integer", at_least=1)
@@ -386,7 +401,11 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     lines += ["Eigenvalues as frequencies (Hz)", *table(columns, zip(*cells))]
     lines.append("total average error %: " + ", ".join(totals))
     if bayes is not None:
-        lines.append(f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   chains {bayes['chains']}")
+        rhat = "-" if bayes["rhat"] is None else f"{max(bayes['rhat']):.3f}"
+        lines.append(
+            f"M-H sampler: acceptance rate {bayes['acceptance_rate']:.3f}   chains {bayes['chains']}"
+            f"   min ESS {min(bayes['ess']):.0f}   max R-hat {rhat}"
+        )
 
     # per alpha level: why the search stopped, its work, and where the
     # level's time went (overhead = elapsed - objective - polish)

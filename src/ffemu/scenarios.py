@@ -68,7 +68,6 @@ def bundled_run_config(optimizer: str = "aco", seed: int = 0) -> dict:
             "n_samples": 10000,
             "burn_in": 1000,
             "likelihood_sd": 0.005,
-            "proposal_fraction": 0.01,
         },
         "weights": {"eigenvalue": 1.0, "eigenvector": 0.0},
         "truth": bundled_truth_spec("fuzzy"),

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffemu
@@ -232,8 +233,28 @@ class TestReport:
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
         assert line.split() == [
             "M-H", "sampler:", "acceptance", "rate", f"{payload['acceptance_rate']:.3f}",
-            "chains", str(payload["chains"]),
+            "chains", str(payload["chains"]), "min", "ESS", f"{min(payload['ess']):.0f}",
+            "max", "R-hat", f"{max(payload['rhat']):.3f}",
         ]
+
+    def test_an_undefined_rhat_prints_as_a_dash(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        data = json.loads((copy / "bayes_summary.json").read_text())
+        data["rhat"] = None
+        (copy / "bayes_summary.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("M-H sampler:"))
+        assert line.endswith("   max R-hat -")
+
+    def test_bundle_records_the_laplace_fit_and_the_diagnostics(self, bundle):
+        payload = json.loads((bundle / "bayes_summary.json").read_text())
+        mode, variance = np.array(payload["mode"]), np.array(payload["laplace_variance"])
+        # the bundled measured centres are the truth's eigenvalues
+        np.testing.assert_allclose(mode, scenarios.THETA_TRUE, rtol=1e-9)
+        assert (variance > 0).all() and (np.sqrt(variance) < 0.05 * mode).all()
+        assert all(e > 0 for e in payload["ess"]) and all(r > 0.9 for r in payload["rhat"])
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -356,6 +377,17 @@ class TestReport:
                 lambda d: d["posterior_eigenvalues"].__setitem__(4, -1.0),
                 "'posterior_eigenvalues' must be above 0, got [",
             ),
+            (
+                "bayes_summary.json",
+                lambda d: d["laplace_variance"].__setitem__(1, 0.0),
+                "'laplace_variance' must be above 0, got [",
+            ),
+            ("bayes_summary.json", lambda d: d["ess"].__setitem__(2, -1.0), "'ess' must be at least 0, got ["),
+            (
+                "bayes_summary.json",
+                lambda d: d.update(rhat=[1.0]),
+                "'rhat' must be a list of 5 finite numbers, got [1.0]",
+            ),
             # every telemetry field this version writes is required
             *[
                 ("summary.json", lambda d, key=key: d["metadata"].pop(key), f"missing required key 'metadata.{key}'")
@@ -363,7 +395,7 @@ class TestReport:
             ],
             *[
                 ("bayes_summary.json", lambda d, key=key: d.pop(key), f"missing required key {key!r}")
-                for key in ("chains", "posterior_eigenvalues")
+                for key in ("chains", "posterior_eigenvalues", "mode", "laplace_variance", "ess", "rhat")
             ],
             # a bundle without parameters
             (
@@ -455,7 +487,8 @@ class TestBayes:
         "key, value, message",
         [
             ("likelihood_sd", math.nan, "'bayes.likelihood_sd' must be a finite number, got nan"),
-            ("proposal_fraction", math.inf, "'bayes.proposal_fraction' must be a finite number, got inf"),
+            # the proposal comes from the Laplace fit; its old setting is unknown
+            ("proposal_fraction", 0.01, "unknown key 'bayes.proposal_fraction'; valid keys: n_samples, burn_in, likelihood_sd"),
             ("n_samples", 2500.9, "'bayes.n_samples' must be an integer, got 2500.9"),
             ("n_samples", "2000", "'bayes.n_samples' must be an integer, got '2000'"),
             ("burn_in", True, "'bayes.burn_in' must be an integer, got True"),
@@ -481,7 +514,7 @@ class TestBayes:
         out = tmp_path / "out"
         assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        valid = "n_samples, burn_in, proposal_fraction, likelihood_sd"
+        valid = "n_samples, burn_in, likelihood_sd"
         assert err == f"configuration error: {path}: unknown key 'bayes.n_sample'; valid keys: {valid}\n"
         assert not out.exists()
 
@@ -512,9 +545,9 @@ class TestBayes:
         line = f"acceptance rate: {payload['acceptance_rate']:.3f}   chains: 16"
         assert line in capsys.readouterr().out.splitlines()
 
-    def test_non_finite_start_log_posterior_names_likelihood_sd(self, tmp_path, capsys):
-        # the squared residuals overflow at the chain start: the run stops
-        # there, naming the setting, without a numpy warning
+    def test_non_finite_laplace_covariance_names_likelihood_sd(self, tmp_path, capsys):
+        # J^T J overflows at the posterior mode: the run stops there,
+        # naming the setting, without a numpy warning
         config = scenarios.bundled_run_config(seed=2)
         config["bayes"]["likelihood_sd"] = 1e-300
         path = tmp_path / "run.json"
@@ -524,7 +557,9 @@ class TestBayes:
             warnings.simplefilter("error")
             assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: the log posterior at the chain start is -inf")
+        assert err.startswith(
+            "numerical failure: the Laplace covariance at the posterior mode is not finite and positive definite"
+        )
         assert "likelihood_sd = 1e-300" in err
         assert not out.exists()
 
@@ -802,7 +837,7 @@ class TestNonNumericConfigValues:
             (
                 "bayes",
                 {"colour": 1},
-                "unknown key 'bayes.colour'; valid keys: n_samples, burn_in, proposal_fraction, likelihood_sd\n",
+                "unknown key 'bayes.colour'; valid keys: n_samples, burn_in, likelihood_sd\n",
             ),
             ("aco", {"q": math.nan}, "'aco.q' must be a finite number, got nan"),
             ("aco", {"xi": math.inf}, "'aco.xi' must be a finite number, got inf"),
@@ -944,6 +979,8 @@ NO_SCIPY_SCRIPT = """
 import json, sys
 from pathlib import Path
 
+import numpy as np
+
 import ffemu.cli as cli
 from ffemu import scenarios
 
@@ -978,6 +1015,8 @@ def test_cli_runs_load_no_scipy_module(tmp_path):
 UPDATE_IMPORTS_SCRIPT = """
 import json, sys
 from pathlib import Path
+
+import numpy as np
 
 from ffemu import pipeline, scenarios
 

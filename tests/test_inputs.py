@@ -195,6 +195,10 @@ BUNDLE_KEYS = [
     ("bayes_summary.json", ("posterior_eigenvalues", 2), "posterior_eigenvalues"),
     ("bayes_summary.json", ("acceptance_rate",), "acceptance_rate"),
     ("bayes_summary.json", ("chains",), "chains"),
+    ("bayes_summary.json", ("mode", 0), "mode"),
+    ("bayes_summary.json", ("laplace_variance", 1), "laplace_variance"),
+    ("bayes_summary.json", ("ess", 2), "ess"),
+    ("bayes_summary.json", ("rhat", 3), "rhat"),
 ]
 
 
@@ -231,7 +235,6 @@ OUT_OF_RANGE = [
     (("pso", "stagnation_window"), 0),
     (("bayes", "burn_in"), -1),
     (("bayes", "n_samples"), scenarios.bundled_run_config()["bayes"]["burn_in"]),
-    (("bayes", "proposal_fraction"), 0),
     (("bayes", "likelihood_sd"), 0),
     (("truth", "spread_fraction"), -0.1),
     (("weights", "eigenvalue"), -1.0),
