@@ -1,17 +1,23 @@
 """Random-walk Metropolis-Hastings baseline for the updating parameters.
 
-The likelihood is Gaussian on relative eigenvalue residuals against the
-run's crisp (center) measured eigenvalues, with a uniform prior on its box
-[theta_min, theta_max]. This gives the probabilistic comparison column
-(posterior means and coefficients of variation) next to the fuzzy interval
-results of the same ``FfemuRun``. Its settings are the run's ``bayes``
+The likelihood is Gaussian on the alpha = 1 level residual, the one the
+fuzzy search minimizes: ``objective.residual_batch`` of the parameter
+points against ``run.cuts[0]`` (the triangles' peaks), weighted (0.5 /
+sd^2, 0) for sd = ``run.bayes.likelihood_sd``. A point's lower and upper
+blocks both hold its relative eigenvalue errors (lam_m - lam) / lam_m, so
+its row's squared norm is exactly sum(((lam_m - lam) / lam_m / sd)^2);
+the shape errors, at weight 0, are never solved, and the run's own
+``weights`` play no part. The prior is uniform on the box [theta_min,
+theta_max]. This gives the probabilistic comparison column (posterior
+means and coefficients of variation) next to the fuzzy interval results
+of the same ``FfemuRun``. Its settings are the run's ``bayes``
 (``McmcConfig``, the defaults when a run config has no ``bayes`` section),
 defined in ``ffemu.pipeline`` so that only ``ffemu bayes`` loads this module.
 
 The proposal is fixed before the chains start (``laplace_fit``). The
 posterior mode is found with the package's one polish,
-``optim.least_squares_polish``, on the scaled residuals (lam_m - lam(theta))
-/ lam_m / ``likelihood_sd`` inside the prior box, from the run's
+``optim.least_squares_polish``, on that weighted residual inside the prior
+box, from the run's
 ``theta_initial`` (or the box centre). At the mode, with J the polish's own
 forward-difference Jacobian, the Laplace covariance Sigma is (J^T J)^-1
 with its variance capped at the uniform prior's, width^2 / 12, in every
@@ -29,9 +35,9 @@ with no adaptation and no pooling.
 
 ``mh_sample`` runs ``CHAINS`` such chains in lockstep. Their states are one
 (``CHAINS``, d) array, and each step is one ``CHAINS``-row
-``log_posterior_batch`` call (one stacked ``eigenvalues_batch`` solve of
-the rows inside the prior box) and one vectorised accept, log u < lp_new -
-lp, applied with ``np.copyto(..., where=)``.
+``log_posterior_batch`` call (one stacked eigensolve of the rows inside
+the prior box) and one vectorised accept, log u < lp_new - lp, applied
+with ``np.copyto(..., where=)``.
 
 The streams are the children of ``SeedSequence(run.seed).spawn(CHAINS +
 1)``. Chain c draws from child c (the same child as ``spawn(CHAINS)``
@@ -67,19 +73,6 @@ per parameter over the 32 half-chains, and scipy's inverse normal CDF,
 which the package does not depend on) cost 37-41 ms on the benchmark's
 39,000 states at seeds 1-3, most of what the Laplace proposal saves, and
 read 1.0065-1.0090 against the classic 1.0065-1.0092.
-
-Measured on the benchmark's ``bayes`` config (40,000 samples, burn-in 1,000
-per chain, ``likelihood_sd`` 0.005) on a shared 2-CPU machine (Python 3.11,
-numpy 2.4): the former proposal, 0.01 of the box width per parameter,
-accepted 0.78 of its steps and reached a summed min ESS of only 98-128 and
-a split-R-hat of 1.45-1.92 at seeds 1-3. The Laplace proposal accepts
-0.288-0.292 of them and reaches 2,021-2,149 and 1.007-1.009, at the same
-sampling CPU. Since 71% of the kept rows then repeat the row before, whose
-``chain.csv`` text is reused, ten alternating benchmark pairs (seeds
-501-510) put the ``bayes`` run's median wall time at 0.643 s against
-0.690 s. The diagnostics cost 11-15 ms of it. The 16 chains, each with
-its own full burn-in, were chosen under the former proposal, and that
-choice has not been measured again under this one.
 """
 
 from __future__ import annotations
@@ -87,10 +80,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DiagnosticsError, DomainError
+from .objective import residual_batch
 from .optim import Box, forward_jacobian, least_squares_polish
 from .pipeline import FfemuRun
 
@@ -154,52 +149,40 @@ class ChainSummary:
     cov_percent: np.ndarray
 
 
-def log_posterior_batch(thetas, measured_eigenvalues, run: FfemuRun) -> np.ndarray:
+def log_posterior_batch(thetas, run: FfemuRun) -> np.ndarray:
     """Unnormalized log posterior of each row of ``thetas`` (m, d); -inf outside the run's prior box.
 
-    ``measured_eigenvalues`` are ``run.measured.center_eigenvalues()``, formed
-    once per run of the chains. Inside the box this is the Gaussian log
-    likelihood of the relative eigenvalue residuals (constant terms
-    dropped, noise scale ``run.bayes.likelihood_sd``), since the uniform
-    prior contributes nothing that varies. Rows
-    outside the box are not solved; the rest go to one
-    ``run.model.eigenvalues_batch`` call, which solves for eigenvalues only.
-    When every row is inside, the stack is solved as it is, without
-    gathering the rows and scattering their results.
+    Inside the box this is the Gaussian log likelihood, -0.5 times the
+    squared norm of the point's row of the alpha = 1 level residual at the
+    weights (0.5 / sd^2, 0), sd = ``run.bayes.likelihood_sd``: that norm is
+    sum(((lam_m - lam) / lam_m / sd)^2) for the triangles' peaks lam_m (see
+    the module docstring). The uniform prior contributes nothing that
+    varies. Rows outside the box are not solved; the rest go to one
+    ``residual_batch`` call, which solves for eigenvalues only.
     """
     th = np.asarray(thetas, dtype=float)
     inside = ((th >= run.theta_min) & (th <= run.theta_max)).all(axis=1)
-    lam_m = np.asarray(measured_eigenvalues, dtype=float)
-    if inside.all():
-        return _log_likelihood(run.model.eigenvalues_batch(th), lam_m, run.bayes.likelihood_sd)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
-        out[inside] = _log_likelihood(run.model.eigenvalues_batch(th[inside]), lam_m, run.bayes.likelihood_sd)
+        rows = _level_residual(run, th[inside])
+        out[inside] = -0.5 * np.square(rows, out=rows).sum(axis=1)
     return out
 
 
-def _residuals(lam, lam_m, likelihood_sd: float) -> np.ndarray:
-    """(lam_m - lam) / lam_m / sd, overwriting ``lam``."""
-    resid = np.subtract(lam_m, lam, out=lam)
-    resid /= lam_m
-    resid /= likelihood_sd
-    return resid
+def _level_residual(run: FfemuRun, thetas) -> np.ndarray:
+    """The alpha = 1 level residual of the (m, d) points ``thetas`` at the
+    weights (0.5 / ``likelihood_sd``^2, 0), one row of length 4n per point."""
+    sd = run.bayes.likelihood_sd
+    return residual_batch(run.model, thetas, run.cuts[0], (0.5 / sd / sd, 0.0))
 
 
-def _log_likelihood(lam, lam_m, likelihood_sd: float) -> np.ndarray:
-    """Row sums of -0.5 ((lam_m - lam) / lam_m / sd)^2, overwriting ``lam``."""
-    resid = np.square(_residuals(lam, lam_m, likelihood_sd), out=lam)
-    total = resid.sum(axis=1)
-    total *= -0.5
-    return total
-
-
-def laplace_fit(run: FfemuRun, measured_eigenvalues) -> Laplace:
+def laplace_fit(run: FfemuRun) -> Laplace:
     """The posterior mode and the Laplace covariance there (see the module docstring).
 
-    The log posterior is -0.5 |r|^2 for the scaled residuals r, so the
-    polish that minimizes |r|^2 inside the box finds the mode, and J^T J
-    is the Gauss-Newton Hessian there. In units of the uniform prior's sd,
+    The log posterior is -0.5 |r|^2 for r the point's row of the alpha = 1
+    level residual at the weights (0.5 / sd^2, 0), so the polish that
+    minimizes |r|^2 inside the box finds the mode, and J^T J is the
+    Gauss-Newton Hessian there. In units of the uniform prior's sd,
     width / sqrt(12), each eigenvalue of J^T J is raised to at least 1
     before it is inverted, so no direction gets a larger variance than the
     prior's, which keeps Sigma finite where J^T J is singular (fewer modes
@@ -207,14 +190,9 @@ def laplace_fit(run: FfemuRun, measured_eigenvalues) -> Laplace:
     J)^-1 variance. Raises ``DiagnosticsError`` naming
     ``likelihood_sd`` when the residuals at the mode, or Sigma, are not
     finite, or Sigma is not positive definite: at a tiny ``likelihood_sd``
-    the squared residuals overflow.
+    the weight or the squared residuals overflow.
     """
-    lam_m = np.asarray(measured_eigenvalues, dtype=float)
-    sd = run.bayes.likelihood_sd
-
-    def residual(thetas):
-        return _residuals(run.model.eigenvalues_batch(thetas), lam_m, sd)
-
+    residual = partial(_level_residual, run)
     region = Box(run.theta_min, run.theta_max)
     start = 0.5 * (run.theta_min + run.theta_max) if run.theta_initial is None else run.theta_initial
     prior_sd = (run.theta_max - run.theta_min) / math.sqrt(12.0)  # the uniform prior's
@@ -234,7 +212,7 @@ def laplace_fit(run: FfemuRun, measured_eigenvalues) -> Laplace:
     except np.linalg.LinAlgError:
         raise DiagnosticsError(
             f"the Laplace covariance at the posterior mode is not finite and positive definite; "
-            f"likelihood_sd = {sd!r} is too small for its eigenvalue residuals"
+            f"likelihood_sd = {run.bayes.likelihood_sd!r} is too small for its eigenvalue residuals"
         ) from None
     return Laplace(mode=mode, covariance=covariance, factor=factor)
 
@@ -264,15 +242,14 @@ def mh_sample(run: FfemuRun) -> Chain:
     ``ConvergenceError`` of any eigensolve propagates. A chain that has not
     mixed by its diagnostics is warned about, not refused.
     """
-    lam_m = run.measured.center_eigenvalues()
     d = run.theta_min.size
     seeds = np.random.SeedSequence(run.seed).spawn(CHAINS + 1)
-    laplace = laplace_fit(run, lam_m)
+    laplace = laplace_fit(run)
     z = np.random.default_rng(seeds[CHAINS]).standard_normal((CHAINS, d))
     starts = Box(run.theta_min, run.theta_max).project(laplace.mode + _combine(z, START_SPREAD * laplace.factor))
     with np.errstate(over="ignore"):  # a squared residual that overflows gives a log posterior of -inf
-        lps = log_posterior_batch(starts, lam_m, run)
-        kept, accepted = _lockstep(run, lam_m, starts, lps, (PROPOSAL_FACTOR / math.sqrt(d)) * laplace.factor, seeds)
+        lps = log_posterior_batch(starts, run)
+        kept, accepted = _lockstep(run, starts, lps, (PROPOSAL_FACTOR / math.sqrt(d)) * laplace.factor, seeds)
     if accepted == 0:
         raise DiagnosticsError("no proposal was ever accepted; check the likelihood and its likelihood_sd")
     ess, rhat = effective_sample_size(kept), split_rhat(kept)
@@ -286,7 +263,7 @@ def mh_sample(run: FfemuRun) -> Chain:
     )
 
 
-def _lockstep(run: FfemuRun, lam_m, states, lps, factor, seeds) -> tuple[np.ndarray, int]:
+def _lockstep(run: FfemuRun, states, lps, factor, seeds) -> tuple[np.ndarray, int]:
     """The chains of ``mh_sample`` from ``states``, whose log posteriors are
     ``lps`` (both updated in place), proposing ``_combine(z, factor)``;
     returns every chain's kept states, (``CHAINS``, s, d), and the number
@@ -306,7 +283,7 @@ def _lockstep(run: FfemuRun, lam_m, states, lps, factor, seeds) -> tuple[np.ndar
         np.log(log_u[:, :n], out=log_u[:, :n])
         for k in range(n):
             proposals = states + increments[:, k]
-            lp_new = log_posterior_batch(proposals, lam_m, run)
+            lp_new = log_posterior_batch(proposals, run)
             accept = log_u[:, k] < lp_new - lps
             np.copyto(states, proposals, where=accept[:, None])
             np.copyto(lps, lp_new, where=accept)

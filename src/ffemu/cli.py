@@ -49,7 +49,7 @@ def cmd_simulate(args) -> int:
         truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
         measured = simulate_from_truth_spec(model, truth, levels)
     save_measured(measured, args.out)
-    freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.center_eigenvalues())]
+    freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.eigenvalue_tfns[:, 1])]
     kind = "crisp" if measured.is_crisp else "fuzzy"
     print(f"wrote {measured.n_modes} {kind} modes to {args.out}")
     print("center frequencies (Hz): " + ", ".join(freqs))

@@ -21,7 +21,8 @@ the greedy ``pair_modes`` fallback, whose one caller is ``vertex_modes``.
 
 ``residual_batch`` is the one residual path: it evaluates a whole
 population of boxes with one stacked eigensolve, and a box's objective is
-the squared norm of its row.
+the squared norm of its row. The M-H likelihood is its alpha = 1 level
+at the weights (0.5 / sd^2, 0) (``ffemu.bayes``).
 """
 
 from __future__ import annotations
@@ -259,9 +260,6 @@ class MeasuredFuzzyModalData:
     @property
     def is_crisp(self) -> bool:
         return bool((self.eigenvalue_tfns == self.eigenvalue_tfns[:, 1:2]).all())
-
-    def center_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalue_tfns[:, 1].copy()
 
     def cuts_at(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Measured bounds ``(eig_lo, eig_hi, vec_lo, vec_hi)`` at one alpha level.

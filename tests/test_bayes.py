@@ -1,6 +1,7 @@
 """Tests for the Metropolis-Hastings baseline."""
 
 import csv
+import json
 import logging
 import math
 import os
@@ -28,7 +29,7 @@ from ffemu.bayes import (
 from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError
 from ffemu.model import GROUND, SpringElement, StructuralModel
 from ffemu.objective import MeasuredFuzzyModalData
-from ffemu.pipeline import FfemuRun, McmcConfig, simulate_measurements
+from ffemu.pipeline import FfemuRun, McmcConfig, load_run_config, simulate_measurements
 from ffemu.report import CSV_CHUNK, write_chain_csv
 
 WIDTH = 8.0  # of the 1-DOF prior box [1, 9]
@@ -86,11 +87,7 @@ def five_dof_run(seed=3, bayes=McmcConfig()):
 def log_posterior_row(theta, run) -> float:
     """Log posterior at one parameter vector: a one-row ``log_posterior_batch``."""
     row = np.asarray(theta, dtype=float)[None, :]
-    return log_posterior_batch(row, run.measured.center_eigenvalues(), run).item()
-
-
-def fit(run):
-    return laplace_fit(run, run.measured.center_eigenvalues())
+    return log_posterior_batch(row, run).item()
 
 
 def proposal_steps(run, laplace):
@@ -135,7 +132,7 @@ def sequential_chain(run, c):
     increment is formed column by column, and one uniform from the second,
     for ``burn_in`` + s steps. Returns the s kept states and the number of
     accepted steps."""
-    config, laplace = run.bayes, fit(run)
+    config, laplace = run.bayes, laplace_fit(run)
     seed = np.random.SeedSequence(run.seed).spawn(CHAINS + 1)[c]
     normals, uniforms = map(np.random.default_rng, seed.spawn(2))
     steps = proposal_steps(run, laplace)
@@ -225,8 +222,8 @@ class TestLogPosterior:
     @pytest.mark.parametrize("spread", [0.5, 1.5], ids=["inside", "straddling"])
     def test_each_row_equals_its_one_row_value(self, rows, spread):
         # the lockstep chains rest on this: a row's log posterior does not
-        # depend on the other rows of its stack, solved whole when every row
-        # is inside the box, else gathered and scattered
+        # depend on the other rows of its stack, whether every row is inside
+        # the box or some are outside
         run = five_dof_run(bayes=McmcConfig(likelihood_sd=0.005))
         centre = 0.5 * (run.theta_min + run.theta_max)
         half = 0.5 * (run.theta_max - run.theta_min)
@@ -236,10 +233,33 @@ class TestLogPosterior:
             thetas[-1] = run.theta_max + 1.0
         inside = ((thetas >= run.theta_min) & (thetas <= run.theta_max)).all(axis=1)
         assert inside.all() if spread < 1.0 else (inside.any() == (rows > 1) and not inside.all())
-        batch = log_posterior_batch(thetas, run.measured.center_eigenvalues(), run)
+        batch = log_posterior_batch(thetas, run)
         each = np.array([log_posterior_row(theta, run) for theta in thetas])
         assert batch.tobytes() == each.tobytes()
         assert np.isfinite(batch).tolist() == inside.tolist()
+
+    def test_matches_the_closed_form_of_the_triangle_peaks(self):
+        # -0.5 sum(((b - lam) / b / sd)^2), b the measured triangles' peaks,
+        # on fuzzy data, so the peaks differ from the supports' ends
+        model = scenarios.five_dof_model()
+        run = FfemuRun(
+            model=model,
+            measured=simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE),
+            theta_min=scenarios.THETA_MIN,
+            theta_max=scenarios.THETA_MAX,
+            bayes=McmcConfig(likelihood_sd=0.005),
+        )
+        assert not run.measured.is_crisp
+        rng = np.random.default_rng(4)
+        thetas = rng.uniform(run.theta_min, run.theta_max, (8, 5))
+        thetas[0] = scenarios.THETA_TRUE
+        thetas[-1] = run.theta_min - 1.0
+        b = run.measured.eigenvalue_tfns[:, 1]
+        lam = model.eigenvalues_batch(thetas[:-1])
+        expected = -0.5 * np.sum(((b - lam) / b / 0.005) ** 2, axis=1)
+        batch = log_posterior_batch(thetas, run)
+        np.testing.assert_allclose(batch[:-1], expected, rtol=1e-12, atol=0.0)
+        assert batch[-1] == -np.inf
 
 
 class TestMhSample:
@@ -261,6 +281,25 @@ class TestMhSample:
         assert chain.samples.var(ddof=1) == pytest.approx(sd_target**2, rel=0.10)
         ks = stats.kstest(chain.samples[:, 0], stats.norm(5.0, sd_target).cdf).statistic
         assert ks <= 0.02
+
+    def test_ignores_the_runs_weights_and_shape_triangles(self, tmp_path):
+        # the likelihood is the eigenvalue residual at its own weights, and
+        # fuzzy shapes leave the eigenvalue triangles as they are
+        runs = []
+        for eigenvector, shape_tfns in [(0.0, False), (0.3, True)]:
+            config = scenarios.bundled_run_config()
+            config["weights"]["eigenvector"] = eigenvector
+            config["truth"]["shape_tfns"] = shape_tfns
+            path = tmp_path / f"run_{eigenvector}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            runs.append(load_run_config(path))
+        plain, shaped = runs
+        assert plain.measured.shape_tfns is None and shaped.measured.shape_tfns is not None
+        assert plain.measured.eigenvalue_tfns.tobytes() == shaped.measured.eigenvalue_tfns.tobytes()
+        a, b = mh_sample(plain), mh_sample(shaped)
+        for field in ("samples", "ess", "rhat"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert a.acceptance_rate == b.acceptance_rate
 
     def test_samples_stay_inside_prior_box(self, factor):
         factor(30.0)  # steps of about 3
@@ -440,7 +479,7 @@ class TestRandomStreams:
         # less than the largest log uniform, -2^-53: every proposal is accepted
         factor(1e-11)
         run = one_dof_run(seed=9, theta_initial=[5.0])
-        config, laplace = run.bayes, fit(run)
+        config, laplace = run.bayes, laplace_fit(run)
         chain = mh_sample(run)
         assert chain.acceptance_rate == 1.0
         seeds = np.random.SeedSequence(9).spawn(CHAINS + 1)
@@ -469,7 +508,7 @@ class TestRandomStreams:
                 assert not np.isin(starts, drawn).any(), c
         # and the starts are those draws: chain c at mode + 2 chol(Sigma) z_c
         run = one_dof_run(seed=5, bayes=one_dof_config(n_samples=116, burn_in=0))
-        laplace = fit(run)
+        laplace = laplace_fit(run)
         expected = np.clip(laplace.mode + 2.0 * laplace.factor[0, 0] * starts[:CHAINS], 1.0, 9.0)
         for c in range(CHAINS):
             assert dispersed_start(run, laplace, c).tolist() == [expected[c]]
@@ -512,7 +551,7 @@ class TestLaplaceFit:
         # lambda = theta, so J = -1 / (lambda_m sd) and Sigma = (lambda_m sd)^2,
         # below the uniform prior's variance 8^2 / 12
         run = one_dof_run(measured=measured, bayes=one_dof_config(likelihood_sd=likelihood_sd))
-        laplace = fit(run)
+        laplace = laplace_fit(run)
         assert laplace.mode.tolist() == pytest.approx([measured], rel=1e-12)
         expected = 1.0 / (1.0 / (measured * likelihood_sd) ** 2)
         assert laplace.covariance[0, 0] == pytest.approx(expected, rel=1e-7)
@@ -521,16 +560,16 @@ class TestLaplaceFit:
     def test_one_dof_variance_is_capped_at_the_uniform_priors(self):
         # a likelihood wider than the box: (5 * 0.5)^2 = 6.25 > 8^2 / 12
         run = one_dof_run(bayes=one_dof_config(likelihood_sd=0.5))
-        assert fit(run).covariance[0, 0] == pytest.approx(WIDTH**2 / 12.0, rel=1e-12)
+        assert laplace_fit(run).covariance[0, 0] == pytest.approx(WIDTH**2 / 12.0, rel=1e-12)
 
     def test_five_dof_covariance_is_the_inverse_gauss_newton_hessian(self):
         # every eigenvalue of J^T J in prior-sd units is above 1 here, so
         # the cap leaves Sigma = (J^T J)^-1
         run = five_dof_run(bayes=McmcConfig(likelihood_sd=0.005))
-        laplace = fit(run)
+        laplace = laplace_fit(run)
         np.testing.assert_allclose(laplace.mode, scenarios.THETA_TRUE, rtol=1e-9)
         residual_jac = np.empty((5, 5))
-        lam_m = run.measured.center_eigenvalues()
+        lam_m = run.measured.eigenvalue_tfns[:, 1]
         for i in range(5):  # central differences of the scaled residuals
             h = 1e-3 * laplace.mode[i]
             up, down = laplace.mode.copy(), laplace.mode.copy()
@@ -544,7 +583,7 @@ class TestLaplaceFit:
 
     def test_more_parameters_than_modes_give_a_finite_positive_definite_covariance(self):
         run = over_parameterized_run()
-        laplace = fit(run)
+        laplace = laplace_fit(run)
         assert np.isfinite(laplace.covariance).all()
         assert np.linalg.eigvalsh(laplace.covariance).min() > 0.0
         # no direction is wider than the uniform prior's sd
@@ -556,10 +595,10 @@ class TestLaplaceFit:
 
     @pytest.mark.parametrize("theta_initial", [[5.0], [8.0]], ids=["at-the-mode", "away"])
     def test_non_finite_covariance_names_likelihood_sd(self, theta_initial):
-        # J^T J overflows at this scale, at the mode and away from it
+        # the weight 0.5 / sd^2 overflows at this scale, at the mode and away from it
         run = one_dof_run(theta_initial=theta_initial, bayes=one_dof_config(likelihood_sd=1e-300))
         with pytest.raises(DiagnosticsError, match="likelihood_sd = 1e-300"):
-            fit(run)
+            laplace_fit(run)
         with np.errstate(all="raise"), pytest.raises(DiagnosticsError, match="not finite and positive definite"):
             mh_sample(run)
 

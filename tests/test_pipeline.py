@@ -61,7 +61,7 @@ class TestSimulateMeasurements:
         measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
         assert measured.is_crisp
         (center,), _ = model.modal_batch(scenarios.THETA_TRUE[None, :])
-        np.testing.assert_array_equal(measured.center_eigenvalues(), center)
+        np.testing.assert_array_equal(measured.eigenvalue_tfns[:, 1], center)
         for (a, b, c), lam in zip(measured.eigenvalue_tfns, center):
             assert a == b == c == lam
 
@@ -254,7 +254,7 @@ class TestRunFfemu:
 
     def test_output_stacks_bracket_measured_centers(self, aco_result):
         run, result = aco_result
-        centers = run.measured.center_eigenvalues()
+        centers = run.measured.eigenvalue_tfns[:, 1]
         stack = result.outputs
         for j in range(stack.lo.shape[1]):
             assert stack.lo[-1, j] <= centers[j] <= stack.hi[-1, j]
