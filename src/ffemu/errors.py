@@ -9,11 +9,13 @@ or a list of a stated shape holding integers, finite numbers, strings,
 booleans or objects. A boolean is not a number, and NaN, +-Infinity and an
 integer beyond the float range are not finite (such an integer is not an
 integer here either). Bounds (``at_least``, ``above``, ``at_most``) are
-stated where the value is read and hold for every entry. A complaint names
-the value by its path in the file, as ``'aco.n_ants' must be at least 1,
-got 0``; ``in_file`` adds the file's name, once per file. ``check_settings``
-applies the rule to a settings dataclass, field by field, with each bound
-stated on its field, and ``check_keys`` names an unknown key.
+stated where the value is checked and hold for every entry. A complaint
+names the value by its path in the file, as ``'aco.n_ants' must be at least
+1, got 0``; ``in_file`` adds the file's name, once per file. ``check`` takes
+a value in hand: ``check_settings`` checks a settings dataclass field by
+field, each bound on its field, and ``pipeline.FfemuRun`` its box, start,
+weights and seed under their run-config keys, so a run built in Python
+reads as one read from a file. ``check_keys`` names an unknown key.
 """
 
 import math
@@ -119,9 +121,9 @@ def _complaint(label: str, kind: str, shape, value) -> str:
     return f"{label!r} must be {what}, got {reprlib.repr(value)}"
 
 
-def _check(value, label: str, kind: str, shape, bounds) -> None:
+def check(value, label: str, kind: str = "number", shape=(), **bounds) -> None:
     """``value`` must be ``kind`` at ``shape``, every entry within ``bounds``
-    ({"at_least": 1}, say); else a ``ConfigurationError`` naming it as ``label``."""
+    (``at_least=1``, say); else a ``ConfigurationError`` naming it as ``label``."""
     if not _fits(value, _KINDS[kind][0], shape):
         raise ConfigurationError(_complaint(label, kind, shape, value))
     for name, bound in bounds.items():
@@ -146,7 +148,7 @@ def check_value(obj: dict, key: str, kind: str = "number", shape=(), label=None,
         if default is _REQUIRED:
             raise ConfigurationError(f"missing required key {label!r}")
         return default
-    _check(value, label, kind, shape, bounds)
+    check(value, label, kind, shape, **bounds)
     return value
 
 
@@ -157,7 +159,7 @@ def check_settings(config, section: str) -> None:
     say); else a ``ConfigurationError`` naming ``'<section>.<field>'``."""
     for f in fields(config):
         kind = "integer" if type(f.default) is int else "number"
-        _check(getattr(config, f.name), f"{section}.{f.name}", kind, (), f.metadata)
+        check(getattr(config, f.name), f"{section}.{f.name}", kind, **f.metadata)
 
 
 def check_keys(obj: dict, valid, label: str = "") -> None:

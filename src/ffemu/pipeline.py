@@ -35,11 +35,11 @@ from .errors import (
     ConfigurationError,
     DomainError,
     ShapeError,
+    check,
     check_keys,
     check_settings,
     check_value,
     in_file,
-    is_finite_number,
     is_integer,
 )
 from .fuzzy import AlphaCutStack, check_levels, default_levels
@@ -112,25 +112,29 @@ class McmcConfig:
 class FfemuRun:
     """Everything one fuzzy updating run needs.
 
-    ``weights`` is the pair (eigenvalue, eigenvector): every eigenvalue
-    error of a level's residual is weighted by the first, every mode-shape
-    error by the second, and a zero second weight skips the shape solve.
-    Both must be finite and non-negative, and at least one positive. The
-    prior box [theta_min, theta_max] holds d finite stiffnesses, 0 <
-    theta_min < theta_max, for both the fuzzy search and the M-H prior.
-    ``theta_initial``, the optional start of the alpha = 1 search and of the
-    M-H chains, must be d finite numbers inside the box, and ``seed`` a
-    non-negative integer. No search step may overflow: the box's widest
-    span, alone, times ``aco.xi`` and times the PSO velocity scale
+    ``weights`` is the pair (eigenvalue, eigenvector): every eigenvalue error
+    of a level's residual is weighted by the first, every mode-shape error by
+    the second, and a zero second weight skips the shape solve. The prior box
+    [theta_min, theta_max] bounds the fuzzy search and the M-H prior, and
+    ``theta_initial`` is the optional start of both. Level k's optimizer draws
+    from ``seed + k``; ``seed`` and ``bayes`` drive the M-H chains.
+
+    The one value rule of ``errors`` checks six values under their run-config
+    keys, from a file or from Python alike (an array as its list; None as an
+    absent key): ``theta_min``, d finite numbers above 0; ``theta_max``, d
+    finite numbers; ``theta_initial``, d finite numbers or None;
+    ``weights.eigenvalue`` and ``weights.eigenvector``, the pair ``weights``,
+    finite numbers of at least 0; ``seed``, an integer of at least 0. The run
+    states its cross-field rules itself: a positive weight, a known optimizer,
+    theta_min < theta_max, the start inside the box, n measured modes of n
+    components (n the model's DOFs), and no overflowing search step: the box's
+    widest span, alone, times ``aco.xi`` and times the PSO velocity scale
     |inertia| * v_max_fraction + |cognitive| + |social|, each times
-    ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to 2**32
-    spreads and any Gaussian draw), must be finite, else the box, ``aco.xi``
-    or the PSO key with the largest share is named. Level k's optimizer
-    draws from ``seed + k``, so levels draw independent streams but the
-    run is reproducible; ``seed`` and ``bayes`` drive the M-H chains. The
-    measured data hold n modes of n shape components each, n the model's DOFs.
-    ``cuts`` holds every level's ``measured.cuts_at``, cut once here, so a
-    zero shape cut vector fails the run before either command starts.
+    ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to 2**32 spreads
+    and any Gaussian draw), must be finite, else the box, ``aco.xi`` or the PSO
+    key with the largest share is named. ``cuts`` holds every level's
+    ``measured.cuts_at``, cut once here, so a zero shape cut vector fails the
+    run before either command starts.
     """
 
     model: StructuralModel
@@ -148,38 +152,31 @@ class FfemuRun:
     cuts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
-        object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
         levels = default_levels() if self.levels is None else check_levels(self.levels)
         object.__setattr__(self, "levels", levels)
-        if len(self.weights) != 2 or not all(map(is_finite_number, self.weights)):
-            raise ConfigurationError(f"weights must be two finite numbers, got {self.weights!r}")
+        d = self.model.parameter_count
+        vectors = {key: getattr(self, key) for key in ("theta_min", "theta_max", "theta_initial")}
+        given = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in vectors.items() if v is not None}
+        check_value(given, "theta_min", shape=(d,), above=0)
+        check_value(given, "theta_max", shape=(d,))
+        check_value(given, "theta_initial", shape=(d,), default=None)
+        for key, weight in zip(WEIGHT_KEYS, self.weights):
+            check(weight, f"weights.{key}", at_least=0)
+        check(list(self.weights), "weights", shape=(len(WEIGHT_KEYS),))
+        check(self.seed, "seed", "integer", at_least=0)
+        object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
+        object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        if min(self.weights) < 0.0:
-            raise ConfigurationError(f"weights must be non-negative, got {self.weights!r}")
         if max(self.weights) == 0.0:
             raise ConfigurationError(f"at least one weight must be positive, got {self.weights!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ConfigurationError(f"'seed' must be a non-negative integer, got {self.seed!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(
                 f"unknown optimizer {self.optimizer!r}; valid choices: {', '.join(OPTIMIZERS)}"
-            )
-        d = self.model.parameter_count
-        if self.theta_min.shape != (d,) or self.theta_max.shape != (d,):
-            raise ConfigurationError(f"bounds must have length {d}")
-        if not (np.isfinite(self.theta_min).all() and np.isfinite(self.theta_max).all()):
-            raise ConfigurationError("theta_min and theta_max must be finite")
-        if np.any(self.theta_min <= 0.0):
-            raise ConfigurationError(
-                f"theta_min entries must be positive (stiffnesses), got {self.theta_min.tolist()}"
             )
         if np.any(self.theta_min >= self.theta_max):
             raise ConfigurationError("theta_min must be strictly below theta_max")
         if self.theta_initial is not None:
             start = np.asarray(self.theta_initial, dtype=float)
-            if start.shape != (d,) or not np.isfinite(start).all():
-                raise ConfigurationError(f"theta_initial must be {d} finite numbers, got {start.tolist()}")
             if ((start < self.theta_min) | (start > self.theta_max)).any():
                 raise ConfigurationError(f"theta_initial {start.tolist()} is outside [theta_min, theta_max]")
             object.__setattr__(self, "theta_initial", start)
@@ -425,8 +422,9 @@ def load_run_config(path) -> FfemuRun:
     path or inline via a ``truth`` section (simulated on the spot). The
     ``aco``, ``pso`` and ``bayes`` sections are read by one reader, whose
     keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``;
-    an absent section gives the defaults.
-    Every value goes through ``errors.check_value`` or
+    an absent section gives the defaults. The box, the start, the weights
+    and the seed pass to the run as read: ``FfemuRun`` checks them under
+    their keys. Every value goes through ``errors.check_value`` or
     ``errors.check_settings``, so a key outside ``RUN_KEYS``, an unknown key
     in a section, or a value of the wrong kind, shape or range is a
     ``ConfigurationError`` naming the file and the key, as
@@ -439,8 +437,6 @@ def load_run_config(path) -> FfemuRun:
     with in_file(path):
         check_keys(raw, RUN_KEYS)
         model = resolve_model(check_value(raw, "model", "string"), base)
-        theta_min = check_value(raw, "theta_min", shape=(-1,))
-        theta_max = check_value(raw, "theta_max", shape=(-1,))
 
         levels = raw.get("alpha_levels", 10)
         if isinstance(levels, list):
@@ -465,16 +461,14 @@ def load_run_config(path) -> FfemuRun:
         return FfemuRun(
             model=model,
             measured=measured,
-            theta_min=theta_min,
-            theta_max=theta_max,
+            theta_min=raw.get("theta_min"),
+            theta_max=raw.get("theta_max"),
             optimizer=check_value(raw, "optimizer", "string", default="aco"),
             aco=_settings(raw, "aco", AcoConfig),
             pso=_settings(raw, "pso", PsoConfig),
             bayes=_settings(raw, "bayes", McmcConfig),
             levels=levels,
-            weights=tuple(
-                check_value(weights, key, label=f"weights.{key}", default=1.0, at_least=0) for key in WEIGHT_KEYS
-            ),
-            seed=check_value(raw, "seed", "integer", default=0),
-            theta_initial=check_value(raw, "theta_initial", shape=(-1,), default=None),
+            weights=tuple(weights.get(key, 1.0) for key in WEIGHT_KEYS),
+            seed=raw.get("seed", 0),
+            theta_initial=raw.get("theta_initial"),
         )

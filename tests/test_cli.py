@@ -99,7 +99,7 @@ class TestUpdate:
     @pytest.mark.parametrize(
         "start, message",
         [
-            ([4000, 2000, 2000], "theta_initial must be 5 finite numbers, got [4000.0, 2000.0, 2000.0]"),
+            ([4000, 2000, 2000], "'theta_initial' must be a list of 5 finite numbers, got [4000, 2000, 2000]"),
             (
                 [40000, 2000, 2000, 2000, 2000],
                 "theta_initial [40000.0, 2000.0, 2000.0, 2000.0, 2000.0] is outside [theta_min, theta_max]",
@@ -134,7 +134,7 @@ class TestUpdate:
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-        message = f"theta_min entries must be positive (stiffnesses), got {config['theta_min']}"
+        message = f"'theta_min' must be above 0, got {config['theta_min']}"
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not out.exists()
 
@@ -791,7 +791,8 @@ class TestNonNumericConfigValues:
         args = ["update", "--config", str(path), "--out", str(tmp_path / "bundle")]
         assert cli.main(args) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {path}: {key!r} must be a list of finite numbers, got ")
+        count = "" if key == "alpha_levels" else "5 "  # the run states the box's and the start's length
+        assert err.startswith(f"configuration error: {path}: {key!r} must be a list of {count}finite numbers, got ")
         assert not (tmp_path / "bundle").exists()
 
     @pytest.mark.parametrize(
@@ -799,7 +800,7 @@ class TestNonNumericConfigValues:
         [
             ("seed", "x", "'seed' must be an integer, got 'x'"),
             ("seed", 2.5, "'seed' must be an integer, got 2.5"),
-            ("seed", -1, "'seed' must be a non-negative integer, got -1"),
+            ("seed", -1, "'seed' must be at least 0, got -1"),
             ("weights", {"eigenvalue": "abc"}, "'weights.eigenvalue' must be a finite number"),
             ("weights", {"eigenvector": None}, "'weights.eigenvector' must be a finite number"),
             ("weights", {"eigenvalue": 10**400}, "'weights.eigenvalue' must be a finite number"),
@@ -965,7 +966,7 @@ class TestUsageErrors:
         path.write_text(json.dumps(scenarios.bundled_run_config(seed=-1)))
         args = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]
         assert cli.main(args) == cli.EXIT_CONFIG
-        message = "'seed' must be a non-negative integer, got -1"
+        message = "'seed' must be at least 0, got -1"
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
 

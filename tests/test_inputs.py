@@ -5,21 +5,25 @@ file and the result bundle's two summaries) gets one table: at each numeric
 key, a boolean, a string, NaN, Infinity, an integer beyond the float range
 and a nested list must each exit 1, naming the file and the key. A second
 table sets each bounded key just outside its range: each case must exit 1,
-naming the file, the key and the value.
+naming the file, the key and the value. A bad box, start, weight or seed
+reads the same from a run-config file as from ``FfemuRun(...)``, less the
+file's name.
 """
 
 import json
 import math
 import shutil
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ffemu import cli, scenarios
+from ffemu.errors import ConfigurationError
 from ffemu.optim import AcoConfig, PsoConfig
-from ffemu.pipeline import WEIGHT_KEYS, McmcConfig
+from ffemu.pipeline import WEIGHT_KEYS, McmcConfig, load_run_config
 
 BAD_VALUES = [True, "1", math.nan, math.inf, 10**400, [[1]]]
 BAD_IDS = ["true", "string", "nan", "infinity", "beyond-float-range", "nested-list"]
@@ -239,10 +243,14 @@ OUT_OF_RANGE = [
     (("truth", "spread_fraction"), -0.1),
     (("weights", "eigenvalue"), -1.0),
     (("weights", "eigenvector"), -0.3),
+    (("theta_min", 0), 0),
+    (("seed",), -1),
 ]
 
 
-@pytest.mark.parametrize("where, value", OUT_OF_RANGE, ids=[f"{'.'.join(w)}={v}" for w, v in OUT_OF_RANGE])
+@pytest.mark.parametrize(
+    "where, value", OUT_OF_RANGE, ids=[f"{'.'.join(map(str, w))}={v}" for w, v in OUT_OF_RANGE]
+)
 def test_run_config_value_out_of_range(where, value, tmp_path, capsys):
     config = scenarios.bundled_run_config(seed=2)
     config["alpha_levels"] = 2
@@ -251,8 +259,46 @@ def test_run_config_value_out_of_range(where, value, tmp_path, capsys):
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    if isinstance(where[-1], int):  # a list entry: the complaint names the whole list
+        where = where[:-1]
+        value = config[where[0]]
     assert_names_file_key_and_value(capsys, path, ".".join(where), value)
     assert not out.exists()
+
+
+SAME_WORDING = [
+    (("weights", "eigenvalue"), -1.0),
+    (("theta_initial", 1), math.nan),
+    (("theta_initial",), scenarios.THETA_INITIAL[:3].tolist()),
+    (("theta_max",), scenarios.THETA_MAX[:4].tolist()),
+    (("theta_min", 0), 0.0),
+    (("seed",), -1),
+]
+SAME_WORDING_IDS = ["negative-weight", "nan-start", "short-start", "four-entry-theta-max", "zero-theta-min", "negative-seed"]
+
+
+@pytest.mark.parametrize("where, value", SAME_WORDING, ids=SAME_WORDING_IDS)
+def test_bad_run_value_reads_the_same_from_a_file_and_from_python(where, value, tmp_path):
+    config = scenarios.bundled_run_config(seed=2)
+    config["alpha_levels"] = 2
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(config))
+    run = load_run_config(good)
+    set_at(config, where, value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigurationError) as from_file:
+        load_run_config(path)
+    with pytest.raises(ConfigurationError) as from_python:
+        replace(
+            run,
+            theta_min=np.array(config["theta_min"]),
+            theta_max=np.array(config["theta_max"]),
+            theta_initial=np.array(config["theta_initial"]),
+            weights=tuple(config["weights"][key] for key in WEIGHT_KEYS),
+            seed=config["seed"],
+        )
+    assert str(from_file.value) == f"{path}: {from_python.value}"
 
 
 def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from reference import brute_force_assemble
 
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DomainError, ShapeError
@@ -42,30 +43,6 @@ def test_two_dof_chain_matches_hand_superposition():
     assert_modal_matches_generalized_eig(chain_2dof(), np.ones(1), hand)
     lam = chain_2dof().eigenvalues_batch(np.ones((1, 1)))[0]
     np.testing.assert_allclose(lam, [0.3819660112501051, 2.618033988749895], rtol=1e-12)
-
-
-def brute_force_assemble(model, theta):
-    # independent oracle: accumulate every element contribution in a dict,
-    # the parameter springs (in parameter order) apart from the fixed ones,
-    # then add the two sums; K(theta) = sum_d theta_d K_d + K_fixed rounds
-    # in that order, so the oracle and the package agree bit for bit
-    n = model.n_dof
-    fixed, params = {}, {}
-    for s in sorted(model.springs, key=lambda s: -1 if s.param_index is None else s.param_index):
-        entries = fixed if s.param_index is None else params
-        k = s.stiffness if s.param_index is None else theta[s.param_index]
-        nodes = [v for v in (s.node_a, s.node_b) if v != GROUND]
-        for v in nodes:
-            entries[(v, v)] = entries.get((v, v), 0.0) + k
-        if len(nodes) == 2:
-            a, b = nodes
-            entries[(a, b)] = entries.get((a, b), 0.0) - k
-            entries[(b, a)] = entries.get((b, a), 0.0) - k
-    out = np.zeros((n, n))
-    for entries in (fixed, params):
-        for (i, j), v in entries.items():
-            out[i, j] += v
-    return out
 
 
 def assert_modal_matches_generalized_eig(model, theta, stiffness):

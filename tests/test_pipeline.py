@@ -364,18 +364,18 @@ class TestRunFfemu:
     @pytest.mark.parametrize(
         "weights, message",
         [
-            ((-1.0, 0.0), "weights must be non-negative"),
-            ((1.0, -0.5), "weights must be non-negative"),
-            ((1.0, float("nan")), "weights must be two finite numbers"),
-            ((1.0, "0.5"), "weights must be two finite numbers"),
-            ((1.0, 0.0, 0.0), "weights must be two finite numbers"),
+            ((-1.0, 0.0), "'weights.eigenvalue' must be at least 0, got -1.0"),
+            ((1.0, -0.5), "'weights.eigenvector' must be at least 0, got -0.5"),
+            ((1.0, float("nan")), "'weights.eigenvector' must be a finite number, got nan"),
+            ((1.0, "0.5"), "'weights.eigenvector' must be a finite number, got '0.5'"),
+            ((1.0, 0.0, 0.0), "'weights' must be a list of 2 finite numbers, got [1.0, 0.0, 0.0]"),
             ((0.0, 0.0), "at least one weight must be positive"),
         ],
     )
     def test_bad_weights_rejected(self, weights, message):
         model = one_dof_model()
         measured = simulate_measurements(model, [5.0], [0.5])
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             FfemuRun(model=model, measured=measured, theta_min=[1.0], theta_max=[9.0], weights=weights)
 
     def test_default_weights_are_one_each(self):
@@ -425,7 +425,7 @@ class TestPriorBox:
 
     @pytest.mark.parametrize("value", [0.0, -3400.0])
     def test_theta_min_must_be_positive(self, value):
-        with pytest.raises(ConfigurationError, match=r"theta_min entries must be positive \(stiffnesses\)"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"'theta_min' must be above 0, got [{value}]")):
             self.one_dof_run(theta_min=[value])
 
     @pytest.mark.parametrize("theta_max", [[1.0], [0.5]])
@@ -440,14 +440,17 @@ class TestPriorBox:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"theta_min": [[1.0]]}, "bounds must have length 1"),
-            ({"theta_min": [1.0, 1.0], "theta_max": [9.0, 9.0]}, "bounds must have length 1"),
-            ({"theta_initial": [5.0, 5.0]}, "theta_initial must be 1 finite numbers"),
+            ({"theta_min": [[1.0]]}, "'theta_min' must be a list of 1 finite numbers, got [[1.0]]"),
+            (
+                {"theta_min": [1.0, 1.0], "theta_max": [9.0, 9.0]},
+                "'theta_min' must be a list of 1 finite numbers, got [1.0, 1.0]",
+            ),
+            ({"theta_initial": [5.0, 5.0]}, "'theta_initial' must be a list of 1 finite numbers, got [5.0, 5.0]"),
         ],
         ids=["two-dimensional", "longer-than-the-model", "start-length"],
     )
     def test_vector_shapes_must_match_the_model(self, overrides, message):
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             self.one_dof_run(**overrides)
 
 
@@ -553,8 +556,9 @@ class TestRunConfig:
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"model": "bundled"}))
-        with pytest.raises(ConfigurationError, match="theta_min"):
+        # the measured data are read before the run, so the config has them
+        path.write_text(json.dumps({"model": "bundled", "truth": scenarios.bundled_truth_spec()}))
+        with pytest.raises(ConfigurationError, match="missing required key 'theta_min'"):
             load_run_config(path)
 
     def test_bad_optimizer_section(self, tmp_path):

@@ -1,10 +1,23 @@
-"""Tests for the reference generalized eigensolver."""
+"""Tests for the reference generalized eigensolver and the level reference."""
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
-from reference import DefiniteMatrixError, generalized_eig
+from reference import (
+    LEVEL_RTOL,
+    DefiniteMatrixError,
+    alpha_cut,
+    brute_force_assemble,
+    generalized_eig,
+    level_reference,
+)
 
-from ffemu.errors import ShapeError
+from ffemu import scenarios
+from ffemu.errors import ConvergenceError, ShapeError
+from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.pipeline import load_run_config, run_ffemu
 
 
 def random_spd(rng, n, shift=None):
@@ -96,3 +109,94 @@ class TestGeneralizedEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(ShapeError):
             generalized_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+
+
+def reference_of(run):
+    return level_reference(
+        run.model, run.measured.eigenvalue_tfns, run.levels, run.theta_min, run.theta_max, run.theta_initial
+    )
+
+
+@pytest.fixture(scope="module")
+def bundled_run(tmp_path_factory):
+    """The bundled 10-level, eigenvalue-only run config at seed 0 for an optimizer."""
+
+    def load(optimizer):
+        path = tmp_path_factory.mktemp(optimizer) / "run.json"
+        path.write_text(json.dumps(scenarios.bundled_run_config(optimizer=optimizer, seed=0)))
+        return load_run_config(path)
+
+    return load
+
+
+def peak_triangles(model, theta):
+    """Triangles whose peaks are the eigenvalues at ``theta``."""
+    lam = np.linalg.eigvalsh(brute_force_assemble(model, theta) / np.sqrt(np.outer(model.masses, model.masses)))
+    return np.stack([0.9 * lam, lam, 1.1 * lam], axis=1)
+
+
+class TestLevelReference:
+    @pytest.mark.parametrize("optimizer", ["aco", "pso"])
+    def test_bundled_stacks_are_the_exact_level_solutions(self, bundled_run, optimizer):
+        run = bundled_run(optimizer)
+        assert run.weights == (1.0, 0.0) and run.levels.size == 10
+        exact = reference_of(run)
+        result = run_ffemu(run)
+        assert np.abs(result.parameters.lo - exact[:, 0]).max() <= 1e-8  # N/m
+        assert np.abs(result.parameters.hi - exact[:, 1]).max() <= 1e-8
+
+    def test_solution_eigenvalues_match_an_mpmath_evaluation(self, bundled_run):
+        # the reference's own residual, from float64 eigh, is checked at 40
+        # digits: the eigenvalues of M^-1/2 K M^-1/2 at each solved vertex
+        run = bundled_run("aco")
+        exact = reference_of(run)
+        n = run.model.n_dof
+        with mpmath.workdps(40):
+            scale = [1 / mpmath.sqrt(mpmath.mpf(m)) for m in run.model.masses]
+            for k, alpha in enumerate(run.levels):
+                cut = np.array([alpha_cut(tfn, alpha) for tfn in run.measured.eigenvalue_tfns])
+                for v in (0, 1):
+                    stiffness = brute_force_assemble(run.model, exact[k, v])
+                    scaled = mpmath.matrix(n, n)
+                    for i in range(n):
+                        for j in range(n):
+                            scaled[i, j] = scale[i] * mpmath.mpf(stiffness[i, j]) * scale[j]
+                    lam = sorted(mpmath.eigsy(scaled, eigvals_only=True))
+                    for j in range(n):
+                        assert abs(lam[j] / mpmath.mpf(cut[j, v]) - 1) <= LEVEL_RTOL, (k, v, j)
+
+    def test_more_modes_than_parameters_is_no_oracle(self):
+        model = StructuralModel(
+            masses=np.ones(2),
+            springs=(SpringElement("g", GROUND, 0, stiffness=1.0), SpringElement("c", 0, 1, param_index=0)),
+            parameter_count=1,
+        )
+        with pytest.raises(ShapeError, match="one parameter per mode"):
+            level_reference(model, np.ones((2, 3)), [1.0], [0.5], [2.0])
+
+    def test_a_cut_no_point_of_the_box_reaches_raises(self):
+        # every peak four times the truth's: the stiffnesses would have to
+        # grow about fourfold, beyond theta_max
+        model = scenarios.five_dof_model()
+        tfns = 4.0 * peak_triangles(model, scenarios.THETA_TRUE)
+        with pytest.raises(ConvergenceError, match="level 1 did not reach relative residual"):
+            level_reference(model, tfns, [1.0, 0.5], scenarios.THETA_MIN, scenarios.THETA_MAX)
+
+    def test_of_several_exact_solutions_it_follows_its_start(self):
+        # two unit masses, each grounded through its own updating spring and
+        # coupled by a fixed one: swapping the two updating springs keeps
+        # every eigenvalue
+        model = StructuralModel(
+            masses=np.ones(2),
+            springs=(
+                SpringElement("k0", GROUND, 0, param_index=0),
+                SpringElement("k1", GROUND, 1, param_index=1),
+                SpringElement("c", 0, 1, stiffness=1.0),
+            ),
+            parameter_count=2,
+        )
+        tfns = peak_triangles(model, np.array([2.0, 5.0]))
+        box = ([1.0, 1.0], [10.0, 10.0])
+        for start, solution in [([2.3, 4.6], [2.0, 5.0]), ([4.6, 2.3], [5.0, 2.0])]:
+            exact = level_reference(model, tfns, [1.0], *box, start=start)
+            np.testing.assert_allclose(exact[0], [solution, solution], rtol=1e-10)
