@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``simulate`` (write fuzzy measured data), ``update`` (run the
-fuzzy updating pipeline and print what ``report`` prints for its bundle),
-``bayes`` (run the Metropolis-Hastings baseline), ``report`` (re-render
-tables and curves from a bundle). ``update`` and ``bayes`` hand their
+Subcommands: ``simulate`` (write fuzzy measured data, the vertex images of
+a truth spec's parameter triangles), ``update`` (run the fuzzy updating
+pipeline and print what ``report`` prints for its bundle), ``bayes`` (run
+the Metropolis-Hastings baseline), ``report`` (re-render tables and curves
+from a bundle). ``update`` and ``bayes`` hand their
 results to ``ffemu.report``, which writes every bundle file. Exit codes: 0
 success, 1 configuration (including command-line usage errors), 2
 numerical failure, 3 I/O. ``update --verbose`` logs one
@@ -24,8 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, report
-from .errors import ConfigurationError, FfemuError, in_file
-from .fuzzy import default_levels
+from .errors import ConfigurationError, FfemuError, check, in_file
 from .model import read_json, resolve_model
 from .objective import eigenvalue_to_hz, save_measured
 
@@ -44,10 +44,9 @@ def cmd_simulate(args) -> int:
 
     model = resolve_model(args.model)
     kind = _BUNDLED_TRUTHS.get(args.truth)
-    levels = default_levels(args.levels)
     with in_file(args.truth):
         truth = read_json(args.truth) if kind is None else scenarios.bundled_truth_spec(kind)
-        measured = simulate_from_truth_spec(model, truth, levels)
+        measured = simulate_from_truth_spec(model, truth)
     save_measured(measured, args.out)
     freqs = [f"{f:.6g}" for f in eigenvalue_to_hz(measured.eigenvalue_tfns[:, 1])]
     kind = "crisp" if measured.is_crisp else "fuzzy"
@@ -106,9 +105,11 @@ def cmd_report(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer."""
-    if (seed := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    """A ``--seed`` value, under the run config's rule for ``seed``."""
+    try:
+        check(seed := int(text), "seed", "integer", at_least=0)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return seed
 
 
@@ -139,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bundled-fuzzy",
         help="truth spec JSON path, 'bundled-fuzzy', or 'bundled-crisp'",
     )
-    p.add_argument("--levels", type=int, default=10, help="number of alpha levels")
     p.add_argument("--out", required=True, help="output measured-data JSON path")
     p.set_defaults(func=cmd_simulate)
 

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, ShapeError, check_value, in_file, is_integer
+from .errors import (
+    ConfigurationError, ConvergenceError, DomainError, ShapeError, check_keys, check_value, in_file, is_integer
+)
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "fix_signs", "load_model", "model_from_dict", "resolve_model"]
 
@@ -233,10 +235,11 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
 
     ``parameters`` is optional; when absent the count is inferred from the
     largest ``param`` reference. Values go through ``errors.check_value``,
-    and every error is a ``ConfigurationError`` naming ``source`` and the
-    key, as ``'springs[1].param'``.
+    and every error, an unknown key too, is a ``ConfigurationError`` naming
+    ``source`` and the key, as ``'springs[1].param'``.
     """
     with in_file(source):
+        check_keys(data, ("masses", "springs", "parameters"))
         masses = check_value(data, "masses", shape=(-1,))
         spring_entries = check_value(data, "springs", "object", (-1,))
         if not spring_entries:
@@ -244,6 +247,7 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
         springs = []
         for pos, entry in enumerate(spring_entries):
             where = f"springs[{pos}]"
+            check_keys(entry, ("id", "a", "b", "stiffness", "param"), f"{where}.")
             sid = str(entry.get("id", f"spring{pos}"))
             a, b = _parse_endpoint(entry, "a", where), _parse_endpoint(entry, "b", where)
             param = check_value(entry, "param", "integer", label=f"{where}.param", default=None)

@@ -131,10 +131,9 @@ class OptimizationResult:
     """Outcome of one optimizer run, as the one search loop records it.
 
     ``history_best`` / ``history_mean`` hold the best value and the archive
-    (ACO) or swarm (PSO) mean after the start and after each iteration;
-    ``population_x`` / ``population_f`` are the final archive rows (ACO) or
-    personal bests (PSO). ``n_evaluations`` counts the rows passed to the
-    objective and ``objective_seconds`` the time spent inside it.
+    (ACO) or swarm (PSO) mean after the start and after each iteration.
+    ``n_evaluations`` counts the rows passed to the objective and
+    ``objective_seconds`` the time spent inside it.
     ``stop_reason`` is ``"max_iterations"`` after the whole budget, or
     ``"stagnation"`` when the best value moved less than
     ``stagnation_tolerance`` over ``stagnation_window`` iterations.
@@ -146,8 +145,6 @@ class OptimizationResult:
     history_mean: np.ndarray
     n_evaluations: int
     n_iterations: int
-    population_x: np.ndarray
-    population_f: np.ndarray
     objective_seconds: float
     stop_reason: str
 
@@ -176,8 +173,8 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
     ``initial`` and then uniform draws, all projected, are evaluated and
     build the optimizer's state, ``start(config, region, x, fx)``, which
     proposes each population and is told its values. The state keeps its
-    ``best_x``/``best_f``, its history ``mean`` and the population the
-    result reports, ``x``/``f``; only this loop counts, times and stops.
+    ``best_x``/``best_f`` and its history ``mean``; only this loop counts,
+    times and stops.
     """
     rng = np.random.default_rng(rng)
     dim = region.lo.size
@@ -207,8 +204,6 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
         history_mean=np.array(history_mean),
         n_evaluations=n_evals,
         n_iterations=len(history_best) - 1,
-        population_x=state.x.copy(),
-        population_f=state.f.copy(),
         objective_seconds=seconds,
         stop_reason=stop_reason,
     )

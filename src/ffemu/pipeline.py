@@ -225,43 +225,24 @@ class FfemuResult:
     histories: list
 
 
-def _fit_triangles(center: np.ndarray, levels: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Least-squares triangles (..., 3) through the peaks ``center`` (...) to
-    per-level bounds ``lows`` and ``highs`` (L, ...).
-
-    The model is lo(alpha) = b - (1 - alpha) * s_left (and mirrored for the
-    upper branch); exact whenever propagation is linear in alpha.
-    """
-    w = 1.0 - levels
-    ssq = float(w @ w) or 1.0  # level 1 alone makes w, and so every slope, zero
-
-    def slope(gaps):
-        # one w @ gap dot product per triangle, each summed as the 1-D one is
-        gaps = np.ascontiguousarray(np.moveaxis(gaps, 0, -1))
-        return np.maximum((gaps[..., None, :] @ w[:, None])[..., 0, 0] / ssq, 0.0)
-
-    return np.stack([center - slope(center - lows), center, center + slope(highs - center)], axis=-1)
-
-
 def simulate_measurements(
-    model: StructuralModel,
-    theta_true,
-    spreads,
-    levels=None,
-    shape_tfns: bool = False,
+    model: StructuralModel, theta_true, spreads, shape_tfns: bool = False
 ) -> MeasuredFuzzyModalData:
     """Simulate fuzzy measured modal data from true triangular parameters.
 
     Each parameter i is fuzzified as the symmetric triangle
-    (theta_true[i] - spreads[i], theta_true[i], theta_true[i] + spreads[i]).
-    The parameter alpha-cuts of every level are solved at their vertices
-    by one ``vertex_modes`` call; the sorted vertex eigenvalues are the
-    per-level eigenvalue intervals, which are then fitted to one triangle
-    per mode. The cuts go in as (L, 2d) rows [lower | upper]; level 1's
-    row is the point theta_true at both vertices, so its lower vertex is
-    the centre: its eigenvalues are the peaks and its shapes the measured
-    mode shapes. With ``shape_tfns`` the mode-shape components get
-    component-wise triangles fitted from the paired vertex shapes.
+    (theta_true[i] - spreads[i], theta_true[i], theta_true[i] + spreads[i]),
+    and the data are its vertex images at alpha = 1 and alpha = 0: one
+    ``vertex_modes`` call solves the peak box [theta_true | theta_true] and
+    the support box [theta_true - spreads | theta_true + spreads]. Every
+    triangle is (min, peak, max) over a quantity's peak value and its two
+    support-vertex values: mode j's eigenvalue triangle is (lambda_j(theta_true
+    - spreads), lambda_j(theta_true), lambda_j(theta_true + spreads)), in that
+    order by stiffness monotonicity, and with ``shape_tfns`` each mode-shape
+    component gets its triangle from the MAC-paired vertex shapes. The peak's
+    shapes are the measured mode shapes. The data depend on no alpha grid:
+    their alpha = 1 and alpha = 0 cuts are the exact images of the parameter
+    triangles' cuts, and every run level cuts the same triangles.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     spreads = np.asarray(spreads, dtype=float)
@@ -271,16 +252,16 @@ def simulate_measurements(
         raise DomainError("spreads must be non-negative")
     if np.any(theta_true - spreads <= 0.0):
         raise DomainError("fuzzy support reaches non-positive stiffness")
-    levels = default_levels() if levels is None else check_levels(levels)
 
-    offsets = (1.0 - levels)[:, None, None] * [-spreads, spreads]  # (L, 2, d): lower, upper vertex
-    lam, vec = vertex_modes(model, (theta_true + offsets).reshape(levels.size, -1))
-    lam_lo, lam_hi = lam.swapaxes(0, 1)
-    vec_lo, vec_hi = vec.swapaxes(0, 1)
-    shape_fit = None
-    if shape_tfns:
-        shape_fit = _fit_triangles(vec_lo[0], levels, np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi))
-    return MeasuredFuzzyModalData(_fit_triangles(lam_lo[0], levels, lam_lo, lam_hi), vec_lo[0], shape_fit)
+    boxes = np.stack([np.tile(theta_true, 2), np.concatenate([theta_true - spreads, theta_true + spreads])])
+    # rows of lam and vec: the peak, then the support's lower and upper vertex
+    lam, vec = (a.reshape((4,) + a.shape[2:])[[0, 2, 3]] for a in vertex_modes(model, boxes))
+
+    def triangles(values):
+        """(min, peak, max) over the three rows of ``values``, the peak first."""
+        return np.stack([values.min(axis=0), values[0], values.max(axis=0)], axis=-1)
+
+    return MeasuredFuzzyModalData(triangles(lam), vec[0], triangles(vec) if shape_tfns else None)
 
 
 def run_ffemu(run: FfemuRun) -> FfemuResult:
@@ -389,8 +370,9 @@ def _settings(raw: dict, key: str, cls):
     return cls(**section)
 
 
-def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, label: str = ""):
-    """Simulate measured data from a truth-spec JSON object.
+def simulate_from_truth_spec(model: StructuralModel, spec: dict, label: str = ""):
+    """Simulate measured data from a truth-spec JSON object by
+    ``simulate_measurements``, whose triangles no alpha grid changes.
 
     The spec carries ``theta_true`` plus either absolute ``spreads`` or a
     single non-negative ``spread_fraction``, one entry per updating
@@ -410,7 +392,7 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, levels=None, la
         raise ConfigurationError(f"give either '{label}spreads' or '{label}spread_fraction', not both")
     if spreads is None:
         spreads = float(fraction) * theta_true
-    return simulate_measurements(model, theta_true, spreads, levels=levels, shape_tfns=shape_tfns)
+    return simulate_measurements(model, theta_true, spreads, shape_tfns=shape_tfns)
 
 
 def load_run_config(path) -> FfemuRun:
@@ -419,7 +401,9 @@ def load_run_config(path) -> FfemuRun:
     Relative paths resolve against the config file's directory. The
     ``model`` entry may be the token ``"bundled"`` for the packaged
     five-DOF structure. Measured data come either from a ``measured`` file
-    path or inline via a ``truth`` section (simulated on the spot). The
+    path or inline via a ``truth`` section, simulated on the spot as the
+    vertex images of its parameter triangles: the run's ``alpha_levels``
+    only cut the data, so every level grid reads the same triangles. The
     ``aco``, ``pso`` and ``bayes`` sections are read by one reader, whose
     keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``;
     an absent section gives the defaults. The box, the start, the weights
@@ -454,7 +438,7 @@ def load_run_config(path) -> FfemuRun:
             measured = load_measured(base / check_value(raw, "measured", "string"))
         else:
             truth = check_value(raw, "truth", "object")
-            measured = simulate_from_truth_spec(model, truth, levels, "truth.")
+            measured = simulate_from_truth_spec(model, truth, "truth.")
 
         weights = check_value(raw, "weights", "object", default={})
         check_keys(weights, WEIGHT_KEYS, "weights.")

@@ -13,9 +13,8 @@ Newton on the vertex eigenvalues, so a run's stacks can be held to the
 level minimum itself rather than to a tolerance (``test_reference``).
 
 ``membership`` and ``alpha_cut`` evaluate one triangle (a, b, c) at one
-point or level, and ``fit_triangle`` fits one triangle to per-level
-bounds; the package's array forms (``AlphaCutStack.to_membership``,
-``fuzzy.alpha_cuts`` and the fit in ``simulate_measurements``) are checked
+point or level; the package's array forms (``AlphaCutStack.to_membership``,
+``fuzzy.alpha_cuts`` and the measured data's ``cuts_at``) are checked
 against them element by element (``test_fuzzy``, ``test_pipeline``).
 """
 
@@ -139,18 +138,6 @@ def alpha_cut(tfn, alpha: float) -> tuple[float, float]:
     if lo > hi:  # 1-ulp rounding near a degenerate peak
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
-
-
-def fit_triangle(center: float, alphas, lows, highs) -> tuple[float, float, float]:
-    """Least-squares triangle through the peak ``center`` to one quantity's
-    per-level bounds: lo(alpha) = b - (1 - alpha) * s_left, mirrored above."""
-    w = 1.0 - np.asarray(alphas, dtype=float)
-    ssq = float(w @ w)
-    if ssq == 0.0:
-        return center, center, center
-    s_left = max(0.0, float(w @ (center - np.asarray(lows))) / ssq)
-    s_right = max(0.0, float(w @ (np.asarray(highs) - center)) / ssq)
-    return center - s_left, center, center + s_right
 
 
 def level_reference(model, eigenvalue_tfns, levels, theta_min, theta_max, start=None):

@@ -625,7 +625,7 @@ class TestSimulate:
             config = scenarios.bundled_run_config(seed=2)
             config["model"] = "model.json"
             if source == "measured":
-                assert cli.main(["simulate", "--levels", "2", "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
+                assert cli.main(["simulate", "--out", str(tmp_path / "m.json")]) == cli.EXIT_OK
                 del config["truth"]
                 config["measured"] = "m.json"
             (tmp_path / "run.json").write_text(json.dumps(config))
@@ -634,13 +634,6 @@ class TestSimulate:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {model}: {NO_PARAMETER_MESSAGE}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_no_levels_is_a_configuration_error(self, count, tmp_path, capsys):
-        args = ["simulate", "--levels", count, "--out", str(tmp_path / "m.json")]
-        assert cli.main(args) == cli.EXIT_CONFIG
-        message = "need at least one alpha level, as a 1-D list"
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 class TestMeasuredFile:
@@ -651,7 +644,7 @@ class TestMeasuredFile:
         truth = root / "truth.json"
         truth.write_text(json.dumps(dict(scenarios.bundled_truth_spec("fuzzy"), shape_tfns=True)))
         out = root / "m.json"
-        args = ["simulate", "--truth", str(truth), "--levels", "2", "--out", str(out)]
+        args = ["simulate", "--truth", str(truth), "--out", str(out)]
         assert cli.main(args) == cli.EXIT_OK
         return json.loads(out.read_text())
 
@@ -955,7 +948,7 @@ class TestUsageErrors:
             cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"])
         assert info.value.code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "error: argument --seed: must be a non-negative integer, got -1" in err
+        assert "error: argument --seed: 'seed' must be at least 0, got -1" in err
         assert "configuration error" not in err
         assert not (tmp_path / "out").exists()
 
@@ -969,6 +962,15 @@ class TestUsageErrors:
         message = "'seed' must be at least 0, got -1"
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_takes_no_levels(self, tmp_path, capsys):
+        # simulated data are the truth's vertex images, on no alpha grid
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--levels", "2", "--out", str(out)])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert "error: unrecognized arguments: --levels 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

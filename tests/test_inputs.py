@@ -88,7 +88,7 @@ def test_truth_spec_value(where, label, value, tmp_path, capsys):
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "m.json"
-    assert cli.main(["simulate", "--truth", str(path), "--levels", "2", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", "--truth", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, path, label)
     assert not out.exists()
 
@@ -111,8 +111,36 @@ def test_model_file_value(where, label, value, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     out = tmp_path / "m.json"
-    assert cli.main(["simulate", "--model", str(path), "--levels", "2", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", "--model", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, path, label)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ((), "unknown key 'paramters'; valid keys: masses, springs, parameters"),
+        (("springs", 0), "unknown key 'springs[0].paramters'; valid keys: id, a, b, stiffness, param"),
+        (("springs", 9), "unknown key 'springs[9].paramters'; valid keys: id, a, b, stiffness, param"),
+    ],
+    ids=["top", "first-spring", "last-spring"],
+)
+@pytest.mark.parametrize("command", ["simulate", "update"])
+def test_model_file_unknown_key(where, message, command, tmp_path, capsys):
+    # a misspelt key is named, not silently ignored, in the file and from a run config
+    model = json.loads(resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8"))
+    set_at(model, (*where, "paramters"), 5)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    if command == "simulate":
+        args = ["simulate", "--model", str(path), "--out", str(out)]
+    else:
+        config = dict(scenarios.bundled_run_config(seed=2), model="model.json")
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        args = ["update", "--config", str(tmp_path / "run.json"), "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
     assert not out.exists()
 
 
@@ -123,7 +151,7 @@ def measured(tmp_path_factory):
     truth = root / "truth.json"
     truth.write_text(json.dumps(dict(scenarios.bundled_truth_spec("fuzzy"), shape_tfns=True)))
     out = root / "m.json"
-    assert cli.main(["simulate", "--truth", str(truth), "--levels", "2", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["simulate", "--truth", str(truth), "--out", str(out)]) == cli.EXIT_OK
     return json.loads(out.read_text())
 
 

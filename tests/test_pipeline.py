@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from reference import alpha_cut, fit_triangle
+from reference import alpha_cut
 
 from ffemu import cli, pipeline, scenarios
 from ffemu.errors import ConfigurationError
@@ -39,7 +39,7 @@ def one_dof_model():
 def fuzzy_run(optimizer="aco", levels=LEVELS4, iters=150, seed=0):
     model = scenarios.five_dof_model()
     truth = scenarios.THETA_TRUE
-    measured = simulate_measurements(model, truth, 0.05 * truth, levels=levels)
+    measured = simulate_measurements(model, truth, 0.05 * truth)
     return FfemuRun(
         model=model,
         measured=measured,
@@ -115,35 +115,34 @@ class TestSimulateMeasurements:
         assert wide_hi - wide_lo >= narrow_hi - narrow_lo
         assert wide[2].shape == narrow[2].shape
 
-    @pytest.mark.parametrize("levels", [default_levels(), LEVELS4, default_levels(1)])
-    def test_fits_equal_the_per_triangle_reference_bit_for_bit(self, levels):
-        # the centre is a one-row modal_batch at theta_true, as the
-        # per-triangle fit took it, and the bounds are the vertex solve's,
-        # one column each
+    @pytest.mark.parametrize("fraction", [0.0, 0.05, 0.3])
+    def test_triangles_are_the_vertex_images_bit_for_bit(self, fraction):
+        # mode j's triangle is its eigenvalue at the support's lower vertex,
+        # at the peak and at the upper vertex, each a row of one modal_batch
+        # solve (eigvalsh rounds differently from the eigh that vertex_modes
+        # calls); the measured shapes are the peak's, re-normalised to unit
+        # columns on the way in
         model = scenarios.five_dof_model()
-        truth, spreads = scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE
-        measured = simulate_measurements(model, truth, spreads, levels=levels, shape_tfns=True)
-        (center_lam,), (center_vec,) = model.modal_batch(truth[None, :])
-        halves = (1.0 - levels)[:, None] * spreads
-        lam, vec = vertex_modes(model, np.hstack([truth - halves, truth + halves]))
-        (lam_lo, lam_hi), (vec_lo, vec_hi) = lam.swapaxes(0, 1), vec.swapaxes(0, 1)
-        v_min, v_max = np.minimum(vec_lo, vec_hi), np.maximum(vec_lo, vec_hi)
-        np.testing.assert_array_equal(measured.shape_tfns[..., 1], center_vec)
-        for j in range(5):
-            fit = fit_triangle(center_lam[j], levels, lam_lo[:, j], lam_hi[:, j])
-            assert tuple(measured.eigenvalue_tfns[j]) == fit
-            for i in range(5):
-                fit = fit_triangle(center_vec[i, j], levels, v_min[:, i, j], v_max[:, i, j])
-                assert tuple(measured.shape_tfns[i, j]) == fit
+        truth = scenarios.THETA_TRUE
+        spreads = fraction * truth
+        measured = simulate_measurements(model, truth, spreads, shape_tfns=True)
+        lam, vec = model.modal_batch(np.stack([truth - spreads, truth, truth + spreads]))
+        assert measured.eigenvalue_tfns.tobytes() == lam.T.tobytes()
+        np.testing.assert_allclose(measured.mode_shapes, vec[1], rtol=0, atol=1e-15)
+        # each shape component's triangle is (min, peak, max) over the peak's
+        # value and its MAC-paired values at the two support vertices
+        _, ((low, high),) = vertex_modes(model, np.concatenate([truth - spreads, truth + spreads])[None, :])
+        peak = vec[1]
+        lows, highs = np.minimum(np.minimum(peak, low), high), np.maximum(np.maximum(peak, low), high)
+        assert measured.shape_tfns.tobytes() == np.stack([lows, peak, highs], axis=-1).tobytes()
+        assert fraction == 0.0 or not measured.is_crisp
 
     def test_shape_tfns_layout_survives_save_load_and_cuts(self, tmp_path):
         # shape_tfns[i, j] is component i of mode j, laid out like
         # mode_shapes; the 5-DOF model's distinct components and modes make
         # a transposed layout anywhere show
         model = scenarios.five_dof_model()
-        measured = simulate_measurements(
-            model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, levels=LEVELS4, shape_tfns=True
-        )
+        measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, shape_tfns=True)
         assert measured.shape_tfns.shape == (5, 5, 3)
         np.testing.assert_allclose(measured.shape_tfns[..., 1], measured.mode_shapes, atol=1e-15)
         save_measured(measured, tmp_path / "m.json")
@@ -315,7 +314,7 @@ class TestRunFfemu:
         model = scenarios.five_dof_model()
         theta_p = scenarios.THETA_TRUE * 1.01
         eps = 1e-6 * theta_p
-        measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5), levels=LEVELS4)
+        measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
         run = FfemuRun(
             model=model,
             measured=measured,
@@ -338,7 +337,7 @@ class TestRunFfemu:
         model = scenarios.five_dof_model()
         levels = default_levels(3)
         truth = scenarios.THETA_TRUE
-        measured = simulate_measurements(model, truth, 0.05 * truth, levels=levels, shape_tfns=True)
+        measured = simulate_measurements(model, truth, 0.05 * truth, shape_tfns=True)
         run = FfemuRun(
             model=model,
             measured=measured,
@@ -505,6 +504,19 @@ class TestRunConfig:
         assert run.bayes == McmcConfig(n_samples=500, burn_in=100, likelihood_sd=0.005)
         assert run.weights == (1.0, 0.0)
 
+    @pytest.mark.parametrize("count", [1, 2, 4, 10])
+    def test_truth_triangles_do_not_depend_on_the_level_grid(self, count, tmp_path):
+        # the bundled fuzzy truth's data are its vertex images at every
+        # level count, so each load reads the same fuzzy triangles
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(scenarios.bundled_run_config(), alpha_levels=count)))
+        run = load_run_config(path)
+        assert run.levels.size == count
+        truth, spreads = scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE
+        lam, _ = run.model.modal_batch(np.stack([truth - spreads, truth, truth + spreads]))
+        assert run.measured.eigenvalue_tfns.tobytes() == lam.T.tobytes()
+        assert not run.measured.is_crisp
+
     def test_absent_sections_take_the_defaults(self, tmp_path):
         path = self.write_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -515,9 +527,7 @@ class TestRunConfig:
 
     def test_measured_path_resolves_relative(self, tmp_path):
         model = scenarios.five_dof_model()
-        measured = simulate_measurements(
-            model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, levels=default_levels(4)
-        )
+        measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE)
         save_measured(measured, tmp_path / "meas.json")
         path = self.write_config(tmp_path, measured="meas.json")
         raw = json.loads(path.read_text())
