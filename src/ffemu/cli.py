@@ -107,7 +107,11 @@ def cmd_report(args) -> int:
 def _seed(text: str) -> int:
     """A ``--seed`` value, under the run config's rule for ``seed``."""
     try:
-        check(seed := int(text), "seed", "integer", at_least=0)
+        seed = int(text)
+    except ValueError:
+        seed = text  # no integer: the rule names the text as given
+    try:
+        check(seed, "seed", "integer", at_least=0)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return seed

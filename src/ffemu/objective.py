@@ -123,7 +123,9 @@ def residual_batch(model: StructuralModel, boxes, cuts, weights) -> np.ndarray:
     point's one vertex is both), from the sorted eigenvalues of one
     ``eigenvalues_batch`` call. When the eigenvector weight is non-zero,
     one ``vertex_modes`` call solves them instead, and its paired vertex
-    shapes give the shape errors.
+    shapes give the shape errors. Its ``eigh`` eigenvalues agree with
+    ``eigvalsh``'s to a relative 1e-12, not bit for bit, so rows at
+    eigenvector weight 0 and above 0 agree to that bound.
 
     Each weighted block is written in place into one zeroed (m, 4n)
     buffer; the shape columns stay zero when the eigenvector weight is 0.

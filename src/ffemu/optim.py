@@ -10,6 +10,13 @@ time, the histories and the stop. Only projected (feasible) candidates
 are evaluated, and a run is bit-reproducible for a fixed seed. A bounded
 Gauss-Newton polish refines the best point when the objective is a sum
 of squares.
+
+The search's coefficients are constants; a run config sets only the
+population sizes, the iteration budget and the stagnation window. ACO
+uses ACO_R's ``ACO_Q`` = 0.5 and ``ACO_XI`` = 1.0 (Socha & Dorigo 2008),
+PSO the constriction values ``PSO_INERTIA`` = 0.729 and ``PSO_COGNITIVE``
+= ``PSO_SOCIAL`` = 1.494 (Clerc & Kennedy 2002) with a velocity clamp of
+``PSO_V_MAX_FRACTION`` = 0.5, and both stop on ``STAGNATION_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -20,20 +27,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError, ShapeError, check_settings
+from .errors import DomainError, EvaluationError, ShapeError, check_settings
 
 __all__ = [
-    "Box",
-    "AcoConfig",
-    "PsoConfig",
-    "OptimizationResult",
-    "aco_minimize",
-    "pso_minimize",
-    "POLISH_ITERATIONS",
-    "least_squares_polish",
-    "forward_jacobian",
+    "ACO_Q", "ACO_XI", "PSO_INERTIA", "PSO_COGNITIVE", "PSO_SOCIAL", "PSO_V_MAX_FRACTION", "STAGNATION_TOLERANCE",
+    "STEP_SCALE", "POLISH_ITERATIONS", "Box", "AcoConfig", "PsoConfig", "OptimizationResult", "aco_minimize",
+    "pso_minimize", "least_squares_polish", "forward_jacobian",
 ]
 
+# ACO_R's rank-weight spread (Socha & Dorigo 2008): of Q archive rows, rank k
+# weighs exp(-(k - 1)^2 / (2 q^2 Q^2)), at least e^-2 of rank 1's weight.
+ACO_Q = 0.5
+# ACO_R's spread factor, its pheromone evaporation (Socha & Dorigo 2008): a
+# guide row's Gaussian spread is xi times its mean distance to the other rows.
+ACO_XI = 1.0
+PSO_INERTIA = 0.729  # inertia weight: the constriction factor chi (Clerc & Kennedy 2002)
+PSO_COGNITIVE = 1.494  # pull to a particle's own best: chi * 2.05 (Clerc & Kennedy 2002)
+PSO_SOCIAL = 1.494  # pull to the swarm's best: chi * 2.05 (Clerc & Kennedy 2002)
+PSO_V_MAX_FRACTION = 0.5  # velocity clamp per unit of the region's width (this package's choice)
+STAGNATION_TOLERANCE = 1e-10  # least fall of the best value over a stagnation window (this package's choice)
+# Most one step moves per unit of the region's widest span, before any
+# Gaussian draw or archive sum: ACO's xi or PSO's velocity bound.
+STEP_SCALE = max(ACO_XI, PSO_INERTIA * PSO_V_MAX_FRACTION + PSO_COGNITIVE + PSO_SOCIAL)
 POLISH_ITERATIONS = 10
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -75,52 +90,31 @@ class Box:
 
 @dataclass(frozen=True)
 class AcoConfig:
-    """Archive-based continuous ACO settings.
-
-    ``q`` spreads the rank weights (small q concentrates sampling on the
-    best rows); ``xi`` scales the per-dimension sampling spread and plays
-    the role pheromone evaporation plays in the discrete algorithm. Bounds
+    """Archive-based continuous ACO settings: the archive size Q, the ants
+    per iteration, the iteration budget and the stagnation window. Bounds
     are stated on the fields, and ``errors.check_settings`` names a breach
-    as ``'aco.<field>'``; a ``q`` that makes the rank roulette table
-    non-finite is a ``ConfigurationError`` naming ``aco.q`` too.
+    as ``'aco.<field>'``.
     """
 
     archive_size: int = field(default=10, metadata={"at_least": 2})
     n_ants: int = field(default=20, metadata={"at_least": 1})
-    q: float = field(default=0.5, metadata={"above": 0})
-    xi: float = field(default=1.0, metadata={"above": 0})
     max_iterations: int = field(default=300, metadata={"at_least": 0})
     stagnation_window: int = field(default=50, metadata={"at_least": 1})
-    stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
         check_settings(self, "aco")
-        try:
-            with np.errstate(all="ignore"):
-                finite = np.isfinite(_roulette_table(self.archive_size, self.q)).all()
-        except OverflowError:  # q ** 2 beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigurationError(f"aco.q = {self.q!r} makes the rank roulette table non-finite")
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Inertia-weight PSO settings with per-dimension velocity clamping.
-
-    ``v_max_fraction`` sets the velocity clamp as a fraction of each
-    dimension's width in the current region. Bounds are stated on the
-    fields, and ``errors.check_settings`` names a breach as ``'pso.<field>'``.
+    """Global-best PSO settings: the swarm size, the iteration budget and
+    the stagnation window. Bounds are stated on the fields, and
+    ``errors.check_settings`` names a breach as ``'pso.<field>'``.
     """
 
     swarm_size: int = field(default=80, metadata={"at_least": 2})
-    inertia: float = 0.729
-    cognitive: float = 1.494
-    social: float = 1.494
-    v_max_fraction: float = field(default=0.5, metadata={"above": 0, "at_most": 1})
     max_iterations: int = field(default=300, metadata={"at_least": 0})
     stagnation_window: int = field(default=50, metadata={"at_least": 1})
-    stagnation_tolerance: float = 1e-10
 
     def __post_init__(self):
         check_settings(self, "pso")
@@ -136,7 +130,7 @@ class OptimizationResult:
     ``objective_seconds`` the time spent inside it.
     ``stop_reason`` is ``"max_iterations"`` after the whole budget, or
     ``"stagnation"`` when the best value moved less than
-    ``stagnation_tolerance`` over ``stagnation_window`` iterations.
+    ``STAGNATION_TOLERANCE`` over ``stagnation_window`` iterations.
     """
 
     best_x: np.ndarray
@@ -185,7 +179,7 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
     state = start(config, region, x, fx)
     n_evals = len(x)
     history_best, history_mean = [state.best_f], [state.mean]
-    window, tolerance, stop_reason = config.stagnation_window, config.stagnation_tolerance, "max_iterations"
+    window, stop_reason = config.stagnation_window, "max_iterations"
     for _ in range(config.max_iterations):
         x = state.propose(rng)
         fx, spent = _evaluate(f, x)
@@ -194,7 +188,7 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
         state.tell(x, fx)
         history_best.append(state.best_f)
         history_mean.append(state.mean)
-        if len(history_best) > window and history_best[-1 - window] - history_best[-1] < tolerance:
+        if len(history_best) > window and history_best[-1 - window] - history_best[-1] < STAGNATION_TOLERANCE:
             stop_reason = "stagnation"
             break
     return OptimizationResult(
@@ -209,14 +203,14 @@ def _search(f, region, config, rng, initial, size: int, start) -> OptimizationRe
     )
 
 
-def _roulette_table(archive_size: int, q: float) -> np.ndarray:
+def _roulette_table(archive_size: int) -> np.ndarray:
     """The rank roulette's table: the normalised cumulative sum, as
     ``Generator.choice`` forms it from ``p``, of the selection probabilities
     ``w / w.sum()`` of the rank weights ``w``, a Gaussian in rank - 1 with
-    spread q * archive_size. ``AcoConfig`` checks that it is finite."""
+    spread ``ACO_Q`` * archive_size."""
     ranks = np.arange(1, archive_size + 1, dtype=float)
-    norm = 1.0 / (q * archive_size * math.sqrt(2.0 * math.pi))
-    weights = norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * q**2 * archive_size**2))
+    norm = 1.0 / (ACO_Q * archive_size * math.sqrt(2.0 * math.pi))
+    weights = norm * np.exp(-((ranks - 1.0) ** 2) / (2.0 * ACO_Q**2 * archive_size**2))
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     return cdf
@@ -235,13 +229,13 @@ class _Aco:
         self.config, self.region = config, region
         order = np.argsort(fx, kind="stable")
         self.x, self.f = x[order], fx[order]
-        self.cdf = _roulette_table(len(fx), config.q)
+        self.cdf = _roulette_table(len(fx))
         self.offsets = np.arange(x.shape[1])
 
     def spreads(self) -> np.ndarray:
-        """Per-dimension spreads: xi times each row's mean distance to the other rows."""
+        """Per-dimension spreads: ``ACO_XI`` times each row's mean distance to the other rows."""
         diffs = np.subtract(self.x[:, None, :], self.x)
-        return self.config.xi * np.add.reduce(np.abs(diffs, out=diffs), axis=1) / (len(self.f) - 1)
+        return ACO_XI * np.add.reduce(np.abs(diffs, out=diffs), axis=1) / (len(self.f) - 1)
 
     def propose(self, rng) -> np.ndarray:
         dim = self.x.shape[1]
@@ -278,8 +272,8 @@ class _Pso:
     ``x``/``f`` and its global best; its history mean is the swarm's."""
 
     def __init__(self, config: PsoConfig, region, x, fx):
-        self.config, self.region = config, region
-        self.v_max = config.v_max_fraction * (region.hi - region.lo)
+        self.region = region
+        self.v_max = PSO_V_MAX_FRACTION * (region.hi - region.lo)
         self.position, self.velocity = x, np.zeros_like(x)
         self.x, self.f = x.copy(), fx.copy()
         g = int(np.argmin(fx))
@@ -287,10 +281,10 @@ class _Pso:
         self.mean = float(fx.mean())
 
     def propose(self, rng) -> np.ndarray:
-        config, position = self.config, self.position
+        position = self.position
         r1, r2 = rng.uniform(size=(2, *position.shape))  # the draws of two calls, r1's first
-        v = config.inertia * self.velocity + config.cognitive * r1 * (self.x - position)
-        v += config.social * r2 * (self.best_x - position)
+        v = PSO_INERTIA * self.velocity + PSO_COGNITIVE * r1 * (self.x - position)
+        v += PSO_SOCIAL * r2 * (self.best_x - position)
         self.velocity = np.clip(v, -self.v_max, self.v_max)
         self.position = self.region.project(position + self.velocity)
         return self.position
@@ -321,7 +315,7 @@ def pso_minimize(f, region, config: PsoConfig, rng, initial=None) -> Optimizatio
     """Minimize ``f`` over the region with a standard global-best PSO.
 
     ``f``, ``rng`` and ``initial`` are taken as in ``aco_minimize``.
-    Velocities are clamped to ``v_max_fraction`` of the region's widths.
+    Velocities are clamped to ``PSO_V_MAX_FRACTION`` of the region's widths.
     """
     return _search(f, region, config, rng, initial, config.swarm_size, _Pso)
 

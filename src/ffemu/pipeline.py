@@ -46,6 +46,7 @@ from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json, resolve_model
 from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
 from .optim import (
+    STEP_SCALE,
     AcoConfig,
     Box,
     OptimizationResult,
@@ -128,11 +129,10 @@ class FfemuRun:
     states its cross-field rules itself: a positive weight, a known optimizer,
     theta_min < theta_max, the start inside the box, n measured modes of n
     components (n the model's DOFs), and no overflowing search step: the box's
-    widest span, alone, times ``aco.xi`` and times the PSO velocity scale
-    |inertia| * v_max_fraction + |cognitive| + |social|, each times
-    ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to 2**32 spreads
-    and any Gaussian draw), must be finite, else the box, ``aco.xi`` or the PSO
-    key with the largest share is named. ``cuts`` holds every level's
+    widest span times ``optim.STEP_SCALE`` (the larger of ACO's and PSO's
+    constant step scales) times ``STEP_MARGIN`` = 2**32 (room for an
+    archive's sum of up to 2**32 spreads and any Gaussian draw) must be
+    finite, else the box is named. ``cuts`` holds every level's
     ``measured.cuts_at``, cut once here, so a zero shape cut vector fails the
     run before either command starts.
     """
@@ -181,15 +181,10 @@ class FfemuRun:
                 raise ConfigurationError(f"theta_initial {start.tolist()} is outside [theta_min, theta_max]")
             object.__setattr__(self, "theta_initial", start)
         span = float((self.theta_max - self.theta_min).max())
-        p = self.pso
-        shares = {"inertia": abs(p.inertia) * p.v_max_fraction, "cognitive": abs(p.cognitive), "social": abs(p.social)}
-        for key, scale in [
-            ("the box [theta_min, theta_max]", 1.0),
-            ("'aco.xi'", self.aco.xi),
-            (f"'pso.{max(shares, key=shares.get)}'", sum(shares.values())),
-        ]:
-            if not math.isfinite(float(scale) * span * STEP_MARGIN):
-                raise ConfigurationError(f"{key} makes a search step overflow on a box span of {span!r}")
+        if not math.isfinite(span * STEP_SCALE * STEP_MARGIN):
+            raise ConfigurationError(
+                f"the box [theta_min, theta_max] makes a search step overflow on a box span of {span!r}"
+            )
         n, (k, m) = self.model.n_dof, self.measured.mode_shapes.shape
         if (k, m) != (n, n):
             raise ConfigurationError(

@@ -62,7 +62,7 @@ def bundled_run_config(optimizer: str = "aco", seed: int = 0) -> dict:
         "alpha_levels": 10,
         "optimizer": optimizer,
         "seed": seed,
-        "aco": {"archive_size": 10, "n_ants": 20, "q": 0.5, "xi": 1.0, "max_iterations": 300},
+        "aco": {"archive_size": 10, "n_ants": 20, "max_iterations": 300},
         "pso": {"swarm_size": 80, "max_iterations": 300},
         "bayes": {
             "n_samples": 10000,

@@ -256,13 +256,9 @@ def assert_names_file_key_and_value(capsys, path, label, value):
 OUT_OF_RANGE = [
     (("aco", "archive_size"), 1),
     (("aco", "n_ants"), 0),
-    (("aco", "q"), 0),
-    (("aco", "xi"), -1),
     (("aco", "max_iterations"), -1),
     (("aco", "stagnation_window"), 0),
     (("pso", "swarm_size"), 1),
-    (("pso", "v_max_fraction"), 0),
-    (("pso", "v_max_fraction"), 1.5),
     (("pso", "max_iterations"), -1),
     (("pso", "stagnation_window"), 0),
     (("bayes", "burn_in"), -1),
@@ -339,15 +335,14 @@ def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):
 @pytest.mark.parametrize(
     "optimizer, where, value, named",
     [
-        ("aco", ("aco", "xi"), 1e308, "'aco.xi'"),
-        ("pso", ("pso", "cognitive"), 1e308, "'pso.cognitive'"),
-        ("pso", ("pso", "inertia"), 1e308, "'pso.inertia'"),
-        ("pso", ("pso", "social"), 1e308, "'pso.social'"),
-        # a box too wide for a step at any setting is named, whichever optimizer runs
+        # a box too wide for a step is named, whichever optimizer runs
         ("aco", ("theta_max", 0), 1e300, "the box [theta_min, theta_max]"),
         ("pso", ("theta_max", 0), 1e300, "the box [theta_min, theta_max]"),
+        # span * STEP_MARGIN is finite here; times STEP_SCALE it is not
+        ("aco", ("theta_max", 0), 2e298, "the box [theta_min, theta_max]"),
+        ("pso", ("theta_max", 0), 2e298, "the box [theta_min, theta_max]"),
     ],
-    ids=["aco-xi", "pso-cognitive", "pso-inertia", "pso-social", "aco-wide-box", "pso-wide-box"],
+    ids=["aco-wide-box", "pso-wide-box", "aco-box-times-step-scale", "pso-box-times-step-scale"],
 )
 def test_setting_that_overflows_a_search_step_is_a_configuration_error(
     optimizer, where, value, named, tmp_path, capsys

@@ -1,5 +1,6 @@
 """Tests for structural model assembly and the model file format."""
 
+import itertools
 import json
 import math
 import re
@@ -114,6 +115,18 @@ class TestEigenvaluesBatch:
         got = model.eigenvalues_batch(thetas)
         assert got.shape == (500, 5)
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+    def test_agrees_with_modal_batch_to_1e12_at_five_percent(self):
+        # eigvalsh and eigh round differently, so the residual's two paths
+        # agree to this bound, not bit for bit: every vertex of the box
+        # theta_true +- 5%, random points inside it and its centre
+        model = scenarios.five_dof_model()
+        theta = scenarios.THETA_TRUE
+        corners = theta * np.array(list(itertools.product([0.95, 1.05], repeat=theta.size)))
+        inside = np.random.default_rng(5).uniform(0.95 * theta, 1.05 * theta, (200, theta.size))
+        thetas = np.vstack([corners, inside, theta])
+        expected, _ = model.modal_batch(thetas)
+        assert np.all(np.abs(model.eigenvalues_batch(thetas) - expected) <= 1e-12 * np.abs(expected))
 
     def test_matches_modal_batch_across_a_mode_crossing(self):
         model = crossing_two_mass_model()

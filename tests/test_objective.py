@@ -497,6 +497,22 @@ class TestResidualBatch:
             one_row = residual_batch(model, rows([lo], [hi]), measured, weights)[0]
             np.testing.assert_array_equal(one_row, row)
 
+    def test_eigenvalue_columns_agree_across_the_two_eigensolves(self):
+        # weight 0 solves the vertices by eigvalsh and weight 1 by eigh: each
+        # predicted eigenvalue, 1 - e_lo or 1 + e_hi times its measured bound,
+        # agrees to a relative 1e-12 (plus the error's own rounding)
+        model = scenarios.five_dof_model()
+        theta = scenarios.THETA_TRUE
+        measured = measured_from_box(model, 0.97 * theta, 1.03 * theta)
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(0.95 * theta, 1.05 * theta, (2, 40, 5))
+        boxes = rows(np.minimum(a, b), np.maximum(a, b))
+        value_only, with_shapes = (residual_batch(model, boxes, measured, (1.0, w)) for w in (0.0, 1.0))
+        for block in (slice(0, 5), slice(10, 15)):
+            got, expected = value_only[:, block], with_shapes[:, block]
+            scale = 1.0 + np.abs(expected)  # the predicted eigenvalue over its measured bound
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale + 4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
     def test_in_place_buffer_equals_scaled_concatenation(self, eigenvector_weight):
         # reference layout: two zeroed (m, 2n) error blocks, each scaled by
