@@ -902,15 +902,17 @@ class TestNonNumericConfigValues:
             ("pso", "stagnation_tolerance", 1e-10),
         ],
     )
-    def test_removed_optimizer_setting_is_an_unknown_key(self, section, key, value, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["update", "bayes"])
+    def test_removed_optimizer_setting_is_an_unknown_key(self, command, section, key, value, tmp_path, capsys):
         # the search's coefficients are optim's constants; setting one, even
-        # at its constant's value, is a key the section does not have
+        # at its constant's value, is a key the section does not have, for
+        # both commands that read a run config
         config = scenarios.bundled_run_config(optimizer=section, seed=2)
         config[section][key] = value
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "bundle"
-        assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         valid = {"aco": "archive_size, n_ants", "pso": "swarm_size"}[section]
         message = f"unknown key '{section}.{key}'; valid keys: {valid}, max_iterations, stagnation_window"
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
@@ -968,7 +970,7 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["update", "bayes"])
-    @pytest.mark.parametrize("text", ["2.5", "x"])
+    @pytest.mark.parametrize("text", ["2.5", "x", "1e3", "0x10", ""])
     def test_non_integer_seed_is_a_usage_error_naming_the_text(self, command, text, tmp_path, capsys):
         # the flag's text reads under the config seed's rule, as given
         path = tmp_path / "run.json"

@@ -7,12 +7,15 @@ and a nested list must each exit 1, naming the file and the key. A second
 table sets each bounded key just outside its range: each case must exit 1,
 naming the file, the key and the value. A bad box, start, weight or seed
 reads the same from a run-config file as from ``FfemuRun(...)``, less the
-file's name.
+file's name. A search coefficient that is now a constant of ``optim`` is a
+key its section does not have: any of those values there exits 1 as an
+unknown key.
 """
 
 import json
 import math
 import shutil
+import sys
 import warnings
 from dataclasses import fields, replace
 from importlib import resources
@@ -22,8 +25,8 @@ import pytest
 
 from ffemu import cli, scenarios
 from ffemu.errors import ConfigurationError
-from ffemu.optim import AcoConfig, PsoConfig
-from ffemu.pipeline import WEIGHT_KEYS, McmcConfig, load_run_config
+from ffemu.optim import STEP_SCALE, AcoConfig, PsoConfig
+from ffemu.pipeline import STEP_MARGIN, WEIGHT_KEYS, McmcConfig, load_run_config
 
 BAD_VALUES = [True, "1", math.nan, math.inf, 10**400, [[1]]]
 BAD_IDS = ["true", "string", "nan", "infinity", "beyond-float-range", "nested-list"]
@@ -70,6 +73,35 @@ def test_run_config_value(where, label, value, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, path, label)
+    assert not out.exists()
+
+
+REMOVED_KEYS = [
+    ("aco", "q"),
+    ("aco", "xi"),
+    ("aco", "stagnation_tolerance"),
+    ("pso", "inertia"),
+    ("pso", "cognitive"),
+    ("pso", "social"),
+    ("pso", "v_max_fraction"),
+    ("pso", "stagnation_tolerance"),
+]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=BAD_IDS)
+@pytest.mark.parametrize("where", REMOVED_KEYS, ids=[".".join(where) for where in REMOVED_KEYS])
+def test_removed_run_config_key_is_unknown_whatever_its_value(where, value, tmp_path, capsys):
+    # the key is checked before its value: no value reads as a bad number
+    config = scenarios.bundled_run_config(optimizer=where[0], seed=2)
+    config["alpha_levels"] = [1.0, 0.5, 0.0]
+    set_at(config, where, value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: unknown key '{'.'.join(where)}'; valid keys: "), err
+    assert "must be" not in err
     assert not out.exists()
 
 
@@ -360,6 +392,36 @@ def test_setting_that_overflows_a_search_step_is_a_configuration_error(
         f"configuration error: {path}: {named} makes a search step overflow on a box span of "
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coordinate", range(5))
+def test_step_overflow_rule_falls_between_two_adjacent_spans(coordinate, tmp_path):
+    # the widest span decides, whichever coordinate has it: the largest top
+    # whose span times STEP_SCALE times STEP_MARGIN is finite is a valid
+    # box, and the next float above it is named
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(scenarios.bundled_run_config(seed=2), alpha_levels=2)))
+    run = load_run_config(path)
+    bottom = float(run.theta_min[coordinate])
+
+    def overflows(top):
+        return not math.isfinite((top - bottom) * STEP_SCALE * STEP_MARGIN)
+
+    top = sys.float_info.max / STEP_MARGIN / STEP_SCALE
+    while overflows(top):
+        top = math.nextafter(top, 0.0)
+    while not overflows(math.nextafter(top, math.inf)):
+        top = math.nextafter(top, math.inf)
+    theta_max = run.theta_max.copy()
+    theta_max[coordinate] = top
+    assert replace(run, theta_max=theta_max).theta_max[coordinate] == top
+    theta_max[coordinate] = math.nextafter(top, math.inf)
+    with pytest.raises(ConfigurationError) as info:
+        replace(run, theta_max=theta_max)
+    span = float(theta_max[coordinate] - bottom)
+    assert str(info.value) == (
+        f"the box [theta_min, theta_max] makes a search step overflow on a box span of {span!r}"
+    )
 
 
 @pytest.mark.parametrize("optimizer", ["aco", "pso"])

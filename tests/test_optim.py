@@ -18,6 +18,7 @@ from ffemu.optim import (
     PSO_SOCIAL,
     PSO_V_MAX_FRACTION,
     STAGNATION_TOLERANCE,
+    STEP_SCALE,
     AcoConfig,
     Box,
     PsoConfig,
@@ -81,6 +82,30 @@ def roulette_probabilities(archive_size):
     return w / w.sum()
 
 
+@pytest.mark.parametrize(
+    "constant, value",
+    [
+        (ACO_Q, 0.5),
+        (ACO_XI, 1.0),
+        (PSO_INERTIA, 0.729),
+        (PSO_COGNITIVE, 1.494),
+        (PSO_SOCIAL, 1.494),
+        (PSO_V_MAX_FRACTION, 0.5),
+        (STAGNATION_TOLERANCE, 1e-10),
+        # PSO's velocity bound per unit of span, above ACO's xi
+        (STEP_SCALE, 0.729 * 0.5 + 1.494 + 1.494),
+    ],
+    ids=[
+        "aco-q", "aco-xi", "pso-inertia", "pso-cognitive", "pso-social", "pso-v-max-fraction",
+        "stagnation-tolerance", "step-scale",
+    ],
+)
+def test_search_constant_keeps_the_value_every_run_was_made_with(constant, value):
+    # a changed coefficient changes the cuts, counts and histories of every
+    # run made before it
+    assert constant == value
+
+
 class TestRouletteTable:
     def test_matches_high_precision_normalization(self):
         cdf = _roulette_table(10)
@@ -94,7 +119,7 @@ class TestRouletteTable:
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) > 0.0)
 
-    @pytest.mark.parametrize("archive_size", [2, 10, 1000])
+    @pytest.mark.parametrize("archive_size", [2, 3, 7, 10, 50, 100, 1000])
     def test_is_the_choice_table(self, archive_size):
         # the table is the one Generator.choice forms from p, bit for bit
         cdf = np.cumsum(roulette_probabilities(archive_size))
@@ -407,6 +432,35 @@ class TestStopReason:
         config = config_type(max_iterations=100, stagnation_window=5)
         res = minimize(lambda x: np.ones(len(x)), self.BOX, config, 1)
         assert (res.stop_reason, res.n_iterations) == ("stagnation", 5)
+
+    @pytest.mark.parametrize("window", [1, 2, 17, 60])
+    @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
+    def test_flat_objective_stops_after_exactly_the_window(self, minimize, config_type, window):
+        config = config_type(max_iterations=100, stagnation_window=window)
+        res = minimize(lambda x: np.full(len(x), 0.5), self.BOX, config, 2)
+        assert (res.stop_reason, res.n_iterations, res.history_best.size) == ("stagnation", window, window + 1)
+
+    @pytest.mark.parametrize("factor, stop_reason", [(0.5, "stagnation"), (2.0, "max_iterations")])
+    @pytest.mark.parametrize("window", [1, 4, 9])
+    @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
+    def test_a_fall_over_the_window_below_the_tolerance_is_stagnation(
+        self, minimize, config_type, window, factor, stop_reason
+    ):
+        # every call of f returns one value, lower by a fixed fall than the
+        # call before, so the best value falls by window * fall over a window
+        fall = factor * STAGNATION_TOLERANCE / window
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return np.full(len(x), 1.0 - calls * fall)
+
+        config = config_type(max_iterations=30, stagnation_window=window)
+        res = minimize(f, self.BOX, config, 1)
+        assert res.stop_reason == stop_reason
+        assert res.n_iterations == (window if stop_reason == "stagnation" else 30)
+        assert np.all(np.diff(res.history_best) < 0.0)
 
     @pytest.mark.parametrize("minimize, config_type", [(aco_minimize, AcoConfig), (pso_minimize, PsoConfig)])
     def test_full_budget_is_max_iterations(self, minimize, config_type):
