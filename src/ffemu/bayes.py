@@ -90,19 +90,8 @@ from .optim import Box, forward_jacobian, least_squares_polish
 from .pipeline import FfemuRun
 
 __all__ = [
-    "CHAINS",
-    "PROPOSAL_FACTOR",
-    "ESS_FLOOR",
-    "RHAT_LIMIT",
-    "Laplace",
-    "Chain",
-    "ChainSummary",
-    "log_posterior_batch",
-    "laplace_fit",
-    "mh_sample",
-    "effective_sample_size",
-    "split_rhat",
-    "summarize",
+    "CHAINS", "PROPOSAL_FACTOR", "ESS_FLOOR", "RHAT_LIMIT", "Laplace", "Chain", "log_posterior_batch",
+    "laplace_fit", "mh_sample", "effective_sample_size", "split_rhat", "summarize",
 ]
 
 CHAINS = 16  # chains stepped in lockstep (see the module docstring)
@@ -128,25 +117,21 @@ class Laplace:
 
 @dataclass
 class Chain:
-    """Published post-burn-in samples (rows, chain-major), the acceptance
-    rate over every proposal of every chain, burn-in included, the Laplace
-    fit the chains proposed from, and each parameter's ESS (summed over the
-    chains) and split-R-hat (NaN where undefined) over every kept state."""
+    """One finished M-H run: the published post-burn-in samples (rows,
+    chain-major) and their per-parameter mean and sd (``summarize``), the
+    acceptance rate over every proposal, burn-in included, the number of
+    chains, the Laplace fit they proposed from, and each parameter's ESS
+    (summed over the chains) and split-R-hat (NaN where undefined) over
+    every kept state."""
 
     samples: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray
     acceptance_rate: float
+    chains: int
     laplace: Laplace
     ess: np.ndarray
     rhat: np.ndarray
-
-
-@dataclass
-class ChainSummary:
-    """Per-parameter posterior statistics; c.o.v. in percent."""
-
-    mean: np.ndarray
-    sd: np.ndarray
-    cov_percent: np.ndarray
 
 
 def log_posterior_batch(thetas, run: FfemuRun) -> np.ndarray:
@@ -254,13 +239,9 @@ def mh_sample(run: FfemuRun) -> Chain:
         raise DiagnosticsError("no proposal was ever accepted; check the likelihood and its likelihood_sd")
     ess, rhat = effective_sample_size(kept), split_rhat(kept)
     _warn_unless_mixed(ess, rhat)
-    return Chain(
-        samples=kept.reshape(-1, d)[: run.bayes.n_samples - run.bayes.burn_in],
-        acceptance_rate=accepted / (CHAINS * (run.bayes.burn_in + kept.shape[1])),
-        laplace=laplace,
-        ess=ess,
-        rhat=rhat,
-    )
+    samples = kept.reshape(-1, d)[: run.bayes.n_samples - run.bayes.burn_in]
+    rate = accepted / (CHAINS * (run.bayes.burn_in + kept.shape[1]))
+    return Chain(samples, *summarize(samples), rate, CHAINS, laplace, ess, rhat)
 
 
 def _lockstep(run: FfemuRun, states, lps, factor, seeds) -> tuple[np.ndarray, int]:
@@ -365,9 +346,9 @@ def _warn_unless_mixed(ess, rhat) -> None:
         _log.warning("the M-H chains may not have mixed: %s; raise n_samples", "; ".join(problems))
 
 
-def summarize(samples) -> ChainSummary:
-    """Sample mean, standard deviation (N-1 divisor), and c.o.v. in percent
-    of the (n, d) ``samples``.
+def summarize(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and standard deviation (N-1 divisor) over the (n,
+    d) ``samples``.
 
     The deviations are formed one column at a time (two passes: the mean,
     then the sum of the squared deviations), so the only temporary is one
@@ -385,4 +366,4 @@ def summarize(samples) -> ChainSummary:
         for j, column in enumerate(samples.T):
             dev = column - mean[j]
             sd[j] = math.sqrt(np.add.reduce(np.square(dev, out=dev)) / (n - 1))
-    return ChainSummary(mean=mean, sd=sd, cov_percent=100.0 * sd / mean)
+    return mean, sd

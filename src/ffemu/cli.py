@@ -4,15 +4,16 @@ Subcommands: ``simulate`` (write fuzzy measured data, the vertex images of
 a truth spec's parameter triangles), ``update`` (run the fuzzy updating
 pipeline and print what ``report`` prints for its bundle), ``bayes`` (run
 the Metropolis-Hastings baseline), ``report`` (re-render tables and curves
-from a bundle). ``update`` and ``bayes`` hand their
-results to ``ffemu.report``, which writes every bundle file. Exit codes: 0
-success, 1 configuration (including command-line usage errors), 2
-numerical failure, 3 I/O. ``update --verbose`` logs one
-line per alpha level to stderr through the ``ffemu`` logger. The
-Metropolis-Hastings sampler (``ffemu.bayes``) is imported by ``bayes``
-only, and the run pipeline (``ffemu.pipeline``, with ``ffemu.optim``) and
-the bundled scenarios (``ffemu.scenarios``) by the commands that call
-them, so ``report`` loads none of the four.
+from a bundle). ``update`` and ``bayes`` hand their results to
+``ffemu.report``, which writes every bundle file and renders what they
+print, so neither builds a payload or a table. Exit codes: 0 success, 1
+configuration (including command-line usage errors), 2 numerical failure,
+3 I/O. ``update --verbose`` logs one line per alpha level to stderr
+through the ``ffemu`` logger. The Metropolis-Hastings sampler
+(``ffemu.bayes``) is imported by ``bayes`` only, and the run pipeline
+(``ffemu.pipeline``, with ``ffemu.optim``) and the bundled scenarios
+(``ffemu.scenarios``) by the commands that call them, so ``report`` loads
+none of the four.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -55,11 +55,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_update(args) -> int:
-    from .pipeline import load_run_config, run_ffemu
+def _load_run(args):
+    """The run config at ``args.config``, its seed replaced by ``--seed`` when
+    one is given (``dataclasses.replace`` re-runs the run's checks)."""
+    from .pipeline import load_run_config
 
     run = load_run_config(args.config)
-    run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)  # re-runs the run's checks
+    return run if args.seed is None else dataclasses.replace(run, seed=args.seed)
+
+
+def cmd_update(args) -> int:
+    from .pipeline import run_ffemu
+
+    run = _load_run(args)
     logger = logging.getLogger("ffemu")
     handler = logging.StreamHandler(sys.stderr)
     level = logger.level
@@ -80,21 +88,11 @@ def cmd_update(args) -> int:
 
 def cmd_bayes(args) -> int:
     from . import bayes  # the sampler is loaded by this command only
-    from .pipeline import load_run_config
 
-    run = load_run_config(args.config)
-    run = run if args.seed is None else dataclasses.replace(run, seed=args.seed)
+    run = _load_run(args)
     chain = bayes.mh_sample(run)
-    summary = bayes.summarize(chain.samples)
-    out = report.write_chain_bundle(args.out, run, chain, summary, bayes.CHAINS)
-    columns = [
-        ("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f"),
-        ("ESS", 8, ".0f"), ("R-hat", 7, ".3f"),
-    ]
-    rhat = [None if math.isnan(r) else r for r in chain.rhat.tolist()]
-    rows = zip(report.parameter_labels(run.model), summary.mean, summary.sd, summary.cov_percent, chain.ess, rhat)
-    print("\n".join(report.table(columns, rows)))
-    print(f"acceptance rate: {chain.acceptance_rate:.3f}   chains: {bayes.CHAINS}")
+    out = report.write_chain_bundle(args.out, run, chain)
+    print(report.render_chain(out, run))
     print(f"chain and summary written to {out}")
     return EXIT_OK
 

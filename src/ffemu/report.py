@@ -9,10 +9,10 @@ counts), ``history.csv`` the per-level histories, and
 hi) cuts and (x, mu) membership polylines of the parameters and the
 outputs, and the measured outputs' polylines, each row led by its
 quantity_id. These six go through one writer, ``_write_csv``.
-``write_chain_bundle`` writes an ``ffemu bayes`` run: ``chain.csv``, by
-its own chunked writer, and ``bayes_summary.json``. Percent errors and
-frequencies are recomputed at render time so every printed number can be
-traced back to raw data.
+``write_chain_bundle`` writes an ``ffemu bayes`` run, one ``bayes.Chain``:
+``chain.csv``, by its own chunked writer, and ``bayes_summary.json``. Percent
+errors, coefficients of variation and frequencies are recomputed at render
+time so every printed number can be traced back to raw data.
 
 ``load_summary`` and ``load_bayes_summary`` read the two JSON files back
 and check every field the report and the curves read with
@@ -28,7 +28,8 @@ the square root of positive, so a damaged or hand-edited file is a
 title, width and format are written once. ``render_bundle`` is the one
 path from a bundle directory to the printed text, which ``ffemu update``
 prints for the bundle it has just written and ``ffemu report`` for any
-bundle; the sampler table of ``ffemu bayes`` goes through ``table`` too.
+bundle; ``render_chain`` renders the ``bayes_summary.json`` that ``ffemu
+bayes`` has just written, through ``table`` too.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .objective import eigenvalue_to_hz
 __all__ = [
     "SUMMARY_FILE", "BAYES_FILE", "parameter_labels", "write_bundle", "regenerate_curves",
     "write_chain_bundle", "write_chain_csv", "cut_stack", "load_summary", "load_bayes_summary",
-    "table", "render_tables", "render_bundle",
+    "table", "render_tables", "render_bundle", "render_chain",
 ]
 
 SUMMARY_FILE = "summary.json"
@@ -158,29 +159,26 @@ def regenerate_curves(out_dir, summary: dict) -> None:
         _write_curves(out / f"{stem}_membership.csv", ["x", "mu"], names, map(stack.to_membership, range(len(names))))
 
 
-def write_chain_bundle(out_dir, run, chain, summary, chains: int) -> Path:
-    """Persist a finished M-H run of ``chains`` chains; returns the directory path.
+def write_chain_bundle(out_dir, run, chain) -> Path:
+    """Persist ``chain``, the ``bayes.Chain`` that ``run`` sampled; returns the directory path.
 
-    ``chain`` is the ``bayes.Chain`` that ``run`` sampled, whose samples
-    ``write_chain_csv`` writes, and ``summary`` its ``bayes.ChainSummary``.
+    ``write_chain_csv`` writes its samples, and ``bayes_summary.json`` holds
+    its fields as they are: the Laplace fit as the posterior ``mode`` and
+    its covariance diagonal (``laplace_variance``), and ``rhat`` null when
+    any parameter's is undefined, as for chains too short to split.
     ``posterior_eigenvalues`` are those of the posterior mean, one
-    ``eigenvalues_batch`` row. The chain's diagnostics go in as they are:
-    the posterior ``mode`` and the diagonal of the Laplace covariance
-    (``laplace_variance``) that fixed the proposal, and each parameter's
-    ``ess`` and split-R-hat (``rhat``, null when it is undefined for any
-    parameter, as for chains too short to split).
+    ``eigenvalues_batch`` row.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_chain_csv(chain.samples, out / "chain.csv")
     bayes = {
-        "mean": summary.mean.tolist(),
-        "sd": summary.sd.tolist(),
-        "cov_percent": summary.cov_percent.tolist(),
+        "mean": chain.mean.tolist(),
+        "sd": chain.sd.tolist(),
         "acceptance_rate": float(chain.acceptance_rate),
         "n_samples": int(chain.samples.shape[0]),
-        "chains": chains,
-        "posterior_eigenvalues": run.model.eigenvalues_batch(summary.mean[None, :])[0].tolist(),
+        "chains": chain.chains,
+        "posterior_eigenvalues": run.model.eigenvalues_batch(chain.mean[None, :])[0].tolist(),
         "mode": chain.laplace.mode.tolist(),
         "laplace_variance": np.diag(chain.laplace.covariance).tolist(),
         "ess": chain.ess.tolist(),
@@ -296,12 +294,13 @@ def _check_summary(data: dict) -> None:
 def _check_bayes(data: dict, summary: dict) -> None:
     """Check every ``bayes_summary.json`` field the report reads, and the
     sampler's diagnostics; its vectors have one entry per parameter or mode
-    of ``summary``, its acceptance rate lies in [0, 1], it counts at least
-    one chain, the Laplace variances are positive, the ESS are not negative
-    and ``rhat`` may be null."""
+    of ``summary``, the means are positive (a c.o.v. divides by them), the
+    sds and the ESS not negative, the acceptance rate in [0, 1], the chains
+    at least one, the Laplace variances positive, and ``rhat`` may be null."""
     p, m = len(summary["parameters"]), len(summary["outputs"])
-    for key in ("mean", "cov_percent", "mode"):
-        check_value(data, key, shape=(p,))
+    check_value(data, "mean", shape=(p,), above=0)
+    check_value(data, "sd", shape=(p,), at_least=0)
+    check_value(data, "mode", shape=(p,))
     check_value(data, "laplace_variance", shape=(p,), above=0)
     check_value(data, "ess", shape=(p,), at_least=0)
     if "rhat" not in data:
@@ -356,12 +355,17 @@ def _intervals(lo, hi) -> list[str]:
     return [f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi)]
 
 
+def _cov_percent(bayes: dict) -> list[float]:
+    """Each parameter's c.o.v. in percent, 100 sd / mean, of a ``bayes_summary.json``."""
+    return [100 * sd / mean for mean, sd in zip(bayes["mean"], bayes["sd"])]
+
+
 def render_tables(summary: dict, bayes: dict | None = None) -> str:
     """Render the parameter, eigenvalue and per-level tables as monospaced text.
 
-    Percent errors and frequencies are computed here, from raw stored
-    values, never read from the file. ``bayes`` (a ``bayes_summary.json``)
-    adds the M-H columns.
+    Percent errors, coefficients of variation and frequencies are computed
+    here, from raw stored values, never read from the file. ``bayes`` (a
+    ``bayes_summary.json``) adds the M-H columns.
     """
     params, outputs = (cut_stack(summary, group) for group in ("parameters", "outputs"))
     interval = "interval (alpha=0)"
@@ -374,7 +378,7 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     ]
     if bayes is not None:
         columns += [("M-H mean", 12, ".6g"), ("c.o.v. %", 9, ".2f")]
-        cells += [bayes["mean"], bayes["cov_percent"]]
+        cells += [bayes["mean"], _cov_percent(bayes)]
     lines = ["Updating parameters (N/m)", *table(columns, zip(*cells)), ""]
 
     measured = eigenvalue_to_hz([t[1] for t in summary["measured_eigenvalue_tfns"]])
@@ -440,3 +444,19 @@ def render_bundle(bundle_dir, curves: bool = False) -> str:
     if curves:
         regenerate_curves(bundle_dir, summary)
     return render_tables(summary, bayes)
+
+
+def render_chain(bundle_dir, run) -> str:
+    """The text ``ffemu bayes`` prints for the chain ``run`` has just written to
+    ``bundle_dir``, from its ``bayes_summary.json``: each parameter's posterior
+    mean, sd, c.o.v., ESS and split-R-hat (``-`` when the file's ``rhat`` is
+    null), then the acceptance rate and the number of chains."""
+    bayes = read_json(Path(bundle_dir) / BAYES_FILE)
+    columns = [
+        ("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f"),
+        ("ESS", 8, ".0f"), ("R-hat", 7, ".3f"),
+    ]
+    rhat = bayes["rhat"] or [None] * len(bayes["mean"])
+    rows = zip(parameter_labels(run.model), bayes["mean"], bayes["sd"], _cov_percent(bayes), bayes["ess"], rhat)
+    chains = f"acceptance rate: {bayes['acceptance_rate']:.3f}   chains: {bayes['chains']}"
+    return "\n".join([*table(columns, rows), chains])

@@ -17,6 +17,7 @@ import pytest
 
 import ffemu
 from ffemu import cli, report, scenarios
+from ffemu.bayes import mh_sample
 from ffemu.pipeline import load_run_config, run_ffemu
 from ffemu.report import cut_stack, load_summary
 
@@ -275,11 +276,11 @@ class TestReport:
                 lambda d: d.update(theta_initial=[1.0]),
                 "'theta_initial' must be a list of 5 finite numbers, got [1.0]",
             ),
-            (
-                "bayes_summary.json",
-                lambda d: d.update(cov_percent=[1.0]),
-                "'cov_percent' must be a list of 5 finite numbers, got [1.0]",
-            ),
+            ("bayes_summary.json", lambda d: d.pop("sd"), "missing required key 'sd'"),
+            ("bayes_summary.json", lambda d: d.update(sd=[1.0]), "'sd' must be a list of 5 finite numbers, got [1.0]"),
+            ("bayes_summary.json", lambda d: d["sd"].__setitem__(3, -1.0), "'sd' must be at least 0, got ["),
+            # a c.o.v. divides by the mean
+            ("bayes_summary.json", lambda d: d["mean"].__setitem__(1, 0.0), "'mean' must be above 0, got ["),
             ("summary.json", lambda d: d.update(alpha_levels=[]), "'alpha_levels' must not be empty"),
             (
                 "summary.json",
@@ -460,6 +461,47 @@ class TestReport:
             (copy / name).write_text(text)
         capsys.readouterr()
 
+    def test_bundle_holds_the_chain_bit_for_bit(self, bundle):
+        chain = mh_sample(load_run_config(bundle.parent / "run.json"))  # the run the bundle's bayes wrote
+        payload = json.loads((bundle / "bayes_summary.json").read_text())
+        expected = {
+            "mean": chain.mean, "sd": chain.sd, "acceptance_rate": chain.acceptance_rate, "chains": chain.chains,
+            "ess": chain.ess, "rhat": chain.rhat, "mode": chain.laplace.mode,
+            "laplace_variance": np.diag(chain.laplace.covariance),
+        }
+        for key, value in expected.items():
+            assert np.asarray(payload[key]).tobytes() == np.asarray(value).tobytes(), key
+        assert "cov_percent" not in payload and type(payload["chains"]) is int
+
+    def test_report_and_bayes_print_the_cov_of_the_files_mean_and_sd(self, bundle, tmp_path, capsys):
+        labels = [p["id"] for p in load_summary(bundle)["parameters"]]
+        out = tmp_path / "bayes"
+        capsys.readouterr()
+        assert cli.main(["bayes", "--config", str(bundle.parent / "run.json"), "--out", str(out)]) == cli.EXIT_OK
+        printed = {"bayes": capsys.readouterr().out}
+        shutil.copy(bundle / "summary.json", out)
+        assert cli.main(["report", "--bundle", str(out)]) == cli.EXIT_OK
+        printed["report"] = capsys.readouterr().out
+        payload = json.loads((out / "bayes_summary.json").read_text())
+        expected = [format(100 * sd / mean, ".2f") for mean, sd in zip(payload["mean"], payload["sd"])]
+        # the c.o.v. is the 4th column of the bayes table and the last of the report's parameter table
+        for command, column in (("bayes", 3), ("report", -1)):
+            rows = [row for row in map(str.split, printed[command].splitlines()) if row and row[0] in labels]
+            assert [row[column] for row in rows] == expected, command
+
+    def test_a_file_that_holds_cov_percent_renders_the_same_text(self, bundle, tmp_path, capsys):
+        # bayes_summary.json as earlier versions wrote it, with the c.o.v. stored
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        data = json.loads((copy / "bayes_summary.json").read_text())
+        data["cov_percent"] = (100.0 * np.array(data["sd"]) / np.array(data["mean"])).tolist()
+        (copy / "bayes_summary.json").write_text(json.dumps(data))
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == text
+
     def test_a_bare_mean_is_a_configuration_error(self, bundle, tmp_path, capsys):
         copy = tmp_path / "bundle"
         shutil.copytree(bundle, copy)
@@ -544,6 +586,17 @@ class TestBayes:
         assert [int(row[0]) for row in rows] == list(range(350))  # sample_index runs across the chains
         line = f"acceptance rate: {payload['acceptance_rate']:.3f}   chains: 16"
         assert line in capsys.readouterr().out.splitlines()
+
+    def test_chains_too_short_to_split_print_a_dash_for_every_r_hat(self, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        config["bayes"].update(n_samples=98, burn_in=50)  # 3 kept states per chain
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["bayes", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads((out / "bayes_summary.json").read_text())["rhat"] is None
+        rows = capsys.readouterr().out.splitlines()[1:6]
+        assert [row.split()[-1] for row in rows] == ["-"] * 5
 
     def test_non_finite_laplace_covariance_names_likelihood_sd(self, tmp_path, capsys):
         # J^T J overflows at the posterior mode: the run stops there,
@@ -1176,3 +1229,14 @@ def test_only_cli_imports_package_modules_inside_functions():
     # that call them; every other module imports at the top, so its
     # dependencies are the graph the acyclic test reads
     assert sorted({module for module, _, inside in package_imports() if inside} - {"cli"}) == []
+
+
+def test_cli_builds_no_payload():
+    # cmd_bayes loads, samples, hands the chain to report and prints: of the
+    # sampler it reads the entry point only, and it forms no statistic
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    attributes = (n for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
+    read = {n.attr for n in attributes if n.value.id == "bayes"}
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    assert read == {"mh_sample"} and "math" not in imported

@@ -255,7 +255,7 @@ BUNDLE_KEYS = [
     ],
     ("summary.json", ("metadata", "seed"), "metadata.seed"),
     ("bayes_summary.json", ("mean", 0), "mean"),
-    ("bayes_summary.json", ("cov_percent", 1), "cov_percent"),
+    ("bayes_summary.json", ("sd", 1), "sd"),
     ("bayes_summary.json", ("posterior_eigenvalues", 2), "posterior_eigenvalues"),
     ("bayes_summary.json", ("acceptance_rate",), "acceptance_rate"),
     ("bayes_summary.json", ("chains",), "chains"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts
-from ffemu.report import _cut_rows, _write_curves, table
+from ffemu.report import _cov_percent, _cut_rows, _write_curves, table
 
 
 def stack_of(tfn, levels) -> AlphaCutStack:
@@ -86,3 +86,7 @@ class TestCsvExport:
                 write([name], stack_of(tfn, levels), tmp_path / f"{name}.csv")
             parts = [(tmp_path / f"{name}.csv").read_text().splitlines() for name in "ab"]
             assert (tmp_path / "both.csv").read_text().splitlines() == parts[0] + parts[1][1:]
+
+
+def test_cov_is_100_sd_over_mean():
+    assert _cov_percent({"mean": [2.0, 4.0], "sd": [2.0**0.5, 0.0]}) == [70.71067811865476, 0.0]
