@@ -13,9 +13,12 @@ stated where the value is checked and hold for every entry. A complaint
 names the value by its path in the file, as ``'aco.n_ants' must be at least
 1, got 0``; ``in_file`` adds the file's name, once per file. ``check`` takes
 a value in hand: ``check_settings`` checks a settings dataclass field by
-field, each bound on its field, and ``pipeline.FfemuRun`` its box, start,
-weights and seed under their run-config keys, so a run built in Python
-reads as one read from a file. ``check_keys`` names an unknown key.
+field, each bound on its field; ``pipeline.FfemuRun`` its box, start,
+levels, optimizer, weights and seed under their run-config keys, and
+``model.StructuralModel`` and ``model.SpringElement`` their masses,
+stiffnesses and parameter indices under the model file's, so a run or a
+model built in Python reads as one read from a file. ``check_keys`` names
+an unknown key.
 """
 
 import math
@@ -123,7 +126,10 @@ def _complaint(label: str, kind: str, shape, value) -> str:
 
 def check(value, label: str, kind: str = "number", shape=(), **bounds) -> None:
     """``value`` must be ``kind`` at ``shape``, every entry within ``bounds``
-    (``at_least=1``, say); else a ``ConfigurationError`` naming it as ``label``."""
+    (``at_least=1``, say); else a ``ConfigurationError`` naming it as ``label``.
+    A numpy array or scalar is checked as its Python value (``tolist()``)."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if not _fits(value, _KINDS[kind][0], shape):
         raise ConfigurationError(_complaint(label, kind, shape, value))
     for name, bound in bounds.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, check
 
 __all__ = [
     "AlphaCutStack",
@@ -69,27 +69,31 @@ def alpha_cuts(tfns, alpha) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_levels(levels) -> np.ndarray:
-    """``levels`` as a 1-D float array of alpha levels.
+    """``levels``, a list or 1-D array of alpha levels, as a float array.
 
-    There must be at least one; the first is 1, and they descend strictly
-    to 0 or above. Anything else is a ``ConfigurationError`` naming the
-    first offending level.
+    The levels are the run config's and ``summary.json``'s
+    ``'alpha_levels'``, and every breach is a ``ConfigurationError`` naming
+    that key: they must be finite numbers of at least 0 (``errors.check``),
+    at least one, the first 1, and strictly descending; an order breach
+    names the first offending level.
     """
+    check(levels, "alpha_levels", shape=(-1,), at_least=0)
     levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ConfigurationError("need at least one alpha level, as a 1-D list")
+    if levels.size == 0:
+        raise ConfigurationError("'alpha_levels' must not be empty")
     if levels[0] != 1.0:
-        raise ConfigurationError(f"first level must be alpha = 1, got {levels[0]}")
+        raise ConfigurationError(f"'alpha_levels' must start at 1, got {levels[0]}")
     if (k := _first(~(np.diff(levels) < 0.0))) is not None:
-        raise ConfigurationError(f"levels must be strictly descending: {levels[k + 1]} after {levels[k]}")
-    if (k := _first(levels < 0.0)) is not None:
-        raise ConfigurationError(f"levels must lie in [0, 1], got {levels[k]}")
+        raise ConfigurationError(f"'alpha_levels' must descend strictly, got {levels[k + 1]} after {levels[k]}")
     return levels
 
 
-def default_levels(count: int = 10) -> np.ndarray:
-    """``count`` uniformly spaced alpha levels, descending from 1 to 0 inclusive."""
-    return check_levels(np.linspace(1.0, 0.0, max(count, 0)))
+def default_levels(count: int) -> np.ndarray:
+    """``count`` uniformly spaced alpha levels, descending from 1 to 0
+    inclusive; ``count`` is an integer of at least 1, named as
+    ``'alpha_levels'``."""
+    check(count, "alpha_levels", "integer", at_least=1)
+    return np.linspace(1.0, 0.0, count)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ superposition and the mass matrix is diagonal.
 
 Mode shapes come out unit-norm, each with its largest-magnitude component
 positive (``fix_signs``). ``resolve_model`` reads a model reference: the
-token ``"bundled"`` (``ffemu/data/model_5dof.json``) or a model file.
+token ``"bundled"`` (``ffemu/data/model_5dof.json``) or a model file, both
+through ``load_model``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigurationError, ConvergenceError, DomainError, ShapeError, check_keys, check_value, in_file, is_integer
+    ConfigurationError, ConvergenceError, DomainError, ShapeError, check, check_keys, check_value, in_file, is_integer
 )
 
 __all__ = ["GROUND", "SpringElement", "StructuralModel", "fix_signs", "load_model", "model_from_dict", "resolve_model"]
@@ -47,7 +48,10 @@ class SpringElement:
     """One spring; endpoints are 0-based node indices, GROUND (-1) for a support.
 
     Exactly one of ``stiffness`` (fixed, N/m) or ``param_index`` (position
-    in the updating vector) must be given.
+    in the updating vector) must be given. ``errors.check`` states their
+    bounds under the model file's keys: ``'stiffness'`` above 0 and
+    ``'param'`` an integer of at least 0. The messages do not name the
+    spring; ``model_from_dict`` names its position in the file.
     """
 
     id: str
@@ -58,25 +62,25 @@ class SpringElement:
 
     def __post_init__(self):
         if (self.stiffness is None) == (self.param_index is None):
-            raise ConfigurationError(
-                f"spring {self.id!r}: give exactly one of stiffness or param_index"
-            )
+            raise ConfigurationError("give exactly one of stiffness or param_index")
         if self.node_a == GROUND and self.node_b == GROUND:
-            raise ConfigurationError(f"spring {self.id!r}: at most one endpoint may be ground")
+            raise ConfigurationError("at most one endpoint may be ground")
         if GROUND not in (self.node_a, self.node_b) and self.node_a == self.node_b:
-            raise ConfigurationError(f"spring {self.id!r}: endpoints must differ")
-        if self.stiffness is not None and self.stiffness <= 0.0:
-            raise ConfigurationError(f"spring {self.id!r}: fixed stiffness must be positive")
-        if self.param_index is not None and self.param_index < 0:
-            raise ConfigurationError(f"spring {self.id!r}: param_index must be non-negative")
+            raise ConfigurationError("endpoints must differ")
+        if self.stiffness is not None:
+            check(self.stiffness, "stiffness", above=0)
+        if self.param_index is not None:
+            check(self.param_index, "param", "integer", at_least=0)
 
 
 @dataclass(frozen=True)
 class StructuralModel:
     """Masses (kg) plus spring list; ``parameter_count`` is the updating dimension.
 
-    There must be at least one updating parameter: a model with none has
-    nothing to update, and is a ``ConfigurationError``. Every node needs a
+    ``masses`` must be a non-empty list or 1-D array of finite numbers above
+    0, which ``errors.check`` names as the model file's ``'masses'``. There
+    must be at least one updating parameter: a model with none has nothing
+    to update, and is a ``ConfigurationError``. Every node needs a
     spring path to ground, so that K(theta) is positive definite for every
     positive theta; a floating node is a ``ConfigurationError`` naming the
     first one.
@@ -87,12 +91,11 @@ class StructuralModel:
     parameter_count: int
 
     def __post_init__(self):
+        check(self.masses, "masses", shape=(-1,), above=0)
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         object.__setattr__(self, "springs", tuple(self.springs))
-        if self.masses.ndim != 1 or self.masses.size == 0:
-            raise ConfigurationError("masses must be a non-empty 1-D array")
-        if np.any(self.masses <= 0.0):
-            raise ConfigurationError("all masses must be positive")
+        if self.masses.size == 0:
+            raise ConfigurationError("'masses' must not be empty")
         if self.parameter_count < 1:
             raise ConfigurationError(
                 f"need at least one updating parameter (a spring with 'param'), got {self.parameter_count}"
@@ -236,7 +239,11 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
     ``parameters`` is optional; when absent the count is inferred from the
     largest ``param`` reference. Values go through ``errors.check_value``,
     and every error, an unknown key too, is a ``ConfigurationError`` naming
-    ``source`` and the key, as ``'springs[1].param'``.
+    ``source`` and the key, as ``'springs[1].param'``. The bounds of
+    ``masses``, ``stiffness`` and ``param`` are the model's and the spring's
+    (``StructuralModel``, ``SpringElement``), and a spring's complaint is
+    prefixed with its position and id once, as ``springs[1] (id 'k2'):
+    'param' must be at least 0, got -1``.
     """
     with in_file(source):
         check_keys(data, ("masses", "springs", "parameters"))
@@ -258,7 +265,7 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
                 raise ConfigurationError(f"{where} (id {sid!r}): {exc}") from exc
         count = max((s.param_index for s in springs if s.param_index is not None), default=-1) + 1
         count = check_value(data, "parameters", "integer", default=count)
-        return StructuralModel(masses=np.asarray(masses, dtype=float), springs=tuple(springs), parameter_count=count)
+        return StructuralModel(masses=masses, springs=tuple(springs), parameter_count=count)
 
 
 def load_model(path) -> StructuralModel:
@@ -274,8 +281,8 @@ def resolve_model(ref: str, base: Path = Path()) -> StructuralModel:
     """The packaged five-DOF model for the token ``"bundled"``, else the model
     file at ``ref`` (a relative path resolves against ``base``)."""
     if ref == "bundled":
-        text = resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8")
-        return model_from_dict(json.loads(text), source="bundled model_5dof.json")
+        with resources.as_file(resources.files("ffemu.data") / "model_5dof.json") as path:
+            return load_model(path)
     return load_model(base / ref)
 
 

@@ -14,11 +14,12 @@ run's two scalar weights scale every eigenvalue and every shape error.
 The parameter and the output membership functions come out as two nested
 alpha-cut stacks, (L, d) and (L, n).
 
-``load_run_config`` parses a run-configuration file into one ``FfemuRun``,
-whose M-H settings, ``McmcConfig``, come from the ``bayes`` section as the
-optimizers' come from ``aco`` and ``pso``, an absent section giving the
-defaults. ``McmcConfig`` is defined here so that parsing a config (and
-``ffemu update``) never imports the sampler itself, ``ffemu.bayes``.
+``load_run_config`` maps a run-configuration file's keys to one
+``FfemuRun``, whose M-H settings, ``McmcConfig``, come from the ``bayes``
+section as the optimizers' come from ``aco`` and ``pso``; an absent key or
+section takes the run's default. ``McmcConfig`` is defined here so that
+parsing a config (and ``ffemu update``) never imports the sampler itself,
+``ffemu.bayes``.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
-    DomainError,
-    ShapeError,
-    check,
-    check_keys,
-    check_settings,
-    check_value,
-    in_file,
-    is_integer,
+    ConfigurationError, DomainError, ShapeError, check, check_keys, check_settings, check_value, in_file
 )
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json, resolve_model
@@ -72,6 +65,11 @@ RUN_KEYS = (
     "model", "theta_min", "theta_max", "theta_initial", "alpha_levels", "measured", "truth",
     "optimizer", "seed", "aco", "pso", "weights", "bayes",
 )
+# run-config key: the ``FfemuRun`` argument it passes to, as read
+RUN_ARGS = {
+    "theta_min": "theta_min", "theta_max": "theta_max", "theta_initial": "theta_initial",
+    "alpha_levels": "levels", "optimizer": "optimizer", "seed": "seed",
+}
 WEIGHT_KEYS = ("eigenvalue", "eigenvector")
 TRUTH_KEYS = ("theta_true", "spreads", "spread_fraction", "shape_tfns")
 STEP_MARGIN = 2.0**32
@@ -120,43 +118,47 @@ class FfemuRun:
     ``theta_initial`` is the optional start of both. Level k's optimizer draws
     from ``seed + k``; ``seed`` and ``bayes`` drive the M-H chains.
 
-    The one value rule of ``errors`` checks six values under their run-config
-    keys, from a file or from Python alike (an array as its list; None as an
-    absent key): ``theta_min``, d finite numbers above 0; ``theta_max``, d
-    finite numbers; ``theta_initial``, d finite numbers or None;
-    ``weights.eigenvalue`` and ``weights.eigenvector``, the pair ``weights``,
-    finite numbers of at least 0; ``seed``, an integer of at least 0. The run
-    states its cross-field rules itself: a positive weight, a known optimizer,
-    theta_min < theta_max, the start inside the box, n measured modes of n
-    components (n the model's DOFs), and no overflowing search step: the box's
-    widest span times ``optim.STEP_SCALE`` (the larger of ACO's and PSO's
-    constant step scales) times ``STEP_MARGIN`` = 2**32 (room for an
-    archive's sum of up to 2**32 spreads and any Gaussian draw) must be
-    finite, else the box is named. ``cuts`` holds every level's
-    ``measured.cuts_at``, cut once here, so a zero shape cut vector fails the
-    run before either command starts.
+    The one value rule of ``errors`` checks eight values under their
+    run-config keys, from a file or from Python alike (an array as its list;
+    None as an absent key): ``theta_min``, d finite numbers above 0 (required);
+    ``theta_max``, d finite numbers (required); ``theta_initial``, d finite
+    numbers or None; ``levels``, ``'alpha_levels'``, a level count of at least
+    1 (``fuzzy.default_levels``) or a list or array of levels
+    (``fuzzy.check_levels``); ``optimizer``, a string; ``weights.eigenvalue``
+    and ``weights.eigenvector``, the pair ``weights``, finite numbers of at
+    least 0; ``seed``, an integer of at least 0. The defaults are stated here
+    once: 10 levels, ACO, weights of 1 and seed 0. The run states its
+    cross-field rules itself: a positive weight, a known optimizer, theta_min <
+    theta_max, the start inside the box, n measured modes of n components (n
+    the model's DOFs), and no overflowing search step: the box's widest span
+    times ``optim.STEP_SCALE`` (the larger of ACO's and PSO's constant step
+    scales) times ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to
+    2**32 spreads and any Gaussian draw) must be finite, else the box is
+    named. ``cuts`` holds every level's ``measured.cuts_at``, cut once here, so
+    a zero shape cut vector fails the run before either command starts.
     """
 
     model: StructuralModel
     measured: MeasuredFuzzyModalData
-    theta_min: np.ndarray
-    theta_max: np.ndarray
+    theta_min: np.ndarray | None = None
+    theta_max: np.ndarray | None = None
     optimizer: str = "aco"
     aco: AcoConfig = field(default_factory=AcoConfig)
     pso: PsoConfig = field(default_factory=PsoConfig)
     bayes: McmcConfig = field(default_factory=McmcConfig)
-    levels: np.ndarray | None = None
+    levels: int | list | np.ndarray = 10
     weights: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
     theta_initial: np.ndarray | None = None
     cuts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = default_levels() if self.levels is None else check_levels(self.levels)
+        levels = self.levels
+        levels = check_levels(levels) if isinstance(levels, (list, np.ndarray)) else default_levels(levels)
         object.__setattr__(self, "levels", levels)
         d = self.model.parameter_count
-        vectors = {key: getattr(self, key) for key in ("theta_min", "theta_max", "theta_initial")}
-        given = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in vectors.items() if v is not None}
+        vectors = ("theta_min", "theta_max", "theta_initial")
+        given = {key: getattr(self, key) for key in vectors if getattr(self, key) is not None}
         check_value(given, "theta_min", shape=(d,), above=0)
         check_value(given, "theta_max", shape=(d,))
         check_value(given, "theta_initial", shape=(d,), default=None)
@@ -164,6 +166,7 @@ class FfemuRun:
             check(weight, f"weights.{key}", at_least=0)
         check(list(self.weights), "weights", shape=(len(WEIGHT_KEYS),))
         check(self.seed, "seed", "integer", at_least=0)
+        check(self.optimizer, "optimizer", "string")
         object.__setattr__(self, "theta_min", np.asarray(self.theta_min, dtype=float))
         object.__setattr__(self, "theta_max", np.asarray(self.theta_max, dtype=float))
         object.__setattr__(self, "weights", tuple(map(float, self.weights)))
@@ -358,9 +361,9 @@ def propagate_outputs(model: StructuralModel, parameters: AlphaCutStack) -> Alph
 
 
 def _settings(raw: dict, key: str, cls):
-    """The settings dataclass ``cls`` from the JSON object ``raw[key]``
-    (defaults when absent), whose keys must be ``cls``'s fields."""
-    section = check_value(raw, key, "object", default={})
+    """The settings dataclass ``cls`` from the JSON object ``raw[key]``,
+    whose keys must be ``cls``'s fields."""
+    section = check_value(raw, key, "object")
     check_keys(section, [f.name for f in fields(cls)], f"{key}.")
     return cls(**section)
 
@@ -369,10 +372,10 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, label: str = ""
     """Simulate measured data from a truth-spec JSON object by
     ``simulate_measurements``, whose triangles no alpha grid changes.
 
-    The spec carries ``theta_true`` plus either absolute ``spreads`` or a
-    single non-negative ``spread_fraction``, one entry per updating
-    parameter; ``shape_tfns``, a JSON boolean, optionally fuzzifies the
-    mode-shape components too. A spec with any other key, or any value that
+    The spec carries ``theta_true``, one entry per updating parameter, plus
+    either absolute ``spreads``, one non-negative entry per parameter, or a
+    single non-negative ``spread_fraction``; ``shape_tfns``, a JSON boolean,
+    optionally fuzzifies the mode-shape components too. A spec with any other key, or any value that
     fails ``errors.check_value``, is a ``ConfigurationError`` naming the key
     as ``label`` + key (``label`` is ``"truth."`` in a run config); the
     caller names the file the spec came from.
@@ -380,7 +383,7 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, label: str = ""
     check_keys(spec, TRUTH_KEYS, label)
     d = model.parameter_count
     theta_true = np.asarray(check_value(spec, "theta_true", shape=(d,), label=f"{label}theta_true"), dtype=float)
-    spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None)
+    spreads = check_value(spec, "spreads", shape=(d,), label=f"{label}spreads", default=None, at_least=0)
     fraction = check_value(spec, "spread_fraction", label=f"{label}spread_fraction", default=0.0, at_least=0)
     shape_tfns = check_value(spec, "shape_tfns", "boolean", label=f"{label}shape_tfns", default=False)
     if spreads is not None and "spread_fraction" in spec:
@@ -393,22 +396,22 @@ def simulate_from_truth_spec(model: StructuralModel, spec: dict, label: str = ""
 def load_run_config(path) -> FfemuRun:
     """Parse a run-configuration JSON file into its ``FfemuRun``.
 
-    Relative paths resolve against the config file's directory. The
-    ``model`` entry may be the token ``"bundled"`` for the packaged
-    five-DOF structure. Measured data come either from a ``measured`` file
-    path or inline via a ``truth`` section, simulated on the spot as the
-    vertex images of its parameter triangles: the run's ``alpha_levels``
-    only cut the data, so every level grid reads the same triangles. The
-    ``aco``, ``pso`` and ``bayes`` sections are read by one reader, whose
-    keys are the fields of ``AcoConfig``, ``PsoConfig`` and ``McmcConfig``;
-    an absent section gives the defaults. The box, the start, the weights
-    and the seed pass to the run as read: ``FfemuRun`` checks them under
-    their keys. Every value goes through ``errors.check_value`` or
-    ``errors.check_settings``, so a key outside ``RUN_KEYS``, an unknown key
-    in a section, or a value of the wrong kind, shape or range is a
-    ``ConfigurationError`` naming the file and the key, as
-    ``'aco.n_ants'``; an error in the model or measured-data file names
-    that file.
+    The reader maps keys to arguments. Relative paths resolve against the
+    config file's directory. The ``model`` entry may be the token
+    ``"bundled"`` for the packaged five-DOF structure. Measured data come
+    either from a ``measured`` file path or inline via a ``truth`` section,
+    simulated on the spot as the vertex images of its parameter triangles:
+    the run's ``alpha_levels`` only cut the data, so every level grid reads
+    the same triangles. The ``aco``, ``pso`` and ``bayes`` sections are read
+    by one reader, whose keys are the fields of ``AcoConfig``, ``PsoConfig``
+    and ``McmcConfig``. Of the run's own values (``RUN_ARGS`` and
+    ``weights``), only the keys the file holds pass, as read: ``FfemuRun``
+    states their defaults and checks them under their keys, so an absent key
+    or section takes the run's default. A key outside ``RUN_KEYS``, an
+    unknown key in a section, or a value of the wrong kind, shape or range is
+    a ``ConfigurationError`` naming the file and the key, as
+    ``'aco.n_ants'``; an error in the model or measured-data file names that
+    file.
     """
     path = Path(path)
     raw = read_json(path)
@@ -416,38 +419,20 @@ def load_run_config(path) -> FfemuRun:
     with in_file(path):
         check_keys(raw, RUN_KEYS)
         model = resolve_model(check_value(raw, "model", "string"), base)
-
-        levels = raw.get("alpha_levels", 10)
-        if isinstance(levels, list):
-            levels = check_value(raw, "alpha_levels", shape=(-1,))
-        elif is_integer(levels) and levels >= 1:
-            levels = default_levels(levels)
-        else:
-            raise ConfigurationError(
-                f"'alpha_levels' must be a level count of at least 1 or a list of levels, got {levels!r}"
-            )
-
         if ("measured" in raw) == ("truth" in raw):
             raise ConfigurationError("give exactly one of 'measured' or 'truth'")
         if "measured" in raw:
             measured = load_measured(base / check_value(raw, "measured", "string"))
         else:
-            truth = check_value(raw, "truth", "object")
-            measured = simulate_from_truth_spec(model, truth, "truth.")
+            measured = simulate_from_truth_spec(model, check_value(raw, "truth", "object"), "truth.")
 
-        weights = check_value(raw, "weights", "object", default={})
-        check_keys(weights, WEIGHT_KEYS, "weights.")
-        return FfemuRun(
-            model=model,
-            measured=measured,
-            theta_min=raw.get("theta_min"),
-            theta_max=raw.get("theta_max"),
-            optimizer=check_value(raw, "optimizer", "string", default="aco"),
-            aco=_settings(raw, "aco", AcoConfig),
-            pso=_settings(raw, "pso", PsoConfig),
-            bayes=_settings(raw, "bayes", McmcConfig),
-            levels=levels,
-            weights=tuple(weights.get(key, 1.0) for key in WEIGHT_KEYS),
-            seed=raw.get("seed", 0),
-            theta_initial=raw.get("theta_initial"),
-        )
+        args = {arg: raw[key] for key, arg in RUN_ARGS.items() if key in raw}
+        for key, cls in [("aco", AcoConfig), ("pso", PsoConfig), ("bayes", McmcConfig)]:
+            if key in raw:
+                args[key] = _settings(raw, key, cls)
+        if "weights" in raw:
+            weights = check_value(raw, "weights", "object")
+            check_keys(weights, WEIGHT_KEYS, "weights.")
+            # an absent weight keeps the run's default
+            args["weights"] = tuple(weights.get(key, w) for key, w in zip(WEIGHT_KEYS, FfemuRun.weights))
+        return FfemuRun(model=model, measured=measured, **args)

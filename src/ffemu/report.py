@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, check_value, in_file
-from .fuzzy import AlphaCutStack, alpha_cuts, triangles
+from .fuzzy import AlphaCutStack, alpha_cuts, check_levels, triangles
 from .model import StructuralModel, read_json, write_json
 from .objective import eigenvalue_to_hz
 
@@ -57,12 +57,9 @@ CSV_CHUNK = 512  # chain.csv rows formatted per write
 
 
 def parameter_labels(model: StructuralModel) -> list[str]:
-    """Human-readable label per updating parameter: the springs that use it."""
-    labels = []
-    for i in range(model.parameter_count):
-        ids = [s.id for s in model.springs if s.param_index == i]
-        labels.append("+".join(ids) if ids else f"theta_{i}")
-    return labels
+    """Human-readable label per updating parameter: the springs that use it
+    (``StructuralModel`` refuses a parameter no spring uses)."""
+    return ["+".join(s.id for s in model.springs if s.param_index == i) for i in range(model.parameter_count)]
 
 
 def write_bundle(out_dir, run, result) -> Path:
@@ -249,10 +246,10 @@ def cut_stack(summary: dict, group: str) -> AlphaCutStack:
 
 def _check_summary(data: dict) -> None:
     """Check every ``summary.json`` field the report and the curves read."""
-    n = len(check_value(data, "alpha_levels", shape=(-1,)))
+    n = check_levels(check_value(data, "alpha_levels", shape=(-1,))).size
     params = check_value(data, "parameters", "object", (-1,))
     outputs = check_value(data, "outputs", "object", (-1,))
-    for key, entries in [("alpha_levels", n), ("parameters", params), ("outputs", outputs)]:
+    for key, entries in [("parameters", params), ("outputs", outputs)]:
         if not entries:
             raise ConfigurationError(f"{key!r} must not be empty")
     meta = check_value(data, "metadata", "object")

@@ -14,14 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import StructuralModel, resolve_model
 
 __all__ = [
     "THETA_MIN",
     "THETA_MAX",
     "THETA_INITIAL",
     "THETA_TRUE",
-    "five_dof_model",
     "bundled_truth_spec",
 ]
 
@@ -29,11 +27,6 @@ THETA_MIN = np.array([3400.0, 1900.0, 1700.0, 1900.0, 2150.0])
 THETA_MAX = np.array([4600.0, 2500.0, 2370.0, 3300.0, 2650.0])
 THETA_INITIAL = np.array([4150.0, 2150.0, 2160.0, 2500.0, 2460.0])
 THETA_TRUE = np.array([4000.0, 2200.0, 2120.0, 2600.0, 2400.0])
-
-
-def five_dof_model() -> StructuralModel:
-    """The packaged 5-mass / 10-spring structure with 5 uncertain stiffnesses."""
-    return resolve_model("bundled")
 
 
 def bundled_truth_spec(kind: str = "fuzzy") -> dict:

@@ -27,7 +27,7 @@ from ffemu.bayes import (
     summarize,
 )
 from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError
-from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
 from ffemu.objective import MeasuredFuzzyModalData
 from ffemu.pipeline import FfemuRun, McmcConfig, load_run_config, simulate_measurements
 from ffemu.report import CSV_CHUNK, write_chain_csv
@@ -72,7 +72,7 @@ def factor(monkeypatch):
 def five_dof_run(seed=3, bayes=McmcConfig()):
     """The bundled five-DOF structure on its prior box, measured crisply at
     the truth, its Laplace fit starting from the bundled initial guess."""
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     return FfemuRun(
         model=model,
         measured=simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5)),
@@ -241,7 +241,7 @@ class TestLogPosterior:
     def test_matches_the_closed_form_of_the_triangle_peaks(self):
         # -0.5 sum(((b - lam) / b / sd)^2), b the measured triangles' peaks,
         # on fuzzy data, so the peaks differ from the supports' ends
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         run = FfemuRun(
             model=model,
             measured=simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE),

@@ -352,7 +352,7 @@ class TestReport:
                 lambda d: d["parameters"][1].update(cuts=[[1.0, 100.0, 300.0], [0.0, 150.0, 250.0]]),
                 "nesting violated between levels 1.0 and 0.0: [100.0, 300.0] not inside [150.0, 250.0] in column 1",
             ),
-            ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "first level must be alpha = 1, got 0.0"),
+            ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "'alpha_levels' must start at 1, got 0.0"),
             (
                 "summary.json",
                 lambda d: d["updated_eigenvalues"].__setitem__(0, -1.0),
@@ -622,6 +622,7 @@ class TestSimulate:
         "key, value, message",
         [
             ("spread_fraction", -0.1, "'spread_fraction' must be at least 0, got -0.1"),
+            ("spreads", [-1.0, 2.0, 2.0, 2.0, 2.0], "'spreads' must be at least 0, got [-1.0, 2.0, 2.0, 2.0, 2.0]"),
             (
                 "spread_fractions",
                 0.5,
@@ -890,10 +891,10 @@ class TestNonNumericConfigValues:
                 {"theta_true": scenarios.THETA_TRUE.tolist(), "spread_fraction": -0.1},
                 "'truth.spread_fraction' must be at least 0, got -0.1",
             ),
-            ("alpha_levels", 0, "'alpha_levels' must be a level count of at least 1"),
-            ("alpha_levels", True, "'alpha_levels' must be a level count of at least 1"),
-            ("alpha_levels", [1.0, 0.5, -0.5], "levels must lie in [0, 1], got -0.5"),
-            ("alpha_levels", [], "need at least one alpha level"),
+            ("alpha_levels", 0, "'alpha_levels' must be at least 1, got 0"),
+            ("alpha_levels", True, "'alpha_levels' must be an integer, got True"),
+            ("alpha_levels", [1.0, 0.5, -0.5], "'alpha_levels' must be at least 0, got [1.0, 0.5, -0.5]"),
+            ("alpha_levels", [], "'alpha_levels' must not be empty"),
             # NaN and a 401-digit integer as JSON literals
             ("aco", {"n_ants": 10**400}, "'aco.n_ants' must be an integer, got 1000"),
             ("pso", {"swarm_size": math.nan}, "'pso.swarm_size' must be an integer, got nan"),
@@ -929,6 +930,16 @@ class TestNonNumericConfigValues:
             ),
             ("alpha_level", 2, "unknown key 'alpha_level'; valid keys: model, theta_min"),
             ("weight", {"eigenvalue": 1.0}, "unknown key 'weight'; valid keys: model, theta_min"),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spreads": [-1.0, 2.0, 2.0, 2.0, 2.0]},
+                "'truth.spreads' must be at least 0, got [-1.0, 2.0, 2.0, 2.0, 2.0]",
+            ),
+            (
+                "truth",
+                {"theta_true": scenarios.THETA_TRUE.tolist(), "spreads": [1.0] * 5, "spread_fraction": 0.05},
+                "give either 'truth.spreads' or 'truth.spread_fraction', not both",
+            ),
         ],
     )
     def test_bad_scalar_or_section_is_a_configuration_error(self, key, value, message, tmp_path, capsys):
@@ -992,6 +1003,34 @@ class TestNonNumericConfigValues:
         args = ["update", "--config", str(path), "--out", str(tmp_path / "bundle")]
         assert cli.main(args) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {path}: {key!r} must be a string, got {value!r}\n"
+
+
+class TestIoErrors:
+    """A file that cannot be read exits with ``EXIT_IO``, naming its path."""
+
+    @pytest.mark.parametrize("command", ["update", "bayes"])
+    def test_missing_config(self, command, tmp_path, capsys):
+        path = tmp_path / "nowhere.json"
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(path) in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["update", "bayes"])
+    def test_missing_measured_file(self, command, tmp_path, capsys):
+        config = scenarios.bundled_run_config(seed=2)
+        del config["truth"]
+        config["measured"] = "nowhere.json"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(tmp_path / "nowhere.json") in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_on_a_directory_without_summary(self, tmp_path, capsys):
+        assert cli.main(["report", "--bundle", str(tmp_path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: result bundle is missing summary.json (looked in {tmp_path})\n"
 
 
 class TestUsageErrors:

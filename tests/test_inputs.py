@@ -7,9 +7,11 @@ and a nested list must each exit 1, naming the file and the key. A second
 table sets each bounded key just outside its range: each case must exit 1,
 naming the file, the key and the value. A bad box, start, weight or seed
 reads the same from a run-config file as from ``FfemuRun(...)``, less the
-file's name. A search coefficient that is now a constant of ``optim`` is a
-key its section does not have: any of those values there exits 1 as an
-unknown key.
+file's name, and so do bad alpha levels and a non-string optimizer. A
+model file's zero mass, non-positive fixed stiffness or negative parameter
+index is named in the same words, with the spring's position once. A
+search coefficient that is now a constant of ``optim`` is a key its section
+does not have: any of those values there exits 1 as an unknown key.
 """
 
 import json
@@ -145,6 +147,28 @@ def test_model_file_value(where, label, value, tmp_path, capsys):
     out = tmp_path / "m.json"
     assert cli.main(["simulate", "--model", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert_names_file_and_key(capsys, path, label)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("masses", 2), 0, "'masses' must be above 0, got [27.0, 27.0, 0, 53.0, 29.0]"),
+        (("springs", 2, "stiffness"), -5, "springs[2] (id 'k3'): 'stiffness' must be above 0, got -5.0"),
+        (("springs", 0, "param"), -1, "springs[0] (id 'k1'): 'param' must be at least 0, got -1"),
+    ],
+    ids=["zero-mass", "negative-fixed-stiffness", "negative-param"],
+)
+def test_model_file_value_out_of_range(where, value, message, tmp_path, capsys):
+    # the model's and the spring's own bounds, in the one rule's words; a
+    # spring's position is named once
+    model = json.loads(resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8"))
+    set_at(model, where, value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "m.json"
+    assert cli.main(["simulate", "--model", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
     assert not out.exists()
 
 
@@ -297,10 +321,12 @@ OUT_OF_RANGE = [
     (("bayes", "n_samples"), scenarios.bundled_run_config()["bayes"]["burn_in"]),
     (("bayes", "likelihood_sd"), 0),
     (("truth", "spread_fraction"), -0.1),
+    (("truth", "spreads", 1), -1.0),
     (("weights", "eigenvalue"), -1.0),
     (("weights", "eigenvector"), -0.3),
     (("theta_min", 0), 0),
     (("seed",), -1),
+    (("alpha_levels",), 0),
 ]
 
 
@@ -310,6 +336,9 @@ OUT_OF_RANGE = [
 def test_run_config_value_out_of_range(where, value, tmp_path, capsys):
     config = scenarios.bundled_run_config(seed=2)
     config["alpha_levels"] = 2
+    if where[:2] == ("truth", "spreads"):  # the spreads in place of the bundled fraction
+        config["truth"]["spreads"] = (0.05 * scenarios.THETA_TRUE).tolist()
+        del config["truth"]["spread_fraction"]
     set_at(config, where, value)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
@@ -317,7 +346,9 @@ def test_run_config_value_out_of_range(where, value, tmp_path, capsys):
     assert cli.main(["update", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     if isinstance(where[-1], int):  # a list entry: the complaint names the whole list
         where = where[:-1]
-        value = config[where[0]]
+        value = config
+        for key in where:
+            value = value[key]
     assert_names_file_key_and_value(capsys, path, ".".join(where), value)
     assert not out.exists()
 
@@ -329,8 +360,20 @@ SAME_WORDING = [
     (("theta_max",), scenarios.THETA_MAX[:4].tolist()),
     (("theta_min", 0), 0.0),
     (("seed",), -1),
+    (("alpha_levels",), 0),
+    (("alpha_levels",), True),
+    (("alpha_levels",), 2.5),
+    (("alpha_levels",), [0.5, 0]),
+    (("alpha_levels",), [1, 1]),
+    (("alpha_levels",), [1, -0.5]),
+    (("optimizer",), 5),
+    (("optimizer",), None),
 ]
-SAME_WORDING_IDS = ["negative-weight", "nan-start", "short-start", "four-entry-theta-max", "zero-theta-min", "negative-seed"]
+SAME_WORDING_IDS = [
+    "negative-weight", "nan-start", "short-start", "four-entry-theta-max", "zero-theta-min", "negative-seed",
+    "zero-levels", "true-levels", "fractional-levels", "first-level-not-1", "repeated-level", "negative-level",
+    "numeric-optimizer", "null-optimizer",
+]
 
 
 @pytest.mark.parametrize("where, value", SAME_WORDING, ids=SAME_WORDING_IDS)
@@ -353,8 +396,19 @@ def test_bad_run_value_reads_the_same_from_a_file_and_from_python(where, value, 
             theta_initial=np.array(config["theta_initial"]),
             weights=tuple(config["weights"][key] for key in WEIGHT_KEYS),
             seed=config["seed"],
+            levels=config["alpha_levels"],
+            optimizer=config["optimizer"],
         )
     assert str(from_file.value) == f"{path}: {from_python.value}"
+    assert f"'{where[0]}" in str(from_python.value)
+
+
+def test_level_count_gives_the_same_run_from_a_file_and_from_python(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(scenarios.bundled_run_config(seed=2), alpha_levels=4)))
+    from_file = load_run_config(path)
+    from_python = replace(from_file, levels=4)
+    assert from_python.levels.tobytes() == from_file.levels.tobytes() == np.linspace(1.0, 0.0, 4).tobytes()
 
 
 def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):

@@ -11,7 +11,7 @@ from reference import brute_force_assemble
 
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DomainError, ShapeError
-from ffemu.model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict
+from ffemu.model import GROUND, SpringElement, StructuralModel, load_model, model_from_dict, resolve_model
 
 
 def chain_2dof():
@@ -58,7 +58,7 @@ def assert_modal_matches_generalized_eig(model, theta, stiffness):
 
 
 def test_default_model_matches_brute_force_superposition():
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     theta = scenarios.THETA_TRUE
     k = brute_force_assemble(model, theta)
     np.testing.assert_array_equal(k, k.T)
@@ -67,7 +67,7 @@ def test_default_model_matches_brute_force_superposition():
 
 
 def test_stiffness_monotone_in_theta():
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     rng = np.random.default_rng(2)
     for _ in range(100):
         theta = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
@@ -84,7 +84,7 @@ def test_modal_matches_generalized_eig_bitwise():
     # a one-row modal_batch takes the cached diagonal-mass shortcut; it
     # must agree with the generic reference solver on the brute-force pair
     # exactly
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     rng = np.random.default_rng(6)
     for _ in range(20):
         theta = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX)
@@ -108,7 +108,7 @@ def crossing_two_mass_model():
 
 class TestEigenvaluesBatch:
     def test_matches_modal_batch_on_bundled_model(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         rng = np.random.default_rng(17)
         thetas = rng.uniform(scenarios.THETA_MIN, scenarios.THETA_MAX, (500, 5))
         expected, _ = model.modal_batch(thetas)
@@ -120,7 +120,7 @@ class TestEigenvaluesBatch:
         # eigvalsh and eigh round differently, so the residual's two paths
         # agree to this bound, not bit for bit: every vertex of the box
         # theta_true +- 5%, random points inside it and its centre
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         theta = scenarios.THETA_TRUE
         corners = theta * np.array(list(itertools.product([0.95, 1.05], repeat=theta.size)))
         inside = np.random.default_rng(5).uniform(0.95 * theta, 1.05 * theta, (200, theta.size))
@@ -136,7 +136,11 @@ class TestEigenvaluesBatch:
         got = model.eigenvalues_batch(thetas)
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
 
-    @pytest.mark.parametrize("model_factory", [scenarios.five_dof_model, crossing_two_mass_model])
+    @pytest.mark.parametrize(
+        "model_factory",
+        [lambda: resolve_model("bundled"), crossing_two_mass_model],
+        ids=["five_dof_model", "crossing_two_mass_model"],
+    )
     def test_rows_bitwise_independent_of_stack_size_and_position(self, model_factory):
         # the residuals solve each box's vertices as consecutive rows and
         # the M-H chains step in lockstep, so a row's solution must not
@@ -167,11 +171,11 @@ class TestEigenvaluesBatch:
     )
     def test_rejects_bad_rows_like_modal_batch(self, method, thetas, error):
         with pytest.raises(error):
-            getattr(scenarios.five_dof_model(), method)(thetas)
+            getattr(resolve_model("bundled"), method)(thetas)
 
 
 def test_nonpositive_theta_rejected():
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     with pytest.raises(DomainError):
         model.modal_batch(np.array([[4000.0, -1.0, 2120.0, 2600.0, 2400.0]]))
 
@@ -190,8 +194,12 @@ class TestValidation:
             SpringElement("bad", 0, 1, stiffness=1.0, param_index=0)
 
     def test_negative_fixed_stiffness_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=re.escape("'stiffness' must be above 0, got -5.0")):
             SpringElement("bad", 0, 1, stiffness=-5.0)
+
+    def test_negative_param_index_rejected(self):
+        with pytest.raises(ConfigurationError, match=re.escape("'param' must be at least 0, got -1")):
+            SpringElement("bad", 0, 1, param_index=-1)
 
     def test_unreferenced_parameter_rejected(self):
         with pytest.raises(ConfigurationError, match="never referenced"):
@@ -210,7 +218,7 @@ class TestValidation:
             )
 
     def test_nonpositive_mass_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=re.escape("'masses' must be above 0, got [1.0, 0.0]")):
             StructuralModel(
                 masses=np.array([1.0, 0.0]),
                 springs=(SpringElement("k", 0, 1, stiffness=1.0),),
@@ -277,7 +285,7 @@ class TestGrounding:
 
 class TestModelFile:
     def test_bundled_model_loads(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         assert model.n_dof == 5
         assert model.parameter_count == 5
         assert [s.id for s in model.springs if s.param_index is not None] == [

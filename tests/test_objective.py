@@ -12,7 +12,7 @@ from test_reference import random_spd
 
 from ffemu import scenarios
 from ffemu.errors import ConfigurationError, DegenerateVectorError, DomainError, ShapeError
-from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
 from ffemu.objective import (
     MeasuredFuzzyModalData,
     _shape_errors,
@@ -130,7 +130,7 @@ def reference_residual(model, lower, upper, cuts, weights):
 
 class TestIntervalModal:
     def test_degenerate_parameters_give_identical_solutions(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         theta = scenarios.THETA_TRUE[None, :]
         (lam,), (vec,) = vertex_modes(model, rows(theta, theta))
         np.testing.assert_array_equal(lam[0], lam[1])
@@ -142,7 +142,7 @@ class TestIntervalModal:
         assert lam[1, 0] == pytest.approx(9.0, rel=1e-12)
 
     def test_bounds_bracket_center(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
         (lam,), _ = vertex_modes(model, rows([lower], [upper]))
         center, _ = modal_row(model, 0.5 * (lower + upper))
@@ -153,7 +153,7 @@ class TestIntervalModal:
         # Oracle: coarse exhaustive grid over all five axes; endpoints are
         # grid points, so under stiffness monotonicity the grid extremes
         # must coincide with the vertex solves.
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         lower, upper = scenarios.THETA_MIN, scenarios.THETA_MAX
         (lam,), _ = vertex_modes(model, rows([lower], [upper]))
         axes = [np.linspace(lo, hi, 3) for lo, hi in zip(lower, upper)]
@@ -175,7 +175,7 @@ class TestIntervalModal:
         # stiffness, so the vertices bound it over the box, also where
         # modes cross (the 2-mass model's boxes straddle k0 = k1)
         if kind == "bundled":
-            model, lo, hi = scenarios.five_dof_model(), scenarios.THETA_MIN, scenarios.THETA_MAX
+            model, lo, hi = resolve_model("bundled"), scenarios.THETA_MIN, scenarios.THETA_MAX
         else:
             model, lo, hi = two_mass_model(), np.full(2, 0.5), np.full(2, 2.5)
         rng = np.random.default_rng(71)
@@ -225,7 +225,7 @@ class TestErrorVectors:
     # a one-row residual_batch with unit weights is the error vector
     # pair [e_lo, e_hi], each n eigenvalue errors followed by n shape errors
     def test_exact_match_gives_zeros(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         lower, upper = 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
         r = residual_batch(model, rows([lower], [upper]), measured, (1.0, 1.0))[0]
@@ -269,7 +269,7 @@ class TestErrorVectors:
 
 class TestObjective:
     def test_self_consistency_is_exactly_zero(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         lower, upper = 0.96 * scenarios.THETA_TRUE, 1.02 * scenarios.THETA_TRUE
         measured = measured_from_box(model, lower, upper)
         r = residual_batch(model, rows([lower], [upper]), measured, (1.0, 1.0))[0]
@@ -292,7 +292,7 @@ class TestObjective:
         assert r2 @ r2 == pytest.approx(2.0 * (r1 @ r1), rel=1e-15)
 
     def test_nonnegative_on_random_candidates(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         rng = np.random.default_rng(31)
         weights = (1.0, 1.0)
@@ -485,7 +485,7 @@ class TestResidualBatch:
 
     @pytest.mark.parametrize("eigenvector_weight", [0.0, 1.0])
     def test_rows_match_per_candidate_reference(self, eigenvector_weight):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         weights = (1.0, eigenvector_weight)
         lower, upper = self.population(53)
@@ -501,7 +501,7 @@ class TestResidualBatch:
         # weight 0 solves the vertices by eigvalsh and weight 1 by eigh: each
         # predicted eigenvalue, 1 - e_lo or 1 + e_hi times its measured bound,
         # agrees to a relative 1e-12 (plus the error's own rounding)
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         theta = scenarios.THETA_TRUE
         measured = measured_from_box(model, 0.97 * theta, 1.03 * theta)
         rng = np.random.default_rng(7)
@@ -517,7 +517,7 @@ class TestResidualBatch:
     def test_in_place_buffer_equals_scaled_concatenation(self, eigenvector_weight):
         # reference layout: two zeroed (m, 2n) error blocks, each scaled by
         # sqrt(weights) as a whole row, then concatenated
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         weights = (0.7, eigenvector_weight)
         eig_lo, eig_hi, vec_lo, vec_hi = measured
@@ -564,7 +564,7 @@ class TestResidualBatch:
         # the bundled box with every half-width tripled about its centre,
         # clipped below at 200 N/m: modes cross inside some of its boxes,
         # and there the MAC-paired vertex eigenvalues are not the bounds
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         mid = 0.5 * (scenarios.THETA_MIN + scenarios.THETA_MAX)
         half = 1.5 * (scenarios.THETA_MAX - scenarios.THETA_MIN)
         lo, hi = np.maximum(mid - half, 200.0), mid + half
@@ -585,7 +585,7 @@ class TestResidualBatch:
         assert crossed.sum() >= 3
 
     def test_eigenvalue_only_rows_never_solve_mode_shapes(self, monkeypatch):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         lower, upper = self.population(67)
 
@@ -600,7 +600,7 @@ class TestResidualBatch:
         # a point box solves its centre and its one vertex; the same point
         # given as the box [x | x] solves its centre and both vertices, and
         # its residual row has the same bits
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, 0.97 * scenarios.THETA_TRUE, 1.03 * scenarios.THETA_TRUE)
         points = self.population(71, m=6)[0]
         solved = []
@@ -620,7 +620,7 @@ class TestResidualBatch:
         assert point_rows.tobytes() == residual_batch(model, rows(points, points), measured, weights).tobytes()
 
     def test_nonpositive_row_rejected(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(59, m=4)
         lower[2, 1] = 0.0
@@ -628,7 +628,7 @@ class TestResidualBatch:
             residual_batch(model, rows(lower, upper), measured, (1.0, 1.0))
 
     def test_crossed_row_rejected(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = measured_from_box(model, scenarios.THETA_TRUE, scenarios.THETA_TRUE)
         lower, upper = self.population(61, m=4)
         with pytest.raises(DomainError, match="crossed"):

@@ -12,7 +12,7 @@ from reference import alpha_cut
 from ffemu import cli, pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
-from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
 from ffemu.objective import load_measured, residual_batch, save_measured, vertex_modes
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig
 from ffemu.pipeline import (
@@ -37,7 +37,7 @@ def one_dof_model():
 
 
 def fuzzy_run(optimizer="aco", levels=LEVELS4, iters=150, seed=0):
-    model = scenarios.five_dof_model()
+    model = resolve_model("bundled")
     truth = scenarios.THETA_TRUE
     measured = simulate_measurements(model, truth, 0.05 * truth)
     return FfemuRun(
@@ -57,7 +57,7 @@ def fuzzy_run(optimizer="aco", levels=LEVELS4, iters=150, seed=0):
 
 class TestSimulateMeasurements:
     def test_zero_spreads_give_crisp_data(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
         assert measured.is_crisp
         (center,), _ = model.modal_batch(scenarios.THETA_TRUE[None, :])
@@ -77,7 +77,7 @@ class TestSimulateMeasurements:
     def test_support_interval_matches_grid_brute_force(self):
         # coarse grid oracle; box corners are grid points, and stiffness
         # monotonicity puts the extremes there
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         truth = scenarios.THETA_TRUE
         spreads = 0.05 * truth
         measured = simulate_measurements(model, truth, spreads)
@@ -90,13 +90,13 @@ class TestSimulateMeasurements:
             assert hi == pytest.approx(grid_hi[j], rel=1e-3)
 
     def test_mode_shapes_are_center_shapes(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.02 * scenarios.THETA_TRUE)
         _, (center,) = model.modal_batch(scenarios.THETA_TRUE[None, :])
         np.testing.assert_allclose(measured.mode_shapes, center, atol=1e-12)
 
     def test_shape_tfns_nest_and_peak_at_center(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(
             model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, shape_tfns=True
         )
@@ -122,7 +122,7 @@ class TestSimulateMeasurements:
         # solve (eigvalsh rounds differently from the eigh that vertex_modes
         # calls); the measured shapes are the peak's, re-normalised to unit
         # columns on the way in
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         truth = scenarios.THETA_TRUE
         spreads = fraction * truth
         measured = simulate_measurements(model, truth, spreads, shape_tfns=True)
@@ -141,7 +141,7 @@ class TestSimulateMeasurements:
         # shape_tfns[i, j] is component i of mode j, laid out like
         # mode_shapes; the 5-DOF model's distinct components and modes make
         # a transposed layout anywhere show
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE, shape_tfns=True)
         assert measured.shape_tfns.shape == (5, 5, 3)
         np.testing.assert_allclose(measured.shape_tfns[..., 1], measured.mode_shapes, atol=1e-15)
@@ -311,7 +311,7 @@ class TestRunFfemu:
             assert state == np.random.default_rng(run.seed + k).bit_generator.state
 
     def test_pinched_box_collapses_everything(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         theta_p = scenarios.THETA_TRUE * 1.01
         eps = 1e-6 * theta_p
         measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
@@ -334,7 +334,7 @@ class TestRunFfemu:
 
     def test_shape_weighted_levels_record_their_residual_norms(self):
         # the one tier-1 run with a shape weight: fuzzy shapes, 3 levels
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         levels = default_levels(3)
         truth = scenarios.THETA_TRUE
         measured = simulate_measurements(model, truth, 0.05 * truth, shape_tfns=True)
@@ -383,18 +383,33 @@ class TestRunFfemu:
         run = FfemuRun(model=model, measured=measured, theta_min=[1.0], theta_max=[9.0])
         assert run.weights == (1.0, 1.0)
 
+    def test_defaults_are_ten_levels_aco_and_seed_0(self):
+        model = one_dof_model()
+        measured = simulate_measurements(model, [5.0], [0.5])
+        run = FfemuRun(model=model, measured=measured, theta_min=[1.0], theta_max=[9.0])
+        assert run.levels.tobytes() == np.linspace(1.0, 0.0, 10).tobytes()
+        assert (run.optimizer, run.seed) == ("aco", 0)
+
+    @pytest.mark.parametrize("key", ["theta_min", "theta_max"])
+    def test_box_is_required(self, key):
+        model = one_dof_model()
+        settings = {"theta_min": [1.0], "theta_max": [9.0]}
+        del settings[key]
+        with pytest.raises(ConfigurationError, match=f"missing required key '{key}'"):
+            FfemuRun(model=model, measured=simulate_measurements(model, [5.0], [0.5]), **settings)
+
     def test_mode_count_mismatch_rejected(self):
         measured = simulate_measurements(one_dof_model(), [5.0], [0.5])
         with pytest.raises(ConfigurationError, match="modes"):
             FfemuRun(
-                model=scenarios.five_dof_model(),
+                model=resolve_model("bundled"),
                 measured=measured,
                 theta_min=scenarios.THETA_MIN,
                 theta_max=scenarios.THETA_MAX,
             )
 
     def test_unknown_optimizer_rejected(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(model, scenarios.THETA_TRUE, np.zeros(5))
         with pytest.raises(ConfigurationError, match="valid choices"):
             FfemuRun(
@@ -455,7 +470,7 @@ class TestPriorBox:
 
 class TestPropagateOutputs:
     def test_degenerate_stacks_give_degenerate_outputs(self):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         theta = scenarios.THETA_TRUE
         levels = default_levels(4)
         stack = AlphaCutStack(levels, np.tile(theta, (4, 1)), np.tile(theta, (4, 1)))
@@ -466,7 +481,7 @@ class TestPropagateOutputs:
                 assert lo == hi == lam[j]
 
     def test_one_dof_identity(self):
-        levels = default_levels()
+        levels = default_levels(10)
         stack = AlphaCutStack(levels, *alpha_cuts([[4, 5, 6]], levels))
         outputs = propagate_outputs(one_dof_model(), stack)
         for k in range(stack.levels.size):
@@ -517,6 +532,16 @@ class TestRunConfig:
         assert run.measured.eigenvalue_tfns.tobytes() == lam.T.tobytes()
         assert not run.measured.is_crisp
 
+    def test_absent_values_take_the_runs_defaults(self, tmp_path):
+        path = self.write_config(tmp_path, weights={"eigenvector": 0.0})
+        raw = json.loads(path.read_text())
+        for key in ("alpha_levels", "optimizer", "seed"):
+            del raw[key]
+        path.write_text(json.dumps(raw))
+        run = load_run_config(path)
+        assert run.levels.tobytes() == np.linspace(1.0, 0.0, 10).tobytes()
+        assert (run.optimizer, run.seed, run.weights) == ("aco", 0, (1.0, 0.0))
+
     def test_absent_sections_take_the_defaults(self, tmp_path):
         path = self.write_config(tmp_path)
         raw = json.loads(path.read_text())
@@ -526,7 +551,7 @@ class TestRunConfig:
         assert run.bayes == McmcConfig() and run.pso == PsoConfig()
 
     def test_measured_path_resolves_relative(self, tmp_path):
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         measured = simulate_measurements(model, scenarios.THETA_TRUE, 0.05 * scenarios.THETA_TRUE)
         save_measured(measured, tmp_path / "meas.json")
         path = self.write_config(tmp_path, measured="meas.json")

@@ -16,7 +16,7 @@ from reference import (
 
 from ffemu import scenarios
 from ffemu.errors import ConvergenceError, ShapeError
-from ffemu.model import GROUND, SpringElement, StructuralModel
+from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
 from ffemu.pipeline import load_run_config, run_ffemu
 
 
@@ -177,7 +177,7 @@ class TestLevelReference:
     def test_a_cut_no_point_of_the_box_reaches_raises(self):
         # every peak four times the truth's: the stiffnesses would have to
         # grow about fourfold, beyond theta_max
-        model = scenarios.five_dof_model()
+        model = resolve_model("bundled")
         tfns = 4.0 * peak_triangles(model, scenarios.THETA_TRUE)
         with pytest.raises(ConvergenceError, match="level 1 did not reach relative residual"):
             level_reference(model, tfns, [1.0, 0.5], scenarios.THETA_MIN, scenarios.THETA_MAX)
