@@ -91,8 +91,8 @@ def check_levels(levels) -> np.ndarray:
 def default_levels(count: int) -> np.ndarray:
     """``count`` uniformly spaced alpha levels, descending from 1 to 0
     inclusive; ``count`` is an integer of at least 1, named as
-    ``'alpha_levels'``."""
-    check(count, "alpha_levels", "integer", at_least=1)
+    ``'alpha_levels'``, which may also be a list of levels (``check_levels``)."""
+    check(count, "alpha_levels", "level count", at_least=1)
     return np.linspace(1.0, 0.0, count)
 
 

@@ -4,10 +4,10 @@ A stiffness box is one row, as the optimizers search it: a point (d,) at
 alpha = 1, or [lower | upper] (2d,) below. Its one or two vertices are
 solved as consecutive rows of one stacked eigensolve, and the weighted
 squared errors between predicted and measured eigenvalue/eigenvector
-bounds are summed into a single scalar objective. The measured bounds of
-a level are the arrays ``MeasuredFuzzyModalData.cuts_at`` returns, and
-the weights are two scalars: one for every eigenvalue error, one for
-every shape error.
+bounds are summed into a single scalar objective. A level's measured
+bounds are the cuts of ``MeasuredFuzzyModalData``'s eigenvalue and shape
+triangles at its alpha (``cuts_at``), and the weights are two scalars:
+one for every eigenvalue error, one for every shape error.
 
 Eigenvalues are sorted ascending at each vertex. Every unit stiffness
 matrix is positive semidefinite, so each sorted eigenvalue is monotone in
@@ -33,19 +33,14 @@ import reprlib
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
-    DegenerateVectorError,
-    DomainError,
-    ShapeError,
-    check_keys,
-    check_value,
-    in_file,
+    ConfigurationError, DegenerateVectorError, DomainError, ShapeError, check, check_keys, check_value, in_file
 )
-from .fuzzy import alpha_cuts, triangles
+from .fuzzy import alpha_cuts
 from .model import StructuralModel, read_json, write_json
 
 __all__ = [
     "MeasuredFuzzyModalData",
+    "unit_columns",
     "residual_batch",
     "vertex_modes",
     "pair_modes",
@@ -67,11 +62,10 @@ def eigenvalue_to_hz(lam):
         return np.sqrt(lam) / _TWO_PI
 
 
-def _unit_columns(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=0)
-    if np.any(norms == 0.0):
-        raise DegenerateVectorError("measured mode shape is a zero vector")
-    return mat / norms
+def unit_columns(mat: np.ndarray) -> np.ndarray:
+    """``mat`` (..., n_dof, n) with each column scaled to unit length; a zero column stays zero."""
+    norms = np.linalg.norm(mat, axis=-2)[..., None, :]
+    return mat / np.where(norms == 0.0, 1.0, norms)
 
 
 def _shape_errors(measured_cols: np.ndarray, predicted_cols: np.ndarray) -> np.ndarray:
@@ -229,31 +223,45 @@ def vertex_modes(model: StructuralModel, boxes) -> tuple[np.ndarray, np.ndarray]
 
 
 class MeasuredFuzzyModalData:
-    """Fuzzy measured modal data: one eigenvalue triangle per mode plus mode shapes.
+    """Fuzzy measured modal data as two triangle arrays, last axis (a, b, c):
+    ``eigenvalue_tfns`` (n, 3) in rad^2/s^2 and ``shape_tfns`` (n_dof, n, 3),
+    column j mode j's shape. A crisp shape is the triangle (u, u, u) of its
+    unit shape u, and ``mode_shapes`` is the peak; ``cuts_at`` scales each
+    shape cut to unit length.
 
-    Triangles are arrays with last axis (a, b, c): ``eigenvalue_tfns`` is
-    (n, 3) in rad^2/s^2, and ``shape_tfns``, None for crisp shapes (the
-    common case), is (n_dof, n, 3), laid out like the unit ``mode_shapes``
-    (n_dof, n). ``save_measured`` writes Hz.
-
-    Modes are in ascending order: at every alpha level each eigenvalue
-    cut's centre is at or above the one before it. A centre is affine in
-    alpha, so the rule is checked at alpha 1 and alpha 0, once, here.
+    Each rule of the data is stated here once, under the measured file's
+    keys, so a bad value reads the same from Python as from a file: every
+    ``'modes[j].eigenvalue'`` triangle is ordered and above 0; every shape
+    triangle is ordered and no lower (a), peak (b) or upper (c) vertex
+    vector is zero (``'modes[j].mode_shape'`` for a crisp shape,
+    ``'modes[j].mode_shape_tfns'`` for a fuzzy one); and modes ascend, each
+    eigenvalue cut's centre at or above the one before it at every level,
+    checked at alpha 1 and 0 as a centre is affine in alpha.
     """
 
-    def __init__(self, eigenvalue_tfns, mode_shapes, shape_tfns=None):
-        self.eigenvalue_tfns = triangles(eigenvalue_tfns)
-        self.mode_shapes = _unit_columns(np.asarray(mode_shapes, dtype=float))
-        self.shape_tfns = None if shape_tfns is None else triangles(shape_tfns)
-        if self.eigenvalue_tfns.ndim != 2 or self.mode_shapes.shape[1:] != (self.n_modes,):
-            raise ShapeError("need one mode-shape column per eigenvalue triangle")
-        if (self.eigenvalue_tfns[:, 0] <= 0.0).any():
-            raise DomainError("eigenvalue triangle supports must be positive")
+    def __init__(self, eigenvalue_tfns, shape_tfns):
+        self.eigenvalue_tfns = np.asarray(eigenvalue_tfns, dtype=float)
+        self.shape_tfns = np.asarray(shape_tfns, dtype=float)
+        if self.eigenvalue_tfns.shape[1:] != (3,) or self.shape_tfns.shape[1:] != (self.n_modes, 3):
+            raise ShapeError("need one eigenvalue triangle per mode and one shape triangle per component and mode")
+        self.mode_shapes = self.shape_tfns[..., 1]
+        for j, shape in enumerate(np.swapaxes(self.shape_tfns, 0, 1)):
+            check(self.eigenvalue_tfns[j], f"modes[{j}].eigenvalue", shape=(3,), above=0)
+            crisp = (shape == shape[:, 1:2]).all()
+            key = f"modes[{j}].mode_shape" if crisp else f"modes[{j}].mode_shape_tfns"
+            for label, tfns in ((f"modes[{j}].eigenvalue", self.eigenvalue_tfns[j]), (key, shape)):
+                if (i := np.flatnonzero(~((tfns[..., 0] <= tfns[..., 1]) & (tfns[..., 1] <= tfns[..., 2])))).size:
+                    vertices = tuple(tfns.reshape(-1, 3)[i[0]].tolist())
+                    raise ConfigurationError(f"'{label}' has triangular vertices out of order: {vertices}")
+            norms = np.linalg.norm(shape, axis=0)  # the a, b and c vertex vectors'
+            if crisp and not norms[1]:  # an empty shape too
+                raise ConfigurationError(f"'{key}' must not be a zero vector, got {reprlib.repr(shape[:, 1].tolist())}")
+            if not norms.all():
+                vertex = ("lower (a)", "peak (b)", "upper (c)")[int(norms.argmin())]
+                raise ConfigurationError(f"'{key}' {vertex} vertex vector must not be zero")
         a, b, c = self.eigenvalue_tfns.T
         if (k := np.flatnonzero((np.diff(b) < 0.0) | (np.diff(a + c) < 0.0))).size:
-            raise DomainError(f"modes out of ascending order: modes[{k[0] + 1}] is below modes[{k[0]}]")
-        if self.shape_tfns is not None and self.shape_tfns.shape != self.mode_shapes.shape + (3,):
-            raise ShapeError("shape triangles must be given per component, per mode")
+            raise ConfigurationError(f"modes out of ascending order: modes[{k[0] + 1}] is below modes[{k[0]}]")
 
     @property
     def n_modes(self) -> int:
@@ -261,34 +269,28 @@ class MeasuredFuzzyModalData:
 
     @property
     def is_crisp(self) -> bool:
-        return bool((self.eigenvalue_tfns == self.eigenvalue_tfns[:, 1:2]).all())
+        return all((tfns == tfns[..., 1:2]).all() for tfns in (self.eigenvalue_tfns, self.shape_tfns))
 
-    def cuts_at(self, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Measured bounds ``(eig_lo, eig_hi, vec_lo, vec_hi)`` at one alpha level.
-
-        The eigenvalue bounds are (n,) arrays. The (n_dof, n) shape bounds
-        both equal the stored vectors for crisp shapes, and are the
-        component-wise cut endpoints for fuzzy ones; either way each column
-        is scaled to unit length. A zero lower or upper cut vector (a = -b
-        gives one at alpha 0.5) is a ``DomainError`` naming its mode and alpha.
-        """
-        if self.shape_tfns is None:
-            vec_lo = vec_hi = self.mode_shapes
-        else:
-            vec_lo, vec_hi = alpha_cuts(self.shape_tfns, alpha)
-            for bound, vec in (("lower", vec_lo), ("upper", vec_hi)):
-                if (j := np.flatnonzero(np.linalg.norm(vec, axis=0) == 0.0)).size:
-                    cut = f"a zero {bound} cut vector at alpha {float(alpha)!r}"
-                    raise DomainError(f"'modes[{j[0]}].mode_shape_tfns' has {cut}")
-        return (*alpha_cuts(self.eigenvalue_tfns, alpha), _unit_columns(vec_lo), _unit_columns(vec_hi))
+    def cuts_at(self, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Measured bounds ``(eig_lo, eig_hi, vec_lo, vec_hi)`` at ``alpha``: the
+        (n,) eigenvalue and (n_dof, n) shape cut ends, each shape column scaled
+        to unit length (L levels give (L, ...) arrays). A zero shape cut vector
+        (a = -b gives one at alpha 0.5) is a ``DomainError`` naming mode and alpha."""
+        vec_lo, vec_hi = alpha_cuts(self.shape_tfns, alpha)
+        for bound, vec in (("lower", vec_lo), ("upper", vec_hi)):
+            if (k := np.flatnonzero(np.linalg.norm(vec, axis=-2) == 0.0)).size:
+                level, j = divmod(int(k[0]), self.n_modes)
+                cut = f"a zero {bound} cut vector at alpha {float(np.ravel(alpha)[level])!r}"
+                raise DomainError(f"'modes[{j}].mode_shape_tfns' has {cut}")
+        return (*alpha_cuts(self.eigenvalue_tfns, alpha), unit_columns(vec_lo), unit_columns(vec_hi))
 
 
 def save_measured(data: MeasuredFuzzyModalData, path) -> None:
-    """Write measured fuzzy modal data as ``load_measured`` reads it, the
-    eigenvalue triangles in Hz."""
-    hz = eigenvalue_to_hz(data.eigenvalue_tfns)
-    columns = {"eigenvalue": hz.tolist(), "mode_shape": data.mode_shapes.T.tolist()}
-    if data.shape_tfns is not None:
+    """Write measured data as ``load_measured`` reads them: eigenvalues in Hz,
+    each ``mode_shape`` the peak, and ``mode_shape_tfns`` unless every shape
+    triangle is degenerate."""
+    columns = {"eigenvalue": eigenvalue_to_hz(data.eigenvalue_tfns).tolist(), "mode_shape": data.mode_shapes.T.tolist()}
+    if (data.shape_tfns != data.mode_shapes[..., None]).any():
         columns["mode_shape_tfns"] = np.swapaxes(data.shape_tfns, 0, 1).tolist()
     modes = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
     write_json(path, {"units": "hz", "modes": modes})
@@ -297,28 +299,22 @@ def save_measured(data: MeasuredFuzzyModalData, path) -> None:
 def load_measured(path) -> MeasuredFuzzyModalData:
     """Read measured fuzzy modal data, converting Hz triangles to eigenvalues.
 
-    The file is one JSON object::
-
-        {"units": "hz",
-         "modes": [{"eigenvalue": [a, b, c],
-                    "mode_shape": [phi_1, ..., phi_n],
-                    "mode_shape_tfns": [[a, b, c], ...]}, ...]}
-
-    with one entry in ``modes`` per mode. ``units`` is ``"hz"`` (the
-    default) for eigenvalue triangles given as frequencies, or
-    ``"eigenvalue"`` for rad^2/s^2; either way the triangles must be
-    positive. Modes come in ascending order: each eigenvalue triangle's
-    peak, and the midpoint of its support in rad^2/s^2, is at or above the
-    previous mode's. ``mode_shape`` has one component per degree of
-    freedom, as many in every mode, and is normalized on reading, so a
-    zero or empty one is an error.
-    ``mode_shape_tfns``, one triangle per component, is optional, but given
-    for every mode or for none; its cuts are normalized too, so a lower,
-    peak or upper vertex vector that is zero is an error. A mode may also
-    carry the legacy key ``crisp``, which is ignored. Every value goes through
-    ``errors.check_value``, so anything else, an unknown key included, is a
-    ``ConfigurationError`` naming the file and the key, as
-    ``'modes[2].eigenvalue'``.
+    The file is one JSON object, ``{"units": "hz", "modes": [{"eigenvalue":
+    [a, b, c], "mode_shape": [phi_1, ..., phi_n], "mode_shape_tfns": [[a, b,
+    c], ...]}, ...]}``, with one entry per mode. ``units`` is ``"hz"`` (the
+    default) or ``"eigenvalue"`` (rad^2/s^2). ``mode_shape_tfns``, one
+    triangle per shape component, is given for every mode or for none;
+    without it a mode's shape triangles are the crisp (u, u, u) of its
+    ``mode_shape`` u scaled to unit length, and with it ``mode_shape`` must
+    equal their peak once both are scaled to unit length, to 1e-12 in every
+    component, so no value goes unread. Every shape has as many components as
+    ``modes[0].mode_shape``. A legacy per-mode ``crisp`` key is ignored.
+    These are the file's own rules, and ``MeasuredFuzzyModalData`` states
+    the values' under the same keys. The reader keeps one bound, a
+    frequency's above 0: squaring to an eigenvalue loses the sign, so no
+    rule could see it after. Every value goes through ``errors.check_value``,
+    so a bad one, or an unknown key, is a ``ConfigurationError`` naming the
+    file and the key, as ``'modes[2].eigenvalue'``.
     """
     raw = read_json(path)
     with in_file(path):
@@ -330,26 +326,25 @@ def load_measured(path) -> MeasuredFuzzyModalData:
         keys = ["eigenvalue", "mode_shape"]
         if any("mode_shape_tfns" in entry for entry in modes):
             keys.append("mode_shape_tfns")
+        shapes = {"eigenvalue": (3,), "mode_shape": (-1,), "mode_shape_tfns": (-1, 3)}
         values = {key: [] for key in keys}
-        n_dof = -1  # any, until the first mode shape sets it
         for i, entry in enumerate(modes):
             check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
-            shapes = {"eigenvalue": (3,), "mode_shape": (n_dof,), "mode_shape_tfns": (n_dof, 3)}
             for key in keys:
-                bounds = {"above": 0} if key == "eigenvalue" else {}
-                values[key].append(check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}", **bounds))
-            n_dof = len(shape := values["mode_shape"][i])
-            if np.linalg.norm(shape) == 0.0:  # an empty shape too
-                raise DomainError(f"'modes[{i}].mode_shape' must not be a zero vector, got {reprlib.repr(shape)}")
-            if "mode_shape_tfns" in values:  # its vertex vectors a, b, c are the cut ends at alpha 0 and 1
-                norms = np.linalg.norm(values["mode_shape_tfns"][i], axis=0)
-                if not norms.all():
-                    vertex = ("lower (a)", "peak (b)", "upper (c)")[int(norms.argmin())]
-                    raise DomainError(f"'modes[{i}].mode_shape_tfns' {vertex} vertex vector must not be zero")
+                bounds = {"above": 0} if key == "eigenvalue" and units == "hz" else {}
+                value = check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}", **bounds)
+                values[key].append(value)
+                if key != "eigenvalue" and len(value) != (n_dof := len(values["mode_shape"][0])):
+                    raise ConfigurationError(
+                        f"'modes[{i}].{key}' has {len(value)} components, but 'modes[0].mode_shape' has {n_dof}"
+                    )
         eigenvalues = np.array(values["eigenvalue"], dtype=float)
-        shape_tfns = values.get("mode_shape_tfns")
-        return MeasuredFuzzyModalData(
-            hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues,
-            np.array(values["mode_shape"], dtype=float).T,
-            None if shape_tfns is None else np.swapaxes(triangles(shape_tfns), 0, 1),
-        )
+        unit = unit_columns(np.array(values["mode_shape"], dtype=float).T)
+        tfns = np.stack([unit] * 3, axis=-1)
+        if "mode_shape_tfns" in values:
+            tfns = np.reshape(values["mode_shape_tfns"], (len(modes), len(unit), 3)).swapaxes(0, 1)
+        data = MeasuredFuzzyModalData(hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues, tfns)
+        if (j := np.flatnonzero((np.abs(unit - unit_columns(data.mode_shapes)) > 1e-12).any(axis=0))).size:
+            scaled = "once both are scaled to unit length, to 1e-12 in every component"
+            raise ConfigurationError(f"'modes[{j[0]}].mode_shape' must equal its 'mode_shape_tfns' peak (b) {scaled}")
+        return data

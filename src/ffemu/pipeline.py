@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fuzzy import AlphaCutStack, check_levels, default_levels
 from .model import StructuralModel, read_json, resolve_model
-from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, vertex_modes
+from .objective import MeasuredFuzzyModalData, load_measured, residual_batch, unit_columns, vertex_modes
 from .optim import (
     STEP_SCALE,
     AcoConfig,
@@ -134,8 +134,8 @@ class FfemuRun:
     times ``optim.STEP_SCALE`` (the larger of ACO's and PSO's constant step
     scales) times ``STEP_MARGIN`` = 2**32 (room for an archive's sum of up to
     2**32 spreads and any Gaussian draw) must be finite, else the box is
-    named. ``cuts`` holds every level's ``measured.cuts_at``, cut once here, so
-    a zero shape cut vector fails the run before either command starts.
+    named. ``cuts`` holds every level's cuts of the measured eigenvalue and
+    shape triangles, made once here, so a zero shape cut fails the run first.
     """
 
     model: StructuralModel
@@ -188,7 +188,7 @@ class FfemuRun:
             raise ConfigurationError(
                 f"the box [theta_min, theta_max] makes a search step overflow on a box span of {span!r}"
             )
-        n, (k, m) = self.model.n_dof, self.measured.mode_shapes.shape
+        n, (k, m) = self.model.n_dof, self.measured.shape_tfns.shape[:2]
         if (k, m) != (n, n):
             raise ConfigurationError(
                 f"measured data must have {n} modes of {n} components each (one per model degree of "
@@ -237,8 +237,8 @@ def simulate_measurements(
     support-vertex values: mode j's eigenvalue triangle is (lambda_j(theta_true
     - spreads), lambda_j(theta_true), lambda_j(theta_true + spreads)), in that
     order by stiffness monotonicity, and with ``shape_tfns`` each mode-shape
-    component gets its triangle from the MAC-paired vertex shapes. The peak's
-    shapes are the measured mode shapes. The data depend on no alpha grid:
+    component gets its triangle from the MAC-paired vertex shapes; without
+    it, the crisp triangle of the peak's unit shape. The data depend on no alpha grid:
     their alpha = 1 and alpha = 0 cuts are the exact images of the parameter
     triangles' cuts, and every run level cuts the same triangles.
     """
@@ -259,7 +259,7 @@ def simulate_measurements(
         """(min, peak, max) over the three rows of ``values``, the peak first."""
         return np.stack([values.min(axis=0), values[0], values.max(axis=0)], axis=-1)
 
-    return MeasuredFuzzyModalData(triangles(lam), vec[0], triangles(vec) if shape_tfns else None)
+    return MeasuredFuzzyModalData(triangles(lam), triangles(vec if shape_tfns else unit_columns(vec[:1])))
 
 
 def run_ffemu(run: FfemuRun) -> FfemuResult:

@@ -52,7 +52,7 @@ def one_dof_run(measured=5.0, **overrides):
     settings = dict(theta_min=[1.0], theta_max=[9.0], seed=0, bayes=one_dof_config())
     settings.update(overrides)
     return FfemuRun(
-        model=one_dof_model(), measured=MeasuredFuzzyModalData([[measured] * 3], [[1.0]]), **settings
+        model=one_dof_model(), measured=MeasuredFuzzyModalData([[measured] * 3], [[[1.0] * 3]]), **settings
     )
 
 
@@ -294,7 +294,8 @@ class TestMhSample:
             path.write_text(json.dumps(config), encoding="utf-8")
             runs.append(load_run_config(path))
         plain, shaped = runs
-        assert plain.measured.shape_tfns is None and shaped.measured.shape_tfns is not None
+        crisp = [np.ptp(run.measured.shape_tfns, axis=-1).max() == 0.0 for run in runs]
+        assert crisp == [True, False]
         assert plain.measured.eigenvalue_tfns.tobytes() == shaped.measured.eigenvalue_tfns.tobytes()
         a, b = mh_sample(plain), mh_sample(shaped)
         for field in ("samples", "ess", "rhat"):

@@ -722,19 +722,24 @@ class TestMeasuredFile:
             (0, "eigenvalue", 2, math.inf, "'modes[0].eigenvalue' must be a list of 3 finite numbers, got ["),
             (1, "eigenvalue", 0, "1.0", "'modes[1].eigenvalue' must be a list of 3 finite numbers, got ['1.0', "),
             (0, "mode_shape", 1, math.nan, "'modes[0].mode_shape' must be a list of finite numbers, got ["),
-            (4, "mode_shape", 0, "0.5", "'modes[4].mode_shape' must be a list of 5 finite numbers, got ['0.5', "),
-            (2, "mode_shape_tfns", 3, [0.1, None, 0.2], "'modes[2].mode_shape_tfns' must be a list of 5 rows of 3"),
+            (4, "mode_shape", 0, "0.5", "'modes[4].mode_shape' must be a list of finite numbers, got ['0.5', "),
+            (2, "mode_shape_tfns", 3, [0.1, None, 0.2], "'modes[2].mode_shape_tfns' must be a list of rows of 3"),
             (0, "eigenvalue", 0, -0.7, "'modes[0].eigenvalue' must be above 0, got [-0.7, "),
             (0, "eigenvalue", 0, 1e6, "triangular vertices out of order"),
-            (3, "mode_shape_tfns", 1, [0.1, 0.2], "'modes[3].mode_shape_tfns' must be a list of 5 rows of 3"),
+            (3, "mode_shape_tfns", 1, [0.1, 0.2], "'modes[3].mode_shape_tfns' must be a list of rows of 3"),
             (3, "mode_shape", None, None, "missing required key 'modes[3].mode_shape'"),
             (None, "modes", None, 5, "'modes' must be a list of objects, got 5"),
             (None, "units", None, "khz", "'units' must be 'hz' or 'eigenvalue', got 'khz'"),
             (None, "unit", None, "eigenvalue", "unknown key 'unit'; valid keys: units, modes"),
             (2, "mode_shape_tfn", None, [[0.1, 0.2, 0.3]] * 5, "unknown key 'modes[2].mode_shape_tfn'"),
             (0, "mode_shapes", None, [1.0] * 5, "unknown key 'modes[0].mode_shapes'"),
-            (1, "mode_shape", None, [0.0] * 5, "'modes[1].mode_shape' must not be a zero vector, got [0.0, 0.0, "),
-            (0, "mode_shape", None, [], "'modes[0].mode_shape' must not be a zero vector, got []"),
+            (1, "mode_shape", None, [0.0] * 5, "'modes[1].mode_shape' must equal its 'mode_shape_tfns' peak (b)"),
+            (3, "mode_shape", None, [1.0] * 5, "'modes[3].mode_shape' must equal its 'mode_shape_tfns' peak (b)"),
+            (0, "mode_shape", None, [], "'modes[0].mode_shape_tfns' has 5 components, but 'modes[0].mode_shape' has 0"),
+            (0, "mode_shape", None, [0.6, 0.8, 0.0, 0.0], "'modes[0].mode_shape_tfns' has 5 components, but 'modes[0]"
+             ".mode_shape' has 4"),
+            (2, "mode_shape", None, [0.6, 0.8, 0.0, 0.0], "'modes[2].mode_shape' has 4 components, but 'modes[0]"
+             ".mode_shape' has 5"),
             (1, "mode_shape_tfns", None, [[0.0, 0.5, 1.0]] * 5, "'modes[1].mode_shape_tfns' lower (a) vertex vector"),
             (2, "mode_shape_tfns", None, [[-1.0, -0.5, 0.0]] * 5, "'modes[2].mode_shape_tfns' upper (c) vertex vector"),
         ],
@@ -795,6 +800,7 @@ class TestMeasuredFile:
         data = json.loads(json.dumps(measured))
         for entry in data["modes"]:
             entry["mode_shape_tfns"] = [[-abs(v), abs(v), 2 * abs(v)] for v in entry["mode_shape"]]
+            entry["mode_shape"] = [abs(v) for v in entry["mode_shape"]]  # the peak
         err = self.command_error(data, command, eigenvector_weight, 3, tmp_path, capsys)
         assert err == "'modes[0].mode_shape_tfns' has a zero lower cut vector at alpha 0.5\n"
 
@@ -892,7 +898,7 @@ class TestNonNumericConfigValues:
                 "'truth.spread_fraction' must be at least 0, got -0.1",
             ),
             ("alpha_levels", 0, "'alpha_levels' must be at least 1, got 0"),
-            ("alpha_levels", True, "'alpha_levels' must be an integer, got True"),
+            ("alpha_levels", True, "'alpha_levels' must be a level count of at least 1 or a list of levels, got True"),
             ("alpha_levels", [1.0, 0.5, -0.5], "'alpha_levels' must be at least 0, got [1.0, 0.5, -0.5]"),
             ("alpha_levels", [], "'alpha_levels' must not be empty"),
             # NaN and a 401-digit integer as JSON literals

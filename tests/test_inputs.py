@@ -7,7 +7,9 @@ and a nested list must each exit 1, naming the file and the key. A second
 table sets each bounded key just outside its range: each case must exit 1,
 naming the file, the key and the value. A bad box, start, weight or seed
 reads the same from a run-config file as from ``FfemuRun(...)``, less the
-file's name, and so do bad alpha levels and a non-string optimizer. A
+file's name, and so do bad alpha levels and a non-string optimizer; a bad
+measured eigenvalue triangle, shape triangle or mode order reads the same
+from a measured-data file as from ``MeasuredFuzzyModalData(...)``. A
 model file's zero mass, non-positive fixed stiffness or negative parameter
 index is named in the same words, with the spring's position once. A
 search coefficient that is now a constant of ``optim`` is a key its section
@@ -27,6 +29,7 @@ import pytest
 
 from ffemu import cli, scenarios
 from ffemu.errors import ConfigurationError
+from ffemu.objective import MeasuredFuzzyModalData, load_measured
 from ffemu.optim import STEP_SCALE, AcoConfig, PsoConfig
 from ffemu.pipeline import STEP_MARGIN, WEIGHT_KEYS, McmcConfig, load_run_config
 
@@ -363,6 +366,8 @@ SAME_WORDING = [
     (("alpha_levels",), 0),
     (("alpha_levels",), True),
     (("alpha_levels",), 2.5),
+    (("alpha_levels",), "x"),
+    (("alpha_levels",), None),
     (("alpha_levels",), [0.5, 0]),
     (("alpha_levels",), [1, 1]),
     (("alpha_levels",), [1, -0.5]),
@@ -371,7 +376,7 @@ SAME_WORDING = [
 ]
 SAME_WORDING_IDS = [
     "negative-weight", "nan-start", "short-start", "four-entry-theta-max", "zero-theta-min", "negative-seed",
-    "zero-levels", "true-levels", "fractional-levels", "first-level-not-1", "repeated-level", "negative-level",
+    "zero-levels", "true-levels", "fractional-levels", "string-levels", "null-levels", "first-level-not-1", "repeated-level", "negative-level",
     "numeric-optimizer", "null-optimizer",
 ]
 
@@ -401,6 +406,8 @@ def test_bad_run_value_reads_the_same_from_a_file_and_from_python(where, value, 
         )
     assert str(from_file.value) == f"{path}: {from_python.value}"
     assert f"'{where[0]}" in str(from_python.value)
+    if where == ("alpha_levels",) and not isinstance(value, list) and value != 0:
+        assert "must be a level count of at least 1 or a list of levels" in str(from_python.value)
 
 
 def test_level_count_gives_the_same_run_from_a_file_and_from_python(tmp_path):
@@ -416,6 +423,65 @@ def test_measured_eigenvalue_out_of_range(measured, tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     value = [-1, *measured["modes"][2]["eigenvalue"][1:]]
     assert_names_file_key_and_value(capsys, path, "modes[2].eigenvalue", value)
+
+
+# (eigenvalue triangles, mode-major shapes, mode-major shape triangles or
+# None for crisp shapes, the complaint); two modes of two components
+EIGENVALUES = [[90.0, 100.0, 110.0], [190.0, 200.0, 210.0]]
+SHAPES = [[0.6, 0.8], [0.8, -0.6]]
+MEASURED_SAME_WORDING = {
+    "zero-mode-shape": (
+        EIGENVALUES, [SHAPES[0], [0.0, 0.0]], None, "'modes[1].mode_shape' must not be a zero vector, got [0.0, 0.0]"
+    ),
+    "zero-lower-vertex": (
+        EIGENVALUES, SHAPES, [[[0.0, 0.6, 0.7], [0.0, 0.8, 0.9]], [[0.8] * 3, [-0.6] * 3]],
+        "'modes[0].mode_shape_tfns' lower (a) vertex vector must not be zero",
+    ),
+    "zero-peak-vertex": (
+        EIGENVALUES, SHAPES, [[[-0.1, 0.0, 0.1], [-0.1, 0.0, 0.1]], [[0.8] * 3, [-0.6] * 3]],
+        "'modes[0].mode_shape_tfns' peak (b) vertex vector must not be zero",
+    ),
+    "zero-upper-vertex": (
+        EIGENVALUES, [[-0.6, -0.8], SHAPES[1]], [[[-0.7, -0.6, 0.0], [-0.9, -0.8, 0.0]], [[0.8] * 3, [-0.6] * 3]],
+        "'modes[0].mode_shape_tfns' upper (c) vertex vector must not be zero",
+    ),
+    "unordered-eigenvalue": (
+        [[100.0, 90.0, 110.0], EIGENVALUES[1]], SHAPES, None,
+        "'modes[0].eigenvalue' has triangular vertices out of order: (100.0, 90.0, 110.0)",
+    ),
+    "negative-eigenvalue": (
+        [EIGENVALUES[0], [-1.0, 200.0, 210.0]], SHAPES, None,
+        "'modes[1].eigenvalue' must be above 0, got [-1.0, 200.0, 210.0]",
+    ),
+    "zero-eigenvalue": (
+        [[0.0, 100.0, 110.0], EIGENVALUES[1]], SHAPES, None, "'modes[0].eigenvalue' must be above 0, got [0.0, 100.0, 110.0]"
+    ),
+    "unordered-shape-triangle": (
+        EIGENVALUES, SHAPES, [[[0.6] * 3, [0.8] * 3], [[0.8, 0.8, 0.9], [-0.5, -0.6, -0.4]]],
+        "'modes[1].mode_shape_tfns' has triangular vertices out of order: (-0.5, -0.6, -0.4)",
+    ),
+    "descending-modes": (
+        EIGENVALUES[::-1], SHAPES, None, "modes out of ascending order: modes[1] is below modes[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MEASURED_SAME_WORDING)
+def test_bad_measured_value_reads_the_same_from_a_file_and_from_python(case, tmp_path):
+    eigenvalues, shapes, shape_tfns, message = MEASURED_SAME_WORDING[case]
+    modes = [{"eigenvalue": tfn, "mode_shape": shape} for tfn, shape in zip(eigenvalues, shapes)]
+    if shape_tfns is not None:
+        for mode, tfns in zip(modes, shape_tfns):
+            mode["mode_shape_tfns"] = tfns
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"units": "eigenvalue", "modes": modes}))
+    with pytest.raises(ConfigurationError) as from_file:
+        load_measured(path)
+    triangles = np.stack([shapes] * 3, axis=-1) if shape_tfns is None else np.array(shape_tfns)
+    with pytest.raises(ConfigurationError) as from_python:
+        MeasuredFuzzyModalData(eigenvalues, triangles.swapaxes(0, 1))
+    assert str(from_python.value) == message
+    assert str(from_file.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,12 @@ from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
 from ffemu.objective import (
     MeasuredFuzzyModalData,
     _shape_errors,
-    _unit_columns,
     load_measured,
     mac_matrix,
     pair_modes,
     residual_batch,
     save_measured,
+    unit_columns,
     vertex_modes,
 )
 from ffemu.optim import Box
@@ -60,7 +60,12 @@ def rows(lower, upper):
 def measured_from_box(model, lower, upper):
     """Self-consistent measured cuts: regenerate from the box (lower, upper) itself."""
     (lam,), (vec,) = vertex_modes(model, rows([lower], [upper]))
-    return lam[0], lam[1], _unit_columns(vec[0]), _unit_columns(vec[1])
+    return lam[0], lam[1], unit_columns(vec[0]), unit_columns(vec[1])
+
+
+def crisp_shapes(shapes):
+    """The degenerate (n_dof, n, 3) shape triangles (u, u, u) of (n_dof, n) shapes."""
+    return np.stack([np.asarray(shapes, dtype=float)] * 3, axis=-1)
 
 
 def cuts_of(eig_lo, eig_hi, vec_lo, vec_hi):
@@ -643,7 +648,7 @@ class TestMeasuredData:
             [200.0 * (1 - spread), 200.0, 200.0 * (1 + spread)],
         ]
         vecs = np.array([[0.8, -0.6], [0.6, 0.8]]).T
-        return MeasuredFuzzyModalData(tfns, vecs)
+        return MeasuredFuzzyModalData(tfns, crisp_shapes(vecs))
 
     def test_cuts_at_peak_are_degenerate(self):
         eig_lo, eig_hi, _, _ = self.make_data().cuts_at(1.0)
@@ -692,7 +697,7 @@ class TestMeasuredData:
     def test_shape_tfns_round_trip_and_cuts(self, tmp_path):
         tfns = [[90.0, 100.0, 115.0]]
         shape = [[[0.9, 1.0, 1.05]]]
-        data = MeasuredFuzzyModalData(tfns, np.array([[1.0]]), shape)
+        data = MeasuredFuzzyModalData(tfns, shape)
         path = tmp_path / "measured.json"
         save_measured(data, path)
         loaded = load_measured(path)
@@ -700,6 +705,41 @@ class TestMeasuredData:
         assert vec_lo[0, 0] == pytest.approx(0.9 / 0.9)  # normalized columns
         raw = loaded.shape_tfns[0, 0]
         assert tuple(raw) == (0.9, 1.0, 1.05)
+
+    @pytest.mark.parametrize(
+        "scale, shift, loads",
+        [(1.0, 0.0, True), (3.0, 0.0, True), (1.0, 5e-13, True), (1.0, 5e-12, False), (-1.0, 0.0, False)],
+    )
+    def test_mode_shape_must_be_the_unit_peak_of_its_triangles(self, scale, shift, loads, tmp_path):
+        # the peaks (0.6, 0.8) and (0.8, -0.6) are unit vectors already
+        shapes = np.array([[0.6, 0.8], [0.8, -0.6]]).T
+        data = MeasuredFuzzyModalData([[90.0, 100.0, 110.0], [190.0, 200.0, 210.0]], shapes[..., None] + [-0.1, 0.0, 0.1])
+        path = tmp_path / "measured.json"
+        save_measured(data, path)
+        raw = json.loads(path.read_text())
+        raw["modes"][1]["mode_shape"] = [scale * v + shift for v in raw["modes"][1]["mode_shape"]]
+        path.write_text(json.dumps(raw))
+        if loads:
+            assert load_measured(path).shape_tfns.tobytes() == data.shape_tfns.tobytes()
+        else:
+            with pytest.raises(ConfigurationError, match=r": 'modes\[1\]\.mode_shape' must equal its 'mode_shape_tfns' peak"):
+                load_measured(path)
+
+    def test_crisp_file_shape_is_its_unit_mode_shape(self, tmp_path):
+        # (u, u, u) of the file's mode_shape scaled to unit length; each cut
+        # scales u once more, as every run has cut a crisp file's shapes
+        path = tmp_path / "measured.json"
+        modes = [{"eigenvalue": [100.0] * 3, "mode_shape": [1.0, 2.0, 3.0]}]
+        path.write_text(json.dumps({"units": "eigenvalue", "modes": modes}))
+        loaded = load_measured(path)
+        unit = unit_columns(np.array([[1.0], [2.0], [3.0]]))
+        assert loaded.shape_tfns.tobytes() == np.stack([unit] * 3, axis=-1).tobytes()
+        assert loaded.cuts_at(0.5)[2].tobytes() == unit_columns(unit).tobytes()
+
+    def test_degenerate_shape_triangles_are_saved_as_mode_shapes_only(self, tmp_path):
+        path = tmp_path / "measured.json"
+        save_measured(self.make_data(), path)
+        assert all(set(mode) == {"eigenvalue", "mode_shape"} for mode in json.loads(path.read_text())["modes"])
 
     def test_malformed_shape_tfn_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "measured.json"
@@ -718,18 +758,16 @@ class TestMeasuredData:
         ],
     )
     def test_modes_out_of_ascending_order_rejected(self, tfns):
-        with pytest.raises(DomainError, match=r"modes\[1\] is below modes\[0\]"):
-            MeasuredFuzzyModalData(tfns, np.eye(2))
+        with pytest.raises(ConfigurationError, match=r"modes\[1\] is below modes\[0\]"):
+            MeasuredFuzzyModalData(tfns, crisp_shapes(np.eye(2)))
 
     def test_every_level_centre_ascends_when_both_ends_do(self):
         # peaks and support midpoints ascend, so the centre of every cut in
         # between does too
-        data = MeasuredFuzzyModalData([[90.0, 100.0, 130.0], [70.0, 101.0, 160.0]], np.eye(2))
+        data = MeasuredFuzzyModalData([[90.0, 100.0, 130.0], [70.0, 101.0, 160.0]], crisp_shapes(np.eye(2)))
         eig_lo, eig_hi, _, _ = data.cuts_at(np.linspace(0.0, 1.0, 101))
         assert (np.diff(eig_lo + eig_hi, axis=1) >= 0.0).all()
 
     def test_nonpositive_eigenvalue_support_rejected(self):
-        with pytest.raises(DomainError):
-            MeasuredFuzzyModalData(
-                [[-1.0, 1.0, 2.0]], np.array([[1.0]])
-            )
+        with pytest.raises(ConfigurationError, match=r"^'modes\[0\]\.eigenvalue' must be above 0, got \[-1\.0, 1\.0, 2\.0\]$"):
+            MeasuredFuzzyModalData([[-1.0, 1.0, 2.0]], crisp_shapes([[1.0]]))

@@ -13,7 +13,7 @@ from ffemu import cli, pipeline, scenarios
 from ffemu.errors import ConfigurationError
 from ffemu.fuzzy import AlphaCutStack, alpha_cuts, default_levels
 from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
-from ffemu.objective import load_measured, residual_batch, save_measured, vertex_modes
+from ffemu.objective import load_measured, residual_batch, save_measured, unit_columns, vertex_modes
 from ffemu.optim import POLISH_ITERATIONS, AcoConfig, PsoConfig
 from ffemu.pipeline import (
     FfemuRun,
@@ -136,6 +136,20 @@ class TestSimulateMeasurements:
         lows, highs = np.minimum(np.minimum(peak, low), high), np.maximum(np.maximum(peak, low), high)
         assert measured.shape_tfns.tobytes() == np.stack([lows, peak, highs], axis=-1).tobytes()
         assert fraction == 0.0 or not measured.is_crisp
+
+    def test_crisp_shapes_are_the_peaks_unit_shapes_bit_for_bit(self):
+        # a crisp shape is the triangle (u, u, u) of the peak's shape scaled
+        # to unit length, and its cut is u scaled once more, as every run
+        # has cut it
+        model = resolve_model("bundled")
+        truth = scenarios.THETA_TRUE
+        measured = simulate_measurements(model, truth, 0.05 * truth)
+        _, ((peak, _),) = vertex_modes(model, np.tile(truth, 2)[None, :])
+        unit = unit_columns(peak)
+        assert measured.shape_tfns.tobytes() == np.stack([unit] * 3, axis=-1).tobytes()
+        for alpha in LEVELS4:
+            _, _, vec_lo, vec_hi = measured.cuts_at(alpha)
+            assert vec_lo.tobytes() == vec_hi.tobytes() == unit_columns(unit).tobytes()
 
     def test_shape_tfns_layout_survives_save_load_and_cuts(self, tmp_path):
         # shape_tfns[i, j] is component i of mode j, laid out like
@@ -309,6 +323,37 @@ class TestRunFfemu:
             np.testing.assert_array_equal(calls[k][1], np.concatenate([lower[k - 1], run.theta_max]))
         for k, (_, _, state) in enumerate(calls):
             assert state == np.random.default_rng(run.seed + k).bit_generator.state
+
+    @pytest.mark.parametrize("optimizer", ["aco", "pso"])
+    def test_search_free_level_evaluates_exactly_its_start_rows(self, monkeypatch, optimizer):
+        # the search-free null: at max_iterations 0 a level evaluates its
+        # start rows once, theta_initial (level 1) or the previous level's
+        # [lower | upper] vertices, then uniform draws from
+        # default_rng(seed + k) over the level's box, archive_size (ACO) or
+        # swarm_size (PSO) rows in all, and then the polish alone moves
+        seen = []
+        minimize = getattr(pipeline, f"{optimizer}_minimize")
+
+        def recording(f, region, config, rng, initial=None):
+            seen.append([])
+            return minimize(lambda x: seen[-1].append(x.copy()) or f(x), region, config, rng, initial=initial)
+
+        monkeypatch.setattr(pipeline, f"{optimizer}_minimize", recording)
+        run = fuzzy_run(optimizer, iters=0, seed=3)
+        size = run.aco.archive_size if optimizer == "aco" else run.pso.swarm_size
+        result = run_ffemu(run)
+        lower, upper = result.parameters.lo, result.parameters.hi
+        assert len(seen) == run.levels.size
+        for k, (rows, history) in enumerate(zip(seen, result.histories)):
+            if k == 0:
+                lo, hi, start = run.theta_min, run.theta_max, run.theta_initial
+            else:
+                lo, hi = np.concatenate([run.theta_min, upper[k - 1]]), np.concatenate([lower[k - 1], run.theta_max])
+                start = np.concatenate([lower[k - 1], upper[k - 1]])
+            drawn = np.random.default_rng(run.seed + k).uniform(lo, hi, size=(size - 1, lo.size))
+            expected = np.clip(np.vstack([start, drawn]), lo, hi)
+            assert len(rows) == 1 and rows[0].tobytes() == expected.tobytes()
+            assert (history.n_evaluations, history.n_iterations, history.stop_reason) == (size, 0, "max_iterations")
 
     def test_pinched_box_collapses_everything(self):
         model = resolve_model("bundled")
