@@ -91,11 +91,9 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and is_finite_number(value)
 
 
-# kind: (test of one entry, "one" and "many" for messages); a "level count" is
-# an integer, worded for 'alpha_levels', which may also be a list of levels
+# kind: (test of one entry, "one" and "many" for messages)
 _KINDS = {
     "integer": (is_integer, "an integer", "integers"),
-    "level count": (is_integer, "a level count of at least 1 or a list of levels", "level counts"),
     "number": (is_finite_number, "a finite number", "finite numbers"),
     "string": (lambda v: isinstance(v, str), "a string", "strings"),
     "boolean": (lambda v: isinstance(v, bool), "true or false", "booleans"),

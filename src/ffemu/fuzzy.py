@@ -13,11 +13,12 @@ writes a file: a stack's CSV curves are ``report``'s.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check
+from .errors import ConfigurationError, DomainError, ShapeError, check, is_integer
 
 __all__ = [
     "AlphaCutStack",
@@ -34,16 +35,17 @@ def _first(mask) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def triangles(values) -> np.ndarray:
-    """``values`` as a float array of triangles, its last axis (a, b, c); vertices
-    out of order (NaN included) are a ``DomainError`` naming the first such triangle."""
+def triangles(values, label=None) -> np.ndarray:
+    """``values`` as a float array of triangles, its last axis (a, b, c); the first one out of
+    order (NaN included) is a ``DomainError``, or a ``ConfigurationError`` under ``label``."""
     tfns = np.asarray(values, dtype=float)
     if tfns.ndim == 0 or tfns.shape[-1] != 3:
         raise ShapeError(f"triangles need a last axis of length 3, got shape {tfns.shape}")
     a, b, c = np.moveaxis(tfns, -1, 0)
     if (k := _first(~((a <= b) & (b <= c)))) is not None:
         a, b, c = tfns.reshape(-1, 3)[k].tolist()
-        raise DomainError(f"triangular vertices out of order: ({a}, {b}, {c})")
+        problem = f"triangular vertices out of order: ({a}, {b}, {c})"
+        raise DomainError(problem) if label is None else ConfigurationError(f"{label!r} has {problem}")
     return tfns
 
 
@@ -92,7 +94,10 @@ def default_levels(count: int) -> np.ndarray:
     """``count`` uniformly spaced alpha levels, descending from 1 to 0
     inclusive; ``count`` is an integer of at least 1, named as
     ``'alpha_levels'``, which may also be a list of levels (``check_levels``)."""
-    check(count, "alpha_levels", "level count", at_least=1)
+    if not is_integer(count):
+        levels = "a level count of at least 1 or a list of levels"
+        raise ConfigurationError(f"'alpha_levels' must be {levels}, got {reprlib.repr(count)}")
+    check(count, "alpha_levels", "integer", at_least=1)
     return np.linspace(1.0, 0.0, count)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (
     ConfigurationError, DegenerateVectorError, DomainError, ShapeError, check, check_keys, check_value, in_file
 )
-from .fuzzy import alpha_cuts
+from .fuzzy import alpha_cuts, triangles
 from .model import StructuralModel, read_json, write_json
 
 __all__ = [
@@ -249,10 +249,8 @@ class MeasuredFuzzyModalData:
             check(self.eigenvalue_tfns[j], f"modes[{j}].eigenvalue", shape=(3,), above=0)
             crisp = (shape == shape[:, 1:2]).all()
             key = f"modes[{j}].mode_shape" if crisp else f"modes[{j}].mode_shape_tfns"
-            for label, tfns in ((f"modes[{j}].eigenvalue", self.eigenvalue_tfns[j]), (key, shape)):
-                if (i := np.flatnonzero(~((tfns[..., 0] <= tfns[..., 1]) & (tfns[..., 1] <= tfns[..., 2])))).size:
-                    vertices = tuple(tfns.reshape(-1, 3)[i[0]].tolist())
-                    raise ConfigurationError(f"'{label}' has triangular vertices out of order: {vertices}")
+            triangles(self.eigenvalue_tfns[j], f"modes[{j}].eigenvalue")
+            triangles(shape, key)
             norms = np.linalg.norm(shape, axis=0)  # the a, b and c vertex vectors'
             if crisp and not norms[1]:  # an empty shape too
                 raise ConfigurationError(f"'{key}' must not be a zero vector, got {reprlib.repr(shape[:, 1].tolist())}")
@@ -301,7 +299,7 @@ def load_measured(path) -> MeasuredFuzzyModalData:
 
     The file is one JSON object, ``{"units": "hz", "modes": [{"eigenvalue":
     [a, b, c], "mode_shape": [phi_1, ..., phi_n], "mode_shape_tfns": [[a, b,
-    c], ...]}, ...]}``, with one entry per mode. ``units`` is ``"hz"`` (the
+    c], ...]}, ...]}``, with one entry per mode and at least one. ``units`` is ``"hz"`` (the
     default) or ``"eigenvalue"`` (rad^2/s^2). ``mode_shape_tfns``, one
     triangle per shape component, is given for every mode or for none;
     without it a mode's shape triangles are the crisp (u, u, u) of its
@@ -322,7 +320,8 @@ def load_measured(path) -> MeasuredFuzzyModalData:
         units = check_value(raw, "units", "string", default="hz")
         if units not in ("hz", "eigenvalue"):
             raise ConfigurationError(f"'units' must be 'hz' or 'eigenvalue', got {units!r}")
-        modes = check_value(raw, "modes", "object", (-1,))
+        if not (modes := check_value(raw, "modes", "object", (-1,))):
+            raise ConfigurationError("'modes' must list at least one mode, got []")
         keys = ["eigenvalue", "mode_shape"]
         if any("mode_shape_tfns" in entry for entry in modes):
             keys.append("mode_shape_tfns")

@@ -729,6 +729,7 @@ class TestMeasuredFile:
             (3, "mode_shape_tfns", 1, [0.1, 0.2], "'modes[3].mode_shape_tfns' must be a list of rows of 3"),
             (3, "mode_shape", None, None, "missing required key 'modes[3].mode_shape'"),
             (None, "modes", None, 5, "'modes' must be a list of objects, got 5"),
+            (None, "modes", None, [], "'modes' must list at least one mode, got []"),
             (None, "units", None, "khz", "'units' must be 'hz' or 'eigenvalue', got 'khz'"),
             (None, "unit", None, "eigenvalue", "unknown key 'unit'; valid keys: units, modes"),
             (2, "mode_shape_tfn", None, [[0.1, 0.2, 0.3]] * 5, "unknown key 'modes[2].mode_shape_tfn'"),

@@ -433,6 +433,7 @@ MEASURED_SAME_WORDING = {
     "zero-mode-shape": (
         EIGENVALUES, [SHAPES[0], [0.0, 0.0]], None, "'modes[1].mode_shape' must not be a zero vector, got [0.0, 0.0]"
     ),
+    "empty-mode-shape": (EIGENVALUES, [[], []], None, "'modes[0].mode_shape' must not be a zero vector, got []"),
     "zero-lower-vertex": (
         EIGENVALUES, SHAPES, [[[0.0, 0.6, 0.7], [0.0, 0.8, 0.9]], [[0.8] * 3, [-0.6] * 3]],
         "'modes[0].mode_shape_tfns' lower (a) vertex vector must not be zero",
