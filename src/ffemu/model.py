@@ -75,20 +75,21 @@ class SpringElement:
 
 @dataclass(frozen=True)
 class StructuralModel:
-    """Masses (kg) plus spring list; ``parameter_count`` is the updating dimension.
+    """Masses (kg) plus spring list; ``parameter_count``, the updating
+    dimension, is the largest spring ``param_index`` + 1.
 
     ``masses`` must be a non-empty list or 1-D array of finite numbers above
     0, which ``errors.check`` names as the model file's ``'masses'``. There
     must be at least one updating parameter: a model with none has nothing
-    to update, and is a ``ConfigurationError``. Every node needs a
-    spring path to ground, so that K(theta) is positive definite for every
-    positive theta; a floating node is a ``ConfigurationError`` naming the
-    first one.
+    to update, and is a ``ConfigurationError``. Every index below the
+    largest must be some spring's, so a gap (params 0 and 2) is a
+    ``ConfigurationError`` naming 1. Every node needs a spring path to
+    ground, so that K(theta) is positive definite for every positive theta;
+    a floating node is a ``ConfigurationError`` naming the first one.
     """
 
     masses: np.ndarray
     springs: tuple[SpringElement, ...]
-    parameter_count: int
 
     def __post_init__(self):
         check(self.masses, "masses", shape=(-1,), above=0)
@@ -101,22 +102,13 @@ class StructuralModel:
                 f"need at least one updating parameter (a spring with 'param'), got {self.parameter_count}"
             )
         n = self.masses.size
-        referenced = set()
         for s in self.springs:
             for node in (s.node_a, s.node_b):
                 if node != GROUND and not 0 <= node < n:
                     raise ConfigurationError(
                         f"spring {s.id!r}: node {node} outside 0..{n - 1}"
                     )
-            if s.param_index is not None:
-                if s.param_index >= self.parameter_count:
-                    raise ConfigurationError(
-                        f"spring {s.id!r}: param_index {s.param_index} "
-                        f"outside 0..{self.parameter_count - 1}"
-                    )
-                referenced.add(s.param_index)
-        missing = set(range(self.parameter_count)) - referenced
-        if missing:
+        if missing := set(range(self.parameter_count)) - {s.param_index for s in self.springs}:
             raise ConfigurationError(
                 f"updating parameters never referenced by any spring: {sorted(missing)}"
             )
@@ -130,6 +122,10 @@ class StructuralModel:
             near = {b for a, b in ends if a in reached}
         if floating := sorted(set(range(n)) - reached):
             raise ConfigurationError(f"node {floating[0]} has no spring path to ground, so K(theta) is singular")
+
+    @cached_property
+    def parameter_count(self) -> int:
+        return max((s.param_index for s in self.springs if s.param_index is not None), default=-1) + 1
 
     @property
     def n_dof(self) -> int:
@@ -234,10 +230,10 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
     Expected shape::
 
         {"masses": [...], "springs": [{"id": ..., "a": ..., "b": ...,
-          "stiffness": ... | "param": ...}, ...], "parameters": d?}
+          "stiffness": ... | "param": ...}, ...]}
 
-    ``parameters`` is optional; when absent the count is inferred from the
-    largest ``param`` reference. Values go through ``errors.check_value``,
+    The parameter count is the springs' (``StructuralModel``), so the file
+    states it nowhere else. Values go through ``errors.check_value``,
     and every error, an unknown key too, is a ``ConfigurationError`` naming
     ``source`` and the key, as ``'springs[1].param'``. The bounds of
     ``masses``, ``stiffness`` and ``param`` are the model's and the spring's
@@ -246,7 +242,7 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
     'param' must be at least 0, got -1``.
     """
     with in_file(source):
-        check_keys(data, ("masses", "springs", "parameters"))
+        check_keys(data, ("masses", "springs"))
         masses = check_value(data, "masses", shape=(-1,))
         spring_entries = check_value(data, "springs", "object", (-1,))
         if not spring_entries:
@@ -263,9 +259,7 @@ def model_from_dict(data: dict, source: str = "<model>") -> StructuralModel:
                 springs.append(SpringElement(sid, a, b, None if stiffness is None else float(stiffness), param))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{where} (id {sid!r}): {exc}") from exc
-        count = max((s.param_index for s in springs if s.param_index is not None), default=-1) + 1
-        count = check_value(data, "parameters", "integer", default=count)
-        return StructuralModel(masses=masses, springs=tuple(springs), parameter_count=count)
+        return StructuralModel(masses=masses, springs=tuple(springs))
 
 
 def load_model(path) -> StructuralModel:

@@ -305,14 +305,15 @@ def load_measured(path) -> MeasuredFuzzyModalData:
     without it a mode's shape triangles are the crisp (u, u, u) of its
     ``mode_shape`` u scaled to unit length, and with it ``mode_shape`` must
     equal their peak once both are scaled to unit length, to 1e-12 in every
-    component, so no value goes unread. Every shape has as many components as
-    ``modes[0].mode_shape``. A legacy per-mode ``crisp`` key is ignored.
-    These are the file's own rules, and ``MeasuredFuzzyModalData`` states
-    the values' under the same keys. The reader keeps one bound, a
-    frequency's above 0: squaring to an eigenvalue loses the sign, so no
-    rule could see it after. Every value goes through ``errors.check_value``,
-    so a bad one, or an unknown key, is a ``ConfigurationError`` naming the
-    file and the key, as ``'modes[2].eigenvalue'``.
+    component, so no value goes unread; a zero peak, which no scaling makes
+    unit, is named under ``'modes[j].mode_shape_tfns'``. Every shape has as
+    many components as ``modes[0].mode_shape``. These are the file's own
+    rules, and ``MeasuredFuzzyModalData`` states the values' under the same
+    keys. The reader keeps one bound, a frequency's above 0: squaring to an
+    eigenvalue loses the sign, so no rule could see it after. Every value
+    goes through ``errors.check_value``, so a bad one, or an unknown key
+    (older files' per-mode ``crisp`` too), is a ``ConfigurationError``
+    naming the file and the key, as ``'modes[2].eigenvalue'``.
     """
     raw = read_json(path)
     with in_file(path):
@@ -328,7 +329,7 @@ def load_measured(path) -> MeasuredFuzzyModalData:
         shapes = {"eigenvalue": (3,), "mode_shape": (-1,), "mode_shape_tfns": (-1, 3)}
         values = {key: [] for key in keys}
         for i, entry in enumerate(modes):
-            check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns", "crisp"), f"modes[{i}].")
+            check_keys(entry, ("eigenvalue", "mode_shape", "mode_shape_tfns"), f"modes[{i}].")
             for key in keys:
                 bounds = {"above": 0} if key == "eigenvalue" and units == "hz" else {}
                 value = check_value(entry, key, shape=shapes[key], label=f"modes[{i}].{key}", **bounds)
@@ -342,6 +343,9 @@ def load_measured(path) -> MeasuredFuzzyModalData:
         tfns = np.stack([unit] * 3, axis=-1)
         if "mode_shape_tfns" in values:
             tfns = np.reshape(values["mode_shape_tfns"], (len(modes), len(unit), 3)).swapaxes(0, 1)
+            # named before the class sees it, which would call all-zero triangles a zero crisp 'mode_shape'
+            if (j := np.flatnonzero(np.linalg.norm(tfns[..., 1], axis=0) == 0.0)).size:
+                raise ConfigurationError(f"'modes[{j[0]}].mode_shape_tfns' peak (b) vertex vector must not be zero")
         data = MeasuredFuzzyModalData(hz_to_eigenvalue(eigenvalues) if units == "hz" else eigenvalues, tfns)
         if (j := np.flatnonzero((np.abs(unit - unit_columns(data.mode_shapes)) > 1e-12).any(axis=0))).size:
             scaled = "once both are scaled to unit length, to 1e-12 in every component"

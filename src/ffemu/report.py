@@ -14,14 +14,15 @@ quantity_id. These six go through one writer, ``_write_csv``.
 errors, coefficients of variation and frequencies are recomputed at render
 time so every printed number can be traced back to raw data.
 
-``load_summary`` and ``load_bayes_summary`` read the two JSON files back
-and check every field the report and the curves read with
-``errors.check_value``, so every number is finite and a complaint names
-the field, as ``'metadata.elapsed_seconds'``; ``cut_stack``, the one
-reader of the cuts, makes a group's cuts one alpha-cut stack. The
-measured triangles must be ordered, and every eigenvalue the report takes
-the square root of positive, so a damaged or hand-edited file is a
-``ConfigurationError`` naming it, never a traceback.
+``load_summary`` and ``load_bayes_summary``, the one reader of each JSON
+file, read them back and check every field the tables and the curves
+read with ``errors.check_value``, so every number is finite and a
+complaint names the field, as ``'metadata.elapsed_seconds'``;
+``cut_stack``, the one reader of the cuts, makes a group's cuts one
+alpha-cut stack. The measured triangles must be ordered, and every
+eigenvalue the report takes the square root of positive, so a damaged or
+hand-edited file is a ``ConfigurationError`` naming it, never a
+traceback.
 
 ``table`` is the one table renderer: a table is a list of columns, each
 ``(title, width, format spec)``, and its rows of cells, so a column's
@@ -67,12 +68,12 @@ def write_bundle(out_dir, run, result) -> Path:
 
     ``run`` is the FfemuRun that produced ``result``. Entry j of
     ``parameters`` (``outputs``) holds column j of ``result.parameters``
-    (``result.outputs``) as rows of [alpha, lo, hi]. ``updated_eigenvalues``
-    is the alpha = 1 row of ``result.outputs``: level 1 is the point box at
-    the centre ``result.parameters.lo[0]``, so that row is the centre's
-    sorted eigenvalues, already solved by ``propagate_outputs``.
-    ``initial_eigenvalues`` are those of ``run.theta_initial``, one
-    ``eigenvalues_batch`` row.
+    (``result.outputs``) as rows of [alpha, lo, hi]; a parameter's
+    ``center`` is its alpha = 1 bound. The updated eigenvalues are stored
+    nowhere else: level 1 is the point box at the centre, so the outputs'
+    alpha = 1 row is the centre's sorted eigenvalues, already solved by
+    ``propagate_outputs``. ``initial_eigenvalues`` are those of
+    ``run.theta_initial``, one ``eigenvalues_batch`` row.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,7 +104,6 @@ def write_bundle(out_dir, run, result) -> Path:
         "outputs": [{"mode": j + 1, "cuts": rows} for j, rows in enumerate(_cut_rows(outputs).tolist())],
         "measured_eigenvalue_tfns": run.measured.eigenvalue_tfns.tolist(),
         "initial_eigenvalues": initial_eigs,
-        "updated_eigenvalues": outputs.lo[0].tolist(),
     }
     write_json(out / SUMMARY_FILE, summary)
 
@@ -263,7 +263,6 @@ def _check_summary(data: dict) -> None:
     p, m = len(params), len(outputs)
     # the report takes the square root of every eigenvalue
     check_value(data, "measured_eigenvalue_tfns", shape=(m, 3), above=0)
-    check_value(data, "updated_eigenvalues", shape=(m,), above=0)
     check_value(data, "objective_per_level", shape=(n,))
     check_value(data, "theta_initial", shape=(p,), default=None)
     check_value(data, "initial_eigenvalues", shape=(m,), default=None, above=0)
@@ -288,13 +287,13 @@ def _check_summary(data: dict) -> None:
     triangles(data["measured_eigenvalue_tfns"])
 
 
-def _check_bayes(data: dict, summary: dict) -> None:
-    """Check every ``bayes_summary.json`` field the report reads, and the
-    sampler's diagnostics; its vectors have one entry per parameter or mode
-    of ``summary``, the means are positive (a c.o.v. divides by them), the
-    sds and the ESS not negative, the acceptance rate in [0, 1], the chains
-    at least one, the Laplace variances positive, and ``rhat`` may be null."""
-    p, m = len(summary["parameters"]), len(summary["outputs"])
+def _check_bayes(data: dict, p: int, m: int) -> None:
+    """Check every ``bayes_summary.json`` field the tables read, and the
+    sampler's diagnostics; its vectors have one entry per parameter (``p``)
+    or per mode (``m``), the means are positive (a c.o.v. divides by
+    them), the sds and the ESS not negative, the acceptance rate in [0, 1],
+    the chains at least one, the Laplace variances positive, and ``rhat``
+    may be null."""
     check_value(data, "mean", shape=(p,), above=0)
     check_value(data, "sd", shape=(p,), at_least=0)
     check_value(data, "mode", shape=(p,))
@@ -321,14 +320,14 @@ def load_summary(bundle_dir) -> dict:
     return _load(path, _check_summary)
 
 
-def load_bayes_summary(bundle_dir, summary: dict) -> dict | None:
+def load_bayes_summary(bundle_dir, parameters: int, modes: int) -> dict | None:
     """Read ``bayes_summary.json`` from a bundle, or None when it has none.
 
-    It is checked like ``summary.json`` (the bundle's, as ``load_summary``
-    returns it), and its vectors must have one entry per parameter or mode.
+    It is checked like ``summary.json``, and its vectors must have one entry
+    per updating parameter (``parameters`` of them) or per mode (``modes``).
     """
     path = Path(bundle_dir) / BAYES_FILE
-    return _load(path, _check_bayes, summary) if path.exists() else None
+    return _load(path, _check_bayes, parameters, modes) if path.exists() else None
 
 
 def table(columns, rows) -> list[str]:
@@ -393,7 +392,7 @@ def render_tables(summary: dict, bayes: dict | None = None) -> str:
     parts = [
         ([("mode", 4, ""), ("measured", 12, ".6g")], [[o["mode"] for o in summary["outputs"]], measured]),
         estimate("initial", summary.get("initial_eigenvalues")),
-        estimate("updated", summary["updated_eigenvalues"]),
+        estimate("updated", outputs.lo[0]),
         ([(interval, 26, "")], [_intervals(*eigenvalue_to_hz([outputs.lo[-1], outputs.hi[-1]]))]),
     ]
     if bayes is not None:
@@ -437,7 +436,7 @@ def render_bundle(bundle_dir, curves: bool = False) -> str:
     ``bayes_summary.json``. With ``curves``, the membership CSVs are first
     rewritten from the summary (``regenerate_curves``)."""
     summary = load_summary(bundle_dir)
-    bayes = load_bayes_summary(bundle_dir, summary)
+    bayes = load_bayes_summary(bundle_dir, len(summary["parameters"]), len(summary["outputs"]))
     if curves:
         regenerate_curves(bundle_dir, summary)
     return render_tables(summary, bayes)
@@ -447,8 +446,9 @@ def render_chain(bundle_dir, run) -> str:
     """The text ``ffemu bayes`` prints for the chain ``run`` has just written to
     ``bundle_dir``, from its ``bayes_summary.json``: each parameter's posterior
     mean, sd, c.o.v., ESS and split-R-hat (``-`` when the file's ``rhat`` is
-    null), then the acceptance rate and the number of chains."""
-    bayes = read_json(Path(bundle_dir) / BAYES_FILE)
+    null), then the acceptance rate and the number of chains; the file is
+    read through ``load_bayes_summary``, as ``render_bundle`` reads it."""
+    bayes = load_bayes_summary(bundle_dir, run.model.parameter_count, run.model.n_dof)
     columns = [
         ("param", 8, ""), ("mean", 12, ".6g"), ("sd", 12, ".6g"), ("c.o.v. %", 9, ".2f"),
         ("ESS", 8, ".0f"), ("R-hat", 7, ".3f"),

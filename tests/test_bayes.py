@@ -39,7 +39,6 @@ def one_dof_model():
     return StructuralModel(
         masses=np.array([1.0]),
         springs=(SpringElement("k", GROUND, 0, param_index=0),),
-        parameter_count=1,
     )
 
 
@@ -532,7 +531,6 @@ def over_parameterized_run(seed=0):
             SpringElement("b", 0, 1, param_index=1),
             SpringElement("c", GROUND, 1, param_index=2),
         ),
-        parameter_count=3,
     )
     truth = np.array([100.0, 50.0, 80.0])
     return FfemuRun(

@@ -18,10 +18,12 @@ import pytest
 import ffemu
 from ffemu import cli, report, scenarios
 from ffemu.bayes import mh_sample
+from ffemu.errors import ConfigurationError
+from ffemu.objective import eigenvalue_to_hz
 from ffemu.pipeline import load_run_config, run_ffemu
 from ffemu.report import cut_stack, load_summary
 
-from test_model import FIXED_PAIR, FREE_PAIR, NO_PARAMETER_MESSAGE, NO_PARAMETERS, SPLIT_TRIPLE
+from test_model import FIXED_PAIR, FREE_PAIR, NO_PARAMETER_MESSAGE, SPLIT_TRIPLE, STATED_COUNT, STATED_COUNT_MESSAGE
 
 
 @pytest.fixture
@@ -139,16 +141,20 @@ class TestUpdate:
         assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
         assert not out.exists()
 
-    def test_updated_eigenvalues_are_the_alpha_one_output_cuts(self, small_config, tmp_path):
-        # one eigenvalue convention: the centre's eigenvalues are recorded
-        # once, with the bits of the output stacks' alpha = 1 row
+    def test_updated_eigenvalues_are_only_the_alpha_one_output_cuts(self, small_config, tmp_path, capsys):
+        # one eigenvalue convention: the centre's eigenvalues are the output
+        # stacks' alpha = 1 row, a point, and no other field repeats them
         out = tmp_path / "bundle"
         assert cli.main(["update", "--config", str(small_config), "--out", str(out)]) == cli.EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["alpha_levels"][0] == 1.0
-        for value, output in zip(summary["updated_eigenvalues"], summary["outputs"], strict=True):
+        assert summary["alpha_levels"][0] == 1.0 and "updated_eigenvalues" not in summary
+        for output in summary["outputs"]:
             _, lo, hi = output["cuts"][0]
-            assert value.hex() == lo.hex() == hi.hex()
+            assert lo.hex() == hi.hex()
+        # the "updated" column (after mode, measured, initial and its error) is those cuts in Hz
+        table = capsys.readouterr().out.split("Eigenvalues as frequencies (Hz)\n")[1].splitlines()[1:6]
+        hz = eigenvalue_to_hz([output["cuts"][0][1] for output in summary["outputs"]])
+        assert [row.split()[4] for row in table] == [format(f, ".6g") for f in hz]
 
     def test_verbose_logs_one_record_per_level(self, small_config, tmp_path, caplog, capsys):
         out = tmp_path / "bundle"
@@ -355,11 +361,6 @@ class TestReport:
             ("summary.json", lambda d: d.update(alpha_levels=[0.0, 1.0]), "'alpha_levels' must start at 1, got 0.0"),
             (
                 "summary.json",
-                lambda d: d["updated_eigenvalues"].__setitem__(0, -1.0),
-                "'updated_eigenvalues' must be above 0, got [-1.0, ",
-            ),
-            (
-                "summary.json",
                 lambda d: d["initial_eigenvalues"].__setitem__(2, 0.0),
                 "'initial_eigenvalues' must be above 0, got [",
             ),
@@ -408,7 +409,7 @@ class TestReport:
             (
                 "summary.json",
                 lambda d: d.update(
-                    outputs=[], measured_eigenvalue_tfns=[], updated_eigenvalues=[], initial_eigenvalues=[]
+                    outputs=[], measured_eigenvalue_tfns=[], initial_eigenvalues=[]
                 ),
                 "'outputs' must not be empty\n",
             ),
@@ -501,6 +502,44 @@ class TestReport:
         (copy / "bayes_summary.json").write_text(json.dumps(data))
         assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
         assert capsys.readouterr().out == text
+
+    def test_a_summary_that_holds_updated_eigenvalues_renders_the_same_text(self, bundle, tmp_path, capsys):
+        # summary.json as earlier versions wrote it, with the outputs' alpha = 1 row stored again
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        capsys.readouterr()
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        data = json.loads((copy / "summary.json").read_text())
+        assert "updated_eigenvalues" not in data
+        data["updated_eigenvalues"] = [output["cuts"][0][1] for output in data["outputs"]]
+        (copy / "summary.json").write_text(json.dumps(data, indent=2))
+        assert cli.main(["report", "--bundle", str(copy)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(ess="x"), "'ess' must be a list of 5 finite numbers, got 'x'"),
+            (lambda d: d["mean"].pop(), "'mean' must be a list of 5 finite numbers, got ["),
+            (lambda d: d["posterior_eigenvalues"].append(1.0), "'posterior_eigenvalues' must be a list of 5 finite"),
+        ],
+        ids=["string-ess", "short-mean", "long-posterior-eigenvalues"],
+    )
+    def test_the_chain_table_reads_the_file_as_the_report_does(self, bundle, edit, message, tmp_path):
+        # render_chain checks bayes_summary.json as render_bundle does, its
+        # counts the run's model's
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        run = load_run_config(bundle.parent / "run.json")
+        path = copy / "bayes_summary.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        for render in (lambda: report.render_chain(copy, run), lambda: report.render_bundle(copy)):
+            with pytest.raises(ConfigurationError) as info:
+                render()
+            assert str(info.value).startswith(f"{path}: {message}")
 
     def test_a_bare_mean_is_a_configuration_error(self, bundle, tmp_path, capsys):
         copy = tmp_path / "bundle"
@@ -663,12 +702,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"configuration error: {model}: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("data", [FIXED_PAIR, NO_PARAMETERS], ids=["fixed-springs", "parameters-0"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [(FIXED_PAIR, NO_PARAMETER_MESSAGE), (STATED_COUNT, STATED_COUNT_MESSAGE)],
+        ids=["fixed-springs", "stated-count"],
+    )
     @pytest.mark.parametrize(
         "command, source", [("simulate", None), ("update", "truth"), ("update", "measured"), ("bayes", "measured")]
     )
-    def test_model_without_updating_parameter_is_a_configuration_error_naming_the_model_file(
-        self, command, source, data, tmp_path, capsys
+    def test_no_parameter_or_a_stated_count_is_a_configuration_error_naming_the_model_file(
+        self, command, source, data, message, tmp_path, capsys
     ):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(data))
@@ -686,7 +729,7 @@ class TestSimulate:
             args = [command, "--config", str(tmp_path / "run.json"), "--out", str(out)]
         capsys.readouterr()
         assert cli.main(args) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"configuration error: {model}: {NO_PARAMETER_MESSAGE}\n"
+        assert capsys.readouterr().err == f"configuration error: {model}: {message}\n"
         assert not out.exists()
 
 
@@ -743,6 +786,9 @@ class TestMeasuredFile:
              ".mode_shape' has 5"),
             (1, "mode_shape_tfns", None, [[0.0, 0.5, 1.0]] * 5, "'modes[1].mode_shape_tfns' lower (a) vertex vector"),
             (2, "mode_shape_tfns", None, [[-1.0, -0.5, 0.0]] * 5, "'modes[2].mode_shape_tfns' upper (c) vertex vector"),
+            # all-zero triangles under a non-zero mode_shape: the triangles are named, not the shape
+            (0, "mode_shape_tfns", None, [[0.0] * 3] * 5, "'modes[0].mode_shape_tfns' peak (b) vertex vector"),
+            (1, "crisp", None, True, "unknown key 'modes[1].crisp'; valid keys: eigenvalue, mode_shape, mode_shape_tfns"),
         ],
     )
     def test_bad_value_is_a_configuration_error_naming_the_file(

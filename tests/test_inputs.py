@@ -132,7 +132,6 @@ def test_truth_spec_value(where, label, value, tmp_path, capsys):
 
 MODEL_KEYS = [
     (("masses", 1), "masses"),
-    (("parameters",), "parameters"),
     (("springs", 0, "param"), "springs[0].param"),
     (("springs", 2, "stiffness"), "springs[2].stiffness"),
     (("springs", 1, "a"), "springs[1].a"),
@@ -178,17 +177,19 @@ def test_model_file_value_out_of_range(where, value, message, tmp_path, capsys):
 @pytest.mark.parametrize(
     "where, message",
     [
-        ((), "unknown key 'paramters'; valid keys: masses, springs, parameters"),
-        (("springs", 0), "unknown key 'springs[0].paramters'; valid keys: id, a, b, stiffness, param"),
-        (("springs", 9), "unknown key 'springs[9].paramters'; valid keys: id, a, b, stiffness, param"),
+        (("paramters",), "unknown key 'paramters'; valid keys: masses, springs"),
+        (("springs", 0, "paramters"), "unknown key 'springs[0].paramters'; valid keys: id, a, b, stiffness, param"),
+        (("springs", 9, "paramters"), "unknown key 'springs[9].paramters'; valid keys: id, a, b, stiffness, param"),
+        # the parameter count is the springs' to say
+        (("parameters",), "unknown key 'parameters'; valid keys: masses, springs"),
     ],
-    ids=["top", "first-spring", "last-spring"],
+    ids=["top", "first-spring", "last-spring", "parameter-count"],
 )
 @pytest.mark.parametrize("command", ["simulate", "update"])
 def test_model_file_unknown_key(where, message, command, tmp_path, capsys):
-    # a misspelt key is named, not silently ignored, in the file and from a run config
+    # a misspelt or retired key is named, not silently ignored, in the file and from a run config
     model = json.loads(resources.files("ffemu.data").joinpath("model_5dof.json").read_text(encoding="utf-8"))
-    set_at(model, (*where, "paramters"), 5)
+    set_at(model, where, 5)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     out = tmp_path / "out"
@@ -270,7 +271,6 @@ BUNDLE_KEYS = [
     ("summary.json", ("outputs", 0, "cuts", 0, 1), "outputs[0].cuts"),
     ("summary.json", ("theta_initial", 0), "theta_initial"),
     ("summary.json", ("measured_eigenvalue_tfns", 1, 0), "measured_eigenvalue_tfns"),
-    ("summary.json", ("updated_eigenvalues", 2), "updated_eigenvalues"),
     ("summary.json", ("initial_eigenvalues", 0), "initial_eigenvalues"),
     ("summary.json", ("objective_per_level", 0), "objective_per_level"),
     *[
@@ -483,6 +483,20 @@ def test_bad_measured_value_reads_the_same_from_a_file_and_from_python(case, tmp
         MeasuredFuzzyModalData(eigenvalues, triangles.swapaxes(0, 1))
     assert str(from_python.value) == message
     assert str(from_file.value) == f"{path}: {message}"
+
+
+def test_all_zero_shape_triangles_in_a_file_are_named_not_the_shape(tmp_path):
+    # mode 0's mode_shape is not zero; from Python the same degenerate
+    # triangles are a zero crisp 'mode_shape' (the zero-mode-shape row)
+    modes = [
+        {"eigenvalue": EIGENVALUES[0], "mode_shape": [1.0, 0.5], "mode_shape_tfns": [[0.0] * 3] * 2},
+        {"eigenvalue": EIGENVALUES[1], "mode_shape": SHAPES[1], "mode_shape_tfns": [[v] * 3 for v in SHAPES[1]]},
+    ]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"units": "eigenvalue", "modes": modes}))
+    with pytest.raises(ConfigurationError) as info:
+        load_measured(path)
+    assert str(info.value) == f"{path}: 'modes[0].mode_shape_tfns' peak (b) vertex vector must not be zero"
 
 
 @pytest.mark.parametrize(

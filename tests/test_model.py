@@ -1,5 +1,6 @@
 """Tests for structural model assembly and the model file format."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -23,7 +24,6 @@ def chain_2dof():
             SpringElement("g", GROUND, 0, stiffness=1.0),
             SpringElement("c", 0, 1, param_index=0),
         ),
-        parameter_count=1,
     )
 
 
@@ -31,7 +31,6 @@ def test_single_mass_ground_spring():
     model = StructuralModel(
         masses=np.array([1.0]),
         springs=(SpringElement("k", GROUND, 0, param_index=0),),
-        parameter_count=1,
     )
     assert brute_force_assemble(model, [5.0]).tolist() == [[5.0]]
     assert model.eigenvalues_batch([[5.0]])[0].tolist() == [5.0]
@@ -102,7 +101,6 @@ def crossing_two_mass_model():
             SpringElement("k1", GROUND, 1, param_index=1),
             SpringElement("c", 0, 1, stiffness=0.01),
         ),
-        parameter_count=2,
     )
 
 
@@ -201,12 +199,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=re.escape("'param' must be at least 0, got -1")):
             SpringElement("bad", 0, 1, param_index=-1)
 
-    def test_unreferenced_parameter_rejected(self):
-        with pytest.raises(ConfigurationError, match="never referenced"):
+    def test_a_gap_in_the_param_indices_is_rejected_naming_it(self):
+        # the count is the largest index + 1, so params 0 and 2 leave 1 unused
+        with pytest.raises(ConfigurationError, match=re.escape("never referenced by any spring: [1]")):
             StructuralModel(
                 masses=np.array([1.0]),
-                springs=(SpringElement("k", GROUND, 0, param_index=0),),
-                parameter_count=2,
+                springs=(SpringElement("k", GROUND, 0, param_index=0), SpringElement("j", GROUND, 0, param_index=2)),
             )
 
     def test_node_out_of_range_rejected(self):
@@ -214,7 +212,6 @@ class TestValidation:
             StructuralModel(
                 masses=np.array([1.0, 1.0]),
                 springs=(SpringElement("k", 0, 5, param_index=0),),
-                parameter_count=1,
             )
 
     def test_nonpositive_mass_rejected(self):
@@ -222,7 +219,6 @@ class TestValidation:
             StructuralModel(
                 masses=np.array([1.0, 0.0]),
                 springs=(SpringElement("k", 0, 1, stiffness=1.0),),
-                parameter_count=0,
             )
 
 
@@ -238,7 +234,8 @@ SPLIT_TRIPLE = {
     ],
 }
 
-# two masses on fixed springs only, and a model that declares no parameter
+# two masses on fixed springs only; a model that states a parameter count,
+# which is the springs' to say
 FIXED_PAIR = {
     "masses": [1.0, 1.0],
     "springs": [
@@ -246,17 +243,35 @@ FIXED_PAIR = {
         {"id": "k2", "a": 0, "b": 1, "stiffness": 500.0},
     ],
 }
-NO_PARAMETERS = {"masses": [1.0], "parameters": 0, "springs": [{"id": "k1", "a": "ground", "b": 0, "param": 0}]}
 NO_PARAMETER_MESSAGE = "need at least one updating parameter (a spring with 'param'), got 0"
+STATED_COUNT = {"masses": [1.0], "parameters": 0, "springs": [{"id": "k1", "a": "ground", "b": 0, "param": 0}]}
+STATED_COUNT_MESSAGE = "unknown key 'parameters'; valid keys: masses, springs"
 
 
 class TestParameterCount:
-    @pytest.mark.parametrize("data", [FIXED_PAIR, NO_PARAMETERS], ids=["fixed-springs", "parameters-0"])
-    def test_no_updating_parameter_is_a_configuration_error_naming_the_file(self, data, tmp_path):
+    @pytest.mark.parametrize(
+        "data, message",
+        [(FIXED_PAIR, NO_PARAMETER_MESSAGE), (STATED_COUNT, STATED_COUNT_MESSAGE)],
+        ids=["fixed-springs", "stated-count"],
+    )
+    def test_is_a_configuration_error_naming_the_file(self, data, message, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {NO_PARAMETER_MESSAGE}")):
+        with pytest.raises(ConfigurationError) as info:
             load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_a_model_is_its_masses_and_springs(self):
+        assert [f.name for f in dataclasses.fields(StructuralModel)] == ["masses", "springs"]
+
+    @pytest.mark.parametrize("largest", [0, 1, 4, 9])
+    def test_count_is_the_largest_param_plus_one(self, largest):
+        # the largest index listed first, then every index below it
+        springs = [SpringElement("g", GROUND, 0, param_index=largest)]
+        springs += [SpringElement(f"k{i}", 0, 1, param_index=i) for i in range(largest)]
+        model = StructuralModel(masses=np.ones(2 if largest else 1), springs=springs)
+        assert model.parameter_count == largest + 1
+        assert model.eigenvalues_batch(np.ones((1, largest + 1))).shape == (1, model.n_dof)
 
 
 class TestGrounding:
@@ -278,7 +293,6 @@ class TestGrounding:
                 SpringElement("a", 0, 1, param_index=0),
                 SpringElement("g", 0, GROUND, param_index=0),
             ),
-            parameter_count=1,
         )
         assert model.eigenvalues_batch([[1.0]])[0, 0] > 0.0
 
@@ -340,7 +354,6 @@ class TestModelFile:
             (lambda d: d["springs"][1].update(param="x"), "'springs[1].param' must be an integer, got 'x'"),
             (lambda d: d["springs"][1].update(param=1.9), "'springs[1].param' must be an integer, got 1.9"),
             (lambda d: d["springs"][1].update(param=True), "'springs[1].param' must be an integer, got True"),
-            (lambda d: d.update(parameters="2"), "'parameters' must be an integer"),
             (lambda d: d.update(masses=[1.0, math.nan]), "'masses' must be a list of finite numbers"),
             (lambda d: d.update(masses=[math.inf, 1.0]), "'masses' must be a list of finite numbers"),
             (

@@ -31,7 +31,6 @@ def one_dof_model():
     return StructuralModel(
         masses=np.array([1.0]),
         springs=(SpringElement("k", GROUND, 0, param_index=0),),
-        parameter_count=1,
     )
 
 
@@ -48,7 +47,6 @@ def two_mass_model(coupling=0.01):
             SpringElement("k1", GROUND, 1, param_index=1),
             SpringElement("c", 0, 1, stiffness=coupling),
         ),
-        parameter_count=2,
     )
 
 
@@ -669,18 +667,23 @@ class TestMeasuredData:
             assert b[2] == pytest.approx(a[2], rel=1e-14)
         np.testing.assert_allclose(loaded.mode_shapes, data.mode_shapes, atol=1e-15)
 
-    def test_crisp_data_are_saved_without_a_crisp_key_and_still_load_with_one(self, tmp_path):
+    def test_crisp_data_are_saved_without_a_crisp_key_which_is_an_unknown_key(self, tmp_path):
         data = self.make_data(crisp=True)
         path = tmp_path / "measured.json"
         save_measured(data, path)
         raw = json.loads(path.read_text())
         assert all(set(mode) == {"eigenvalue", "mode_shape"} for mode in raw["modes"])
-        for mode in raw["modes"]:
-            mode["crisp"] = True
-        path.write_text(json.dumps(raw))
         loaded = load_measured(path)
         assert loaded.is_crisp
         np.testing.assert_allclose(loaded.eigenvalue_tfns, data.eigenvalue_tfns, rtol=1e-14)
+        # nothing reads a per-mode crisp flag: the triangles say it
+        raw["modes"][0]["crisp"] = True
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigurationError) as info:
+            load_measured(path)
+        assert str(info.value) == (
+            f"{path}: unknown key 'modes[0].crisp'; valid keys: eigenvalue, mode_shape, mode_shape_tfns"
+        )
 
     def test_hand_written_eigenvalue_units_load_as_written(self, tmp_path):
         # files from outside may give rad^2/s^2; save_measured writes Hz only

@@ -32,7 +32,6 @@ def one_dof_model():
     return StructuralModel(
         masses=np.array([1.0]),
         springs=(SpringElement("k", GROUND, 0, param_index=0),),
-        parameter_count=1,
     )
 
 

@@ -169,7 +169,6 @@ class TestLevelReference:
         model = StructuralModel(
             masses=np.ones(2),
             springs=(SpringElement("g", GROUND, 0, stiffness=1.0), SpringElement("c", 0, 1, param_index=0)),
-            parameter_count=1,
         )
         with pytest.raises(ShapeError, match="one parameter per mode"):
             level_reference(model, np.ones((2, 3)), [1.0], [0.5], [2.0])
@@ -193,7 +192,6 @@ class TestLevelReference:
                 SpringElement("k1", GROUND, 1, param_index=1),
                 SpringElement("c", 0, 1, stiffness=1.0),
             ),
-            parameter_count=2,
         )
         tfns = peak_triangles(model, np.array([2.0, 5.0]))
         box = ([1.0, 1.0], [10.0, 10.0])
