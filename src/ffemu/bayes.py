@@ -1,12 +1,10 @@
 """Random-walk Metropolis-Hastings baseline for the updating parameters.
 
-The likelihood is Gaussian on the alpha = 1 level residual, the one the
-fuzzy search minimizes: ``objective.residual_batch`` of the parameter
-points against ``run.cuts[0]`` (the triangles' peaks), weighted (0.5 /
-sd^2, 0) for sd = ``run.bayes.likelihood_sd``. A point's lower and upper
-blocks both hold its relative eigenvalue errors (lam_m - lam) / lam_m, so
-its row's squared norm is exactly sum(((lam_m - lam) / lam_m / sd)^2);
-the shape errors, at weight 0, are never solved, and the run's own
+The likelihood is Gaussian on a point's residual r = (b - lam) / (b sd)
+(``_level_residual``): lam its ascending eigenvalues, b the triangles'
+peaks ``run.cuts[0][0]`` and sd ``run.bayes.likelihood_sd``. |r|^2 is the
+point's alpha = 1 objective of the fuzzy search, ``objective.residual_batch``
+at the weights (0.5 / sd^2, 0); the shapes are never solved, and the run's
 ``weights`` play no part. The prior is uniform on the box [theta_min,
 theta_max]. This gives the probabilistic comparison column (posterior
 means and coefficients of variation) next to the fuzzy interval results
@@ -16,8 +14,7 @@ defined in ``ffemu.pipeline`` so that only ``ffemu bayes`` loads this module.
 
 The proposal is fixed before the chains start (``laplace_fit``). The
 posterior mode is found with the package's one polish,
-``optim.least_squares_polish``, on that weighted residual inside the prior
-box, from the run's
+``optim.least_squares_polish``, on r inside the prior box, from the run's
 ``theta_initial`` (or the box centre). At the mode, with J the polish's own
 forward-difference Jacobian, the Laplace covariance Sigma is (J^T J)^-1
 with its variance capped at the uniform prior's, width^2 / 12, in every
@@ -84,8 +81,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DiagnosticsError, DomainError
-from .objective import residual_batch
+from .errors import DiagnosticsError, DomainError, ShapeError
 from .optim import Box, forward_jacobian, least_squares_polish
 from .pipeline import FfemuRun
 
@@ -137,15 +133,15 @@ class Chain:
 def log_posterior_batch(thetas, run: FfemuRun) -> np.ndarray:
     """Unnormalized log posterior of each row of ``thetas`` (m, d); -inf outside the run's prior box.
 
-    Inside the box this is the Gaussian log likelihood, -0.5 times the
-    squared norm of the point's row of the alpha = 1 level residual at the
-    weights (0.5 / sd^2, 0), sd = ``run.bayes.likelihood_sd``: that norm is
-    sum(((lam_m - lam) / lam_m / sd)^2) for the triangles' peaks lam_m (see
-    the module docstring). The uniform prior contributes nothing that
-    varies. Rows outside the box are not solved; the rest go to one
-    ``residual_batch`` call, which solves for eigenvalues only.
+    Inside the box this is the Gaussian log likelihood -0.5 sum(r^2), r =
+    (b - lam) / (b sd) the point's ``_level_residual``. The uniform prior
+    contributes nothing that varies. Rows outside the box are not solved;
+    the rest go to one ``eigenvalues_batch`` call. Raises ``ShapeError``
+    unless ``thetas`` is (m, d).
     """
     th = np.asarray(thetas, dtype=float)
+    if th.ndim != 2 or th.shape[1] != run.theta_min.size:
+        raise ShapeError(f"thetas have shape {th.shape}, expected (m, {run.theta_min.size})")
     inside = ((th >= run.theta_min) & (th <= run.theta_max)).all(axis=1)
     out = np.full(th.shape[0], -np.inf)
     if inside.any():
@@ -155,27 +151,29 @@ def log_posterior_batch(thetas, run: FfemuRun) -> np.ndarray:
 
 
 def _level_residual(run: FfemuRun, thetas) -> np.ndarray:
-    """The alpha = 1 level residual of the (m, d) points ``thetas`` at the
-    weights (0.5 / ``likelihood_sd``^2, 0), one row of length 4n per point."""
-    sd = run.bayes.likelihood_sd
-    return residual_batch(run.model, thetas, run.cuts[0], (0.5 / sd / sd, 0.0))
+    """The residuals (b - lam) / (b sd) of the (m, d) ``thetas``, one row of
+    n each, for b = ``run.cuts[0][0]`` and sd = ``run.bayes.likelihood_sd``."""
+    peaks = run.cuts[0][0]
+    r = run.model.eigenvalues_batch(thetas)
+    np.subtract(peaks, r, out=r)
+    r /= peaks * run.bayes.likelihood_sd
+    return r
 
 
 def laplace_fit(run: FfemuRun) -> Laplace:
     """The posterior mode and the Laplace covariance there (see the module docstring).
 
-    The log posterior is -0.5 |r|^2 for r the point's row of the alpha = 1
-    level residual at the weights (0.5 / sd^2, 0), so the polish that
-    minimizes |r|^2 inside the box finds the mode, and J^T J is the
-    Gauss-Newton Hessian there. In units of the uniform prior's sd,
-    width / sqrt(12), each eigenvalue of J^T J is raised to at least 1
-    before it is inverted, so no direction gets a larger variance than the
-    prior's, which keeps Sigma finite where J^T J is singular (fewer modes
-    than parameters), and a direction the data determine keeps its (J^T
-    J)^-1 variance. Raises ``DiagnosticsError`` naming
-    ``likelihood_sd`` when the residuals at the mode, or Sigma, are not
-    finite, or Sigma is not positive definite: at a tiny ``likelihood_sd``
-    the weight or the squared residuals overflow.
+    The log posterior is -0.5 |r|^2 for r = (b - lam) / (b sd) the point's
+    ``_level_residual``, so the polish that minimizes |r|^2 inside the box
+    finds the mode, and J^T J is the Gauss-Newton Hessian there. In units
+    of the uniform prior's sd, width / sqrt(12), each eigenvalue of J^T J
+    is raised to at least 1 before it is inverted, so no direction gets a
+    larger variance than the prior's, which keeps Sigma finite where J^T J
+    is singular (fewer modes than parameters), and a direction the data
+    determine keeps its (J^T J)^-1 variance. Raises ``DiagnosticsError``
+    naming ``likelihood_sd`` when r at the mode, or Sigma, is not finite,
+    or Sigma is not positive definite: at a tiny ``likelihood_sd`` the
+    Jacobian of r or its square overflows.
     """
     residual = partial(_level_residual, run)
     region = Box(run.theta_min, run.theta_max)

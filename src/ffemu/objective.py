@@ -21,8 +21,10 @@ the greedy ``pair_modes`` fallback, whose one caller is ``vertex_modes``.
 
 ``residual_batch`` is the one residual path: it evaluates a whole
 population of boxes with one stacked eigensolve, and a box's objective is
-the squared norm of its row. The M-H likelihood is its alpha = 1 level
-at the weights (0.5 / sd^2, 0) (``ffemu.bayes``).
+the squared norm of its row. The M-H sampler (``ffemu.bayes``) solves
+eigenvalues only and forms its own n-entry residual, whose squared norm
+equals a point's alpha = 1 objective here at the weights (0.5 / sd^2, 0);
+``tests/test_bayes.py`` checks that the two agree.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -26,9 +27,9 @@ from ffemu.bayes import (
     split_rhat,
     summarize,
 )
-from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError
+from ffemu.errors import ConfigurationError, ConvergenceError, DiagnosticsError, DomainError, ShapeError
 from ffemu.model import GROUND, SpringElement, StructuralModel, resolve_model
-from ffemu.objective import MeasuredFuzzyModalData
+from ffemu.objective import MeasuredFuzzyModalData, residual_batch
 from ffemu.pipeline import FfemuRun, McmcConfig, load_run_config, simulate_measurements
 from ffemu.report import CSV_CHUNK, write_chain_csv
 
@@ -259,6 +260,31 @@ class TestLogPosterior:
         batch = log_posterior_batch(thetas, run)
         np.testing.assert_allclose(batch[:-1], expected, rtol=1e-12, atol=0.0)
         assert batch[-1] == -np.inf
+
+    def test_equals_the_fuzzy_alpha_one_objective(self, tmp_path):
+        # the sampler's likelihood is the fuzzy search's alpha = 1 objective
+        # at the weights (0.5 / sd^2, 0); on the bundled fuzzy data every
+        # lower level's cuts differ from the peaks
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(scenarios.bundled_run_config()), encoding="utf-8")
+        run = load_run_config(path)
+        assert len(run.levels) > 1 and not (run.cuts[-1][0] == run.cuts[0][0]).any()
+        thetas = np.random.default_rng(5).uniform(run.theta_min, run.theta_max, (9, 5))
+        sd = run.bayes.likelihood_sd
+        rows = residual_batch(run.model, thetas, run.cuts[0], (0.5 / sd**2, 0.0))
+        np.testing.assert_allclose(
+            -2.0 * log_posterior_batch(thetas, run), np.sum(rows**2, axis=1), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 6), (3, 4), (2, 3, 5)])
+    def test_malformed_thetas_raise_shape_error(self, shape):
+        # eigenvalues_batch's wording, before any numpy error
+        with pytest.raises(ShapeError, match=re.escape(f"thetas have shape {shape}, expected (m, 5)")):
+            log_posterior_batch(np.full(shape, 3000.0), five_dof_run())
+
+    def test_an_empty_stack_gives_an_empty_array(self):
+        batch = log_posterior_batch(np.empty((0, 5)), five_dof_run())
+        assert batch.shape == (0,) and batch.dtype == float
 
 
 class TestMhSample:
