@@ -263,8 +263,8 @@ class TestLogPosterior:
 
     def test_equals_the_fuzzy_alpha_one_objective(self, tmp_path):
         # the sampler's likelihood is the fuzzy search's alpha = 1 objective
-        # at the weights (0.5 / sd^2, 0); on the bundled fuzzy data every
-        # lower level's cuts differ from the peaks
+        # at the weights (0.5 / sd^2, 0); on the bundled fuzzy data the
+        # alpha = 0 cuts differ from the peaks, so reading them would fail
         path = tmp_path / "run.json"
         path.write_text(json.dumps(scenarios.bundled_run_config()), encoding="utf-8")
         run = load_run_config(path)
